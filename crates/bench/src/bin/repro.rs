@@ -7,8 +7,10 @@
 //!   --injections N      fault injections per structure (default 200)
 //!   --paper             paper configuration (2000 injections)
 //!   --seed S            campaign + input seed (default 2017)
-//!   --jobs N, -j N      replay worker threads (default: all cores);
-//!                       results are bit-identical at any N
+//!   --jobs N, -j N, -jN worker threads (default: all cores), split
+//!                       across study points, or inside the campaigns
+//!                       when the study has one point; results are
+//!                       bit-identical at any N
 //!   --threads T         alias for --jobs (kept for compatibility)
 //!   --smoke             tiny workload sizes (CI smoke run)
 //!   --device NAME       restrict to one device (substring match)
@@ -66,7 +68,9 @@ use grel_core::campaign::{
 use grel_core::epf::structure_fit;
 use grel_core::sampling::{SamplingPlan, StrataSpec};
 use grel_core::stats::{error_margin, required_sample_size, Z_99};
-use grel_core::study::{evaluate_point, run_study, run_study_hooked, StudyConfig};
+use grel_core::study::{
+    evaluate_point, run_study_parallel, run_study_parallel_hooked, StudyConfig,
+};
 use grel_telemetry::{
     serve, Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NullSink, Observatory,
     ProgressHook, RegistryHook, SpanHook, SpanRecorder, SpanTree, StatusBoard, TeeSink,
@@ -166,15 +170,10 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--jobs" | "-j" | "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .parse()
-                    .map_err(|e| format!("bad {a}: {e}"))?;
-                if args.threads == 0 {
-                    return Err(format!("{a} must be at least 1"));
-                }
+                let value = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+                args.threads = parse_jobs(&a, &value)?;
             }
+            other if other.starts_with("-j") => args.threads = parse_jobs("-j", &other[2..])?,
             "--smoke" => args.scale = Scale::Smoke,
             "--device" => args.device = Some(it.next().ok_or("--device needs a value")?),
             "--workload" => args.workload = Some(it.next().ok_or("--workload needs a value")?),
@@ -267,6 +266,15 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Parses a `--jobs`/`-j` worker count (the value of `-jN` is `N`).
+fn parse_jobs(flag: &str, value: &str) -> Result<usize, String> {
+    let jobs: usize = value.parse().map_err(|e| format!("bad {flag}: {e}"))?;
+    if jobs == 0 {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(jobs)
+}
+
 /// Parses `--strata`: `default`, `full`, `none`, or a comma-separated
 /// subset of `liveness,cycle,bit,region`.
 fn parse_strata(spec: &str) -> Result<StrataSpec, String> {
@@ -346,8 +354,11 @@ commands:
                 selected with --device/--workload, first match wins)
 
 parallelism:
-  --jobs N (-j N, alias --threads) sets the replay worker-thread count.
-  The runner's determinism contract guarantees bit-identical campaign
+  --jobs N (-j N, -jN, alias --threads) sets the worker-thread count.
+  Study commands split the threads across study points: min(N, points)
+  workers each take the next unclaimed point, and each point's campaigns
+  get N / workers threads. A one-point study runs its campaigns on all
+  N threads. The determinism contract guarantees bit-identical campaign
   and study results at any job count: only wall-clock time changes.
 
 fault models:
@@ -652,30 +663,33 @@ fn main() -> ExitCode {
         }
         _ => None,
     };
+    let jobs = args.threads;
     let start = std::time::Instant::now();
     let outcome = if let Some(recorder) = &recorder {
         let span_hook = SpanHook::new(recorder);
         let reg_hook = RegistryHook::with_sink(&registry, event_sink);
         if args.progress {
             let prog = ProgressHook::new(progress_total);
-            let study = run_study_hooked(&archs, &workloads, &cfg, &((reg_hook, &prog), span_hook));
+            let hook = ((reg_hook, &prog), span_hook);
+            let study = run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &hook);
             prog.finish();
             study
         } else {
-            run_study_hooked(&archs, &workloads, &cfg, &(reg_hook, span_hook))
+            run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &(reg_hook, span_hook))
         }
     } else if telemetry_on {
         let reg_hook = RegistryHook::with_sink(&registry, event_sink);
         if args.progress {
             let prog = ProgressHook::new(progress_total);
-            let study = run_study_hooked(&archs, &workloads, &cfg, &(reg_hook, &prog));
+            let study =
+                run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &(reg_hook, &prog));
             prog.finish();
             study
         } else {
-            run_study_hooked(&archs, &workloads, &cfg, &reg_hook)
+            run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &reg_hook)
         }
     } else {
-        run_study(&archs, &workloads, &cfg)
+        run_study_parallel(&archs, &workloads, &cfg, jobs)
     };
     let study = match outcome {
         Ok(s) => s,
@@ -969,7 +983,7 @@ fn drift_sentinel(
         "drift sentinel: fresh study vs {path} ({} baseline points)",
         baseline_points.len()
     ));
-    let study = match run_study(archs, workloads, cfg) {
+    let study = match run_study_parallel(archs, workloads, cfg, args.threads) {
         Ok(s) => s,
         Err(e) => {
             log.error(&format!("study failed: {e}"));

@@ -204,7 +204,53 @@ fn parse_lines(text: &str) -> Result<RunData, String> {
             _ => {}
         }
     }
+    // Concurrent study points emit their events in completion order;
+    // the report lists them in the study's own order instead.
+    let key = study_order_key();
+    for events in [
+        &mut data.points,
+        &mut data.campaigns,
+        &mut data.rounds,
+        &mut data.strata_finals,
+    ] {
+        events.sort_by_cached_key(&key);
+    }
     Ok(data)
+}
+
+/// Sort key placing an event at its point's position in the study's
+/// workload-major order: workloads as [`crate::workload_set`] lists
+/// them, devices as [`gpu_archs::all_devices`] does, names outside
+/// those sets after them by name. Used with a stable sort, so the
+/// events of one point keep their emission order.
+fn study_order_key() -> impl Fn(&Json) -> (usize, String, usize, String) {
+    let workloads: Vec<String> = crate::workload_set(crate::Scale::Smoke, 0)
+        .iter()
+        .map(|w| w.name().to_string())
+        .collect();
+    let devices: Vec<String> = gpu_archs::all_devices()
+        .into_iter()
+        .map(|a| a.name)
+        .collect();
+    move |event| {
+        let field = |k: &str| {
+            event
+                .get(k)
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let rank = |names: &[String], name: &str| {
+            names.iter().position(|n| n == name).unwrap_or(usize::MAX)
+        };
+        let (workload, device) = (field("workload"), field("device"));
+        (
+            rank(&workloads, &workload),
+            workload,
+            rank(&devices, &device),
+            device,
+        )
+    }
 }
 
 /// Sums all counters whose base name (before any `{label}`) matches.
@@ -1084,6 +1130,60 @@ mod tests {
             !md.contains("## Sampling"),
             "fixed-size campaigns emit no rounds, so no Sampling section:\n{md}"
         );
+    }
+
+    /// Events of one study point: its campaigns, then the point itself.
+    fn point_events(workload: &str, device: &str, seconds: f64) -> Vec<String> {
+        let campaign = |structure: &str| {
+            format!(
+                r#"{{"event":"campaign.done","workload":"{workload}","device":"{device}","structure":"{structure}","injections":8,"masked":6,"sdc":2,"due":0,"avf":0.25,"seconds":0.1,"injections_per_second":80.0}}"#
+            )
+        };
+        vec![
+            campaign("RF"),
+            campaign("LDS"),
+            format!(
+                r#"{{"event":"study.point","workload":"{workload}","device":"{device}","cycles":900,"rf_avf":0.25,"lds_avf":0.25,"epf":1000.0,"seconds":{seconds}}}"#
+            ),
+        ]
+    }
+
+    #[test]
+    fn concurrent_points_render_in_study_order() {
+        // Workload-major study order; two points tie on time so the
+        // time-sink table's order depends on arrival order too.
+        let points = [
+            ("transpose", "HD Radeon 7970", 0.5),
+            ("transpose", "Quadro FX 5600", 0.5),
+            ("vectoradd", "HD Radeon 7970", 0.7),
+            ("vectoradd", "GeForce GTX 480", 0.3),
+        ];
+        let per_point: Vec<Vec<String>> = points
+            .iter()
+            .map(|&(w, d, s)| point_events(w, d, s))
+            .collect();
+        let ordered: Vec<String> = per_point.iter().flatten().cloned().collect();
+        // Concurrent points interleave, each keeping its own event order:
+        // deal the points' events round-robin, last point first.
+        let mut shuffled = Vec::new();
+        for i in 0..3 {
+            for events in per_point.iter().rev() {
+                shuffled.push(events[i].clone());
+            }
+        }
+        assert_ne!(ordered, shuffled);
+        let counter = r#"{"event":"counter","name":"campaign_injections_total{outcome=\"masked\"}","value":48}"#;
+        let render = |lines: &[String]| {
+            let mut text = lines.join("\n");
+            text.push('\n');
+            text.push_str(counter);
+            render_run_report(&text).unwrap()
+        };
+        let md = render(&ordered);
+        assert_eq!(md, render(&shuffled));
+        let first = md.find("| transpose | HD Radeon 7970 | RF |").unwrap();
+        let last = md.find("| vectoradd | GeForce GTX 480 | LDS |").unwrap();
+        assert!(first < last, "{md}");
     }
 
     #[test]

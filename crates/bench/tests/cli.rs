@@ -299,3 +299,55 @@ fn report_without_path_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("report needs"));
 }
+
+#[test]
+fn short_jobs_spelling_matches_long_form() {
+    let dir = std::env::temp_dir().join("repro_cli_jobs");
+    let _ = std::fs::create_dir_all(&dir);
+    let study = |jobs: &[&str], name: &str| {
+        let path = dir.join(name);
+        let mut args = vec![
+            "fig1",
+            "--smoke",
+            "--injections",
+            "6",
+            "--workload",
+            "transpose",
+            "--json",
+            path.to_str().unwrap(),
+        ];
+        args.extend_from_slice(jobs);
+        let stdout = run_ok(&args);
+        (stdout, std::fs::read(&path).unwrap())
+    };
+    let short = study(&["-j2"], "short.json");
+    let long = study(&["--jobs", "2"], "long.json");
+    let serial = study(&["-j1"], "serial.json");
+    assert_eq!(short, long, "-j2 and --jobs 2 differ");
+    assert_eq!(short, serial, "four points at two jobs differ from one job");
+
+    for bad in ["-j0", "-jx", "-j"] {
+        let out = repro().args(["fig1", bad]).output().unwrap();
+        assert!(!out.status.success(), "{bad} was accepted");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("-j"),
+            "{bad}: error does not name the flag"
+        );
+    }
+}
+
+#[test]
+fn device_filter_matches_microarchitecture_name() {
+    let out = run_ok(&[
+        "fig1",
+        "--smoke",
+        "--injections",
+        "4",
+        "--workload",
+        "vectoradd",
+        "--device",
+        "southern",
+    ]);
+    assert!(out.contains("HD Radeon 7970"), "{out}");
+    assert!(!out.contains("GTX 480"), "{out}");
+}

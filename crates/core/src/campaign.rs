@@ -1059,6 +1059,9 @@ pub(crate) struct BatchReplay {
     pub outcomes: Vec<Outcome>,
     /// Lanes that diverged architecturally and re-ran privately.
     pub forks: u32,
+    /// Shared-pass snapshots retained for the forks (at most
+    /// `forks + 1`).
+    pub snapshots: u32,
     /// Whether the shared pass aborted and the whole batch was
     /// re-classified scalar (a safety net; outcomes are still exact).
     pub fell_back: bool,
@@ -1123,9 +1126,14 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     // raised during a step always has a snapshot at or before its
     // trigger cycle; the drain sits at the top of the loop so forks
     // raised by the finishing step's host output reads still land.
+    // Only snapshots a fork resumes from are kept: a new snapshot
+    // replaces the previous one when no lane forked in between. Only
+    // the unreferenced last element is ever popped, so `fork_snap`
+    // indices stay valid and at most `forks + 1` snapshots are alive.
     let mut snaps: Vec<Checkpoint> = Vec::new();
     let mut fork_snap = vec![0usize; batch.len()];
     let mut forked = 0u64;
+    let mut last_snap_used = false;
     let (finished_out, final_sdc, shared_broke, shared_end, shared_instr) = {
         let mut session = match ckpt {
             Some(ck) => Session::resume(&mut *gpu, ck),
@@ -1155,11 +1163,16 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
                     m &= m - 1;
                 }
                 forked |= new;
+                last_snap_used = true;
             }
             if finished_out.is_some() || forked == all_mask {
                 break;
             }
             if session.gpu().app_cycle() >= next_snap {
+                if !last_snap_used {
+                    snaps.pop();
+                }
+                last_snap_used = false;
                 snaps.push(session.snapshot());
                 next_snap = session.gpu().app_cycle() + interval;
             }
@@ -1230,6 +1243,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         return Ok(BatchReplay {
             outcomes,
             forks: forked.count_ones(),
+            snapshots: snaps.len() as u32,
             fell_back: true,
         });
     }
@@ -1337,6 +1351,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     Ok(BatchReplay {
         outcomes,
         forks: forked.count_ones(),
+        snapshots: snaps.len() as u32,
         fell_back: false,
     })
 }
@@ -2222,6 +2237,66 @@ mod tests {
                 "batching must not change outcomes (prune = {prune})"
             );
         }
+    }
+
+    #[test]
+    fn batch_keeps_only_snapshots_a_fork_resumes_from() {
+        use grel_telemetry::{MetricsRegistry, RegistryHook};
+        let arch = quadro_fx_5600();
+        let w = VectorAdd::new(256, 3);
+        let golden = golden_run(&arch, &w).unwrap();
+        let mut sites = sample_sites(
+            &arch,
+            Structure::VectorRegisterFile,
+            golden.cycles,
+            simt_sim::MAX_BATCH_SCENARIOS as u32,
+            7,
+        );
+        sites.sort_by_key(|s| s.cycle);
+        let mut gpu = Gpu::new(arch.clone());
+        let rep = classify_batch_on(
+            &mut gpu, &arch, &w, &golden, &sites, 10, true, None, &NoopHook,
+        )
+        .unwrap();
+        assert!(!rep.fell_back);
+        assert!(rep.forks > 0, "vectoradd lanes fork on address registers");
+        assert!(
+            rep.snapshots <= rep.forks + 1,
+            "{} snapshots retained for {} forks",
+            rep.snapshots,
+            rep.forks
+        );
+        for (&site, &outcome) in sites.iter().zip(&rep.outcomes) {
+            let scalar = classify_on(
+                &mut gpu, &arch, &w, &golden, site, 10, true, None, &NoopHook,
+            )
+            .unwrap();
+            assert_eq!(outcome, scalar, "site {site:?}");
+        }
+
+        // The campaign-level counter obeys the same bound per batch.
+        let mut cfg = small_cfg(64);
+        cfg.prune = false;
+        let reg = MetricsRegistry::new();
+        let batched = run_campaign_hooked(
+            &arch,
+            &w,
+            Structure::VectorRegisterFile,
+            cfg,
+            &RegistryHook::new(&reg),
+        )
+        .unwrap();
+        cfg.batch = false;
+        let scalar = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        assert_eq!(batched.tally, scalar.tally);
+        let snap = reg.snapshot();
+        let counter = |name: &str| snap.counter(name).unwrap_or(0);
+        let retained = counter("campaign_batch_snapshots_total");
+        assert!(retained > 0);
+        assert!(
+            retained <= counter("campaign_batch_forks_total") + counter("campaign_batches_total"),
+            "retained snapshots exceed forks + one per batch"
+        );
     }
 
     #[test]

@@ -401,6 +401,7 @@ fn worker_loop_batched<H: TelemetryHook>(
             hook.count("campaign_batches_total", 1);
             hook.count("campaign_batched_total", unit.len() as u64);
             hook.count("campaign_batch_forks_total", rep.forks as u64);
+            hook.count("campaign_batch_snapshots_total", rep.snapshots as u64);
             if rep.fell_back {
                 hook.count("campaign_batch_fallbacks_total", 1);
             }

@@ -1,7 +1,7 @@
 //! The full cross-GPU study: evaluates every (device, workload) pair and
 //! assembles the series behind the paper's three figures.
 
-use crate::ace::{AceAnalyzer, AceMode, LifetimeOracle};
+use crate::ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
 use crate::campaign::{
     run_campaign_with_oracle_hooked, CampaignConfig, CheckpointLadder, Tally, PHASE_GOLDEN,
 };
@@ -12,6 +12,7 @@ use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
 use serde::{Deserialize, Serialize};
 use simt_sim::{ArchConfig, FaultModelKind, SimError, Structure};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Per-structure measurements of one (device, workload) pair.
@@ -144,8 +145,7 @@ impl From<&crate::sampling::AdaptiveCampaign> for FiMeasure {
     }
 }
 
-fn structure_eval(fi: Option<&FiMeasure>, ace: &AceAnalyzer, s: Structure) -> StructureEval {
-    let rep = ace.report(s);
+fn structure_eval(fi: Option<&FiMeasure>, rep: StructureReport) -> StructureEval {
     match fi {
         Some(r) => StructureEval {
             avf_fi: r.avf,
@@ -216,6 +216,13 @@ pub fn evaluate_point_hooked<H: TelemetryHook>(
         None => workload.run(&mut gpu, &mut ace)?,
     };
     let oracle = oracle;
+    // The ACE reports are final once the golden run is over; taking them
+    // now frees the analyzer's per-word state before the ladder is built.
+    let rf_ace = ace.report(Structure::VectorRegisterFile);
+    let lds_ace = ace.report(Structure::LocalMemory);
+    let srf_avf_ace =
+        (arch.srf_words_per_sm() > 0).then(|| ace.report(Structure::ScalarRegisterFile).avf_ace);
+    drop(ace);
     let golden = crate::campaign::GoldenRun {
         outputs,
         cycles: gpu.app_cycle(),
@@ -304,10 +311,8 @@ pub fn evaluate_point_hooked<H: TelemetryHook>(
     let lds_fi = (workload.uses_local_memory() || cfg.fi_on_unused_lds)
         .then(|| run_structure(Structure::LocalMemory))
         .transpose()?;
-    let rf = structure_eval(Some(&rf_fi), &ace, Structure::VectorRegisterFile);
-    let lds = structure_eval(lds_fi.as_ref(), &ace, Structure::LocalMemory);
-    let srf_avf_ace =
-        (arch.srf_words_per_sm() > 0).then(|| ace.report(Structure::ScalarRegisterFile).avf_ace);
+    let rf = structure_eval(Some(&rf_fi), rf_ace);
+    let lds = structure_eval(lds_fi.as_ref(), lds_ace);
     // FIT: FI AVF for the injected structures, ACE for the scalar file
     // (the paper's Fig. 3 folds the studied structures together).
     let lds_avf_for_fit = lds_fi.as_ref().map(|r| r.avf).unwrap_or(lds.avf_ace);
@@ -604,18 +609,24 @@ pub fn run_study_hooked<H: TelemetryHook>(
     Ok(StudyResult { points })
 }
 
-/// [`run_study`] with the (device, workload) points sharded across a
-/// scoped pool of `jobs` workers instead of parallelising inside each
-/// campaign.
+/// [`run_study`] with the (device, workload) points spread across a
+/// scoped pool of workers instead of parallelising inside each campaign.
 ///
 /// Point-level parallelism beats replay-level parallelism once the study
-/// has at least as many points as cores: the golden run, the ACE pass
-/// and the ladder build — all serial within one point — then overlap
-/// across points too. Each worker evaluates its points with
-/// single-threaded campaigns so total parallelism stays at `jobs`, and
-/// the assembled result keeps the same workload-major point order as
-/// [`run_study`]. Campaign results are thread-count invariant, so the
-/// study result is bit-identical to the sequential one.
+/// has more than one point: the golden run, the ACE pass and the ladder
+/// build — all serial within one point — then overlap across points too.
+/// The pool is `min(jobs, points)` workers wide; each worker takes the
+/// next unclaimed point index from a shared cursor, so a worker that
+/// drew a heavy point does not hold a queue of further points behind
+/// it. Each point's campaigns get `jobs / workers` threads, so total
+/// parallelism stays at `jobs` (a study with fewer points than jobs
+/// still uses the spare cores inside its campaigns). A single-point
+/// study (or `jobs == 1`) runs [`run_study`]'s serial path with the
+/// campaign thread count of `cfg` untouched. Results land in slots by
+/// point index, so the assembled result keeps [`run_study`]'s
+/// workload-major point order; campaign results are thread-count
+/// invariant, so the study result is bit-identical to the sequential
+/// one.
 ///
 /// # Errors
 ///
@@ -633,7 +644,8 @@ pub fn run_study_parallel(
 /// [`run_study_parallel`] with full telemetry through `hook`. The hook
 /// is shared across point workers; the metrics registry shards per
 /// thread and merges associatively, so harvested totals match the
-/// sequential run.
+/// sequential run. Events of concurrent points interleave in completion
+/// order.
 ///
 /// # Errors
 ///
@@ -646,28 +658,34 @@ pub fn run_study_parallel_hooked<H: TelemetryHook>(
     hook: &H,
 ) -> Result<StudyResult, SimError> {
     let n = workloads.len() * archs.len();
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs == 1 {
+    let jobs = jobs.max(1);
+    let workers = jobs.min(n.max(1));
+    if workers == 1 {
         return run_study_hooked(archs, workloads, cfg, hook);
     }
-    // Within a point the campaigns run single-threaded: the pool is
-    // already `jobs` wide, and campaign results do not depend on their
+    // The pool is `workers` wide; the rest of the job budget goes inside
+    // each point's campaigns, whose results do not depend on their
     // internal thread count.
     let mut point_cfg = *cfg;
-    point_cfg.campaign.threads = 1;
+    point_cfg.campaign.threads = jobs / workers;
     let point_cfg = &point_cfg;
+    // Relaxed: the cursor only hands out indices; results come back
+    // through `join`.
+    let cursor = AtomicUsize::new(0);
     let per_worker: Vec<Vec<(usize, Result<EvalPoint, SimError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..n)
-                        .step_by(jobs)
-                        .map(|idx| {
-                            let workload = workloads[idx / archs.len()].as_ref();
-                            let arch = &archs[idx % archs.len()];
-                            (idx, evaluate_point_hooked(arch, workload, point_cfg, hook))
-                        })
-                        .collect()
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            break done;
+                        }
+                        let workload = workloads[idx / archs.len()].as_ref();
+                        let arch = &archs[idx % archs.len()];
+                        done.push((idx, evaluate_point_hooked(arch, workload, point_cfg, hook)));
+                    }
                 })
             })
             .collect();
@@ -682,7 +700,7 @@ pub fn run_study_parallel_hooked<H: TelemetryHook>(
     }
     let mut points = Vec::with_capacity(n);
     for slot in slots {
-        points.push(slot.expect("every point index was assigned to a worker")?);
+        points.push(slot.expect("the cursor hands out every point index")?);
     }
     Ok(StudyResult { points })
 }
@@ -691,7 +709,7 @@ pub fn run_study_parallel_hooked<H: TelemetryHook>(
 mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
-    use gpu_archs::{quadro_fx_5600, quadro_fx_5800};
+    use gpu_archs::{geforce_gtx_480, quadro_fx_5600, quadro_fx_5800};
     use gpu_workloads::{Transpose, VectorAdd};
 
     fn tiny_cfg() -> StudyConfig {
@@ -783,6 +801,63 @@ mod tests {
                 assert_eq!(a.lds.tally, b.lds.tally, "jobs = {jobs}");
                 assert_eq!(a.rf.avf_fi.to_bits(), b.rf.avf_fi.to_bits());
                 assert_eq!(a.epf.to_bits(), b.epf.to_bits());
+            }
+        }
+    }
+
+    fn assert_same_study(seq: &StudyResult, par: &StudyResult, what: &str) {
+        assert_eq!(par.points.len(), seq.points.len(), "{what}: point count");
+        for (a, b) in seq.points.iter().zip(&par.points) {
+            assert_eq!(
+                (&a.workload, &a.device),
+                (&b.workload, &b.device),
+                "{what}: point order"
+            );
+            assert_eq!(a.cycles, b.cycles, "{what}");
+            for (x, y) in [(&a.rf, &b.rf), (&a.lds, &b.lds)] {
+                assert_eq!(x.tally, y.tally, "{what}");
+                assert_eq!(x.avf_fi.to_bits(), y.avf_fi.to_bits(), "{what}");
+                assert_eq!(x.avf_ace.to_bits(), y.avf_ace.to_bits(), "{what}");
+                assert_eq!(x.margin_99.to_bits(), y.margin_99.to_bits(), "{what}");
+            }
+            assert_eq!(a.epf.to_bits(), b.epf.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn cursor_handles_uneven_point_counts() {
+        // Three points never divide evenly over two workers, and at
+        // eight jobs the pool shrinks to three workers of two threads.
+        let archs = vec![quadro_fx_5600(), quadro_fx_5800(), geforce_gtx_480()];
+        let workloads: Vec<Box<dyn gpu_workloads::Workload>> =
+            vec![Box::new(Transpose::new(32, 5))];
+        let cfg = tiny_cfg();
+        let seq = run_study(&archs, &workloads, &cfg).unwrap();
+        for jobs in [2, 3, 8] {
+            let par = run_study_parallel(&archs, &workloads, &cfg, jobs).unwrap();
+            assert_same_study(&seq, &par, &format!("jobs = {jobs}"));
+        }
+    }
+
+    #[test]
+    fn fewer_points_than_jobs_split_threads_inside_points() {
+        let cfg = tiny_cfg();
+        let workloads: Vec<Box<dyn gpu_workloads::Workload>> =
+            vec![Box::new(VectorAdd::new(256, 5))];
+        // Two points at five jobs: two workers with two campaign threads
+        // each; one point at four jobs: the serial path.
+        for archs in [
+            vec![quadro_fx_5600(), geforce_gtx_480()],
+            vec![quadro_fx_5800()],
+        ] {
+            let seq = run_study(&archs, &workloads, &cfg).unwrap();
+            for jobs in [4, 5] {
+                let par = run_study_parallel(&archs, &workloads, &cfg, jobs).unwrap();
+                assert_same_study(
+                    &seq,
+                    &par,
+                    &format!("{} points, jobs = {jobs}", archs.len()),
+                );
             }
         }
     }

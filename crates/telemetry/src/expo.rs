@@ -94,6 +94,9 @@ fn help_text(base: &str) -> &'static str {
         "campaign_batched_total" => "Sites classified by a shared batched replay pass.",
         "campaign_batches_total" => "Shared batched replay passes run.",
         "campaign_batch_forks_total" => "Batched lanes forked into a private replay.",
+        "campaign_batch_snapshots_total" => {
+            "Shared-pass snapshots retained for forked lanes to resume from."
+        }
         "campaign_batch_final_sdc_total" => {
             "Unforked batched lanes classified SDC from final-output divergence."
         }
