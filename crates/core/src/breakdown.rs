@@ -4,17 +4,18 @@
 //! for follow-up work.
 
 use crate::campaign::{
-    golden_run, run_injections_checkpointed, sample_model_sites, CampaignConfig, CheckpointLadder,
-    Outcome,
+    golden_run, run_injections_checkpointed, sample_model_sites, structure_words, CampaignConfig,
+    CheckpointLadder, Outcome, Tally,
 };
+use crate::runner::{replay_sites, Arming};
 use gpu_workloads::Workload;
+use grel_telemetry::NoopHook;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use simt_sim::{ArchConfig, Due, FaultSite, Gpu, NoopObserver, SimError, Structure};
+use simt_sim::{ArchConfig, FaultSite, SimError, Structure};
 
 /// One injection with its classified outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteOutcome {
     /// Where and when the bit flipped.
     pub site: FaultSite,
@@ -132,8 +133,11 @@ pub fn due_fraction(detail: &[SiteOutcome]) -> f64 {
 }
 
 /// Multi-bit-upset campaign: flips `width` *adjacent* bits at once (the
-/// dominant MBU pattern in real SRAM), classifying like the single-bit
-/// campaign.
+/// dominant MBU pattern in real SRAM). Each group of flips is one
+/// injection of the shared runner, so it resumes from the checkpoint
+/// ladder, fans out over `cfg.threads` workers and classifies exactly
+/// like the single-bit campaign; the tally is identical at any job
+/// count.
 ///
 /// # Errors
 ///
@@ -161,41 +165,36 @@ pub fn mbu_campaign(
     structure: Structure,
     width: u8,
     cfg: CampaignConfig,
-) -> Result<crate::campaign::Tally, SimError> {
+) -> Result<Tally, SimError> {
     assert!((1..=32).contains(&width), "MBU width must be 1..=32");
     let golden = golden_run(arch, workload)?;
-    let words = match structure {
-        Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-        Structure::LocalMemory => arch.lds_words_per_sm(),
-        Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-    };
+    let words = structure_words(arch, structure);
     assert!(words > 0, "device has no {structure}");
+    // One flat list, `width` adjacent-bit sites per injection.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6b75);
-    let mut tally = crate::campaign::Tally::default();
+    let mut sites = Vec::with_capacity(cfg.injections as usize * width as usize);
     for _ in 0..cfg.injections {
         let sm = rng.gen_range(0..arch.num_sms);
         let word = rng.gen_range(0..words);
         let first_bit = rng.gen_range(0..=(32 - width as u32)) as u8;
         let cycle = rng.gen_range(0..golden.cycles);
-        let sites: Vec<FaultSite> = (0..width)
-            .map(|i| FaultSite::new(structure, sm, word, first_bit + i, cycle))
-            .collect();
-        let mut gpu = Gpu::new(arch.clone());
-        gpu.set_watchdog(golden.cycles * cfg.watchdog_factor + 10_000);
-        gpu.arm_faults(&sites);
-        let outcome = match workload.run(&mut gpu, &mut NoopObserver) {
-            Ok(out) if out == golden.outputs => Outcome::Masked,
-            Ok(_) => Outcome::Sdc,
-            Err(SimError::Due(Due::WatchdogTimeout { .. })) => Outcome::Hang,
-            Err(SimError::Due(_)) => Outcome::Due,
-            Err(e) => return Err(e),
-        };
-        match outcome {
-            Outcome::Masked => tally.masked += 1,
-            Outcome::Sdc => tally.sdc += 1,
-            Outcome::Due => tally.due += 1,
-            Outcome::Hang => tally.hang += 1,
-        }
+        sites.extend((0..width).map(|i| FaultSite::new(structure, sm, word, first_bit + i, cycle)));
+    }
+    let ladder = CheckpointLadder::build(arch, workload, &golden, &cfg)?;
+    let (outcomes, _) = replay_sites(
+        arch,
+        workload,
+        &golden,
+        &sites,
+        Arming::Groups(width as usize),
+        cfg,
+        &ladder,
+        None,
+        &NoopHook,
+    )?;
+    let mut tally = Tally::default();
+    for o in outcomes {
+        tally.add(o);
     }
     Ok(tally)
 }
@@ -269,6 +268,18 @@ mod tests {
         assert_eq!(t2.total(), 10);
         let t1 = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 1, cfg(10)).unwrap();
         assert_eq!(t1.total(), 10);
+    }
+
+    #[test]
+    fn mbu_watchdog_budget_saturates_instead_of_overflowing() {
+        // `golden_cycles · u64::MAX + 10_000` would overflow; the budget
+        // must clamp to "effectively never" and the campaign complete.
+        let arch = quadro_fx_5600();
+        let w = VectorAdd::new(256, 1);
+        let mut c = cfg(6);
+        c.watchdog_factor = u64::MAX;
+        let t = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 2, c).unwrap();
+        assert_eq!(t.total(), 6);
     }
 
     #[test]

@@ -28,17 +28,15 @@
 //! exactly the same outcome sequence as from-zero replay — only faster.
 
 use crate::ace::{AceAnalyzer, LifetimeOracle};
-use crate::runner::replay_sites;
+use crate::runner::{replay_sites, Arming};
 use crate::stats::{error_margin, fault_population, Proportion, Z_99};
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simt_sim::{
-    ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, GlobalWrite,
-    Gpu, MaskProbe, NoopObserver, Session, SessionStatus, SimError, Structure, TraceObserver,
-    TraceRecord,
+    ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, Gpu,
+    MaskProbe, NoopObserver, Session, SessionStatus, SimError, SimObserver, Structure,
 };
 use std::fmt;
 use std::time::Instant;
@@ -73,7 +71,7 @@ pub(crate) fn campaign_phase_seq(structure: Structure) -> u64 {
 }
 
 /// Outcome of one fault-injection run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// The flip did not affect the program output.
     Masked,
@@ -133,7 +131,7 @@ impl std::str::FromStr for Outcome {
 }
 
 /// Outcome counters of a campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Runs with unchanged output.
     pub masked: u64,
@@ -205,7 +203,7 @@ impl Tally {
 /// // reaches the slow path); tallies are identical either way.
 /// assert!(paper.prune && paper.early_exit);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Number of injections (the paper uses 2,000 per structure).
     pub injections: u32,
@@ -387,7 +385,7 @@ pub fn golden_run_with_ace(
 }
 
 /// Result of a fault-injection campaign on one structure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignResult {
     /// Structure injected.
     pub structure: Structure,
@@ -683,13 +681,7 @@ pub fn campaign_population(
     let structure_bits = match model {
         // Storage models: every bit of every word of the structure.
         FaultModelKind::Transient | FaultModelKind::Stuck0 | FaultModelKind::Stuck1 => {
-            (match structure {
-                Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-                Structure::LocalMemory => arch.lds_words_per_sm(),
-                Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-            }) as u64
-                * 32
-                * arch.num_sms as u64
+            structure_words(arch, structure) as u64 * 32 * arch.num_sms as u64
         }
         // Control model: 4 targets × 32 bits per warp slot per SM.
         FaultModelKind::Control => control_population_bits(arch),
@@ -867,14 +859,33 @@ impl CheckpointLadder {
     }
 }
 
+/// The watchdog cycle budget of a replay: `watchdog_factor` golden runs
+/// plus 10,000 cycles of slack. Saturating: a pathological factor (up to
+/// `u64::MAX`) clamps to an effectively infinite budget instead of
+/// overflowing.
+fn watchdog_budget(golden: &GoldenRun, watchdog_factor: u64) -> u64 {
+    golden
+        .cycles
+        .saturating_mul(watchdog_factor)
+        .saturating_add(10_000)
+}
+
 /// Classifies one injection replay on a caller-owned device, resuming
-/// from `ckpt` when given.
+/// from `ckpt` when given. `faults` is the injection: one site, or a
+/// group of sites armed together (a multi-bit upset), all sharing the
+/// first site's cycle. `obs` rides along the replay (the flight
+/// recorder of a traced campaign, [`NoopObserver`] otherwise).
 ///
 /// `gpu` is a scratch device owned by the replaying worker: a checkpoint
 /// resume overwrites it in place (so the worker pays for the device
 /// allocation once, not per replay), and a from-zero replay resets it to
 /// a fresh device first. Either way the replay never observes state left
 /// behind by a previous injection.
+///
+/// `early_exit` arms a [`MaskProbe`] that abandons the replay as
+/// `Masked` once the flipped word is erased unread. It only applies to
+/// a single transient site; groups and persistent or control faults
+/// always run to completion.
 ///
 /// # Errors
 ///
@@ -883,29 +894,28 @@ impl CheckpointLadder {
 /// validate, an exhausted allocator — means the harness itself broke and
 /// is propagated to the caller instead of being folded into the tally.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn classify_on<H: TelemetryHook>(
+pub(crate) fn classify_on<O: SimObserver, H: TelemetryHook>(
     gpu: &mut Gpu,
     arch: &ArchConfig,
     workload: &dyn Workload,
     golden: &GoldenRun,
-    site: FaultSite,
+    faults: &[FaultSite],
     watchdog_factor: u64,
     early_exit: bool,
     ckpt: Option<&Checkpoint>,
+    obs: &mut O,
     hook: &H,
 ) -> Result<Outcome, SimError> {
-    // Saturating: a pathological `watchdog_factor` (up to `u64::MAX`)
-    // clamps to an effectively-infinite budget instead of overflowing.
-    let watchdog = golden
-        .cycles
-        .saturating_mul(watchdog_factor)
-        .saturating_add(10_000);
-    // The clean-overwrite early exit is only sound for transient flips:
-    // a stuck-at cell is re-asserted by the very overwrite the probe
-    // would treat as masking, and a control fault never lives in a
-    // storage word. The probe itself is also gated (belt and braces),
-    // but disarming here skips the per-event probe cost entirely.
-    let early_exit = early_exit && site.is_transient();
+    let site = faults[0];
+    debug_assert!(faults.iter().all(|f| f.cycle == site.cycle));
+    let watchdog = watchdog_budget(golden, watchdog_factor);
+    // The clean-overwrite early exit is only sound for one transient
+    // flip: a stuck-at cell is re-asserted by the very overwrite the
+    // probe would treat as masking, a control fault never lives in a
+    // storage word, and the probe watches a single word. The probe
+    // itself is also gated (belt and braces), but disarming here skips
+    // the per-event probe cost entirely.
+    let early_exit = early_exit && faults.len() == 1 && site.is_transient();
     // (replay result, early-exited?, cycles skipped, instructions
     // inherited from the checkpoint prefix, session restore counters).
     let (result, exited, start_cycle, base_instructions, session_tel) = match ckpt {
@@ -917,20 +927,20 @@ pub(crate) fn classify_on<H: TelemetryHook>(
                 0
             };
             session.gpu_mut().set_watchdog(watchdog);
-            session.gpu_mut().arm_fault(site);
-            let (r, exited) = drive_replay(&mut session, golden, site, arch, early_exit);
+            session.gpu_mut().arm_faults(faults);
+            let (r, exited) = drive_replay(&mut session, golden, site, arch, early_exit, obs);
             let tel = *session.telemetry();
             (r, exited, ck.cycle(), base, tel)
         }
         None => {
             *gpu = Gpu::new(arch.clone());
             gpu.set_watchdog(watchdog);
-            gpu.arm_fault(site);
+            gpu.arm_faults(faults);
             let (r, exited) = if early_exit {
                 let mut session = Session::new(&mut *gpu, workload.plan());
-                drive_replay(&mut session, golden, site, arch, true)
+                drive_replay(&mut session, golden, site, arch, true, obs)
             } else {
-                (workload.run(gpu, &mut NoopObserver), false)
+                (workload.run(gpu, obs), false)
             };
             (r, exited, 0, 0, simt_sim::SessionTelemetry::default())
         }
@@ -948,34 +958,85 @@ pub(crate) fn classify_on<H: TelemetryHook>(
                 golden.cycles.saturating_sub(gpu.app_cycle()),
             );
         }
-        hook.count(
-            "sim_instructions_total",
-            gpu.exec_totals()
-                .warp_instructions
-                .saturating_sub(base_instructions),
-        );
-        if session_tel.restores > 0 {
-            hook.count("sim_restores_total", session_tel.restores);
-            hook.observe(
-                "sim_restore_seconds",
-                session_tel.restore_nanos as f64 * 1e-9,
-            );
-        }
+        record_replay_cost(hook, gpu, base_instructions, &session_tel);
     }
+    verdict(
+        result,
+        gpu,
+        arch,
+        workload,
+        golden,
+        site,
+        watchdog,
+        start_cycle,
+        hook,
+    )
+}
+
+/// Instructions a replay retired beyond its checkpoint prefix, and the
+/// cost of the checkpoint restore it started from.
+fn record_replay_cost<H: TelemetryHook>(
+    hook: &H,
+    gpu: &Gpu,
+    base_instructions: u64,
+    session_tel: &simt_sim::SessionTelemetry,
+) {
+    hook.count(
+        "sim_instructions_total",
+        gpu.exec_totals()
+            .warp_instructions
+            .saturating_sub(base_instructions),
+    );
+    if session_tel.restores > 0 {
+        hook.count("sim_restores_total", session_tel.restores);
+        hook.observe(
+            "sim_restore_seconds",
+            session_tel.restore_nanos as f64 * 1e-9,
+        );
+    }
+}
+
+/// Sorts a finished replay into its [`Outcome`] — the one place the
+/// masked/SDC/DUE/hang rule lives. Output equal to the golden run is
+/// `Masked`, any other output is an SDC, a watchdog expiry is a `Hang`
+/// and any other device-detected error a DUE; a non-DUE error is a
+/// harness failure and propagates.
+///
+/// A hang also records its timing evidence: how far the replay got
+/// against its cycle `budget`, and the cycles it burned since
+/// `start_cycle` before the harness cut it off (the cost a tighter
+/// `watchdog_factor` would recover).
+#[allow(clippy::too_many_arguments)]
+fn verdict<H: TelemetryHook>(
+    result: Result<Vec<u32>, SimError>,
+    gpu: &Gpu,
+    arch: &ArchConfig,
+    workload: &dyn Workload,
+    golden: &GoldenRun,
+    site: FaultSite,
+    budget: u64,
+    start_cycle: u64,
+    hook: &H,
+) -> Result<Outcome, SimError> {
     match result {
         Ok(out) if out == golden.outputs => Ok(Outcome::Masked),
         Ok(_) => Ok(Outcome::Sdc),
         Err(SimError::Due(Due::WatchdogTimeout { .. })) => {
             if H::ENABLED {
-                record_watchdog_kill(
-                    gpu,
-                    arch,
-                    workload,
-                    golden,
-                    site,
-                    watchdog,
-                    start_cycle,
-                    hook,
+                let cycle = gpu.app_cycle();
+                hook.count(
+                    "campaign_watchdog_cycles_total",
+                    cycle.saturating_sub(start_cycle),
+                );
+                hook.event(
+                    &Event::new("watchdog.fired")
+                        .field("workload", workload.name())
+                        .field("device", arch.name.as_str())
+                        .field("kind", site.kind.as_str())
+                        .field("site", site.to_string())
+                        .field("cycle", cycle)
+                        .field("budget", budget)
+                        .field("golden_cycles", golden.cycles),
                 );
             }
             Ok(Outcome::Hang)
@@ -985,57 +1046,27 @@ pub(crate) fn classify_on<H: TelemetryHook>(
     }
 }
 
-/// Timing evidence for a watchdog kill: how far the hung replay got
-/// against its cycle budget, and the cycles it burned before the
-/// harness cut it off (the cost a tighter `watchdog_factor` would
-/// recover). Shared by the plain and traced classify paths.
-#[allow(clippy::too_many_arguments)]
-fn record_watchdog_kill<H: TelemetryHook>(
-    gpu: &Gpu,
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
-    site: FaultSite,
-    budget: u64,
-    start_cycle: u64,
-    hook: &H,
-) {
-    let cycle = gpu.app_cycle();
-    hook.count(
-        "campaign_watchdog_cycles_total",
-        cycle.saturating_sub(start_cycle),
-    );
-    hook.event(
-        &Event::new("watchdog.fired")
-            .field("workload", workload.name())
-            .field("device", arch.name.as_str())
-            .field("kind", site.kind.as_str())
-            .field("site", site.to_string())
-            .field("cycle", cycle)
-            .field("budget", budget)
-            .field("golden_cycles", golden.cycles),
-    );
-}
-
-/// Drives one replay session to completion, abandoning it early with the
-/// golden outputs when `early_exit` is set and a [`MaskProbe`] proves the
-/// flip can no longer matter (the flipped word was erased — clean
-/// overwrite or per-launch reset — without ever having been read, so the
-/// machine state is bit-identical to the fault-free run from that point
-/// on). Returns the replay result plus whether the early exit fired.
-fn drive_replay(
+/// Drives one replay session to completion under `obs`, abandoning it
+/// early with the golden outputs when `early_exit` is set and a
+/// [`MaskProbe`] proves the flip can no longer matter (the flipped word
+/// was erased — clean overwrite or per-launch reset — without ever
+/// having been read, so the machine state is bit-identical to the
+/// fault-free run from that point on). Returns the replay result plus
+/// whether the early exit fired.
+fn drive_replay<O: SimObserver>(
     session: &mut Session<'_>,
     golden: &GoldenRun,
     site: FaultSite,
     arch: &ArchConfig,
     early_exit: bool,
+    obs: &mut O,
 ) -> (Result<Vec<u32>, SimError>, bool) {
     if !early_exit {
-        return (session.run_to_completion(&mut NoopObserver), false);
+        return (session.run_to_completion(obs), false);
     }
     let mut probe = MaskProbe::new(site, arch.num_sms as usize);
     loop {
-        match session.step(&mut probe) {
+        match session.step(&mut (&mut probe, &mut *obs)) {
             Err(e) => return (Err(e), false),
             Ok(SessionStatus::Finished) => {
                 let out = session
@@ -1105,10 +1136,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
 ) -> Result<BatchReplay, SimError> {
     debug_assert!(!batch.is_empty() && batch.len() <= simt_sim::MAX_BATCH_SCENARIOS);
     debug_assert!(batch.iter().all(|s| s.is_transient()));
-    let watchdog = golden
-        .cycles
-        .saturating_mul(watchdog_factor)
-        .saturating_add(10_000);
+    let watchdog = watchdog_budget(golden, watchdog_factor);
     let start_cycle = ckpt.map_or(0, |ck| ck.cycle());
     debug_assert!(batch.iter().all(|s| s.cycle >= start_cycle));
     // Twice the ladder's rung density: a fork replays the stretch from
@@ -1227,16 +1255,17 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     if broken {
         gpu.clear_scenarios();
         let mut outcomes = Vec::with_capacity(batch.len());
-        for &site in batch {
+        for site in batch {
             outcomes.push(classify_on(
                 gpu,
                 arch,
                 workload,
                 golden,
-                site,
+                std::slice::from_ref(site),
                 watchdog_factor,
                 early_exit,
                 ckpt,
+                &mut NoopObserver,
                 hook,
             )?);
         }
@@ -1273,7 +1302,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         }
         let site = batch[s];
         let snap = &snaps[fork_snap[s]];
-        let (result, end_cycle, instr, session_tel) = {
+        let (result, base_instructions, session_tel) = {
             let mut session = Session::resume(&mut *gpu, snap);
             let base = if H::ENABLED {
                 session.gpu().exec_totals().warp_instructions
@@ -1291,62 +1320,29 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
                 session.gpu_mut().arm_fault(site);
             }
             let r = session.run_to_completion(&mut NoopObserver);
-            let tel = *session.telemetry();
-            let instr = if H::ENABLED {
-                session
-                    .gpu()
-                    .exec_totals()
-                    .warp_instructions
-                    .saturating_sub(base)
-            } else {
-                0
-            };
-            let end = session.gpu().app_cycle();
-            (r, end, instr, tel)
+            (r, base, *session.telemetry())
         };
         if H::ENABLED {
-            hook.count(
-                "campaign_cycles_replayed_total",
-                end_cycle.saturating_sub(snap.cycle()),
-            );
-            hook.count(
-                "campaign_batch_fork_cycles_total",
-                end_cycle.saturating_sub(snap.cycle()),
-            );
+            let replayed = gpu.app_cycle().saturating_sub(snap.cycle());
+            hook.count("campaign_cycles_replayed_total", replayed);
+            hook.count("campaign_batch_fork_cycles_total", replayed);
             hook.count(
                 "campaign_cycles_saved_total",
                 snap.cycle().saturating_sub(start_cycle),
             );
-            hook.count("sim_instructions_total", instr);
-            if session_tel.restores > 0 {
-                hook.count("sim_restores_total", session_tel.restores);
-                hook.observe(
-                    "sim_restore_seconds",
-                    session_tel.restore_nanos as f64 * 1e-9,
-                );
-            }
+            record_replay_cost(hook, gpu, base_instructions, &session_tel);
         }
-        outcomes[s] = match result {
-            Ok(out) if out == golden.outputs => Outcome::Masked,
-            Ok(_) => Outcome::Sdc,
-            Err(SimError::Due(Due::WatchdogTimeout { .. })) => {
-                if H::ENABLED {
-                    record_watchdog_kill(
-                        gpu,
-                        arch,
-                        workload,
-                        golden,
-                        site,
-                        watchdog,
-                        snap.cycle(),
-                        hook,
-                    );
-                }
-                Outcome::Hang
-            }
-            Err(SimError::Due(_)) => Outcome::Due,
-            Err(e) => return Err(e),
-        };
+        outcomes[s] = verdict(
+            result,
+            gpu,
+            arch,
+            workload,
+            golden,
+            site,
+            watchdog,
+            snap.cycle(),
+            hook,
+        )?;
     }
     Ok(BatchReplay {
         outcomes,
@@ -1354,101 +1350,6 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         snapshots: snaps.len() as u32,
         fell_back: false,
     })
-}
-
-/// [`classify_on`] with a [`TraceObserver`] riding along: identical
-/// classification (the observer is passive), plus a per-injection
-/// [`TraceRecord`] of how the corruption propagated. `golden_writes` is
-/// the golden run's global-store stream captured by
-/// [`simt_sim::GlobalWriteLog`].
-///
-/// # Errors
-///
-/// Same as [`classify_on`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn classify_traced_on<H: TelemetryHook>(
-    gpu: &mut Gpu,
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
-    golden_writes: &[GlobalWrite],
-    site: FaultSite,
-    watchdog_factor: u64,
-    ckpt: Option<&Checkpoint>,
-    hook: &H,
-) -> Result<(Outcome, TraceRecord), SimError> {
-    // Saturating: a pathological `watchdog_factor` (up to `u64::MAX`)
-    // clamps to an effectively-infinite budget instead of overflowing.
-    let watchdog = golden
-        .cycles
-        .saturating_mul(watchdog_factor)
-        .saturating_add(10_000);
-    let resume_cycle = ckpt.map_or(0, |ck| ck.cycle());
-    let mut tracer = TraceObserver::new(site, arch.num_sms as usize, golden_writes, resume_cycle);
-    let (result, start_cycle, base_instructions, session_tel) = match ckpt {
-        Some(ck) => {
-            let mut session = Session::resume(&mut *gpu, ck);
-            let base = if H::ENABLED {
-                session.gpu().exec_totals().warp_instructions
-            } else {
-                0
-            };
-            session.gpu_mut().set_watchdog(watchdog);
-            session.gpu_mut().arm_fault(site);
-            let r = session.run_to_completion(&mut tracer);
-            let tel = *session.telemetry();
-            (r, ck.cycle(), base, tel)
-        }
-        None => {
-            *gpu = Gpu::new(arch.clone());
-            gpu.set_watchdog(watchdog);
-            gpu.arm_fault(site);
-            let r = workload.run(gpu, &mut tracer);
-            (r, 0, 0, simt_sim::SessionTelemetry::default())
-        }
-    };
-    if H::ENABLED {
-        hook.count(
-            "campaign_cycles_replayed_total",
-            gpu.app_cycle().saturating_sub(start_cycle),
-        );
-        hook.count("campaign_cycles_saved_total", start_cycle);
-        hook.count(
-            "sim_instructions_total",
-            gpu.exec_totals()
-                .warp_instructions
-                .saturating_sub(base_instructions),
-        );
-        if session_tel.restores > 0 {
-            hook.count("sim_restores_total", session_tel.restores);
-            hook.observe(
-                "sim_restore_seconds",
-                session_tel.restore_nanos as f64 * 1e-9,
-            );
-        }
-    }
-    let outcome = match result {
-        Ok(out) if out == golden.outputs => Outcome::Masked,
-        Ok(_) => Outcome::Sdc,
-        Err(SimError::Due(Due::WatchdogTimeout { .. })) => {
-            if H::ENABLED {
-                record_watchdog_kill(
-                    gpu,
-                    arch,
-                    workload,
-                    golden,
-                    site,
-                    watchdog,
-                    start_cycle,
-                    hook,
-                );
-            }
-            Outcome::Hang
-        }
-        Err(SimError::Due(_)) => Outcome::Due,
-        Err(e) => return Err(e),
-    };
-    Ok((outcome, tracer.into_record(arch.lds_banks)))
 }
 
 /// Runs a full statistical fault-injection campaign.
@@ -1503,65 +1404,14 @@ pub fn run_campaign_hooked<H: TelemetryHook>(
     hook: &H,
 ) -> Result<CampaignResult, SimError> {
     let golden = golden_run_hooked(arch, workload, hook)?;
-    run_campaign_with_golden_hooked(arch, workload, structure, cfg, &golden, hook)
+    let ladder = CheckpointLadder::build_hooked(arch, workload, &golden, &cfg, hook)?;
+    run_campaign_with_ladder_hooked(arch, workload, structure, cfg, &golden, &ladder, hook)
 }
 
-/// [`run_campaign`] against an already-captured golden run (saves the
-/// fault-free replay when several campaigns share one workload). Builds
-/// its own [`CheckpointLadder`]; callers running several structures over
-/// one golden run should build the ladder once and use
-/// [`run_campaign_with_ladder`].
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications.
-pub fn run_campaign_with_golden(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-) -> Result<CampaignResult, SimError> {
-    run_campaign_with_golden_hooked(arch, workload, structure, cfg, golden, &NoopHook)
-}
-
-/// [`run_campaign_with_golden`] with full telemetry through `hook`.
-///
-/// # Errors
-///
-/// Same as [`run_campaign_with_golden`].
-pub fn run_campaign_with_golden_hooked<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-    hook: &H,
-) -> Result<CampaignResult, SimError> {
-    let ladder = CheckpointLadder::build_hooked(arch, workload, golden, &cfg, hook)?;
-    run_campaign_with_ladder_hooked(arch, workload, structure, cfg, golden, &ladder, hook)
-}
-
-/// [`run_campaign`] against a shared golden run and checkpoint ladder.
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications.
-pub fn run_campaign_with_ladder(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-    ladder: &CheckpointLadder,
-) -> Result<CampaignResult, SimError> {
-    run_campaign_with_ladder_hooked(arch, workload, structure, cfg, golden, ladder, &NoopHook)
-}
-
-/// [`run_campaign_with_ladder`] with full telemetry through `hook`:
-/// per-outcome counters, per-injection latency, rung-hit distribution,
-/// replay cycles saved vs from-zero, throughput and a `campaign.done`
-/// event.
+/// [`run_campaign`] against a shared golden run and checkpoint ladder,
+/// with full telemetry through `hook`: per-outcome counters,
+/// per-injection latency, rung-hit distribution, replay cycles saved vs
+/// from-zero, throughput and a `campaign.done` event.
 ///
 /// When `cfg.prune` is set this captures a [`LifetimeOracle`] from one
 /// extra instrumented fault-free run and delegates to
@@ -1571,7 +1421,7 @@ pub fn run_campaign_with_ladder(
 ///
 /// # Errors
 ///
-/// Same as [`run_campaign_with_ladder`].
+/// Same as [`run_campaign`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_with_ladder_hooked<H: TelemetryHook>(
     arch: &ArchConfig,
@@ -1628,7 +1478,7 @@ pub fn run_campaign_with_ladder_hooked<H: TelemetryHook>(
 ///
 /// # Errors
 ///
-/// Same as [`run_campaign_with_ladder`].
+/// Same as [`run_campaign`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
     arch: &ArchConfig,
@@ -1649,7 +1499,17 @@ pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
         cfg.injections,
         cfg.seed,
     );
-    let outcomes = replay_sites(arch, workload, golden, &sites, cfg, ladder, oracle, hook)?;
+    let (outcomes, _) = replay_sites(
+        arch,
+        workload,
+        golden,
+        &sites,
+        Arming::Groups(1),
+        cfg,
+        ladder,
+        oracle,
+        hook,
+    )?;
     let mut tally = Tally::default();
     for o in outcomes {
         tally.add(o);
@@ -1728,15 +1588,13 @@ pub fn run_injections(
     sites: &[FaultSite],
     cfg: CampaignConfig,
 ) -> Result<Vec<Outcome>, SimError> {
-    replay_sites(
+    run_injections_checkpointed(
         arch,
         workload,
         golden,
+        &CheckpointLadder::empty(),
         sites,
         cfg,
-        &CheckpointLadder::empty(),
-        None,
-        &NoopHook,
     )
 }
 
@@ -1755,7 +1613,18 @@ pub fn run_injections_checkpointed(
     sites: &[FaultSite],
     cfg: CampaignConfig,
 ) -> Result<Vec<Outcome>, SimError> {
-    replay_sites(arch, workload, golden, sites, cfg, ladder, None, &NoopHook)
+    let (outcomes, _) = replay_sites(
+        arch,
+        workload,
+        golden,
+        sites,
+        Arming::Groups(1),
+        cfg,
+        ladder,
+        None,
+        &NoopHook,
+    )?;
+    Ok(outcomes)
 }
 
 /// [`run_campaign`] with an explicit worker count, overriding
@@ -2268,7 +2137,16 @@ mod tests {
         );
         for (&site, &outcome) in sites.iter().zip(&rep.outcomes) {
             let scalar = classify_on(
-                &mut gpu, &arch, &w, &golden, site, 10, true, None, &NoopHook,
+                &mut gpu,
+                &arch,
+                &w,
+                &golden,
+                &[site],
+                10,
+                true,
+                None,
+                &mut NoopObserver,
+                &NoopHook,
             )
             .unwrap();
             assert_eq!(outcome, scalar, "site {site:?}");

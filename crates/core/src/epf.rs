@@ -11,7 +11,6 @@
 //!   cycle count and the shader clock;
 //! * `EPF` — how many executions complete between failures.
 
-use serde::{Deserialize, Serialize};
 use simt_sim::{ArchConfig, Structure};
 
 /// Seconds in 10⁹ hours (the FIT time base).
@@ -54,7 +53,7 @@ pub fn structure_fit(arch: &ArchConfig, structure: Structure, avf: f64) -> f64 {
 
 /// The FIT contributions of the studied structures of one device running
 /// one workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FitBreakdown {
     /// Vector register file FIT.
     pub rf: f64,

@@ -75,8 +75,7 @@ pub use breakdown::{
 };
 pub use campaign::{
     golden_run, golden_run_hooked, golden_run_with_ace, run_campaign, run_campaign_hooked,
-    run_campaign_parallel, run_campaign_parallel_hooked, run_campaign_with_golden,
-    run_campaign_with_golden_hooked, run_campaign_with_ladder, run_campaign_with_ladder_hooked,
+    run_campaign_parallel, run_campaign_parallel_hooked, run_campaign_with_ladder_hooked,
     run_campaign_with_oracle_hooked, run_injections, run_injections_checkpointed, CampaignConfig,
     CampaignResult, CheckpointLadder, GoldenRun, Outcome, Tally,
 };
@@ -91,11 +90,10 @@ pub use provenance::{
     MaskingReason, Provenance, ProvenanceAggregate, SingleTrace, RF_REGIONS,
 };
 pub use sampling::{
-    run_adaptive_campaign, run_adaptive_campaign_hooked, AdaptiveCampaign, RoundPlan, SamplingPlan,
-    StrataSpec, StratumSnapshot,
+    run_adaptive_campaign, AdaptiveCampaign, RoundPlan, SamplingPlan, StrataSpec, StratumSnapshot,
 };
 pub use study::{
-    evaluate_point, evaluate_point_hooked, run_study, run_study_hooked, run_study_parallel,
+    evaluate_point, evaluate_point_hooked, run_study, run_study_parallel,
     run_study_parallel_hooked, AvfRow, EpfRow, EvalPoint, Findings, StructureEval, StudyConfig,
     StudyResult,
 };

@@ -7,11 +7,10 @@
 //! instruction mix, IPC, memory transactions and cache behaviour.
 
 use gpu_workloads::Workload;
-use serde::{Deserialize, Serialize};
 use simt_sim::{ArchConfig, Gpu, NoopObserver, SimError};
 
 /// Performance profile of one workload on one device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfProfile {
     /// Device name.
     pub device: String,

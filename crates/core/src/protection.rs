@@ -9,11 +9,10 @@
 //! projects FIT, EIT and EPF under standard SRAM protection schemes.
 
 use crate::epf::{epf, FitBreakdown};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A storage-array protection scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protection {
     /// Unprotected SRAM (the paper's measured baseline).
     None,
@@ -71,7 +70,7 @@ impl fmt::Display for Protection {
 
 /// Projected reliability/performance of one evaluation point under a
 /// protection scheme.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ProtectedPoint {
     /// The scheme applied (to the studied storage structures).
     pub scheme: Protection,

@@ -16,16 +16,14 @@
 //! worker count).
 
 use crate::campaign::{
-    campaign_margin, control_population_bits, golden_run, sample_model_sites, CampaignConfig,
-    CampaignResult, CheckpointLadder, GoldenRun, Outcome, Tally,
+    campaign_margin, campaign_population, classify_on, golden_run, sample_model_sites,
+    structure_words, CampaignConfig, CampaignResult, CheckpointLadder, GoldenRun, Outcome, Tally,
 };
-use crate::runner::replay_sites_traced;
-use crate::stats::fault_population;
+use crate::runner::{replay_sites, Arming};
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, TelemetryHook};
-use serde::{Deserialize, Serialize};
 use simt_sim::{
-    ArchConfig, FaultModelKind, FaultSite, GlobalWrite, GlobalWriteLog, Gpu, SimError, Structure,
+    ArchConfig, FaultSite, GlobalWrite, GlobalWriteLog, Gpu, SimError, Structure, TraceObserver,
     TraceRecord,
 };
 use std::fmt::Write as _;
@@ -36,7 +34,7 @@ use std::time::Instant;
 pub const RF_REGIONS: usize = 16;
 
 /// Why a masked injection was masked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaskingReason {
     /// The corrupted word was cleanly overwritten before any read.
     Overwritten,
@@ -75,7 +73,7 @@ impl std::fmt::Display for MaskingReason {
 /// injection into a failure, mirroring how [`MaskingReason`] explains a
 /// masked run. Each variant carries the absolute cycle of the causal
 /// event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureCause {
     /// A stuck-at cell first re-asserted over an architected write at this
     /// cycle — the corruption could never be flushed.
@@ -124,7 +122,7 @@ impl std::fmt::Display for FailureCause {
 
 /// The distilled provenance of one injection: outcome plus propagation
 /// timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Provenance {
     /// The injected fault site.
     pub site: FaultSite,
@@ -195,7 +193,7 @@ impl Provenance {
 }
 
 /// Outcome counters of one spatial cell (RF word region or LDS bank).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellStat {
     /// Injections landing in the cell.
     pub injections: u64,
@@ -220,7 +218,7 @@ impl CellStat {
 
 /// Campaign-wide roll-up of [`Provenance`] records: the data behind the
 /// attribution heatmap and the propagation histograms.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProvenanceAggregate {
     /// Per-region stats over the structure's word space ([`RF_REGIONS`]
     /// equal slices; populated for register-file campaigns).
@@ -260,11 +258,7 @@ impl ProvenanceAggregate {
     /// cells and histograms. `structure` is the campaign's injected
     /// structure; `arch` supplies the word counts and bank geometry.
     pub fn from_records(arch: &ArchConfig, structure: Structure, records: &[Provenance]) -> Self {
-        let words = match structure {
-            Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-            Structure::LocalMemory => arch.lds_words_per_sm(),
-            Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-        } as u64;
+        let words = structure_words(arch, structure) as u64;
         let mut agg = ProvenanceAggregate::default();
         if structure == Structure::LocalMemory {
             agg.lds_banks = vec![CellStat::default(); arch.lds_banks.max(1) as usize];
@@ -470,14 +464,15 @@ pub fn run_campaign_with_provenance_hooked<H: TelemetryHook>(
         cfg.injections,
         cfg.seed,
     );
-    let (outcomes, records) = replay_sites_traced(
+    let (outcomes, records) = replay_sites(
         arch,
         workload,
         golden,
-        golden_writes,
         &sites,
+        Arming::Traced(golden_writes),
         cfg,
         ladder,
+        None,
         hook,
     )?;
     let mut tally = Tally::default();
@@ -487,19 +482,7 @@ pub fn run_campaign_with_provenance_hooked<H: TelemetryHook>(
         provenance.push(Provenance::from_trace(*o, r));
     }
     let aggregate = ProvenanceAggregate::from_records(arch, structure, &provenance);
-    let structure_bits = match cfg.fault_model {
-        FaultModelKind::Control => control_population_bits(arch),
-        _ => {
-            (match structure {
-                Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-                Structure::LocalMemory => arch.lds_words_per_sm(),
-                Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-            }) as u64
-                * 32
-                * arch.num_sms as u64
-        }
-    };
-    let population = fault_population(structure_bits, golden.cycles);
+    let population = campaign_population(arch, structure, cfg.fault_model, golden.cycles);
     let result = CampaignResult {
         structure,
         tally,
@@ -589,7 +572,7 @@ pub fn parse_site(s: &str) -> Result<FaultSite, String> {
 }
 
 /// Everything `repro trace` needs to narrate one injection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SingleTrace {
     /// The traced site.
     pub site: FaultSite,
@@ -615,21 +598,23 @@ pub fn trace_one(
     let golden = golden_run(arch, workload)?;
     let golden_writes = golden_write_log(arch, workload)?;
     let mut gpu = Gpu::new(arch.clone());
-    let (outcome, record) = crate::campaign::classify_traced_on(
+    let mut tracer = TraceObserver::new(site, arch.num_sms as usize, &golden_writes, 0);
+    let outcome = classify_on(
         &mut gpu,
         arch,
         workload,
         &golden,
-        &golden_writes,
-        site,
+        &[site],
         watchdog_factor,
+        false,
         None,
+        &mut tracer,
         &grel_telemetry::NoopHook,
     )?;
     Ok(SingleTrace {
         site,
         golden_cycles: golden.cycles,
-        provenance: Provenance::from_trace(outcome, &record),
+        provenance: Provenance::from_trace(outcome, &tracer.into_record(arch.lds_banks)),
     })
 }
 

@@ -1,32 +1,39 @@
-//! Deterministic parallel replay runner: the scoped worker pool behind
-//! every fault-injection campaign.
+//! Deterministic parallel replay runner: the one worker pool behind
+//! every fault-injection campaign — uniform, adaptive, traced and
+//! multi-bit-upset alike.
 //!
 //! A campaign's injections are embarrassingly parallel — each one replays
-//! the workload from the nearest checkpoint with a single bit flip armed
-//! and classifies the outcome independently of every other injection.
+//! the workload from the nearest checkpoint with its fault armed and
+//! classifies the outcome independently of every other injection.
 //! The runner exploits that while keeping a hard determinism contract:
 //!
 //! **Campaign results are a pure function of `(arch, workload, sites,
 //! cfg)` — never of the worker count or of thread scheduling.**
 //!
-//! The contract holds by construction:
+//! The contract holds by construction, and this module is the only
+//! place it has to be argued:
 //!
 //! 1. the fault-site list is sampled up front from the seed (the runner
 //!    never draws randomness);
-//! 2. sites are sorted by `(fault cycle, site index)` — a deterministic
-//!    total order — so neighbouring replays resume from the same ladder
-//!    rung;
-//! 3. the sorted order is dealt round-robin across `jobs` workers
-//!    (worker `w` takes positions `w, w + jobs, w + 2·jobs, …`), which
-//!    balances the expensive early-cycle replays and the cheap
-//!    late-cycle ones evenly without any work-stealing;
-//! 4. each worker owns its own device ([`Gpu`]) and drives its own
+//! 2. injections are sorted by `(fault cycle, injection index)` — a
+//!    deterministic total order — so neighbouring replays resume from
+//!    the same ladder rung;
+//! 3. the sorted order is cut into work units (one scalar replay, a
+//!    traced scalar replay, or a bit-plane batch) by a pure function of
+//!    `(sites, order, cfg)` that never looks at the job count;
+//! 4. the unit list is dealt round-robin across `jobs` workers (worker
+//!    `w` takes units `w, w + jobs, w + 2·jobs, …`), which balances the
+//!    expensive early-cycle replays and the cheap late-cycle ones evenly
+//!    without any work-stealing;
+//! 5. each worker owns its own device ([`Gpu`]) and drives its own
 //!    replay [`Session`](simt_sim::Session) per injection, while the
 //!    golden [`CheckpointLadder`] is shared read-only (`&` — it is
 //!    immutable and `Sync`);
-//! 5. every outcome is scattered back into its site's original index, so
-//!    the returned vector is in **site order** regardless of which worker
-//!    finished first.
+//! 6. every outcome is scattered back into its injection's original
+//!    index, so the returned vector is in **injection order** regardless
+//!    of which worker finished first; worker results come back from
+//!    the fan-out in worker order, so when several workers fail the
+//!    lowest-numbered worker's error wins.
 //!
 //! Telemetry shards per worker thread inside the
 //! [`MetricsRegistry`](grel_telemetry::MetricsRegistry) and merges
@@ -36,17 +43,63 @@
 
 use crate::ace::LifetimeOracle;
 use crate::campaign::{
-    campaign_population, classify_batch_on, classify_on, classify_traced_on, structure_label,
-    CampaignConfig, CheckpointLadder, GoldenRun, Outcome,
+    campaign_population, classify_batch_on, classify_on, structure_label, CampaignConfig,
+    CheckpointLadder, GoldenRun, Outcome,
 };
 use crate::convergence::ConvergenceMonitor;
 use gpu_workloads::Workload;
 use grel_telemetry::{SpanRecord, TelemetryHook};
 use simt_sim::{
-    ArchConfig, FaultModelKind, FaultSite, GlobalWrite, Gpu, SimError, TraceRecord,
-    MAX_BATCH_SCENARIOS,
+    ArchConfig, FaultModelKind, FaultSite, GlobalWrite, Gpu, NoopObserver, SimError, SimObserver,
+    Structure, TraceObserver, TraceRecord, MAX_BATCH_SCENARIOS,
 };
 use std::time::Instant;
+
+/// Runs `work(w)` for every worker `w in 0..n` (at least one) — on `n`
+/// scoped threads, or inline on the calling thread when `n == 1` — and
+/// returns the results in worker order. The one thread fan-out of the crate: replay
+/// workers and study-point workers both go through it.
+pub(crate) fn fan_out<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if n <= 1 {
+        return vec![work(0)];
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || work(w))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
+/// How each injection of a replay run is armed and observed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arming<'a> {
+    /// `width` consecutive entries of the site list form one injection,
+    /// armed together (a multi-bit upset; `1` is the single-bit
+    /// campaign). Only single-site injections are pruned, batched or
+    /// exited early.
+    Groups(usize),
+    /// One site per injection, replayed under the flight recorder
+    /// against the golden run's global-store stream; each injection
+    /// also yields its [`TraceRecord`].
+    Traced(&'a [GlobalWrite]),
+}
+
+/// One piece of worker work, naming injections by index.
+enum Unit {
+    /// One injection replayed alone.
+    Scalar(usize),
+    /// One single-site injection replayed under the flight recorder.
+    Traced(usize),
+    /// Up to [`MAX_BATCH_SCENARIOS`] transient sites in one shared pass.
+    Batch(Vec<usize>),
+}
+
+/// What a worker hands back per injection: its index, outcome and, for
+/// traced units, the flight-recorder record.
+type Done = (usize, Outcome, Option<TraceRecord>);
 
 /// Everything a worker needs, shared read-only across the pool.
 struct ReplayShared<'a, H> {
@@ -54,11 +107,15 @@ struct ReplayShared<'a, H> {
     workload: &'a dyn Workload,
     golden: &'a GoldenRun,
     sites: &'a [FaultSite],
-    /// Site indices sorted by `(fault cycle, index)`.
-    order: &'a [usize],
+    /// Sites per injection.
+    width: usize,
+    /// The golden global-store stream traced units compare against
+    /// (empty when nothing is traced).
+    golden_writes: &'a [GlobalWrite],
+    units: &'a [Unit],
     cfg: CampaignConfig,
     ladder: &'a CheckpointLadder,
-    /// Whether replays arm the clean-overwrite early-exit probe.
+    /// Whether scalar replays arm the clean-overwrite early-exit probe.
     early_exit: bool,
     /// `point:{workload}@{device}/campaign:{structure}` when span
     /// tracing is on — the parent path every replay span hangs off.
@@ -66,6 +123,13 @@ struct ReplayShared<'a, H> {
     /// never formats a string.
     span_prefix: Option<String>,
     hook: &'a H,
+}
+
+impl<H> ReplayShared<'_, H> {
+    /// The sites of injection `i`.
+    fn group(&self, i: usize) -> &[FaultSite] {
+        &self.sites[i * self.width..(i + 1) * self.width]
+    }
 }
 
 /// The profile prefix for a campaign's replay spans, or `None` when the
@@ -85,10 +149,10 @@ fn replay_span_prefix<H: TelemetryHook>(
     })
 }
 
-/// Streams the merged site-order outcome vector through a
+/// Streams the merged injection-order outcome vector through a
 /// [`ConvergenceMonitor`], emitting `campaign.convergence` events every
 /// `cfg.convergence` outcomes. Runs serially *after* the scatter-merge,
-/// so the event stream is a pure function of `(sites, outcomes,
+/// so the event stream is a pure function of `(structure, outcomes,
 /// cadence)` and inherits the runner's determinism contract verbatim:
 /// byte-identical at any job count, with pruning and batching on or
 /// off. A zero cadence disables the stream.
@@ -96,22 +160,21 @@ fn stream_convergence<H: TelemetryHook>(
     arch: &ArchConfig,
     workload: &dyn Workload,
     golden: &GoldenRun,
-    sites: &[FaultSite],
+    structure: Structure,
     cfg: CampaignConfig,
     outcomes: &[Outcome],
     hook: &H,
 ) {
-    if !H::ENABLED || cfg.convergence == 0 || sites.is_empty() {
+    if !H::ENABLED || cfg.convergence == 0 || outcomes.is_empty() {
         return;
     }
-    let structure = sites[0].structure;
     let mut monitor = ConvergenceMonitor::new(
         workload.name(),
         &arch.name,
         structure,
         cfg.fault_model,
         campaign_population(arch, structure, cfg.fault_model, golden.cycles),
-        sites.len() as u64,
+        outcomes.len() as u64,
         cfg.convergence,
     );
     for &o in outcomes {
@@ -120,41 +183,63 @@ fn stream_convergence<H: TelemetryHook>(
     monitor.finish(hook);
 }
 
-/// Records one injection's replay span plus the log2-microsecond latency
-/// buckets the profile report renders. Only called when `H::SPANS`.
+/// The rung label of the per-injection telemetry: the ladder index the
+/// replay resumed from, or `none` for a from-zero replay.
+fn rung_label(rung: Option<usize>) -> String {
+    rung.map_or_else(|| "none".to_string(), |idx| idx.to_string())
+}
+
+/// Records one injection's outcome/hang/kind/rung counters and its
+/// latency sample. Only called when `H::ENABLED`.
+fn record_injection<H: TelemetryHook>(
+    hook: &H,
+    site: FaultSite,
+    outcome: Outcome,
+    rung: &str,
+    seconds: f64,
+) {
+    hook.observe("campaign_injection_seconds", seconds);
+    let outcome_label = outcome.as_str();
+    hook.count(
+        &format!("campaign_injections_total{{outcome=\"{outcome_label}\"}}"),
+        1,
+    );
+    if outcome == Outcome::Hang {
+        hook.count("campaign_hang_total", 1);
+    }
+    let kind_label = site.kind.as_str();
+    hook.count(
+        &format!("campaign_injections_by_kind_total{{kind=\"{kind_label}\"}}"),
+        1,
+    );
+    hook.count(&format!("campaign_rung_hits_total{{rung=\"{rung}\"}}"), 1);
+}
+
+/// Records one injection's replay span at `path` plus the
+/// log2-microsecond latency buckets the profile report renders, charging
+/// it `us` microseconds. Only called when `H::SPANS`.
 ///
-/// The span path is keyed by the **site index**, not the worker, so the
-/// structural span tree is identical at any job count; the worker only
-/// shows up as the timeline lane (and in the jobs-variant `worker:*`
-/// sibling spans, which structural diffs exclude).
+/// The span path is keyed by the **injection index**, not the worker,
+/// so the structural span tree is identical at any job count; the
+/// worker only shows up as the timeline lane (and in the jobs-variant
+/// `worker:*` sibling spans, which structural diffs exclude).
 #[allow(clippy::too_many_arguments)]
 fn record_injection_span<H: TelemetryHook>(
     hook: &H,
-    prefix: &str,
-    injection_started: Instant,
-    site_index: usize,
+    path: String,
+    started: Instant,
+    index: usize,
     worker: usize,
-    outcome: Outcome,
     site: FaultSite,
-    rung: Option<usize>,
-    busy_us: &mut u64,
+    outcome: Outcome,
+    rung: &str,
+    us: u64,
 ) {
-    let us = injection_started.elapsed().as_micros() as u64;
-    *busy_us += us;
-    let rung_label = match rung {
-        Some(idx) => idx.to_string(),
-        None => "none".to_string(),
-    };
     hook.span(
-        &SpanRecord::new(
-            format!("{prefix}/replay/inj:{site_index:06}"),
-            worker as u32 + 1,
-            site_index as u64,
-            injection_started,
-        )
-        .tag("outcome", outcome.as_str())
-        .tag("kind", site.kind.as_str())
-        .tag("rung", &rung_label),
+        &SpanRecord::new(path, worker as u32 + 1, index as u64, started)
+            .tag("outcome", outcome.as_str())
+            .tag("kind", site.kind.as_str())
+            .tag("rung", rung),
     );
     // log2 buckets: bucket b holds latencies in [2^b, 2^(b+1)) µs, and
     // the counter accumulates microseconds (not samples) so the report
@@ -176,360 +261,295 @@ fn record_injection_span<H: TelemetryHook>(
     );
 }
 
-/// Records a worker's whole-loop timeline span and its utilization
-/// counters (busy µs over alive µs). Only called when `H::SPANS`.
-fn record_worker_span<H: TelemetryHook>(
-    hook: &H,
-    prefix: &str,
+/// Records a worker's whole-loop accounting: its timeline span and
+/// utilization counters (busy µs over alive µs) when spans are on, and
+/// its wall time, injection count and throughput. Only called when
+/// `H::ENABLED`.
+fn record_worker<H: TelemetryHook>(
+    shared: &ReplayShared<'_, H>,
     started: Instant,
     worker: usize,
     injections: usize,
     busy_us: u64,
 ) {
-    hook.span(
-        &SpanRecord::new(
-            format!("{prefix}/replay/worker:{worker:02}"),
-            worker as u32 + 1,
-            worker as u64,
-            started,
-        )
-        .tag("injections", injections)
-        .tag("busy_us", busy_us),
-    );
+    let hook = shared.hook;
+    if let Some(prefix) = shared.span_prefix.as_deref() {
+        hook.span(
+            &SpanRecord::new(
+                format!("{prefix}/replay/worker:{worker:02}"),
+                worker as u32 + 1,
+                worker as u64,
+                started,
+            )
+            .tag("injections", injections)
+            .tag("busy_us", busy_us),
+        );
+        hook.count(
+            &format!("campaign_worker_busy_us_total{{worker=\"{worker}\"}}"),
+            busy_us,
+        );
+        hook.count(
+            &format!("campaign_worker_us_total{{worker=\"{worker}\"}}"),
+            started.elapsed().as_micros() as u64,
+        );
+    }
+    let seconds = started.elapsed().as_secs_f64();
+    let per_second = if seconds > 0.0 {
+        injections as f64 / seconds
+    } else {
+        0.0
+    };
+    hook.observe("campaign_worker_seconds", seconds);
     hook.count(
-        &format!("campaign_worker_busy_us_total{{worker=\"{worker}\"}}"),
-        busy_us,
+        &format!("campaign_worker_injections_total{{worker=\"{worker}\"}}"),
+        injections as u64,
     );
-    hook.count(
-        &format!("campaign_worker_us_total{{worker=\"{worker}\"}}"),
-        started.elapsed().as_micros() as u64,
+    hook.gauge(
+        &format!("campaign_worker_injections_per_second{{worker=\"{worker}\"}}"),
+        per_second,
     );
 }
 
-/// Replays one site scalar on the worker's device, emitting the full
-/// per-injection telemetry (outcome/kind/rung counters, latency sample,
-/// replay span). Shared by the scalar worker loop and by the batched
-/// loop's singleton units, so the two paths can never drift.
-fn replay_scalar_site<H: TelemetryHook>(
+/// Replays injection `i` alone on the worker's device under `obs`,
+/// emitting the full per-injection telemetry (outcome/kind/rung
+/// counters, latency sample, replay span).
+fn replay_scalar<O: SimObserver, H: TelemetryHook>(
     shared: &ReplayShared<'_, H>,
     gpu: &mut Gpu,
     i: usize,
     worker: usize,
+    obs: &mut O,
     busy_us: &mut u64,
 ) -> Result<Outcome, SimError> {
     let hook = shared.hook;
-    let site = shared.sites[i];
-    let rung = shared.ladder.nearest_indexed(site.cycle);
+    let faults = shared.group(i);
+    let rung = shared.ladder.nearest_indexed(faults[0].cycle);
     let injection_started = H::ENABLED.then(Instant::now);
     let outcome = classify_on(
         gpu,
         shared.arch,
         shared.workload,
         shared.golden,
-        site,
+        faults,
         shared.cfg.watchdog_factor,
         shared.early_exit,
         rung.map(|(_, ck)| ck),
+        obs,
         hook,
     )?;
     if let Some(injection_started) = injection_started {
-        hook.observe(
-            "campaign_injection_seconds",
-            injection_started.elapsed().as_secs_f64(),
-        );
-        let outcome_label = outcome.as_str();
-        hook.count(
-            &format!("campaign_injections_total{{outcome=\"{outcome_label}\"}}"),
-            1,
-        );
-        if outcome == Outcome::Hang {
-            hook.count("campaign_hang_total", 1);
-        }
-        let kind_label = site.kind.as_str();
-        hook.count(
-            &format!("campaign_injections_by_kind_total{{kind=\"{kind_label}\"}}"),
-            1,
-        );
-        let rung_label = match rung {
-            Some((idx, _)) => idx.to_string(),
-            None => "none".to_string(),
-        };
-        hook.count(
-            &format!("campaign_rung_hits_total{{rung=\"{rung_label}\"}}"),
-            1,
-        );
-    }
-    if H::SPANS {
-        if let (Some(injection_started), Some(prefix)) =
-            (injection_started, shared.span_prefix.as_deref())
-        {
+        let rung = rung_label(rung.map(|(idx, _)| idx));
+        let elapsed = injection_started.elapsed();
+        record_injection(hook, faults[0], outcome, &rung, elapsed.as_secs_f64());
+        if let Some(prefix) = shared.span_prefix.as_deref() {
+            let us = elapsed.as_micros() as u64;
+            *busy_us += us;
             record_injection_span(
                 hook,
-                prefix,
+                format!("{prefix}/replay/inj:{i:06}"),
                 injection_started,
                 i,
                 worker,
+                faults[0],
                 outcome,
-                site,
-                rung.map(|(idx, _)| idx),
-                busy_us,
+                &rung,
+                us,
             );
         }
     }
     Ok(outcome)
 }
 
-/// One worker's replay loop: stripe `worker` of `jobs` over the sorted
-/// order, on a single device reused across all of its replays.
+/// Replays a batch unit in one shared pass through
+/// [`classify_batch_on`], emitting the batch counters and span plus the
+/// same per-site outcome/kind/rung accounting as a scalar replay
+/// (latency is the batch wall time split evenly across its sites).
+fn replay_batch<H: TelemetryHook>(
+    shared: &ReplayShared<'_, H>,
+    gpu: &mut Gpu,
+    unit: &[usize],
+    worker: usize,
+    busy_us: &mut u64,
+) -> Result<Vec<Outcome>, SimError> {
+    let hook = shared.hook;
+    let first = unit[0];
+    let rung = shared.ladder.nearest_indexed(shared.sites[first].cycle);
+    let batch_sites: Vec<FaultSite> = unit.iter().map(|&i| shared.sites[i]).collect();
+    let batch_started = H::ENABLED.then(Instant::now);
+    let rep = classify_batch_on(
+        gpu,
+        shared.arch,
+        shared.workload,
+        shared.golden,
+        &batch_sites,
+        shared.cfg.watchdog_factor,
+        shared.early_exit,
+        rung.map(|(_, ck)| ck),
+        hook,
+    )?;
+    if let Some(batch_started) = batch_started {
+        let elapsed = batch_started.elapsed();
+        hook.count("campaign_batches_total", 1);
+        hook.count("campaign_batched_total", unit.len() as u64);
+        hook.count("campaign_batch_forks_total", rep.forks as u64);
+        hook.count("campaign_batch_snapshots_total", rep.snapshots as u64);
+        if rep.fell_back {
+            hook.count("campaign_batch_fallbacks_total", 1);
+        }
+        let rung = rung_label(rung.map(|(idx, _)| idx));
+        let per_site = elapsed.as_secs_f64() / unit.len() as f64;
+        for (&site, &outcome) in batch_sites.iter().zip(&rep.outcomes) {
+            record_injection(hook, site, outcome, &rung, per_site);
+        }
+        if let Some(prefix) = shared.span_prefix.as_deref() {
+            *busy_us += elapsed.as_micros() as u64;
+            hook.span(
+                &SpanRecord::new(
+                    format!("{prefix}/replay/batch:{first:06}"),
+                    worker as u32 + 1,
+                    first as u64,
+                    batch_started,
+                )
+                .tag("sites", unit.len())
+                .tag("forks", rep.forks)
+                .tag("rung", &rung),
+            );
+            // One nested span per batched site, keyed by site index like
+            // the scalar path, so the structural tree still carries one
+            // `inj:` node per replayed injection at any job count. Each
+            // spans the whole unit's wall time — when its scenario was
+            // in flight — while the latency buckets get the even
+            // per-site share.
+            let us_share = (elapsed.as_micros() as u64 / unit.len() as u64).max(1);
+            for ((&i, &site), &outcome) in unit.iter().zip(&batch_sites).zip(&rep.outcomes) {
+                record_injection_span(
+                    hook,
+                    format!("{prefix}/replay/batch:{first:06}/inj:{i:06}"),
+                    batch_started,
+                    i,
+                    worker,
+                    site,
+                    outcome,
+                    &rung,
+                    us_share,
+                );
+            }
+        }
+    }
+    Ok(rep.outcomes)
+}
+
+/// One worker's replay loop: stripe `worker` of `jobs` over the unit
+/// list, on a single device reused across all of its replays.
 ///
-/// Returns `(site index, outcome)` pairs; the caller scatters them back
-/// into site order.
+/// Returns one [`Done`] per injection; the caller scatters them back
+/// into injection order.
 fn worker_loop<H: TelemetryHook>(
     shared: &ReplayShared<'_, H>,
     worker: usize,
     jobs: usize,
-) -> Result<Vec<(usize, Outcome)>, SimError> {
-    let hook = shared.hook;
+) -> Result<Vec<Done>, SimError> {
     let started = H::ENABLED.then(Instant::now);
     // The worker's private device: checkpoint resumes overwrite it in
     // place, so the allocation is paid once per worker, not per replay.
     let mut gpu = Gpu::new(shared.arch.clone());
-    let mut done = Vec::with_capacity(shared.order.len().div_ceil(jobs));
+    let mut done: Vec<Done> = Vec::new();
     let mut busy_us: u64 = 0;
-    for &i in shared.order.iter().skip(worker).step_by(jobs) {
-        let outcome = replay_scalar_site(shared, &mut gpu, i, worker, &mut busy_us)?;
-        done.push((i, outcome));
-    }
-    if H::SPANS {
-        if let (Some(started), Some(prefix)) = (started, shared.span_prefix.as_deref()) {
-            record_worker_span(hook, prefix, started, worker, done.len(), busy_us);
+    for unit in shared.units.iter().skip(worker).step_by(jobs) {
+        match unit {
+            &Unit::Scalar(i) => {
+                let outcome =
+                    replay_scalar(shared, &mut gpu, i, worker, &mut NoopObserver, &mut busy_us)?;
+                done.push((i, outcome, None));
+            }
+            &Unit::Traced(i) => {
+                let site = shared.sites[i];
+                let resume_cycle = shared.ladder.nearest(site.cycle).map_or(0, |ck| ck.cycle());
+                let mut tracer = TraceObserver::new(
+                    site,
+                    shared.arch.num_sms as usize,
+                    shared.golden_writes,
+                    resume_cycle,
+                );
+                let outcome =
+                    replay_scalar(shared, &mut gpu, i, worker, &mut tracer, &mut busy_us)?;
+                done.push((i, outcome, Some(tracer.into_record(shared.arch.lds_banks))));
+            }
+            Unit::Batch(unit) => {
+                let outcomes = replay_batch(shared, &mut gpu, unit, worker, &mut busy_us)?;
+                done.extend(unit.iter().zip(outcomes).map(|(&i, o)| (i, o, None)));
+            }
         }
     }
     if let Some(started) = started {
-        let seconds = started.elapsed().as_secs_f64();
-        let per_second = if seconds > 0.0 {
-            done.len() as f64 / seconds
-        } else {
-            0.0
-        };
-        hook.observe("campaign_worker_seconds", seconds);
-        hook.count(
-            &format!("campaign_worker_injections_total{{worker=\"{worker}\"}}"),
-            done.len() as u64,
-        );
-        hook.gauge(
-            &format!("campaign_worker_injections_per_second{{worker=\"{worker}\"}}"),
-            per_second,
-        );
+        record_worker(shared, started, worker, done.len(), busy_us);
     }
     Ok(done)
 }
 
-/// Groups the sorted site order into batched execution units: maximal
+/// Cuts the sorted injection order into work units. Traced runs replay
+/// every injection as a traced scalar unit. With bit-plane batching
+/// (single-site transient injections only) the order becomes maximal
 /// runs of consecutive transient sites, chunked at
-/// [`MAX_BATCH_SCENARIOS`]. Non-transient sites become singleton units
-/// in place. A unit may span checkpoint rungs — its shared pass resumes
-/// from the rung of its *earliest* site and arms each later scenario
-/// when the clock reaches its cycle, so one pass over the tail replaces
-/// what would otherwise be one pass per rung. A pure function of
-/// `(sites, order)` — unit composition never depends on the job count,
-/// so dealing units round-robin keeps the determinism contract.
-fn batch_units(sites: &[FaultSite], order: &[usize]) -> Vec<Vec<usize>> {
-    let mut units: Vec<Vec<usize>> = Vec::new();
+/// [`MAX_BATCH_SCENARIOS`]; a run of one and every non-transient site
+/// stay scalar units in place. A unit may span checkpoint rungs — its
+/// shared pass resumes from the rung of its *earliest* site and arms
+/// each later scenario when the clock reaches its cycle, so one pass
+/// over the tail replaces what would otherwise be one pass per rung.
+/// A pure function of `(sites, order, batch, traced)` — unit
+/// composition never depends on the job count, so dealing units
+/// round-robin keeps the determinism contract.
+fn work_units(sites: &[FaultSite], order: &[usize], batch: bool, traced: bool) -> Vec<Unit> {
+    if traced {
+        return order.iter().map(|&i| Unit::Traced(i)).collect();
+    }
+    if !batch {
+        return order.iter().map(|&i| Unit::Scalar(i)).collect();
+    }
+    let mut units = Vec::new();
     let mut run: Vec<usize> = Vec::new();
+    let flush = |run: &mut Vec<usize>, units: &mut Vec<Unit>| match run.len() {
+        0 => {}
+        1 => units.push(Unit::Scalar(run.pop().expect("a run of one"))),
+        _ => units.push(Unit::Batch(std::mem::take(run))),
+    };
     for &i in order {
-        let site = sites[i];
-        if !site.is_transient() {
-            if !run.is_empty() {
-                units.push(std::mem::take(&mut run));
-            }
-            units.push(vec![i]);
+        if !sites[i].is_transient() {
+            flush(&mut run, &mut units);
+            units.push(Unit::Scalar(i));
             continue;
         }
         if run.len() == MAX_BATCH_SCENARIOS {
-            units.push(std::mem::take(&mut run));
+            flush(&mut run, &mut units);
         }
         run.push(i);
     }
-    if !run.is_empty() {
-        units.push(run);
-    }
+    flush(&mut run, &mut units);
     units
 }
 
-/// One worker's batched replay loop: stripe `worker` of `jobs` over the
-/// unit list. Singleton units replay scalar with telemetry identical to
-/// [`worker_loop`]; multi-site units run one shared pass through
-/// [`classify_batch_on`], emitting the batch counters and span plus the
-/// same per-site outcome/kind/rung accounting (latency is the batch
-/// wall time split evenly across its sites).
-fn worker_loop_batched<H: TelemetryHook>(
-    shared: &ReplayShared<'_, H>,
-    units: &[Vec<usize>],
-    worker: usize,
-    jobs: usize,
-) -> Result<Vec<(usize, Outcome)>, SimError> {
-    let hook = shared.hook;
-    let started = H::ENABLED.then(Instant::now);
-    let mut gpu = Gpu::new(shared.arch.clone());
-    let mut done: Vec<(usize, Outcome)> = Vec::new();
-    let mut busy_us: u64 = 0;
-    for unit in units.iter().skip(worker).step_by(jobs) {
-        if unit.len() == 1 {
-            let i = unit[0];
-            let outcome = replay_scalar_site(shared, &mut gpu, i, worker, &mut busy_us)?;
-            done.push((i, outcome));
-            continue;
-        }
-        let first = unit[0];
-        let rung = shared.ladder.nearest_indexed(shared.sites[first].cycle);
-        let batch_sites: Vec<FaultSite> = unit.iter().map(|&i| shared.sites[i]).collect();
-        let batch_started = H::ENABLED.then(Instant::now);
-        let rep = classify_batch_on(
-            &mut gpu,
-            shared.arch,
-            shared.workload,
-            shared.golden,
-            &batch_sites,
-            shared.cfg.watchdog_factor,
-            shared.early_exit,
-            rung.map(|(_, ck)| ck),
-            hook,
-        )?;
-        if let Some(batch_started) = batch_started {
-            let elapsed = batch_started.elapsed();
-            hook.count("campaign_batches_total", 1);
-            hook.count("campaign_batched_total", unit.len() as u64);
-            hook.count("campaign_batch_forks_total", rep.forks as u64);
-            hook.count("campaign_batch_snapshots_total", rep.snapshots as u64);
-            if rep.fell_back {
-                hook.count("campaign_batch_fallbacks_total", 1);
-            }
-            let per_site = elapsed.as_secs_f64() / unit.len() as f64;
-            let rung_label = match rung {
-                Some((idx, _)) => idx.to_string(),
-                None => "none".to_string(),
-            };
-            for (&i, &outcome) in unit.iter().zip(&rep.outcomes) {
-                hook.observe("campaign_injection_seconds", per_site);
-                let outcome_label = outcome.as_str();
-                hook.count(
-                    &format!("campaign_injections_total{{outcome=\"{outcome_label}\"}}"),
-                    1,
-                );
-                if outcome == Outcome::Hang {
-                    hook.count("campaign_hang_total", 1);
-                }
-                let kind_label = shared.sites[i].kind.as_str();
-                hook.count(
-                    &format!("campaign_injections_by_kind_total{{kind=\"{kind_label}\"}}"),
-                    1,
-                );
-                hook.count(
-                    &format!("campaign_rung_hits_total{{rung=\"{rung_label}\"}}"),
-                    1,
-                );
-            }
-            if H::SPANS {
-                if let Some(prefix) = shared.span_prefix.as_deref() {
-                    busy_us += elapsed.as_micros() as u64;
-                    hook.span(
-                        &SpanRecord::new(
-                            format!("{prefix}/replay/batch:{first:06}"),
-                            worker as u32 + 1,
-                            first as u64,
-                            batch_started,
-                        )
-                        .tag("sites", unit.len())
-                        .tag("forks", rep.forks)
-                        .tag("rung", &rung_label),
-                    );
-                    // One nested span per batched site, keyed by site
-                    // index like the scalar path, so the structural
-                    // tree still carries one `inj:` node per replayed
-                    // injection at any job count. Each spans the whole
-                    // unit's wall time — when its scenario was in
-                    // flight — while the latency buckets get the
-                    // even per-site share.
-                    let us_share = (elapsed.as_micros() as u64 / unit.len() as u64).max(1);
-                    let bucket = 63 - us_share.leading_zeros();
-                    for (&i, &outcome) in unit.iter().zip(&rep.outcomes) {
-                        hook.span(
-                            &SpanRecord::new(
-                                format!("{prefix}/replay/batch:{first:06}/inj:{i:06}"),
-                                worker as u32 + 1,
-                                i as u64,
-                                batch_started,
-                            )
-                            .tag("outcome", outcome.as_str())
-                            .tag("kind", shared.sites[i].kind.as_str())
-                            .tag("rung", &rung_label),
-                        );
-                        let outcome_label = outcome.as_str();
-                        hook.count(
-                            &format!(
-                                "campaign_injection_latency_us_total{{outcome=\"{outcome_label}\",bucket=\"{bucket:02}\"}}"
-                            ),
-                            us_share,
-                        );
-                        let kind_label = shared.sites[i].kind.as_str();
-                        hook.count(
-                            &format!(
-                                "campaign_injection_latency_by_kind_us_total{{kind=\"{kind_label}\",bucket=\"{bucket:02}\"}}"
-                            ),
-                            us_share,
-                        );
-                    }
-                }
-            }
-        }
-        for (&i, &o) in unit.iter().zip(&rep.outcomes) {
-            done.push((i, o));
-        }
-    }
-    if H::SPANS {
-        if let (Some(started), Some(prefix)) = (started, shared.span_prefix.as_deref()) {
-            record_worker_span(hook, prefix, started, worker, done.len(), busy_us);
-        }
-    }
-    if let Some(started) = started {
-        let seconds = started.elapsed().as_secs_f64();
-        let per_second = if seconds > 0.0 {
-            done.len() as f64 / seconds
-        } else {
-            0.0
-        };
-        hook.observe("campaign_worker_seconds", seconds);
-        hook.count(
-            &format!("campaign_worker_injections_total{{worker=\"{worker}\"}}"),
-            done.len() as u64,
-        );
-        hook.gauge(
-            &format!("campaign_worker_injections_per_second{{worker=\"{worker}\"}}"),
-            per_second,
-        );
-    }
-    Ok(done)
-}
-
-/// Replays every site, fanning the work out over `cfg.threads` scoped
-/// workers, and returns the outcomes **in site order** — bit-identical
-/// to a sequential run at any job count.
+/// Replays every injection of `sites` (armed per `arming`), fanning the
+/// work out over `cfg.threads` workers, and returns the outcomes **in
+/// injection order** — bit-identical to a sequential run at any job
+/// count — plus, for a traced run, one [`TraceRecord`] per injection in
+/// the same order (empty otherwise).
 ///
-/// With an `oracle`, sites whose fault cycle falls outside every live
-/// interval of their word are pre-classified as `Masked` *before* the
-/// fan-out — serially, so the replayed set is a pure function of the
-/// inputs and the determinism contract is untouched. Each pruned site
-/// still produces the full per-injection telemetry (a zero-latency
+/// With an `oracle`, single sites whose fault cycle falls outside every
+/// live interval of their word are pre-classified as `Masked` *before*
+/// the fan-out — serially, so the replayed set is a pure function of
+/// the inputs and the determinism contract is untouched. Each pruned
+/// site still produces the full per-injection telemetry (a zero-latency
 /// sample, an `outcome="masked"` count and a `rung="pruned"` hit), so
 /// hooked totals account for every sampled site at any pruning rate.
 ///
 /// Without an oracle, `cfg.early_exit` arms a [`MaskProbe`]
-/// (`simt_sim::MaskProbe`) per replay that abandons the run as `Masked`
-/// at the first clean erasure of the unread flipped word. Under an
-/// oracle the probe stays off: every surviving site is read before its
-/// first clean overwrite, so the probe could never fire and would only
-/// slow the replay loop down.
+/// (`simt_sim::MaskProbe`) per untraced single-site replay that
+/// abandons the run as `Masked` at the first clean erasure of the
+/// unread flipped word. Under an oracle the probe stays off: every
+/// surviving site is read before its first clean overwrite, so the
+/// probe could never fire and would only slow the replay loop down. A
+/// traced replay never exits early either: the flight recorder wants
+/// the full propagation timeline.
 ///
 /// # Errors
 ///
@@ -542,30 +562,38 @@ pub(crate) fn replay_sites<H: TelemetryHook>(
     workload: &dyn Workload,
     golden: &GoldenRun,
     sites: &[FaultSite],
+    arming: Arming<'_>,
     cfg: CampaignConfig,
     ladder: &CheckpointLadder,
     oracle: Option<&LifetimeOracle>,
     hook: &H,
-) -> Result<Vec<Outcome>, SimError> {
+) -> Result<(Vec<Outcome>, Vec<TraceRecord>), SimError> {
+    let (width, golden_writes) = match arming {
+        Arming::Groups(width) => (width.max(1), &[][..]),
+        Arming::Traced(writes) => (1, writes),
+    };
+    let traced = matches!(arming, Arming::Traced(_));
+    debug_assert_eq!(sites.len() % width, 0, "sites come in whole groups");
+    let n = sites.len() / width;
+    // Pruning, batching and early exit reason about one flipped word.
+    let oracle = oracle.filter(|_| width == 1);
     // Serial pre-classification: pruned sites keep their pre-filled
     // `Masked` slot and never reach a worker.
     let span_prefix = replay_span_prefix::<H>(arch, workload, sites);
-    let mut outcomes = vec![Outcome::Masked; sites.len()];
+    let mut outcomes = vec![Outcome::Masked; n];
     let live: Vec<usize> = match oracle {
         Some(oracle) => {
             let prune_started = H::SPANS.then(Instant::now);
-            let live: Vec<usize> = (0..sites.len())
-                .filter(|&i| !oracle.is_dead(sites[i]))
-                .collect();
+            let live: Vec<usize> = (0..n).filter(|&i| !oracle.is_dead(sites[i])).collect();
             if let (Some(prune_started), Some(prefix)) = (prune_started, span_prefix.as_deref()) {
                 hook.span(
                     &SpanRecord::new(format!("{prefix}/prune"), 0, 0, prune_started)
-                        .tag("pruned", sites.len() - live.len())
-                        .tag("total", sites.len()),
+                        .tag("pruned", n - live.len())
+                        .tag("total", n),
                 );
             }
             if H::ENABLED {
-                let pruned = (sites.len() - live.len()) as u64;
+                let pruned = (n - live.len()) as u64;
                 if pruned > 0 {
                     hook.count("campaign_pruned_total", pruned);
                     hook.count("campaign_injections_total{outcome=\"masked\"}", pruned);
@@ -590,17 +618,16 @@ pub(crate) fn replay_sites<H: TelemetryHook>(
             }
             live
         }
-        None => (0..sites.len()).collect(),
+        None => (0..n).collect(),
     };
     let mut order = live;
-    order.sort_by_key(|&i| (sites[i].cycle, i));
-    // Bit-plane batching: group the sorted order into shared-pass units.
-    // Kind-gated like pruning — only the transient model batches (the
-    // overlay lane model assumes a one-shot flip).
-    let units = (cfg.batch && cfg.fault_model == FaultModelKind::Transient)
-        .then(|| batch_units(sites, &order));
-    let work_items = units.as_ref().map_or(order.len(), Vec::len);
-    let jobs = cfg.threads.max(1).min(work_items.max(1));
+    order.sort_by_key(|&i| (sites[i * width].cycle, i));
+    // Bit-plane batching is kind-gated like pruning — only the
+    // transient model batches (the overlay lane model assumes a
+    // one-shot flip).
+    let batch = cfg.batch && cfg.fault_model == FaultModelKind::Transient && width == 1;
+    let units = work_units(sites, &order, batch, traced);
+    let jobs = cfg.threads.max(1).min(units.len().max(1));
     if H::ENABLED {
         hook.gauge("campaign_workers", jobs as f64);
     }
@@ -609,58 +636,31 @@ pub(crate) fn replay_sites<H: TelemetryHook>(
         workload,
         golden,
         sites,
-        order: &order,
+        width,
+        golden_writes,
+        units: &units,
         cfg,
         ladder,
-        early_exit: cfg.early_exit && oracle.is_none(),
+        early_exit: cfg.early_exit && oracle.is_none() && !traced,
         span_prefix,
         hook,
     };
     let replay_started = H::SPANS.then(Instant::now);
-    let batches: Vec<Vec<(usize, Outcome)>> = match units.as_deref() {
-        Some(units) if jobs == 1 => vec![worker_loop_batched(&shared, units, 0, 1)?],
-        Some(units) => {
-            let results: Vec<Result<Vec<(usize, Outcome)>, SimError>> =
-                std::thread::scope(|scope| {
-                    let shared = &shared;
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|w| scope.spawn(move || worker_loop_batched(shared, units, w, jobs)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("injection worker panicked"))
-                        .collect()
-                });
-            results.into_iter().collect::<Result<Vec<_>, _>>()?
-        }
-        None if jobs == 1 => vec![worker_loop(&shared, 0, 1)?],
-        None => {
-            let results: Vec<Result<Vec<(usize, Outcome)>, SimError>> =
-                std::thread::scope(|scope| {
-                    let shared = &shared;
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|w| scope.spawn(move || worker_loop(shared, w, jobs)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("injection worker panicked"))
-                        .collect()
-                });
-            // Results arrive in worker order, so the first `?` to fire is
-            // the lowest-numbered worker's error — deterministic failure.
-            results.into_iter().collect::<Result<Vec<_>, _>>()?
-        }
-    };
+    let per_worker = fan_out(jobs, |w| worker_loop(&shared, w, jobs))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     if let (Some(replay_started), Some(prefix)) = (replay_started, shared.span_prefix.as_deref()) {
         hook.span(
             &SpanRecord::new(format!("{prefix}/replay"), 0, 1, replay_started)
-                .tag("sites", shared.order.len()),
+                .tag("sites", order.len()),
         );
     }
     let merge_started = H::SPANS.then(Instant::now);
-    for batch in batches {
-        for (i, o) in batch {
-            outcomes[i] = o;
+    let mut records: Vec<Option<TraceRecord>> = vec![None; if traced { n } else { 0 }];
+    for (i, o, record) in per_worker.into_iter().flatten() {
+        outcomes[i] = o;
+        if record.is_some() {
+            records[i] = record;
         }
     }
     if let (Some(merge_started), Some(prefix)) = (merge_started, shared.span_prefix.as_deref()) {
@@ -671,206 +671,21 @@ pub(crate) fn replay_sites<H: TelemetryHook>(
             merge_started,
         ));
     }
-    stream_convergence(arch, workload, golden, sites, cfg, &outcomes, hook);
-    Ok(outcomes)
-}
-
-/// One worker's traced batch: `(site index, outcome, trace)` triples.
-type TracedBatch = Vec<(usize, Outcome, TraceRecord)>;
-
-/// [`worker_loop`] with the flight recorder riding along: same stripe,
-/// same device reuse, same metrics — each injection additionally yields
-/// the [`TraceRecord`] of how its corruption propagated.
-fn worker_loop_traced<H: TelemetryHook>(
-    shared: &ReplayShared<'_, H>,
-    golden_writes: &[GlobalWrite],
-    worker: usize,
-    jobs: usize,
-) -> Result<TracedBatch, SimError> {
-    let hook = shared.hook;
-    let started = H::ENABLED.then(Instant::now);
-    let mut gpu = Gpu::new(shared.arch.clone());
-    let mut done = Vec::with_capacity(shared.order.len().div_ceil(jobs));
-    let mut busy_us: u64 = 0;
-    for &i in shared.order.iter().skip(worker).step_by(jobs) {
-        let site = shared.sites[i];
-        let rung = shared.ladder.nearest_indexed(site.cycle);
-        let injection_started = H::ENABLED.then(Instant::now);
-        let (outcome, record) = classify_traced_on(
-            &mut gpu,
-            shared.arch,
-            shared.workload,
-            shared.golden,
-            golden_writes,
-            site,
-            shared.cfg.watchdog_factor,
-            rung.map(|(_, ck)| ck),
+    if let Some(first) = sites.first() {
+        stream_convergence(
+            arch,
+            workload,
+            golden,
+            first.structure,
+            cfg,
+            &outcomes,
             hook,
-        )?;
-        if let Some(injection_started) = injection_started {
-            hook.observe(
-                "campaign_injection_seconds",
-                injection_started.elapsed().as_secs_f64(),
-            );
-            let outcome_label = outcome.as_str();
-            hook.count(
-                &format!("campaign_injections_total{{outcome=\"{outcome_label}\"}}"),
-                1,
-            );
-            if outcome == Outcome::Hang {
-                hook.count("campaign_hang_total", 1);
-            }
-            let kind_label = site.kind.as_str();
-            hook.count(
-                &format!("campaign_injections_by_kind_total{{kind=\"{kind_label}\"}}"),
-                1,
-            );
-            let rung_label = match rung {
-                Some((idx, _)) => idx.to_string(),
-                None => "none".to_string(),
-            };
-            hook.count(
-                &format!("campaign_rung_hits_total{{rung=\"{rung_label}\"}}"),
-                1,
-            );
-        }
-        if H::SPANS {
-            if let (Some(injection_started), Some(prefix)) =
-                (injection_started, shared.span_prefix.as_deref())
-            {
-                record_injection_span(
-                    hook,
-                    prefix,
-                    injection_started,
-                    i,
-                    worker,
-                    outcome,
-                    site,
-                    rung.map(|(idx, _)| idx),
-                    &mut busy_us,
-                );
-            }
-        }
-        done.push((i, outcome, record));
-    }
-    if H::SPANS {
-        if let (Some(started), Some(prefix)) = (started, shared.span_prefix.as_deref()) {
-            record_worker_span(hook, prefix, started, worker, done.len(), busy_us);
-        }
-    }
-    if let Some(started) = started {
-        let seconds = started.elapsed().as_secs_f64();
-        let per_second = if seconds > 0.0 {
-            done.len() as f64 / seconds
-        } else {
-            0.0
-        };
-        hook.observe("campaign_worker_seconds", seconds);
-        hook.count(
-            &format!("campaign_worker_injections_total{{worker=\"{worker}\"}}"),
-            done.len() as u64,
-        );
-        hook.gauge(
-            &format!("campaign_worker_injections_per_second{{worker=\"{worker}\"}}"),
-            per_second,
         );
     }
-    Ok(done)
-}
-
-/// [`replay_sites`] with provenance recording: outcomes *and* per-site
-/// [`TraceRecord`]s, both **in site order** and bit-identical at any job
-/// count (the same determinism contract — the recorder is a passive
-/// observer scattered back by site index exactly like the outcomes).
-///
-/// # Errors
-///
-/// Same as [`replay_sites`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_sites_traced<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
-    golden_writes: &[GlobalWrite],
-    sites: &[FaultSite],
-    cfg: CampaignConfig,
-    ladder: &CheckpointLadder,
-    hook: &H,
-) -> Result<(Vec<Outcome>, Vec<TraceRecord>), SimError> {
-    let jobs = cfg.threads.max(1).min(sites.len().max(1));
-    let mut order: Vec<usize> = (0..sites.len()).collect();
-    order.sort_by_key(|&i| (sites[i].cycle, i));
-    if H::ENABLED {
-        hook.gauge("campaign_workers", jobs as f64);
-    }
-    let shared = ReplayShared {
-        arch,
-        workload,
-        golden,
-        sites,
-        order: &order,
-        cfg,
-        ladder,
-        // The flight recorder wants the full propagation timeline, so a
-        // traced replay never abandons the run early.
-        early_exit: false,
-        span_prefix: replay_span_prefix::<H>(arch, workload, sites),
-        hook,
-    };
-    let mut outcomes = vec![Outcome::Masked; sites.len()];
-    let placeholder = TraceRecord {
-        site: FaultSite::new(simt_sim::Structure::VectorRegisterFile, 0, 0, 0, 0),
-        injected_at: None,
-        first_read: None,
-        overwrite: None,
-        divergence: None,
-        taint_words: 0,
-        taint_saturated: false,
-        lds_banks: 0,
-        first_reassert: None,
-        reasserts: 0,
-        control_corrupt: None,
-        hang: None,
-    };
-    let mut records = vec![placeholder; sites.len()];
-    let replay_started = H::SPANS.then(Instant::now);
-    let batches: Vec<TracedBatch> = if jobs == 1 {
-        vec![worker_loop_traced(&shared, golden_writes, 0, 1)?]
-    } else {
-        let results: Vec<Result<TracedBatch, SimError>> = std::thread::scope(|scope| {
-            let shared = &shared;
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| scope.spawn(move || worker_loop_traced(shared, golden_writes, w, jobs)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("injection worker panicked"))
-                .collect()
-        });
-        results.into_iter().collect::<Result<Vec<_>, _>>()?
-    };
-    if let (Some(replay_started), Some(prefix)) = (replay_started, shared.span_prefix.as_deref()) {
-        hook.span(
-            &SpanRecord::new(format!("{prefix}/replay"), 0, 1, replay_started)
-                .tag("sites", shared.order.len()),
-        );
-    }
-    let merge_started = H::SPANS.then(Instant::now);
-    for batch in batches {
-        for (i, o, rec) in batch {
-            outcomes[i] = o;
-            records[i] = rec;
-        }
-    }
-    if let (Some(merge_started), Some(prefix)) = (merge_started, shared.span_prefix.as_deref()) {
-        hook.span(&SpanRecord::new(
-            format!("{prefix}/merge"),
-            0,
-            2,
-            merge_started,
-        ));
-    }
-    stream_convergence(arch, workload, golden, sites, cfg, &outcomes, hook);
+    let records = records
+        .into_iter()
+        .map(|r| r.expect("a traced run replays every injection"))
+        .collect();
     Ok((outcomes, records))
 }
 
@@ -904,7 +719,19 @@ mod tests {
             c.seed,
         );
         let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
-        replay_sites(&arch, &w, &golden, &sites, c, &ladder, None, &NoopHook).unwrap()
+        replay_sites(
+            &arch,
+            &w,
+            &golden,
+            &sites,
+            Arming::Groups(1),
+            c,
+            &ladder,
+            None,
+            &NoopHook,
+        )
+        .unwrap()
+        .0
     }
 
     #[test]
@@ -930,7 +757,18 @@ mod tests {
             c.seed,
         );
         let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
-        let out = replay_sites(&arch, &w, &golden, &sites, c, &ladder, None, &NoopHook).unwrap();
+        let (out, _) = replay_sites(
+            &arch,
+            &w,
+            &golden,
+            &sites,
+            Arming::Groups(1),
+            c,
+            &ladder,
+            None,
+            &NoopHook,
+        )
+        .unwrap();
         assert_eq!(out.len(), 6);
     }
 
@@ -953,7 +791,18 @@ mod tests {
         let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
         let reg = MetricsRegistry::new();
         let hook = RegistryHook::new(&reg);
-        replay_sites(&arch, &w, &golden, &sites, c, &ladder, None, &hook).unwrap();
+        replay_sites(
+            &arch,
+            &w,
+            &golden,
+            &sites,
+            Arming::Groups(1),
+            c,
+            &ladder,
+            None,
+            &hook,
+        )
+        .unwrap();
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("campaign_workers"), Some(3.0));
         let per_worker: u64 = snap

@@ -44,10 +44,10 @@
 
 use crate::ace::{LifetimeOracle, WordCycleSegment};
 use crate::campaign::{
-    campaign_population, decode_control_site, decode_site, golden_run_hooked, structure_label,
+    campaign_population, decode_control_site, decode_site, golden_run, structure_label,
     structure_words, CampaignConfig, CheckpointLadder, FlatStream, GoldenRun, Tally,
 };
-use crate::runner::replay_sites;
+use crate::runner::{replay_sites, Arming};
 use crate::stats::{Proportion, Z_99};
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
@@ -663,9 +663,11 @@ fn allocate(strata: &[Stratum], total: u128, target: f64, pilot: u64) -> Vec<u64
 }
 
 /// Runs one adaptive campaign end to end (golden run, ladder and
-/// oracle captured internally). See
-/// [`run_adaptive_campaign_hooked`] for the telemetry-carrying
-/// variant.
+/// oracle captured internally). The study driver runs the same engine
+/// against its shared per-point context, with full telemetry:
+/// per-round `campaign.round` events, per-stratum sample counters,
+/// `campaign.convergence` events (with the per-stratum `strata` array)
+/// at every round boundary, and a closing `campaign.done`.
 ///
 /// # Errors
 ///
@@ -681,27 +683,8 @@ pub fn run_adaptive_campaign(
     cfg: CampaignConfig,
     plan: SamplingPlan,
 ) -> Result<AdaptiveCampaign, SimError> {
-    run_adaptive_campaign_hooked(arch, workload, structure, cfg, plan, &NoopHook)
-}
-
-/// [`run_adaptive_campaign`] with full telemetry through `hook`:
-/// per-round `campaign.round` events, per-stratum sample counters,
-/// `campaign.convergence` events (with the per-stratum `strata` array)
-/// at every round boundary, and a closing `campaign.done`.
-///
-/// # Errors
-///
-/// Same as [`run_adaptive_campaign`].
-pub fn run_adaptive_campaign_hooked<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    plan: SamplingPlan,
-    hook: &H,
-) -> Result<AdaptiveCampaign, SimError> {
-    let golden = golden_run_hooked(arch, workload, hook)?;
-    let ladder = CheckpointLadder::build_hooked(arch, workload, &golden, &cfg, hook)?;
+    let golden = golden_run(arch, workload)?;
+    let ladder = CheckpointLadder::build(arch, workload, &golden, &cfg)?;
     // The oracle serves the liveness axis (and pruning, when on), so it
     // is captured whenever the model supports it — not only when
     // `cfg.prune` is set. That keeps the partition, and therefore the
@@ -718,7 +701,7 @@ pub fn run_adaptive_campaign_hooked<H: TelemetryHook>(
         &golden,
         &ladder,
         oracle.as_ref(),
-        hook,
+        &NoopHook,
     )
 }
 
@@ -837,11 +820,12 @@ pub(crate) fn run_adaptive_with_context<H: TelemetryHook>(
             break;
         }
         let replay_oracle = if cfg.prune { oracle } else { None };
-        let outcomes = replay_sites(
+        let (outcomes, _) = replay_sites(
             arch,
             workload,
             golden,
             &round_sites,
+            Arming::Groups(1),
             round_cfg,
             ladder,
             replay_oracle,

@@ -6,17 +6,17 @@ use crate::campaign::{
     run_campaign_with_oracle_hooked, CampaignConfig, CheckpointLadder, Tally, PHASE_GOLDEN,
 };
 use crate::epf::{eit, epf, FitBreakdown};
+use crate::runner::fan_out;
 use crate::sampling::{run_adaptive_with_context, SamplingPlan};
 use crate::stats::pearson;
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
-use serde::{Deserialize, Serialize};
 use simt_sim::{ArchConfig, FaultModelKind, SimError, Structure};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Per-structure measurements of one (device, workload) pair.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StructureEval {
     /// Fault-injection AVF (`(SDC+DUE)/n`).
     pub avf_fi: f64,
@@ -33,7 +33,7 @@ pub struct StructureEval {
 }
 
 /// One point of the study: one workload on one device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalPoint {
     /// Device marketing name.
     pub device: String,
@@ -59,7 +59,7 @@ pub struct EvalPoint {
 }
 
 /// Study-wide parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
     /// Fault-injection campaign parameters.
     pub campaign: CampaignConfig,
@@ -72,11 +72,9 @@ pub struct StudyConfig {
     /// recorder on (per-injection `injection.trace` events and
     /// `provenance_*` attribution metrics). Off by default; tallies and
     /// study results are identical either way.
-    #[serde(default)]
     pub provenance: bool,
     /// ACE refinement level (the paper's figures correspond to the
     /// conservative default).
-    #[serde(skip)]
     pub ace_mode: AceMode,
     /// Adaptive stratified sampling plan. Disabled by default
     /// (`target_margin == 0`), in which case campaigns run the classic
@@ -84,7 +82,6 @@ pub struct StudyConfig {
     /// FI campaign stops at the plan's target margin instead of
     /// `campaign.injections`. Ignored when `provenance` is on (the
     /// flight recorder traces a fixed uniform sample).
-    #[serde(skip)]
     pub sampling: SamplingPlan,
 }
 
@@ -360,14 +357,14 @@ pub fn evaluate_point_hooked<H: TelemetryHook>(
 }
 
 /// The assembled study: every (device, workload) point.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StudyResult {
     /// One entry per (device, workload) pair, workload-major.
     pub points: Vec<EvalPoint>,
 }
 
 /// One bar group of Fig. 1 / Fig. 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AvfRow {
     /// Workload name (`average` for the trailing group).
     pub workload: String,
@@ -382,7 +379,7 @@ pub struct AvfRow {
 }
 
 /// One bar of Fig. 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpfRow {
     /// Workload name.
     pub workload: String,
@@ -397,7 +394,7 @@ pub struct EpfRow {
 }
 
 /// The paper's headline observations, quantified over the study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Findings {
     /// Mean of `AVF_ACE − AVF_FI` over the register file (expected
     /// strongly positive: F3, ACE overestimates the RF).
@@ -584,29 +581,7 @@ pub fn run_study(
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
 ) -> Result<StudyResult, SimError> {
-    run_study_hooked(archs, workloads, cfg, &NoopHook)
-}
-
-/// [`run_study`] with full telemetry through `hook` — every golden run,
-/// ladder build, campaign and study point reports its metrics and
-/// events. With [`NoopHook`] this *is* `run_study`.
-///
-/// # Errors
-///
-/// Same as [`run_study`].
-pub fn run_study_hooked<H: TelemetryHook>(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-    hook: &H,
-) -> Result<StudyResult, SimError> {
-    let mut points = Vec::new();
-    for w in workloads {
-        for arch in archs {
-            points.push(evaluate_point_hooked(arch, w.as_ref(), cfg, hook)?);
-        }
-    }
-    Ok(StudyResult { points })
+    run_study_parallel_hooked(archs, workloads, cfg, 1, &NoopHook)
 }
 
 /// [`run_study`] with the (device, workload) points spread across a
@@ -621,8 +596,9 @@ pub fn run_study_hooked<H: TelemetryHook>(
 /// it. Each point's campaigns get `jobs / workers` threads, so total
 /// parallelism stays at `jobs` (a study with fewer points than jobs
 /// still uses the spare cores inside its campaigns). A single-point
-/// study (or `jobs == 1`) runs [`run_study`]'s serial path with the
-/// campaign thread count of `cfg` untouched. Results land in slots by
+/// study (or `jobs == 1`) runs its points serially on the calling
+/// thread with the campaign thread count of `cfg` untouched, exactly
+/// like [`run_study`]. Results land in slots by
 /// point index, so the assembled result keeps [`run_study`]'s
 /// workload-major point order; campaign results are thread-count
 /// invariant, so the study result is bit-identical to the sequential
@@ -641,11 +617,12 @@ pub fn run_study_parallel(
     run_study_parallel_hooked(archs, workloads, cfg, jobs, &NoopHook)
 }
 
-/// [`run_study_parallel`] with full telemetry through `hook`. The hook
-/// is shared across point workers; the metrics registry shards per
-/// thread and merges associatively, so harvested totals match the
-/// sequential run. Events of concurrent points interleave in completion
-/// order.
+/// [`run_study_parallel`] with full telemetry through `hook` — every
+/// golden run, ladder build, campaign and study point reports its
+/// metrics and events. The hook is shared across point workers; the
+/// metrics registry shards per thread and merges associatively, so
+/// harvested totals match the sequential run. Events of concurrent
+/// points interleave in completion order.
 ///
 /// # Errors
 ///
@@ -660,47 +637,44 @@ pub fn run_study_parallel_hooked<H: TelemetryHook>(
     let n = workloads.len() * archs.len();
     let jobs = jobs.max(1);
     let workers = jobs.min(n.max(1));
-    if workers == 1 {
-        return run_study_hooked(archs, workloads, cfg, hook);
-    }
     // The pool is `workers` wide; the rest of the job budget goes inside
     // each point's campaigns, whose results do not depend on their
     // internal thread count.
     let mut point_cfg = *cfg;
-    point_cfg.campaign.threads = jobs / workers;
+    if workers > 1 {
+        point_cfg.campaign.threads = jobs / workers;
+    }
     let point_cfg = &point_cfg;
     // Relaxed: the cursor only hands out indices; results come back
-    // through `join`.
+    // through the fan-out.
     let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, Result<EvalPoint, SimError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break done;
-                        }
-                        let workload = workloads[idx / archs.len()].as_ref();
-                        let arch = &archs[idx % archs.len()];
-                        done.push((idx, evaluate_point_hooked(arch, workload, point_cfg, hook)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("study worker panicked"))
-            .collect()
+    let per_worker = fan_out(workers, |_| {
+        let mut done = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                break done;
+            }
+            let workload = workloads[idx / archs.len()].as_ref();
+            let arch = &archs[idx % archs.len()];
+            let point = evaluate_point_hooked(arch, workload, point_cfg, hook);
+            let failed = point.is_err();
+            done.push((idx, point));
+            if failed {
+                break done;
+            }
+        }
     });
     let mut slots: Vec<Option<Result<EvalPoint, SimError>>> = (0..n).map(|_| None).collect();
     for (idx, r) in per_worker.into_iter().flatten() {
         slots[idx] = Some(r);
     }
+    // A worker stops at its first failing point. Every index below a
+    // failing one was already claimed and finished, so walking the slots
+    // in order meets the lowest-index error before any unclaimed slot.
     let mut points = Vec::with_capacity(n);
     for slot in slots {
-        points.push(slot.expect("the cursor hands out every point index")?);
+        points.push(slot.expect("only points after a failure go unclaimed")?);
     }
     Ok(StudyResult { points })
 }

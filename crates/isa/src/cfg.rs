@@ -8,10 +8,9 @@
 
 use crate::error::IsaError;
 use crate::instr::Instr;
-use serde::{Deserialize, Serialize};
 
 /// Resolved partner indices for one `IfBegin`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IfInfo {
     /// Index of the matching `Else`, if present.
     pub else_idx: Option<usize>,
@@ -20,7 +19,7 @@ pub struct IfInfo {
 }
 
 /// Resolved partner indices for one `LoopBegin`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopInfo {
     /// Index of the matching `LoopEnd`.
     pub end_idx: usize,
@@ -44,7 +43,7 @@ pub struct LoopInfo {
 /// assert_eq!(map.if_info(0).unwrap().end_idx, 2);
 /// # Ok::<(), simt_isa::IsaError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlMap {
     ifs: Vec<(usize, IfInfo)>,
     loops: Vec<(usize, LoopInfo)>,

@@ -2,7 +2,6 @@
 
 use crate::op::{AtomOp, BinOp, CmpOp, MemSpace, TerOp, UnOp};
 use crate::reg::{Operand, PReg, Reg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single MASS instruction.
@@ -25,7 +24,7 @@ use std::fmt;
 /// };
 /// assert_eq!(i.to_string(), "iadd v0, v1, 0x4");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// Unary ALU operation: `dst = op(a)`.
     Un {

@@ -5,7 +5,6 @@ use crate::error::IsaError;
 use crate::instr::Instr;
 use crate::op::{AtomOp, BinOp, CmpOp, MemSpace, TerOp, UnOp};
 use crate::reg::{Operand, PReg, Reg, SReg, Special, VReg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum vector registers a kernel may declare per thread.
@@ -34,7 +33,7 @@ pub const MAX_PARAMS: u16 = 32;
 /// assert_eq!(k.len(), 1);
 /// # Ok::<(), simt_isa::IsaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     name: String,
     body: Vec<Instr>,

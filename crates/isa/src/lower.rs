@@ -19,7 +19,6 @@ use crate::error::IsaError;
 use crate::instr::Instr;
 use crate::kernel::Kernel;
 use crate::reg::{Operand, Reg, SReg, VReg};
-use serde::{Deserialize, Serialize};
 
 /// Architecture capabilities that affect lowering.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let fermi = ArchCaps { has_scalar_unit: false, warp_size: 32 };
 /// assert_ne!(si, fermi);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArchCaps {
     /// Whether the architecture has a scalar register file and scalar
     /// execution unit (AMD Southern Islands: yes; NVIDIA families: no).
@@ -63,7 +62,7 @@ pub struct ArchCaps {
 /// assert_eq!(si.sregs_per_warp(), 1);
 /// # Ok::<(), simt_isa::IsaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredKernel {
     name: String,
     body: Vec<Instr>,

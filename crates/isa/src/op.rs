@@ -1,7 +1,6 @@
 //! Operation kinds of the MASS ISA: ALU ops, comparisons, atomics and
 //! memory spaces.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unary ALU operations.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(UnOp::FSqrt.to_string(), "fsqrt");
 /// assert!(UnOp::FSqrt.is_sfu());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Copy the source.
     Mov,
@@ -81,7 +80,7 @@ impl UnOp {
 /// assert_eq!(BinOp::IAdd.to_string(), "iadd");
 /// assert!(BinOp::FDiv.is_sfu());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Integer addition (wrapping).
     IAdd,
@@ -164,7 +163,7 @@ impl BinOp {
 /// use simt_isa::TerOp;
 /// assert_eq!(TerOp::FFma.to_string(), "ffma");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TerOp {
     /// Integer multiply-add: `d = a * b + c` (wrapping).
     IMad,
@@ -182,7 +181,7 @@ pub enum TerOp {
 /// use simt_isa::CmpOp;
 /// assert_eq!(CmpOp::SLt.to_string(), "slt");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal (bit pattern for ints, IEEE equality for floats).
     Eq,
@@ -213,7 +212,7 @@ pub enum CmpOp {
 /// use simt_isa::AtomOp;
 /// assert_eq!(AtomOp::Add.to_string(), "add");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomOp {
     /// Integer add.
     Add,
@@ -232,7 +231,7 @@ pub enum AtomOp {
 /// use simt_isa::MemSpace;
 /// assert_eq!(MemSpace::Shared.to_string(), "shared");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// Device (global) memory, byte-addressed across the whole arena.
     Global,

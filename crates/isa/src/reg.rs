@@ -1,6 +1,5 @@
 //! Register classes and operands of the MASS ISA.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A per-lane 32-bit vector register.
@@ -14,7 +13,7 @@ use std::fmt;
 /// use simt_isa::VReg;
 /// assert_eq!(VReg(3).to_string(), "v3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VReg(pub u16);
 
 /// A per-warp 32-bit scalar register.
@@ -30,7 +29,7 @@ pub struct VReg(pub u16);
 /// use simt_isa::SReg;
 /// assert_eq!(SReg(0).to_string(), "s0");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SReg(pub u16);
 
 /// A per-lane 1-bit predicate register.
@@ -44,7 +43,7 @@ pub struct SReg(pub u16);
 /// use simt_isa::PReg;
 /// assert_eq!(PReg(1).to_string(), "p1");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PReg(pub u8);
 
 /// Any general-purpose register (vector or scalar).
@@ -57,7 +56,7 @@ pub struct PReg(pub u8);
 /// let s: Reg = SReg(1).into();
 /// assert!(!s.is_vector());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reg {
     /// A per-lane vector register.
     V(VReg),
@@ -112,7 +111,7 @@ impl From<SReg> for Reg {
 /// assert!(Special::TidX.is_per_lane());
 /// assert!(!Special::CtaIdX.is_per_lane());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Special {
     /// Thread index within the block, x dimension.
     TidX,
@@ -158,7 +157,7 @@ impl Special {
 /// let half = Operand::from_f32(0.5);
 /// assert_eq!(half, Operand::Imm(0.5f32.to_bits()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A general-purpose register source.
     Reg(Reg),

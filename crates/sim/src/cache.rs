@@ -6,8 +6,6 @@
 //! LDS). This mirrors how GPGPU-Sim's functional core is decoupled from
 //! its timing model.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let g = CacheGeom { bytes: 16 * 1024, line_bytes: 128, assoc: 4 };
 /// assert_eq!(g.num_sets(), 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeom {
     /// Total capacity in bytes.
     pub bytes: u32,
@@ -34,7 +32,7 @@ impl CacheGeom {
 }
 
 /// Hit/miss counters of a cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of accesses that hit.
     pub hits: u64,

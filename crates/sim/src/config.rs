@@ -2,12 +2,11 @@
 //! modelled GPU designs.
 
 use crate::cache::CacheGeom;
-use serde::{Deserialize, Serialize};
 use simt_isa::ArchCaps;
 
 /// GPU vendor family (decides the programming-model terminology only; all
 /// behavioural differences are explicit [`ArchConfig`] fields).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vendor {
     /// NVIDIA (G80 / GT200 / Fermi in the study).
     Nvidia,
@@ -25,7 +24,7 @@ impl std::fmt::Display for Vendor {
 }
 
 /// Warp scheduling policy of an SM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerPolicy {
     /// Loose round-robin: rotate through warp slots, issue the first ready
     /// warp after the last issued one.
@@ -36,7 +35,7 @@ pub enum SchedulerPolicy {
 }
 
 /// Instruction and memory latencies, in SM cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Latencies {
     /// Simple integer / logic / move ALU result latency.
     pub alu: u32,
@@ -72,7 +71,7 @@ pub struct Latencies {
 /// assert!(a.rf_words_per_sm() > 0);
 /// assert_eq!(a.caps().warp_size, a.warp_size);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     /// Marketing name of the device (e.g. `GeForce GTX 480`).
     pub name: String,

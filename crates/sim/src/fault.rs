@@ -14,7 +14,6 @@
 //!   entries, block barrier counters), the fault class that dominates
 //!   hangs and DUEs on real devices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -23,7 +22,7 @@ use std::str::FromStr;
 /// The reproduced study targets the vector register file (Fig. 1) and the
 /// local/shared memory (Fig. 2); the scalar register file is an extension
 /// available on Southern-Islands-style devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Structure {
     /// The per-SM vector register file.
     VectorRegisterFile,
@@ -49,7 +48,7 @@ impl fmt::Display for Structure {
 /// issue timing and active mask, the per-warp scoreboard gates issue on
 /// operand readiness, and each resident block counts warps parked at its
 /// barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ControlTarget {
     /// The warp slot's issue timing (`next_issue`): a flipped high bit
     /// pushes the warp's next issue far into the future — a hang.
@@ -120,9 +119,7 @@ impl FromStr for ControlTarget {
 
 /// How an injected fault behaves over time — the *kind* axis of the
 /// site = structure × kind × persistence taxonomy.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     /// A one-shot single-bit XOR of a storage word — the paper's model.
     #[default]
@@ -185,9 +182,7 @@ impl FromStr for FaultKind {
 ///
 /// [`FaultModelKind::Control`] fans out over every [`ControlTarget`];
 /// the other selectors map to exactly one [`FaultKind`].
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultModelKind {
     /// Transient single-bit flips (the default; the paper's model).
     #[default]
@@ -350,7 +345,7 @@ impl std::error::Error for InvalidFaultSite {}
 /// assert_eq!(s.kind, FaultKind::TransientFlip);
 /// assert!(FaultSite::try_new(Structure::LocalMemory, 0, 0, 32, 0, FaultKind::StuckAt1).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FaultSite {
     /// Target structure.
     pub structure: Structure,

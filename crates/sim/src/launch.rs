@@ -1,7 +1,5 @@
 //! Launch configuration and per-launch statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D extent (grid or block dimensions).
 ///
 /// # Example
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Dim::new(4, 2).count(), 8);
 /// assert_eq!(Dim::linear(16).count(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim {
     /// Extent in x.
     pub x: u32,
@@ -45,7 +43,7 @@ impl Dim {
 /// let tiled = LaunchConfig::new(Dim::new(4, 4), Dim::new(16, 16));
 /// assert_eq!(tiled.threads_per_block(), 256);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Blocks in the grid.
     pub grid: Dim,
@@ -84,7 +82,7 @@ impl LaunchConfig {
 }
 
 /// Statistics of one completed launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Device cycles consumed by this launch.
     pub cycles: u64,

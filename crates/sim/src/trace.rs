@@ -24,7 +24,6 @@
 
 use crate::fault::{FaultSite, Structure};
 use crate::observer::SimObserver;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Upper bound on the number of distinct words a taint set tracks.
@@ -36,7 +35,7 @@ use std::collections::BTreeSet;
 pub const TAINT_CAP: usize = 256;
 
 /// One global-memory store observed during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalWrite {
     /// Application cycle of the store.
     pub cycle: u64,
@@ -88,7 +87,7 @@ impl SimObserver for GlobalWriteLog {
 /// All cycle fields count the application clock (same clock as
 /// [`FaultSite::cycle`]). `None` means the event never happened within
 /// the replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// The injected fault site.
     pub site: FaultSite,

@@ -1,8 +1,8 @@
 //! Minimal JSON tree, writer and parser.
 //!
-//! The workspace vendors a no-op `serde` shim (the build environment has
-//! no registry access), so the telemetry layer carries its own tiny JSON
-//! implementation: enough to write JSONL event streams and to read them
+//! The workspace has no serialization dependency (the build environment
+//! has no registry access), so the telemetry layer carries its own tiny
+//! JSON implementation: enough to write JSONL event streams and to read them
 //! back for `repro report`. The writer emits one canonical form (no
 //! superfluous whitespace, integers without a fractional part); the
 //! parser accepts any standard JSON document.

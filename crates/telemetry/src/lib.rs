@@ -17,8 +17,7 @@
 //!   `NoopObserver`). [`RegistryHook`] is the production implementation.
 //! - Structured events: [`Event`] + [`EventSink`] with a JSONL file
 //!   sink ([`JsonlSink`]) whose output `repro report` parses back via
-//!   the vendored [`json`] module (the workspace's `serde` is a no-op
-//!   shim).
+//!   the vendored [`json`] module.
 //! - Hierarchical spans: [`SpanRecorder`] + [`SpanHook`] collect timed,
 //!   path-addressed regions of the campaign pipeline into per-thread
 //!   ring buffers and merge them into a deterministic [`SpanTree`]

@@ -11,8 +11,8 @@
 //! | `/progress`    | `application/json`                        | done/pruned/batched/total injection counts |
 //! | `/convergence` | `application/json`                        | latest `campaign.convergence` event per campaign |
 //!
-//! The server is dependency-free by policy (the workspace's `serde` is
-//! a no-op shim and no HTTP crate is vendored): requests are parsed by
+//! The server is dependency-free by policy (no serialization or HTTP
+//! crate is vendored): requests are parsed by
 //! hand, one connection at a time, `Connection: close` semantics. That
 //! is deliberately modest — the endpoint exists for a Prometheus
 //! scraper and a curious `curl`, not for traffic; the resident
