@@ -60,10 +60,10 @@ use grel_bench::{
     render_avf_figure, render_epf_figure, render_experiments_markdown, render_findings, to_csv,
     workload_set, Scale,
 };
-use grel_core::ace::{AceAnalyzer, AceMode};
+use grel_core::ace::AceMode;
 use grel_core::campaign::{
-    golden_run, run_campaign, run_injections, run_injections_checkpointed, sample_sites,
-    CampaignConfig, CheckpointLadder,
+    golden_run, golden_run_with_ace, run_injections, run_injections_checkpointed, sample_sites,
+    Campaign, CampaignConfig, Capture, CheckpointLadder,
 };
 use grel_core::epf::structure_fit;
 use grel_core::sampling::{SamplingPlan, StrataSpec};
@@ -72,11 +72,13 @@ use grel_core::study::{
     evaluate_point, run_study_parallel, run_study_parallel_hooked, StudyConfig,
 };
 use grel_telemetry::{
-    serve, Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NullSink, Observatory,
-    ProgressHook, RegistryHook, SpanHook, SpanRecorder, SpanTree, StatusBoard, TeeSink,
+    serve, Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NoopHook, NullSink,
+    Observatory, ProgressHook, RegistryHook, SpanHook, SpanRecorder, SpanTree, StatusBoard,
+    TeeSink,
 };
 use simt_sim::{
-    ArchConfig, FaultKind, FaultModelKind, Gpu, HotspotObserver, SchedulerPolicy, Structure,
+    ArchConfig, FaultKind, FaultModelKind, Gpu, HotspotObserver, SchedulerPolicy, SimError,
+    Structure,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -1281,21 +1283,24 @@ fn phase_sensitivity(
     );
     for w in workloads {
         for arch in archs {
-            let golden = match grel_core::golden_run(arch, w.as_ref()) {
-                Ok(g) => g,
-                Err(e) => {
-                    println!("{:<12} {:<16} {e}", w.name(), arch.name);
-                    continue;
-                }
-            };
-            match grel_core::detailed_campaign(
+            let detail = Campaign::new(
                 arch,
                 w.as_ref(),
-                Structure::VectorRegisterFile,
-                cfg.campaign,
-            ) {
-                Ok(detail) => {
-                    let phases = grel_core::avf_by_phase(&detail, golden.cycles, 4);
+                &cfg.campaign,
+                Capture::campaign(&cfg.campaign),
+                &NoopHook,
+            )
+            .and_then(|setup| {
+                let detail = grel_core::detailed_campaign_on(
+                    &setup,
+                    Structure::VectorRegisterFile,
+                    cfg.campaign,
+                )?;
+                Ok((setup.golden().cycles, detail))
+            });
+            match detail {
+                Ok((cycles, detail)) => {
+                    let phases = grel_core::avf_by_phase(&detail, cycles, 4);
                     let cell = |p: (f64, u64)| {
                         if p.0.is_nan() {
                             "-".to_string()
@@ -1332,20 +1337,31 @@ fn mbu_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>], cfg: &StudyC
     for w in workloads {
         for arch in archs {
             let mut row = format!("{:<12} {:<16}", w.name(), arch.name);
-            for width in [1u8, 2, 4] {
-                match grel_core::mbu_campaign(
-                    arch,
-                    w.as_ref(),
-                    Structure::VectorRegisterFile,
-                    width,
-                    cfg.campaign,
-                ) {
-                    Ok(t) => {
-                        let avf = t.failures() as f64 / t.total().max(1) as f64;
-                        row.push_str(&format!(" {:>8.1}%", avf * 100.0));
+            // One setup serves all three widths.
+            match Campaign::new(
+                arch,
+                w.as_ref(),
+                &cfg.campaign,
+                Capture::campaign(&cfg.campaign),
+                &NoopHook,
+            ) {
+                Ok(setup) => {
+                    for width in [1u8, 2, 4] {
+                        match grel_core::mbu_campaign_on(
+                            &setup,
+                            Structure::VectorRegisterFile,
+                            width,
+                            cfg.campaign,
+                        ) {
+                            Ok(t) => {
+                                let avf = t.failures() as f64 / t.total().max(1) as f64;
+                                row.push_str(&format!(" {:>8.1}%", avf * 100.0));
+                            }
+                            Err(e) => row.push_str(&format!(" {e}")),
+                        }
                     }
-                    Err(e) => row.push_str(&format!(" {e}")),
                 }
+                Err(e) => row.push_str(&format!(" {e}")),
             }
             println!("{row}");
         }
@@ -1702,8 +1718,7 @@ fn bench_campaign(
             let ptree = precorder.finish();
             let phases: Vec<Json> = ptree
                 .nodes_named(|n| {
-                    matches!(n, "oracle" | "prune" | "replay" | "merge")
-                        || n.starts_with("campaign:")
+                    matches!(n, "prune" | "replay" | "merge") || n.starts_with("campaign:")
                 })
                 .map(|n| {
                     Json::Obj(vec![
@@ -2028,22 +2043,39 @@ fn ablate_ace(
     );
     for w in workloads {
         for arch in archs {
-            let mut g1 = Gpu::new(arch.clone());
-            let mut cons = AceAnalyzer::new(arch);
-            if let Err(e) = w.run(&mut g1, &mut cons) {
-                println!("{:<12} {:<16} {e}", w.name(), arch.name);
-                continue;
-            }
-            let mut g2 = Gpu::new(arch.clone());
-            let mut refi = AceAnalyzer::with_mode(arch, AceMode::WriteToLastRead);
-            w.run(&mut g2, &mut refi).expect("second golden run");
             let structures: &[Structure] = if w.uses_local_memory() {
                 &[Structure::VectorRegisterFile, Structure::LocalMemory]
             } else {
                 &[Structure::VectorRegisterFile]
             };
-            for &s in structures {
-                let fi = run_campaign(arch, w.as_ref(), s, cfg.campaign).expect("campaign");
+            // One setup carries the refined ACE analysis and every
+            // campaign; the conservative analysis takes one more pass.
+            let capture = Capture {
+                ace: Some(AceMode::WriteToLastRead),
+                ..Capture::campaign(&cfg.campaign)
+            };
+            let rows = Campaign::new(arch, w.as_ref(), &cfg.campaign, capture, &NoopHook).and_then(
+                |setup| {
+                    let (_, conservative) = golden_run_with_ace(arch, w.as_ref())?;
+                    structures
+                        .iter()
+                        .map(|&s| {
+                            let fi = setup.run(s, cfg.campaign, &NoopHook)?;
+                            let refined = setup.ace(s).expect("ACE was captured");
+                            let cons = conservative.report(s).avf_ace;
+                            Ok((s, cons, refined.avf_ace, fi.avf()))
+                        })
+                        .collect::<Result<Vec<_>, SimError>>()
+                },
+            );
+            let rows = match rows {
+                Ok(rows) => rows,
+                Err(e) => {
+                    println!("{:<12} {:<16} {e}", w.name(), arch.name);
+                    continue;
+                }
+            };
+            for (s, conservative, refined, fi) in rows {
                 let tag = match s {
                     Structure::VectorRegisterFile => "RF",
                     Structure::LocalMemory => "LDS",
@@ -2054,9 +2086,9 @@ fn ablate_ace(
                     w.name(),
                     arch.name,
                     tag,
-                    cons.report(s).avf_ace * 100.0,
-                    refi.report(s).avf_ace * 100.0,
-                    fi.avf() * 100.0
+                    conservative * 100.0,
+                    refined * 100.0,
+                    fi * 100.0
                 );
             }
         }

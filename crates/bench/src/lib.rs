@@ -21,12 +21,13 @@ use gpu_workloads::{
     VectorAdd, Workload,
 };
 use grel_core::study::{AvfRow, EpfRow, Findings, StudyResult};
+use grel_telemetry::Json;
 use std::fmt::Write as _;
 
 /// Workload sizing for a study run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny inputs for smoke tests and Criterion benches.
+    /// Tiny inputs for smoke tests and CI.
     Smoke,
     /// The default figure-harness sizes (see each workload's
     /// `default_size`).
@@ -256,51 +257,40 @@ pub fn to_csv(study: &StudyResult) -> String {
 /// assert_eq!(json, "[\n]\n");
 /// ```
 pub fn to_json(study: &StudyResult) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    // `{}` on f64 is the shortest round-trip form: deterministic for a
-    // given bit pattern, so any drift in the underlying numbers shows
-    // up in a byte diff.
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".into()
-        }
-    }
+    // Each point is one `grel_telemetry::Json` object, so strings get
+    // full JSON escaping and numbers the writer's shortest round-trip
+    // form: deterministic for a given bit pattern, so any drift in the
+    // underlying numbers shows up in a byte diff. Every field is a
+    // count, rate or product of non-negative terms, never `-0.0`.
     let mut out = String::from("[\n");
     for (i, p) in study.points.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"workload\":\"{}\",\"device\":\"{}\",\"uses_lds\":{},\"cycles\":{},\
-             \"rf_avf_fi\":{},\"rf_avf_sdc\":{},\"rf_avf_ace\":{},\"rf_occ\":{},\"rf_margin99\":{},\
-             \"lds_avf_fi\":{},\"lds_avf_ace\":{},\"lds_occ\":{},\"srf_avf_ace\":{},\
-             \"fit_rf\":{},\"fit_lds\":{},\"fit_srf\":{},\"eit\":{},\"epf\":{}}}",
-            esc(&p.workload),
-            esc(&p.device),
-            p.uses_local_memory,
-            p.cycles,
-            num(p.rf.avf_fi),
-            num(p.rf.avf_sdc),
-            num(p.rf.avf_ace),
-            num(p.rf.occupancy),
-            num(p.rf.margin_99),
-            num(p.lds.avf_fi),
-            num(p.lds.avf_ace),
-            num(p.lds.occupancy),
-            p.srf_avf_ace.map(num).unwrap_or_else(|| "null".into()),
-            num(p.fit.rf),
-            num(p.fit.lds),
-            num(p.fit.srf),
-            num(p.eit),
-            num(p.epf)
+        let point = Json::Obj(
+            [
+                ("workload", Json::from(p.workload.as_str())),
+                ("device", Json::from(p.device.as_str())),
+                ("uses_lds", Json::from(p.uses_local_memory)),
+                ("cycles", Json::from(p.cycles)),
+                ("rf_avf_fi", Json::from(p.rf.avf_fi)),
+                ("rf_avf_sdc", Json::from(p.rf.avf_sdc)),
+                ("rf_avf_ace", Json::from(p.rf.avf_ace)),
+                ("rf_occ", Json::from(p.rf.occupancy)),
+                ("rf_margin99", Json::from(p.rf.margin_99)),
+                ("lds_avf_fi", Json::from(p.lds.avf_fi)),
+                ("lds_avf_ace", Json::from(p.lds.avf_ace)),
+                ("lds_occ", Json::from(p.lds.occupancy)),
+                ("srf_avf_ace", p.srf_avf_ace.map_or(Json::Null, Json::from)),
+                ("fit_rf", Json::from(p.fit.rf)),
+                ("fit_lds", Json::from(p.fit.lds)),
+                ("fit_srf", Json::from(p.fit.srf)),
+                ("eit", Json::from(p.eit)),
+                ("epf", Json::from(p.epf)),
+            ]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
         );
-        out.push_str(if i + 1 < study.points.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+        let sep = if i + 1 < study.points.len() { "," } else { "" };
+        let _ = writeln!(out, "  {point}{sep}");
     }
     out.push_str("]\n");
     out
@@ -448,5 +438,20 @@ mod tests {
         assert!(md.contains("### Fig. 1"));
         assert!(md.contains("### Fig. 3"));
         assert!(md.contains("F3"));
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_names() {
+        let name = "user\nkernel\u{1}v2";
+        let json = to_json(&StudyResult {
+            points: vec![fake_point(name, "G80")],
+        });
+        // RFC 8259 forbids raw control characters inside strings: the
+        // only line breaks left are the array's own, one per point.
+        assert_eq!(json.lines().count(), 3, "{json:?}");
+        assert!(!json.contains('\u{1}'), "{json:?}");
+        let parsed = Json::parse(&json).expect("valid JSON");
+        let point = &parsed.as_arr().expect("an array")[0];
+        assert_eq!(point.get("workload").and_then(|w| w.as_str()), Some(name));
     }
 }

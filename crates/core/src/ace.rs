@@ -22,9 +22,11 @@
 //! read per-structure AVF and time-weighted occupancy (the red line of
 //! the paper's Fig. 1/2).
 
+use crate::campaign::{golden_pass, Capture};
 use gpu_workloads::Workload;
+use grel_telemetry::NoopHook;
 use simt_sim::observer::BlockRegions;
-use simt_sim::{ArchConfig, FaultSite, Gpu, SimError, SimObserver, Structure};
+use simt_sim::{ArchConfig, FaultSite, SimError, SimObserver, Structure};
 
 const NO_EVENT: u64 = u64::MAX;
 
@@ -613,10 +615,12 @@ impl LifetimeOracle {
     ///
     /// Propagates any failure of the fault-free run itself.
     pub fn capture(arch: &ArchConfig, workload: &dyn Workload) -> Result<Self, SimError> {
-        let mut gpu = Gpu::new(arch.clone());
-        let mut oracle = LifetimeOracle::new(arch);
-        workload.run(&mut gpu, &mut oracle)?;
-        Ok(oracle)
+        let capture = Capture {
+            oracle: true,
+            ..Capture::default()
+        };
+        let pass = golden_pass(arch, workload, capture, &NoopHook)?;
+        Ok(pass.oracle.expect("the oracle was captured"))
     }
 
     fn tracker(&self, s: Structure) -> &OracleTracker {

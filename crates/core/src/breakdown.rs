@@ -3,11 +3,8 @@
 //! deeper cuts the paper's "full scale of the study" paragraph promises
 //! for follow-up work.
 
-use crate::campaign::{
-    golden_run, run_injections_checkpointed, sample_model_sites, structure_words, CampaignConfig,
-    CheckpointLadder, Outcome, Tally,
-};
-use crate::runner::{replay_sites, Arming};
+use crate::campaign::{structure_words, Campaign, CampaignConfig, Capture, Outcome, Tally};
+use crate::runner::Arming;
 use gpu_workloads::Workload;
 use grel_telemetry::NoopHook;
 use rand::rngs::StdRng;
@@ -51,17 +48,24 @@ pub fn detailed_campaign(
     structure: Structure,
     cfg: CampaignConfig,
 ) -> Result<Vec<SiteOutcome>, SimError> {
-    let golden = golden_run(arch, workload)?;
-    let sites = sample_model_sites(
-        arch,
-        structure,
-        cfg.fault_model,
-        golden.cycles,
-        cfg.injections,
-        cfg.seed,
-    );
-    let ladder = CheckpointLadder::build(arch, workload, &golden, &cfg)?;
-    let outcomes = run_injections_checkpointed(arch, workload, &golden, &ladder, &sites, cfg)?;
+    let campaign = Campaign::new(arch, workload, &cfg, Capture::campaign(&cfg), &NoopHook)?;
+    detailed_campaign_on(&campaign, structure, cfg)
+}
+
+/// [`detailed_campaign`] against an existing setup: the same uniform
+/// sites a [`Campaign::run`] on `structure` draws, each paired with its
+/// outcome.
+///
+/// # Errors
+///
+/// Propagates replay failures that are not fault classifications.
+pub fn detailed_campaign_on(
+    campaign: &Campaign<'_>,
+    structure: Structure,
+    cfg: CampaignConfig,
+) -> Result<Vec<SiteOutcome>, SimError> {
+    let sites = campaign.sample(structure, &cfg);
+    let outcomes = campaign.replay(&sites, cfg, &NoopHook)?;
     Ok(sites
         .into_iter()
         .zip(outcomes)
@@ -166,8 +170,29 @@ pub fn mbu_campaign(
     width: u8,
     cfg: CampaignConfig,
 ) -> Result<Tally, SimError> {
+    let campaign = Campaign::new(arch, workload, &cfg, Capture::campaign(&cfg), &NoopHook)?;
+    mbu_campaign_on(&campaign, structure, width, cfg)
+}
+
+/// [`mbu_campaign`] against an existing setup, so several widths share
+/// one golden run and one ladder.
+///
+/// # Errors
+///
+/// Propagates replay failures that are not fault classifications.
+///
+/// # Panics
+///
+/// Panics unless `1 <= width <= 32`, or if the device lacks the
+/// structure.
+pub fn mbu_campaign_on(
+    campaign: &Campaign<'_>,
+    structure: Structure,
+    width: u8,
+    cfg: CampaignConfig,
+) -> Result<Tally, SimError> {
     assert!((1..=32).contains(&width), "MBU width must be 1..=32");
-    let golden = golden_run(arch, workload)?;
+    let (arch, cycles) = (campaign.arch, campaign.golden().cycles);
     let words = structure_words(arch, structure);
     assert!(words > 0, "device has no {structure}");
     // One flat list, `width` adjacent-bit sites per injection.
@@ -177,21 +202,11 @@ pub fn mbu_campaign(
         let sm = rng.gen_range(0..arch.num_sms);
         let word = rng.gen_range(0..words);
         let first_bit = rng.gen_range(0..=(32 - width as u32)) as u8;
-        let cycle = rng.gen_range(0..golden.cycles);
+        let cycle = rng.gen_range(0..cycles);
         sites.extend((0..width).map(|i| FaultSite::new(structure, sm, word, first_bit + i, cycle)));
     }
-    let ladder = CheckpointLadder::build(arch, workload, &golden, &cfg)?;
-    let (outcomes, _) = replay_sites(
-        arch,
-        workload,
-        &golden,
-        &sites,
-        Arming::Groups(width as usize),
-        cfg,
-        &ladder,
-        None,
-        &NoopHook,
-    )?;
+    let (outcomes, _) =
+        campaign.replay_with(&sites, Arming::Groups(width as usize), cfg, &NoopHook)?;
     let mut tally = Tally::default();
     for o in outcomes {
         tally.add(o);

@@ -26,8 +26,12 @@
 //! fault cycle. The prefix it skips is fault-free and therefore
 //! bit-identical to the golden execution, so checkpointed replay produces
 //! exactly the same outcome sequence as from-zero replay — only faster.
+//!
+//! The golden run, the ladder and the optional analyses (ACE, lifetime
+//! oracle, golden store log) form one per-point setup, [`Campaign`],
+//! built once and shared by every campaign run against it.
 
-use crate::ace::{AceAnalyzer, LifetimeOracle};
+use crate::ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
 use crate::runner::{replay_sites, Arming};
 use crate::stats::{error_margin, fault_population, Proportion, Z_99};
 use gpu_workloads::Workload;
@@ -35,20 +39,21 @@ use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simt_sim::{
-    ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, Gpu,
-    MaskProbe, NoopObserver, Session, SessionStatus, SimError, SimObserver, Structure,
+    ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, GlobalWrite,
+    GlobalWriteLog, Gpu, MaskProbe, NoopObserver, Session, SessionStatus, SimError, SimObserver,
+    Structure, TraceRecord,
 };
 use std::fmt;
 use std::time::Instant;
 
 /// Deterministic sibling-ordering ordinals for the point-level phase
-/// spans (`point:workload@device/...`): golden run, oracle capture,
-/// ladder build, then one campaign per structure starting at
-/// [`PHASE_CAMPAIGN_BASE`] + the structure's index.
-pub(crate) const PHASE_GOLDEN: u64 = 0;
-pub(crate) const PHASE_ORACLE: u64 = 1;
-pub(crate) const PHASE_LADDER: u64 = 2;
-pub(crate) const PHASE_CAMPAIGN_BASE: u64 = 3;
+/// spans (`point:workload@device/...`): golden run, ladder build, then
+/// one campaign per structure starting at [`PHASE_CAMPAIGN_BASE`] + the
+/// structure's index. Ordinal 1 (a separate oracle capture) is retired:
+/// the oracle rides the golden pass.
+const PHASE_GOLDEN: u64 = 0;
+const PHASE_LADDER: u64 = 2;
+const PHASE_CAMPAIGN_BASE: u64 = 3;
 
 /// Short stable token naming a structure in span paths and tables
 /// (`campaign:rf`); the `Display` impl is prose ("register file").
@@ -325,9 +330,82 @@ pub fn golden_run_hooked<H: TelemetryHook>(
     workload: &dyn Workload,
     hook: &H,
 ) -> Result<GoldenRun, SimError> {
+    let pass = golden_pass(arch, workload, Capture::default(), hook)?;
+    if H::ENABLED {
+        hook.count("sim_instructions_total", pass.instructions);
+    }
+    Ok(pass.golden)
+}
+
+/// Runs the workload fault-free under the [`AceAnalyzer`], returning the
+/// golden run and the analyzer (ACE AVF + occupancy for every structure).
+///
+/// # Errors
+///
+/// Propagates launch failures.
+pub fn golden_run_with_ace(
+    arch: &ArchConfig,
+    workload: &dyn Workload,
+) -> Result<(GoldenRun, AceAnalyzer), SimError> {
+    let capture = Capture {
+        ace: Some(AceMode::LiveUntilOverwrite),
+        ..Capture::default()
+    };
+    let pass = golden_pass(arch, workload, capture, &NoopHook)?;
+    Ok((pass.golden, pass.ace.expect("ACE was captured")))
+}
+
+/// What a fault-free golden pass records besides the outputs and the
+/// cycle count. Each analysis rides the same simulation as an observer,
+/// so asking for more never costs another pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Capture {
+    /// ACE analysis at this refinement level (see [`Campaign::ace`]).
+    pub ace: Option<AceMode>,
+    /// The [`LifetimeOracle`] behind pruning and adaptive liveness strata.
+    pub oracle: bool,
+    /// The golden global-store stream a traced campaign compares
+    /// against.
+    pub writes: bool,
+}
+
+impl Capture {
+    /// What a uniform campaign under `cfg` uses: the lifetime oracle when
+    /// it prunes transient flips (the only kind the oracle's
+    /// dead-interval argument covers).
+    pub fn campaign(cfg: &CampaignConfig) -> Self {
+        Capture {
+            oracle: cfg.prune && cfg.fault_model == FaultModelKind::Transient,
+            ..Capture::default()
+        }
+    }
+}
+
+/// What one golden pass recorded (see [`golden_pass`]).
+pub(crate) struct GoldenPass {
+    pub(crate) golden: GoldenRun,
+    instructions: u64,
+    ace: Option<AceAnalyzer>,
+    pub(crate) oracle: Option<LifetimeOracle>,
+    pub(crate) writes: Option<Vec<GlobalWrite>>,
+}
+
+/// The one fault-free golden pass: runs the workload on a fresh device
+/// with the analyses `capture` asks for riding along, and reports wall
+/// time, cycle count, a `golden.done` event and the point's `golden`
+/// span through `hook`. Every golden run of the crate is this pass.
+pub(crate) fn golden_pass<H: TelemetryHook>(
+    arch: &ArchConfig,
+    workload: &dyn Workload,
+    capture: Capture,
+    hook: &H,
+) -> Result<GoldenPass, SimError> {
     let started = H::ENABLED.then(Instant::now);
     let mut gpu = Gpu::new(arch.clone());
-    let outputs = workload.run(&mut gpu, &mut NoopObserver)?;
+    let mut ace = capture.ace.map(|mode| AceAnalyzer::with_mode(arch, mode));
+    let mut oracle = capture.oracle.then(|| LifetimeOracle::new(arch));
+    let mut writes = capture.writes.then(GlobalWriteLog::default);
+    let outputs = workload.run(&mut gpu, &mut (&mut ace, (&mut oracle, &mut writes)))?;
     let golden = GoldenRun {
         outputs,
         cycles: gpu.app_cycle(),
@@ -336,10 +414,6 @@ pub fn golden_run_hooked<H: TelemetryHook>(
         let seconds = started.elapsed().as_secs_f64();
         hook.observe("campaign_golden_seconds", seconds);
         hook.gauge("campaign_golden_cycles", golden.cycles as f64);
-        hook.count(
-            "sim_instructions_total",
-            gpu.exec_totals().warp_instructions,
-        );
         hook.event(
             &Event::new("golden.done")
                 .field("workload", workload.name())
@@ -355,33 +429,18 @@ pub fn golden_run_hooked<H: TelemetryHook>(
                     PHASE_GOLDEN,
                     started,
                 )
-                .tag("cycles", golden.cycles),
+                .tag("cycles", golden.cycles)
+                .tag("ace", ace.is_some()),
             );
         }
     }
-    Ok(golden)
-}
-
-/// Runs the workload fault-free under the [`AceAnalyzer`], returning the
-/// golden run and the analyzer (ACE AVF + occupancy for every structure).
-///
-/// # Errors
-///
-/// Propagates launch failures.
-pub fn golden_run_with_ace(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-) -> Result<(GoldenRun, AceAnalyzer), SimError> {
-    let mut gpu = Gpu::new(arch.clone());
-    let mut ace = AceAnalyzer::new(arch);
-    let outputs = workload.run(&mut gpu, &mut ace)?;
-    Ok((
-        GoldenRun {
-            outputs,
-            cycles: gpu.app_cycle(),
-        },
+    Ok(GoldenPass {
+        golden,
+        instructions: gpu.exec_totals().warp_instructions,
         ace,
-    ))
+        oracle,
+        writes: writes.map(GlobalWriteLog::into_writes),
+    })
 }
 
 /// Result of a fault-injection campaign on one structure.
@@ -743,16 +802,13 @@ impl CheckpointLadder {
         golden: &GoldenRun,
         cfg: &CampaignConfig,
     ) -> Result<Self, SimError> {
-        Self::build_hooked(arch, workload, golden, cfg, &NoopHook)
+        Self::capture(arch, workload, golden, cfg, &NoopHook)
     }
 
-    /// [`CheckpointLadder::build`] reporting rung count, retained bytes,
-    /// snapshot cost and build wall time through a [`TelemetryHook`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CheckpointLadder::build`].
-    pub fn build_hooked<H: TelemetryHook>(
+    /// The ladder pass behind [`CheckpointLadder::build`] and
+    /// [`Campaign::new`], reporting rung count, retained bytes, snapshot
+    /// cost and build wall time through `hook`.
+    fn capture<H: TelemetryHook>(
         arch: &ArchConfig,
         workload: &dyn Workload,
         golden: &GoldenRun,
@@ -1352,6 +1408,313 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     })
 }
 
+/// A setup part a [`Campaign`] built itself, or borrowed from the
+/// caller of a wrapper that takes it ready-made.
+enum Part<'a, T: ?Sized> {
+    Built(Box<T>),
+    Lent(&'a T),
+}
+
+impl<T: ?Sized> std::ops::Deref for Part<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Part::Built(part) => part,
+            Part::Lent(part) => part,
+        }
+    }
+}
+
+/// The per-point setup every fault-injection campaign replays against:
+/// the golden outputs and cycle count, the checkpoint ladder and, when
+/// asked for, the ACE reports, the lifetime oracle and the golden
+/// global-store stream.
+///
+/// [`Campaign::new`] builds it from two fault-free passes — one golden
+/// pass carrying every requested analysis, then the ladder pass —
+/// however many campaigns then run against it. The crate's free
+/// campaign functions ([`run_campaign`] and the rest) are thin wrappers
+/// over it.
+///
+/// # Example
+/// ```
+/// use grel_core::campaign::{Campaign, CampaignConfig, Capture};
+/// use gpu_workloads::Transpose;
+/// use gpu_archs::quadro_fx_5600;
+/// use grel_telemetry::NoopHook;
+/// use simt_sim::Structure;
+///
+/// let (arch, w) = (quadro_fx_5600(), Transpose::new(32, 1));
+/// let mut cfg = CampaignConfig::quick(1);
+/// cfg.injections = 12;
+/// // One setup, two campaigns: no further fault-free pass.
+/// let setup = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)?;
+/// let rf = setup.run(Structure::VectorRegisterFile, cfg, &NoopHook)?;
+/// let lds = setup.run(Structure::LocalMemory, cfg, &NoopHook)?;
+/// assert_eq!(rf.tally.total() + lds.tally.total(), 24);
+/// assert!(setup.oracle().is_some() && setup.ace(Structure::LocalMemory).is_none());
+/// # Ok::<(), simt_sim::SimError>(())
+/// ```
+pub struct Campaign<'a> {
+    pub(crate) arch: &'a ArchConfig,
+    pub(crate) workload: &'a dyn Workload,
+    golden: Part<'a, GoldenRun>,
+    ladder: Part<'a, CheckpointLadder>,
+    oracle: Option<Part<'a, LifetimeOracle>>,
+    writes: Option<Part<'a, [GlobalWrite]>>,
+    ace: Option<[(Structure, StructureReport); 3]>,
+}
+
+impl<'a> Campaign<'a> {
+    /// Builds the setup: one golden pass recording what `capture` asks
+    /// for, then the checkpoint ladder spaced and capped per `cfg`. Both
+    /// passes report their telemetry (`golden.done`, `ladder.done`, the
+    /// `golden` and `ladder` spans) through `hook`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a fault-free launch failure.
+    pub fn new<H: TelemetryHook>(
+        arch: &'a ArchConfig,
+        workload: &'a dyn Workload,
+        cfg: &CampaignConfig,
+        capture: Capture,
+        hook: &H,
+    ) -> Result<Self, SimError> {
+        let pass = golden_pass(arch, workload, capture, hook)?;
+        // The ACE reports are final once the golden pass is over; taking
+        // them now frees the analyzer's per-word state before the ladder
+        // is built.
+        let ace = pass.ace.map(|ace| {
+            [
+                Structure::VectorRegisterFile,
+                Structure::LocalMemory,
+                Structure::ScalarRegisterFile,
+            ]
+            .map(|s| (s, ace.report(s)))
+        });
+        let ladder = CheckpointLadder::capture(arch, workload, &pass.golden, cfg, hook)?;
+        Ok(Campaign {
+            arch,
+            workload,
+            golden: Part::Built(Box::new(pass.golden)),
+            ladder: Part::Built(Box::new(ladder)),
+            oracle: pass.oracle.map(|o| Part::Built(Box::new(o))),
+            writes: pass.writes.map(|w| Part::Built(w.into_boxed_slice())),
+            ace,
+        })
+    }
+
+    /// A setup over parts the caller already built.
+    pub(crate) fn lent(
+        arch: &'a ArchConfig,
+        workload: &'a dyn Workload,
+        golden: &'a GoldenRun,
+        ladder: &'a CheckpointLadder,
+        oracle: Option<&'a LifetimeOracle>,
+        writes: Option<&'a [GlobalWrite]>,
+    ) -> Self {
+        Campaign {
+            arch,
+            workload,
+            golden: Part::Lent(golden),
+            ladder: Part::Lent(ladder),
+            oracle: oracle.map(Part::Lent),
+            writes: writes.map(Part::Lent),
+            ace: None,
+        }
+    }
+
+    /// The fault-free reference run.
+    pub fn golden(&self) -> &GoldenRun {
+        &self.golden
+    }
+
+    /// The checkpoint ladder replays resume from.
+    pub fn ladder(&self) -> &CheckpointLadder {
+        &self.ladder
+    }
+
+    /// The lifetime oracle, when [`Capture::oracle`] asked for it.
+    pub fn oracle(&self) -> Option<&LifetimeOracle> {
+        self.oracle.as_deref()
+    }
+
+    /// The golden global-store stream, when [`Capture::writes`] asked
+    /// for it.
+    pub fn golden_writes(&self) -> Option<&[GlobalWrite]> {
+        self.writes.as_deref()
+    }
+
+    /// The ACE report of `structure`, when [`Capture::ace`] asked for
+    /// it.
+    pub fn ace(&self, structure: Structure) -> Option<StructureReport> {
+        let reports = self.ace.as_ref()?;
+        reports
+            .iter()
+            .find(|(s, _)| *s == structure)
+            .map(|&(_, r)| r)
+    }
+
+    /// The oracle single-site replays under `cfg` are pruned with.
+    pub(crate) fn pruner(&self, cfg: &CampaignConfig) -> Option<&LifetimeOracle> {
+        self.oracle().filter(|_| cfg.prune)
+    }
+
+    /// The uniform site sample of a campaign on `structure` under `cfg`.
+    pub(crate) fn sample(&self, structure: Structure, cfg: &CampaignConfig) -> Vec<FaultSite> {
+        sample_model_sites(
+            self.arch,
+            structure,
+            cfg.fault_model,
+            self.golden.cycles,
+            cfg.injections,
+            cfg.seed,
+        )
+    }
+
+    /// Replays `sites` armed per `arming` through [`replay_sites`].
+    pub(crate) fn replay_with<H: TelemetryHook>(
+        &self,
+        sites: &[FaultSite],
+        arming: Arming<'_>,
+        cfg: CampaignConfig,
+        hook: &H,
+    ) -> Result<(Vec<Outcome>, Vec<TraceRecord>), SimError> {
+        replay_sites(
+            self.arch,
+            self.workload,
+            &self.golden,
+            sites,
+            arming,
+            cfg,
+            &self.ladder,
+            self.pruner(&cfg),
+            hook,
+        )
+    }
+
+    /// Replays every site and returns the outcomes in site order — the
+    /// same outcomes at any job count, with pruning, batching and
+    /// checkpoints on or off.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay failures that are not fault classifications.
+    pub fn replay<H: TelemetryHook>(
+        &self,
+        sites: &[FaultSite],
+        cfg: CampaignConfig,
+        hook: &H,
+    ) -> Result<Vec<Outcome>, SimError> {
+        Ok(self.replay_with(sites, Arming::Groups(1), cfg, hook)?.0)
+    }
+
+    /// Runs a uniform campaign of `cfg.injections` sites on `structure`,
+    /// with full telemetry through `hook`: per-outcome counters,
+    /// per-injection latency, rung-hit distribution, replay cycles saved
+    /// vs from-zero, throughput and a `campaign.done` event.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay failures that are not fault classifications.
+    pub fn run<H: TelemetryHook>(
+        &self,
+        structure: Structure,
+        cfg: CampaignConfig,
+        hook: &H,
+    ) -> Result<CampaignResult, SimError> {
+        let started = H::ENABLED.then(Instant::now);
+        let sites = self.sample(structure, &cfg);
+        let outcomes = self.replay(&sites, cfg, hook)?;
+        let pruner = self.pruner(&cfg);
+        Ok(self.finish(structure, cfg, &sites, &outcomes, pruner, started, hook))
+    }
+
+    /// The tail every uniform and traced campaign shares: tallies the
+    /// outcomes into a [`CampaignResult`] and, when the hook is on,
+    /// reports the campaign's wall time, throughput, `campaign.done`
+    /// event and `campaign:` span. `pruner` is the oracle the replay
+    /// pruned with.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn finish<H: TelemetryHook>(
+        &self,
+        structure: Structure,
+        cfg: CampaignConfig,
+        sites: &[FaultSite],
+        outcomes: &[Outcome],
+        pruner: Option<&LifetimeOracle>,
+        started: Option<Instant>,
+        hook: &H,
+    ) -> CampaignResult {
+        let mut tally = Tally::default();
+        for &o in outcomes {
+            tally.add(o);
+        }
+        let golden_cycles = self.golden.cycles;
+        let population = campaign_population(self.arch, structure, cfg.fault_model, golden_cycles);
+        let result = CampaignResult {
+            structure,
+            tally,
+            golden_cycles,
+            population,
+            margin_99: campaign_margin(population, tally.total()),
+        };
+        let Some(started) = started else {
+            return result;
+        };
+        let (workload, device) = (self.workload.name(), self.arch.name.as_str());
+        let seconds = started.elapsed().as_secs_f64();
+        let per_second = if seconds > 0.0 {
+            tally.total() as f64 / seconds
+        } else {
+            0.0
+        };
+        let pruned = pruner.map_or(0u64, |o| {
+            sites.iter().filter(|&&s| o.is_dead(s)).count() as u64
+        });
+        hook.observe("campaign_seconds", seconds);
+        hook.gauge("campaign_injections_per_second", per_second);
+        hook.event(
+            &Event::new("campaign.done")
+                .field("workload", workload)
+                .field("device", device)
+                .field("structure", structure.to_string())
+                .field("fault_kind", cfg.fault_model.as_str())
+                .field("injections", tally.total())
+                .field("masked", tally.masked)
+                .field("sdc", tally.sdc)
+                .field("due", tally.due)
+                .field("hang", tally.hang)
+                .field("avf", result.avf())
+                .field("golden_cycles", golden_cycles)
+                .field("ladder_rungs", self.ladder.len())
+                .field("pruned", pruned)
+                .field("early_exit", cfg.early_exit && pruner.is_none())
+                .field("seconds", seconds)
+                .field("injections_per_second", per_second),
+        );
+        if H::SPANS {
+            hook.span(
+                &SpanRecord::new(
+                    format!(
+                        "point:{workload}@{device}/campaign:{}",
+                        structure_label(structure)
+                    ),
+                    0,
+                    campaign_phase_seq(structure),
+                    started,
+                )
+                .tag("kind", cfg.fault_model.as_str())
+                .tag("injections", tally.total())
+                .tag("pruned", pruned),
+            );
+        }
+        result
+    }
+}
+
 /// Runs a full statistical fault-injection campaign.
 ///
 /// Deterministic for a given `(arch, workload, structure, cfg)` ensemble
@@ -1390,7 +1753,8 @@ pub fn run_campaign(
     run_campaign_hooked(arch, workload, structure, cfg, &NoopHook)
 }
 
-/// [`run_campaign`] with full telemetry through `hook`. Outcomes are
+/// [`run_campaign`] with full telemetry through `hook`: a [`Campaign`]
+/// built for `cfg` and one [`Campaign::run`] on it. Outcomes are
 /// identical to the unhooked call — the hook only observes.
 ///
 /// # Errors
@@ -1403,21 +1767,14 @@ pub fn run_campaign_hooked<H: TelemetryHook>(
     cfg: CampaignConfig,
     hook: &H,
 ) -> Result<CampaignResult, SimError> {
-    let golden = golden_run_hooked(arch, workload, hook)?;
-    let ladder = CheckpointLadder::build_hooked(arch, workload, &golden, &cfg, hook)?;
-    run_campaign_with_ladder_hooked(arch, workload, structure, cfg, &golden, &ladder, hook)
+    Campaign::new(arch, workload, &cfg, Capture::campaign(&cfg), hook)?.run(structure, cfg, hook)
 }
 
-/// [`run_campaign`] against a shared golden run and checkpoint ladder,
-/// with full telemetry through `hook`: per-outcome counters,
-/// per-injection latency, rung-hit distribution, replay cycles saved vs
-/// from-zero, throughput and a `campaign.done` event.
-///
-/// When `cfg.prune` is set this captures a [`LifetimeOracle`] from one
-/// extra instrumented fault-free run and delegates to
-/// [`run_campaign_with_oracle_hooked`]; callers evaluating several
-/// structures over one golden run (like [`crate::study`]) should capture
-/// the oracle once themselves and call that entry point directly.
+/// [`run_campaign`] against a shared golden run and checkpoint ladder.
+/// When `cfg` prunes transient flips this captures a [`LifetimeOracle`]
+/// from one extra fault-free pass; callers running several campaigns
+/// over one golden run should build a [`Campaign`] instead, which
+/// captures the oracle on the golden pass itself.
 ///
 /// # Errors
 ///
@@ -1432,27 +1789,10 @@ pub fn run_campaign_with_ladder_hooked<H: TelemetryHook>(
     ladder: &CheckpointLadder,
     hook: &H,
 ) -> Result<CampaignResult, SimError> {
-    // The lifetime oracle's dead-interval argument only holds for
-    // transient flips (a stuck-at fault survives the overwrite that
-    // would end a live interval; a control fault has no storage word),
-    // so non-transient models skip the instrumented capture run
-    // entirely. `LifetimeOracle::is_dead` is also kind-gated, so even a
-    // caller-supplied oracle can never prune a non-transient site.
-    let oracle = if cfg.prune && cfg.fault_model == FaultModelKind::Transient {
-        let span_started = H::SPANS.then(Instant::now);
-        let oracle = LifetimeOracle::capture(arch, workload)?;
-        if let Some(t0) = span_started {
-            hook.span(&SpanRecord::new(
-                format!("point:{}@{}/oracle", workload.name(), arch.name),
-                0,
-                PHASE_ORACLE,
-                t0,
-            ));
-        }
-        Some(oracle)
-    } else {
-        None
-    };
+    let oracle = Capture::campaign(&cfg)
+        .oracle
+        .then(|| LifetimeOracle::capture(arch, workload))
+        .transpose()?;
     run_campaign_with_oracle_hooked(
         arch,
         workload,
@@ -1490,89 +1830,11 @@ pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
     oracle: Option<&LifetimeOracle>,
     hook: &H,
 ) -> Result<CampaignResult, SimError> {
-    let started = H::ENABLED.then(Instant::now);
-    let sites = sample_model_sites(
-        arch,
-        structure,
-        cfg.fault_model,
-        golden.cycles,
-        cfg.injections,
-        cfg.seed,
-    );
-    let (outcomes, _) = replay_sites(
-        arch,
-        workload,
-        golden,
-        &sites,
-        Arming::Groups(1),
-        cfg,
-        ladder,
-        oracle,
-        hook,
-    )?;
-    let mut tally = Tally::default();
-    for o in outcomes {
-        tally.add(o);
-    }
-    let population = campaign_population(arch, structure, cfg.fault_model, golden.cycles);
-    let result = CampaignResult {
-        structure,
-        tally,
-        golden_cycles: golden.cycles,
-        population,
-        margin_99: campaign_margin(population, tally.total()),
+    let cfg = CampaignConfig {
+        prune: oracle.is_some(),
+        ..cfg
     };
-    if let Some(started) = started {
-        let seconds = started.elapsed().as_secs_f64();
-        let per_second = if seconds > 0.0 {
-            tally.total() as f64 / seconds
-        } else {
-            0.0
-        };
-        let pruned = oracle.map_or(0u64, |o| {
-            sites.iter().filter(|&&s| o.is_dead(s)).count() as u64
-        });
-        hook.observe("campaign_seconds", seconds);
-        hook.gauge("campaign_injections_per_second", per_second);
-        hook.event(
-            &Event::new("campaign.done")
-                .field("workload", workload.name())
-                .field("device", arch.name.as_str())
-                .field("structure", structure.to_string())
-                .field("fault_kind", cfg.fault_model.as_str())
-                .field("injections", tally.total())
-                .field("masked", tally.masked)
-                .field("sdc", tally.sdc)
-                .field("due", tally.due)
-                .field("hang", tally.hang)
-                .field("avf", result.avf())
-                .field("golden_cycles", golden.cycles)
-                .field("ladder_rungs", ladder.len())
-                .field("pruned", pruned)
-                .field("early_exit", cfg.early_exit && oracle.is_none())
-                .field("seconds", seconds)
-                .field("injections_per_second", per_second),
-        );
-        if H::SPANS {
-            hook.span(
-                &SpanRecord::new(
-                    format!(
-                        "point:{}@{}/campaign:{}",
-                        workload.name(),
-                        arch.name,
-                        structure_label(structure)
-                    ),
-                    0,
-                    campaign_phase_seq(structure),
-                    started,
-                )
-                .tag("kind", cfg.fault_model.as_str())
-                .tag("injections", tally.total())
-                .tag("pruned", pruned),
-            );
-        }
-    }
-    Ok(result)
+    Campaign::lent(arch, workload, golden, ladder, oracle, None).run(structure, cfg, hook)
 }
 
 /// Replays every site from cycle zero, fanning out across threads;
@@ -1613,18 +1875,7 @@ pub fn run_injections_checkpointed(
     sites: &[FaultSite],
     cfg: CampaignConfig,
 ) -> Result<Vec<Outcome>, SimError> {
-    let (outcomes, _) = replay_sites(
-        arch,
-        workload,
-        golden,
-        sites,
-        Arming::Groups(1),
-        cfg,
-        ladder,
-        None,
-        &NoopHook,
-    )?;
-    Ok(outcomes)
+    Campaign::lent(arch, workload, golden, ladder, None, None).replay(sites, cfg, &NoopHook)
 }
 
 /// [`run_campaign`] with an explicit worker count, overriding

@@ -7,7 +7,11 @@
 //!
 //! * [`campaign`] — statistical **fault injection**: golden run, uniform
 //!   `(SM, word, bit, cycle)` site sampling, parallel replays resumed
-//!   from a checkpoint ladder, and masked/SDC/DUE classification;
+//!   from a checkpoint ladder, and masked/SDC/DUE classification. Its
+//!   [`Campaign`] is the one per-point setup — one golden pass carrying
+//!   the analyses a [`Capture`] asks for, then the ladder — that every
+//!   campaign, adaptive, traced and multi-bit-upset run replays against;
+//!   the free `run_*` functions are thin wrappers over it;
 //! * [`ace`] — **ACE analysis**: single-pass write→last-read lifetime
 //!   tracking over the physical register files and local memory, plus
 //!   time-weighted occupancy (the red line of Fig. 1/2);
@@ -71,13 +75,14 @@ pub mod study;
 
 pub use ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
 pub use breakdown::{
-    avf_by_bit, avf_by_phase, detailed_campaign, due_fraction, mbu_campaign, SiteOutcome,
+    avf_by_bit, avf_by_phase, detailed_campaign, detailed_campaign_on, due_fraction, mbu_campaign,
+    mbu_campaign_on, SiteOutcome,
 };
 pub use campaign::{
     golden_run, golden_run_hooked, golden_run_with_ace, run_campaign, run_campaign_hooked,
     run_campaign_parallel, run_campaign_parallel_hooked, run_campaign_with_ladder_hooked,
-    run_campaign_with_oracle_hooked, run_injections, run_injections_checkpointed, CampaignConfig,
-    CampaignResult, CheckpointLadder, GoldenRun, Outcome, Tally,
+    run_campaign_with_oracle_hooked, run_injections, run_injections_checkpointed, Campaign,
+    CampaignConfig, CampaignResult, Capture, CheckpointLadder, GoldenRun, Outcome, Tally,
 };
 pub use convergence::{
     ConvergenceMonitor, ConvergenceSnapshot, StratumProgress, DEFAULT_TARGET_MARGIN,

@@ -15,17 +15,16 @@
 //! runner's determinism contract (site-order merge, invariant under the
 //! worker count).
 
+#[cfg(test)]
+use crate::campaign::golden_run;
 use crate::campaign::{
-    campaign_margin, campaign_population, classify_on, golden_run, sample_model_sites,
-    structure_words, CampaignConfig, CampaignResult, CheckpointLadder, GoldenRun, Outcome, Tally,
+    golden_pass, structure_words, Campaign, CampaignConfig, CampaignResult, Capture,
+    CheckpointLadder, GoldenRun, Outcome,
 };
-use crate::runner::{replay_sites, Arming};
+use crate::runner::Arming;
 use gpu_workloads::Workload;
-use grel_telemetry::{Event, TelemetryHook};
-use simt_sim::{
-    ArchConfig, FaultSite, GlobalWrite, GlobalWriteLog, Gpu, SimError, Structure, TraceObserver,
-    TraceRecord,
-};
+use grel_telemetry::{Event, NoopHook, TelemetryHook};
+use simt_sim::{ArchConfig, FaultSite, GlobalWrite, SimError, Structure, TraceRecord};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -426,20 +425,17 @@ pub fn golden_write_log(
     arch: &ArchConfig,
     workload: &dyn Workload,
 ) -> Result<Vec<GlobalWrite>, SimError> {
-    let mut gpu = Gpu::new(arch.clone());
-    let mut log = GlobalWriteLog::default();
-    workload.run(&mut gpu, &mut log)?;
-    Ok(log.into_writes())
+    let capture = Capture {
+        writes: true,
+        ..Capture::default()
+    };
+    let pass = golden_pass(arch, workload, capture, &NoopHook)?;
+    Ok(pass.writes.expect("the write log was captured"))
 }
 
 /// [`crate::campaign::run_campaign_with_ladder_hooked`] with the flight
-/// recorder enabled: same sites, same outcomes, same tally — plus one
-/// [`Provenance`] record per injection (site order) and the campaign
-/// [`ProvenanceAggregate`].
-///
-/// Per-injection `injection.trace` events and `provenance_*` metrics are
-/// emitted from the calling thread after the deterministic site-order
-/// merge, so hooked output is invariant under the worker count.
+/// recorder enabled, against a shared golden run, write log and ladder:
+/// [`Campaign::run_traced`] over those parts.
 ///
 /// # Errors
 ///
@@ -455,91 +451,80 @@ pub fn run_campaign_with_provenance_hooked<H: TelemetryHook>(
     ladder: &CheckpointLadder,
     hook: &H,
 ) -> Result<(CampaignResult, Vec<Provenance>, ProvenanceAggregate), SimError> {
-    let started = H::ENABLED.then(Instant::now);
-    let sites = sample_model_sites(
-        arch,
-        structure,
-        cfg.fault_model,
-        golden.cycles,
-        cfg.injections,
-        cfg.seed,
-    );
-    let (outcomes, records) = replay_sites(
-        arch,
-        workload,
-        golden,
-        &sites,
-        Arming::Traced(golden_writes),
-        cfg,
-        ladder,
-        None,
-        hook,
-    )?;
-    let mut tally = Tally::default();
-    let mut provenance = Vec::with_capacity(outcomes.len());
-    for (o, r) in outcomes.iter().zip(&records) {
-        tally.add(*o);
-        provenance.push(Provenance::from_trace(*o, r));
-    }
-    let aggregate = ProvenanceAggregate::from_records(arch, structure, &provenance);
-    let population = campaign_population(arch, structure, cfg.fault_model, golden.cycles);
-    let result = CampaignResult {
-        structure,
-        tally,
-        golden_cycles: golden.cycles,
-        population,
-        margin_99: campaign_margin(population, tally.total()),
-    };
-    if let Some(started) = started {
-        for p in &provenance {
-            let ev = Event::new("injection.trace")
-                .field("workload", workload.name())
-                .field("device", arch.name.as_str())
-                .field("structure", p.site.structure.to_string())
-                .field("sm", p.site.sm)
-                .field("word", p.site.word)
-                .field("bit", u32::from(p.site.bit))
-                .field("cycle", p.site.cycle)
-                .field("kind", p.site.kind.as_str())
-                .field("outcome", p.outcome.as_str())
-                .field_opt("first_read_latency", p.first_read_latency)
-                .field_opt("cycles_to_divergence", p.cycles_to_divergence)
-                .field("taint_words", u64::from(p.taint_words))
-                .field("taint_saturated", p.taint_saturated)
-                .field("lds_banks", u64::from(p.lds_banks))
-                .field_opt("masking", p.masking.map(|m| m.as_str()))
-                .field_opt("cause", p.cause.map(|c| c.as_str()))
-                .field_opt("cause_cycle", p.cause.map(|c| c.cycle()));
-            hook.event(&ev);
+    Campaign::lent(arch, workload, golden, ladder, None, Some(golden_writes))
+        .run_traced(structure, cfg, hook)
+}
+
+impl Campaign<'_> {
+    /// [`Campaign::run`] with the flight recorder enabled: same sites,
+    /// same outcomes, same tally — plus one [`Provenance`] record per
+    /// injection (site order) and the campaign [`ProvenanceAggregate`].
+    /// Traced replays are neither pruned nor batched, and never exit
+    /// early: the recorder wants every full propagation timeline.
+    ///
+    /// Per-injection `injection.trace` events and `provenance_*` metrics
+    /// are emitted from the calling thread after the deterministic
+    /// site-order merge, so hooked output is invariant under the worker
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay failures that are not fault classifications.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the setup did not capture the golden write log
+    /// ([`Capture::writes`]).
+    pub fn run_traced<H: TelemetryHook>(
+        &self,
+        structure: Structure,
+        cfg: CampaignConfig,
+        hook: &H,
+    ) -> Result<(CampaignResult, Vec<Provenance>, ProvenanceAggregate), SimError> {
+        let writes = self
+            .golden_writes()
+            .expect("a traced campaign needs the golden write log (Capture::writes)");
+        let started = H::ENABLED.then(Instant::now);
+        let sites = self.sample(structure, &cfg);
+        let (outcomes, records) = self.replay_with(&sites, Arming::Traced(writes), cfg, hook)?;
+        let provenance: Vec<Provenance> = outcomes
+            .iter()
+            .zip(&records)
+            .map(|(&o, r)| Provenance::from_trace(o, r))
+            .collect();
+        let aggregate = ProvenanceAggregate::from_records(self.arch, structure, &provenance);
+        if H::ENABLED {
+            for p in &provenance {
+                let ev = Event::new("injection.trace")
+                    .field("workload", self.workload.name())
+                    .field("device", self.arch.name.as_str())
+                    .field("structure", p.site.structure.to_string())
+                    .field("sm", p.site.sm)
+                    .field("word", p.site.word)
+                    .field("bit", u32::from(p.site.bit))
+                    .field("cycle", p.site.cycle)
+                    .field("kind", p.site.kind.as_str())
+                    .field("outcome", p.outcome.as_str())
+                    .field_opt("first_read_latency", p.first_read_latency)
+                    .field_opt("cycles_to_divergence", p.cycles_to_divergence)
+                    .field("taint_words", u64::from(p.taint_words))
+                    .field("taint_saturated", p.taint_saturated)
+                    .field("lds_banks", u64::from(p.lds_banks))
+                    .field_opt("masking", p.masking.map(|m| m.as_str()))
+                    .field_opt("cause", p.cause.map(|c| c.as_str()))
+                    .field_opt("cause_cycle", p.cause.map(|c| c.cycle()));
+                hook.event(&ev);
+            }
+            aggregate.emit(hook);
         }
-        aggregate.emit(hook);
-        let seconds = started.elapsed().as_secs_f64();
-        let per_second = if seconds > 0.0 {
-            tally.total() as f64 / seconds
-        } else {
-            0.0
+        // Traced replays never exit early, and were not pruned.
+        let cfg = CampaignConfig {
+            early_exit: false,
+            ..cfg
         };
-        hook.observe("campaign_seconds", seconds);
-        hook.gauge("campaign_injections_per_second", per_second);
-        hook.event(
-            &Event::new("campaign.done")
-                .field("workload", workload.name())
-                .field("device", arch.name.as_str())
-                .field("structure", structure.to_string())
-                .field("fault_kind", cfg.fault_model.as_str())
-                .field("injections", tally.total())
-                .field("masked", tally.masked)
-                .field("sdc", tally.sdc)
-                .field("due", tally.due)
-                .field("hang", tally.hang)
-                .field("avf", result.avf())
-                .field("golden_cycles", golden.cycles)
-                .field("ladder_rungs", ladder.len())
-                .field("seconds", seconds)
-                .field("injections_per_second", per_second),
-        );
+        let result = self.finish(structure, cfg, &sites, &outcomes, None, started, hook);
+        Ok((result, provenance, aggregate))
     }
-    Ok((result, provenance, aggregate))
 }
 
 /// Parses a fault site from the `sm:struct:word:bit:cycle[:kind]` CLI
@@ -582,9 +567,10 @@ pub struct SingleTrace {
     pub provenance: Provenance,
 }
 
-/// Replays one injection from cycle zero with the flight recorder on and
-/// returns its provenance. The golden run and its write log are captured
-/// internally — this is the one-shot path behind `repro trace`.
+/// Replays one injection with the flight recorder on and returns its
+/// provenance: the one-shot path behind `repro trace`. The golden run,
+/// its write log and the ladder the replay resumes from come from one
+/// [`Campaign`] built for this injection.
 ///
 /// # Errors
 ///
@@ -595,26 +581,24 @@ pub fn trace_one(
     site: FaultSite,
     watchdog_factor: u64,
 ) -> Result<SingleTrace, SimError> {
-    let golden = golden_run(arch, workload)?;
-    let golden_writes = golden_write_log(arch, workload)?;
-    let mut gpu = Gpu::new(arch.clone());
-    let mut tracer = TraceObserver::new(site, arch.num_sms as usize, &golden_writes, 0);
-    let outcome = classify_on(
-        &mut gpu,
-        arch,
-        workload,
-        &golden,
-        &[site],
+    let cfg = CampaignConfig {
         watchdog_factor,
-        false,
-        None,
-        &mut tracer,
-        &grel_telemetry::NoopHook,
-    )?;
+        ..CampaignConfig::quick(0)
+    };
+    let capture = Capture {
+        writes: true,
+        ..Capture::default()
+    };
+    let campaign = Campaign::new(arch, workload, &cfg, capture, &NoopHook)?;
+    let writes = campaign
+        .golden_writes()
+        .expect("the write log was captured");
+    let (outcomes, records) =
+        campaign.replay_with(&[site], Arming::Traced(writes), cfg, &NoopHook)?;
     Ok(SingleTrace {
         site,
-        golden_cycles: golden.cycles,
-        provenance: Provenance::from_trace(outcome, &tracer.into_record(arch.lds_banks)),
+        golden_cycles: campaign.golden().cycles,
+        provenance: Provenance::from_trace(outcomes[0], &records[0]),
     })
 }
 

@@ -575,8 +575,9 @@ pub(crate) fn replay_sites<H: TelemetryHook>(
     let traced = matches!(arming, Arming::Traced(_));
     debug_assert_eq!(sites.len() % width, 0, "sites come in whole groups");
     let n = sites.len() / width;
-    // Pruning, batching and early exit reason about one flipped word.
-    let oracle = oracle.filter(|_| width == 1);
+    // Pruning, batching and early exit reason about one flipped word,
+    // and the flight recorder wants every replay's full timeline.
+    let oracle = oracle.filter(|_| width == 1 && !traced);
     // Serial pre-classification: pruned sites keep their pre-filled
     // `Masked` slot and never reach a worker.
     let span_prefix = replay_span_prefix::<H>(arch, workload, sites);

@@ -44,10 +44,10 @@
 
 use crate::ace::{LifetimeOracle, WordCycleSegment};
 use crate::campaign::{
-    campaign_population, decode_control_site, decode_site, golden_run, structure_label,
-    structure_words, CampaignConfig, CheckpointLadder, FlatStream, GoldenRun, Tally,
+    campaign_population, decode_control_site, decode_site, structure_label, structure_words,
+    Campaign, CampaignConfig, Capture, FlatStream, Tally,
 };
-use crate::runner::{replay_sites, Arming};
+use crate::runner::Arming;
 use crate::stats::{Proportion, Z_99};
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
@@ -662,16 +662,13 @@ fn allocate(strata: &[Stratum], total: u128, target: f64, pilot: u64) -> Vec<u64
         .collect()
 }
 
-/// Runs one adaptive campaign end to end (golden run, ladder and
-/// oracle captured internally). The study driver runs the same engine
-/// against its shared per-point context, with full telemetry:
-/// per-round `campaign.round` events, per-stratum sample counters,
-/// `campaign.convergence` events (with the per-stratum `strata` array)
-/// at every round boundary, and a closing `campaign.done`.
+/// Runs one adaptive campaign end to end: a [`Campaign`] captured for
+/// it, then [`Campaign::run_adaptive`].
 ///
 /// # Errors
 ///
-/// Propagates replay failures that are not fault classifications.
+/// Propagates a fault-free launch failure, or replay failures that are
+/// not fault classifications.
 ///
 /// # Panics
 ///
@@ -683,321 +680,314 @@ pub fn run_adaptive_campaign(
     cfg: CampaignConfig,
     plan: SamplingPlan,
 ) -> Result<AdaptiveCampaign, SimError> {
-    let golden = golden_run(arch, workload)?;
-    let ladder = CheckpointLadder::build(arch, workload, &golden, &cfg)?;
     // The oracle serves the liveness axis (and pruning, when on), so it
     // is captured whenever the model supports it — not only when
     // `cfg.prune` is set. That keeps the partition, and therefore the
     // whole allocation sequence, invariant across the prune knob.
-    let oracle = (cfg.fault_model == FaultModelKind::Transient)
-        .then(|| LifetimeOracle::capture(arch, workload))
-        .transpose()?;
-    run_adaptive_with_context(
-        arch,
-        workload,
-        structure,
-        cfg,
-        plan,
-        &golden,
-        &ladder,
-        oracle.as_ref(),
-        &NoopHook,
-    )
+    let capture = Capture {
+        oracle: cfg.fault_model == FaultModelKind::Transient,
+        ..Capture::default()
+    };
+    Campaign::new(arch, workload, &cfg, capture, &NoopHook)?
+        .run_adaptive(structure, cfg, plan, &NoopHook)
 }
 
-/// The engine proper, against shared golden run, ladder and oracle
-/// (the study driver captures those once per point).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_adaptive_with_context<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    plan: SamplingPlan,
-    golden: &GoldenRun,
-    ladder: &CheckpointLadder,
-    oracle: Option<&LifetimeOracle>,
-    hook: &H,
-) -> Result<AdaptiveCampaign, SimError> {
-    assert!(
-        plan.target_margin.is_finite() && plan.target_margin > 0.0,
-        "adaptive sampling needs a positive finite target margin"
-    );
-    let started = H::ENABLED.then(std::time::Instant::now);
-    let cycles = golden.cycles;
-    assert!(cycles > 0, "cannot sample an empty execution");
-    let (words, lanes): (u32, u128) = match cfg.fault_model {
-        FaultModelKind::Control => {
-            let slots = arch.max_warps_per_sm;
-            assert!(slots > 0, "device has no warp slots");
-            (slots, 4 * 32)
-        }
-        _ => {
-            let words = structure_words(arch, structure);
-            assert!(words > 0, "device has no {structure}");
-            (words, 32)
-        }
-    };
-    let population = arch.num_sms as u128 * words as u128 * lanes * cycles as u128;
-    let spec = plan.strata;
-    let partition = Partition {
-        structure,
-        words,
-        cycles,
-        liveness: spec.liveness && oracle.is_some() && cfg.fault_model == FaultModelKind::Transient,
-        cyc_parts: if spec.cycle { 4 } else { 1 },
-        bit_parts: if spec.bit { 2 } else { 1 },
-        reg_parts: if spec.region { 4 } else { 1 },
-    };
-    let mut strata = partition.strata(arch.num_sms, lanes, population, oracle, cfg.seed);
-    let geom = Geometry {
-        words,
-        cycles,
-        control: cfg.fault_model == FaultModelKind::Control,
-    };
-    let storage_kind = cfg.fault_model.storage_kind();
-    let decode = |idx: u128| -> FaultSite {
-        match cfg.fault_model {
-            FaultModelKind::Control => decode_control_site(structure, words, cycles, idx),
+impl Campaign<'_> {
+    /// Runs the adaptive engine on `structure` against this setup, with
+    /// full telemetry: per-round `campaign.round` events, per-stratum
+    /// sample counters, `campaign.convergence` events (with the
+    /// per-stratum `strata` array) at every round boundary, and a
+    /// closing `campaign.done`. The liveness axis needs a captured
+    /// oracle; without one the strata cross the other axes only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay failures that are not fault classifications.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` is disabled (`target_margin <= 0`) or not
+    /// finite.
+    pub fn run_adaptive<H: TelemetryHook>(
+        &self,
+        structure: Structure,
+        cfg: CampaignConfig,
+        plan: SamplingPlan,
+        hook: &H,
+    ) -> Result<AdaptiveCampaign, SimError> {
+        let (arch, workload, oracle) = (self.arch, self.workload, self.oracle());
+        assert!(
+            plan.target_margin.is_finite() && plan.target_margin > 0.0,
+            "adaptive sampling needs a positive finite target margin"
+        );
+        let started = H::ENABLED.then(std::time::Instant::now);
+        let cycles = self.golden().cycles;
+        assert!(cycles > 0, "cannot sample an empty execution");
+        let (words, lanes): (u32, u128) = match cfg.fault_model {
+            FaultModelKind::Control => {
+                let slots = arch.max_warps_per_sm;
+                assert!(slots > 0, "device has no warp slots");
+                (slots, 4 * 32)
+            }
             _ => {
-                let site = decode_site(structure, words, cycles, idx);
-                match storage_kind {
-                    Some(kind) => site.with_kind(kind),
-                    None => site,
-                }
+                let words = structure_words(arch, structure);
+                assert!(words > 0, "device has no {structure}");
+                (words, 32)
             }
-        }
-    };
-    // Rounds drive their own convergence narration: cadence is pushed
-    // past any real sample size and `emit_now` fires at each round
-    // boundary instead, so the event stream narrates rounds, not raw
-    // outcome counts.
-    let mut monitor = crate::convergence::ConvergenceMonitor::new(
-        workload.name(),
-        &arch.name,
-        structure,
-        cfg.fault_model,
-        campaign_population(arch, structure, cfg.fault_model, cycles),
-        0,
-        u64::MAX,
-    )
-    .with_target(plan.target_margin);
-    let mut round_cfg = cfg;
-    round_cfg.convergence = 0;
-    let pilot = plan.pilot.max(1) as u64;
-    let mut rounds: Vec<RoundPlan> = Vec::new();
-    let mut sampled: u64 = 0;
-    let mut replayed: u64 = 0;
-    let (mut avf, mut avf_sdc, mut margin) = post_stratified(&strata, population);
-    // The pilot always runs: even when the dead-weight bound already
-    // meets a loose target, an estimate backed by zero samples helps
-    // nobody. Convergence is evaluated from round 1 on.
-    let mut converged = false;
-    // Round 0 draws the pilot; later rounds draw the Neyman quotas
-    // computed from the tallies accumulated so far.
-    let mut quotas: Vec<u64> = strata
-        .iter()
-        .map(|s| pilot.min(u64::try_from(s.population).unwrap_or(u64::MAX)))
-        .collect();
-    while !converged && (rounds.len() as u32) < MAX_ROUNDS && quotas.iter().any(|&q| q > 0) {
-        // Draw this round's sites stratum by stratum: each stratum's
-        // permutation stream yields the next undrawn in-stratum rank,
-        // which the rank map turns into a concrete flat site index.
-        let mut round_sites: Vec<FaultSite> = Vec::new();
-        let mut site_stratum: Vec<usize> = Vec::new();
-        let mut drawn: Vec<u64> = vec![0; strata.len()];
-        for (h, s) in strata.iter_mut().enumerate() {
-            for _ in 0..quotas[h] {
-                let Some(flat) = s.next_flat(&geom) else {
-                    break;
-                };
-                round_sites.push(decode(flat));
-                site_stratum.push(h);
-                drawn[h] += 1;
-            }
-        }
-        if round_sites.is_empty() {
-            break;
-        }
-        let replay_oracle = if cfg.prune { oracle } else { None };
-        let (outcomes, _) = replay_sites(
-            arch,
-            workload,
-            golden,
-            &round_sites,
-            Arming::Groups(1),
-            round_cfg,
-            ladder,
-            replay_oracle,
-            hook,
-        )?;
-        let round_replayed = match replay_oracle {
-            Some(o) => round_sites.iter().filter(|&&s| !o.is_dead(s)).count() as u64,
-            None => round_sites.len() as u64,
         };
-        for (&h, &o) in site_stratum.iter().zip(&outcomes) {
-            strata[h].seen += 1;
-            strata[h].tally.add(o);
-            monitor.observe(o, &NoopHook);
-        }
-        sampled += round_sites.len() as u64;
-        replayed += round_replayed;
-        (avf, avf_sdc, margin) = post_stratified(&strata, population);
-        converged = margin <= plan.target_margin;
-        quotas = if converged {
-            vec![0; strata.len()]
-        } else {
-            let mut q = allocate(&strata, population, plan.target_margin, pilot);
-            if q.iter().all(|&x| x == 0) {
-                // The Wilson-quadrature margin can sit above the target
-                // while the normal-approximation allocation believes it
-                // is met. Force progress into the widest remaining
-                // contributor (deterministic: first maximum wins).
-                let widest = strata
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.dead && !s.exhausted() && s.population > 0)
-                    .max_by(|(ia, a), (ib, b)| {
-                        let wa = a.weight(population) * (a.wilson().1 - a.wilson().0);
-                        let wb = b.weight(population) * (b.wilson().1 - b.wilson().0);
-                        wa.partial_cmp(&wb)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(ib.cmp(ia))
-                    })
-                    .map(|(i, _)| i);
-                if let Some(h) = widest {
-                    let s = &strata[h];
-                    let headroom = u64::try_from(s.population).unwrap_or(u64::MAX) - s.seen;
-                    q[h] = s.seen.max(pilot).min(headroom);
+        let population = arch.num_sms as u128 * words as u128 * lanes * cycles as u128;
+        let spec = plan.strata;
+        let partition = Partition {
+            structure,
+            words,
+            cycles,
+            liveness: spec.liveness
+                && oracle.is_some()
+                && cfg.fault_model == FaultModelKind::Transient,
+            cyc_parts: if spec.cycle { 4 } else { 1 },
+            bit_parts: if spec.bit { 2 } else { 1 },
+            reg_parts: if spec.region { 4 } else { 1 },
+        };
+        let mut strata = partition.strata(arch.num_sms, lanes, population, oracle, cfg.seed);
+        let geom = Geometry {
+            words,
+            cycles,
+            control: cfg.fault_model == FaultModelKind::Control,
+        };
+        let storage_kind = cfg.fault_model.storage_kind();
+        let decode = |idx: u128| -> FaultSite {
+            match cfg.fault_model {
+                FaultModelKind::Control => decode_control_site(structure, words, cycles, idx),
+                _ => {
+                    let site = decode_site(structure, words, cycles, idx);
+                    match storage_kind {
+                        Some(kind) => site.with_kind(kind),
+                        None => site,
+                    }
                 }
-                q
+            }
+        };
+        // Rounds drive their own convergence narration: cadence is pushed
+        // past any real sample size and `emit_now` fires at each round
+        // boundary instead, so the event stream narrates rounds, not raw
+        // outcome counts.
+        let mut monitor = crate::convergence::ConvergenceMonitor::new(
+            workload.name(),
+            &arch.name,
+            structure,
+            cfg.fault_model,
+            campaign_population(arch, structure, cfg.fault_model, cycles),
+            0,
+            u64::MAX,
+        )
+        .with_target(plan.target_margin);
+        let mut round_cfg = cfg;
+        round_cfg.convergence = 0;
+        let pilot = plan.pilot.max(1) as u64;
+        let mut rounds: Vec<RoundPlan> = Vec::new();
+        let mut sampled: u64 = 0;
+        let mut replayed: u64 = 0;
+        let (mut avf, mut avf_sdc, mut margin) = post_stratified(&strata, population);
+        // The pilot always runs: even when the dead-weight bound already
+        // meets a loose target, an estimate backed by zero samples helps
+        // nobody. Convergence is evaluated from round 1 on.
+        let mut converged = false;
+        // Round 0 draws the pilot; later rounds draw the Neyman quotas
+        // computed from the tallies accumulated so far.
+        let mut quotas: Vec<u64> = strata
+            .iter()
+            .map(|s| pilot.min(u64::try_from(s.population).unwrap_or(u64::MAX)))
+            .collect();
+        while !converged && (rounds.len() as u32) < MAX_ROUNDS && quotas.iter().any(|&q| q > 0) {
+            // Draw this round's sites stratum by stratum: each stratum's
+            // permutation stream yields the next undrawn in-stratum rank,
+            // which the rank map turns into a concrete flat site index.
+            let mut round_sites: Vec<FaultSite> = Vec::new();
+            let mut site_stratum: Vec<usize> = Vec::new();
+            let mut drawn: Vec<u64> = vec![0; strata.len()];
+            for (h, s) in strata.iter_mut().enumerate() {
+                for _ in 0..quotas[h] {
+                    let Some(flat) = s.next_flat(&geom) else {
+                        break;
+                    };
+                    round_sites.push(decode(flat));
+                    site_stratum.push(h);
+                    drawn[h] += 1;
+                }
+            }
+            if round_sites.is_empty() {
+                break;
+            }
+            let (outcomes, _) =
+                self.replay_with(&round_sites, Arming::Groups(1), round_cfg, hook)?;
+            let round_replayed = match self.pruner(&cfg) {
+                Some(o) => round_sites.iter().filter(|&&s| !o.is_dead(s)).count() as u64,
+                None => round_sites.len() as u64,
+            };
+            for (&h, &o) in site_stratum.iter().zip(&outcomes) {
+                strata[h].seen += 1;
+                strata[h].tally.add(o);
+                monitor.observe(o, &NoopHook);
+            }
+            sampled += round_sites.len() as u64;
+            replayed += round_replayed;
+            (avf, avf_sdc, margin) = post_stratified(&strata, population);
+            converged = margin <= plan.target_margin;
+            quotas = if converged {
+                vec![0; strata.len()]
             } else {
-                q
+                let mut q = allocate(&strata, population, plan.target_margin, pilot);
+                if q.iter().all(|&x| x == 0) {
+                    // The Wilson-quadrature margin can sit above the target
+                    // while the normal-approximation allocation believes it
+                    // is met. Force progress into the widest remaining
+                    // contributor (deterministic: first maximum wins).
+                    let widest = strata
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, s)| !s.dead && !s.exhausted() && s.population > 0)
+                        .max_by(|(ia, a), (ib, b)| {
+                            let wa = a.weight(population) * (a.wilson().1 - a.wilson().0);
+                            let wb = b.weight(population) * (b.wilson().1 - b.wilson().0);
+                            wa.partial_cmp(&wb)
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                                .then(ib.cmp(ia))
+                        })
+                        .map(|(i, _)| i);
+                    if let Some(h) = widest {
+                        let s = &strata[h];
+                        let headroom = u64::try_from(s.population).unwrap_or(u64::MAX) - s.seen;
+                        q[h] = s.seen.max(pilot).min(headroom);
+                    }
+                    q
+                } else {
+                    q
+                }
+            };
+            for (s, &q) in strata.iter_mut().zip(&quotas) {
+                s.planned = s.seen + q;
             }
-        };
-        for (s, &q) in strata.iter_mut().zip(&quotas) {
-            s.planned = s.seen + q;
+            let planned_total: u64 = strata.iter().map(|s| s.planned).sum();
+            let round = rounds.len() as u32;
+            rounds.push(RoundPlan {
+                round,
+                quotas: drawn.clone(),
+                sampled,
+                replayed,
+                margin_bits: margin.to_bits(),
+            });
+            if H::ENABLED {
+                for (h, s) in strata.iter().enumerate() {
+                    if drawn[h] > 0 {
+                        let label = s.label.as_str();
+                        hook.count(
+                            &format!("campaign_stratum_sampled_total{{stratum=\"{label}\"}}"),
+                            drawn[h],
+                        );
+                    }
+                }
+                hook.count("campaign_rounds_total", 1);
+                hook.count("campaign_adaptive_replayed_total", round_replayed);
+                hook.event(
+                    &Event::new("campaign.round")
+                        .field("workload", workload.name())
+                        .field("device", arch.name.as_str())
+                        .field("structure", structure_label(structure))
+                        .field("fault_kind", cfg.fault_model.as_str())
+                        .field("round", round as u64)
+                        .field("sampled", sampled)
+                        .field("replayed", replayed)
+                        .field("avf", avf)
+                        .field("margin", margin)
+                        .field("target_margin", plan.target_margin)
+                        .field("converged", converged),
+                );
+                monitor.set_planned(planned_total);
+                monitor.set_strata(
+                    strata
+                        .iter()
+                        .filter(|s| s.population > 0)
+                        .map(|s| crate::convergence::StratumProgress {
+                            label: s.label.clone(),
+                            seen: s.seen,
+                            planned: s.planned,
+                        })
+                        .collect(),
+                );
+                monitor.emit_now(hook);
+            }
         }
-        let planned_total: u64 = strata.iter().map(|s| s.planned).sum();
-        let round = rounds.len() as u32;
-        rounds.push(RoundPlan {
-            round,
-            quotas: drawn.clone(),
+        let result = AdaptiveCampaign {
+            structure,
+            tally: strata
+                .iter()
+                .fold(Tally::default(), |t, s| t.merge(&s.tally)),
             sampled,
             replayed,
-            margin_bits: margin.to_bits(),
-        });
-        if H::ENABLED {
-            for (h, s) in strata.iter().enumerate() {
-                if drawn[h] > 0 {
-                    let label = s.label.as_str();
-                    hook.count(
-                        &format!("campaign_stratum_sampled_total{{stratum=\"{label}\"}}"),
-                        drawn[h],
-                    );
-                }
-            }
-            hook.count("campaign_rounds_total", 1);
-            hook.count("campaign_adaptive_replayed_total", round_replayed);
-            hook.event(
-                &Event::new("campaign.round")
-                    .field("workload", workload.name())
-                    .field("device", arch.name.as_str())
-                    .field("structure", structure_label(structure))
-                    .field("fault_kind", cfg.fault_model.as_str())
-                    .field("round", round as u64)
-                    .field("sampled", sampled)
-                    .field("replayed", replayed)
-                    .field("avf", avf)
-                    .field("margin", margin)
-                    .field("target_margin", plan.target_margin)
-                    .field("converged", converged),
-            );
-            monitor.set_planned(planned_total);
-            monitor.set_strata(
-                strata
-                    .iter()
-                    .filter(|s| s.population > 0)
-                    .map(|s| crate::convergence::StratumProgress {
+            avf,
+            avf_sdc,
+            margin,
+            target_margin: plan.target_margin,
+            converged,
+            population: campaign_population(arch, structure, cfg.fault_model, cycles),
+            golden_cycles: cycles,
+            rounds,
+            strata: strata
+                .iter()
+                .map(|s| {
+                    let (lo, hi) = s.wilson();
+                    StratumSnapshot {
                         label: s.label.clone(),
+                        population: u64::try_from(s.population).unwrap_or(u64::MAX),
                         seen: s.seen,
                         planned: s.planned,
-                    })
-                    .collect(),
-            );
-            monitor.emit_now(hook);
-        }
-    }
-    let result = AdaptiveCampaign {
-        structure,
-        tally: strata
-            .iter()
-            .fold(Tally::default(), |t, s| t.merge(&s.tally)),
-        sampled,
-        replayed,
-        avf,
-        avf_sdc,
-        margin,
-        target_margin: plan.target_margin,
-        converged,
-        population: campaign_population(arch, structure, cfg.fault_model, cycles),
-        golden_cycles: cycles,
-        rounds,
-        strata: strata
-            .iter()
-            .map(|s| {
-                let (lo, hi) = s.wilson();
-                StratumSnapshot {
-                    label: s.label.clone(),
-                    population: u64::try_from(s.population).unwrap_or(u64::MAX),
-                    seen: s.seen,
-                    planned: s.planned,
-                    tally: s.tally,
-                    avf: if s.seen == 0 {
-                        0.0
-                    } else {
-                        s.tally.failures() as f64 / s.seen as f64
-                    },
-                    lo,
-                    hi,
-                }
-            })
-            .collect(),
-    };
-    if let Some(started) = started {
-        let seconds = started.elapsed().as_secs_f64();
-        let per_second = if seconds > 0.0 {
-            result.replayed as f64 / seconds
-        } else {
-            0.0
+                        tally: s.tally,
+                        avf: if s.seen == 0 {
+                            0.0
+                        } else {
+                            s.tally.failures() as f64 / s.seen as f64
+                        },
+                        lo,
+                        hi,
+                    }
+                })
+                .collect(),
         };
-        hook.observe("campaign_seconds", seconds);
-        hook.gauge("campaign_injections_per_second", per_second);
-        hook.event(
-            &Event::new("campaign.done")
-                .field("workload", workload.name())
-                .field("device", arch.name.as_str())
-                .field("structure", structure.to_string())
-                .field("fault_kind", cfg.fault_model.as_str())
-                .field("injections", result.tally.total())
-                .field("masked", result.tally.masked)
-                .field("sdc", result.tally.sdc)
-                .field("due", result.tally.due)
-                .field("hang", result.tally.hang)
-                .field("avf", result.avf)
-                .field("golden_cycles", cycles)
-                .field("ladder_rungs", ladder.len())
-                .field("sampling", "adaptive")
-                .field("rounds", result.rounds.len() as u64)
-                .field("replayed", result.replayed)
-                .field("margin", result.margin)
-                .field("target_margin", result.target_margin)
-                .field("converged", result.converged)
-                .field("seconds", seconds)
-                .field("injections_per_second", per_second),
-        );
+        if let Some(started) = started {
+            let seconds = started.elapsed().as_secs_f64();
+            let per_second = if seconds > 0.0 {
+                result.replayed as f64 / seconds
+            } else {
+                0.0
+            };
+            hook.observe("campaign_seconds", seconds);
+            hook.gauge("campaign_injections_per_second", per_second);
+            hook.event(
+                &Event::new("campaign.done")
+                    .field("workload", workload.name())
+                    .field("device", arch.name.as_str())
+                    .field("structure", structure.to_string())
+                    .field("fault_kind", cfg.fault_model.as_str())
+                    .field("injections", result.tally.total())
+                    .field("masked", result.tally.masked)
+                    .field("sdc", result.tally.sdc)
+                    .field("due", result.tally.due)
+                    .field("hang", result.tally.hang)
+                    .field("avf", result.avf)
+                    .field("golden_cycles", cycles)
+                    .field("ladder_rungs", self.ladder().len())
+                    .field("sampling", "adaptive")
+                    .field("rounds", result.rounds.len() as u64)
+                    .field("replayed", result.replayed)
+                    .field("margin", result.margin)
+                    .field("target_margin", result.target_margin)
+                    .field("converged", result.converged)
+                    .field("seconds", seconds)
+                    .field("injections_per_second", per_second),
+            );
+        }
+        Ok(result)
     }
-    Ok(result)
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
 //! The full cross-GPU study: evaluates every (device, workload) pair and
 //! assembles the series behind the paper's three figures.
 
-use crate::ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
-use crate::campaign::{
-    run_campaign_with_oracle_hooked, CampaignConfig, CheckpointLadder, Tally, PHASE_GOLDEN,
-};
+use crate::ace::{AceMode, StructureReport};
+use crate::campaign::{Campaign, CampaignConfig, Capture, Tally};
 use crate::epf::{eit, epf, FitBreakdown};
 use crate::runner::fan_out;
-use crate::sampling::{run_adaptive_with_context, SamplingPlan};
+use crate::sampling::SamplingPlan;
 use crate::stats::pearson;
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
@@ -113,6 +111,7 @@ impl StudyConfig {
 
 /// The FI measurements [`structure_eval`] consumes, shared between the
 /// uniform campaign result and the adaptive engine's.
+#[derive(Clone, Copy, Default)]
 struct FiMeasure {
     avf: f64,
     avf_sdc: f64,
@@ -143,23 +142,15 @@ impl From<&crate::sampling::AdaptiveCampaign> for FiMeasure {
 }
 
 fn structure_eval(fi: Option<&FiMeasure>, rep: StructureReport) -> StructureEval {
-    match fi {
-        Some(r) => StructureEval {
-            avf_fi: r.avf,
-            avf_sdc: r.avf_sdc,
-            avf_ace: rep.avf_ace,
-            occupancy: rep.occupancy,
-            margin_99: r.margin,
-            tally: r.tally,
-        },
-        None => StructureEval {
-            avf_fi: 0.0,
-            avf_sdc: 0.0,
-            avf_ace: rep.avf_ace,
-            occupancy: rep.occupancy,
-            margin_99: 0.0,
-            tally: Tally::default(),
-        },
+    // No FI campaign on the structure: zero FI figures, ACE only.
+    let fi = fi.copied().unwrap_or_default();
+    StructureEval {
+        avf_fi: fi.avf,
+        avf_sdc: fi.avf_sdc,
+        avf_ace: rep.avf_ace,
+        occupancy: rep.occupancy,
+        margin_99: fi.margin,
+        tally: fi.tally,
     }
 }
 
@@ -192,117 +183,39 @@ pub fn evaluate_point_hooked<H: TelemetryHook>(
     hook: &H,
 ) -> Result<EvalPoint, SimError> {
     let started = H::ENABLED.then(Instant::now);
-    let golden_started = H::ENABLED.then(Instant::now);
-    let mut gpu = simt_sim::Gpu::new(arch.clone());
-    let mut ace = AceAnalyzer::with_mode(arch, cfg.ace_mode);
-    // With pruning on, the lifetime oracle rides along on the same golden
-    // run — one instrumented pass serves the ACE report and every
-    // structure's campaign pruning for this point. Lifetime pruning is
-    // only sound for transient flips (a stuck-at fault survives the
-    // overwrite the oracle reasons about), so other models skip the
-    // capture entirely.
-    // The adaptive engine also wants the oracle with pruning off — its
-    // liveness stratum is defined by the oracle regardless of whether
-    // dead sites are replayed — so the capture gate widens accordingly.
+    // One setup serves the ACE report and every structure's campaign.
+    // The lifetime oracle prunes transient flips only (a stuck-at fault
+    // survives the overwrite it reasons about); the adaptive engine
+    // wants it with pruning off too, since its liveness stratum is
+    // defined by the oracle. The flight recorder compares each traced
+    // replay against the golden global-store stream.
     let adaptive = cfg.sampling.enabled() && !cfg.provenance;
-    let mut oracle = ((cfg.campaign.prune || adaptive)
-        && cfg.campaign.fault_model == FaultModelKind::Transient)
-        .then(|| LifetimeOracle::new(arch));
-    let outputs = match oracle.as_mut() {
-        Some(oracle) => workload.run(&mut gpu, &mut (&mut ace, &mut *oracle))?,
-        None => workload.run(&mut gpu, &mut ace)?,
+    let capture = Capture {
+        ace: Some(cfg.ace_mode),
+        oracle: (cfg.campaign.prune || adaptive)
+            && cfg.campaign.fault_model == FaultModelKind::Transient,
+        writes: cfg.provenance,
     };
-    let oracle = oracle;
-    // The ACE reports are final once the golden run is over; taking them
-    // now frees the analyzer's per-word state before the ladder is built.
-    let rf_ace = ace.report(Structure::VectorRegisterFile);
-    let lds_ace = ace.report(Structure::LocalMemory);
+    let campaign = Campaign::new(arch, workload, &cfg.campaign, capture, hook)?;
+    let ace = |s| campaign.ace(s).expect("the study setup captures ACE");
+    let rf_ace = ace(Structure::VectorRegisterFile);
+    let lds_ace = ace(Structure::LocalMemory);
     let srf_avf_ace =
-        (arch.srf_words_per_sm() > 0).then(|| ace.report(Structure::ScalarRegisterFile).avf_ace);
-    drop(ace);
-    let golden = crate::campaign::GoldenRun {
-        outputs,
-        cycles: gpu.app_cycle(),
-    };
-    if let Some(golden_started) = golden_started {
-        let seconds = golden_started.elapsed().as_secs_f64();
-        hook.observe("campaign_golden_seconds", seconds);
-        hook.gauge("campaign_golden_cycles", golden.cycles as f64);
-        hook.event(
-            &Event::new("golden.done")
-                .field("workload", workload.name())
-                .field("device", arch.name.as_str())
-                .field("cycles", golden.cycles)
-                .field("seconds", seconds),
-        );
-        if H::SPANS {
-            // The study's golden run carries the ACE analysis (and the
-            // lifetime oracle, when pruning) on the same pass, so this
-            // one span covers golden + oracle capture.
-            hook.span(
-                &SpanRecord::new(
-                    format!("point:{}@{}/golden", workload.name(), arch.name),
-                    0,
-                    PHASE_GOLDEN,
-                    golden_started,
-                )
-                .tag("cycles", golden.cycles)
-                .tag("ace", true),
-            );
-        }
-    }
-    // One ladder serves every structure's campaign over this golden run.
-    let ladder = CheckpointLadder::build_hooked(arch, workload, &golden, &cfg.campaign, hook)?;
-    // With the flight recorder on, campaigns also need the golden run's
-    // global-store stream as the divergence reference (captured once and
-    // shared by every structure's campaign). Tallies are identical on
-    // both paths — the recorder only observes.
-    let golden_writes = cfg
-        .provenance
-        .then(|| crate::provenance::golden_write_log(arch, workload))
-        .transpose()?;
+        (arch.srf_words_per_sm() > 0).then(|| ace(Structure::ScalarRegisterFile).avf_ace);
+    let golden = campaign.golden();
     let run_structure = |structure: Structure| -> Result<FiMeasure, SimError> {
-        if let Some(writes) = &golden_writes {
-            return crate::provenance::run_campaign_with_provenance_hooked(
-                arch,
-                workload,
-                structure,
-                cfg.campaign,
-                &golden,
-                writes,
-                &ladder,
-                hook,
-            )
-            .map(|(result, _, _)| FiMeasure::from(&result));
+        if cfg.provenance {
+            let (result, _, _) = campaign.run_traced(structure, cfg.campaign, hook)?;
+            return Ok(FiMeasure::from(&result));
         }
         if adaptive {
-            return run_adaptive_with_context(
-                arch,
-                workload,
-                structure,
-                cfg.campaign,
-                cfg.sampling,
-                &golden,
-                &ladder,
-                oracle.as_ref(),
-                hook,
-            )
-            .map(|r| FiMeasure::from(&r));
+            return campaign
+                .run_adaptive(structure, cfg.campaign, cfg.sampling, hook)
+                .map(|r| FiMeasure::from(&r));
         }
-        // With pruning off the captured oracle (if any) serves only the
-        // adaptive path; the uniform campaign replays every site.
-        let replay_oracle = cfg.campaign.prune.then_some(()).and(oracle.as_ref());
-        run_campaign_with_oracle_hooked(
-            arch,
-            workload,
-            structure,
-            cfg.campaign,
-            &golden,
-            &ladder,
-            replay_oracle,
-            hook,
-        )
-        .map(|r| FiMeasure::from(&r))
+        campaign
+            .run(structure, cfg.campaign, hook)
+            .map(|r| FiMeasure::from(&r))
     };
     let rf_fi = run_structure(Structure::VectorRegisterFile)?;
     let lds_fi = (workload.uses_local_memory() || cfg.fi_on_unused_lds)

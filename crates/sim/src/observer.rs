@@ -273,6 +273,102 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     }
 }
 
+/// An observer that may be absent: `Some` forwards every event, `None`
+/// ignores it. Lets one pass carry whichever analyses a caller asked
+/// for without a separate monomorphisation per combination.
+///
+/// # Example
+/// ```
+/// use simt_sim::{CountingObserver, SimObserver};
+/// let mut on = Some(CountingObserver::default());
+/// let mut off: Option<CountingObserver> = None;
+/// (&mut on, &mut off).on_rf_write(0, 1, 2);
+/// assert_eq!(on.unwrap().rf_writes, 1);
+/// ```
+impl<T: SimObserver> SimObserver for Option<T> {
+    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
+        if let Some(o) = self {
+            o.on_rf_write(sm, word, cycle);
+        }
+    }
+    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
+        if let Some(o) = self {
+            o.on_rf_read(sm, word, cycle);
+        }
+    }
+    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
+        if let Some(o) = self {
+            o.on_srf_write(sm, word, cycle);
+        }
+    }
+    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
+        if let Some(o) = self {
+            o.on_srf_read(sm, word, cycle);
+        }
+    }
+    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
+        if let Some(o) = self {
+            o.on_lds_write(sm, word, cycle);
+        }
+    }
+    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
+        if let Some(o) = self {
+            o.on_lds_read(sm, word, cycle);
+        }
+    }
+    fn on_block_dispatch(&mut self, sm: u32, regions: BlockRegions, cycle: u64) {
+        if let Some(o) = self {
+            o.on_block_dispatch(sm, regions, cycle);
+        }
+    }
+    fn on_block_retire(&mut self, sm: u32, regions: BlockRegions, cycle: u64) {
+        if let Some(o) = self {
+            o.on_block_retire(sm, regions, cycle);
+        }
+    }
+    fn on_launch_begin(&mut self, name: &str, cycle: u64) {
+        if let Some(o) = self {
+            o.on_launch_begin(name, cycle);
+        }
+    }
+    fn on_launch_end(&mut self, cycle: u64) {
+        if let Some(o) = self {
+            o.on_launch_end(cycle);
+        }
+    }
+    fn on_global_write(&mut self, sm: u32, addr: u32, value: u32, cycle: u64) {
+        if let Some(o) = self {
+            o.on_global_write(sm, addr, value, cycle);
+        }
+    }
+    fn on_fault_injected(&mut self, site: FaultSite) {
+        if let Some(o) = self {
+            o.on_fault_injected(site);
+        }
+    }
+    fn on_stuck_reassert(
+        &mut self,
+        sm: u32,
+        structure: crate::fault::Structure,
+        word: u32,
+        cycle: u64,
+    ) {
+        if let Some(o) = self {
+            o.on_stuck_reassert(sm, structure, word, cycle);
+        }
+    }
+    fn on_hang(&mut self, cycle: u64, parked_warps: u32) {
+        if let Some(o) = self {
+            o.on_hang(cycle, parked_warps);
+        }
+    }
+    fn on_control_corrupt(&mut self, site: FaultSite, cycle: u64) {
+        if let Some(o) = self {
+            o.on_control_corrupt(site, cycle);
+        }
+    }
+}
+
 /// The do-nothing observer used by fault-injection campaign runs.
 ///
 /// # Example
