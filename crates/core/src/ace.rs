@@ -1,4 +1,4 @@
-//! ACE analysis and occupancy tracking.
+//! ACE analysis, occupancy tracking and the lifetime oracle.
 //!
 //! ACE (Architecturally Correct Execution) analysis bounds the AVF of a
 //! storage structure by measuring, for every bit, the fraction of
@@ -18,17 +18,27 @@
 //!   the lifetime ends at the last read before the next write. Closer to
 //!   fault injection, but still blind to logical masking after the read.
 //!
-//! The analyzer is a [`SimObserver`]: attach it to one fault-free run and
-//! read per-structure AVF and time-weighted occupancy (the red line of
-//! the paper's Fig. 1/2).
+//! Both modes and the [`LifetimeOracle`] behind campaign pruning come
+//! from the [`AceAnalyzer`], which keeps one lifetime tracker per
+//! structure. A tracker's one per-word table holds the open value of
+//! every physical word (write cycle, last read) and the word's latest
+//! live interval. Each storage
+//! event updates that entry once; closing a value adds to both ACE counts
+//! and, when the oracle is wanted, to a flat interval log. A launch
+//! boundary closes only the words opened since the previous one. At the
+//! end of the golden pass the log is sealed into a per-word index
+//! (offsets plus sorted intervals: a liveness query is a binary search)
+//! and the per-word table is freed.
+//!
+//! Attach an [`AceAnalyzer`] to one fault-free run and read per-structure
+//! AVF and time-weighted occupancy (the red line of the paper's Fig. 1/2).
 
 use crate::campaign::{golden_pass, Capture};
 use gpu_workloads::Workload;
 use grel_telemetry::NoopHook;
 use simt_sim::observer::BlockRegions;
 use simt_sim::{ArchConfig, FaultSite, SimError, SimObserver, Structure};
-
-const NO_EVENT: u64 = u64::MAX;
+use std::sync::OnceLock;
 
 /// Refinement level of the lifetime analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -40,113 +50,146 @@ pub enum AceMode {
     WriteToLastRead,
 }
 
-/// Lifetime state of one physical word.
-#[derive(Debug, Clone, Copy)]
-struct WordState {
-    wrote_at: u64,
-    last_read: u64,
+/// Position of a structure's tracker and index: RF, SRF, LDS.
+fn slot(s: Structure) -> usize {
+    match s {
+        Structure::VectorRegisterFile => 0,
+        Structure::ScalarRegisterFile => 1,
+        Structure::LocalMemory => 2,
+    }
 }
 
-const FRESH: WordState = WordState {
-    wrote_at: NO_EVENT,
-    last_read: NO_EVENT,
-};
+/// The table entry of one physical word: `(wrote_at, last_read, tail)`,
+/// the cycle the open value was written (or the launch start, for a read
+/// of launch-zeroed contents), its last read so far, and the position in
+/// the interval log of the word's latest live interval. Each is stored
+/// plus one, so zero means "none" and a fresh table is zeroed memory the
+/// allocator hands out untouched: words a run never uses cost nothing.
+type Word = (u64, u64, u32);
 
-/// Per-structure lifetime tracker.
-#[derive(Debug)]
-struct StructTracker {
-    words: Vec<WordState>,
-    mode: AceMode,
-    ace_word_cycles: u64,
+/// A closed live interval `lo..=hi` of the word at `sm * words_per_sm +
+/// word`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    word: u32,
+    lo: u64,
+    hi: u64,
+}
+
+/// The lifetime tracker of one structure (all SMs).
+#[derive(Debug, Default)]
+struct Tracker {
+    words: Vec<Word>,
+    words_per_sm: u32,
+    total_words: u64,
+    /// Words opened since the last flush, the only ones a flush closes
+    /// (a word reopened after a block retirement appears twice).
+    opened: Vec<u32>,
+    /// Live intervals in close order, merged per word as they close.
+    log: Option<Vec<Span>>,
+    conservative_word_cycles: u64,
+    refined_word_cycles: u64,
     allocated: u64,
     occ_word_cycles: u64,
     last_event_cycle: u64,
-    last_launch_start_for_reads: u64,
-    words_per_sm: u32,
-    total_words: u64,
 }
 
-impl StructTracker {
-    fn new(words_per_sm: u32, num_sms: u32, mode: AceMode) -> Self {
-        let total = words_per_sm as u64 * num_sms as u64;
-        StructTracker {
-            words: vec![FRESH; total as usize],
-            mode,
-            ace_word_cycles: 0,
-            allocated: 0,
-            occ_word_cycles: 0,
-            last_event_cycle: 0,
-            last_launch_start_for_reads: 0,
+impl Tracker {
+    fn new(words_per_sm: u32, num_sms: u32, log: bool) -> Self {
+        let total = words_per_sm as usize * num_sms as usize;
+        Tracker {
+            words: vec![(0, 0, 0); total],
             words_per_sm,
-            total_words: total,
+            total_words: total as u64,
+            log: log.then(Vec::new),
+            ..Tracker::default()
         }
     }
 
+    /// The table index of `(sm, word)`, or `None` for a word or SM the
+    /// structure does not have (such events are ignored).
     fn idx(&self, sm: u32, word: u32) -> Option<usize> {
-        if word >= self.words_per_sm {
-            return None;
-        }
-        Some(sm as usize * self.words_per_sm as usize + word as usize)
+        let i = sm as usize * self.words_per_sm as usize + word as usize;
+        (word < self.words_per_sm && i < self.words.len()).then_some(i)
     }
 
-    fn close(&mut self, i: usize, cycle: u64) {
-        let st = &mut self.words[i];
-        if st.wrote_at == NO_EVENT {
-            st.last_read = NO_EVENT;
+    /// Ends the value in word `i` at `cycle`.
+    ///
+    /// Conservative ACE counts `[wrote_at, cycle)`; a value that is read
+    /// counts `(wrote_at, last_read]` in refined ACE and is live over the
+    /// same cycles to the oracle. Launch-rooted values (dispatch preloads
+    /// and launch-zeroed contents) are vulnerable *at* the launch-start
+    /// cycle too: the per-launch storage reset and preloads precede fault
+    /// application within that cycle, so a flip at the boundary lands on
+    /// the value. A later write lands after fault application, so a flip
+    /// at its own cycle is clobbered. Refined bit-cycles therefore equal
+    /// the oracle's live bit-cycles.
+    fn close(&mut self, i: usize, cycle: u64, launch_start: u64) {
+        let w = &mut self.words[i];
+        let Some(wrote_at) = w.0.checked_sub(1) else {
             return;
-        }
-        let end = match self.mode {
-            AceMode::LiveUntilOverwrite => cycle,
-            AceMode::WriteToLastRead => {
-                if st.last_read == NO_EVENT {
-                    st.wrote_at // empty interval: dead value
-                } else {
-                    st.last_read
-                }
-            }
         };
-        self.ace_word_cycles += end.saturating_sub(st.wrote_at);
-        // Launch-rooted values (dispatch preloads and launch-zeroed
-        // contents) are vulnerable *at* the launch-start cycle itself:
-        // the per-launch storage reset precedes fault application within
-        // that cycle, so a flip at the boundary lands on the value. A
-        // mid-launch write lands after fault application and only opens
-        // its window the following cycle — which `end - wrote_at`
-        // already counts. This keeps refined bit-cycles equal to the
-        // union of the [`LifetimeOracle`]'s live intervals.
-        if self.mode == AceMode::WriteToLastRead
-            && st.last_read != NO_EVENT
-            && st.wrote_at == self.last_launch_start_for_reads
-        {
-            self.ace_word_cycles += 1;
+        let last_read = w.1.checked_sub(1);
+        (w.0, w.1) = (0, 0);
+        self.conservative_word_cycles += cycle.saturating_sub(wrote_at);
+        let Some(last_read) = last_read else {
+            return; // never read: a dead value
+        };
+        let rooted = wrote_at == launch_start;
+        self.refined_word_cycles += last_read.saturating_sub(wrote_at) + rooted as u64;
+        let Some(log) = &mut self.log else { return };
+        let lo = if rooted { wrote_at } else { wrote_at + 1 };
+        // A word's intervals close in cycle order, so merging with its
+        // latest one keeps them sorted and disjoint.
+        match w.2.checked_sub(1).map(|t| &mut log[t as usize]) {
+            Some(last) if lo <= last.hi + 1 => last.hi = last.hi.max(last_read),
+            _ => {
+                let (word, hi) = (i as u32, last_read);
+                log.push(Span { word, lo, hi });
+                w.2 = log.len() as u32;
+            }
         }
-        st.wrote_at = NO_EVENT;
-        st.last_read = NO_EVENT;
     }
 
-    fn on_write(&mut self, sm: u32, word: u32, cycle: u64) {
+    fn on_write(&mut self, sm: u32, word: u32, cycle: u64, launch_start: u64) {
         let Some(i) = self.idx(sm, word) else { return };
-        self.close(i, cycle);
-        self.words[i].wrote_at = cycle;
+        if self.words[i].0 == 0 {
+            self.opened.push(i as u32);
+        } else {
+            self.close(i, cycle, launch_start);
+        }
+        self.words[i].0 = cycle + 1;
     }
 
-    fn on_read(&mut self, sm: u32, word: u32, cycle: u64) {
+    fn on_read(&mut self, sm: u32, word: u32, cycle: u64, launch_start: u64) {
         let Some(i) = self.idx(sm, word) else { return };
-        let st = &mut self.words[i];
-        if st.wrote_at == NO_EVENT {
+        let w = &mut self.words[i];
+        if w.0 == 0 {
             // Consuming the launch-zeroed contents: the value was
             // architecturally live since the start of the launch.
-            st.wrote_at = self.last_launch_start_for_reads;
+            w.0 = launch_start + 1;
+            self.opened.push(i as u32);
         }
-        st.last_read = cycle;
+        w.1 = cycle + 1;
     }
 
-    fn free_region(&mut self, sm: u32, base: u32, len: u32, cycle: u64) {
+    fn free_region(&mut self, sm: u32, base: u32, len: u32, cycle: u64, launch_start: u64) {
         for w in base..base.saturating_add(len).min(self.words_per_sm) {
             if let Some(i) = self.idx(sm, w) {
-                self.close(i, cycle);
+                self.close(i, cycle, launch_start);
             }
         }
+    }
+
+    /// Closes every value still open at a launch boundary.
+    fn flush(&mut self, cycle: u64, launch_start: u64) {
+        let mut opened = std::mem::take(&mut self.opened);
+        for &i in &opened {
+            self.close(i as usize, cycle, launch_start);
+        }
+        opened.clear();
+        self.opened = opened;
+        self.occupancy_tick(cycle);
     }
 
     fn occupancy_tick(&mut self, cycle: u64) {
@@ -154,16 +197,134 @@ impl StructTracker {
         self.last_event_cycle = cycle;
     }
 
-    fn flush(&mut self, cycle: u64) {
-        for i in 0..self.words.len() {
-            self.close(i, cycle);
-        }
+    /// The interval index of the values closed so far.
+    fn index(&self) -> Index {
+        let log = self.log.as_deref().unwrap_or_default();
+        Index::build(log, self.total_words as usize, self.words_per_sm)
+    }
+
+    /// [`Tracker::index`], freeing the per-word table and the log.
+    fn seal(&mut self) -> Index {
+        let index = self.index();
+        (self.words, self.opened, self.log) = (Vec::new(), Vec::new(), None);
+        index
     }
 }
 
-impl StructTracker {
-    fn set_launch_start(&mut self, cycle: u64) {
-        self.last_launch_start_for_reads = cycle;
+/// The sealed live intervals of one structure: word `i`'s sorted,
+/// disjoint `lo..=hi` intervals are `spans[at[i]..at[i + 1]]`.
+#[derive(Debug)]
+struct Index {
+    at: Vec<u32>,
+    spans: Vec<(u64, u64)>,
+    words_per_sm: u32,
+}
+
+impl Index {
+    /// Groups `log` by word, keeping each word's intervals in log order.
+    fn build(log: &[Span], words: usize, words_per_sm: u32) -> Self {
+        let mut at = vec![0u32; words + 1];
+        for s in log {
+            at[s.word as usize] += 1;
+        }
+        let mut end = 0;
+        for a in &mut at {
+            end += *a;
+            *a = end;
+        }
+        let mut spans = vec![(0, 0); log.len()];
+        for s in log.iter().rev() {
+            let a = &mut at[s.word as usize];
+            *a -= 1;
+            spans[*a as usize] = (s.lo, s.hi);
+        }
+        Index {
+            at,
+            spans,
+            words_per_sm,
+        }
+    }
+
+    fn word(&self, i: usize) -> &[(u64, u64)] {
+        &self.spans[self.at[i] as usize..self.at[i + 1] as usize]
+    }
+
+    fn is_dead(&self, sm: u32, word: u32, cycle: u64) -> bool {
+        let i = sm as usize * self.words_per_sm as usize + word as usize;
+        if word >= self.words_per_sm || i + 1 >= self.at.len() {
+            return true; // out-of-range words are never consumed
+        }
+        let list = self.word(i);
+        let p = list.partition_point(|&(lo, _)| lo <= cycle);
+        p == 0 || list[p - 1].1 < cycle
+    }
+
+    fn live_bit_cycles(&self) -> u64 {
+        self.spans.iter().map(|&(lo, hi)| (hi + 1 - lo) * 32).sum()
+    }
+
+    /// `(sm, word, intervals)` of every word in `[word_lo, word_hi)` of
+    /// every SM, in physical order.
+    fn words_in(
+        &self,
+        word_lo: u32,
+        word_hi: u32,
+    ) -> impl Iterator<Item = (u32, u32, &[(u64, u64)])> {
+        let words = self.words_per_sm as usize;
+        (0..self.at.len() - 1)
+            .map(move |i| ((i / words) as u32, (i % words) as u32, self.word(i)))
+            .filter(move |&(_, word, _)| word_lo <= word && word < word_hi)
+    }
+
+    fn live_word_cycles_in(&self, word_lo: u32, word_hi: u32, cycle_lo: u64, cycle_hi: u64) -> u64 {
+        if cycle_hi <= cycle_lo {
+            return 0;
+        }
+        let mut total = 0;
+        for (_, _, list) in self.words_in(word_lo, word_hi) {
+            for &(lo, hi) in list {
+                // Intervals are stored inclusive; the query window is
+                // half-open, so clip its upper edge back by one.
+                let (lo, hi) = (lo.max(cycle_lo), hi.min(cycle_hi - 1));
+                total += (hi + 1).saturating_sub(lo);
+            }
+        }
+        total
+    }
+
+    fn segments_in(
+        &self,
+        word_lo: u32,
+        word_hi: u32,
+        cycle_lo: u64,
+        cycle_hi: u64,
+        live: bool,
+    ) -> Vec<WordCycleSegment> {
+        let mut out = Vec::new();
+        if cycle_hi <= cycle_lo {
+            return out;
+        }
+        for (sm, word, list) in self.words_in(word_lo, word_hi) {
+            let seg = |lo, hi| WordCycleSegment { sm, word, lo, hi };
+            let clipped = list
+                .iter()
+                .map(|&(lo, hi)| (lo.max(cycle_lo), hi.min(cycle_hi - 1)));
+            let mut next = cycle_lo;
+            for (lo, hi) in clipped.filter(|(lo, hi)| lo <= hi) {
+                if live {
+                    out.push(seg(lo, hi));
+                } else if lo > next {
+                    // The complement: gaps between the (sorted, disjoint)
+                    // live intervals within the window.
+                    out.push(seg(next, lo - 1));
+                }
+                next = hi + 1;
+            }
+            if !live && next < cycle_hi {
+                out.push(seg(next, cycle_hi - 1));
+            }
+        }
+        out
     }
 }
 
@@ -181,7 +342,8 @@ pub struct StructureReport {
     pub total_bits: u64,
 }
 
-/// ACE-analysis + occupancy observer.
+/// ACE-analysis + occupancy observer: the lifetime tracker of the RF, SRF
+/// and LDS.
 ///
 /// Attach to a **fault-free** run via
 /// [`simt_sim::Gpu::launch_observed`] (or a
@@ -213,10 +375,11 @@ pub struct StructureReport {
 /// ```
 #[derive(Debug)]
 pub struct AceAnalyzer {
-    rf: StructTracker,
-    srf: StructTracker,
-    lds: StructTracker,
+    /// RF, SRF and LDS (see [`slot`]).
+    trackers: [Tracker; 3],
+    launch_start: u64,
     total_cycles: u64,
+    num_sms: u32,
     mode: AceMode,
 }
 
@@ -228,26 +391,43 @@ impl AceAnalyzer {
 
     /// An analyzer with an explicit refinement mode.
     pub fn with_mode(arch: &ArchConfig, mode: AceMode) -> Self {
+        Self::tracking(arch, mode, false)
+    }
+
+    /// An analyzer that also records the oracle's live intervals when
+    /// `intervals` is set (see [`AceAnalyzer::finish`]).
+    pub(crate) fn tracking(arch: &ArchConfig, mode: AceMode, intervals: bool) -> Self {
+        let words = [
+            arch.rf_words_per_sm(),
+            arch.srf_words_per_sm(),
+            arch.lds_words_per_sm(),
+        ];
         AceAnalyzer {
-            rf: StructTracker::new(arch.rf_words_per_sm(), arch.num_sms, mode),
-            srf: StructTracker::new(arch.srf_words_per_sm(), arch.num_sms, mode),
-            lds: StructTracker::new(arch.lds_words_per_sm(), arch.num_sms, mode),
+            trackers: words.map(|w| Tracker::new(w, arch.num_sms, intervals)),
+            launch_start: 0,
             total_cycles: 0,
+            num_sms: arch.num_sms,
             mode,
         }
+    }
+
+    /// Ends a golden pass: frees every per-word table and returns the
+    /// analyzer when `ace` asks for it, and the sealed oracle when
+    /// intervals were recorded.
+    pub(crate) fn finish(mut self, ace: bool) -> (Option<Self>, Option<LifetimeOracle>) {
+        let intervals = self.trackers[0].log.is_some();
+        let index = self.trackers.each_mut().map(Tracker::seal);
+        let oracle = intervals.then(|| LifetimeOracle {
+            life: None,
+            index: OnceLock::from(index),
+            num_sms: self.num_sms,
+        });
+        (ace.then_some(self), oracle)
     }
 
     /// The refinement mode in use.
     pub fn mode(&self) -> AceMode {
         self.mode
-    }
-
-    fn tracker(&self, s: Structure) -> &StructTracker {
-        match s {
-            Structure::VectorRegisterFile => &self.rf,
-            Structure::ScalarRegisterFile => &self.srf,
-            Structure::LocalMemory => &self.lds,
-        }
     }
 
     /// The ACE/occupancy summary for one structure.
@@ -256,10 +436,14 @@ impl AceAnalyzer {
     /// capacity of all SMs — the same site space the fault-injection
     /// campaign samples uniformly.
     pub fn report(&self, s: Structure) -> StructureReport {
-        let t = self.tracker(s);
+        let t = &self.trackers[slot(s)];
         let total_bits = t.total_words * 32;
         let denom = (total_bits as f64) * (self.total_cycles as f64);
-        let ace_bit_cycles = t.ace_word_cycles * 32;
+        let ace_bit_cycles = 32
+            * match self.mode {
+                AceMode::LiveUntilOverwrite => t.conservative_word_cycles,
+                AceMode::WriteToLastRead => t.refined_word_cycles,
+            };
         let (avf, occ) = if denom > 0.0 {
             (
                 ace_bit_cycles as f64 / denom,
@@ -284,258 +468,56 @@ impl AceAnalyzer {
 
 impl SimObserver for AceAnalyzer {
     fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.rf.on_write(sm, word, cycle);
+        self.trackers[0].on_write(sm, word, cycle, self.launch_start);
     }
     fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.rf.on_read(sm, word, cycle);
+        self.trackers[0].on_read(sm, word, cycle, self.launch_start);
     }
     fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.srf.on_write(sm, word, cycle);
+        self.trackers[1].on_write(sm, word, cycle, self.launch_start);
     }
     fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.srf.on_read(sm, word, cycle);
+        self.trackers[1].on_read(sm, word, cycle, self.launch_start);
     }
     fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.lds.on_write(sm, word, cycle);
+        self.trackers[2].on_write(sm, word, cycle, self.launch_start);
     }
     fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.lds.on_read(sm, word, cycle);
+        self.trackers[2].on_read(sm, word, cycle, self.launch_start);
     }
     fn on_block_dispatch(&mut self, _sm: u32, r: BlockRegions, cycle: u64) {
-        self.rf.occupancy_tick(cycle);
-        self.srf.occupancy_tick(cycle);
-        self.lds.occupancy_tick(cycle);
-        self.rf.allocated += r.rf_len as u64;
-        self.srf.allocated += r.srf_len as u64;
-        self.lds.allocated += r.lds_len as u64;
+        for (t, len) in self
+            .trackers
+            .iter_mut()
+            .zip([r.rf_len, r.srf_len, r.lds_len])
+        {
+            t.occupancy_tick(cycle);
+            t.allocated += len as u64;
+        }
     }
     fn on_block_retire(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
-        self.rf.occupancy_tick(cycle);
-        self.srf.occupancy_tick(cycle);
-        self.lds.occupancy_tick(cycle);
-        self.rf.allocated -= r.rf_len as u64;
-        self.srf.allocated -= r.srf_len as u64;
-        self.lds.allocated -= r.lds_len as u64;
-        self.rf.free_region(sm, r.rf_base, r.rf_len, cycle);
-        self.srf.free_region(sm, r.srf_base, r.srf_len, cycle);
-        self.lds.free_region(sm, r.lds_base, r.lds_len, cycle);
+        let regions = [
+            (r.rf_base, r.rf_len),
+            (r.srf_base, r.srf_len),
+            (r.lds_base, r.lds_len),
+        ];
+        for (t, (base, len)) in self.trackers.iter_mut().zip(regions) {
+            t.occupancy_tick(cycle);
+            t.allocated -= len as u64;
+            t.free_region(sm, base, len, cycle, self.launch_start);
+        }
     }
     fn on_launch_begin(&mut self, _name: &str, cycle: u64) {
-        for t in [&mut self.rf, &mut self.srf, &mut self.lds] {
-            t.flush(cycle);
-            t.set_launch_start(cycle);
-            t.occupancy_tick(cycle);
+        for t in &mut self.trackers {
+            t.flush(cycle, self.launch_start);
         }
+        self.launch_start = cycle;
     }
     fn on_launch_end(&mut self, cycle: u64) {
-        for t in [&mut self.rf, &mut self.srf, &mut self.lds] {
-            t.flush(cycle);
-            t.occupancy_tick(cycle);
+        for t in &mut self.trackers {
+            t.flush(cycle, self.launch_start);
         }
         self.total_cycles = cycle;
-    }
-}
-
-/// Per-word open value for the [`LifetimeOracle`]: the first cycle a
-/// flip would be consumed, and the last read so far.
-#[derive(Debug, Clone, Copy)]
-struct OpenValue {
-    live_from: u64,
-    last_read: u64,
-}
-
-const CLOSED: OpenValue = OpenValue {
-    live_from: NO_EVENT,
-    last_read: NO_EVENT,
-};
-
-/// Interval builder for one structure of the [`LifetimeOracle`].
-#[derive(Debug)]
-struct OracleTracker {
-    open: Vec<OpenValue>,
-    /// Sorted, non-overlapping `[lo, hi]` live intervals per physical
-    /// word (index `sm * words_per_sm + word`).
-    intervals: Vec<Vec<(u64, u64)>>,
-    words_per_sm: u32,
-}
-
-impl OracleTracker {
-    fn new(words_per_sm: u32, num_sms: u32) -> Self {
-        let total = words_per_sm as usize * num_sms as usize;
-        OracleTracker {
-            open: vec![CLOSED; total],
-            intervals: vec![Vec::new(); total],
-            words_per_sm,
-        }
-    }
-
-    fn idx(&self, sm: u32, word: u32) -> Option<usize> {
-        if word >= self.words_per_sm {
-            return None;
-        }
-        let i = sm as usize * self.words_per_sm as usize + word as usize;
-        (i < self.open.len()).then_some(i)
-    }
-
-    /// Emits the open value's interval (if it was ever read) and resets
-    /// the word. Emission order is chronological per word, so merging
-    /// with the previous interval keeps each list sorted and disjoint.
-    fn close(&mut self, i: usize) {
-        let v = self.open[i];
-        self.open[i] = CLOSED;
-        if v.live_from == NO_EVENT || v.last_read == NO_EVENT {
-            return; // never written-then-read: no consumable window
-        }
-        let list = &mut self.intervals[i];
-        match list.last_mut() {
-            Some(last) if v.live_from <= last.1 + 1 => last.1 = last.1.max(v.last_read),
-            _ => list.push((v.live_from, v.last_read)),
-        }
-    }
-
-    fn on_write(&mut self, sm: u32, word: u32, cycle: u64, launch_start: u64) {
-        let Some(i) = self.idx(sm, word) else { return };
-        self.close(i);
-        // A write at the launch-start cycle is a dispatch preload (or
-        // shares the cycle with one): the per-launch reset and preloads
-        // precede fault application within that cycle, so the boundary
-        // cycle itself is vulnerable. Any later write lands *after*
-        // fault application — a flip at its own cycle is clobbered — so
-        // its window opens the following cycle.
-        self.open[i] = OpenValue {
-            live_from: if cycle == launch_start {
-                cycle
-            } else {
-                cycle + 1
-            },
-            last_read: NO_EVENT,
-        };
-    }
-
-    fn on_read(&mut self, sm: u32, word: u32, cycle: u64, launch_start: u64) {
-        let Some(i) = self.idx(sm, word) else { return };
-        let v = &mut self.open[i];
-        if v.live_from == NO_EVENT {
-            // Consuming the launch-zeroed contents: vulnerable since the
-            // reset at the launch-start cycle.
-            v.live_from = launch_start;
-        }
-        v.last_read = cycle;
-    }
-
-    fn free_region(&mut self, sm: u32, base: u32, len: u32) {
-        for w in base..base.saturating_add(len).min(self.words_per_sm) {
-            if let Some(i) = self.idx(sm, w) {
-                self.close(i);
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        for i in 0..self.open.len() {
-            self.close(i);
-        }
-    }
-
-    fn is_dead(&self, sm: u32, word: u32, cycle: u64) -> bool {
-        let Some(i) = self.idx(sm, word) else {
-            return true; // out-of-range words are never consumed
-        };
-        let list = &self.intervals[i];
-        let p = list.partition_point(|&(lo, _)| lo <= cycle);
-        p == 0 || list[p - 1].1 < cycle
-    }
-
-    fn live_bit_cycles(&self) -> u64 {
-        self.intervals
-            .iter()
-            .flatten()
-            .map(|&(lo, hi)| (hi - lo + 1) * 32)
-            .sum()
-    }
-
-    fn live_word_cycles_in(&self, word_lo: u32, word_hi: u32, cycle_lo: u64, cycle_hi: u64) -> u64 {
-        if cycle_hi <= cycle_lo {
-            return 0;
-        }
-        let words = self.words_per_sm as usize;
-        let mut total = 0u64;
-        for (i, list) in self.intervals.iter().enumerate() {
-            let word = (i % words) as u32;
-            if word < word_lo || word >= word_hi {
-                continue;
-            }
-            for &(lo, hi) in list {
-                // Intervals are stored inclusive; the query window is
-                // half-open, so clip its upper edge back by one.
-                let lo = lo.max(cycle_lo);
-                let hi = hi.min(cycle_hi - 1);
-                if lo <= hi {
-                    total += hi - lo + 1;
-                }
-            }
-        }
-        total
-    }
-
-    fn segments_in(
-        &self,
-        word_lo: u32,
-        word_hi: u32,
-        cycle_lo: u64,
-        cycle_hi: u64,
-        live: bool,
-    ) -> Vec<WordCycleSegment> {
-        let mut out = Vec::new();
-        if cycle_hi <= cycle_lo {
-            return out;
-        }
-        let words = self.words_per_sm as usize;
-        for (i, list) in self.intervals.iter().enumerate() {
-            let word = (i % words) as u32;
-            if word < word_lo || word >= word_hi {
-                continue;
-            }
-            let sm = (i / words) as u32;
-            if live {
-                for &(lo, hi) in list {
-                    let lo = lo.max(cycle_lo);
-                    let hi = hi.min(cycle_hi - 1);
-                    if lo <= hi {
-                        out.push(WordCycleSegment { sm, word, lo, hi });
-                    }
-                }
-            } else {
-                // The complement: gaps between the (sorted, disjoint)
-                // live intervals within the window.
-                let mut next = cycle_lo;
-                for &(lo, hi) in list {
-                    let lo = lo.max(cycle_lo);
-                    let hi = hi.min(cycle_hi - 1);
-                    if lo > hi {
-                        continue;
-                    }
-                    if lo > next {
-                        out.push(WordCycleSegment {
-                            sm,
-                            word,
-                            lo: next,
-                            hi: lo - 1,
-                        });
-                    }
-                    next = hi + 1;
-                }
-                if next < cycle_hi {
-                    out.push(WordCycleSegment {
-                        sm,
-                        word,
-                        lo: next,
-                        hi: cycle_hi - 1,
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -589,11 +571,12 @@ impl WordCycleSegment {
 /// ```
 #[derive(Debug)]
 pub struct LifetimeOracle {
-    rf: OracleTracker,
-    srf: OracleTracker,
-    lds: OracleTracker,
+    /// The tracker of a run still being observed; `None` once sealed.
+    life: Option<AceAnalyzer>,
+    /// The RF, SRF and LDS indexes, built on the first query after the
+    /// last event.
+    index: OnceLock<[Index; 3]>,
     num_sms: u32,
-    launch_start: u64,
 }
 
 impl LifetimeOracle {
@@ -601,11 +584,9 @@ impl LifetimeOracle {
     /// as a [`SimObserver`] (or use [`LifetimeOracle::capture`]).
     pub fn new(arch: &ArchConfig) -> Self {
         LifetimeOracle {
-            rf: OracleTracker::new(arch.rf_words_per_sm(), arch.num_sms),
-            srf: OracleTracker::new(arch.srf_words_per_sm(), arch.num_sms),
-            lds: OracleTracker::new(arch.lds_words_per_sm(), arch.num_sms),
+            life: Some(AceAnalyzer::tracking(arch, AceMode::default(), true)),
+            index: OnceLock::new(),
             num_sms: arch.num_sms,
-            launch_start: 0,
         }
     }
 
@@ -623,11 +604,20 @@ impl LifetimeOracle {
         Ok(pass.oracle.expect("the oracle was captured"))
     }
 
-    fn tracker(&self, s: Structure) -> &OracleTracker {
-        match s {
-            Structure::VectorRegisterFile => &self.rf,
-            Structure::ScalarRegisterFile => &self.srf,
-            Structure::LocalMemory => &self.lds,
+    fn index(&self, s: Structure) -> &Index {
+        let index = self.index.get_or_init(|| {
+            let life = self.life.as_ref().expect("a sealed oracle holds its index");
+            life.trackers.each_ref().map(Tracker::index)
+        });
+        &index[slot(s)]
+    }
+
+    /// Feeds an event to the tracker of a run still being observed; any
+    /// index built so far goes stale. A sealed oracle ignores events.
+    fn observe(&mut self, event: impl FnOnce(&mut AceAnalyzer)) {
+        if let Some(life) = &mut self.life {
+            self.index.take();
+            event(life);
         }
     }
 
@@ -647,16 +637,16 @@ impl LifetimeOracle {
         }
         // Same physical mapping the injector uses.
         let sm = site.sm % self.num_sms.max(1);
-        self.tracker(site.structure)
+        self.index(site.structure)
             .is_dead(sm, site.word, site.cycle)
     }
 
     /// Total live bit-cycles of one structure: the union of all live
     /// intervals, times 32 bits per word. Equals the refined
-    /// ([`AceMode::WriteToLastRead`]) ACE bit-cycle count — the two are
-    /// independent implementations of the same lifetime rule.
+    /// ([`AceMode::WriteToLastRead`]) ACE bit-cycle count — both come
+    /// from the same closed values.
     pub fn live_bit_cycles(&self, s: Structure) -> u64 {
-        self.tracker(s).live_bit_cycles()
+        self.index(s).live_bit_cycles()
     }
 
     /// Live word-cycles of `s` restricted to words `[word_lo, word_hi)`
@@ -675,7 +665,7 @@ impl LifetimeOracle {
         cycle_lo: u64,
         cycle_hi: u64,
     ) -> u64 {
-        self.tracker(s)
+        self.index(s)
             .live_word_cycles_in(word_lo, word_hi, cycle_lo, cycle_hi)
     }
 
@@ -695,45 +685,41 @@ impl LifetimeOracle {
         cycle_hi: u64,
         live: bool,
     ) -> Vec<WordCycleSegment> {
-        self.tracker(s)
+        self.index(s)
             .segments_in(word_lo, word_hi, cycle_lo, cycle_hi, live)
     }
 }
 
 impl SimObserver for LifetimeOracle {
     fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.rf.on_write(sm, word, cycle, self.launch_start);
+        self.observe(|l| l.on_rf_write(sm, word, cycle));
     }
     fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.rf.on_read(sm, word, cycle, self.launch_start);
+        self.observe(|l| l.on_rf_read(sm, word, cycle));
     }
     fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.srf.on_write(sm, word, cycle, self.launch_start);
+        self.observe(|l| l.on_srf_write(sm, word, cycle));
     }
     fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.srf.on_read(sm, word, cycle, self.launch_start);
+        self.observe(|l| l.on_srf_read(sm, word, cycle));
     }
     fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.lds.on_write(sm, word, cycle, self.launch_start);
+        self.observe(|l| l.on_lds_write(sm, word, cycle));
     }
     fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.lds.on_read(sm, word, cycle, self.launch_start);
+        self.observe(|l| l.on_lds_read(sm, word, cycle));
     }
-    fn on_block_retire(&mut self, sm: u32, r: BlockRegions, _cycle: u64) {
-        self.rf.free_region(sm, r.rf_base, r.rf_len);
-        self.srf.free_region(sm, r.srf_base, r.srf_len);
-        self.lds.free_region(sm, r.lds_base, r.lds_len);
+    fn on_block_dispatch(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
+        self.observe(|l| l.on_block_dispatch(sm, r, cycle));
     }
-    fn on_launch_begin(&mut self, _name: &str, cycle: u64) {
-        for t in [&mut self.rf, &mut self.srf, &mut self.lds] {
-            t.flush();
-        }
-        self.launch_start = cycle;
+    fn on_block_retire(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
+        self.observe(|l| l.on_block_retire(sm, r, cycle));
     }
-    fn on_launch_end(&mut self, _cycle: u64) {
-        for t in [&mut self.rf, &mut self.srf, &mut self.lds] {
-            t.flush();
-        }
+    fn on_launch_begin(&mut self, name: &str, cycle: u64) {
+        self.observe(|l| l.on_launch_begin(name, cycle));
+    }
+    fn on_launch_end(&mut self, cycle: u64) {
+        self.observe(|l| l.on_launch_end(cycle));
     }
 }
 
@@ -1058,5 +1044,307 @@ mod tests {
         assert!(live > 0, "vectoradd reads registers");
         // The top of the register file is never allocated: dead.
         assert!(o.is_dead(rf_site(arch.rf_words_per_sm() - 1, 10)));
+    }
+
+    #[test]
+    fn events_from_missing_sms_are_ignored() {
+        let arch = ArchConfig::small_test_gpu();
+        let mut a = AceAnalyzer::new(&arch);
+        a.on_launch_begin("k", 0);
+        a.on_rf_write(arch.num_sms + 3, 0, 1);
+        a.on_rf_read(arch.num_sms + 3, 0, 2);
+        a.on_lds_write(arch.num_sms, 0, 3);
+        a.on_launch_end(10);
+        assert_eq!(a.report(Structure::VectorRegisterFile).ace_bit_cycles, 0);
+        assert_eq!(a.report(Structure::LocalMemory).ace_bit_cycles, 0);
+    }
+
+    /// One event of a synthetic stream; `usize` is the structure slot.
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        Read(usize, u32, u32, u64),
+        Write(usize, u32, u32, u64),
+        Dispatch(u32, BlockRegions, u64),
+        Retire(u32, BlockRegions, u64),
+        Begin(u64),
+        End(u64),
+    }
+
+    const SLOTS: [Structure; 3] = [
+        Structure::VectorRegisterFile,
+        Structure::ScalarRegisterFile,
+        Structure::LocalMemory,
+    ];
+
+    /// Two SMs with 6 RF, 3 SRF and 4 LDS words each.
+    fn tiny_arch() -> ArchConfig {
+        let mut a = ArchConfig::small_test_gpu_scalar();
+        a.regfile_bytes_per_sm = 6 * 4;
+        a.sregfile_bytes_per_sm = 3 * 4;
+        a.lds_bytes_per_sm = 4 * 4;
+        a
+    }
+
+    fn region(r: BlockRegions, s: usize) -> (u32, u32) {
+        [
+            (r.rf_base, r.rf_len),
+            (r.srf_base, r.srf_len),
+            (r.lds_base, r.lds_len),
+        ][s]
+    }
+
+    /// Turns raw `(kind, slot, sm, word, dt)` draws into a stream the
+    /// simulator could emit: cycles never decrease, every block retires
+    /// before its launch ends, no read shares a cycle with a launch
+    /// boundary, and a word freed by a retirement is written before it
+    /// is read again (the lifetime rule would count such a read from the
+    /// launch start, overlapping the freed value). SMs and words run past
+    /// the device so that out-of-range events occur too.
+    fn stream(raw: &[(u8, usize, u32, u32, u64)]) -> Vec<Ev> {
+        let mut evs = vec![Ev::Begin(0)];
+        let (mut cycle, mut launch) = (0, 0);
+        let mut blocks: Vec<(u32, BlockRegions)> = Vec::new();
+        let mut freed = std::collections::HashSet::new();
+        let retire = |evs: &mut Vec<Ev>, freed: &mut std::collections::HashSet<_>, sm, r, c| {
+            for s in 0..3 {
+                let (base, len) = region(r, s);
+                freed.extend((base..base + len).map(|w| (s, sm, w)));
+            }
+            evs.push(Ev::Retire(sm, r, c));
+        };
+        for (n, &(kind, s, sm, word, dt)) in raw.iter().enumerate() {
+            cycle += dt;
+            match kind {
+                0..=3 => {
+                    cycle = cycle.max(launch + 1);
+                    evs.push(match freed.remove(&(s, sm, word)) {
+                        true => Ev::Write(s, sm, word, cycle),
+                        false => Ev::Read(s, sm, word, cycle),
+                    });
+                }
+                4..=6 => {
+                    freed.remove(&(s, sm, word));
+                    evs.push(Ev::Write(s, sm, word, cycle));
+                }
+                7 | 8 => {
+                    let r = BlockRegions {
+                        rf_base: word,
+                        rf_len: dt as u32 + 1,
+                        srf_base: word % 4,
+                        srf_len: 2,
+                        lds_base: (word + n as u32) % 5,
+                        lds_len: (n % 4) as u32,
+                    };
+                    blocks.push((sm, r));
+                    evs.push(Ev::Dispatch(sm, r, cycle));
+                }
+                9 | 10 if !blocks.is_empty() => {
+                    cycle = cycle.max(launch + 1);
+                    let (bsm, r) = blocks.remove(word as usize % blocks.len());
+                    retire(&mut evs, &mut freed, bsm, r, cycle);
+                }
+                11 => {
+                    cycle = cycle.max(launch) + 1;
+                    for (bsm, r) in blocks.drain(..) {
+                        retire(&mut evs, &mut freed, bsm, r, cycle);
+                    }
+                    evs.push(Ev::End(cycle));
+                    cycle += dt;
+                    launch = cycle;
+                    freed.clear();
+                    evs.push(Ev::Begin(cycle));
+                }
+                _ => {}
+            }
+        }
+        cycle = cycle.max(launch) + 1;
+        for (bsm, r) in blocks.drain(..) {
+            retire(&mut evs, &mut freed, bsm, r, cycle);
+        }
+        evs.push(Ev::End(cycle));
+        evs
+    }
+
+    fn drive(obs: &mut dyn SimObserver, evs: &[Ev]) {
+        for &e in evs {
+            match e {
+                Ev::Read(0, sm, w, c) => obs.on_rf_read(sm, w, c),
+                Ev::Read(1, sm, w, c) => obs.on_srf_read(sm, w, c),
+                Ev::Read(_, sm, w, c) => obs.on_lds_read(sm, w, c),
+                Ev::Write(0, sm, w, c) => obs.on_rf_write(sm, w, c),
+                Ev::Write(1, sm, w, c) => obs.on_srf_write(sm, w, c),
+                Ev::Write(_, sm, w, c) => obs.on_lds_write(sm, w, c),
+                Ev::Dispatch(sm, r, c) => obs.on_block_dispatch(sm, r, c),
+                Ev::Retire(sm, r, c) => obs.on_block_retire(sm, r, c),
+                Ev::Begin(c) => obs.on_launch_begin("k", c),
+                Ev::End(c) => obs.on_launch_end(c),
+            }
+        }
+    }
+
+    /// Brute-force per-cycle model of one word of the stream.
+    struct WordModel<'a> {
+        evs: &'a [Ev],
+        s: usize,
+        sm: u32,
+        word: u32,
+    }
+
+    impl WordModel<'_> {
+        /// `Some(is_read)` when event `e` reads (`true`) or clobbers
+        /// (`false`) this word: a write, its block's retirement, or a
+        /// launch boundary.
+        fn touch(&self, e: Ev) -> Option<bool> {
+            let me = |s, sm, w| (s, sm, w) == (self.s, self.sm, self.word);
+            match e {
+                Ev::Read(s, sm, w, _) if me(s, sm, w) => Some(true),
+                Ev::Write(s, sm, w, _) if me(s, sm, w) => Some(false),
+                Ev::Retire(sm, r, _) if sm == self.sm => {
+                    let (base, len) = region(r, self.s);
+                    (base..base + len).contains(&self.word).then_some(false)
+                }
+                Ev::Begin(_) | Ev::End(_) => Some(false),
+                _ => None,
+            }
+        }
+
+        /// Whether a flip at `cycle` is read before it is clobbered. The
+        /// flip lands before every event of its cycle, except at a launch
+        /// start, where the reset and the dispatch preloads come first.
+        fn live(&self, cycle: u64) -> bool {
+            let launch_start = self
+                .evs
+                .iter()
+                .any(|&e| matches!(e, Ev::Begin(c) if c == cycle));
+            let at = |e: &Ev| match *e {
+                Ev::Read(.., c) | Ev::Write(.., c) | Ev::Begin(c) | Ev::End(c) => c,
+                Ev::Dispatch(.., c) | Ev::Retire(.., c) => c,
+            };
+            let first = self
+                .evs
+                .iter()
+                .position(|e| at(e) > cycle || (at(e) == cycle && !launch_start))
+                .unwrap_or(self.evs.len());
+            self.evs[first..].iter().find_map(|&e| self.touch(e)) == Some(true)
+        }
+
+        /// Conservative `[open, close)` windows: a write, or a read of
+        /// launch-zeroed contents (open at the launch start), until the
+        /// next write, retirement or launch end.
+        fn held(&self, cycle: u64) -> bool {
+            let (mut launch, mut open) = (0, None);
+            for &e in self.evs {
+                let c = match e {
+                    Ev::Begin(c) => {
+                        launch = c;
+                        continue;
+                    }
+                    Ev::Read(.., c) | Ev::Write(.., c) | Ev::End(c) | Ev::Retire(.., c) => c,
+                    Ev::Dispatch(..) => continue,
+                };
+                match (self.touch(e), open) {
+                    (Some(true), None) => open = Some(launch),
+                    (Some(true), Some(_)) | (None, _) => {}
+                    (Some(false), o) => {
+                        if o.is_some_and(|o| o <= cycle && cycle < c) {
+                            return true;
+                        }
+                        open = matches!(e, Ev::Write(..)).then_some(c);
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    fn raw_event() -> impl Strategy<Value = (u8, usize, u32, u32, u64)> {
+        (0u8..12, 0usize..3, 0u32..3, 0u32..7, 0u64..4)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn tracker_matches_a_per_cycle_model(raw in proptest::collection::vec(raw_event(), 0..80)) {
+            let arch = tiny_arch();
+            let evs = stream(&raw);
+            let end = match evs.last() { Some(&Ev::End(c)) => c, _ => unreachable!() };
+            let mut cons = AceAnalyzer::new(&arch);
+            let mut refined = AceAnalyzer::with_mode(&arch, AceMode::WriteToLastRead);
+            let mut observed = LifetimeOracle::new(&arch);
+            let mut shared = AceAnalyzer::tracking(&arch, AceMode::WriteToLastRead, true);
+            drive(&mut cons, &evs);
+            drive(&mut refined, &evs);
+            drive(&mut observed, &evs);
+            drive(&mut shared, &evs);
+            let (shared, sealed) = shared.finish(true);
+            let (shared, sealed) = (shared.unwrap(), sealed.unwrap());
+            let words = [arch.rf_words_per_sm(), arch.srf_words_per_sm(), arch.lds_words_per_sm()];
+            for (s, structure) in SLOTS.into_iter().enumerate() {
+                let model = |sm, word| WordModel { evs: &evs, s, sm, word };
+                let cells = |f: &dyn Fn(&WordModel, u64) -> bool| -> u64 {
+                    let mut n = 0;
+                    for sm in 0..arch.num_sms {
+                        for w in 0..words[s] {
+                            n += (0..=end).filter(|&c| f(&model(sm, w), c)).count() as u64;
+                        }
+                    }
+                    n
+                };
+                let (held, live) = (cells(&|m, c| m.held(c)), cells(&|m, c| m.live(c)));
+                let mut occ = 0;
+                for (i, e) in evs.iter().enumerate() {
+                    if let Ev::Dispatch(sm, r, d) = *e {
+                        let retired = evs[i..].iter().find_map(|&e| match e {
+                            Ev::Retire(rsm, rr, c) if rsm == sm && rr == r => Some(c),
+                            _ => None,
+                        });
+                        occ += region(r, s).1 as u64 * (retired.unwrap() - d);
+                    }
+                }
+                let total = words[s] as u64 * arch.num_sms as u64;
+                let occupancy = if total > 0 { occ as f64 / (total as f64 * end as f64) } else { 0.0 };
+                prop_assert_eq!(cons.report(structure).ace_bit_cycles, held * 32, "{:?} {:?}", structure, evs);
+                prop_assert_eq!(cons.report(structure).occupancy, occupancy, "{:?}", structure);
+                prop_assert_eq!(refined.report(structure).ace_bit_cycles, live * 32, "{:?} {:?}", structure, evs);
+                prop_assert_eq!(shared.report(structure), refined.report(structure));
+                for oracle in [&observed, &sealed] {
+                    prop_assert_eq!(oracle.live_bit_cycles(structure), live * 32);
+                    for sm in 0..=arch.num_sms {
+                        for word in 0..words[s] + 2 {
+                            for cycle in 0..end + 2 {
+                                let site = FaultSite::new(structure, sm, word, 0, cycle);
+                                let dead = word >= words[s] || !model(sm % arch.num_sms, word).live(cycle);
+                                prop_assert_eq!(oracle.is_dead(site), dead, "{:?} {:?}", site, evs);
+                            }
+                        }
+                    }
+                    for (wl, wh, cl, ch) in [(0, words[s] + 1, 0, end + 2), (1, 3, end / 3, 2 * end / 3 + 1)] {
+                        let mut want = [Vec::new(), Vec::new()];
+                        let mut count = 0;
+                        for sm in 0..arch.num_sms {
+                            for word in wl..wh.min(words[s]) {
+                                let m = model(sm, word);
+                                let mut c = cl;
+                                while c < ch {
+                                    let l = m.live(c);
+                                    let lo = c;
+                                    while c < ch && m.live(c) == l {
+                                        c += 1;
+                                    }
+                                    count += if l { c - lo } else { 0 };
+                                    want[l as usize].push(WordCycleSegment { sm, word, lo, hi: c - 1 });
+                                }
+                            }
+                        }
+                        prop_assert_eq!(oracle.live_word_cycles_in(structure, wl, wh, cl, ch), count);
+                        for live in [false, true] {
+                            prop_assert_eq!(&oracle.segments_in(structure, wl, wh, cl, ch, live), &want[live as usize]);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -402,14 +402,16 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
 ) -> Result<GoldenPass, SimError> {
     let started = H::ENABLED.then(Instant::now);
     let mut gpu = Gpu::new(arch.clone());
-    let mut ace = capture.ace.map(|mode| AceAnalyzer::with_mode(arch, mode));
-    let mut oracle = capture.oracle.then(|| LifetimeOracle::new(arch));
+    // ACE and the oracle share one lifetime tracker.
+    let mut life = (capture.ace.is_some() || capture.oracle)
+        .then(|| AceAnalyzer::tracking(arch, capture.ace.unwrap_or_default(), capture.oracle));
     let mut writes = capture.writes.then(GlobalWriteLog::default);
-    let outputs = workload.run(&mut gpu, &mut (&mut ace, (&mut oracle, &mut writes)))?;
+    let outputs = workload.run(&mut gpu, &mut (&mut life, &mut writes))?;
     let golden = GoldenRun {
         outputs,
         cycles: gpu.app_cycle(),
     };
+    let (ace, oracle) = life.map_or((None, None), |life| life.finish(capture.ace.is_some()));
     if let Some(started) = started {
         let seconds = started.elapsed().as_secs_f64();
         hook.observe("campaign_golden_seconds", seconds);
