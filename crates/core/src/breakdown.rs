@@ -205,10 +205,9 @@ pub fn mbu_campaign_on(
         let cycle = rng.gen_range(0..cycles);
         sites.extend((0..width).map(|i| FaultSite::new(structure, sm, word, first_bit + i, cycle)));
     }
-    let (outcomes, _) =
-        campaign.replay_with(&sites, Arming::Groups(width as usize), cfg, &NoopHook)?;
+    let replayed = campaign.replay_with(&sites, Arming::Groups(width as usize), cfg, &NoopHook)?;
     let mut tally = Tally::default();
-    for o in outcomes {
+    for o in replayed.outcomes {
         tally.add(o);
     }
     Ok(tally)

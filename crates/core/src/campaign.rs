@@ -32,7 +32,7 @@
 //! built once and shared by every campaign run against it.
 
 use crate::ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
-use crate::runner::{replay_sites, Arming};
+use crate::runner::{Arming, Replayed};
 use crate::stats::{error_margin, fault_population, Proportion, Z_99};
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use simt_sim::{
     ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, GlobalWrite,
     GlobalWriteLog, Gpu, MaskProbe, NoopObserver, Session, SessionStatus, SimError, SimObserver,
-    Structure, TraceRecord,
+    Structure,
 };
 use std::fmt;
 use std::time::Instant;
@@ -415,7 +415,6 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
     if let Some(started) = started {
         let seconds = started.elapsed().as_secs_f64();
         hook.observe("campaign_golden_seconds", seconds);
-        hook.gauge("campaign_golden_cycles", golden.cycles as f64);
         hook.event(
             &Event::new("golden.done")
                 .field("workload", workload.name())
@@ -858,8 +857,6 @@ impl CheckpointLadder {
                 "sim_snapshot_seconds",
                 session_tel.snapshot_nanos as f64 * 1e-9,
             );
-            hook.gauge("ladder_rungs", ladder.len() as f64);
-            hook.gauge("ladder_bytes", ladder.total_bytes() as f64);
             hook.event(
                 &Event::new("ladder.done")
                     .field("workload", workload.name())
@@ -917,15 +914,15 @@ impl CheckpointLadder {
     }
 }
 
-/// The watchdog cycle budget of a replay: `watchdog_factor` golden runs
-/// plus 10,000 cycles of slack. Saturating: a pathological factor (up to
-/// `u64::MAX`) clamps to an effectively infinite budget instead of
-/// overflowing.
-fn watchdog_budget(golden: &GoldenRun, watchdog_factor: u64) -> u64 {
-    golden
-        .cycles
-        .saturating_mul(watchdog_factor)
-        .saturating_add(10_000)
+/// What every replay of one run reads: the per-point setup, the
+/// watchdog budget, whether single transient replays arm the
+/// clean-overwrite early-exit probe, and the telemetry hook. Built once
+/// per run by [`Campaign::context`].
+pub(crate) struct ReplayContext<'a, H> {
+    pub(crate) setup: &'a Campaign<'a>,
+    pub(crate) watchdog: u64,
+    pub(crate) early_exit: bool,
+    pub(crate) hook: &'a H,
 }
 
 /// Classifies one injection replay on a caller-owned device, resuming
@@ -940,10 +937,10 @@ fn watchdog_budget(golden: &GoldenRun, watchdog_factor: u64) -> u64 {
 /// a fresh device first. Either way the replay never observes state left
 /// behind by a previous injection.
 ///
-/// `early_exit` arms a [`MaskProbe`] that abandons the replay as
-/// `Masked` once the flipped word is erased unread. It only applies to
-/// a single transient site; groups and persistent or control faults
-/// always run to completion.
+/// [`ReplayContext::early_exit`] arms a [`MaskProbe`] that abandons the
+/// replay as `Masked` once the flipped word is erased unread. It only
+/// applies to a single transient site; groups and persistent or control
+/// faults always run to completion.
 ///
 /// # Errors
 ///
@@ -951,29 +948,23 @@ fn watchdog_budget(golden: &GoldenRun, watchdog_factor: u64) -> u64 {
 /// was detected), not an error; anything else — a launch that fails to
 /// validate, an exhausted allocator — means the harness itself broke and
 /// is propagated to the caller instead of being folded into the tally.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn classify_on<O: SimObserver, H: TelemetryHook>(
+    ctx: &ReplayContext<'_, H>,
     gpu: &mut Gpu,
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
     faults: &[FaultSite],
-    watchdog_factor: u64,
-    early_exit: bool,
     ckpt: Option<&Checkpoint>,
     obs: &mut O,
-    hook: &H,
 ) -> Result<Outcome, SimError> {
+    let (setup, hook) = (ctx.setup, ctx.hook);
     let site = faults[0];
     debug_assert!(faults.iter().all(|f| f.cycle == site.cycle));
-    let watchdog = watchdog_budget(golden, watchdog_factor);
     // The clean-overwrite early exit is only sound for one transient
     // flip: a stuck-at cell is re-asserted by the very overwrite the
     // probe would treat as masking, a control fault never lives in a
     // storage word, and the probe watches a single word. The probe
     // itself is also gated (belt and braces), but disarming here skips
     // the per-event probe cost entirely.
-    let early_exit = early_exit && faults.len() == 1 && site.is_transient();
+    let early_exit = ctx.early_exit && faults.len() == 1 && site.is_transient();
     // (replay result, early-exited?, cycles skipped, instructions
     // inherited from the checkpoint prefix, session restore counters).
     let (result, exited, start_cycle, base_instructions, session_tel) = match ckpt {
@@ -984,21 +975,21 @@ pub(crate) fn classify_on<O: SimObserver, H: TelemetryHook>(
             } else {
                 0
             };
-            session.gpu_mut().set_watchdog(watchdog);
+            session.gpu_mut().set_watchdog(ctx.watchdog);
             session.gpu_mut().arm_faults(faults);
-            let (r, exited) = drive_replay(&mut session, golden, site, arch, early_exit, obs);
+            let (r, exited) = drive_replay(ctx, &mut session, site, early_exit, obs);
             let tel = *session.telemetry();
             (r, exited, ck.cycle(), base, tel)
         }
         None => {
-            *gpu = Gpu::new(arch.clone());
-            gpu.set_watchdog(watchdog);
+            *gpu = Gpu::new(setup.arch.clone());
+            gpu.set_watchdog(ctx.watchdog);
             gpu.arm_faults(faults);
             let (r, exited) = if early_exit {
-                let mut session = Session::new(&mut *gpu, workload.plan());
-                drive_replay(&mut session, golden, site, arch, true, obs)
+                let mut session = Session::new(&mut *gpu, setup.workload.plan());
+                drive_replay(ctx, &mut session, site, true, obs)
             } else {
-                (workload.run(gpu, obs), false)
+                (setup.workload.run(gpu, obs), false)
             };
             (r, exited, 0, 0, simt_sim::SessionTelemetry::default())
         }
@@ -1013,22 +1004,12 @@ pub(crate) fn classify_on<O: SimObserver, H: TelemetryHook>(
             hook.count("campaign_early_exit_total", 1);
             hook.count(
                 "campaign_cycles_saved_total",
-                golden.cycles.saturating_sub(gpu.app_cycle()),
+                setup.golden.cycles.saturating_sub(gpu.app_cycle()),
             );
         }
         record_replay_cost(hook, gpu, base_instructions, &session_tel);
     }
-    verdict(
-        result,
-        gpu,
-        arch,
-        workload,
-        golden,
-        site,
-        watchdog,
-        start_cycle,
-        hook,
-    )
+    verdict(ctx, result, gpu, site, start_cycle)
 }
 
 /// Instructions a replay retired beyond its checkpoint prefix, and the
@@ -1061,40 +1042,36 @@ fn record_replay_cost<H: TelemetryHook>(
 /// harness failure and propagates.
 ///
 /// A hang also records its timing evidence: how far the replay got
-/// against its cycle `budget`, and the cycles it burned since
+/// against the watchdog budget, and the cycles it burned since
 /// `start_cycle` before the harness cut it off (the cost a tighter
 /// `watchdog_factor` would recover).
-#[allow(clippy::too_many_arguments)]
 fn verdict<H: TelemetryHook>(
+    ctx: &ReplayContext<'_, H>,
     result: Result<Vec<u32>, SimError>,
     gpu: &Gpu,
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
     site: FaultSite,
-    budget: u64,
     start_cycle: u64,
-    hook: &H,
 ) -> Result<Outcome, SimError> {
+    let setup = ctx.setup;
     match result {
-        Ok(out) if out == golden.outputs => Ok(Outcome::Masked),
+        Ok(out) if out == setup.golden.outputs => Ok(Outcome::Masked),
         Ok(_) => Ok(Outcome::Sdc),
         Err(SimError::Due(Due::WatchdogTimeout { .. })) => {
             if H::ENABLED {
                 let cycle = gpu.app_cycle();
-                hook.count(
+                ctx.hook.count(
                     "campaign_watchdog_cycles_total",
                     cycle.saturating_sub(start_cycle),
                 );
-                hook.event(
+                ctx.hook.event(
                     &Event::new("watchdog.fired")
-                        .field("workload", workload.name())
-                        .field("device", arch.name.as_str())
+                        .field("workload", setup.workload.name())
+                        .field("device", setup.arch.name.as_str())
                         .field("kind", site.kind.as_str())
                         .field("site", site.to_string())
                         .field("cycle", cycle)
-                        .field("budget", budget)
-                        .field("golden_cycles", golden.cycles),
+                        .field("budget", ctx.watchdog)
+                        .field("golden_cycles", setup.golden.cycles),
                 );
             }
             Ok(Outcome::Hang)
@@ -1111,18 +1088,17 @@ fn verdict<H: TelemetryHook>(
 /// having been read, so the machine state is bit-identical to the
 /// fault-free run from that point on). Returns the replay result plus
 /// whether the early exit fired.
-fn drive_replay<O: SimObserver>(
+fn drive_replay<O: SimObserver, H>(
+    ctx: &ReplayContext<'_, H>,
     session: &mut Session<'_>,
-    golden: &GoldenRun,
     site: FaultSite,
-    arch: &ArchConfig,
     early_exit: bool,
     obs: &mut O,
 ) -> (Result<Vec<u32>, SimError>, bool) {
     if !early_exit {
         return (session.run_to_completion(obs), false);
     }
-    let mut probe = MaskProbe::new(site, arch.num_sms as usize);
+    let mut probe = MaskProbe::new(site, ctx.setup.arch.num_sms as usize);
     loop {
         match session.step(&mut (&mut probe, &mut *obs)) {
             Err(e) => return (Err(e), false),
@@ -1135,7 +1111,7 @@ fn drive_replay<O: SimObserver>(
             }
             Ok(SessionStatus::Running) => {
                 if probe.provably_masked() {
-                    return (Ok(golden.outputs.clone()), true);
+                    return (Ok(ctx.setup.golden.outputs.clone()), true);
                 }
             }
         }
@@ -1180,21 +1156,16 @@ pub(crate) struct BatchReplay {
 /// is a classification; anything else propagates. A shared-pass
 /// failure (which pure golden replay should never produce) falls back
 /// to scalar classification of every site instead of guessing.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn classify_batch_on<H: TelemetryHook>(
+    ctx: &ReplayContext<'_, H>,
     gpu: &mut Gpu,
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
     batch: &[FaultSite],
-    watchdog_factor: u64,
-    early_exit: bool,
     ckpt: Option<&Checkpoint>,
-    hook: &H,
 ) -> Result<BatchReplay, SimError> {
     debug_assert!(!batch.is_empty() && batch.len() <= simt_sim::MAX_BATCH_SCENARIOS);
     debug_assert!(batch.iter().all(|s| s.is_transient()));
-    let watchdog = watchdog_budget(golden, watchdog_factor);
+    let (setup, hook) = (ctx.setup, ctx.hook);
+    let golden: &GoldenRun = &setup.golden;
     let start_cycle = ckpt.map_or(0, |ck| ck.cycle());
     debug_assert!(batch.iter().all(|s| s.cycle >= start_cycle));
     // Twice the ladder's rung density: a fork replays the stretch from
@@ -1224,8 +1195,8 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         let mut session = match ckpt {
             Some(ck) => Session::resume(&mut *gpu, ck),
             None => {
-                *gpu = Gpu::new(arch.clone());
-                Session::new(&mut *gpu, workload.plan())
+                *gpu = Gpu::new(setup.arch.clone());
+                Session::new(&mut *gpu, setup.workload.plan())
             }
         };
         let base = if H::ENABLED {
@@ -1233,7 +1204,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         } else {
             0
         };
-        session.gpu_mut().set_watchdog(watchdog);
+        session.gpu_mut().set_watchdog(ctx.watchdog);
         session.arm_scenarios(batch);
         snaps.push(session.snapshot());
         let mut next_snap = session.gpu().app_cycle() + interval;
@@ -1315,16 +1286,11 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         let mut outcomes = Vec::with_capacity(batch.len());
         for site in batch {
             outcomes.push(classify_on(
+                ctx,
                 gpu,
-                arch,
-                workload,
-                golden,
                 std::slice::from_ref(site),
-                watchdog_factor,
-                early_exit,
                 ckpt,
                 &mut NoopObserver,
-                hook,
             )?);
         }
         return Ok(BatchReplay {
@@ -1367,7 +1333,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
             } else {
                 0
             };
-            session.gpu_mut().set_watchdog(watchdog);
+            session.gpu_mut().set_watchdog(ctx.watchdog);
             session.gpu_mut().materialize_scenario(s);
             // The snapshot was captured before the fault-application
             // step of its own cycle (rung semantics), so a flip at or
@@ -1390,17 +1356,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
             );
             record_replay_cost(hook, gpu, base_instructions, &session_tel);
         }
-        outcomes[s] = verdict(
-            result,
-            gpu,
-            arch,
-            workload,
-            golden,
-            site,
-            watchdog,
-            snap.cycle(),
-            hook,
-        )?;
+        outcomes[s] = verdict(ctx, result, gpu, site, snap.cycle())?;
     }
     Ok(BatchReplay {
         outcomes,
@@ -1559,11 +1515,6 @@ impl<'a> Campaign<'a> {
             .map(|&(_, r)| r)
     }
 
-    /// The oracle single-site replays under `cfg` are pruned with.
-    pub(crate) fn pruner(&self, cfg: &CampaignConfig) -> Option<&LifetimeOracle> {
-        self.oracle().filter(|_| cfg.prune)
-    }
-
     /// The uniform site sample of a campaign on `structure` under `cfg`.
     pub(crate) fn sample(&self, structure: Structure, cfg: &CampaignConfig) -> Vec<FaultSite> {
         sample_model_sites(
@@ -1576,25 +1527,27 @@ impl<'a> Campaign<'a> {
         )
     }
 
-    /// Replays `sites` armed per `arming` through [`replay_sites`].
-    pub(crate) fn replay_with<H: TelemetryHook>(
-        &self,
-        sites: &[FaultSite],
-        arming: Arming<'_>,
-        cfg: CampaignConfig,
-        hook: &H,
-    ) -> Result<(Vec<Outcome>, Vec<TraceRecord>), SimError> {
-        replay_sites(
-            self.arch,
-            self.workload,
-            &self.golden,
-            sites,
-            arming,
-            cfg,
-            &self.ladder,
-            self.pruner(&cfg),
+    /// The context every replay of a run under `cfg` reads. The
+    /// watchdog budget is `cfg.watchdog_factor` golden runs plus 10,000
+    /// cycles of slack, saturating: a pathological factor (up to
+    /// `u64::MAX`) clamps to an effectively infinite budget instead of
+    /// overflowing.
+    pub(crate) fn context<'s, H>(
+        &'s self,
+        cfg: &CampaignConfig,
+        early_exit: bool,
+        hook: &'s H,
+    ) -> ReplayContext<'s, H> {
+        ReplayContext {
+            setup: self,
+            watchdog: self
+                .golden
+                .cycles
+                .saturating_mul(cfg.watchdog_factor)
+                .saturating_add(10_000),
+            early_exit,
             hook,
-        )
+        }
     }
 
     /// Replays every site and returns the outcomes in site order — the
@@ -1610,7 +1563,9 @@ impl<'a> Campaign<'a> {
         cfg: CampaignConfig,
         hook: &H,
     ) -> Result<Vec<Outcome>, SimError> {
-        Ok(self.replay_with(sites, Arming::Groups(1), cfg, hook)?.0)
+        Ok(self
+            .replay_with(sites, Arming::Groups(1), cfg, hook)?
+            .outcomes)
     }
 
     /// Runs a uniform campaign of `cfg.injections` sites on `structure`,
@@ -1629,29 +1584,24 @@ impl<'a> Campaign<'a> {
     ) -> Result<CampaignResult, SimError> {
         let started = H::ENABLED.then(Instant::now);
         let sites = self.sample(structure, &cfg);
-        let outcomes = self.replay(&sites, cfg, hook)?;
-        let pruner = self.pruner(&cfg);
-        Ok(self.finish(structure, cfg, &sites, &outcomes, pruner, started, hook))
+        let replayed = self.replay_with(&sites, Arming::Groups(1), cfg, hook)?;
+        Ok(self.finish(structure, cfg, &replayed, started, hook))
     }
 
     /// The tail every uniform and traced campaign shares: tallies the
-    /// outcomes into a [`CampaignResult`] and, when the hook is on,
-    /// reports the campaign's wall time, throughput, `campaign.done`
-    /// event and `campaign:` span. `pruner` is the oracle the replay
-    /// pruned with.
-    #[allow(clippy::too_many_arguments)]
+    /// replay's outcomes into a [`CampaignResult`] and, when the hook is
+    /// on, reports the campaign's wall time, throughput, `campaign.done`
+    /// event and `campaign:` span.
     pub(crate) fn finish<H: TelemetryHook>(
         &self,
         structure: Structure,
         cfg: CampaignConfig,
-        sites: &[FaultSite],
-        outcomes: &[Outcome],
-        pruner: Option<&LifetimeOracle>,
+        replayed: &Replayed,
         started: Option<Instant>,
         hook: &H,
     ) -> CampaignResult {
         let mut tally = Tally::default();
-        for &o in outcomes {
+        for &o in &replayed.outcomes {
             tally.add(o);
         }
         let golden_cycles = self.golden.cycles;
@@ -1673,9 +1623,7 @@ impl<'a> Campaign<'a> {
         } else {
             0.0
         };
-        let pruned = pruner.map_or(0u64, |o| {
-            sites.iter().filter(|&&s| o.is_dead(s)).count() as u64
-        });
+        let pruned = replayed.pruned;
         hook.observe("campaign_seconds", seconds);
         hook.gauge("campaign_injections_per_second", per_second);
         hook.event(
@@ -1693,7 +1641,7 @@ impl<'a> Campaign<'a> {
                 .field("golden_cycles", golden_cycles)
                 .field("ladder_rungs", self.ladder.len())
                 .field("pruned", pruned)
-                .field("early_exit", cfg.early_exit && pruner.is_none())
+                .field("early_exit", replayed.early_exit)
                 .field("seconds", seconds)
                 .field("injections_per_second", per_second),
         );
@@ -2077,14 +2025,15 @@ mod tests {
 
     #[test]
     fn hooked_campaign_matches_noop_and_accounts_for_every_injection() {
-        use grel_telemetry::{MetricsRegistry, RegistryHook};
+        use grel_telemetry::{MemorySink, MetricsRegistry, RegistryHook};
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
         let cfg = small_cfg(12);
         let plain = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
 
         let reg = MetricsRegistry::new();
-        let hook = RegistryHook::new(&reg);
+        let sink = MemorySink::new();
+        let hook = RegistryHook::with_sink(&reg, &sink);
         let hooked =
             run_campaign_hooked(&arch, &w, Structure::VectorRegisterFile, cfg, &hook).unwrap();
         assert_eq!(plain.tally, hooked.tally, "the hook must only observe");
@@ -2113,7 +2062,15 @@ mod tests {
             snap.counter("campaign_cycles_saved_total").unwrap_or(0) > 0,
             "checkpoint resume must save cycles on this workload"
         );
-        assert!(snap.gauge("ladder_rungs").unwrap_or(0.0) > 0.0);
+        let rungs = sink
+            .events()
+            .iter()
+            .find(|e| e.name() == "ladder.done")
+            .and_then(|e| e.get("rungs")?.as_u64());
+        assert!(
+            rungs.unwrap_or(0) > 0,
+            "the ladder.done event reports rungs"
+        );
         assert!(snap.histogram("campaign_seconds").unwrap().count() == 1);
     }
 
@@ -2366,20 +2323,19 @@ mod tests {
         use grel_telemetry::{MetricsRegistry, RegistryHook};
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
-        let golden = golden_run(&arch, &w).unwrap();
+        let mut cfg = small_cfg(64);
+        let setup = Campaign::new(&arch, &w, &cfg, Capture::default(), &NoopHook).unwrap();
+        let ctx = setup.context(&cfg, true, &NoopHook);
         let mut sites = sample_sites(
             &arch,
             Structure::VectorRegisterFile,
-            golden.cycles,
+            setup.golden().cycles,
             simt_sim::MAX_BATCH_SCENARIOS as u32,
             7,
         );
         sites.sort_by_key(|s| s.cycle);
         let mut gpu = Gpu::new(arch.clone());
-        let rep = classify_batch_on(
-            &mut gpu, &arch, &w, &golden, &sites, 10, true, None, &NoopHook,
-        )
-        .unwrap();
+        let rep = classify_batch_on(&ctx, &mut gpu, &sites, None).unwrap();
         assert!(!rep.fell_back);
         assert!(rep.forks > 0, "vectoradd lanes fork on address registers");
         assert!(
@@ -2389,24 +2345,11 @@ mod tests {
             rep.forks
         );
         for (&site, &outcome) in sites.iter().zip(&rep.outcomes) {
-            let scalar = classify_on(
-                &mut gpu,
-                &arch,
-                &w,
-                &golden,
-                &[site],
-                10,
-                true,
-                None,
-                &mut NoopObserver,
-                &NoopHook,
-            )
-            .unwrap();
+            let scalar = classify_on(&ctx, &mut gpu, &[site], None, &mut NoopObserver).unwrap();
             assert_eq!(outcome, scalar, "site {site:?}");
         }
 
         // The campaign-level counter obeys the same bound per batch.
-        let mut cfg = small_cfg(64);
         cfg.prune = false;
         let reg = MetricsRegistry::new();
         let batched = run_campaign_hooked(

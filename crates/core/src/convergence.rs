@@ -14,7 +14,7 @@
 //!
 //! # Determinism
 //!
-//! The monitor is wired through `runner::replay_sites` *after* the
+//! The monitor is wired through `Campaign::replay_with` *after* the
 //! scatter-merge: it folds the site-order outcome vector serially, so
 //! every emitted event is a pure function of `(sites, outcomes,
 //! cadence)` — byte-identical at any `--jobs` count, with pruning and

@@ -481,15 +481,13 @@ impl Campaign<'_> {
         cfg: CampaignConfig,
         hook: &H,
     ) -> Result<(CampaignResult, Vec<Provenance>, ProvenanceAggregate), SimError> {
-        let writes = self
-            .golden_writes()
-            .expect("a traced campaign needs the golden write log (Capture::writes)");
         let started = H::ENABLED.then(Instant::now);
         let sites = self.sample(structure, &cfg);
-        let (outcomes, records) = self.replay_with(&sites, Arming::Traced(writes), cfg, hook)?;
-        let provenance: Vec<Provenance> = outcomes
+        let replayed = self.replay_with(&sites, Arming::Traced, cfg, hook)?;
+        let provenance: Vec<Provenance> = replayed
+            .outcomes
             .iter()
-            .zip(&records)
+            .zip(&replayed.records)
             .map(|(&o, r)| Provenance::from_trace(o, r))
             .collect();
         let aggregate = ProvenanceAggregate::from_records(self.arch, structure, &provenance);
@@ -517,12 +515,7 @@ impl Campaign<'_> {
             }
             aggregate.emit(hook);
         }
-        // Traced replays never exit early, and were not pruned.
-        let cfg = CampaignConfig {
-            early_exit: false,
-            ..cfg
-        };
-        let result = self.finish(structure, cfg, &sites, &outcomes, None, started, hook);
+        let result = self.finish(structure, cfg, &replayed, started, hook);
         Ok((result, provenance, aggregate))
     }
 }
@@ -590,15 +583,11 @@ pub fn trace_one(
         ..Capture::default()
     };
     let campaign = Campaign::new(arch, workload, &cfg, capture, &NoopHook)?;
-    let writes = campaign
-        .golden_writes()
-        .expect("the write log was captured");
-    let (outcomes, records) =
-        campaign.replay_with(&[site], Arming::Traced(writes), cfg, &NoopHook)?;
+    let replayed = campaign.replay_with(&[site], Arming::Traced, cfg, &NoopHook)?;
     Ok(SingleTrace {
         site,
         golden_cycles: campaign.golden().cycles,
-        provenance: Provenance::from_trace(outcomes[0], &records[0]),
+        provenance: Provenance::from_trace(replayed.outcomes[0], &replayed.records[0]),
     })
 }
 

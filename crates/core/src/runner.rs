@@ -27,8 +27,10 @@
 //!    without any work-stealing;
 //! 5. each worker owns its own device ([`Gpu`]) and drives its own
 //!    replay [`Session`](simt_sim::Session) per injection, while the
-//!    golden [`CheckpointLadder`] is shared read-only (`&` — it is
-//!    immutable and `Sync`);
+//!    point's setup — the [`Campaign`] with its golden run, checkpoint
+//!    ladder, oracle and golden store log — is shared read-only through
+//!    one `ReplayContext` (`&` — the setup is immutable and `Sync`,
+//!    and the context's watchdog budget is computed once per run);
 //! 6. every outcome is scattered back into its injection's original
 //!    index, so the returned vector is in **injection order** regardless
 //!    of which worker finished first; worker results come back from
@@ -41,17 +43,15 @@
 //! any job count (per-worker series are labelled `worker="N"` by stripe
 //! index, not by OS thread, and are therefore deterministic too).
 
-use crate::ace::LifetimeOracle;
 use crate::campaign::{
-    campaign_population, classify_batch_on, classify_on, structure_label, CampaignConfig,
-    CheckpointLadder, GoldenRun, Outcome,
+    campaign_population, classify_batch_on, classify_on, structure_label, Campaign, CampaignConfig,
+    Outcome, ReplayContext,
 };
 use crate::convergence::ConvergenceMonitor;
-use gpu_workloads::Workload;
 use grel_telemetry::{SpanRecord, TelemetryHook};
 use simt_sim::{
-    ArchConfig, FaultModelKind, FaultSite, GlobalWrite, Gpu, NoopObserver, SimError, SimObserver,
-    Structure, TraceObserver, TraceRecord, MAX_BATCH_SCENARIOS,
+    FaultModelKind, FaultSite, Gpu, NoopObserver, SimError, SimObserver, Structure, TraceObserver,
+    TraceRecord, MAX_BATCH_SCENARIOS,
 };
 use std::time::Instant;
 
@@ -75,16 +75,31 @@ pub(crate) fn fan_out<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Ve
 
 /// How each injection of a replay run is armed and observed.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Arming<'a> {
+pub(crate) enum Arming {
     /// `width` consecutive entries of the site list form one injection,
     /// armed together (a multi-bit upset; `1` is the single-bit
     /// campaign). Only single-site injections are pruned, batched or
     /// exited early.
     Groups(usize),
     /// One site per injection, replayed under the flight recorder
-    /// against the golden run's global-store stream; each injection
-    /// also yields its [`TraceRecord`].
-    Traced(&'a [GlobalWrite]),
+    /// against the setup's golden global-store stream
+    /// ([`Campaign::golden_writes`]); each injection also yields its
+    /// [`TraceRecord`].
+    Traced,
+}
+
+/// What one replay run hands back ([`Campaign::replay_with`]).
+pub(crate) struct Replayed {
+    /// One outcome per injection, in injection order.
+    pub(crate) outcomes: Vec<Outcome>,
+    /// One flight-recorder record per injection of a traced run, in
+    /// the same order; empty otherwise.
+    pub(crate) records: Vec<TraceRecord>,
+    /// Injections the lifetime oracle classified `Masked` without a
+    /// replay.
+    pub(crate) pruned: u64,
+    /// Whether single transient replays armed the early-exit probe.
+    pub(crate) early_exit: bool,
 }
 
 /// One piece of worker work, naming injections by index.
@@ -103,26 +118,16 @@ type Done = (usize, Outcome, Option<TraceRecord>);
 
 /// Everything a worker needs, shared read-only across the pool.
 struct ReplayShared<'a, H> {
-    arch: &'a ArchConfig,
-    workload: &'a dyn Workload,
-    golden: &'a GoldenRun,
+    ctx: ReplayContext<'a, H>,
     sites: &'a [FaultSite],
     /// Sites per injection.
     width: usize,
-    /// The golden global-store stream traced units compare against
-    /// (empty when nothing is traced).
-    golden_writes: &'a [GlobalWrite],
     units: &'a [Unit],
-    cfg: CampaignConfig,
-    ladder: &'a CheckpointLadder,
-    /// Whether scalar replays arm the clean-overwrite early-exit probe.
-    early_exit: bool,
     /// `point:{workload}@{device}/campaign:{structure}` when span
     /// tracing is on — the parent path every replay span hangs off.
     /// `None` whenever `H::SPANS` is false, so the no-profile path
     /// never formats a string.
     span_prefix: Option<String>,
-    hook: &'a H,
 }
 
 impl<H> ReplayShared<'_, H> {
@@ -135,15 +140,14 @@ impl<H> ReplayShared<'_, H> {
 /// The profile prefix for a campaign's replay spans, or `None` when the
 /// hook records no spans (or there is nothing to replay).
 fn replay_span_prefix<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
+    ctx: &ReplayContext<'_, H>,
     sites: &[FaultSite],
 ) -> Option<String> {
     (H::SPANS && !sites.is_empty()).then(|| {
         format!(
             "point:{}@{}/campaign:{}",
-            workload.name(),
-            arch.name,
+            ctx.setup.workload.name(),
+            ctx.setup.arch.name,
             structure_label(sites[0].structure)
         )
     })
@@ -157,30 +161,33 @@ fn replay_span_prefix<H: TelemetryHook>(
 /// byte-identical at any job count, with pruning and batching on or
 /// off. A zero cadence disables the stream.
 fn stream_convergence<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
+    ctx: &ReplayContext<'_, H>,
     structure: Structure,
     cfg: CampaignConfig,
     outcomes: &[Outcome],
-    hook: &H,
 ) {
     if !H::ENABLED || cfg.convergence == 0 || outcomes.is_empty() {
         return;
     }
+    let setup = ctx.setup;
     let mut monitor = ConvergenceMonitor::new(
-        workload.name(),
-        &arch.name,
+        setup.workload.name(),
+        &setup.arch.name,
         structure,
         cfg.fault_model,
-        campaign_population(arch, structure, cfg.fault_model, golden.cycles),
+        campaign_population(
+            setup.arch,
+            structure,
+            cfg.fault_model,
+            setup.golden().cycles,
+        ),
         outcomes.len() as u64,
         cfg.convergence,
     );
     for &o in outcomes {
-        monitor.observe(o, hook);
+        monitor.observe(o, ctx.hook);
     }
-    monitor.finish(hook);
+    monitor.finish(ctx.hook);
 }
 
 /// The rung label of the per-injection telemetry: the ladder index the
@@ -272,7 +279,7 @@ fn record_worker<H: TelemetryHook>(
     injections: usize,
     busy_us: u64,
 ) {
-    let hook = shared.hook;
+    let hook = shared.ctx.hook;
     if let Some(prefix) = shared.span_prefix.as_deref() {
         hook.span(
             &SpanRecord::new(
@@ -321,22 +328,11 @@ fn replay_scalar<O: SimObserver, H: TelemetryHook>(
     obs: &mut O,
     busy_us: &mut u64,
 ) -> Result<Outcome, SimError> {
-    let hook = shared.hook;
+    let hook = shared.ctx.hook;
     let faults = shared.group(i);
-    let rung = shared.ladder.nearest_indexed(faults[0].cycle);
+    let rung = shared.ctx.setup.ladder().nearest_indexed(faults[0].cycle);
     let injection_started = H::ENABLED.then(Instant::now);
-    let outcome = classify_on(
-        gpu,
-        shared.arch,
-        shared.workload,
-        shared.golden,
-        faults,
-        shared.cfg.watchdog_factor,
-        shared.early_exit,
-        rung.map(|(_, ck)| ck),
-        obs,
-        hook,
-    )?;
+    let outcome = classify_on(&shared.ctx, gpu, faults, rung.map(|(_, ck)| ck), obs)?;
     if let Some(injection_started) = injection_started {
         let rung = rung_label(rung.map(|(idx, _)| idx));
         let elapsed = injection_started.elapsed();
@@ -371,22 +367,12 @@ fn replay_batch<H: TelemetryHook>(
     worker: usize,
     busy_us: &mut u64,
 ) -> Result<Vec<Outcome>, SimError> {
-    let hook = shared.hook;
+    let (hook, ladder) = (shared.ctx.hook, shared.ctx.setup.ladder());
     let first = unit[0];
-    let rung = shared.ladder.nearest_indexed(shared.sites[first].cycle);
+    let rung = ladder.nearest_indexed(shared.sites[first].cycle);
     let batch_sites: Vec<FaultSite> = unit.iter().map(|&i| shared.sites[i]).collect();
     let batch_started = H::ENABLED.then(Instant::now);
-    let rep = classify_batch_on(
-        gpu,
-        shared.arch,
-        shared.workload,
-        shared.golden,
-        &batch_sites,
-        shared.cfg.watchdog_factor,
-        shared.early_exit,
-        rung.map(|(_, ck)| ck),
-        hook,
-    )?;
+    let rep = classify_batch_on(&shared.ctx, gpu, &batch_sites, rung.map(|(_, ck)| ck))?;
     if let Some(batch_started) = batch_started {
         let elapsed = batch_started.elapsed();
         hook.count("campaign_batches_total", 1);
@@ -452,7 +438,8 @@ fn worker_loop<H: TelemetryHook>(
     let started = H::ENABLED.then(Instant::now);
     // The worker's private device: checkpoint resumes overwrite it in
     // place, so the allocation is paid once per worker, not per replay.
-    let mut gpu = Gpu::new(shared.arch.clone());
+    let setup = shared.ctx.setup;
+    let mut gpu = Gpu::new(setup.arch.clone());
     let mut done: Vec<Done> = Vec::new();
     let mut busy_us: u64 = 0;
     for unit in shared.units.iter().skip(worker).step_by(jobs) {
@@ -464,16 +451,19 @@ fn worker_loop<H: TelemetryHook>(
             }
             &Unit::Traced(i) => {
                 let site = shared.sites[i];
-                let resume_cycle = shared.ladder.nearest(site.cycle).map_or(0, |ck| ck.cycle());
+                let resume_cycle = setup
+                    .ladder()
+                    .nearest(site.cycle)
+                    .map_or(0, |ck| ck.cycle());
                 let mut tracer = TraceObserver::new(
                     site,
-                    shared.arch.num_sms as usize,
-                    shared.golden_writes,
+                    setup.arch.num_sms as usize,
+                    setup.golden_writes().unwrap_or_default(),
                     resume_cycle,
                 );
                 let outcome =
                     replay_scalar(shared, &mut gpu, i, worker, &mut tracer, &mut busy_us)?;
-                done.push((i, outcome, Some(tracer.into_record(shared.arch.lds_banks))));
+                done.push((i, outcome, Some(tracer.into_record(setup.arch.lds_banks))));
             }
             Unit::Batch(unit) => {
                 let outcomes = replay_batch(shared, &mut gpu, unit, worker, &mut busy_us)?;
@@ -528,172 +518,166 @@ fn work_units(sites: &[FaultSite], order: &[usize], batch: bool, traced: bool) -
     units
 }
 
-/// Replays every injection of `sites` (armed per `arming`), fanning the
-/// work out over `cfg.threads` workers, and returns the outcomes **in
-/// injection order** — bit-identical to a sequential run at any job
-/// count — plus, for a traced run, one [`TraceRecord`] per injection in
-/// the same order (empty otherwise).
-///
-/// With an `oracle`, single sites whose fault cycle falls outside every
-/// live interval of their word are pre-classified as `Masked` *before*
-/// the fan-out — serially, so the replayed set is a pure function of
-/// the inputs and the determinism contract is untouched. Each pruned
-/// site still produces the full per-injection telemetry (a zero-latency
-/// sample, an `outcome="masked"` count and a `rung="pruned"` hit), so
-/// hooked totals account for every sampled site at any pruning rate.
-///
-/// Without an oracle, `cfg.early_exit` arms a [`MaskProbe`]
-/// (`simt_sim::MaskProbe`) per untraced single-site replay that
-/// abandons the run as `Masked` at the first clean erasure of the
-/// unread flipped word. Under an oracle the probe stays off: every
-/// surviving site is read before its first clean overwrite, so the
-/// probe could never fire and would only slow the replay loop down. A
-/// traced replay never exits early either: the flight recorder wants
-/// the full propagation timeline.
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications. When
-/// several workers fail, the error of the lowest-numbered worker wins,
-/// keeping even the failure mode deterministic.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_sites<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
-    sites: &[FaultSite],
-    arming: Arming<'_>,
-    cfg: CampaignConfig,
-    ladder: &CheckpointLadder,
-    oracle: Option<&LifetimeOracle>,
-    hook: &H,
-) -> Result<(Vec<Outcome>, Vec<TraceRecord>), SimError> {
-    let (width, golden_writes) = match arming {
-        Arming::Groups(width) => (width.max(1), &[][..]),
-        Arming::Traced(writes) => (1, writes),
-    };
-    let traced = matches!(arming, Arming::Traced(_));
-    debug_assert_eq!(sites.len() % width, 0, "sites come in whole groups");
-    let n = sites.len() / width;
-    // Pruning, batching and early exit reason about one flipped word,
-    // and the flight recorder wants every replay's full timeline.
-    let oracle = oracle.filter(|_| width == 1 && !traced);
-    // Serial pre-classification: pruned sites keep their pre-filled
-    // `Masked` slot and never reach a worker.
-    let span_prefix = replay_span_prefix::<H>(arch, workload, sites);
-    let mut outcomes = vec![Outcome::Masked; n];
-    let live: Vec<usize> = match oracle {
-        Some(oracle) => {
-            let prune_started = H::SPANS.then(Instant::now);
-            let live: Vec<usize> = (0..n).filter(|&i| !oracle.is_dead(sites[i])).collect();
-            if let (Some(prune_started), Some(prefix)) = (prune_started, span_prefix.as_deref()) {
-                hook.span(
-                    &SpanRecord::new(format!("{prefix}/prune"), 0, 0, prune_started)
-                        .tag("pruned", n - live.len())
-                        .tag("total", n),
-                );
-            }
-            if H::ENABLED {
-                let pruned = (n - live.len()) as u64;
-                if pruned > 0 {
-                    hook.count("campaign_pruned_total", pruned);
-                    hook.count("campaign_injections_total{outcome=\"masked\"}", pruned);
-                    // Only transient sites can be pruned (the oracle is
-                    // kind-gated), so the kind label is unconditional.
-                    hook.count(
-                        "campaign_injections_by_kind_total{kind=\"transient\"}",
-                        pruned,
-                    );
-                    hook.count("campaign_rung_hits_total{rung=\"pruned\"}", pruned);
-                    // Saturate: a long golden run times a large pruned
-                    // count can clear u64::MAX, and a wrapped counter
-                    // would report absurd savings instead of a floor.
-                    hook.count(
-                        "campaign_cycles_saved_total",
-                        pruned.saturating_mul(golden.cycles),
-                    );
-                    for _ in 0..pruned {
-                        hook.observe("campaign_injection_seconds", 0.0);
-                    }
-                }
-            }
-            live
-        }
-        None => (0..n).collect(),
-    };
-    let mut order = live;
-    order.sort_by_key(|&i| (sites[i * width].cycle, i));
-    // Bit-plane batching is kind-gated like pruning — only the
-    // transient model batches (the overlay lane model assumes a
-    // one-shot flip).
-    let batch = cfg.batch && cfg.fault_model == FaultModelKind::Transient && width == 1;
-    let units = work_units(sites, &order, batch, traced);
-    let jobs = cfg.threads.max(1).min(units.len().max(1));
-    if H::ENABLED {
-        hook.gauge("campaign_workers", jobs as f64);
-    }
-    let shared = ReplayShared {
-        arch,
-        workload,
-        golden,
-        sites,
-        width,
-        golden_writes,
-        units: &units,
-        cfg,
-        ladder,
-        early_exit: cfg.early_exit && oracle.is_none() && !traced,
-        span_prefix,
-        hook,
-    };
-    let replay_started = H::SPANS.then(Instant::now);
-    let per_worker = fan_out(jobs, |w| worker_loop(&shared, w, jobs))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    if let (Some(replay_started), Some(prefix)) = (replay_started, shared.span_prefix.as_deref()) {
-        hook.span(
-            &SpanRecord::new(format!("{prefix}/replay"), 0, 1, replay_started)
-                .tag("sites", order.len()),
+impl Campaign<'_> {
+    /// Replays every injection of `sites` (armed per `arming`) against
+    /// this setup, fanning the work out over `cfg.threads` workers, and
+    /// returns the outcomes **in injection order** — bit-identical to a
+    /// sequential run at any job count — plus, for a traced run, one
+    /// [`TraceRecord`] per injection in the same order.
+    ///
+    /// With `cfg.prune` and an oracle ([`Campaign::oracle`]), single sites
+    /// whose fault cycle falls outside every live interval of their word are
+    /// pre-classified as `Masked` *before* the fan-out — serially, so the
+    /// replayed set is a pure function of the inputs and the determinism
+    /// contract is untouched. [`Replayed::pruned`] counts them. Each
+    /// pruned site still produces the full per-injection telemetry (a
+    /// zero-latency sample, an `outcome="masked"` count and a
+    /// `rung="pruned"` hit), so hooked totals account for every sampled
+    /// site at any pruning rate.
+    ///
+    /// Without an oracle, `cfg.early_exit` arms a [`MaskProbe`]
+    /// (`simt_sim::MaskProbe`) per untraced single-site replay that
+    /// abandons the run as `Masked` at the first clean erasure of the
+    /// unread flipped word. Under an oracle the probe stays off: every
+    /// surviving site is read before its first clean overwrite, so the
+    /// probe could never fire and would only slow the replay loop down. A
+    /// traced replay never exits early either: the flight recorder wants
+    /// the full propagation timeline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay failures that are not fault classifications. When
+    /// several workers fail, the error of the lowest-numbered worker wins,
+    /// keeping even the failure mode deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a traced run when the setup did not capture the golden
+    /// write log ([`crate::campaign::Capture::writes`]).
+    pub(crate) fn replay_with<H: TelemetryHook>(
+        &self,
+        sites: &[FaultSite],
+        arming: Arming,
+        cfg: CampaignConfig,
+        hook: &H,
+    ) -> Result<Replayed, SimError> {
+        let (width, traced) = match arming {
+            Arming::Groups(width) => (width.max(1), false),
+            Arming::Traced => (1, true),
+        };
+        assert!(
+            !traced || self.golden_writes().is_some(),
+            "a traced replay needs the golden write log (Capture::writes)"
         );
-    }
-    let merge_started = H::SPANS.then(Instant::now);
-    let mut records: Vec<Option<TraceRecord>> = vec![None; if traced { n } else { 0 }];
-    for (i, o, record) in per_worker.into_iter().flatten() {
-        outcomes[i] = o;
-        if record.is_some() {
-            records[i] = record;
+        debug_assert_eq!(sites.len() % width, 0, "sites come in whole groups");
+        let n = sites.len() / width;
+        // Pruning, batching and early exit reason about one flipped word,
+        // and the flight recorder wants every replay's full timeline.
+        let oracle = self.oracle().filter(|_| cfg.prune && width == 1 && !traced);
+        let ctx = self.context(&cfg, cfg.early_exit && oracle.is_none() && !traced, hook);
+        // Serial pre-classification: pruned sites keep their pre-filled
+        // `Masked` slot and never reach a worker.
+        let span_prefix = replay_span_prefix(&ctx, sites);
+        let mut outcomes = vec![Outcome::Masked; n];
+        let prune_started = H::SPANS.then(Instant::now);
+        let mut order: Vec<usize> = (0..n)
+            .filter(|&i| !oracle.is_some_and(|o| o.is_dead(sites[i])))
+            .collect();
+        let pruned = (n - order.len()) as u64;
+        if let (Some(_), Some(started), Some(prefix)) =
+            (oracle, prune_started, span_prefix.as_deref())
+        {
+            hook.span(
+                &SpanRecord::new(format!("{prefix}/prune"), 0, 0, started)
+                    .tag("pruned", pruned)
+                    .tag("total", n),
+            );
         }
+        if H::ENABLED && pruned > 0 {
+            hook.count("campaign_pruned_total", pruned);
+            hook.count("campaign_injections_total{outcome=\"masked\"}", pruned);
+            // Only transient sites can be pruned (the oracle is
+            // kind-gated), so the kind label is unconditional.
+            hook.count(
+                "campaign_injections_by_kind_total{kind=\"transient\"}",
+                pruned,
+            );
+            hook.count("campaign_rung_hits_total{rung=\"pruned\"}", pruned);
+            // Saturate: a long golden run times a large pruned count can
+            // clear u64::MAX, and a wrapped counter would report absurd
+            // savings instead of a floor.
+            hook.count(
+                "campaign_cycles_saved_total",
+                pruned.saturating_mul(self.golden().cycles),
+            );
+            for _ in 0..pruned {
+                hook.observe("campaign_injection_seconds", 0.0);
+            }
+        }
+        order.sort_by_key(|&i| (sites[i * width].cycle, i));
+        // Bit-plane batching is kind-gated like pruning — only the
+        // transient model batches (the overlay lane model assumes a
+        // one-shot flip).
+        let batch = cfg.batch && cfg.fault_model == FaultModelKind::Transient && width == 1;
+        let units = work_units(sites, &order, batch, traced);
+        let jobs = cfg.threads.max(1).min(units.len().max(1));
+        if H::ENABLED {
+            hook.gauge("campaign_workers", jobs as f64);
+        }
+        let shared = ReplayShared {
+            ctx,
+            sites,
+            width,
+            units: &units,
+            span_prefix,
+        };
+        let replay_started = H::SPANS.then(Instant::now);
+        let per_worker = fan_out(jobs, |w| worker_loop(&shared, w, jobs))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let span_prefix = shared.span_prefix.as_deref();
+        if let (Some(replay_started), Some(prefix)) = (replay_started, span_prefix) {
+            hook.span(
+                &SpanRecord::new(format!("{prefix}/replay"), 0, 1, replay_started)
+                    .tag("sites", order.len()),
+            );
+        }
+        let merge_started = H::SPANS.then(Instant::now);
+        let mut records: Vec<Option<TraceRecord>> = vec![None; if traced { n } else { 0 }];
+        for (i, o, record) in per_worker.into_iter().flatten() {
+            outcomes[i] = o;
+            if record.is_some() {
+                records[i] = record;
+            }
+        }
+        if let (Some(merge_started), Some(prefix)) = (merge_started, span_prefix) {
+            hook.span(&SpanRecord::new(
+                format!("{prefix}/merge"),
+                0,
+                2,
+                merge_started,
+            ));
+        }
+        if let Some(first) = sites.first() {
+            stream_convergence(&shared.ctx, first.structure, cfg, &outcomes);
+        }
+        let records = records
+            .into_iter()
+            .map(|r| r.expect("a traced run replays every injection"))
+            .collect();
+        Ok(Replayed {
+            outcomes,
+            records,
+            pruned,
+            early_exit: shared.ctx.early_exit,
+        })
     }
-    if let (Some(merge_started), Some(prefix)) = (merge_started, shared.span_prefix.as_deref()) {
-        hook.span(&SpanRecord::new(
-            format!("{prefix}/merge"),
-            0,
-            2,
-            merge_started,
-        ));
-    }
-    if let Some(first) = sites.first() {
-        stream_convergence(
-            arch,
-            workload,
-            golden,
-            first.structure,
-            cfg,
-            &outcomes,
-            hook,
-        );
-    }
-    let records = records
-        .into_iter()
-        .map(|r| r.expect("a traced run replays every injection"))
-        .collect();
-    Ok((outcomes, records))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{golden_run, sample_sites};
+    use crate::campaign::Capture;
     use gpu_archs::quadro_fx_5600;
     use gpu_workloads::VectorAdd;
     use grel_telemetry::{MetricsRegistry, NoopHook, RegistryHook};
@@ -707,103 +691,45 @@ mod tests {
         }
     }
 
-    fn outcomes_at(jobs: usize) -> Vec<Outcome> {
+    /// Replays `c.injections` register-file sites on a fresh setup with
+    /// no oracle, through `hook`.
+    fn replay<H: TelemetryHook>(c: CampaignConfig, hook: &H) -> Replayed {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 11);
-        let golden = golden_run(&arch, &w).unwrap();
-        let c = cfg(24, jobs);
-        let sites = sample_sites(
-            &arch,
-            Structure::VectorRegisterFile,
-            golden.cycles,
-            c.injections,
-            c.seed,
-        );
-        let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
-        replay_sites(
-            &arch,
-            &w,
-            &golden,
-            &sites,
-            Arming::Groups(1),
-            c,
-            &ladder,
-            None,
-            &NoopHook,
-        )
-        .unwrap()
-        .0
+        let setup = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook).unwrap();
+        let sites = setup.sample(Structure::VectorRegisterFile, &c);
+        setup
+            .replay_with(&sites, Arming::Groups(1), c, hook)
+            .unwrap()
     }
 
     #[test]
     fn outcome_order_is_job_count_invariant() {
-        let one = outcomes_at(1);
+        let one = replay(cfg(24, 1), &NoopHook).outcomes;
         for jobs in [2, 3, 5, 8] {
-            assert_eq!(one, outcomes_at(jobs), "jobs = {jobs}");
+            assert_eq!(
+                one,
+                replay(cfg(24, jobs), &NoopHook).outcomes,
+                "jobs = {jobs}"
+            );
         }
     }
 
     #[test]
     fn oversubscribed_pool_clamps_to_site_count() {
         // 64 workers over 6 sites must not panic or drop outcomes.
-        let arch = quadro_fx_5600();
-        let w = VectorAdd::new(256, 11);
-        let golden = golden_run(&arch, &w).unwrap();
-        let c = cfg(6, 64);
-        let sites = sample_sites(
-            &arch,
-            Structure::VectorRegisterFile,
-            golden.cycles,
-            c.injections,
-            c.seed,
-        );
-        let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
-        let (out, _) = replay_sites(
-            &arch,
-            &w,
-            &golden,
-            &sites,
-            Arming::Groups(1),
-            c,
-            &ladder,
-            None,
-            &NoopHook,
-        )
-        .unwrap();
+        let out = replay(cfg(6, 64), &NoopHook).outcomes;
         assert_eq!(out.len(), 6);
     }
 
     #[test]
     fn per_worker_metrics_cover_every_injection() {
-        let arch = quadro_fx_5600();
-        let w = VectorAdd::new(256, 11);
-        let golden = golden_run(&arch, &w).unwrap();
         let mut c = cfg(12, 3);
         // Scalar replay only: batching would merge these few transient
         // sites into one unit and clamp the pool to a single worker.
         c.batch = false;
-        let sites = sample_sites(
-            &arch,
-            Structure::VectorRegisterFile,
-            golden.cycles,
-            c.injections,
-            c.seed,
-        );
-        let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
         let reg = MetricsRegistry::new();
-        let hook = RegistryHook::new(&reg);
-        replay_sites(
-            &arch,
-            &w,
-            &golden,
-            &sites,
-            Arming::Groups(1),
-            c,
-            &ladder,
-            None,
-            &hook,
-        )
-        .unwrap();
+        replay(c, &RegistryHook::new(&reg));
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("campaign_workers"), Some(3.0));
         let per_worker: u64 = snap
@@ -817,5 +743,30 @@ mod tests {
             3,
             "one wall-time sample per worker"
         );
+    }
+
+    #[test]
+    fn pruning_keeps_outcomes_and_reports_its_count() {
+        let arch = quadro_fx_5600();
+        let w = VectorAdd::new(256, 11);
+        let c = cfg(48, 2);
+        let setup = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook).unwrap();
+        let oracle = setup
+            .oracle()
+            .expect("a pruning campaign captures the oracle");
+        let sites = setup.sample(Structure::VectorRegisterFile, &c);
+        let pruned = setup
+            .replay_with(&sites, Arming::Groups(1), c, &NoopHook)
+            .unwrap();
+        let full_cfg = CampaignConfig { prune: false, ..c };
+        let full = setup
+            .replay_with(&sites, Arming::Groups(1), full_cfg, &NoopHook)
+            .unwrap();
+        assert_eq!(pruned.outcomes, full.outcomes, "pruning is exact");
+        let dead = sites.iter().filter(|&&s| oracle.is_dead(s)).count() as u64;
+        assert!(dead > 0, "vectoradd leaves dead register-file sites");
+        assert_eq!(pruned.pruned, dead);
+        assert_eq!(full.pruned, 0);
+        assert!(!pruned.early_exit && full.early_exit);
     }
 }

@@ -818,13 +818,9 @@ impl Campaign<'_> {
             if round_sites.is_empty() {
                 break;
             }
-            let (outcomes, _) =
-                self.replay_with(&round_sites, Arming::Groups(1), round_cfg, hook)?;
-            let round_replayed = match self.pruner(&cfg) {
-                Some(o) => round_sites.iter().filter(|&&s| !o.is_dead(s)).count() as u64,
-                None => round_sites.len() as u64,
-            };
-            for (&h, &o) in site_stratum.iter().zip(&outcomes) {
+            let replay = self.replay_with(&round_sites, Arming::Groups(1), round_cfg, hook)?;
+            let round_replayed = round_sites.len() as u64 - replay.pruned;
+            for (&h, &o) in site_stratum.iter().zip(&replay.outcomes) {
                 strata[h].seen += 1;
                 strata[h].tally.add(o);
                 monitor.observe(o, &NoopHook);
