@@ -77,8 +77,7 @@ use grel_telemetry::{
     TeeSink,
 };
 use simt_sim::{
-    ArchConfig, FaultKind, FaultModelKind, Gpu, HotspotObserver, SchedulerPolicy, SimError,
-    Structure,
+    ArchConfig, FaultModelKind, Gpu, HotspotObserver, SchedulerPolicy, SimError, Structure,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -1111,33 +1110,6 @@ fn trace_site(
     };
     let arch = &archs[0];
     let workload = workloads[0].as_ref();
-    if matches!(site.kind, FaultKind::Control(_)) {
-        // Control sites index a warp-scheduler slot, not a storage word.
-        if site.word >= arch.max_warps_per_sm {
-            log.error(&format!(
-                "warp slot {} out of range: {} has {} warp slots per SM",
-                site.word, arch.name, arch.max_warps_per_sm
-            ));
-            return ExitCode::FAILURE;
-        }
-    } else {
-        let words = match site.structure {
-            Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-            Structure::LocalMemory => arch.lds_words_per_sm(),
-            Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-        };
-        if words == 0 {
-            log.error(&format!("{} has no {}", arch.name, site.structure));
-            return ExitCode::FAILURE;
-        }
-        if site.word >= words {
-            log.error(&format!(
-                "word {} out of range: {} has {} {} words per SM",
-                site.word, arch.name, words, site.structure
-            ));
-            return ExitCode::FAILURE;
-        }
-    }
     log.info(&format!(
         "tracing {} on {} / {}",
         site,

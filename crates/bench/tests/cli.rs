@@ -351,3 +351,30 @@ fn device_filter_matches_microarchitecture_name() {
     assert!(out.contains("HD Radeon 7970"), "{out}");
     assert!(!out.contains("GTX 480"), "{out}");
 }
+
+#[test]
+fn trace_rejects_a_site_off_the_device() {
+    // The GTX 480 has 15 SMs: sm 16 is no site, not an alias of sm 1.
+    let out = repro()
+        .args([
+            "trace",
+            "--site",
+            "16:rf:40:30:100",
+            "--smoke",
+            "--workload",
+            "reduction",
+            "--device",
+            "480",
+        ])
+        .output()
+        .unwrap();
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}\n{stderr}");
+    assert!(stderr.contains("sm 16 out of range"), "{stderr}");
+    assert!(stderr.contains("15 SMs (0..15)"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stdout.contains("outcome:"), "{stdout}");
+}

@@ -59,13 +59,15 @@ fn slot(s: Structure) -> usize {
     }
 }
 
-/// The table entry of one physical word: `(wrote_at, last_read, tail)`,
-/// the cycle the open value was written (or the launch start, for a read
-/// of launch-zeroed contents), its last read so far, and the position in
-/// the interval log of the word's latest live interval. Each is stored
-/// plus one, so zero means "none" and a fresh table is zeroed memory the
-/// allocator hands out untouched: words a run never uses cost nothing.
-type Word = (u64, u64, u32);
+/// The table entry of one physical word: `(wrote_at, last_read, tail,
+/// retired)`, the cycle the open value was written (or the launch start,
+/// for a read of launch-zeroed contents), its last read so far, the
+/// position in the interval log of the word's latest live interval, and
+/// the retirement of the value's block when nothing has read or written
+/// the word since. Each is stored plus one, so zero means "none" and a
+/// fresh table is zeroed memory the allocator hands out untouched: words
+/// a run never uses cost nothing.
+type Word = (u64, u64, u32, u64);
 
 /// A closed live interval `lo..=hi` of the word at `sm * words_per_sm +
 /// word`.
@@ -82,8 +84,7 @@ struct Tracker {
     words: Vec<Word>,
     words_per_sm: u32,
     total_words: u64,
-    /// Words opened since the last flush, the only ones a flush closes
-    /// (a word reopened after a block retirement appears twice).
+    /// Words opened since the last flush, the only ones a flush closes.
     opened: Vec<u32>,
     /// Live intervals in close order, merged per word as they close.
     log: Option<Vec<Span>>,
@@ -98,7 +99,7 @@ impl Tracker {
     fn new(words_per_sm: u32, num_sms: u32, log: bool) -> Self {
         let total = words_per_sm as usize * num_sms as usize;
         Tracker {
-            words: vec![(0, 0, 0); total],
+            words: vec![(0, 0, 0, 0); total],
             words_per_sm,
             total_words: total as u64,
             log: log.then(Vec::new),
@@ -115,23 +116,25 @@ impl Tracker {
 
     /// Ends the value in word `i` at `cycle`.
     ///
-    /// Conservative ACE counts `[wrote_at, cycle)`; a value that is read
-    /// counts `(wrote_at, last_read]` in refined ACE and is live over the
-    /// same cycles to the oracle. Launch-rooted values (dispatch preloads
-    /// and launch-zeroed contents) are vulnerable *at* the launch-start
-    /// cycle too: the per-launch storage reset and preloads precede fault
-    /// application within that cycle, so a flip at the boundary lands on
-    /// the value. A later write lands after fault application, so a flip
-    /// at its own cycle is clobbered. Refined bit-cycles therefore equal
-    /// the oracle's live bit-cycles.
+    /// Conservative ACE counts `[wrote_at, cycle)`, or up to the
+    /// retirement of the value's block if that came first; a value that
+    /// is read counts `(wrote_at, last_read]` in refined ACE and is live
+    /// over the same cycles to the oracle. Launch-rooted values (dispatch
+    /// preloads and launch-zeroed contents) are vulnerable *at* the
+    /// launch-start cycle too: the per-launch storage reset and preloads
+    /// precede fault application within that cycle, so a flip at the
+    /// boundary lands on the value. A later write lands after fault
+    /// application, so a flip at its own cycle is clobbered. Refined
+    /// bit-cycles therefore equal the oracle's live bit-cycles.
     fn close(&mut self, i: usize, cycle: u64, launch_start: u64) {
         let w = &mut self.words[i];
         let Some(wrote_at) = w.0.checked_sub(1) else {
             return;
         };
         let last_read = w.1.checked_sub(1);
-        (w.0, w.1) = (0, 0);
-        self.conservative_word_cycles += cycle.saturating_sub(wrote_at);
+        let held_until = w.3.checked_sub(1).unwrap_or(cycle);
+        (w.0, w.1, w.3) = (0, 0, 0);
+        self.conservative_word_cycles += held_until.saturating_sub(wrote_at);
         let Some(last_read) = last_read else {
             return; // never read: a dead value
         };
@@ -170,13 +173,23 @@ impl Tracker {
             w.0 = launch_start + 1;
             self.opened.push(i as u32);
         }
-        w.1 = cycle + 1;
+        // Storage is zeroed only per launch, so a read after the block
+        // retired consumes the retired value: it stays one value, held
+        // as if the block had never retired.
+        (w.1, w.3) = (cycle + 1, 0);
     }
 
-    fn free_region(&mut self, sm: u32, base: u32, len: u32, cycle: u64, launch_start: u64) {
+    /// Marks the open values of a retiring block's region. They stay
+    /// open: the next write or launch boundary closes them, and until a
+    /// read proves otherwise conservative ACE holds them only up to the
+    /// retirement.
+    fn free_region(&mut self, sm: u32, base: u32, len: u32, cycle: u64) {
         for w in base..base.saturating_add(len).min(self.words_per_sm) {
             if let Some(i) = self.idx(sm, w) {
-                self.close(i, cycle, launch_start);
+                let w = &mut self.words[i];
+                if w.0 != 0 && w.3 == 0 {
+                    w.3 = cycle + 1;
+                }
             }
         }
     }
@@ -504,7 +517,7 @@ impl SimObserver for AceAnalyzer {
         for (t, (base, len)) in self.trackers.iter_mut().zip(regions) {
             t.occupancy_tick(cycle);
             t.allocated -= len as u64;
-            t.free_region(sm, base, len, cycle, self.launch_start);
+            t.free_region(sm, base, len, cycle);
         }
     }
     fn on_launch_begin(&mut self, _name: &str, cycle: u64) {
@@ -796,6 +809,44 @@ mod tests {
             a.report(Structure::VectorRegisterFile).ace_bit_cycles,
             30 * 32
         );
+    }
+
+    #[test]
+    fn a_read_after_block_retirement_continues_the_retired_value() {
+        // Storage is zeroed per launch, not per block: the read at 30
+        // consumes the value written at 10 by the retired block.
+        let block = BlockRegions {
+            rf_base: 0,
+            rf_len: 8,
+            ..Default::default()
+        };
+        let drive = |obs: &mut dyn SimObserver| {
+            obs.on_launch_begin("k", 0);
+            obs.on_block_dispatch(0, block, 0);
+            obs.on_rf_write(0, 3, 10);
+            obs.on_rf_read(0, 3, 12);
+            obs.on_block_retire(0, block, 20);
+            obs.on_block_dispatch(0, block, 25);
+            obs.on_rf_read(0, 3, 30);
+            obs.on_block_retire(0, block, 35);
+            obs.on_launch_end(40);
+        };
+        let (mut r, mut c) = (refined(), conservative());
+        let mut oracle = LifetimeOracle::new(&ArchConfig::small_test_gpu());
+        drive(&mut r);
+        drive(&mut c);
+        drive(&mut oracle);
+        // Flips in (10, 30] are read: 20 word-cycles, as the oracle says.
+        let rf = Structure::VectorRegisterFile;
+        assert_eq!(oracle.live_bit_cycles(rf), 20 * 32);
+        assert_eq!(r.report(rf).ace_bit_cycles, 20 * 32);
+        assert!(
+            !oracle.is_dead(rf_site(3, 15)),
+            "a flip before the retirement is read at 30"
+        );
+        assert!(oracle.is_dead(rf_site(3, 31)));
+        // Conservative holds the value until its second block retires.
+        assert_eq!(c.report(rf).ace_bit_cycles, 25 * 32);
     }
 
     #[test]
@@ -1095,37 +1146,21 @@ mod tests {
 
     /// Turns raw `(kind, slot, sm, word, dt)` draws into a stream the
     /// simulator could emit: cycles never decrease, every block retires
-    /// before its launch ends, no read shares a cycle with a launch
-    /// boundary, and a word freed by a retirement is written before it
-    /// is read again (the lifetime rule would count such a read from the
-    /// launch start, overlapping the freed value). SMs and words run past
-    /// the device so that out-of-range events occur too.
+    /// before its launch ends, and no read shares a cycle with a launch
+    /// boundary. SMs and words run past the device so that out-of-range
+    /// events occur too.
     fn stream(raw: &[(u8, usize, u32, u32, u64)]) -> Vec<Ev> {
         let mut evs = vec![Ev::Begin(0)];
         let (mut cycle, mut launch) = (0, 0);
         let mut blocks: Vec<(u32, BlockRegions)> = Vec::new();
-        let mut freed = std::collections::HashSet::new();
-        let retire = |evs: &mut Vec<Ev>, freed: &mut std::collections::HashSet<_>, sm, r, c| {
-            for s in 0..3 {
-                let (base, len) = region(r, s);
-                freed.extend((base..base + len).map(|w| (s, sm, w)));
-            }
-            evs.push(Ev::Retire(sm, r, c));
-        };
         for (n, &(kind, s, sm, word, dt)) in raw.iter().enumerate() {
             cycle += dt;
             match kind {
                 0..=3 => {
                     cycle = cycle.max(launch + 1);
-                    evs.push(match freed.remove(&(s, sm, word)) {
-                        true => Ev::Write(s, sm, word, cycle),
-                        false => Ev::Read(s, sm, word, cycle),
-                    });
+                    evs.push(Ev::Read(s, sm, word, cycle));
                 }
-                4..=6 => {
-                    freed.remove(&(s, sm, word));
-                    evs.push(Ev::Write(s, sm, word, cycle));
-                }
+                4..=6 => evs.push(Ev::Write(s, sm, word, cycle)),
                 7 | 8 => {
                     let r = BlockRegions {
                         rf_base: word,
@@ -1141,26 +1176,21 @@ mod tests {
                 9 | 10 if !blocks.is_empty() => {
                     cycle = cycle.max(launch + 1);
                     let (bsm, r) = blocks.remove(word as usize % blocks.len());
-                    retire(&mut evs, &mut freed, bsm, r, cycle);
+                    evs.push(Ev::Retire(bsm, r, cycle));
                 }
                 11 => {
                     cycle = cycle.max(launch) + 1;
-                    for (bsm, r) in blocks.drain(..) {
-                        retire(&mut evs, &mut freed, bsm, r, cycle);
-                    }
+                    evs.extend(blocks.drain(..).map(|(bsm, r)| Ev::Retire(bsm, r, cycle)));
                     evs.push(Ev::End(cycle));
                     cycle += dt;
                     launch = cycle;
-                    freed.clear();
                     evs.push(Ev::Begin(cycle));
                 }
                 _ => {}
             }
         }
         cycle = cycle.max(launch) + 1;
-        for (bsm, r) in blocks.drain(..) {
-            retire(&mut evs, &mut freed, bsm, r, cycle);
-        }
+        evs.extend(blocks.drain(..).map(|(bsm, r)| Ev::Retire(bsm, r, cycle)));
         evs.push(Ev::End(cycle));
         evs
     }
@@ -1192,20 +1222,25 @@ mod tests {
 
     impl WordModel<'_> {
         /// `Some(is_read)` when event `e` reads (`true`) or clobbers
-        /// (`false`) this word: a write, its block's retirement, or a
-        /// launch boundary.
+        /// (`false`) this word: a write or a launch boundary. A block
+        /// retirement clobbers nothing (storage is reset per launch).
         fn touch(&self, e: Ev) -> Option<bool> {
             let me = |s, sm, w| (s, sm, w) == (self.s, self.sm, self.word);
             match e {
                 Ev::Read(s, sm, w, _) if me(s, sm, w) => Some(true),
                 Ev::Write(s, sm, w, _) if me(s, sm, w) => Some(false),
-                Ev::Retire(sm, r, _) if sm == self.sm => {
-                    let (base, len) = region(r, self.s);
-                    (base..base + len).contains(&self.word).then_some(false)
-                }
                 Ev::Begin(_) | Ev::End(_) => Some(false),
                 _ => None,
             }
+        }
+
+        /// Whether `e` retires a block whose region holds this word.
+        fn frees(&self, e: Ev) -> bool {
+            let Ev::Retire(sm, r, _) = e else {
+                return false;
+            };
+            let (base, len) = region(r, self.s);
+            sm == self.sm && (base..base + len).contains(&self.word)
         }
 
         /// Whether a flip at `cycle` is read before it is clobbered. The
@@ -1230,23 +1265,30 @@ mod tests {
 
         /// Conservative `[open, close)` windows: a write, or a read of
         /// launch-zeroed contents (open at the launch start), until the
-        /// next write, retirement or launch end.
+        /// next write or launch end — or until the block retires, unless
+        /// a later read consumes the retired value.
         fn held(&self, cycle: u64) -> bool {
-            let (mut launch, mut open) = (0, None);
+            let (mut launch, mut open, mut retired) = (0, None, None);
             for &e in self.evs {
                 let c = match e {
                     Ev::Begin(c) => {
                         launch = c;
                         continue;
                     }
-                    Ev::Read(.., c) | Ev::Write(.., c) | Ev::End(c) | Ev::Retire(.., c) => c,
-                    Ev::Dispatch(..) => continue,
+                    Ev::Retire(.., c) if open.is_some() && self.frees(e) => {
+                        retired = retired.or(Some(c));
+                        continue;
+                    }
+                    Ev::Read(.., c) | Ev::Write(.., c) | Ev::End(c) => c,
+                    Ev::Dispatch(..) | Ev::Retire(..) => continue,
                 };
                 match (self.touch(e), open) {
                     (Some(true), None) => open = Some(launch),
-                    (Some(true), Some(_)) | (None, _) => {}
+                    (Some(true), Some(_)) => retired = None,
+                    (None, _) => {}
                     (Some(false), o) => {
-                        if o.is_some_and(|o| o <= cycle && cycle < c) {
+                        let until = retired.take().unwrap_or(c);
+                        if o.is_some_and(|o| o <= cycle && cycle < until) {
                             return true;
                         }
                         open = matches!(e, Ev::Write(..)).then_some(c);

@@ -3,13 +3,13 @@
 //! deeper cuts the paper's "full scale of the study" paragraph promises
 //! for follow-up work.
 
-use crate::campaign::{structure_words, Campaign, CampaignConfig, Capture, Outcome, Tally};
+use crate::campaign::{Campaign, CampaignConfig, Capture, Outcome, Tally};
 use crate::runner::Arming;
 use gpu_workloads::Workload;
 use grel_telemetry::NoopHook;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simt_sim::{ArchConfig, FaultSite, SimError, Structure};
+use simt_sim::{ArchConfig, FaultModelKind, FaultSite, SimError, Structure};
 
 /// One injection with its classified outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,17 +192,15 @@ pub fn mbu_campaign_on(
     cfg: CampaignConfig,
 ) -> Result<Tally, SimError> {
     assert!((1..=32).contains(&width), "MBU width must be 1..=32");
-    let (arch, cycles) = (campaign.arch, campaign.golden().cycles);
-    let words = structure_words(arch, structure);
-    assert!(words > 0, "device has no {structure}");
+    let space = campaign.space(structure, FaultModelKind::Transient);
     // One flat list, `width` adjacent-bit sites per injection.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6b75);
     let mut sites = Vec::with_capacity(cfg.injections as usize * width as usize);
     for _ in 0..cfg.injections {
-        let sm = rng.gen_range(0..arch.num_sms);
-        let word = rng.gen_range(0..words);
+        let sm = rng.gen_range(0..space.sms());
+        let word = rng.gen_range(0..space.words());
         let first_bit = rng.gen_range(0..=(32 - width as u32)) as u8;
-        let cycle = rng.gen_range(0..cycles);
+        let cycle = rng.gen_range(0..space.cycles());
         sites.extend((0..width).map(|i| FaultSite::new(structure, sm, word, first_bit + i, cycle)));
     }
     let replayed = campaign.replay_with(&sites, Arming::Groups(width as usize), cfg, &NoopHook)?;

@@ -33,15 +33,13 @@
 
 use crate::ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
 use crate::runner::{Arming, Replayed};
-use crate::stats::{error_margin, fault_population, Proportion, Z_99};
+use crate::space::SiteSpace;
+use crate::stats::{error_margin, Proportion, Z_99};
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use simt_sim::{
-    ArchConfig, Checkpoint, ControlTarget, Due, FaultKind, FaultModelKind, FaultSite, GlobalWrite,
-    GlobalWriteLog, Gpu, MaskProbe, NoopObserver, Session, SessionStatus, SimError, SimObserver,
-    Structure,
+    ArchConfig, Checkpoint, Due, FaultModelKind, FaultSite, GlobalWrite, GlobalWriteLog, Gpu,
+    MaskProbe, NoopObserver, Session, SessionStatus, SimError, SimObserver, Structure,
 };
 use std::fmt;
 use std::time::Instant;
@@ -566,89 +564,7 @@ pub fn sample_sites(
     n: u32,
     seed: u64,
 ) -> Vec<FaultSite> {
-    let words = structure_words(arch, structure);
-    assert!(words > 0, "device has no {structure}");
-    assert!(cycles > 0, "cannot sample an empty execution");
-    let population = arch.num_sms as u128 * words as u128 * 32 * cycles as u128;
-    sample_flat(population, n, seed, |pick| {
-        decode_site(structure, words, cycles, pick)
-    })
-}
-
-/// Storage word count of `structure` on one SM of `arch`.
-pub(crate) fn structure_words(arch: &ArchConfig, structure: Structure) -> u32 {
-    match structure {
-        Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-        Structure::LocalMemory => arch.lds_words_per_sm(),
-        Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-    }
-}
-
-/// An incremental seed-stable partial Fisher–Yates shuffle over a flat
-/// index space: each [`FlatStream::next_index`] call extends the same
-/// uniform permutation [`sample_flat`] draws, one distinct index at a
-/// time, so a consumer can keep drawing until *its own* stopping rule
-/// fires (the adaptive sampler) while remaining bit-compatible with the
-/// fixed-`n` samplers (the first `n` indices of the stream are exactly
-/// the indices `sample_flat(population, n, seed, …)` decodes).
-///
-/// Only the displaced prefix entries are materialised in a map: the
-/// k-th draw swaps a uniform index from `[k, population)` into slot k,
-/// so the first k slots are a uniform k-permutation of distinct
-/// indices — O(1) amortised time and O(drawn) memory.
-pub(crate) struct FlatStream {
-    rng: StdRng,
-    displaced: std::collections::HashMap<u128, u128>,
-    population: u128,
-    drawn: u128,
-}
-
-impl FlatStream {
-    /// A fresh stream over `[0, population)`.
-    pub(crate) fn new(population: u128, seed: u64) -> Self {
-        FlatStream {
-            rng: StdRng::seed_from_u64(seed),
-            displaced: std::collections::HashMap::new(),
-            population,
-            drawn: 0,
-        }
-    }
-
-    /// The next distinct index of the permutation, or `None` once every
-    /// member of the population has been drawn.
-    pub(crate) fn next_index(&mut self) -> Option<u128> {
-        if self.drawn >= self.population {
-            return None;
-        }
-        let k = self.drawn;
-        let j = self.rng.gen_range(k..self.population);
-        let pick = self.displaced.get(&j).copied().unwrap_or(j);
-        let at_k = self.displaced.get(&k).copied().unwrap_or(k);
-        self.displaced.insert(j, at_k);
-        self.drawn += 1;
-        Some(pick)
-    }
-}
-
-/// Draws `min(n, population)` distinct flat indices from
-/// `[0, population)` via [`FlatStream`] and decodes each into a site.
-/// Saturates rather than panics when `n` exceeds the population: no set
-/// of more than `population` distinct sites exists, so the caller gets
-/// the exhaustive permutation instead.
-fn sample_flat(
-    population: u128,
-    n: u32,
-    seed: u64,
-    decode: impl Fn(u128) -> FaultSite,
-) -> Vec<FaultSite> {
-    let n = (n as u128).min(population) as usize;
-    let mut stream = FlatStream::new(population, seed);
-    let mut sites = Vec::with_capacity(n);
-    while sites.len() < n {
-        let pick = stream.next_index().expect("n is clamped to the population");
-        sites.push(decode(pick));
-    }
-    sites
+    SiteSpace::new(arch, structure, FaultModelKind::Transient, cycles).sample(n, seed)
 }
 
 /// Draws the deterministic fault-site list for a campaign under any
@@ -684,89 +600,7 @@ pub fn sample_model_sites(
     n: u32,
     seed: u64,
 ) -> Vec<FaultSite> {
-    match model.storage_kind() {
-        Some(kind) => sample_sites(arch, structure, cycles, n, seed)
-            .into_iter()
-            .map(|s| s.with_kind(kind))
-            .collect(),
-        None => {
-            let slots = arch.max_warps_per_sm;
-            assert!(slots > 0, "device has no warp slots");
-            assert!(cycles > 0, "cannot sample an empty execution");
-            let population = arch.num_sms as u128 * slots as u128 * 4 * 32 * cycles as u128;
-            sample_flat(population, n, seed, |pick| {
-                decode_control_site(structure, slots, cycles, pick)
-            })
-        }
-    }
-}
-
-/// Maps a flat index in `[0, sms · words · 32 · cycles)` back to the
-/// fault site it names, inverting `((sm · words + word) · 32 + bit) ·
-/// cycles + cycle`.
-pub(crate) fn decode_site(
-    structure: Structure,
-    words: u32,
-    cycles: u64,
-    mut idx: u128,
-) -> FaultSite {
-    let cycle = (idx % cycles as u128) as u64;
-    idx /= cycles as u128;
-    let bit = (idx % 32) as u8;
-    idx /= 32;
-    let word = (idx % words as u128) as u32;
-    let sm = (idx / words as u128) as u32;
-    FaultSite::new(structure, sm, word, bit, cycle)
-}
-
-/// Per-cycle control-fault site count of a device (see
-/// [`crate::stats::control_sites_per_cycle`]).
-pub(crate) fn control_population_bits(arch: &ArchConfig) -> u64 {
-    crate::stats::control_sites_per_cycle(arch.num_sms as u64, arch.max_warps_per_sm as u64)
-}
-
-/// Size of the fault-site population a campaign samples from: the
-/// universe [`sample_model_sites`] draws `(site, cycle)` pairs out of,
-/// and the `N` of every finite-population margin the campaign reports.
-///
-/// Storage models count every bit of every word of `structure` on every
-/// SM; the control model counts 4 targets × 32 bits per warp slot per
-/// SM. Both multiply by `cycles` (saturating at `u64::MAX`).
-pub fn campaign_population(
-    arch: &ArchConfig,
-    structure: Structure,
-    model: FaultModelKind,
-    cycles: u64,
-) -> u64 {
-    let structure_bits = match model {
-        // Storage models: every bit of every word of the structure.
-        FaultModelKind::Transient | FaultModelKind::Stuck0 | FaultModelKind::Stuck1 => {
-            structure_words(arch, structure) as u64 * 32 * arch.num_sms as u64
-        }
-        // Control model: 4 targets × 32 bits per warp slot per SM.
-        FaultModelKind::Control => control_population_bits(arch),
-    };
-    fault_population(structure_bits, cycles)
-}
-
-/// Maps a flat index in `[0, sms · slots · 4 · 32 · cycles)` back to the
-/// control-fault site it names, inverting
-/// `(((sm · slots + slot) · 4 + target) · 32 + bit) · cycles + cycle`.
-pub(crate) fn decode_control_site(
-    structure: Structure,
-    slots: u32,
-    cycles: u64,
-    mut idx: u128,
-) -> FaultSite {
-    let cycle = (idx % cycles as u128) as u64;
-    idx /= cycles as u128;
-    let bit = (idx % 32) as u8;
-    idx /= 32;
-    let target = ControlTarget::ALL[(idx % 4) as usize];
-    idx /= 4;
-    let slot = (idx % slots as u128) as u32;
-    let sm = (idx / slots as u128) as u32;
-    FaultSite::new(structure, sm, slot, bit, cycle).with_kind(FaultKind::Control(target))
+    SiteSpace::new(arch, structure, model, cycles).sample(n, seed)
 }
 
 /// Default cap on the simulator state a [`CheckpointLadder`] may retain.
@@ -1515,16 +1349,16 @@ impl<'a> Campaign<'a> {
             .map(|&(_, r)| r)
     }
 
+    /// The site space of a `model` campaign on `structure` against this
+    /// setup's golden run.
+    pub(crate) fn space(&self, structure: Structure, model: FaultModelKind) -> SiteSpace {
+        SiteSpace::new(self.arch, structure, model, self.golden.cycles)
+    }
+
     /// The uniform site sample of a campaign on `structure` under `cfg`.
     pub(crate) fn sample(&self, structure: Structure, cfg: &CampaignConfig) -> Vec<FaultSite> {
-        sample_model_sites(
-            self.arch,
-            structure,
-            cfg.fault_model,
-            self.golden.cycles,
-            cfg.injections,
-            cfg.seed,
-        )
+        self.space(structure, cfg.fault_model)
+            .sample(cfg.injections, cfg.seed)
     }
 
     /// The context every replay of a run under `cfg` reads. The
@@ -1604,12 +1438,11 @@ impl<'a> Campaign<'a> {
         for &o in &replayed.outcomes {
             tally.add(o);
         }
-        let golden_cycles = self.golden.cycles;
-        let population = campaign_population(self.arch, structure, cfg.fault_model, golden_cycles);
+        let population = self.space(structure, cfg.fault_model).margin_population();
         let result = CampaignResult {
             structure,
             tally,
-            golden_cycles,
+            golden_cycles: self.golden.cycles,
             population,
             margin_99: campaign_margin(population, tally.total()),
         };
@@ -1638,7 +1471,7 @@ impl<'a> Campaign<'a> {
                 .field("due", tally.due)
                 .field("hang", tally.hang)
                 .field("avf", result.avf())
-                .field("golden_cycles", golden_cycles)
+                .field("golden_cycles", result.golden_cycles)
                 .field("ladder_rungs", self.ladder.len())
                 .field("pruned", pruned)
                 .field("early_exit", replayed.early_exit)
@@ -1871,6 +1704,7 @@ mod tests {
     use super::*;
     use gpu_archs::quadro_fx_5600;
     use gpu_workloads::{Histogram, VectorAdd};
+    use simt_sim::FaultKind;
 
     fn small_cfg(n: u32) -> CampaignConfig {
         CampaignConfig {

@@ -28,12 +28,7 @@ pub const FIT_HOURS_SECONDS: f64 = 3.6e12;
 ///            8192 * 32 * 16);
 /// ```
 pub fn structure_bits(arch: &ArchConfig, structure: Structure) -> u64 {
-    let words = match structure {
-        Structure::VectorRegisterFile => arch.rf_words_per_sm(),
-        Structure::LocalMemory => arch.lds_words_per_sm(),
-        Structure::ScalarRegisterFile => arch.srf_words_per_sm(),
-    };
-    words as u64 * 32 * arch.num_sms as u64
+    arch.words_per_sm(structure) as u64 * 32 * arch.num_sms as u64
 }
 
 /// FIT of one structure given its measured AVF.

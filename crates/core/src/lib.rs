@@ -70,6 +70,7 @@ pub mod protection;
 pub mod provenance;
 pub mod runner;
 pub mod sampling;
+mod space;
 pub mod stats;
 pub mod study;
 

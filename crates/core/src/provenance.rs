@@ -18,13 +18,14 @@
 #[cfg(test)]
 use crate::campaign::golden_run;
 use crate::campaign::{
-    golden_pass, structure_words, Campaign, CampaignConfig, CampaignResult, Capture,
-    CheckpointLadder, GoldenRun, Outcome,
+    golden_pass, Campaign, CampaignConfig, CampaignResult, Capture, CheckpointLadder, GoldenRun,
+    Outcome,
 };
 use crate::runner::Arming;
+use crate::space::SiteSpace;
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
-use simt_sim::{ArchConfig, FaultSite, GlobalWrite, SimError, Structure, TraceRecord};
+use simt_sim::{ArchConfig, FaultKind, FaultSite, GlobalWrite, SimError, Structure, TraceRecord};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -157,7 +158,10 @@ impl Provenance {
             _ => None,
         };
         let masking = (outcome == Outcome::Masked).then(|| {
-            if rec.first_read.is_some() {
+            // Live state was corrupted — the flipped word was read, or a
+            // control fault hit live scheduler state — yet the output
+            // matched.
+            if rec.first_read.is_some() || rec.control_corrupt.is_some() {
                 MaskingReason::LogicallyMasked
             } else if rec.overwrite.is_some() {
                 MaskingReason::Overwritten
@@ -257,7 +261,7 @@ impl ProvenanceAggregate {
     /// cells and histograms. `structure` is the campaign's injected
     /// structure; `arch` supplies the word counts and bank geometry.
     pub fn from_records(arch: &ArchConfig, structure: Structure, records: &[Provenance]) -> Self {
-        let words = structure_words(arch, structure) as u64;
+        let words = arch.words_per_sm(structure) as u64;
         let mut agg = ProvenanceAggregate::default();
         if structure == Structure::LocalMemory {
             agg.lds_banks = vec![CellStat::default(); arch.lds_banks.max(1) as usize];
@@ -265,19 +269,26 @@ impl ProvenanceAggregate {
             agg.rf_regions = vec![CellStat::default(); RF_REGIONS];
         }
         for p in records {
-            let cell = if structure == Structure::LocalMemory {
-                let bank = (p.site.word as u64 % arch.lds_banks.max(1) as u64) as usize;
-                &mut agg.lds_banks[bank]
-            } else {
-                let region = ((p.site.word as u64 * RF_REGIONS as u64) / words.max(1)) as usize;
-                &mut agg.rf_regions[region.min(RF_REGIONS - 1)]
+            // A control site's `word` is a warp slot, not a storage cell.
+            let cell = match p.site.kind {
+                FaultKind::Control(_) => None,
+                _ if structure == Structure::LocalMemory => {
+                    let bank = (p.site.word as u64 % arch.lds_banks.max(1) as u64) as usize;
+                    Some(&mut agg.lds_banks[bank])
+                }
+                _ => {
+                    let region = ((p.site.word as u64 * RF_REGIONS as u64) / words.max(1)) as usize;
+                    Some(&mut agg.rf_regions[region.min(RF_REGIONS - 1)])
+                }
             };
-            cell.injections += 1;
-            match p.outcome {
-                Outcome::Sdc => cell.sdc += 1,
-                Outcome::Due => cell.due += 1,
-                Outcome::Hang => cell.hang += 1,
-                Outcome::Masked => {}
+            if let Some(cell) = cell {
+                cell.injections += 1;
+                match p.outcome {
+                    Outcome::Sdc => cell.sdc += 1,
+                    Outcome::Due => cell.due += 1,
+                    Outcome::Hang => cell.hang += 1,
+                    Outcome::Masked => {}
+                }
             }
             if let Some(d) = p.cycles_to_divergence {
                 bump(&mut agg.divergence_hist, log2_bucket(d));
@@ -561,21 +572,31 @@ pub struct SingleTrace {
 }
 
 /// Replays one injection with the flight recorder on and returns its
-/// provenance: the one-shot path behind `repro trace`. The golden run,
-/// its write log and the ladder the replay resumes from come from one
-/// [`Campaign`] built for this injection.
+/// provenance: the one-shot path behind `repro trace`. The golden run
+/// and its write log come from one [`Campaign`] built for this
+/// injection; it captures no checkpoint ladder, since a single replay
+/// would resume from at most one rung, so the replay starts from cycle
+/// zero.
 ///
 /// # Errors
 ///
-/// Propagates a golden-run failure or a non-DUE replay failure.
+/// [`SimError::LaunchConfig`] naming the coordinate and the device's
+/// range when `site` is not a cell of `arch` (a cycle past the end of
+/// execution is allowed: the run is trivially masked); otherwise
+/// propagates a golden-run failure or a non-DUE replay failure.
 pub fn trace_one(
     arch: &ArchConfig,
     workload: &dyn Workload,
     site: FaultSite,
     watchdog_factor: u64,
 ) -> Result<SingleTrace, SimError> {
+    SiteSpace::check(arch, &site).map_err(|e| SimError::LaunchConfig {
+        reason: format!("no such site on {}: {e}", arch.name),
+    })?;
     let cfg = CampaignConfig {
         watchdog_factor,
+        // The same setting as `--no-checkpoints`: no snapshot fits.
+        checkpoint_budget_bytes: 1,
         ..CampaignConfig::quick(0)
     };
     let capture = Capture {
@@ -611,42 +632,48 @@ impl SingleTrace {
             let _ = writeln!(out, "outcome: {}", p.outcome);
             return out;
         }
-        match (p.first_read_latency, p.masking) {
-            (Some(l), _) => {
+        // A control site names a warp slot: no storage word carries the
+        // corruption, so there is no read, overwrite or taint to narrate.
+        let storage = !matches!(self.site.kind, FaultKind::Control(_));
+        match (storage, p.first_read_latency, p.masking) {
+            (false, ..) => {}
+            (true, Some(l), _) => {
                 let _ = writeln!(
                     out,
                     "first architected read of the corrupted word: {} cycle(s) after the flip",
                     l
                 );
             }
-            (None, Some(MaskingReason::Overwritten)) => {
+            (true, None, Some(MaskingReason::Overwritten)) => {
                 let _ = writeln!(
                     out,
                     "the corrupted word was cleanly overwritten before any read — the flip died in place"
                 );
             }
-            (None, _) => {
+            (true, None, _) => {
                 let _ = writeln!(
                     out,
                     "the corrupted word was never read for the rest of the run (dead or unallocated state)"
                 );
             }
         }
-        let _ = writeln!(
-            out,
-            "taint spread: {} word(s){}{}",
-            p.taint_words,
-            if p.lds_banks > 0 {
-                format!(" across {} LDS bank(s)", p.lds_banks)
-            } else {
-                String::new()
-            },
-            if p.taint_saturated {
-                " (saturated: spread exceeded the tracking cap)"
-            } else {
-                ""
-            }
-        );
+        if storage {
+            let _ = writeln!(
+                out,
+                "taint spread: {} word(s){}{}",
+                p.taint_words,
+                if p.lds_banks > 0 {
+                    format!(" across {} LDS bank(s)", p.lds_banks)
+                } else {
+                    String::new()
+                },
+                if p.taint_saturated {
+                    " (saturated: spread exceeded the tracking cap)"
+                } else {
+                    ""
+                }
+            );
+        }
         match p.cycles_to_divergence {
             Some(d) => {
                 let _ = writeln!(
@@ -717,7 +744,6 @@ mod tests {
     use super::*;
     use gpu_archs::quadro_fx_5600;
     use gpu_workloads::VectorAdd;
-    use simt_sim::FaultKind;
 
     fn rec(site: FaultSite) -> TraceRecord {
         TraceRecord {
@@ -820,6 +846,40 @@ mod tests {
             &[d],
         ));
         assert_eq!(merged, agg);
+    }
+
+    #[test]
+    fn control_sites_have_no_storage_word() {
+        use simt_sim::ControlTarget;
+        let site = rf_site(2, 100).with_kind(FaultKind::Control(ControlTarget::BarrierCounter));
+        // An empty slot: nothing live was corrupted.
+        let empty = rec(site);
+        let p = Provenance::from_trace(Outcome::Masked, &empty);
+        assert_eq!(p.masking, Some(MaskingReason::NeverRead));
+        // Live control state corrupted, output still matched.
+        let mut live = rec(site);
+        live.control_corrupt = Some(100);
+        let q = Provenance::from_trace(Outcome::Masked, &live);
+        assert_eq!(q.masking, Some(MaskingReason::LogicallyMasked));
+        // The slot index lands in no RF-region cell.
+        let arch = quadro_fx_5600();
+        let agg = ProvenanceAggregate::from_records(&arch, Structure::VectorRegisterFile, &[p, q]);
+        assert!(agg.rf_regions.iter().all(|c| c.injections == 0));
+        assert_eq!(agg.masking, [0, 1, 1]);
+        let t = SingleTrace {
+            site,
+            golden_cycles: 1000,
+            provenance: q,
+        };
+        let text = t.narrative();
+        assert!(
+            !text.contains("corrupted word") && !text.contains("taint"),
+            "{text}"
+        );
+        assert!(
+            text.contains("outcome: masked (reason: logically-masked)"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -44,8 +44,8 @@
 //! index, not by OS thread, and are therefore deterministic too).
 
 use crate::campaign::{
-    campaign_population, classify_batch_on, classify_on, structure_label, Campaign, CampaignConfig,
-    Outcome, ReplayContext,
+    classify_batch_on, classify_on, structure_label, Campaign, CampaignConfig, Outcome,
+    ReplayContext,
 };
 use crate::convergence::ConvergenceMonitor;
 use grel_telemetry::{SpanRecord, TelemetryHook};
@@ -175,12 +175,7 @@ fn stream_convergence<H: TelemetryHook>(
         &setup.arch.name,
         structure,
         cfg.fault_model,
-        campaign_population(
-            setup.arch,
-            structure,
-            cfg.fault_model,
-            setup.golden().cycles,
-        ),
+        setup.space(structure, cfg.fault_model).margin_population(),
         outcomes.len() as u64,
         cfg.convergence,
     );

@@ -31,7 +31,7 @@
 //!
 //! The engine inherits the PR-3 contract end to end. Each stratum owns
 //! a seed-stable partial Fisher–Yates permutation over its *own* index
-//! space (`campaign::FlatStream` sized to the stratum, seeded from the
+//! space (a `FlatStream` sized to the stratum, seeded from the
 //! campaign seed and the stratum index), and a rank→site mapping built
 //! from explicit live/dead cycle segments — drawing the n-th site of a
 //! rare stratum costs O(log segments), never a scan of the full
@@ -43,11 +43,9 @@
 //! `tests/sampling_equivalence.rs`.
 
 use crate::ace::{LifetimeOracle, WordCycleSegment};
-use crate::campaign::{
-    campaign_population, decode_control_site, decode_site, structure_label, structure_words,
-    Campaign, CampaignConfig, Capture, FlatStream, Tally,
-};
+use crate::campaign::{structure_label, Campaign, CampaignConfig, Capture, Tally};
 use crate::runner::Arming;
+use crate::space::{FlatStream, SiteSpace};
 use crate::stats::{Proportion, Z_99};
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
@@ -345,34 +343,19 @@ struct Stratum {
 }
 
 impl Stratum {
-    /// The next undrawn site of the stratum as a *flat population
-    /// index* (the same encoding `campaign::decode_site` /
-    /// `decode_control_site` consume), or `None` when exhausted.
-    fn next_flat(&mut self, geom: &Geometry) -> Option<u128> {
+    /// The next undrawn site of the stratum as a flat index of `space`,
+    /// or `None` when exhausted.
+    fn next_flat(&mut self, space: &SiteSpace) -> Option<u128> {
         let local = self.stream.next_index()?;
-        let targets = if geom.control { 4u128 } else { 1 };
-        let lanes = self.bits_span as u128 * targets;
-        let wc = local / lanes;
-        let lane = (local % lanes) as u32;
-        let target = lane / self.bits_span;
-        let bit = self.bit_lo + lane % self.bits_span;
+        // The stratum's lanes: its bit slice of each of the space's
+        // 32-bit lane groups (one for storage, four targets for control).
+        let lanes = self.bits_span * (space.lanes() / 32);
+        let wc = local / lanes as u128;
+        let lane = (local % lanes as u128) as u32;
+        let (target, bit) = (lane / self.bits_span, self.bit_lo + lane % self.bits_span);
         let (sm, word, cycle) = self.map.site_of(wc);
-        let mut idx = sm as u128 * geom.words as u128 + word as u128;
-        if geom.control {
-            idx = idx * 4 + target as u128;
-        }
-        Some((idx * 32 + bit as u128) * geom.cycles as u128 + cycle as u128)
+        Some(space.encode(sm, word, target * 32 + bit, cycle))
     }
-}
-
-/// The fixed site-space geometry shared by every stratum of one
-/// campaign.
-struct Geometry {
-    /// Words per SM for storage models, warp slots for control.
-    words: u32,
-    cycles: u64,
-    /// Control sites carry a 4-way target axis between word and bit.
-    control: bool,
 }
 
 impl Stratum {
@@ -442,11 +425,8 @@ impl Stratum {
 
 /// The stratum partition of one campaign's site space: axis
 /// cardinalities, the site → stratum classifier and the exact weights.
-struct Partition {
-    structure: Structure,
-    /// Words per SM for storage models, warp slots for control.
-    words: u32,
-    cycles: u64,
+struct Partition<'s> {
+    space: &'s SiteSpace,
     liveness: bool,
     cyc_parts: u32,
     bit_parts: u32,
@@ -459,7 +439,7 @@ fn part_lo(part: u128, parts: u128, units: u128) -> u128 {
     (part * units).div_ceil(parts)
 }
 
-impl Partition {
+impl Partition<'_> {
     fn live_cells(&self) -> usize {
         (self.cyc_parts * self.bit_parts * self.reg_parts) as usize
     }
@@ -493,17 +473,11 @@ impl Partition {
     }
 
     /// Builds the stratum table: exact populations, rank→site maps and
-    /// seed-stable per-stratum permutation streams. `lanes` is the
-    /// per-`(word, cycle)` multiplicity that the bit axis splits (32
-    /// bits for storage, `4 targets × 32 bits` for control).
-    fn strata(
-        &self,
-        num_sms: u32,
-        lanes: u128,
-        population: u128,
-        oracle: Option<&LifetimeOracle>,
-        seed: u64,
-    ) -> Vec<Stratum> {
+    /// seed-stable per-stratum permutation streams. The bit axis splits
+    /// the space's per-`(word, cycle)` lanes (32 bits for storage,
+    /// `4 targets × 32 bits` for control).
+    fn strata(&self, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<Stratum> {
+        let (space, lanes) = (self.space, self.space.lanes() as u128);
         let bits_per_part = lanes / self.bit_parts as u128;
         let bits_span = 32 / self.bit_parts;
         let mut out: Vec<Stratum> = Vec::with_capacity(self.count());
@@ -512,14 +486,15 @@ impl Partition {
             let r = cell as u128 % self.reg_parts as u128;
             let b = (cell as u32 / self.reg_parts) % self.bit_parts;
             let q = cell as u128 / (self.reg_parts as u128 * self.bit_parts as u128);
-            let w_lo = part_lo(r, self.reg_parts as u128, self.words as u128) as u32;
-            let w_hi = part_lo(r + 1, self.reg_parts as u128, self.words as u128) as u32;
-            let c_lo = part_lo(q, self.cyc_parts as u128, self.cycles as u128) as u64;
-            let c_hi = part_lo(q + 1, self.cyc_parts as u128, self.cycles as u128) as u64;
+            let (words, cycles) = (space.words() as u128, space.cycles() as u128);
+            let w_lo = part_lo(r, self.reg_parts as u128, words) as u32;
+            let w_hi = part_lo(r + 1, self.reg_parts as u128, words) as u32;
+            let c_lo = part_lo(q, self.cyc_parts as u128, cycles) as u64;
+            let c_hi = part_lo(q + 1, self.cyc_parts as u128, cycles) as u64;
             let map = match (self.liveness, oracle) {
                 (true, Some(oracle)) => {
                     let map = RankMap::from_segments(oracle.segments_in(
-                        self.structure,
+                        space.structure(),
                         w_lo,
                         w_hi,
                         c_lo,
@@ -528,13 +503,14 @@ impl Partition {
                     ));
                     debug_assert_eq!(
                         map.word_cycles(),
-                        oracle.live_word_cycles_in(self.structure, w_lo, w_hi, c_lo, c_hi) as u128,
+                        oracle.live_word_cycles_in(space.structure(), w_lo, w_hi, c_lo, c_hi)
+                            as u128,
                         "segment list and live count must describe the same set"
                     );
                     map
                 }
                 _ => RankMap::Rect {
-                    sms: num_sms,
+                    sms: space.sms(),
                     word_lo: w_lo,
                     words: w_hi.saturating_sub(w_lo),
                     cycle_lo: c_lo,
@@ -559,17 +535,17 @@ impl Partition {
         if self.liveness {
             let oracle = oracle.expect("liveness strata require an oracle");
             let map = RankMap::from_segments(oracle.segments_in(
-                self.structure,
+                space.structure(),
                 0,
-                self.words,
+                space.words(),
                 0,
-                self.cycles,
+                space.cycles(),
                 false,
             ));
             let dead_population = map.word_cycles() * lanes;
             debug_assert_eq!(
                 dead_population,
-                population - live_total,
+                space.population() - live_total,
                 "the dead stratum is exactly the complement of the live cells"
             );
             out.push(Stratum {
@@ -721,26 +697,11 @@ impl Campaign<'_> {
             "adaptive sampling needs a positive finite target margin"
         );
         let started = H::ENABLED.then(std::time::Instant::now);
-        let cycles = self.golden().cycles;
-        assert!(cycles > 0, "cannot sample an empty execution");
-        let (words, lanes): (u32, u128) = match cfg.fault_model {
-            FaultModelKind::Control => {
-                let slots = arch.max_warps_per_sm;
-                assert!(slots > 0, "device has no warp slots");
-                (slots, 4 * 32)
-            }
-            _ => {
-                let words = structure_words(arch, structure);
-                assert!(words > 0, "device has no {structure}");
-                (words, 32)
-            }
-        };
-        let population = arch.num_sms as u128 * words as u128 * lanes * cycles as u128;
+        let space = self.space(structure, cfg.fault_model);
+        let (cycles, population) = (space.cycles(), space.population());
         let spec = plan.strata;
         let partition = Partition {
-            structure,
-            words,
-            cycles,
+            space: &space,
             liveness: spec.liveness
                 && oracle.is_some()
                 && cfg.fault_model == FaultModelKind::Transient,
@@ -748,25 +709,7 @@ impl Campaign<'_> {
             bit_parts: if spec.bit { 2 } else { 1 },
             reg_parts: if spec.region { 4 } else { 1 },
         };
-        let mut strata = partition.strata(arch.num_sms, lanes, population, oracle, cfg.seed);
-        let geom = Geometry {
-            words,
-            cycles,
-            control: cfg.fault_model == FaultModelKind::Control,
-        };
-        let storage_kind = cfg.fault_model.storage_kind();
-        let decode = |idx: u128| -> FaultSite {
-            match cfg.fault_model {
-                FaultModelKind::Control => decode_control_site(structure, words, cycles, idx),
-                _ => {
-                    let site = decode_site(structure, words, cycles, idx);
-                    match storage_kind {
-                        Some(kind) => site.with_kind(kind),
-                        None => site,
-                    }
-                }
-            }
-        };
+        let mut strata = partition.strata(oracle, cfg.seed);
         // Rounds drive their own convergence narration: cadence is pushed
         // past any real sample size and `emit_now` fires at each round
         // boundary instead, so the event stream narrates rounds, not raw
@@ -776,7 +719,7 @@ impl Campaign<'_> {
             &arch.name,
             structure,
             cfg.fault_model,
-            campaign_population(arch, structure, cfg.fault_model, cycles),
+            space.margin_population(),
             0,
             u64::MAX,
         )
@@ -807,10 +750,10 @@ impl Campaign<'_> {
             let mut drawn: Vec<u64> = vec![0; strata.len()];
             for (h, s) in strata.iter_mut().enumerate() {
                 for _ in 0..quotas[h] {
-                    let Some(flat) = s.next_flat(&geom) else {
+                    let Some(flat) = s.next_flat(&space) else {
                         break;
                     };
-                    round_sites.push(decode(flat));
+                    round_sites.push(space.decode(flat));
                     site_stratum.push(h);
                     drawn[h] += 1;
                 }
@@ -925,7 +868,7 @@ impl Campaign<'_> {
             margin,
             target_margin: plan.target_margin,
             converged,
-            population: campaign_population(arch, structure, cfg.fault_model, cycles),
+            population: space.margin_population(),
             golden_cycles: cycles,
             rounds,
             strata: strata

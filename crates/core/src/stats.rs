@@ -76,24 +76,6 @@ pub fn fault_population(bits: u64, cycles: u64) -> u64 {
     bits.saturating_mul(cycles)
 }
 
-/// Per-cycle site count of the control-fault population: every bit of
-/// every control target (scheduler slot, active mask, scoreboard entry,
-/// barrier counter — 4 targets × 32 bits) of every warp slot of every
-/// SM. Multiply by cycles via [`fault_population`] for the campaign
-/// population.
-///
-/// Saturates at `u64::MAX`.
-///
-/// # Example
-/// ```
-/// use grel_core::stats::control_sites_per_cycle;
-/// // 2 SMs × 16 warp slots × 4 targets × 32 bits
-/// assert_eq!(control_sites_per_cycle(2, 16), 4096);
-/// ```
-pub fn control_sites_per_cycle(sms: u64, warp_slots: u64) -> u64 {
-    sms.saturating_mul(warp_slots).saturating_mul(4 * 32)
-}
-
 /// A binomial proportion with its confidence interval: the AVF estimate a
 /// campaign produces.
 ///

@@ -2,6 +2,7 @@
 //! modelled GPU designs.
 
 use crate::cache::CacheGeom;
+use crate::fault::Structure;
 use simt_isa::ArchCaps;
 
 /// GPU vendor family (decides the programming-model terminology only; all
@@ -148,6 +149,16 @@ impl ArchConfig {
         self.lds_bytes_per_sm / 4
     }
 
+    /// Size of one SM's instance of `structure`, in 32-bit words (0 when
+    /// the device lacks it): the storage axis of the fault-site space.
+    pub fn words_per_sm(&self, structure: Structure) -> u32 {
+        match structure {
+            Structure::VectorRegisterFile => self.rf_words_per_sm(),
+            Structure::LocalMemory => self.lds_words_per_sm(),
+            Structure::ScalarRegisterFile => self.srf_words_per_sm(),
+        }
+    }
+
     /// Maximum resident threads per SM.
     pub fn max_threads_per_sm(&self) -> u32 {
         self.max_warps_per_sm * self.warp_size
@@ -239,6 +250,14 @@ mod tests {
         assert_eq!(a.srf_words_per_sm(), 0);
         assert_eq!(a.max_threads_per_sm(), 128);
         assert_eq!(a.warp_issue_cycles(), 1);
+    }
+
+    #[test]
+    fn words_per_sm_reports_sizes() {
+        let a = ArchConfig::small_test_gpu();
+        assert_eq!(a.words_per_sm(Structure::VectorRegisterFile), 4096);
+        assert_eq!(a.words_per_sm(Structure::LocalMemory), 1024);
+        assert_eq!(a.words_per_sm(Structure::ScalarRegisterFile), 0);
     }
 
     #[test]

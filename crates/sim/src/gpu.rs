@@ -378,15 +378,6 @@ impl Gpu {
         self.watchdog_limit = Some(total_app_cycles);
     }
 
-    /// Words in one SM's instance of `structure` (the fault-site space).
-    pub fn structure_words(&self, structure: Structure) -> u32 {
-        match structure {
-            Structure::VectorRegisterFile => self.arch.rf_words_per_sm(),
-            Structure::LocalMemory => self.arch.lds_words_per_sm(),
-            Structure::ScalarRegisterFile => self.arch.srf_words_per_sm(),
-        }
-    }
-
     fn apply_fault<O: SimObserver>(&mut self, site: FaultSite, obs: &mut O) {
         let idx = site.sm as usize % self.sms.len().max(1);
         let sm = &mut self.sms[idx];
@@ -881,7 +872,7 @@ mod tests {
         gpu.arm_fault(FaultSite::new(
             Structure::VectorRegisterFile,
             1,
-            gpu.structure_words(Structure::VectorRegisterFile) - 1,
+            gpu.arch.rf_words_per_sm() - 1,
             31,
             1,
         ));
@@ -910,7 +901,7 @@ mod tests {
         let site = FaultSite::new(
             Structure::VectorRegisterFile,
             1,
-            gpu.structure_words(Structure::VectorRegisterFile) - 1,
+            gpu.arch.rf_words_per_sm() - 1,
             31,
             1,
         )
@@ -949,13 +940,5 @@ mod tests {
         ));
         assert_eq!(obs.control_corrupts, 1, "live slot was corrupted");
         assert_eq!(obs.hangs, 1, "watchdog reported the hang");
-    }
-
-    #[test]
-    fn structure_words_reports_sizes() {
-        let gpu = Gpu::new(arch());
-        assert_eq!(gpu.structure_words(Structure::VectorRegisterFile), 4096);
-        assert_eq!(gpu.structure_words(Structure::LocalMemory), 1024);
-        assert_eq!(gpu.structure_words(Structure::ScalarRegisterFile), 0);
     }
 }

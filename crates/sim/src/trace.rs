@@ -22,7 +22,7 @@
 //! interleave in one cycle, but it can never miss a real dependency, so a
 //! `never-read` verdict is trustworthy.
 
-use crate::fault::{FaultSite, Structure};
+use crate::fault::{FaultKind, FaultSite, Structure};
 use crate::observer::SimObserver;
 use std::collections::BTreeSet;
 
@@ -188,8 +188,11 @@ impl<'a> TraceObserver<'a> {
         }
     }
 
-    fn origin(&self) -> (Structure, u32) {
-        (self.site.structure, self.site.word)
+    /// The storage word the fault corrupts; `None` for a control site,
+    /// whose `word` is a warp slot.
+    fn origin(&self) -> Option<(Structure, u32)> {
+        let storage = !matches!(self.site.kind, FaultKind::Control(_));
+        storage.then_some((self.site.structure, self.site.word))
     }
 
     fn taint(&mut self, key: (Structure, u32)) {
@@ -214,7 +217,7 @@ impl<'a> TraceObserver<'a> {
             return;
         }
         self.tainted_read_cycle = Some(cycle);
-        if key == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
+        if Some(key) == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
             self.first_read = Some(cycle);
         }
     }
@@ -231,7 +234,7 @@ impl<'a> TraceObserver<'a> {
             self.taint(key);
         } else {
             // Clean data overwrites the word: the corruption there dies.
-            if key == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
+            if Some(key) == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
                 self.overwrite = Some(cycle);
             }
             self.live.remove(&key);
@@ -297,13 +300,14 @@ impl SimObserver for TraceObserver<'_> {
     fn on_fault_injected(&mut self, site: FaultSite) {
         if site == self.site && self.injected_at.is_none() {
             self.injected_at = Some(site.cycle);
-            let origin = self.origin();
-            self.live.insert(origin);
-            self.reached.insert(origin);
+            if let Some(origin) = self.origin() {
+                self.live.insert(origin);
+                self.reached.insert(origin);
+            }
         }
     }
     fn on_stuck_reassert(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
-        if sm != self.sm_index || (structure, word) != self.origin() {
+        if sm != self.sm_index || Some((structure, word)) != self.origin() {
             return;
         }
         if self.first_reassert.is_none() {
@@ -313,8 +317,7 @@ impl SimObserver for TraceObserver<'_> {
         // A re-assertion re-corrupts the word even after a clean
         // overwrite appeared to kill it: put the origin back in the live
         // taint set so later reads are attributed correctly.
-        let origin = self.origin();
-        self.taint(origin);
+        self.taint((structure, word));
     }
     fn on_control_corrupt(&mut self, site: FaultSite, cycle: u64) {
         if site == self.site && self.control_corrupt.is_none() {
@@ -483,6 +486,24 @@ mod tests {
         assert_eq!(r.first_read, Some(120));
         assert_eq!(r.overwrite, None);
         assert_eq!(r.taint_words, 1);
+    }
+
+    #[test]
+    fn a_control_site_tracks_no_storage_word() {
+        use crate::fault::ControlTarget;
+        let ctrl = site().with_kind(FaultKind::Control(ControlTarget::ActiveMask));
+        let golden = [];
+        let mut t = TraceObserver::new(ctrl, 1, &golden, 0);
+        t.on_fault_injected(ctrl);
+        // Register word 10 shares the slot's index; it is not the fault.
+        t.on_rf_write(0, 10, 110);
+        t.on_rf_read(0, 10, 120);
+        t.on_control_corrupt(ctrl, 100);
+        let r = t.into_record(16);
+        assert_eq!(r.injected_at, Some(100));
+        assert_eq!((r.first_read, r.overwrite), (None, None));
+        assert_eq!(r.taint_words, 0);
+        assert_eq!(r.control_corrupt, Some(100));
     }
 
     #[test]
