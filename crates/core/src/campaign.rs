@@ -765,11 +765,13 @@ pub(crate) struct ReplayContext<'a, H> {
 /// first site's cycle. `obs` rides along the replay (the flight
 /// recorder of a traced campaign, [`NoopObserver`] otherwise).
 ///
-/// `gpu` is a scratch device owned by the replaying worker: a checkpoint
-/// resume overwrites it in place (so the worker pays for the device
-/// allocation once, not per replay), and a from-zero replay resets it to
-/// a fresh device first. Either way the replay never observes state left
-/// behind by a previous injection.
+/// `gpu` is a scratch device owned by the replaying worker. A checkpoint
+/// resume replaces it with a clone of the checkpoint's device
+/// (`Session::resume` runs `*gpu = ckpt.gpu.clone()`), which allocates a
+/// whole device per replay (11 MB on the HD 7970; ROADMAP item 5 is about
+/// restoring only what changed). A from-zero replay resets it to a fresh
+/// device first. Either way the replay never observes state left behind
+/// by a previous injection.
 ///
 /// [`ReplayContext::early_exit`] arms a [`MaskProbe`] that abandons the
 /// replay as `Masked` once the flipped word is erased unread. It only

@@ -431,8 +431,11 @@ fn worker_loop<H: TelemetryHook>(
     jobs: usize,
 ) -> Result<Vec<Done>, SimError> {
     let started = H::ENABLED.then(Instant::now);
-    // The worker's private device: checkpoint resumes overwrite it in
-    // place, so the allocation is paid once per worker, not per replay.
+    // The worker's private device. A checkpoint resume replaces it with a
+    // clone of the checkpoint's device (`Session::resume` runs
+    // `*gpu = ckpt.gpu.clone()`), so every resumed replay allocates a
+    // whole device; ROADMAP item 5 (incremental checkpoints) is about
+    // restoring only what changed instead.
     let setup = shared.ctx.setup;
     let mut gpu = Gpu::new(setup.arch.clone());
     let mut done: Vec<Done> = Vec::new();
@@ -530,8 +533,8 @@ impl Campaign<'_> {
     /// `rung="pruned"` hit), so hooked totals account for every sampled
     /// site at any pruning rate.
     ///
-    /// Without an oracle, `cfg.early_exit` arms a [`MaskProbe`]
-    /// (`simt_sim::MaskProbe`) per untraced single-site replay that
+    /// Without an oracle, `cfg.early_exit` arms a
+    /// [`MaskProbe`](simt_sim::MaskProbe) per untraced single-site replay that
     /// abandons the run as `Masked` at the first clean erasure of the
     /// unread flipped word. Under an oracle the probe stays off: every
     /// surviving site is read before its first clean overwrite, so the

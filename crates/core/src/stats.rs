@@ -61,21 +61,6 @@ pub fn required_sample_size(population: u64, e: f64, z: f64) -> u64 {
     n.ceil() as u64
 }
 
-/// Size of the fault-site population for a structure of `bits` bits over
-/// an execution of `cycles` cycles (every bit in every cycle is a distinct
-/// candidate single-bit flip).
-///
-/// Saturates at `u64::MAX`.
-///
-/// # Example
-/// ```
-/// use grel_core::stats::fault_population;
-/// assert_eq!(fault_population(32, 100), 3200);
-/// ```
-pub fn fault_population(bits: u64, cycles: u64) -> u64 {
-    bits.saturating_mul(cycles)
-}
-
 /// A binomial proportion with its confidence interval: the AVF estimate a
 /// campaign produces.
 ///
@@ -371,11 +356,6 @@ mod tests {
         assert_eq!(pearson(&[1.0], &[2.0]), 0.0, "single point");
         let r = pearson(&[1.0, 2.0, 3.0, 4.0], &[1.1, 1.9, 3.2, 3.8]);
         assert!(r > 0.99);
-    }
-
-    #[test]
-    fn population_saturates() {
-        assert_eq!(fault_population(u64::MAX, 2), u64::MAX);
     }
 
     #[test]

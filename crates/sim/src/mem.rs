@@ -264,6 +264,35 @@ fn force_stuck(value: u32, bit: u8, stuck_value: bool) -> u32 {
     }
 }
 
+/// The most lanes one warp access carries: a
+/// [`LaneMask`](crate::warp::LaneMask) is a `u64`.
+pub const MAX_LANES: usize = 64;
+
+/// The coalescer: writes the distinct `segment_bytes`-aligned segments
+/// touched by `addrs` to the front of `segs`, in ascending order, and
+/// returns how many there are. Allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `addrs` touch more than [`MAX_LANES`] distinct segments,
+/// which one warp access cannot.
+fn coalesce(addrs: &[u32], segment_bytes: u32, segs: &mut [u32; MAX_LANES]) -> usize {
+    let mut n = 0;
+    for &a in addrs {
+        let seg = a / segment_bytes;
+        if let Err(i) = segs[..n].binary_search(&seg) {
+            assert!(
+                n < MAX_LANES,
+                "a warp access touches at most {MAX_LANES} segments"
+            );
+            segs.copy_within(i..n, i + 1);
+            segs[i] = seg;
+            n += 1;
+        }
+    }
+    n
+}
+
 /// Counts the memory transactions a warp access generates: the number of
 /// distinct `segment_bytes`-aligned segments touched by the active lanes.
 ///
@@ -278,11 +307,12 @@ fn force_stuck(value: u32, bit: u8, stuck_value: bool) -> u32 {
 /// // Stride-64 words: every lane its own segment.
 /// assert_eq!(count_segments(&[0, 64, 128], 64), 3);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `addrs` touch more than [`MAX_LANES`] distinct segments.
 pub fn count_segments(addrs: &[u32], segment_bytes: u32) -> u32 {
-    let mut segs: Vec<u32> = addrs.iter().map(|a| a / segment_bytes).collect();
-    segs.sort_unstable();
-    segs.dedup();
-    segs.len() as u32
+    coalesce(addrs, segment_bytes, &mut [0; MAX_LANES]) as u32
 }
 
 /// The device-level memory timing model: per-SM L1s, a shared L2 and DRAM
@@ -319,22 +349,24 @@ impl MemorySystem {
     /// issued from `sm`. Updates cache state and transaction counters.
     ///
     /// The slowest transaction dominates, plus a serialization penalty per
-    /// extra transaction.
+    /// extra transaction. Segments reach the caches in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addrs` touch more than [`MAX_LANES`] distinct segments.
     pub fn access_latency(&mut self, sm: u32, addrs: &[u32]) -> u32 {
-        if addrs.is_empty() {
+        let mut segs = [0; MAX_LANES];
+        let n = coalesce(addrs, self.coalesce_bytes, &mut segs);
+        if n == 0 {
             return 0;
         }
-        let mut segs: Vec<u32> = addrs.iter().map(|a| a / self.coalesce_bytes).collect();
-        segs.sort_unstable();
-        segs.dedup();
-        self.transactions += segs.len() as u64;
+        self.transactions += n as u64;
         let mut worst = 0u32;
-        for seg in &segs {
-            let addr = seg * self.coalesce_bytes;
-            let lat = self.single_transaction_latency(sm, addr);
+        for &seg in &segs[..n] {
+            let lat = self.single_transaction_latency(sm, seg * self.coalesce_bytes);
             worst = worst.max(lat);
         }
-        worst + (segs.len() as u32 - 1) * self.lat.mem_serialize
+        worst + (n as u32 - 1) * self.lat.mem_serialize
     }
 
     fn single_transaction_latency(&mut self, sm: u32, addr: u32) -> u32 {

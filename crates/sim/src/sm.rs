@@ -5,7 +5,7 @@ use crate::config::{ArchConfig, SchedulerPolicy};
 use crate::error::Due;
 use crate::fault::{ControlTarget, Structure};
 use crate::launch::LaunchConfig;
-use crate::mem::{GlobalMemory, MemorySystem};
+use crate::mem::{GlobalMemory, MemorySystem, MAX_LANES};
 use crate::observer::{BlockRegions, SimObserver};
 use crate::regfile::{RegionAllocator, SmOverlay, StuckBit};
 use crate::warp::{LaneMask, Warp};
@@ -72,6 +72,11 @@ pub struct Sm {
     pub(crate) overlay: Option<Box<SmOverlay>>,
     sched_ptr: usize,
     gto_current: Option<usize>,
+    /// Earliest cycle at which any warp can issue, stored by a [`Sm::step`]
+    /// that issued nothing; `step` returns at once before it. Only an
+    /// issue, a dispatch, a reset or a control fault changes issuability,
+    /// and all but the issue reset it to 0.
+    wake: u64,
     /// Set when a block retired since the device last redistributed work.
     pub retired_flag: bool,
     /// Execution counters.
@@ -104,9 +109,20 @@ fn uniform_value(r: &Resolved) -> u32 {
     }
 }
 
+/// Iterates the set bit indices of a mask, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
 /// Iterates the set scenario indices of a batch mask.
 fn scn_bits(mask: u64) -> impl Iterator<Item = u8> {
-    (0..64u8).filter(move |s| mask >> s & 1 == 1)
+    set_bits(mask).map(|s| s as u8)
 }
 
 impl Sm {
@@ -126,6 +142,7 @@ impl Sm {
             overlay: None,
             sched_ptr: 0,
             gto_current: None,
+            wake: 0,
             retired_flag: false,
             stats: SmStats::default(),
         }
@@ -160,6 +177,7 @@ impl Sm {
         }
         self.sched_ptr = 0;
         self.gto_current = None;
+        self.wake = 0;
         self.retired_flag = false;
     }
 
@@ -236,6 +254,8 @@ impl Sm {
     /// was corrupted — an empty or finished slot is a no-op, i.e. the
     /// fault is architecturally masked.
     pub fn apply_control_fault(&mut self, target: ControlTarget, word: u32, bit: u8) -> bool {
+        // Every target edits warp or barrier state behind the scheduler.
+        self.wake = 0;
         match target {
             ControlTarget::SchedulerSlot => match self.warp_slot_mut(word) {
                 Some(w) => {
@@ -542,6 +562,7 @@ impl Sm {
             return false;
         };
 
+        self.wake = 0;
         let vregs = kernel.vregs_per_thread() as u32;
         let sregs = kernel.sregs_per_warp() as u32;
         let mut warp_slots = Vec::with_capacity(warps_n as usize);
@@ -606,69 +627,56 @@ impl Sm {
         true
     }
 
-    /// Checks whether the warp's next instruction has all operands ready.
-    fn deps_ready(&self, warp: &Warp, instr: &Instr, cycle: u64) -> bool {
-        let mut ready = true;
-        if let Some(d) = instr.dst_reg() {
-            ready &= match d {
-                Reg::V(VReg(r)) => warp.vreg_ready[r as usize] <= cycle,
-                Reg::S(SReg(r)) => warp.sreg_ready[r as usize] <= cycle,
-            };
-        }
-        instr.for_each_src(|op| {
-            if let Operand::Reg(r) = op {
-                ready &= match r {
-                    Reg::V(VReg(i)) => warp.vreg_ready[i as usize] <= cycle,
-                    Reg::S(SReg(i)) => warp.sreg_ready[i as usize] <= cycle,
-                };
-            }
-        });
-        if let Some(p) = instr.src_pred() {
-            ready &= warp.pred_ready[p.0 as usize] <= cycle;
-        }
-        if let Some(p) = instr.dst_pred() {
-            ready &= warp.pred_ready[p.0 as usize] <= cycle;
-        }
-        ready
-    }
-
-    fn warp_issuable(&self, slot: usize, kernel: &LoweredKernel, cycle: u64) -> bool {
+    /// The earliest cycle at which the warp in `slot` can issue, or
+    /// `u64::MAX` for an empty slot, a finished warp or one parked at a
+    /// barrier (those wait for an event, not a cycle).
+    fn slot_issue_cycle(&self, slot: usize, kernel: &LoweredKernel) -> u64 {
         match &self.warps[slot] {
-            Some(w) if !w.finished && !w.at_barrier && w.next_issue <= cycle => {
-                self.deps_ready(w, &kernel.body()[w.pc], cycle)
-            }
-            _ => false,
+            Some(w) if !w.finished && !w.at_barrier => issue_cycle(w, &kernel.body()[w.pc]),
+            _ => u64::MAX,
         }
     }
 
-    /// Picks the next warp to issue from, per the scheduling policy.
+    /// Picks the next warp to issue from, per the scheduling policy. When
+    /// no warp can issue at `cycle`, returns the earliest cycle at which
+    /// one can (the pick scans every slot before it fails).
     fn pick_warp(
         &mut self,
         kernel: &LoweredKernel,
         cycle: u64,
         policy: SchedulerPolicy,
-    ) -> Option<usize> {
+    ) -> Result<usize, u64> {
         let n = self.warps.len();
+        let mut wake = u64::MAX;
         match policy {
             SchedulerPolicy::Lrr => {
                 for off in 1..=n {
                     let slot = (self.sched_ptr + off) % n;
-                    if self.warp_issuable(slot, kernel, cycle) {
+                    let at = self.slot_issue_cycle(slot, kernel);
+                    if at <= cycle {
                         self.sched_ptr = slot;
-                        return Some(slot);
+                        return Ok(slot);
                     }
+                    wake = wake.min(at);
                 }
-                None
+                Err(wake)
             }
             SchedulerPolicy::Gto => {
                 if let Some(cur) = self.gto_current {
-                    if self.warp_issuable(cur, kernel, cycle) {
-                        return Some(cur);
+                    if self.slot_issue_cycle(cur, kernel) <= cycle {
+                        return Ok(cur);
                     }
                 }
-                let pick = (0..n).find(|&s| self.warp_issuable(s, kernel, cycle));
-                self.gto_current = pick;
-                pick
+                for slot in 0..n {
+                    let at = self.slot_issue_cycle(slot, kernel);
+                    if at <= cycle {
+                        self.gto_current = Some(slot);
+                        return Ok(slot);
+                    }
+                    wake = wake.min(at);
+                }
+                self.gto_current = None;
+                Err(wake)
             }
         }
     }
@@ -689,13 +697,25 @@ impl Sm {
         mem_sys: &mut MemorySystem,
         obs: &mut O,
     ) -> Result<(), Due> {
+        // Exact: a pick before `wake` would fail, and a failed pick leaves
+        // the scheduler state (`sched_ptr`, `gto_current`) as it is.
+        if cycle < self.wake {
+            return Ok(());
+        }
         let mut issued = false;
         for _ in 0..arch.issue_width {
-            let Some(slot) = self.pick_warp(kernel, cycle, arch.scheduler) else {
-                break;
-            };
-            self.exec_instr(slot, cycle, kernel, cfg, arch, mem, mem_sys, obs)?;
-            issued = true;
+            match self.pick_warp(kernel, cycle, arch.scheduler) {
+                Ok(slot) => {
+                    self.exec_instr(slot, cycle, kernel, cfg, arch, mem, mem_sys, obs)?;
+                    issued = true;
+                }
+                Err(wake) => {
+                    if !issued {
+                        self.wake = wake;
+                    }
+                    break;
+                }
+            }
         }
         if issued {
             self.stats.busy_cycles += 1;
@@ -1313,23 +1333,6 @@ impl Sm {
         Ok(warp.lds_base + addr / 4)
     }
 
-    /// LDS bank-conflict degree of a set of physical words.
-    fn lds_conflict_degree(words: &[u32], banks: u32) -> u32 {
-        let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); banks as usize];
-        for &w in words {
-            let b = (w % banks) as usize;
-            if !per_bank[b].contains(&w) {
-                per_bank[b].push(w);
-            }
-        }
-        per_bank
-            .iter()
-            .map(|v| v.len() as u32)
-            .max()
-            .unwrap_or(0)
-            .max(1)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn exec_load<O: SimObserver>(
         &mut self,
@@ -1372,9 +1375,9 @@ impl Sm {
                 self.stats.scalar_instructions += 1;
             }
             Reg::V(VReg(r)) => {
-                let mut addrs: Vec<u32> = Vec::new();
                 match space {
                     MemSpace::Global => {
+                        let mut addrs = LaneBuf::new();
                         for lane in lanes(warp.active) {
                             let base = self.lane_value(
                                 warp,
@@ -1403,11 +1406,11 @@ impl Sm {
                             }
                             addrs.push(a);
                         }
-                        let lat = mem_sys.access_latency(self.id, &addrs);
+                        let lat = mem_sys.access_latency(self.id, addrs.as_slice());
                         warp.vreg_ready[r as usize] = cycle + lat as u64;
                     }
                     MemSpace::Shared => {
-                        let mut words: Vec<u32> = Vec::new();
+                        let mut words = LaneBuf::new();
                         for lane in lanes(warp.active) {
                             let base = self.lane_value(
                                 warp,
@@ -1438,7 +1441,7 @@ impl Sm {
                             }
                             words.push(w);
                         }
-                        let degree = Self::lds_conflict_degree(&words, arch.lds_banks);
+                        let degree = lds_conflict_degree(words.as_slice(), arch.lds_banks);
                         let lat = arch.lat.lds + (degree - 1) * arch.lds_bank_penalty;
                         warp.vreg_ready[r as usize] = cycle + lat as u64;
                     }
@@ -1470,7 +1473,7 @@ impl Sm {
         let rs = self.resolve_cfg(warp, src, ntid, nctaid, cycle, obs);
         match space {
             MemSpace::Global => {
-                let mut addrs: Vec<u32> = Vec::new();
+                let mut addrs = LaneBuf::new();
                 for lane in lanes(warp.active) {
                     let base =
                         self.lane_value(warp, &ra, lane, arch.warp_size, ntid, nctaid, cycle, obs);
@@ -1494,7 +1497,7 @@ impl Sm {
                     obs.on_global_write(self.id, a, v, cycle);
                     addrs.push(a);
                 }
-                let _ = mem_sys.access_latency(self.id, &addrs);
+                let _ = mem_sys.access_latency(self.id, addrs.as_slice());
             }
             MemSpace::Shared => {
                 for lane in lanes(warp.active) {
@@ -1539,7 +1542,7 @@ impl Sm {
         let ra = self.resolve_cfg(warp, addr, ntid, nctaid, cycle, obs);
         let rs = self.resolve_cfg(warp, src, ntid, nctaid, cycle, obs);
         let d = vreg_of(dst);
-        let mut distinct: Vec<u32> = Vec::new();
+        let mut distinct = LaneBuf::new();
         for lane in lanes(warp.active) {
             let base = self.lane_value(warp, &ra, lane, arch.warp_size, ntid, nctaid, cycle, obs);
             let v = self.lane_value(warp, &rs, lane, arch.warp_size, ntid, nctaid, cycle, obs);
@@ -1574,14 +1577,14 @@ impl Sm {
                 }
             };
             self.write_vreg(warp, d, lane, old, arch.warp_size, cycle, obs);
-            if !distinct.contains(&a) {
+            if !distinct.as_slice().contains(&a) {
                 distinct.push(a);
             }
         }
         let lat = match space {
-            MemSpace::Global => mem_sys.atomic_latency(distinct.len() as u32),
+            MemSpace::Global => mem_sys.atomic_latency(distinct.len as u32),
             MemSpace::Shared => {
-                arch.lat.lds + (distinct.len() as u32).saturating_sub(1) * arch.lds_bank_penalty
+                arch.lat.lds + (distinct.len as u32).saturating_sub(1) * arch.lds_bank_penalty
             }
         };
         warp.vreg_ready[d as usize] = cycle + lat as u64;
@@ -1591,9 +1594,94 @@ impl Sm {
     }
 }
 
+/// Up to [`MAX_LANES`] per-lane words of one warp instruction, kept on
+/// the stack.
+struct LaneBuf {
+    words: [u32; MAX_LANES],
+    len: usize,
+}
+
+impl LaneBuf {
+    fn new() -> Self {
+        LaneBuf {
+            words: [0; MAX_LANES],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, w: u32) {
+        self.words[self.len] = w;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        &self.words[..self.len]
+    }
+}
+
+/// LDS bank-conflict degree of the physical words one warp access
+/// touches: the most distinct words that share a bank (lanes reading the
+/// same word get a broadcast, not a conflict), and at least 1.
+/// Allocates nothing.
+///
+/// # Example
+/// ```
+/// use simt_sim::sm::lds_conflict_degree;
+/// assert_eq!(lds_conflict_degree(&[0, 1, 2, 3], 8), 1);
+/// assert_eq!(lds_conflict_degree(&[0, 8, 8, 16], 8), 3);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `words` holds more than [`MAX_LANES`] words or `banks` is 0.
+pub fn lds_conflict_degree(words: &[u32], banks: u32) -> u32 {
+    let mut buf = [0; MAX_LANES];
+    let buf = &mut buf[..words.len()];
+    buf.copy_from_slice(words);
+    // Group by bank, repeats of a word next to each other.
+    buf.sort_unstable_by_key(|&w| (w % banks, w));
+    let (mut degree, mut run) = (1, 0);
+    for i in 0..buf.len() {
+        if i == 0 || buf[i] % banks != buf[i - 1] % banks {
+            run = 1;
+        } else if buf[i] != buf[i - 1] {
+            run += 1;
+        }
+        degree = degree.max(run);
+    }
+    degree
+}
+
+/// The earliest cycle at which `warp` can issue `instr`: its issue timing
+/// and the scoreboard times of every register and predicate the
+/// instruction reads or writes. The warp is issuable at `cycle` exactly
+/// when this is `<= cycle`.
+fn issue_cycle(warp: &Warp, instr: &Instr) -> u64 {
+    let ready = |r: Reg| match r {
+        Reg::V(VReg(i)) => warp.vreg_ready[i as usize],
+        Reg::S(SReg(i)) => warp.sreg_ready[i as usize],
+    };
+    let mut at = warp.next_issue;
+    if let Some(d) = instr.dst_reg() {
+        at = at.max(ready(d));
+    }
+    instr.for_each_src(|op| {
+        if let Operand::Reg(r) = op {
+            at = at.max(ready(r));
+        }
+    });
+    if let Some(p) = instr.src_pred() {
+        at = at.max(warp.pred_ready[p.0 as usize]);
+    }
+    if let Some(p) = instr.dst_pred() {
+        at = at.max(warp.pred_ready[p.0 as usize]);
+    }
+    at
+}
+
 /// Iterates the set lane indices of a mask.
 fn lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
-    (0..64u32).filter(move |l| mask >> l & 1 == 1)
+    set_bits(mask)
 }
 
 fn vreg_of(r: Reg) -> u16 {
@@ -1643,13 +1731,13 @@ mod tests {
     #[test]
     fn conflict_degree() {
         // 8 banks: words 0..8 hit distinct banks.
-        assert_eq!(Sm::lds_conflict_degree(&[0, 1, 2, 3], 8), 1);
+        assert_eq!(lds_conflict_degree(&[0, 1, 2, 3], 8), 1);
         // words 0 and 8 share bank 0.
-        assert_eq!(Sm::lds_conflict_degree(&[0, 8], 8), 2);
+        assert_eq!(lds_conflict_degree(&[0, 8], 8), 2);
         // Same word twice: broadcast, no conflict.
-        assert_eq!(Sm::lds_conflict_degree(&[0, 0, 0], 8), 1);
-        assert_eq!(Sm::lds_conflict_degree(&[], 8), 1);
-        assert_eq!(Sm::lds_conflict_degree(&[0, 8, 16, 24], 8), 4);
+        assert_eq!(lds_conflict_degree(&[0, 0, 0], 8), 1);
+        assert_eq!(lds_conflict_degree(&[], 8), 1);
+        assert_eq!(lds_conflict_degree(&[0, 8, 16, 24], 8), 4);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use simt_isa::{lower, KernelBuilder, MemSpace};
-use simt_sim::mem::count_segments;
+use simt_sim::mem::{count_segments, MemorySystem};
 use simt_sim::regfile::RegionAllocator;
-use simt_sim::{ArchConfig, Cache, CacheGeom, Gpu, LaunchConfig};
+use simt_sim::sm::lds_conflict_degree;
+use simt_sim::{ArchConfig, Cache, CacheGeom, CacheStats, Gpu, Latencies, LaunchConfig};
 
 #[derive(Debug, Clone)]
 enum AllocOp {
@@ -178,5 +179,129 @@ proptest! {
             (st.cycles, st.warp_instructions, st.thread_instructions)
         };
         prop_assert_eq!(run(&arch), run(&arch));
+    }
+}
+
+/// The device memory timing model as it was with a heap-allocated
+/// coalescer: the reference for the allocation-free
+/// [`MemorySystem::access_latency`].
+struct VecMemoryModel {
+    l1: Vec<Cache>,
+    l2: Cache,
+    lat: Latencies,
+    coalesce_bytes: u32,
+    transactions: u64,
+}
+
+impl VecMemoryModel {
+    fn access_latency(&mut self, sm: u32, addrs: &[u32]) -> u32 {
+        if addrs.is_empty() {
+            return 0;
+        }
+        let mut segs: Vec<u32> = addrs.iter().map(|a| a / self.coalesce_bytes).collect();
+        segs.sort_unstable();
+        segs.dedup();
+        self.transactions += segs.len() as u64;
+        let mut worst = 0u32;
+        for seg in &segs {
+            let addr = seg * self.coalesce_bytes;
+            let lat = if self.l1[sm as usize].access(addr) {
+                self.lat.l1_hit
+            } else if self.l2.access(addr) {
+                self.lat.l2_hit
+            } else {
+                self.lat.dram
+            };
+            worst = worst.max(lat);
+        }
+        worst + (segs.len() as u32 - 1) * self.lat.mem_serialize
+    }
+}
+
+/// The LDS bank-conflict degree as it was with one heap vector per bank:
+/// the reference for the allocation-free [`lds_conflict_degree`].
+fn vec_lds_conflict_degree(words: &[u32], banks: u32) -> u32 {
+    let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); banks as usize];
+    for &w in words {
+        let b = (w % banks) as usize;
+        if !per_bank[b].contains(&w) {
+            per_bank[b].push(w);
+        }
+    }
+    per_bank
+        .iter()
+        .map(|v| v.len() as u32)
+        .max()
+        .unwrap_or(0)
+        .max(1)
+}
+
+/// The addresses of one warp access: 0 to 64 lanes, drawn either from a
+/// few hundred words that every access shares (repeated words, shared
+/// segments and cache hits are common) or from the whole address space
+/// (every lane its own segment).
+fn warp_addresses() -> impl Strategy<Value = Vec<u32>> {
+    prop_oneof![
+        proptest::collection::vec(0u32..384, 0..=64)
+            .prop_map(|words| words.into_iter().map(|w| w * 4).collect()),
+        proptest::collection::vec(any::<u32>(), 0..=64),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The allocation-free coalescer issues the same transactions, in the
+    /// same order, as the heap-vector one: equal latencies, transaction
+    /// counts and L1/L2 hits and misses over a stream of warp accesses.
+    /// The caches are tiny, so the lines of one access evict each other
+    /// and the order in which they reach the caches shows in the counts.
+    #[test]
+    fn coalescer_matches_the_vec_model(
+        segment in prop_oneof![Just(32u32), Just(64u32), Just(128u32)],
+        accesses in proptest::collection::vec((0u32..2, warp_addresses()), 1..12),
+    ) {
+        let lat = ArchConfig::small_test_gpu().lat;
+        let l1 = CacheGeom { bytes: 512, line_bytes: 32, assoc: 2 };
+        let l2 = CacheGeom { bytes: 2048, line_bytes: 32, assoc: 4 };
+        let mut sys = MemorySystem::new(2, Some(l1), Some(l2), lat, segment);
+        let mut model = VecMemoryModel {
+            l1: vec![Cache::new(l1), Cache::new(l1)],
+            l2: Cache::new(l2),
+            lat,
+            coalesce_bytes: segment,
+            transactions: 0,
+        };
+        for (sm, addrs) in &accesses {
+            prop_assert_eq!(
+                sys.access_latency(*sm, addrs),
+                model.access_latency(*sm, addrs)
+            );
+            prop_assert_eq!(sys.transactions, model.transactions);
+        }
+        let l1_stats = CacheStats {
+            hits: model.l1.iter().map(|c| c.stats().hits).sum(),
+            misses: model.l1.iter().map(|c| c.stats().misses).sum(),
+        };
+        prop_assert_eq!(sys.l1_stats(), l1_stats);
+        prop_assert_eq!(sys.l2_stats(), Some(model.l2.stats()));
+        let addrs = &accesses[0].1;
+        let mut segs: Vec<u32> = addrs.iter().map(|a| a / segment).collect();
+        segs.sort_unstable();
+        segs.dedup();
+        prop_assert_eq!(count_segments(addrs, segment), segs.len() as u32);
+    }
+
+    /// The allocation-free bank-conflict degree equals the per-bank-vector
+    /// one on 0 to 64 words with repeats.
+    #[test]
+    fn lds_conflict_degree_matches_the_vec_model(
+        banks in prop_oneof![Just(16u32), Just(32u32)],
+        words in proptest::collection::vec(0u32..200, 0..=64),
+    ) {
+        prop_assert_eq!(
+            lds_conflict_degree(&words, banks),
+            vec_lds_conflict_degree(&words, banks)
+        );
     }
 }
