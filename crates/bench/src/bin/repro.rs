@@ -20,8 +20,8 @@
 //!   --experiments PATH  also write the EXPERIMENTS.md result body
 //!   --checkpoint-interval N  checkpoint ladder spacing in cycles (0 = auto)
 //!   --no-checkpoints    disable checkpointed replay (from-zero replays)
-//!   --no-prune          disable lifetime-oracle pruning and the clean-
-//!                       overwrite early-exit (full replays; identical tallies)
+//!   --no-prune          disable lifetime-oracle pruning (full replays;
+//!                       identical tallies)
 //!   --no-batch          disable bit-plane batched replay (scalar one-site
 //!                       passes; identical tallies)
 //!   --fault-model M     transient (default) | stuck0 | stuck1 | control —
@@ -370,18 +370,15 @@ fault models:
   mask, scoreboard entry, block barrier counter) instead of a storage
   array; a replay that stops making progress is cut off by a watchdog and
   classified as a hang (reported separately from DUE). Lifetime pruning
-  and the clean-overwrite early exit apply only to the transient model —
-  they are unsound for persistent and control faults and are bypassed
-  automatically.
+  applies only to the transient model — it is unsound for persistent and
+  control faults and is bypassed automatically.
 
 pruning:
   Campaigns pre-classify sampled sites against a lifetime oracle captured
   from one instrumented golden run: a flip landing after a word's last
   read (or before its first write, or in unallocated space) is recorded
-  as masked without a replay, and replays without an oracle abandon the
-  run the moment the flipped word is cleanly overwritten unread. Both
-  accelerations are exact — --no-prune disables them and produces
-  bit-identical tallies, only slower.
+  as masked without a replay. Pruning is exact — --no-prune disables it
+  and produces bit-identical tallies, only slower.
 
 telemetry:
   --metrics PATH writes one JSON object per line: structured events
@@ -527,10 +524,10 @@ fn main() -> ExitCode {
             // promises.
             checkpoint_budget_bytes: if args.no_checkpoints { 1 } else { 0 },
             prune: !args.no_prune,
-            early_exit: !args.no_prune,
             fault_model: args.fault_model,
             batch: !args.no_batch,
             convergence: args.convergence.unwrap_or(100),
+            ..CampaignConfig::paper(args.seed)
         },
         workload_seed: args.seed,
         fi_on_unused_lds: false,
@@ -1392,8 +1389,8 @@ fn perf_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>]) -> ExitCode
 /// equality, and reports the speedup. A second table then re-runs the
 /// checkpointed campaign at 1, 2, 4 … `--jobs` worker threads, asserting
 /// the tally never changes, and reports the parallel scaling. A third
-/// table benchmarks the lifetime-oracle fast path (full replay vs
-/// early-exit vs pruned, identical tallies asserted), and the whole run
+/// table benchmarks the replay fast paths (full replay vs pruned vs
+/// batched, identical tallies asserted), and the whole run
 /// is written machine-readable to `BENCH_campaign.json`. A final
 /// span-traced pass per pair (identical tally asserted again) writes
 /// the phase/worker timing breakdown to `BENCH_profile.json`.
@@ -1432,9 +1429,9 @@ fn bench_campaign(
         jobs_ladder.push(max_jobs);
     }
     let mut scaling: Vec<(String, String, usize, f64)> = Vec::new();
-    // (device, workload, mode, wall, inj/s, pruned frac, early frac,
-    //  fork frac, vs full, vs pruned)
-    type PruneRow = (String, String, String, f64, f64, f64, f64, f64, f64, f64);
+    // (device, workload, mode, wall, inj/s, pruned frac, fork frac,
+    //  vs full, vs pruned)
+    type PruneRow = (String, String, String, f64, f64, f64, f64, f64, f64);
     let mut prune_rows: Vec<PruneRow> = Vec::new();
     // (device, workload, target margin, uniform replayed, adaptive
     //  replayed, adaptive rounds, adaptive margin, savings, converged)
@@ -1554,7 +1551,7 @@ fn bench_campaign(
                 }
             }
             // Replay fast paths: same golden run, same seed (so the same
-            // sampled sites), four configurations. The pruned run pays
+            // sampled sites), three configurations. The pruned run pays
             // for its own oracle-capture instrumented replay, so the
             // comparison is end-to-end, not best-case; the batched run
             // stacks bit-plane shared passes on top of the pruned
@@ -1566,15 +1563,13 @@ fn bench_campaign(
             let mut pruned_secs = 0.0;
             // (uniform margin_99, uniform replayed = injections − pruned)
             let mut uniform: Option<(f64, u64)> = None;
-            for (mode, prune, early_exit, batch) in [
-                ("full", false, false, false),
-                ("early-exit", false, true, false),
-                ("pruned", true, true, false),
-                ("batched", true, true, true),
+            for (mode, prune, batch) in [
+                ("full", false, false),
+                ("pruned", true, false),
+                ("batched", true, true),
             ] {
                 let mut c = cfg.campaign;
                 c.prune = prune;
-                c.early_exit = early_exit;
                 c.batch = batch;
                 let registry = MetricsRegistry::new();
                 let hook = RegistryHook::new(&registry);
@@ -1617,13 +1612,11 @@ fn bench_campaign(
                         (cfg.campaign.injections as u64).saturating_sub(pruned),
                     ));
                 }
-                let early = snap.counter("campaign_early_exit_total").unwrap_or(0);
                 let batched = snap.counter("campaign_batched_total").unwrap_or(0);
                 let forks = snap.counter("campaign_batch_forks_total").unwrap_or(0);
                 let n = cfg.campaign.injections as f64;
                 let ips = n / secs.max(1e-9);
                 let pruned_frac = pruned as f64 / n.max(1.0);
-                let early_frac = early as f64 / n.max(1.0);
                 let fork_frac = forks as f64 / (batched as f64).max(1.0);
                 let speedup = full_secs / secs.max(1e-9);
                 let vs_pruned = if mode == "batched" {
@@ -1638,7 +1631,6 @@ fn bench_campaign(
                     secs,
                     ips,
                     pruned_frac,
-                    early_frac,
                     fork_frac,
                     speedup,
                     vs_pruned,
@@ -1648,7 +1640,6 @@ fn bench_campaign(
                     ("seconds".into(), Json::from(secs)),
                     ("injections_per_second".into(), Json::from(ips)),
                     ("pruned_fraction".into(), Json::from(pruned_frac)),
-                    ("early_exit_fraction".into(), Json::from(early_frac)),
                     ("batched_sites".into(), Json::from(batched)),
                     ("batch_forks".into(), Json::from(forks)),
                     ("fork_fraction".into(), Json::from(fork_frac)),
@@ -1743,7 +1734,6 @@ fn bench_campaign(
             };
             let mut ac = cfg.campaign;
             ac.prune = true;
-            ac.early_exit = true;
             ac.batch = true;
             let adaptive = match grel_core::run_adaptive_campaign(
                 arch,
@@ -1832,35 +1822,23 @@ fn bench_campaign(
     println!();
     println!("== Replay fast paths (RF campaign at -j{max_jobs}, identical tallies asserted) ==");
     println!(
-        "{:<16} {:<12} {:<10} {:>9} {:>8} {:>7} {:>7} {:>7} {:>8} {:>9}",
-        "device",
-        "workload",
-        "mode",
-        "wall",
-        "inj/s",
-        "pruned",
-        "early",
-        "forked",
-        "vs full",
-        "vs pruned"
+        "{:<16} {:<12} {:<10} {:>9} {:>8} {:>7} {:>7} {:>8} {:>9}",
+        "device", "workload", "mode", "wall", "inj/s", "pruned", "forked", "vs full", "vs pruned"
     );
-    for (device, workload, mode, secs, ips, pruned, early, forked, speedup, vs_pruned) in
-        &prune_rows
-    {
+    for (device, workload, mode, secs, ips, pruned, forked, speedup, vs_pruned) in &prune_rows {
         let vs_pruned_col = if *vs_pruned > 0.0 {
             format!("{vs_pruned:>8.2}x")
         } else {
             format!("{:>9}", "-")
         };
         println!(
-            "{:<16} {:<12} {:<10} {:>8.3}s {:>8.0} {:>6.1}% {:>6.1}% {:>6.1}% {:>7.2}x {}",
+            "{:<16} {:<12} {:<10} {:>8.3}s {:>8.0} {:>6.1}% {:>6.1}% {:>7.2}x {}",
             device,
             workload,
             mode,
             secs,
             ips,
             pruned * 100.0,
-            early * 100.0,
             forked * 100.0,
             speedup,
             vs_pruned_col

@@ -39,7 +39,7 @@ use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
 use simt_sim::{
     ArchConfig, Checkpoint, Due, FaultModelKind, FaultSite, GlobalWrite, GlobalWriteLog, Gpu,
-    MaskProbe, NoopObserver, Session, SessionStatus, SimError, SimObserver, Structure,
+    NoopObserver, Session, SessionStatus, SimError, SimObserver, Structure,
 };
 use std::fmt;
 use std::time::Instant;
@@ -182,7 +182,7 @@ impl Tally {
 
 /// Campaign parameters.
 ///
-/// The checkpoint, pruning and early-exit fields tune replay
+/// The checkpoint, pruning and batching fields tune replay
 /// accelerators and change only wall-clock time, never outcomes:
 ///
 /// # Example
@@ -204,7 +204,7 @@ impl Tally {
 ///
 /// // The lifetime-oracle fast path is on by default (`repro --no-prune`
 /// // reaches the slow path); tallies are identical either way.
-/// assert!(paper.prune && paper.early_exit);
+/// assert!(paper.prune && paper.batch);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
@@ -231,12 +231,9 @@ pub struct CampaignConfig {
     /// replay. Exact — the oracle over-approximates liveness, never the
     /// reverse — so tallies are bit-identical with pruning on or off.
     pub prune: bool,
-    /// Terminate a replay as `Masked` the moment the flipped word is
-    /// erased (clean overwrite or per-launch reset) without ever having
-    /// been read. Only consulted when the oracle is off: a site that
-    /// survives pruning is by construction read before any clean
-    /// overwrite, so the probe could never fire. Only sound for
-    /// transient flips — the probe stays disarmed for other kinds.
+    /// No effect: the clean-overwrite early exit it once armed is gone,
+    /// because the lifetime oracle already clears every site it could
+    /// end early. Kept so configurations that still set it compile.
     pub early_exit: bool,
     /// Which fault model the campaign samples and injects. The default
     /// ([`FaultModelKind::Transient`]) reproduces the single-bit-flip
@@ -749,14 +746,33 @@ impl CheckpointLadder {
 }
 
 /// What every replay of one run reads: the per-point setup, the
-/// watchdog budget, whether single transient replays arm the
-/// clean-overwrite early-exit probe, and the telemetry hook. Built once
-/// per run by [`Campaign::context`].
+/// watchdog budget and the telemetry hook. Built once per run by
+/// [`Campaign::context`].
 pub(crate) struct ReplayContext<'a, H> {
     pub(crate) setup: &'a Campaign<'a>,
     pub(crate) watchdog: u64,
-    pub(crate) early_exit: bool,
     pub(crate) hook: &'a H,
+}
+
+/// Opens a replay session on a worker's scratch device: resumed from
+/// `ckpt` when given (`Session::resume` runs `*gpu = ckpt.gpu.clone()`,
+/// which allocates a whole device per replay — 11 MB on the HD 7970),
+/// otherwise on a fresh device at the start of the workload's plan.
+/// Either way the replay never observes state left behind by a previous
+/// injection. Opening touches nothing else on the device, so the caller
+/// arms faults and scenarios on the session afterwards.
+fn open_session<'g>(
+    setup: &Campaign<'_>,
+    gpu: &'g mut Gpu,
+    ckpt: Option<&Checkpoint>,
+) -> Session<'g> {
+    match ckpt {
+        Some(ck) => Session::resume(gpu, ck),
+        None => {
+            *gpu = Gpu::new(setup.arch.clone());
+            Session::new(gpu, setup.workload.plan())
+        }
+    }
 }
 
 /// Classifies one injection replay on a caller-owned device, resuming
@@ -764,19 +780,6 @@ pub(crate) struct ReplayContext<'a, H> {
 /// group of sites armed together (a multi-bit upset), all sharing the
 /// first site's cycle. `obs` rides along the replay (the flight
 /// recorder of a traced campaign, [`NoopObserver`] otherwise).
-///
-/// `gpu` is a scratch device owned by the replaying worker. A checkpoint
-/// resume replaces it with a clone of the checkpoint's device
-/// (`Session::resume` runs `*gpu = ckpt.gpu.clone()`), which allocates a
-/// whole device per replay (11 MB on the HD 7970; ROADMAP item 5 is about
-/// restoring only what changed). A from-zero replay resets it to a fresh
-/// device first. Either way the replay never observes state left behind
-/// by a previous injection.
-///
-/// [`ReplayContext::early_exit`] arms a [`MaskProbe`] that abandons the
-/// replay as `Masked` once the flipped word is erased unread. It only
-/// applies to a single transient site; groups and persistent or control
-/// faults always run to completion.
 ///
 /// # Errors
 ///
@@ -791,59 +794,41 @@ pub(crate) fn classify_on<O: SimObserver, H: TelemetryHook>(
     ckpt: Option<&Checkpoint>,
     obs: &mut O,
 ) -> Result<Outcome, SimError> {
-    let (setup, hook) = (ctx.setup, ctx.hook);
-    let site = faults[0];
-    debug_assert!(faults.iter().all(|f| f.cycle == site.cycle));
-    // The clean-overwrite early exit is only sound for one transient
-    // flip: a stuck-at cell is re-asserted by the very overwrite the
-    // probe would treat as masking, a control fault never lives in a
-    // storage word, and the probe watches a single word. The probe
-    // itself is also gated (belt and braces), but disarming here skips
-    // the per-event probe cost entirely.
-    let early_exit = ctx.early_exit && faults.len() == 1 && site.is_transient();
-    // (replay result, early-exited?, cycles skipped, instructions
-    // inherited from the checkpoint prefix, session restore counters).
-    let (result, exited, start_cycle, base_instructions, session_tel) = match ckpt {
-        Some(ck) => {
-            let mut session = Session::resume(&mut *gpu, ck);
-            let base = if H::ENABLED {
-                session.gpu().exec_totals().warp_instructions
-            } else {
-                0
-            };
-            session.gpu_mut().set_watchdog(ctx.watchdog);
-            session.gpu_mut().arm_faults(faults);
-            let (r, exited) = drive_replay(ctx, &mut session, site, early_exit, obs);
-            let tel = *session.telemetry();
-            (r, exited, ck.cycle(), base, tel)
-        }
-        None => {
-            *gpu = Gpu::new(setup.arch.clone());
-            gpu.set_watchdog(ctx.watchdog);
-            gpu.arm_faults(faults);
-            let (r, exited) = if early_exit {
-                let mut session = Session::new(&mut *gpu, setup.workload.plan());
-                drive_replay(ctx, &mut session, site, true, obs)
-            } else {
-                (setup.workload.run(gpu, obs), false)
-            };
-            (r, exited, 0, 0, simt_sim::SessionTelemetry::default())
-        }
-    };
+    debug_assert!(faults.iter().all(|f| f.cycle == faults[0].cycle));
+    let start_cycle = ckpt.map_or(0, |ck| ck.cycle());
+    let mut session = open_session(ctx.setup, gpu, ckpt);
+    session.gpu_mut().arm_faults(faults);
     if H::ENABLED {
-        hook.count(
+        ctx.hook.count("campaign_cycles_saved_total", start_cycle);
+    }
+    replay_private(ctx, session, faults[0], start_cycle, obs)
+}
+
+/// The tail every private replay shares, scalar or a forked batch lane:
+/// runs the armed `session` to completion under the watchdog, counts the
+/// cycles it simulated since `start_cycle` and what the replay cost,
+/// and sorts the result into its [`Outcome`].
+fn replay_private<O: SimObserver, H: TelemetryHook>(
+    ctx: &ReplayContext<'_, H>,
+    mut session: Session<'_>,
+    site: FaultSite,
+    start_cycle: u64,
+    obs: &mut O,
+) -> Result<Outcome, SimError> {
+    let base_instructions = if H::ENABLED {
+        session.gpu().exec_totals().warp_instructions
+    } else {
+        0
+    };
+    session.set_watchdog(ctx.watchdog);
+    let result = session.run_to_completion(obs);
+    let gpu = session.gpu();
+    if H::ENABLED {
+        ctx.hook.count(
             "campaign_cycles_replayed_total",
             gpu.app_cycle().saturating_sub(start_cycle),
         );
-        hook.count("campaign_cycles_saved_total", start_cycle);
-        if exited {
-            hook.count("campaign_early_exit_total", 1);
-            hook.count(
-                "campaign_cycles_saved_total",
-                setup.golden.cycles.saturating_sub(gpu.app_cycle()),
-            );
-        }
-        record_replay_cost(hook, gpu, base_instructions, &session_tel);
+        record_replay_cost(ctx.hook, gpu, base_instructions, session.telemetry());
     }
     verdict(ctx, result, gpu, site, start_cycle)
 }
@@ -914,43 +899,6 @@ fn verdict<H: TelemetryHook>(
         }
         Err(SimError::Due(_)) => Ok(Outcome::Due),
         Err(e) => Err(e),
-    }
-}
-
-/// Drives one replay session to completion under `obs`, abandoning it
-/// early with the golden outputs when `early_exit` is set and a
-/// [`MaskProbe`] proves the flip can no longer matter (the flipped word
-/// was erased — clean overwrite or per-launch reset — without ever
-/// having been read, so the machine state is bit-identical to the
-/// fault-free run from that point on). Returns the replay result plus
-/// whether the early exit fired.
-fn drive_replay<O: SimObserver, H>(
-    ctx: &ReplayContext<'_, H>,
-    session: &mut Session<'_>,
-    site: FaultSite,
-    early_exit: bool,
-    obs: &mut O,
-) -> (Result<Vec<u32>, SimError>, bool) {
-    if !early_exit {
-        return (session.run_to_completion(obs), false);
-    }
-    let mut probe = MaskProbe::new(site, ctx.setup.arch.num_sms as usize);
-    loop {
-        match session.step(&mut (&mut probe, &mut *obs)) {
-            Err(e) => return (Err(e), false),
-            Ok(SessionStatus::Finished) => {
-                let out = session
-                    .outputs()
-                    .expect("finished session has outputs")
-                    .to_vec();
-                return (Ok(out), false);
-            }
-            Ok(SessionStatus::Running) => {
-                if probe.provably_masked() {
-                    return (Ok(ctx.setup.golden.outputs.clone()), true);
-                }
-            }
-        }
     }
 }
 
@@ -1028,13 +976,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     let mut forked = 0u64;
     let mut last_snap_used = false;
     let (finished_out, final_sdc, shared_broke, shared_end, shared_instr) = {
-        let mut session = match ckpt {
-            Some(ck) => Session::resume(&mut *gpu, ck),
-            None => {
-                *gpu = Gpu::new(setup.arch.clone());
-                Session::new(&mut *gpu, setup.workload.plan())
-            }
-        };
+        let mut session = open_session(setup, gpu, ckpt);
         let base = if H::ENABLED {
             session.gpu().exec_totals().warp_instructions
         } else {
@@ -1162,37 +1104,26 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         }
         let site = batch[s];
         let snap = &snaps[fork_snap[s]];
-        let (result, base_instructions, session_tel) = {
-            let mut session = Session::resume(&mut *gpu, snap);
-            let base = if H::ENABLED {
-                session.gpu().exec_totals().warp_instructions
-            } else {
-                0
-            };
-            session.gpu_mut().set_watchdog(ctx.watchdog);
-            session.gpu_mut().materialize_scenario(s);
-            // The snapshot was captured before the fault-application
-            // step of its own cycle (rung semantics), so a flip at or
-            // past the snapshot cycle is still pending and re-arms
-            // scalar; an earlier flip already lives in the overlay diff
-            // just materialised.
-            if site.cycle >= snap.cycle() {
-                session.gpu_mut().arm_fault(site);
-            }
-            let r = session.run_to_completion(&mut NoopObserver);
-            (r, base, *session.telemetry())
-        };
+        let mut session = Session::resume(&mut *gpu, snap);
+        session.gpu_mut().materialize_scenario(s);
+        // The snapshot was captured before the fault-application step of
+        // its own cycle (rung semantics), so a flip at or past the
+        // snapshot cycle is still pending and re-arms scalar; an earlier
+        // flip already lives in the overlay diff just materialised.
+        if site.cycle >= snap.cycle() {
+            session.arm_fault(site);
+        }
+        outcomes[s] = replay_private(ctx, session, site, snap.cycle(), &mut NoopObserver)?;
         if H::ENABLED {
-            let replayed = gpu.app_cycle().saturating_sub(snap.cycle());
-            hook.count("campaign_cycles_replayed_total", replayed);
-            hook.count("campaign_batch_fork_cycles_total", replayed);
+            hook.count(
+                "campaign_batch_fork_cycles_total",
+                gpu.app_cycle().saturating_sub(snap.cycle()),
+            );
             hook.count(
                 "campaign_cycles_saved_total",
                 snap.cycle().saturating_sub(start_cycle),
             );
-            record_replay_cost(hook, gpu, base_instructions, &session_tel);
         }
-        outcomes[s] = verdict(ctx, result, gpu, site, snap.cycle())?;
     }
     Ok(BatchReplay {
         outcomes,
@@ -1371,7 +1302,6 @@ impl<'a> Campaign<'a> {
     pub(crate) fn context<'s, H>(
         &'s self,
         cfg: &CampaignConfig,
-        early_exit: bool,
         hook: &'s H,
     ) -> ReplayContext<'s, H> {
         ReplayContext {
@@ -1381,7 +1311,6 @@ impl<'a> Campaign<'a> {
                 .cycles
                 .saturating_mul(cfg.watchdog_factor)
                 .saturating_add(10_000),
-            early_exit,
             hook,
         }
     }
@@ -1476,7 +1405,6 @@ impl<'a> Campaign<'a> {
                 .field("golden_cycles", result.golden_cycles)
                 .field("ladder_rungs", self.ladder.len())
                 .field("pruned", pruned)
-                .field("early_exit", replayed.early_exit)
                 .field("seconds", seconds)
                 .field("injections_per_second", per_second),
         );
@@ -1597,9 +1525,7 @@ pub fn run_campaign_with_ladder_hooked<H: TelemetryHook>(
 /// pool. Pruning is exact — tallies are bit-identical to an unpruned run
 /// at any job count — because a pruned flip is erased before any read
 /// could propagate it. Passing `None` disables pruning regardless of
-/// `cfg.prune` (and arms the per-replay early-exit probe when
-/// `cfg.early_exit` is set; with an oracle the probe is redundant, since
-/// every replayed site is read before its first clean overwrite).
+/// `cfg.prune`.
 ///
 /// # Errors
 ///
@@ -2161,7 +2087,7 @@ mod tests {
         let w = VectorAdd::new(256, 3);
         let mut cfg = small_cfg(64);
         let setup = Campaign::new(&arch, &w, &cfg, Capture::default(), &NoopHook).unwrap();
-        let ctx = setup.context(&cfg, true, &NoopHook);
+        let ctx = setup.context(&cfg, &NoopHook);
         let mut sites = sample_sites(
             &arch,
             Structure::VectorRegisterFile,

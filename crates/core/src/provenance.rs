@@ -470,8 +470,8 @@ impl Campaign<'_> {
     /// [`Campaign::run`] with the flight recorder enabled: same sites,
     /// same outcomes, same tally — plus one [`Provenance`] record per
     /// injection (site order) and the campaign [`ProvenanceAggregate`].
-    /// Traced replays are neither pruned nor batched, and never exit
-    /// early: the recorder wants every full propagation timeline.
+    /// Traced replays are neither pruned nor batched: the recorder wants
+    /// every full propagation timeline.
     ///
     /// Per-injection `injection.trace` events and `provenance_*` metrics
     /// are emitted from the calling thread after the deterministic

@@ -78,8 +78,7 @@ pub(crate) fn fan_out<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Ve
 pub(crate) enum Arming {
     /// `width` consecutive entries of the site list form one injection,
     /// armed together (a multi-bit upset; `1` is the single-bit
-    /// campaign). Only single-site injections are pruned, batched or
-    /// exited early.
+    /// campaign). Only single-site injections are pruned or batched.
     Groups(usize),
     /// One site per injection, replayed under the flight recorder
     /// against the setup's golden global-store stream
@@ -98,8 +97,6 @@ pub(crate) struct Replayed {
     /// Injections the lifetime oracle classified `Masked` without a
     /// replay.
     pub(crate) pruned: u64,
-    /// Whether single transient replays armed the early-exit probe.
-    pub(crate) early_exit: bool,
 }
 
 /// One piece of worker work, naming injections by index.
@@ -533,15 +530,6 @@ impl Campaign<'_> {
     /// `rung="pruned"` hit), so hooked totals account for every sampled
     /// site at any pruning rate.
     ///
-    /// Without an oracle, `cfg.early_exit` arms a
-    /// [`MaskProbe`](simt_sim::MaskProbe) per untraced single-site replay that
-    /// abandons the run as `Masked` at the first clean erasure of the
-    /// unread flipped word. Under an oracle the probe stays off: every
-    /// surviving site is read before its first clean overwrite, so the
-    /// probe could never fire and would only slow the replay loop down. A
-    /// traced replay never exits early either: the flight recorder wants
-    /// the full propagation timeline.
-    ///
     /// # Errors
     ///
     /// Propagates replay failures that are not fault classifications. When
@@ -569,10 +557,10 @@ impl Campaign<'_> {
         );
         debug_assert_eq!(sites.len() % width, 0, "sites come in whole groups");
         let n = sites.len() / width;
-        // Pruning, batching and early exit reason about one flipped word,
+        // Pruning and batching reason about one flipped word,
         // and the flight recorder wants every replay's full timeline.
         let oracle = self.oracle().filter(|_| cfg.prune && width == 1 && !traced);
-        let ctx = self.context(&cfg, cfg.early_exit && oracle.is_none() && !traced, hook);
+        let ctx = self.context(&cfg, hook);
         // Serial pre-classification: pruned sites keep their pre-filled
         // `Masked` slot and never reach a worker.
         let span_prefix = replay_span_prefix(&ctx, sites);
@@ -667,7 +655,6 @@ impl Campaign<'_> {
             outcomes,
             records,
             pruned,
-            early_exit: shared.ctx.early_exit,
         })
     }
 }
@@ -765,6 +752,5 @@ mod tests {
         assert!(dead > 0, "vectoradd leaves dead register-file sites");
         assert_eq!(pruned.pruned, dead);
         assert_eq!(full.pruned, 0);
-        assert!(!pruned.early_exit && full.early_exit);
     }
 }

@@ -80,4 +80,4 @@ pub use observer::{
 };
 pub use regfile::StuckBit;
 pub use session::{Checkpoint, LaunchPlan, PlanStep, Session, SessionStatus, SessionTelemetry};
-pub use trace::{GlobalWrite, GlobalWriteLog, MaskProbe, TraceObserver, TraceRecord, TAINT_CAP};
+pub use trace::{GlobalWrite, GlobalWriteLog, TraceObserver, TraceRecord, TAINT_CAP};

@@ -1019,19 +1019,13 @@ impl Sm {
     }
 
     fn release_barrier(&mut self, block_slot: usize) {
-        let slots = self.blocks[block_slot]
-            .as_ref()
-            .expect("block resident")
-            .warp_slots
-            .clone();
-        for s in slots {
+        let block = self.blocks[block_slot].as_mut().expect("block resident");
+        for &s in &block.warp_slots {
             if let Some(w) = self.warps[s].as_mut() {
                 w.at_barrier = false;
             }
         }
-        if let Some(b) = self.blocks[block_slot].as_mut() {
-            b.at_barrier = 0;
-        }
+        block.at_barrier = 0;
     }
 
     fn retire_block<O: SimObserver>(&mut self, block_slot: usize, cycle: u64, obs: &mut O) {

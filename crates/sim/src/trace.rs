@@ -331,140 +331,6 @@ impl SimObserver for TraceObserver<'_> {
     }
 }
 
-/// Minimal early-exit probe for untraced faulty replays: detects the
-/// moment a flipped word is **provably masked**, so the replay can stop
-/// without simulating to completion.
-///
-/// The argument (the soundness side of [`TraceObserver`]'s clean-
-/// overwrite rule): a fault only XORs one architected storage word, and
-/// reads are the only conduit by which a corrupted value can influence
-/// anything else. While the flipped word has never been read since
-/// injection, the replay's execution is bit-identical to the golden run
-/// everywhere else — so the first *clean* event that restores the word
-/// (an overwrite, whose inputs cannot be tainted, or the per-launch
-/// storage reset at the next kernel launch) makes the entire machine
-/// state equal to the golden run's. From that point the outcome is
-/// `Masked` by construction. The simulator reports reads before writes
-/// within an instruction, so a same-cycle read-then-overwrite correctly
-/// suppresses the early exit.
-///
-/// Unlike [`TraceObserver`] this keeps no taint set and no golden write
-/// stream: it answers only "is this replay already provably masked?",
-/// cheap enough to ride every replay of a campaign's slow path.
-///
-/// The argument is only valid for
-/// [`TransientFlip`](crate::fault::FaultKind::TransientFlip) sites: a
-/// stuck-at cell re-asserts on every write (an overwrite does *not*
-/// restore golden state) and a control fault never lives in a storage
-/// word at all. Probes armed for non-transient sites therefore never
-/// report masked, regardless of the event stream.
-///
-/// # Example
-/// ```
-/// use simt_sim::{FaultSite, MaskProbe, SimObserver, Structure};
-/// let site = FaultSite::new(Structure::VectorRegisterFile, 0, 10, 3, 100);
-/// let mut probe = MaskProbe::new(site, 16);
-/// probe.on_fault_injected(site);
-/// probe.on_rf_write(0, 10, 120); // clean overwrite, never read
-/// assert!(probe.provably_masked());
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct MaskProbe {
-    site: FaultSite,
-    /// The physical SM index the fault lands on (`site.sm % num_sms`).
-    sm_index: u32,
-    /// Whether the clean-overwrite argument applies to this site's fault
-    /// kind (transient only).
-    maskable: bool,
-    injected: bool,
-    read_seen: bool,
-    masked_at: Option<u64>,
-}
-
-impl MaskProbe {
-    /// Arms a probe for `site` on a device with `num_sms` SMs.
-    pub fn new(site: FaultSite, num_sms: usize) -> Self {
-        MaskProbe {
-            site,
-            sm_index: (site.sm as usize % num_sms.max(1)) as u32,
-            maskable: site.is_transient(),
-            injected: false,
-            read_seen: false,
-            masked_at: None,
-        }
-    }
-
-    /// Whether the flip has provably been erased without ever being
-    /// read: the replay is guaranteed to finish `Masked`.
-    pub fn provably_masked(&self) -> bool {
-        self.masked_at.is_some()
-    }
-
-    /// The cycle the flip was erased, when [`MaskProbe::provably_masked`].
-    pub fn masked_at(&self) -> Option<u64> {
-        self.masked_at
-    }
-
-    fn read(&mut self, structure: Structure, sm: u32, word: u32) {
-        if self.injected
-            && self.masked_at.is_none()
-            && sm == self.sm_index
-            && structure == self.site.structure
-            && word == self.site.word
-        {
-            self.read_seen = true;
-        }
-    }
-
-    fn write(&mut self, structure: Structure, sm: u32, word: u32, cycle: u64) {
-        if self.maskable
-            && self.injected
-            && !self.read_seen
-            && self.masked_at.is_none()
-            && sm == self.sm_index
-            && structure == self.site.structure
-            && word == self.site.word
-        {
-            self.masked_at = Some(cycle);
-        }
-    }
-}
-
-impl SimObserver for MaskProbe {
-    fn on_rf_read(&mut self, sm: u32, word: u32, _cycle: u64) {
-        self.read(Structure::VectorRegisterFile, sm, word);
-    }
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.write(Structure::VectorRegisterFile, sm, word, cycle);
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, _cycle: u64) {
-        self.read(Structure::ScalarRegisterFile, sm, word);
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.write(Structure::ScalarRegisterFile, sm, word, cycle);
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, _cycle: u64) {
-        self.read(Structure::LocalMemory, sm, word);
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.write(Structure::LocalMemory, sm, word, cycle);
-    }
-    fn on_launch_begin(&mut self, _name: &str, cycle: u64) {
-        // The per-launch storage reset zeroes every RF/SRF/LDS word: a
-        // still-unread flip is erased exactly like a clean overwrite.
-        // (Stuck-at cells survive the reset — `Sm::reset` re-asserts
-        // them — so this too is gated to transient sites.)
-        if self.maskable && self.injected && !self.read_seen && self.masked_at.is_none() {
-            self.masked_at = Some(cycle);
-        }
-    }
-    fn on_fault_injected(&mut self, site: FaultSite) {
-        if site == self.site {
-            self.injected = true;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,58 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_fires_on_clean_overwrite_only() {
-        let mut p = MaskProbe::new(site(), 1);
-        p.on_rf_write(0, 10, 50); // pre-injection: ignored
-        assert!(!p.provably_masked());
-        p.on_fault_injected(site());
-        p.on_rf_write(0, 10, 120);
-        assert_eq!(p.masked_at(), Some(120));
-    }
-
-    #[test]
-    fn probe_read_suppresses_the_exit_forever() {
-        let mut p = MaskProbe::new(site(), 1);
-        p.on_fault_injected(site());
-        p.on_rf_read(0, 10, 110); // corruption consumed
-        p.on_rf_write(0, 10, 120);
-        p.on_launch_begin("k2", 200);
-        assert!(!p.provably_masked());
-    }
-
-    #[test]
-    fn probe_same_cycle_read_then_write_is_not_masked() {
-        // Stream order within an instruction: reads precede writes.
-        let mut p = MaskProbe::new(site(), 1);
-        p.on_fault_injected(site());
-        p.on_rf_read(0, 10, 120);
-        p.on_rf_write(0, 10, 120);
-        assert!(!p.provably_masked());
-    }
-
-    #[test]
-    fn probe_launch_reset_masks_unread_flip() {
-        let mut p = MaskProbe::new(site(), 1);
-        p.on_fault_injected(site());
-        p.on_rf_read(0, 11, 150); // different word: irrelevant
-        p.on_launch_begin("k2", 300);
-        assert_eq!(p.masked_at(), Some(300));
-    }
-
-    #[test]
-    fn probe_never_masks_non_transient_sites() {
-        use crate::fault::FaultKind;
-        // A stuck-at cell is re-asserted by every write: the clean-
-        // overwrite argument is unsound, so the probe must stay silent.
-        let s = site().with_kind(FaultKind::StuckAt1);
-        let mut p = MaskProbe::new(s, 1);
-        p.on_fault_injected(s);
-        p.on_rf_write(0, 10, 120);
-        p.on_launch_begin("k2", 300);
-        assert!(!p.provably_masked());
-    }
-
-    #[test]
     fn trace_records_reasserts_and_hang() {
         use crate::fault::FaultKind;
         let golden = [];
@@ -681,14 +495,5 @@ mod tests {
         let r = t.into_record(16);
         assert_eq!(r.control_corrupt, Some(100));
         assert_eq!(r.hang, None);
-    }
-
-    #[test]
-    fn probe_ignores_other_sms_and_structures() {
-        let mut p = MaskProbe::new(site(), 4);
-        p.on_fault_injected(site());
-        p.on_rf_write(2, 10, 120); // different SM
-        p.on_lds_write(0, 10, 121); // different structure
-        assert!(!p.provably_masked());
     }
 }

@@ -90,7 +90,6 @@ fn help_text(base: &str) -> &'static str {
         "campaign_injections_by_kind_total" => "Fault injections classified, by fault kind.",
         "campaign_rung_hits_total" => "Replays resumed from each checkpoint rung.",
         "campaign_pruned_total" => "Sites the lifetime oracle resolved without a replay.",
-        "campaign_early_exit_total" => "Replays abandoned at a clean overwrite.",
         "campaign_batched_total" => "Sites classified by a shared batched replay pass.",
         "campaign_batches_total" => "Shared batched replay passes run.",
         "campaign_batch_forks_total" => "Batched lanes forked into a private replay.",
