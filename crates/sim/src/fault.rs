@@ -2,7 +2,7 @@
 //!
 //! The reproduced study injects transient single-bit flips in storage
 //! arrays. This module generalises that into a site = structure × kind ×
-//! persistence taxonomy behind the [`FaultModel`] trait:
+//! persistence taxonomy:
 //!
 //! * [`FaultKind::TransientFlip`] — today's behaviour, a one-shot XOR of
 //!   one storage bit (bit-identical to the pre-refactor campaigns);
@@ -245,65 +245,6 @@ impl FromStr for FaultModelKind {
                 "unknown fault model {other:?} (expected transient, stuck0, stuck1 or control)"
             )),
         }
-    }
-}
-
-/// Behavioural contract of a fault model, implemented by both the
-/// per-site [`FaultKind`] and the campaign-level [`FaultModelKind`].
-///
-/// The soundness-critical method is [`FaultModel::overwrite_maskable`]:
-/// the lifetime-oracle pruner reasons "a clean write to the target word
-/// erases the fault, so a site whose next access is a write is Masked". That reasoning holds *only* for
-/// transient flips — a stuck-at fault re-asserts on every write and a
-/// control fault never lives in the overwritten storage at all — so every
-/// fast path must consult this predicate before skipping a replay.
-pub trait FaultModel {
-    /// Stable label for telemetry and reports.
-    fn label(&self) -> &'static str;
-
-    /// The fault outlives writes to its cell (stuck-at family).
-    fn is_persistent(&self) -> bool {
-        false
-    }
-
-    /// The fault corrupts scheduler/mask/scoreboard/barrier state rather
-    /// than a storage array.
-    fn targets_control_state(&self) -> bool {
-        false
-    }
-
-    /// A clean overwrite of the target word erases the fault, so
-    /// overwrite-based masking proofs (oracle pruning) are sound.
-    fn overwrite_maskable(&self) -> bool {
-        !self.is_persistent() && !self.targets_control_state()
-    }
-}
-
-impl FaultModel for FaultKind {
-    fn label(&self) -> &'static str {
-        self.as_str()
-    }
-
-    fn is_persistent(&self) -> bool {
-        matches!(self, FaultKind::StuckAt0 | FaultKind::StuckAt1)
-    }
-
-    fn targets_control_state(&self) -> bool {
-        matches!(self, FaultKind::Control(_))
-    }
-}
-
-impl FaultModel for FaultModelKind {
-    fn label(&self) -> &'static str {
-        self.as_str()
-    }
-
-    fn is_persistent(&self) -> bool {
-        matches!(self, FaultModelKind::Stuck0 | FaultModelKind::Stuck1)
-    }
-
-    fn targets_control_state(&self) -> bool {
-        matches!(self, FaultModelKind::Control)
     }
 }
 
@@ -676,18 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_model_maskability() {
-        assert!(FaultKind::TransientFlip.overwrite_maskable());
-        assert!(!FaultKind::StuckAt0.overwrite_maskable());
-        assert!(!FaultKind::StuckAt1.overwrite_maskable());
-        assert!(!FaultKind::Control(ControlTarget::ActiveMask).overwrite_maskable());
-        assert!(FaultKind::StuckAt1.is_persistent());
-        assert!(!FaultKind::StuckAt1.targets_control_state());
-        assert!(FaultKind::Control(ControlTarget::SchedulerSlot).targets_control_state());
-
-        assert!(FaultModelKind::Transient.overwrite_maskable());
-        assert!(!FaultModelKind::Stuck0.overwrite_maskable());
-        assert!(!FaultModelKind::Control.overwrite_maskable());
+    fn model_storage_kinds() {
         assert_eq!(
             FaultModelKind::Stuck1.storage_kind(),
             Some(FaultKind::StuckAt1)

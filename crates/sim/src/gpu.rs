@@ -3,12 +3,12 @@
 
 use crate::config::ArchConfig;
 use crate::error::{Due, SimError};
-use crate::fault::{BatchPlane, FaultKind, FaultSite, Structure};
+use crate::fault::{BatchPlane, FaultKind, FaultSite};
 use crate::launch::{LaunchConfig, LaunchStats};
 use crate::mem::{GlobalMemory, MemorySystem};
 use crate::observer::{NoopObserver, SimObserver};
 use crate::regfile::StuckBit;
-use crate::sm::Sm;
+use crate::sm::{Ctx, Sm};
 use simt_isa::LoweredKernel;
 
 /// A device-memory allocation handle.
@@ -265,11 +265,6 @@ impl Gpu {
         self.plane = Some(BatchPlane::new(sites.to_vec()));
     }
 
-    /// The active batch plane, if a batched pass is armed.
-    pub fn scenario_plane(&self) -> Option<&BatchPlane> {
-        self.plane.as_ref()
-    }
-
     /// Drains every pending fork request (per-SM shards, the global
     /// memory shard and host reads) into the plane. Returns the *newly*
     /// forked scenarios and sweeps their dead overlay cells.
@@ -356,14 +351,9 @@ impl Gpu {
             }
             plane.armed |= bit;
             let sm = &mut self.sms[site.sm as usize % n];
-            let cur = match site.structure {
-                Structure::VectorRegisterFile => sm.rf.get(site.word as usize).copied(),
-                Structure::ScalarRegisterFile => sm.srf.get(site.word as usize).copied(),
-                Structure::LocalMemory => sm.lds.get(site.word as usize).copied(),
-            };
             // An out-of-range word cannot affect execution: the scenario
-            // never diverges — same no-op as the scalar flip helpers.
-            if let Some(cur) = cur {
+            // never diverges — same no-op as `Sm::flip_bit`.
+            if let Some(&cur) = sm.storage(site.structure).get(site.word as usize) {
                 sm.overlay
                     .get_or_insert_with(Default::default)
                     .assert_value(site.structure, site.word, i as u8, cur ^ (1 << site.bit));
@@ -382,11 +372,7 @@ impl Gpu {
         let idx = site.sm as usize % self.sms.len().max(1);
         let sm = &mut self.sms[idx];
         match site.kind {
-            FaultKind::TransientFlip => match site.structure {
-                Structure::VectorRegisterFile => sm.flip_rf_bit(site.word, site.bit),
-                Structure::LocalMemory => sm.flip_lds_bit(site.word, site.bit),
-                Structure::ScalarRegisterFile => sm.flip_srf_bit(site.word, site.bit),
-            },
+            FaultKind::TransientFlip => sm.flip_bit(site.structure, site.word, site.bit),
             FaultKind::StuckAt0 | FaultKind::StuckAt1 => {
                 sm.arm_stuck(StuckBit {
                     structure: site.structure,
@@ -551,18 +537,17 @@ impl Gpu {
         if self.plane.is_some() {
             self.arm_due_scenarios();
         }
-        for i in 0..self.sms.len() {
-            let sm = &mut self.sms[i];
-            if let Err(d) = sm.step(
-                self.app_cycle,
-                &fl.kernel,
-                &fl.cfg,
-                &self.arch,
-                &mut self.mem,
-                &mut self.mem_sys,
-                obs,
-            ) {
-                obs.on_launch_end(self.app_cycle);
+        let mut cx = Ctx {
+            cycle: self.app_cycle,
+            arch: &self.arch,
+            cfg: fl.cfg,
+            mem: &mut self.mem,
+            mem_sys: &mut self.mem_sys,
+            obs: &mut *obs,
+        };
+        for sm in &mut self.sms {
+            if let Err(d) = sm.step(&fl.kernel, &mut cx) {
+                cx.obs.on_launch_end(cx.cycle);
                 return Err(SimError::Due(d));
             }
         }
@@ -612,24 +597,24 @@ impl Gpu {
         total_blocks: u32,
         obs: &mut O,
     ) {
+        let mut cx = Ctx {
+            cycle: self.app_cycle,
+            arch: &self.arch,
+            cfg,
+            mem: &mut self.mem,
+            mem_sys: &mut self.mem_sys,
+            obs,
+        };
         // Round-robin across SMs, stopping when a full round places nothing.
         'outer: while *next_block < total_blocks {
             let mut placed = false;
-            for i in 0..self.sms.len() {
+            for sm in &mut self.sms {
                 if *next_block >= total_blocks {
                     break 'outer;
                 }
                 let bid = *next_block;
                 let ctaid = (bid % cfg.grid.x, bid / cfg.grid.x);
-                if self.sms[i].try_dispatch(
-                    kernel,
-                    &cfg,
-                    ctaid,
-                    params,
-                    &self.arch,
-                    self.app_cycle,
-                    obs,
-                ) {
+                if sm.try_dispatch(kernel, ctaid, params, &mut cx) {
                     *next_block += 1;
                     placed = true;
                 }
@@ -714,6 +699,7 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Structure;
     use simt_isa::{lower, KernelBuilder, MemSpace};
 
     fn arch() -> ArchConfig {

@@ -70,8 +70,8 @@ pub use cache::{Cache, CacheGeom, CacheStats};
 pub use config::{ArchConfig, Latencies, SchedulerPolicy, Vendor};
 pub use error::{Due, SimError};
 pub use fault::{
-    BatchPlane, ControlTarget, FaultKind, FaultModel, FaultModelKind, FaultSite, InvalidFaultSite,
-    Structure, MAX_BATCH_SCENARIOS,
+    BatchPlane, ControlTarget, FaultKind, FaultModelKind, FaultSite, InvalidFaultSite, Structure,
+    MAX_BATCH_SCENARIOS,
 };
 pub use gpu::{Buffer, Gpu, LaunchProgress};
 pub use launch::{Dim, LaunchConfig, LaunchStats};

@@ -7,10 +7,12 @@ use crate::fault::{ControlTarget, Structure};
 use crate::launch::LaunchConfig;
 use crate::mem::{GlobalMemory, MemorySystem, MAX_LANES};
 use crate::observer::{BlockRegions, SimObserver};
-use crate::regfile::{RegionAllocator, SmOverlay, StuckBit};
+use crate::regfile::{OverlayCell, RegionAllocator, SmOverlay, StuckBit};
 use crate::warp::{LaneMask, Warp};
 use simt_isa::op::{eval_atom, eval_binop, eval_cmp, eval_terop, eval_unop};
-use simt_isa::{Instr, LoweredKernel, MemSpace, Operand, Reg, SReg, Special, VReg};
+use simt_isa::{
+    AtomOp, Instr, LoweredKernel, MemSpace, Operand, PReg, Reg, SReg, Special, TerOp, VReg,
+};
 
 /// A block resident on an SM.
 #[derive(Debug, Clone)]
@@ -57,6 +59,8 @@ pub struct SmStats {
 pub struct Sm {
     /// SM index within the device.
     pub id: u32,
+    /// Lanes per warp: the row length of a vector register.
+    warp_size: u32,
     pub(crate) rf: Vec<u32>,
     pub(crate) srf: Vec<u32>,
     pub(crate) lds: Vec<u32>,
@@ -66,7 +70,7 @@ pub struct Sm {
     warps: Vec<Option<Warp>>,
     blocks: Vec<Option<ResidentBlock>>,
     /// Armed permanent stuck-at cells, re-asserted by the store
-    /// intercepts on every write (empty in fault-free runs).
+    /// intercept on every write (empty in fault-free runs).
     stuck: Vec<StuckBit>,
     /// Batched-replay overlay shard; `None` outside a batched pass.
     pub(crate) overlay: Option<Box<SmOverlay>>,
@@ -83,7 +87,27 @@ pub struct Sm {
     pub stats: SmStats,
 }
 
+/// The per-instruction execution context: everything an SM's execute
+/// helpers borrow besides the SM and the issuing warp. The device builds
+/// one per cycle (and one per block dispatch round) and lends it to
+/// every SM in turn.
+pub(crate) struct Ctx<'a, O> {
+    /// The application cycle being executed.
+    pub(crate) cycle: u64,
+    /// The device architecture (latencies, issue width, LDS banking).
+    pub(crate) arch: &'a ArchConfig,
+    /// The launch dimensions (`ntid`, `nctaid`, threads per block).
+    pub(crate) cfg: LaunchConfig,
+    /// Device global memory and its overlay shard.
+    pub(crate) mem: &'a mut GlobalMemory,
+    /// The cache and coalescing timing model.
+    pub(crate) mem_sys: &'a mut MemorySystem,
+    /// The event sink.
+    pub(crate) obs: &'a mut O,
+}
+
 /// How an operand is resolved for a warp-wide execution.
+#[derive(Clone, Copy)]
 enum Resolved {
     /// Same value for every lane (immediates, uniform specials).
     Uniform(u32),
@@ -97,17 +121,21 @@ enum Resolved {
     },
     /// A per-lane vector register.
     VReg(u16),
-    /// A per-lane special value.
+    /// A per-lane special value (`TidX`, `TidY`, `LaneId`).
     Special(Special),
 }
 
-/// Golden value of an operand validated to be warp-uniform.
-fn uniform_value(r: &Resolved) -> u32 {
-    match *r {
-        Resolved::Uniform(v) | Resolved::Sreg { value: v, .. } => v,
-        _ => unreachable!("validated scalar sources are uniform"),
-    }
+/// The address of a memory instruction: its space, its base operand
+/// (resolved once per instruction) and its constant byte offset.
+#[derive(Clone, Copy)]
+struct Access {
+    space: MemSpace,
+    base: Resolved,
+    offset: u32,
 }
+
+/// `(scenario, value)` overlay entries a written word carries.
+type Carry = Vec<(u8, u32)>;
 
 /// Iterates the set bit indices of a mask, lowest first.
 fn set_bits(mut mask: u64) -> impl Iterator<Item = u32> {
@@ -125,11 +153,17 @@ fn scn_bits(mask: u64) -> impl Iterator<Item = u8> {
     set_bits(mask).map(|s| s as u8)
 }
 
+/// The entries of an overlay cell, if there is one.
+fn carry_of(cell: Option<&OverlayCell>) -> Carry {
+    cell.map(|c| c.entries().to_vec()).unwrap_or_default()
+}
+
 impl Sm {
     /// Creates an idle SM with the architecture's storage sizes.
     pub fn new(id: u32, arch: &ArchConfig) -> Self {
         Sm {
             id,
+            warp_size: arch.warp_size,
             rf: vec![0; arch.rf_words_per_sm() as usize],
             srf: vec![0; arch.srf_words_per_sm() as usize],
             lds: vec![0; arch.lds_words_per_sm() as usize],
@@ -191,33 +225,28 @@ impl Sm {
         self.rf_alloc.allocated()
     }
 
-    /// LDS words currently allocated.
-    pub fn lds_allocated(&self) -> u32 {
-        self.lds_alloc.allocated()
-    }
-
-    /// Scalar-RF words currently allocated.
-    pub fn srf_allocated(&self) -> u32 {
-        self.srf_alloc.allocated()
-    }
-
-    /// Flips one bit of the vector register file.
-    pub fn flip_rf_bit(&mut self, word: u32, bit: u8) {
-        if let Some(w) = self.rf.get_mut(word as usize) {
-            *w ^= 1 << bit;
+    /// The physical words of one storage structure.
+    pub(crate) fn storage(&self, structure: Structure) -> &[u32] {
+        match structure {
+            Structure::VectorRegisterFile => &self.rf,
+            Structure::ScalarRegisterFile => &self.srf,
+            Structure::LocalMemory => &self.lds,
         }
     }
 
-    /// Flips one bit of the scalar register file.
-    pub fn flip_srf_bit(&mut self, word: u32, bit: u8) {
-        if let Some(w) = self.srf.get_mut(word as usize) {
-            *w ^= 1 << bit;
+    /// The physical words of one storage structure, writable.
+    fn storage_mut(&mut self, structure: Structure) -> &mut [u32] {
+        match structure {
+            Structure::VectorRegisterFile => &mut self.rf,
+            Structure::ScalarRegisterFile => &mut self.srf,
+            Structure::LocalMemory => &mut self.lds,
         }
     }
 
-    /// Flips one bit of the LDS.
-    pub fn flip_lds_bit(&mut self, word: u32, bit: u8) {
-        if let Some(w) = self.lds.get_mut(word as usize) {
+    /// Flips one bit of a storage word. A word off the structure is
+    /// ignored: the flip lands nowhere.
+    pub fn flip_bit(&mut self, structure: Structure, word: u32, bit: u8) {
+        if let Some(w) = self.storage_mut(structure).get_mut(word as usize) {
             *w ^= 1 << bit;
         }
     }
@@ -225,19 +254,14 @@ impl Sm {
     /// Forces a stuck cell's polarity onto current storage (no observer:
     /// arming is not a program write).
     fn force_stuck_now(&mut self, s: StuckBit) {
-        let target = match s.structure {
-            Structure::VectorRegisterFile => self.rf.get_mut(s.word as usize),
-            Structure::ScalarRegisterFile => self.srf.get_mut(s.word as usize),
-            Structure::LocalMemory => self.lds.get_mut(s.word as usize),
-        };
-        if let Some(w) = target {
+        if let Some(w) = self.storage_mut(s.structure).get_mut(s.word as usize) {
             *w = s.force(*w);
         }
     }
 
     /// Arms a permanent stuck-at cell: the bit is forced immediately and
     /// re-asserted on every subsequent write through the store
-    /// intercepts (and across [`Sm::reset`]).
+    /// intercept (and across [`Sm::reset`]).
     pub fn arm_stuck(&mut self, s: StuckBit) {
         self.force_stuck_now(s);
         self.stuck.push(s);
@@ -316,73 +340,73 @@ impl Sm {
             .count() as u32
     }
 
-    // ---- storage write intercepts ----
-    //
-    // Every program-visible write of the three storage arrays funnels
-    // through these helpers so permanent faults can re-assert. The
-    // fault-free path costs one `is_empty` check; observer call order is
-    // identical to the historical direct stores.
+    // ---- the store intercept ----
 
-    /// Forces armed stuck bits of `(structure, word)` into `value`.
-    fn stuck_adjust(&self, structure: Structure, word: u32, value: u32) -> u32 {
-        let mut v = value;
+    /// Stores `value` to `(structure, word)`: the one path of every
+    /// program-visible write of the three storage arrays. It re-asserts
+    /// armed stuck bits (the fault-free path costs one empty loop), kills
+    /// the word's batched divergence, reports the write, and then
+    /// re-asserts `carry`: the divergent scenario values the word holds
+    /// from here on.
+    #[inline(always)]
+    fn store<O: SimObserver>(
+        &mut self,
+        structure: Structure,
+        word: u32,
+        value: u32,
+        carry: &[(u8, u32)],
+        cx: &mut Ctx<'_, O>,
+    ) {
+        let mut stored = value;
         for s in &self.stuck {
             if s.structure == structure && s.word == word {
-                v = s.force(v);
+                stored = s.force(stored);
             }
         }
-        v
-    }
-
-    /// Stores to a vector-RF word, re-asserting stuck bits.
-    fn store_rf<O: SimObserver>(&mut self, phys: u32, value: u32, cycle: u64, obs: &mut O) {
-        let stored = if self.stuck.is_empty() {
-            value
-        } else {
-            self.stuck_adjust(Structure::VectorRegisterFile, phys, value)
-        };
-        self.rf[phys as usize] = stored;
+        self.storage_mut(structure)[word as usize] = stored;
         if let Some(ov) = self.overlay.as_deref_mut() {
-            ov.clear_word(Structure::VectorRegisterFile, phys);
+            ov.clear_word(structure, word);
         }
-        obs.on_rf_write(self.id, phys, cycle);
+        let (sm, cycle) = (self.id, cx.cycle);
+        match structure {
+            Structure::VectorRegisterFile => cx.obs.on_rf_write(sm, word, cycle),
+            Structure::ScalarRegisterFile => cx.obs.on_srf_write(sm, word, cycle),
+            Structure::LocalMemory => cx.obs.on_lds_write(sm, word, cycle),
+        }
         if stored != value {
-            obs.on_stuck_reassert(self.id, Structure::VectorRegisterFile, phys, cycle);
+            cx.obs.on_stuck_reassert(sm, structure, word, cycle);
         }
-    }
-
-    /// Stores to a scalar-RF word, re-asserting stuck bits.
-    fn store_srf<O: SimObserver>(&mut self, phys: u32, value: u32, cycle: u64, obs: &mut O) {
-        let stored = if self.stuck.is_empty() {
-            value
-        } else {
-            self.stuck_adjust(Structure::ScalarRegisterFile, phys, value)
-        };
-        self.srf[phys as usize] = stored;
-        if let Some(ov) = self.overlay.as_deref_mut() {
-            ov.clear_word(Structure::ScalarRegisterFile, phys);
-        }
-        obs.on_srf_write(self.id, phys, cycle);
-        if stored != value {
-            obs.on_stuck_reassert(self.id, Structure::ScalarRegisterFile, phys, cycle);
+        if !carry.is_empty() {
+            let ov = self.overlay.get_or_insert_with(Default::default);
+            for &(s, v) in carry {
+                ov.assert_value(structure, word, s, v);
+            }
         }
     }
 
-    /// Stores to an LDS word, re-asserting stuck bits.
-    fn store_lds<O: SimObserver>(&mut self, word: u32, value: u32, cycle: u64, obs: &mut O) {
-        let stored = if self.stuck.is_empty() {
-            value
-        } else {
-            self.stuck_adjust(Structure::LocalMemory, word, value)
+    /// Writes lane `lane` of register `dst` (a scalar register has one
+    /// word for the whole warp) through the store intercept, carrying
+    /// `carry`.
+    #[inline(always)]
+    fn write_reg<O: SimObserver>(
+        &mut self,
+        warp: &Warp,
+        dst: Reg,
+        lane: u32,
+        value: u32,
+        carry: &[(u8, u32)],
+        cx: &mut Ctx<'_, O>,
+    ) {
+        let (structure, word) = match dst {
+            Reg::S(SReg(r)) => (Structure::ScalarRegisterFile, warp.srf_base + r as u32),
+            Reg::V(VReg(r)) => (Structure::VectorRegisterFile, self.vword(warp, r, lane)),
         };
-        self.lds[word as usize] = stored;
-        if let Some(ov) = self.overlay.as_deref_mut() {
-            ov.clear_word(Structure::LocalMemory, word);
-        }
-        obs.on_lds_write(self.id, word, cycle);
-        if stored != value {
-            obs.on_stuck_reassert(self.id, Structure::LocalMemory, word, cycle);
-        }
+        self.store(structure, word, value, carry, cx);
+    }
+
+    /// Physical vector-RF word of `(reg, lane)` in `warp`'s region.
+    fn vword(&self, warp: &Warp, reg: u16, lane: u32) -> u32 {
+        warp.rf_base + reg as u32 * self.warp_size + lane
     }
 
     // ---- batched-replay overlay plumbing ----
@@ -391,50 +415,60 @@ impl Sm {
     // each scenario's divergence lives in overlay cells. Reads gather the
     // scenario masks of their source words, divergent results re-assert
     // on the destination after the golden write cleared it, and any
-    // divergence that would change *control or addressing* (predicates,
-    // addresses, atomics) forks the scenario out of the pass instead.
-    // All helpers fast-path to nothing when no overlay is present.
+    // divergence that would change *control or addressing* forks the
+    // scenario out of the pass instead. The fork triggers are raised in
+    // three places: `lane_addr` (the address of every load, store and
+    // atomic, global and LDS), the `SetP` arm of `exec_op` (a predicate)
+    // and `exec_atomic` (an atomic's operand or target word). All
+    // helpers fast-path to nothing when no overlay is present.
 
-    /// Scenario-divergence mask of a resolved operand for one warp lane.
-    fn scn_mask(&self, warp: &Warp, r: &Resolved, lane: u32, warp_size: u32) -> u64 {
-        let Some(ov) = self.overlay.as_deref() else {
-            return 0;
-        };
+    /// The overlay cell of a resolved operand's word for one lane, if a
+    /// scenario diverges there.
+    #[inline(always)]
+    fn scn_cell(&self, warp: &Warp, r: &Resolved, lane: u32) -> Option<&OverlayCell> {
+        let ov = self.overlay.as_deref()?;
         match *r {
-            Resolved::Uniform(_) | Resolved::Special(_) => 0,
-            Resolved::Sreg { phys, .. } => ov
-                .cell(Structure::ScalarRegisterFile, phys)
-                .map_or(0, |c| c.mask),
+            Resolved::Uniform(_) | Resolved::Special(_) => None,
+            Resolved::Sreg { phys, .. } => ov.cell(Structure::ScalarRegisterFile, phys),
             Resolved::VReg(reg) => {
-                let phys = warp.rf_base + reg as u32 * warp_size + lane;
-                ov.cell(Structure::VectorRegisterFile, phys)
-                    .map_or(0, |c| c.mask)
+                ov.cell(Structure::VectorRegisterFile, self.vword(warp, reg, lane))
             }
         }
     }
 
-    /// Scenario `s`'s value of a resolved operand (golden unless overlaid).
-    fn scn_value(
+    /// Scenario-divergence mask of a resolved operand for one lane.
+    fn scn_mask(&self, warp: &Warp, r: &Resolved, lane: u32) -> u64 {
+        self.scn_cell(warp, r, lane).map_or(0, |c| c.mask)
+    }
+
+    /// Calls `f` for every scenario that diverges in one of `rs` at
+    /// `lane`, with that scenario's operand values (golden where it does
+    /// not diverge).
+    #[inline(always)]
+    fn scn_each<const N: usize>(
         &self,
         warp: &Warp,
-        r: &Resolved,
+        rs: &[Resolved; N],
+        golds: [u32; N],
         lane: u32,
-        warp_size: u32,
-        s: u8,
-        golden: u32,
-    ) -> u32 {
-        let Some(ov) = self.overlay.as_deref() else {
-            return golden;
-        };
-        let cell = match *r {
-            Resolved::Uniform(_) | Resolved::Special(_) => None,
-            Resolved::Sreg { phys, .. } => ov.cell(Structure::ScalarRegisterFile, phys),
-            Resolved::VReg(reg) => {
-                let phys = warp.rf_base + reg as u32 * warp_size + lane;
-                ov.cell(Structure::VectorRegisterFile, phys)
+        mut f: impl FnMut(u8, [u32; N]),
+    ) {
+        if self.overlay.is_none() {
+            return;
+        }
+        let mut m = 0u64;
+        for r in rs {
+            m |= self.scn_mask(warp, r, lane);
+        }
+        for s in scn_bits(m) {
+            let mut vals = golds;
+            for (v, r) in vals.iter_mut().zip(rs) {
+                if let Some(x) = self.scn_cell(warp, r, lane).and_then(|c| c.get(s)) {
+                    *v = x;
+                }
             }
-        };
-        cell.and_then(|c| c.get(s)).unwrap_or(golden)
+            f(s, vals);
+        }
     }
 
     /// Divergent per-scenario results of one destination write: every
@@ -442,51 +476,24 @@ impl Sm {
     /// operands; results equal to the golden value re-converge and are
     /// dropped. Must be called *before* the golden write (the
     /// destination may alias a source).
-    #[allow(clippy::too_many_arguments)]
-    fn scn_divergent(
+    #[inline(always)]
+    fn scn_divergent<const N: usize>(
         &self,
         warp: &Warp,
-        srcs: &[&Resolved],
-        golds: &[u32],
+        rs: &[Resolved; N],
+        golds: [u32; N],
         lane: u32,
-        warp_size: u32,
         golden_out: u32,
-        f: &dyn Fn(&[u32]) -> u32,
-    ) -> Vec<(u8, u32)> {
-        if self.overlay.is_none() {
-            return Vec::new();
-        }
-        let mut m = 0u64;
-        for r in srcs {
-            m |= self.scn_mask(warp, r, lane, warp_size);
-        }
-        if m == 0 {
-            return Vec::new();
-        }
+        f: impl Fn([u32; N]) -> u32,
+    ) -> Carry {
         let mut out = Vec::new();
-        let mut vals = [0u32; 3];
-        for s in scn_bits(m) {
-            for (i, r) in srcs.iter().enumerate() {
-                vals[i] = self.scn_value(warp, r, lane, warp_size, s, golds[i]);
-            }
-            let v = f(&vals[..srcs.len()]);
+        self.scn_each(warp, rs, golds, lane, |s, vals| {
+            let v = f(vals);
             if v != golden_out {
                 out.push((s, v));
             }
-        }
+        });
         out
-    }
-
-    /// Re-asserts divergent results on a destination word (after the
-    /// golden write cleared its cell).
-    fn scn_assert(&mut self, structure: Structure, word: u32, entries: Vec<(u8, u32)>) {
-        if entries.is_empty() {
-            return;
-        }
-        let ov = self.overlay.get_or_insert_with(Default::default);
-        for (s, v) in entries {
-            ov.assert_value(structure, word, s, v);
-        }
     }
 
     /// Requests forks for the scenarios in `mask`: their divergence is
@@ -505,12 +512,7 @@ impl Sm {
     pub(crate) fn materialize_scenario(&mut self, s: u8) {
         if let Some(ov) = self.overlay.take() {
             for (structure, word, v) in ov.scenario_values(s) {
-                let arr = match structure {
-                    Structure::VectorRegisterFile => &mut self.rf,
-                    Structure::ScalarRegisterFile => &mut self.srf,
-                    Structure::LocalMemory => &mut self.lds,
-                };
-                if let Some(slot) = arr.get_mut(word as usize) {
+                if let Some(slot) = self.storage_mut(structure).get_mut(word as usize) {
                     *slot = v;
                 }
             }
@@ -519,20 +521,16 @@ impl Sm {
 
     /// Attempts to make the block `ctaid` resident; returns `false` when a
     /// resource (warp slots, block slot, RF, SRF, LDS) is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_dispatch<O: SimObserver>(
+    pub(crate) fn try_dispatch<O: SimObserver>(
         &mut self,
         kernel: &LoweredKernel,
-        cfg: &LaunchConfig,
         ctaid: (u32, u32),
         params: &[u32],
-        arch: &ArchConfig,
-        cycle: u64,
-        obs: &mut O,
+        cx: &mut Ctx<'_, O>,
     ) -> bool {
-        let warp_size = arch.warp_size;
-        let threads = cfg.threads_per_block();
-        let warps_n = cfg.warps_per_block(warp_size);
+        let warp_size = self.warp_size;
+        let threads = cx.cfg.threads_per_block();
+        let warps_n = cx.cfg.warps_per_block(warp_size);
         let free_slots: Vec<usize> = self
             .warps
             .iter()
@@ -584,17 +582,10 @@ impl Sm {
             );
             // Preload kernel parameters into their lowered registers.
             for (i, &value) in params.iter().enumerate() {
-                match kernel.param_reg(i as u16) {
-                    Reg::S(SReg(r)) => {
-                        let phys = warp.srf_base + r as u32;
-                        self.store_srf(phys, value, cycle, obs);
-                    }
-                    Reg::V(VReg(r)) => {
-                        for lane in 0..lanes {
-                            let phys = warp.rf_base + r as u32 * warp_size + lane;
-                            self.store_rf(phys, value, cycle, obs);
-                        }
-                    }
+                let reg = kernel.param_reg(i as u16);
+                let words = if matches!(reg, Reg::S(_)) { 1 } else { lanes };
+                for lane in 0..words {
+                    self.write_reg(&warp, reg, lane, value, &[], cx);
                 }
             }
             self.warps[slot] = Some(warp);
@@ -612,7 +603,7 @@ impl Sm {
             running_warps: warps_n,
             at_barrier: 0,
         });
-        obs.on_block_dispatch(
+        cx.obs.on_block_dispatch(
             self.id,
             BlockRegions {
                 rf_base,
@@ -622,7 +613,7 @@ impl Sm {
                 lds_base,
                 lds_len,
             },
-            cycle,
+            cx.cycle,
         );
         true
     }
@@ -686,27 +677,21 @@ impl Sm {
     /// # Errors
     ///
     /// Propagates any [`Due`] raised by the executed instructions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step<O: SimObserver>(
+    pub(crate) fn step<O: SimObserver>(
         &mut self,
-        cycle: u64,
         kernel: &LoweredKernel,
-        cfg: &LaunchConfig,
-        arch: &ArchConfig,
-        mem: &mut GlobalMemory,
-        mem_sys: &mut MemorySystem,
-        obs: &mut O,
+        cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
         // Exact: a pick before `wake` would fail, and a failed pick leaves
         // the scheduler state (`sched_ptr`, `gto_current`) as it is.
-        if cycle < self.wake {
+        if cx.cycle < self.wake {
             return Ok(());
         }
         let mut issued = false;
-        for _ in 0..arch.issue_width {
-            match self.pick_warp(kernel, cycle, arch.scheduler) {
+        for _ in 0..cx.arch.issue_width {
+            match self.pick_warp(kernel, cx.cycle, cx.arch.scheduler) {
                 Ok(slot) => {
-                    self.exec_instr(slot, cycle, kernel, cfg, arch, mem, mem_sys, obs)?;
+                    self.exec_instr(slot, kernel, cx)?;
                     issued = true;
                 }
                 Err(wake) => {
@@ -723,270 +708,30 @@ impl Sm {
         Ok(())
     }
 
-    /// Executes the next instruction of the warp in `slot`.
-    #[allow(clippy::too_many_arguments)]
+    /// Executes the next instruction of the warp in `slot`, then settles
+    /// its block: a finished warp may retire the block, and a warp that
+    /// reached a barrier may release it.
     fn exec_instr<O: SimObserver>(
         &mut self,
         slot: usize,
-        cycle: u64,
         kernel: &LoweredKernel,
-        cfg: &LaunchConfig,
-        arch: &ArchConfig,
-        mem: &mut GlobalMemory,
-        mem_sys: &mut MemorySystem,
-        obs: &mut O,
+        cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
         let mut warp = self.warps[slot].take().expect("picked warp exists");
-        let idx = warp.pc;
-        let instr = kernel.body()[idx];
-        let warp_size = arch.warp_size;
-        let ntid = (cfg.block.x, cfg.block.y);
-        let nctaid = (cfg.grid.x, cfg.grid.y);
-        let issue_cycles = arch.warp_issue_cycles() as u64;
-        let mut barrier_requested = false;
-
-        let result = (|| -> Result<(), Due> {
-            match instr {
-                Instr::Un { op, dst, a } => {
-                    let lat = un_latency(arch, op);
-                    self.exec_alu1(
-                        &mut warp,
-                        dst,
-                        a,
-                        |x| eval_unop(op, x),
-                        lat,
-                        cycle,
-                        warp_size,
-                        ntid,
-                        nctaid,
-                        obs,
-                    );
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::Bin { op, dst, a, b } => {
-                    let lat = bin_latency(arch, op);
-                    self.exec_alu2(
-                        &mut warp,
-                        dst,
-                        a,
-                        b,
-                        |x, y| eval_binop(op, x, y),
-                        lat,
-                        cycle,
-                        warp_size,
-                        ntid,
-                        nctaid,
-                        obs,
-                    );
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::Ter { op, dst, a, b, c } => {
-                    let lat = match op {
-                        simt_isa::TerOp::IMad => arch.lat.imul,
-                        simt_isa::TerOp::FFma => arch.lat.fp,
-                    };
-                    self.exec_alu3(
-                        &mut warp,
-                        dst,
-                        a,
-                        b,
-                        c,
-                        |x, y, z| eval_terop(op, x, y, z),
-                        lat,
-                        cycle,
-                        warp_size,
-                        ntid,
-                        nctaid,
-                        obs,
-                    );
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::SetP {
-                    op,
-                    float,
-                    pd,
-                    a,
-                    b,
-                } => {
-                    let ra = self.resolve_cfg(&warp, a, ntid, nctaid, cycle, obs);
-                    let rb = self.resolve_cfg(&warp, b, ntid, nctaid, cycle, obs);
-                    let mut mask: LaneMask = 0;
-                    for lane in lanes(warp.active) {
-                        let x =
-                            self.lane_value(&warp, &ra, lane, warp_size, ntid, nctaid, cycle, obs);
-                        let y =
-                            self.lane_value(&warp, &rb, lane, warp_size, ntid, nctaid, cycle, obs);
-                        let bit = eval_cmp(op, x, y, float);
-                        if bit {
-                            mask |= 1 << lane;
-                        }
-                        // A scenario whose compare flips the predicate
-                        // would diverge in *control flow* — the shared
-                        // pass cannot carry that, so it forks.
-                        if self.overlay.is_some() {
-                            let m = self.scn_mask(&warp, &ra, lane, warp_size)
-                                | self.scn_mask(&warp, &rb, lane, warp_size);
-                            let mut forks = 0u64;
-                            for s in scn_bits(m) {
-                                let xs = self.scn_value(&warp, &ra, lane, warp_size, s, x);
-                                let ys = self.scn_value(&warp, &rb, lane, warp_size, s, y);
-                                if eval_cmp(op, xs, ys, float) != bit {
-                                    forks |= 1 << s;
-                                }
-                            }
-                            self.scn_fork(forks);
-                        }
-                    }
-                    let old = warp.preds[pd.0 as usize];
-                    warp.preds[pd.0 as usize] = (old & !warp.active) | mask;
-                    warp.pred_ready[pd.0 as usize] = cycle + arch.lat.alu as u64;
-                    self.stats.warp_instructions += 1;
-                    self.stats.thread_instructions += warp.active.count_ones() as u64;
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::Sel { p, dst, a, b } => {
-                    let pmask = warp.preds[p.0 as usize];
-                    let ra = self.resolve_cfg(&warp, a, ntid, nctaid, cycle, obs);
-                    let rb = self.resolve_cfg(&warp, b, ntid, nctaid, cycle, obs);
-                    let d = vreg_of(dst);
-                    for lane in lanes(warp.active) {
-                        let x =
-                            self.lane_value(&warp, &ra, lane, warp_size, ntid, nctaid, cycle, obs);
-                        let y =
-                            self.lane_value(&warp, &rb, lane, warp_size, ntid, nctaid, cycle, obs);
-                        let take_x = pmask >> lane & 1 == 1;
-                        let v = if take_x { x } else { y };
-                        // The predicate is golden for every unforked
-                        // scenario (a divergent SetP forks), so the
-                        // select direction is shared; only values differ.
-                        let dv = self.scn_divergent(
-                            &warp,
-                            &[&ra, &rb],
-                            &[x, y],
-                            lane,
-                            warp_size,
-                            v,
-                            &|q| {
-                                if take_x {
-                                    q[0]
-                                } else {
-                                    q[1]
-                                }
-                            },
-                        );
-                        self.write_vreg(&warp, d, lane, v, warp_size, cycle, obs);
-                        if !dv.is_empty() {
-                            let phys = warp.rf_base + d as u32 * warp_size + lane;
-                            self.scn_assert(Structure::VectorRegisterFile, phys, dv);
-                        }
-                    }
-                    warp.vreg_ready[d as usize] = cycle + arch.lat.alu as u64;
-                    self.stats.warp_instructions += 1;
-                    self.stats.thread_instructions += warp.active.count_ones() as u64;
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::Ld {
-                    space,
-                    dst,
-                    addr,
-                    offset,
-                } => {
-                    self.exec_load(
-                        &mut warp, space, dst, addr, offset, cycle, arch, mem, mem_sys, ntid,
-                        nctaid, obs,
-                    )?;
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::St {
-                    space,
-                    addr,
-                    offset,
-                    src,
-                } => {
-                    self.exec_store(
-                        &mut warp, space, addr, offset, src, cycle, arch, mem, mem_sys, ntid,
-                        nctaid, obs,
-                    )?;
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::Atom {
-                    space,
-                    op,
-                    dst,
-                    addr,
-                    offset,
-                    src,
-                } => {
-                    self.exec_atomic(
-                        &mut warp, space, op, dst, addr, offset, src, cycle, arch, mem, mem_sys,
-                        ntid, nctaid, obs,
-                    )?;
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::Bar => {
-                    if warp.active != warp.runnable_lanes() {
-                        return Err(Due::BarrierDivergence { sm: self.id, cycle });
-                    }
-                    barrier_requested = true;
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-                Instr::IfBegin { p, negate } => {
-                    let pm = warp.preds[p.0 as usize];
-                    let taken = if negate { !pm } else { pm };
-                    warp.exec_if_begin(idx, taken, kernel.control());
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + 1;
-                }
-                Instr::Else => {
-                    warp.exec_else();
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + 1;
-                }
-                Instr::IfEnd => {
-                    warp.exec_if_end();
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + 1;
-                }
-                Instr::LoopBegin => {
-                    warp.exec_loop_begin(idx, kernel.control());
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + 1;
-                }
-                Instr::Break { p, negate } => {
-                    let pm = warp.preds[p.0 as usize];
-                    let mask = if negate { !pm } else { pm };
-                    warp.exec_break(mask);
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + 1;
-                }
-                Instr::LoopEnd => {
-                    warp.exec_loop_end();
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + 1;
-                }
-                Instr::Exit => {
-                    warp.exec_exit();
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + 1;
-                }
-                Instr::Nop => {
-                    self.stats.warp_instructions += 1;
-                    warp.next_issue = cycle + issue_cycles;
-                    warp.pc += 1;
-                }
-            }
+        let instr = kernel.body()[warp.pc];
+        let result = if exec_control(&mut warp, instr, kernel) {
+            self.stats.warp_instructions += 1;
+            warp.next_issue = cx.cycle + 1;
             Ok(())
-        })();
+        } else {
+            let r = self.exec_op(&mut warp, instr, cx);
+            if r.is_ok() {
+                warp.next_issue = cx.cycle + cx.arch.warp_issue_cycles() as u64;
+                warp.pc += 1;
+            }
+            r
+        };
+        let barrier_requested = result.is_ok() && matches!(instr, Instr::Bar);
 
         // Running off the end of the body terminates the warp like `exit`.
         if !warp.finished && warp.pc >= kernel.body().len() {
@@ -1004,7 +749,7 @@ impl Sm {
             let block = self.blocks[block_slot].as_mut().expect("block resident");
             block.running_warps -= 1;
             if block.running_warps == 0 {
-                self.retire_block(block_slot, cycle, obs);
+                self.retire_block(block_slot, cx);
             } else if block.at_barrier == block.running_warps {
                 self.release_barrier(block_slot);
             }
@@ -1028,7 +773,7 @@ impl Sm {
         block.at_barrier = 0;
     }
 
-    fn retire_block<O: SimObserver>(&mut self, block_slot: usize, cycle: u64, obs: &mut O) {
+    fn retire_block<O: SimObserver>(&mut self, block_slot: usize, cx: &mut Ctx<'_, O>) {
         let block = self.blocks[block_slot].take().expect("block resident");
         for s in &block.warp_slots {
             self.warps[*s] = None;
@@ -1038,7 +783,7 @@ impl Sm {
         self.lds_alloc.free(block.lds_base, block.lds_len);
         self.stats.blocks_retired += 1;
         self.retired_flag = true;
-        obs.on_block_retire(
+        cx.obs.on_block_retire(
             self.id,
             BlockRegions {
                 rf_base: block.rf_base,
@@ -1048,272 +793,295 @@ impl Sm {
                 lds_base: block.lds_base,
                 lds_len: block.lds_len,
             },
-            cycle,
+            cx.cycle,
         );
+    }
+
+    /// Executes one instruction that is not control flow. On success the
+    /// caller advances the warp past it.
+    fn exec_op<O: SimObserver>(
+        &mut self,
+        warp: &mut Warp,
+        instr: Instr,
+        cx: &mut Ctx<'_, O>,
+    ) -> Result<(), Due> {
+        let arch = cx.arch;
+        match instr {
+            Instr::Un { op, dst, a } => {
+                let f = |_, [x]: [u32; 1]| eval_unop(op, x);
+                self.exec_alu(warp, dst, [a], un_latency(arch, op), f, cx);
+            }
+            Instr::Bin { op, dst, a, b } => {
+                let f = |_, [x, y]: [u32; 2]| eval_binop(op, x, y);
+                self.exec_alu(warp, dst, [a, b], bin_latency(arch, op), f, cx);
+            }
+            Instr::Ter { op, dst, a, b, c } => {
+                let lat = match op {
+                    TerOp::IMad => arch.lat.imul,
+                    TerOp::FFma => arch.lat.fp,
+                };
+                let f = |_, [x, y, z]: [u32; 3]| eval_terop(op, x, y, z);
+                self.exec_alu(warp, dst, [a, b, c], lat, f, cx);
+            }
+            Instr::Sel { p, dst, a, b } => {
+                // The predicate is golden for every unforked scenario (a
+                // divergent SetP forks), so the select direction is
+                // shared; only values differ.
+                let pmask = warp.preds[p.0 as usize];
+                let pick = move |lane: u32, [x, y]: [u32; 2]| {
+                    if pmask >> lane & 1 == 1 {
+                        x
+                    } else {
+                        y
+                    }
+                };
+                self.exec_alu(warp, dst, [a, b], arch.lat.alu, pick, cx);
+            }
+            Instr::SetP {
+                op,
+                float,
+                pd,
+                a,
+                b,
+            } => {
+                let rs = self.resolve_all(warp, [a, b], cx);
+                let mut mask: LaneMask = 0;
+                for lane in lanes(warp.active) {
+                    let [x, y] = self.lane_values(warp, &rs, lane, cx);
+                    let bit = eval_cmp(op, x, y, float);
+                    mask |= (bit as LaneMask) << lane;
+                    // A scenario whose compare flips the predicate would
+                    // diverge in *control flow* — the shared pass cannot
+                    // carry that, so it forks.
+                    let mut forks = 0u64;
+                    self.scn_each(warp, &rs, [x, y], lane, |s, [xs, ys]| {
+                        if eval_cmp(op, xs, ys, float) != bit {
+                            forks |= 1 << s;
+                        }
+                    });
+                    self.scn_fork(forks);
+                }
+                let old = warp.preds[pd.0 as usize];
+                warp.preds[pd.0 as usize] = (old & !warp.active) | mask;
+                warp.pred_ready[pd.0 as usize] = cx.cycle + arch.lat.alu as u64;
+                self.count_warp_instr(warp);
+            }
+            Instr::Ld {
+                space,
+                dst,
+                addr,
+                offset,
+            } => {
+                let at = self.access(warp, space, addr, offset, cx);
+                self.exec_load(warp, dst, at, cx)?;
+            }
+            Instr::St {
+                space,
+                addr,
+                offset,
+                src,
+            } => {
+                let at = self.access(warp, space, addr, offset, cx);
+                let src = self.resolve(warp, src, cx);
+                self.exec_store(warp, at, src, cx)?;
+            }
+            Instr::Atom {
+                space,
+                op,
+                dst,
+                addr,
+                offset,
+                src,
+            } => {
+                let at = self.access(warp, space, addr, offset, cx);
+                let src = self.resolve(warp, src, cx);
+                self.exec_atomic(warp, op, dst, at, src, cx)?;
+            }
+            Instr::Bar => {
+                if warp.active != warp.runnable_lanes() {
+                    return Err(Due::BarrierDivergence {
+                        sm: self.id,
+                        cycle: cx.cycle,
+                    });
+                }
+                self.stats.warp_instructions += 1;
+            }
+            Instr::Nop => self.stats.warp_instructions += 1,
+            _ => unreachable!("control flow executes in exec_control"),
+        }
+        Ok(())
+    }
+
+    /// Counts one warp instruction over the warp's active lanes.
+    fn count_warp_instr(&mut self, warp: &Warp) {
+        self.stats.warp_instructions += 1;
+        self.stats.thread_instructions += warp.active.count_ones() as u64;
+    }
+
+    /// Scoreboards `dst` until `ready` and counts the instruction: a
+    /// scalar one for a scalar destination, else a warp one.
+    fn complete(&mut self, warp: &mut Warp, dst: Reg, ready: u64) {
+        match dst {
+            Reg::S(SReg(r)) => {
+                warp.sreg_ready[r as usize] = ready;
+                self.stats.scalar_instructions += 1;
+            }
+            Reg::V(VReg(r)) => {
+                warp.vreg_ready[r as usize] = ready;
+                self.count_warp_instr(warp);
+            }
+        }
     }
 
     // ---- operand plumbing ----
 
     /// Resolves uniform operands once per instruction; defers per-lane ones.
-    fn resolve<O: SimObserver>(
-        &mut self,
-        warp: &Warp,
-        op: Operand,
-        cycle: u64,
-        obs: &mut O,
-    ) -> Resolved {
+    fn resolve<O: SimObserver>(&self, warp: &Warp, op: Operand, cx: &mut Ctx<'_, O>) -> Resolved {
+        let (ntid, nctaid) = (cx.cfg.block, cx.cfg.grid);
         match op {
             Operand::Imm(v) => Resolved::Uniform(v),
             Operand::Reg(Reg::S(SReg(r))) => {
                 let phys = warp.srf_base + r as u32;
-                obs.on_srf_read(self.id, phys, cycle);
+                cx.obs.on_srf_read(self.id, phys, cx.cycle);
                 Resolved::Sreg {
                     phys,
                     value: self.srf[phys as usize],
                 }
             }
             Operand::Reg(Reg::V(VReg(r))) => Resolved::VReg(r),
-            Operand::Special(s) if !s.is_per_lane() => {
-                Resolved::Uniform(self.uniform_special(warp, s))
-            }
-            Operand::Special(s) => Resolved::Special(s),
+            Operand::Special(s) => Resolved::Uniform(match s {
+                Special::CtaIdX => warp.ctaid.0,
+                Special::CtaIdY => warp.ctaid.1,
+                Special::WarpId => warp.warp_in_block,
+                Special::NTidX => ntid.x,
+                Special::NTidY => ntid.y,
+                Special::NCtaIdX => nctaid.x,
+                Special::NCtaIdY => nctaid.y,
+                Special::TidX | Special::TidY | Special::LaneId => return Resolved::Special(s),
+            }),
         }
     }
 
-    fn uniform_special(&self, warp: &Warp, s: Special) -> u32 {
-        match s {
-            Special::CtaIdX => warp.ctaid.0,
-            Special::CtaIdY => warp.ctaid.1,
-            Special::WarpId => warp.warp_in_block,
-            // NTid/NCta are substituted by lane_value (needs cfg); handled
-            // there — this arm is unreachable for them.
-            _ => unreachable!("per-launch specials resolved in lane_value"),
+    /// Resolves `ops` in source order.
+    fn resolve_all<O: SimObserver, const N: usize>(
+        &self,
+        warp: &Warp,
+        ops: [Operand; N],
+        cx: &mut Ctx<'_, O>,
+    ) -> [Resolved; N] {
+        let mut rs = [Resolved::Uniform(0); N];
+        for (r, op) in rs.iter_mut().zip(ops) {
+            *r = self.resolve(warp, op, cx);
+        }
+        rs
+    }
+
+    /// The resolved address of a memory instruction.
+    fn access<O: SimObserver>(
+        &self,
+        warp: &Warp,
+        space: MemSpace,
+        addr: Operand,
+        offset: i32,
+        cx: &mut Ctx<'_, O>,
+    ) -> Access {
+        Access {
+            space,
+            base: self.resolve(warp, addr, cx),
+            offset: offset as u32,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Lane `lane`'s value of a resolved operand.
+    #[inline(always)]
     fn lane_value<O: SimObserver>(
-        &mut self,
+        &self,
         warp: &Warp,
         r: &Resolved,
         lane: u32,
-        warp_size: u32,
-        ntid: (u32, u32),
-        _nctaid: (u32, u32),
-        cycle: u64,
-        obs: &mut O,
+        cx: &mut Ctx<'_, O>,
     ) -> u32 {
         match *r {
             Resolved::Uniform(v) | Resolved::Sreg { value: v, .. } => v,
             Resolved::VReg(reg) => {
-                let phys = warp.rf_base + reg as u32 * warp_size + lane;
-                obs.on_rf_read(self.id, phys, cycle);
+                let phys = self.vword(warp, reg, lane);
+                cx.obs.on_rf_read(self.id, phys, cx.cycle);
                 self.rf[phys as usize]
             }
             Resolved::Special(s) => match s {
-                Special::TidX => warp.tid(lane, warp_size, ntid.0).0,
-                Special::TidY => warp.tid(lane, warp_size, ntid.0).1,
+                Special::TidX => warp.tid(lane, self.warp_size, cx.cfg.block.x).0,
+                Special::TidY => warp.tid(lane, self.warp_size, cx.cfg.block.x).1,
                 Special::LaneId => lane,
-                _ => unreachable!("uniform specials resolved earlier"),
+                _ => unreachable!("uniform specials resolve to values"),
             },
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn write_vreg<O: SimObserver>(
-        &mut self,
+    /// Lane `lane`'s values of `rs`, read in source order.
+    #[inline(always)]
+    fn lane_values<O: SimObserver, const N: usize>(
+        &self,
         warp: &Warp,
-        reg: u16,
+        rs: &[Resolved; N],
         lane: u32,
-        value: u32,
-        warp_size: u32,
-        cycle: u64,
-        obs: &mut O,
-    ) {
-        let phys = warp.rf_base + reg as u32 * warp_size + lane;
-        self.store_rf(phys, value, cycle, obs);
+        cx: &mut Ctx<'_, O>,
+    ) -> [u32; N] {
+        let mut xs = [0; N];
+        for (x, r) in xs.iter_mut().zip(rs) {
+            *x = self.lane_value(warp, r, lane, cx);
+        }
+        xs
     }
 
-    /// `resolve` fix-up for NTid/NCta specials, which need launch config.
-    fn resolve_cfg<O: SimObserver>(
+    /// Lane `lane`'s byte address of a memory access. A scenario whose
+    /// address diverges would touch another word with other timing, so
+    /// it forks here: the address fork trigger of every load, store and
+    /// atomic.
+    #[inline(always)]
+    fn lane_addr<O: SimObserver>(
         &mut self,
         warp: &Warp,
-        op: Operand,
-        ntid: (u32, u32),
-        nctaid: (u32, u32),
-        cycle: u64,
-        obs: &mut O,
-    ) -> Resolved {
-        match op {
-            Operand::Special(Special::NTidX) => Resolved::Uniform(ntid.0),
-            Operand::Special(Special::NTidY) => Resolved::Uniform(ntid.1),
-            Operand::Special(Special::NCtaIdX) => Resolved::Uniform(nctaid.0),
-            Operand::Special(Special::NCtaIdY) => Resolved::Uniform(nctaid.1),
-            other => self.resolve(warp, other, cycle, obs),
-        }
+        at: &Access,
+        lane: u32,
+        cx: &mut Ctx<'_, O>,
+    ) -> u32 {
+        let base = self.lane_value(warp, &at.base, lane, cx);
+        let forks = self.scn_mask(warp, &at.base, lane);
+        self.scn_fork(forks);
+        base.wrapping_add(at.offset)
     }
 
-    // ---- ALU bodies ----
+    // ---- execute bodies ----
+    //
+    // The ALU, load, store and atomic bodies stay out of line, and the
+    // per-lane helpers they call are forced inline. Left to the
+    // compiler's own choices, this layout ran the simulator 6–13% slower
+    // than the per-arity copies it replaced (GTX 480 matrixMul replays).
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_alu1<O: SimObserver>(
+    /// The one ALU body, shared by `Un`, `Bin`, `Ter` and `Sel`:
+    /// `dst = f(lane, srcs)` on every active lane, or once (lane 0) for a
+    /// scalar destination. Each lane reads its operands in source order
+    /// before its write, and the write carries the lane's divergent
+    /// scenario results.
+    #[inline(never)]
+    fn exec_alu<O: SimObserver, const N: usize>(
         &mut self,
         warp: &mut Warp,
         dst: Reg,
-        a: Operand,
-        f: impl Fn(u32) -> u32,
+        srcs: [Operand; N],
         lat: u32,
-        cycle: u64,
-        warp_size: u32,
-        ntid: (u32, u32),
-        nctaid: (u32, u32),
-        obs: &mut O,
+        f: impl Fn(u32, [u32; N]) -> u32,
+        cx: &mut Ctx<'_, O>,
     ) {
-        let ra = self.resolve_cfg(warp, a, ntid, nctaid, cycle, obs);
-        match dst {
-            Reg::S(SReg(r)) => {
-                let x = uniform_value(&ra);
-                let phys = warp.srf_base + r as u32;
-                let v = f(x);
-                let dv = self.scn_divergent(warp, &[&ra], &[x], 0, warp_size, v, &|q| f(q[0]));
-                self.store_srf(phys, v, cycle, obs);
-                self.scn_assert(Structure::ScalarRegisterFile, phys, dv);
-                warp.sreg_ready[r as usize] = cycle + lat as u64;
-                self.stats.scalar_instructions += 1;
-            }
-            Reg::V(VReg(r)) => {
-                for lane in lanes(warp.active) {
-                    let x = self.lane_value(warp, &ra, lane, warp_size, ntid, nctaid, cycle, obs);
-                    let v = f(x);
-                    let dv =
-                        self.scn_divergent(warp, &[&ra], &[x], lane, warp_size, v, &|q| f(q[0]));
-                    self.write_vreg(warp, r, lane, v, warp_size, cycle, obs);
-                    if !dv.is_empty() {
-                        let phys = warp.rf_base + r as u32 * warp_size + lane;
-                        self.scn_assert(Structure::VectorRegisterFile, phys, dv);
-                    }
-                }
-                warp.vreg_ready[r as usize] = cycle + lat as u64;
-                self.stats.warp_instructions += 1;
-                self.stats.thread_instructions += warp.active.count_ones() as u64;
-            }
+        let rs = self.resolve_all(warp, srcs, cx);
+        for lane in lanes(dst_lanes(warp, dst)) {
+            let xs = self.lane_values(warp, &rs, lane, cx);
+            let v = f(lane, xs);
+            let carry = self.scn_divergent(warp, &rs, xs, lane, v, |q| f(lane, q));
+            self.write_reg(warp, dst, lane, v, &carry, cx);
         }
+        self.complete(warp, dst, cx.cycle + lat as u64);
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_alu2<O: SimObserver>(
-        &mut self,
-        warp: &mut Warp,
-        dst: Reg,
-        a: Operand,
-        b: Operand,
-        f: impl Fn(u32, u32) -> u32,
-        lat: u32,
-        cycle: u64,
-        warp_size: u32,
-        ntid: (u32, u32),
-        nctaid: (u32, u32),
-        obs: &mut O,
-    ) {
-        let ra = self.resolve_cfg(warp, a, ntid, nctaid, cycle, obs);
-        let rb = self.resolve_cfg(warp, b, ntid, nctaid, cycle, obs);
-        match dst {
-            Reg::S(SReg(r)) => {
-                let (x, y) = (uniform_value(&ra), uniform_value(&rb));
-                let phys = warp.srf_base + r as u32;
-                let v = f(x, y);
-                let dv = self.scn_divergent(warp, &[&ra, &rb], &[x, y], 0, warp_size, v, &|q| {
-                    f(q[0], q[1])
-                });
-                self.store_srf(phys, v, cycle, obs);
-                self.scn_assert(Structure::ScalarRegisterFile, phys, dv);
-                warp.sreg_ready[r as usize] = cycle + lat as u64;
-                self.stats.scalar_instructions += 1;
-            }
-            Reg::V(VReg(r)) => {
-                for lane in lanes(warp.active) {
-                    let x = self.lane_value(warp, &ra, lane, warp_size, ntid, nctaid, cycle, obs);
-                    let y = self.lane_value(warp, &rb, lane, warp_size, ntid, nctaid, cycle, obs);
-                    let v = f(x, y);
-                    let dv =
-                        self.scn_divergent(warp, &[&ra, &rb], &[x, y], lane, warp_size, v, &|q| {
-                            f(q[0], q[1])
-                        });
-                    self.write_vreg(warp, r, lane, v, warp_size, cycle, obs);
-                    if !dv.is_empty() {
-                        let phys = warp.rf_base + r as u32 * warp_size + lane;
-                        self.scn_assert(Structure::VectorRegisterFile, phys, dv);
-                    }
-                }
-                warp.vreg_ready[r as usize] = cycle + lat as u64;
-                self.stats.warp_instructions += 1;
-                self.stats.thread_instructions += warp.active.count_ones() as u64;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_alu3<O: SimObserver>(
-        &mut self,
-        warp: &mut Warp,
-        dst: Reg,
-        a: Operand,
-        b: Operand,
-        c: Operand,
-        f: impl Fn(u32, u32, u32) -> u32,
-        lat: u32,
-        cycle: u64,
-        warp_size: u32,
-        ntid: (u32, u32),
-        nctaid: (u32, u32),
-        obs: &mut O,
-    ) {
-        let ra = self.resolve_cfg(warp, a, ntid, nctaid, cycle, obs);
-        let rb = self.resolve_cfg(warp, b, ntid, nctaid, cycle, obs);
-        let rc = self.resolve_cfg(warp, c, ntid, nctaid, cycle, obs);
-        match dst {
-            Reg::S(SReg(r)) => {
-                let (x, y, z) = (uniform_value(&ra), uniform_value(&rb), uniform_value(&rc));
-                let phys = warp.srf_base + r as u32;
-                let v = f(x, y, z);
-                let dv =
-                    self.scn_divergent(warp, &[&ra, &rb, &rc], &[x, y, z], 0, warp_size, v, &|q| {
-                        f(q[0], q[1], q[2])
-                    });
-                self.store_srf(phys, v, cycle, obs);
-                self.scn_assert(Structure::ScalarRegisterFile, phys, dv);
-                warp.sreg_ready[r as usize] = cycle + lat as u64;
-                self.stats.scalar_instructions += 1;
-            }
-            Reg::V(VReg(r)) => {
-                for lane in lanes(warp.active) {
-                    let x = self.lane_value(warp, &ra, lane, warp_size, ntid, nctaid, cycle, obs);
-                    let y = self.lane_value(warp, &rb, lane, warp_size, ntid, nctaid, cycle, obs);
-                    let z = self.lane_value(warp, &rc, lane, warp_size, ntid, nctaid, cycle, obs);
-                    let v = f(x, y, z);
-                    let dv = self.scn_divergent(
-                        warp,
-                        &[&ra, &rb, &rc],
-                        &[x, y, z],
-                        lane,
-                        warp_size,
-                        v,
-                        &|q| f(q[0], q[1], q[2]),
-                    );
-                    self.write_vreg(warp, r, lane, v, warp_size, cycle, obs);
-                    if !dv.is_empty() {
-                        let phys = warp.rf_base + r as u32 * warp_size + lane;
-                        self.scn_assert(Structure::VectorRegisterFile, phys, dv);
-                    }
-                }
-                warp.vreg_ready[r as usize] = cycle + lat as u64;
-                self.stats.warp_instructions += 1;
-                self.stats.thread_instructions += warp.active.count_ones() as u64;
-            }
-        }
-    }
-
-    // ---- memory bodies ----
 
     /// Checks a block-relative LDS byte address; returns the physical word.
     fn lds_word(&self, warp: &Warp, addr: u32, cycle: u64) -> Result<u32, Due> {
@@ -1327,264 +1095,209 @@ impl Sm {
         Ok(warp.lds_base + addr / 4)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Loads the word at byte address `a` of `space` together with its
+    /// overlay entries, which the destination write carries.
+    #[inline(always)]
+    fn load_word<O: SimObserver>(
+        &self,
+        warp: &Warp,
+        space: MemSpace,
+        a: u32,
+        cx: &mut Ctx<'_, O>,
+    ) -> Result<(u32, Carry), Due> {
+        match space {
+            MemSpace::Global => {
+                let v = cx.mem.load(a, self.id, cx.cycle)?;
+                let carry = carry_of(cx.mem.overlay.as_deref().and_then(|ov| ov.cell(a / 4)));
+                Ok((v, carry))
+            }
+            MemSpace::Shared => {
+                let w = self.lds_word(warp, a, cx.cycle)?;
+                let carry = carry_of(
+                    self.overlay
+                        .as_deref()
+                        .and_then(|ov| ov.cell(Structure::LocalMemory, w)),
+                );
+                cx.obs.on_lds_read(self.id, w, cx.cycle);
+                Ok((self.lds[w as usize], carry))
+            }
+        }
+    }
+
+    /// `dst = space[addr + offset]`; a scalar load reads one uniform
+    /// address.
+    #[inline(never)]
     fn exec_load<O: SimObserver>(
         &mut self,
         warp: &mut Warp,
-        space: MemSpace,
         dst: Reg,
-        addr: Operand,
-        offset: i32,
-        cycle: u64,
-        arch: &ArchConfig,
-        mem: &mut GlobalMemory,
-        mem_sys: &mut MemorySystem,
-        ntid: (u32, u32),
-        nctaid: (u32, u32),
-        obs: &mut O,
+        at: Access,
+        cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
-        let ra = self.resolve_cfg(warp, addr, ntid, nctaid, cycle, obs);
-        match dst {
-            Reg::S(SReg(r)) => {
-                // Scalar load: uniform address, global space only.
-                let base = uniform_value(&ra);
-                let a = base.wrapping_add(offset as u32);
-                // A divergent address changes what is read *and* the
-                // access timing: fork. A divergent memory word read via
-                // the golden address propagates to the destination.
-                let forks = self.scn_mask(warp, &ra, 0, warp_size_of(arch));
-                self.scn_fork(forks);
-                let v = mem.load(a, self.id, cycle)?;
-                let dv = mem
-                    .overlay
-                    .as_deref()
-                    .and_then(|ov| ov.cell(a / 4))
-                    .map(|c| c.entries().to_vec())
-                    .unwrap_or_default();
-                let lat = mem_sys.access_latency(self.id, &[a]);
-                let phys = warp.srf_base + r as u32;
-                self.store_srf(phys, v, cycle, obs);
-                self.scn_assert(Structure::ScalarRegisterFile, phys, dv);
-                warp.sreg_ready[r as usize] = cycle + lat as u64;
-                self.stats.scalar_instructions += 1;
-            }
-            Reg::V(VReg(r)) => {
-                match space {
-                    MemSpace::Global => {
-                        let mut addrs = LaneBuf::new();
-                        for lane in lanes(warp.active) {
-                            let base = self.lane_value(
-                                warp,
-                                &ra,
-                                lane,
-                                warp_size_of(arch),
-                                ntid,
-                                nctaid,
-                                cycle,
-                                obs,
-                            );
-                            let a = base.wrapping_add(offset as u32);
-                            let forks = self.scn_mask(warp, &ra, lane, arch.warp_size);
-                            self.scn_fork(forks);
-                            let v = mem.load(a, self.id, cycle)?;
-                            let dv = mem
-                                .overlay
-                                .as_deref()
-                                .and_then(|ov| ov.cell(a / 4))
-                                .map(|c| c.entries().to_vec())
-                                .unwrap_or_default();
-                            self.write_vreg(warp, r, lane, v, arch.warp_size, cycle, obs);
-                            if !dv.is_empty() {
-                                let phys = warp.rf_base + r as u32 * arch.warp_size + lane;
-                                self.scn_assert(Structure::VectorRegisterFile, phys, dv);
-                            }
-                            addrs.push(a);
-                        }
-                        let lat = mem_sys.access_latency(self.id, addrs.as_slice());
-                        warp.vreg_ready[r as usize] = cycle + lat as u64;
-                    }
-                    MemSpace::Shared => {
-                        let mut words = LaneBuf::new();
-                        for lane in lanes(warp.active) {
-                            let base = self.lane_value(
-                                warp,
-                                &ra,
-                                lane,
-                                arch.warp_size,
-                                ntid,
-                                nctaid,
-                                cycle,
-                                obs,
-                            );
-                            let a = base.wrapping_add(offset as u32);
-                            let forks = self.scn_mask(warp, &ra, lane, arch.warp_size);
-                            self.scn_fork(forks);
-                            let w = self.lds_word(warp, a, cycle)?;
-                            let v = self.lds[w as usize];
-                            let dv = self
-                                .overlay
-                                .as_deref()
-                                .and_then(|ov| ov.cell(Structure::LocalMemory, w))
-                                .map(|c| c.entries().to_vec())
-                                .unwrap_or_default();
-                            obs.on_lds_read(self.id, w, cycle);
-                            self.write_vreg(warp, r, lane, v, arch.warp_size, cycle, obs);
-                            if !dv.is_empty() {
-                                let phys = warp.rf_base + r as u32 * arch.warp_size + lane;
-                                self.scn_assert(Structure::VectorRegisterFile, phys, dv);
-                            }
-                            words.push(w);
-                        }
-                        let degree = lds_conflict_degree(words.as_slice(), arch.lds_banks);
-                        let lat = arch.lat.lds + (degree - 1) * arch.lds_bank_penalty;
-                        warp.vreg_ready[r as usize] = cycle + lat as u64;
-                    }
-                }
-                self.stats.warp_instructions += 1;
-                self.stats.thread_instructions += warp.active.count_ones() as u64;
-            }
+        let mut addrs = LaneBuf::new();
+        for lane in lanes(dst_lanes(warp, dst)) {
+            let a = self.lane_addr(warp, &at, lane, cx);
+            let (v, carry) = self.load_word(warp, at.space, a, cx)?;
+            self.write_reg(warp, dst, lane, v, &carry, cx);
+            // The coalescer takes byte addresses, LDS banking takes words.
+            // The block's LDS base shifts every word alike, which permutes
+            // the banks and keeps the conflict degree.
+            addrs.push(match at.space {
+                MemSpace::Global => a,
+                MemSpace::Shared => a / 4,
+            });
         }
+        let lat = match at.space {
+            MemSpace::Global => cx.mem_sys.access_latency(self.id, addrs.as_slice()),
+            MemSpace::Shared => {
+                let degree = lds_conflict_degree(addrs.as_slice(), cx.arch.lds_banks);
+                cx.arch.lat.lds + (degree - 1) * cx.arch.lds_bank_penalty
+            }
+        };
+        self.complete(warp, dst, cx.cycle + lat as u64);
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// `space[addr + offset] = src` on every active lane.
+    #[inline(never)]
     fn exec_store<O: SimObserver>(
         &mut self,
-        warp: &mut Warp,
-        space: MemSpace,
-        addr: Operand,
-        offset: i32,
-        src: Operand,
-        cycle: u64,
-        arch: &ArchConfig,
-        mem: &mut GlobalMemory,
-        mem_sys: &mut MemorySystem,
-        ntid: (u32, u32),
-        nctaid: (u32, u32),
-        obs: &mut O,
+        warp: &Warp,
+        at: Access,
+        src: Resolved,
+        cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
-        let ra = self.resolve_cfg(warp, addr, ntid, nctaid, cycle, obs);
-        let rs = self.resolve_cfg(warp, src, ntid, nctaid, cycle, obs);
-        match space {
-            MemSpace::Global => {
-                let mut addrs = LaneBuf::new();
-                for lane in lanes(warp.active) {
-                    let base =
-                        self.lane_value(warp, &ra, lane, arch.warp_size, ntid, nctaid, cycle, obs);
-                    let v =
-                        self.lane_value(warp, &rs, lane, arch.warp_size, ntid, nctaid, cycle, obs);
-                    let a = base.wrapping_add(offset as u32);
-                    // Divergent address: the scenario writes somewhere
-                    // else entirely — fork. Divergent value at the golden
-                    // address: propagate into the memory overlay.
-                    let forks = self.scn_mask(warp, &ra, lane, arch.warp_size);
-                    self.scn_fork(forks);
-                    let dv =
-                        self.scn_divergent(warp, &[&rs], &[v], lane, arch.warp_size, v, &|q| q[0]);
-                    mem.store(a, v, self.id, cycle)?;
-                    if !dv.is_empty() {
-                        let ov = mem.overlay.get_or_insert_with(Default::default);
-                        for (s, vs) in dv {
-                            ov.assert_value(a / 4, s, vs);
+        let mut addrs = LaneBuf::new();
+        for lane in lanes(warp.active) {
+            let a = self.lane_addr(warp, &at, lane, cx);
+            let v = self.lane_value(warp, &src, lane, cx);
+            // A divergent value at the golden address propagates into
+            // the written word's overlay.
+            let carry = self.scn_divergent(warp, &[src], [v], lane, v, |[x]| x);
+            match at.space {
+                MemSpace::Global => {
+                    cx.mem.store(a, v, self.id, cx.cycle)?;
+                    if !carry.is_empty() {
+                        let ov = cx.mem.overlay.get_or_insert_with(Default::default);
+                        for (s, x) in carry {
+                            ov.assert_value(a / 4, s, x);
                         }
                     }
-                    obs.on_global_write(self.id, a, v, cycle);
-                    addrs.push(a);
+                    cx.obs.on_global_write(self.id, a, v, cx.cycle);
                 }
-                let _ = mem_sys.access_latency(self.id, addrs.as_slice());
-            }
-            MemSpace::Shared => {
-                for lane in lanes(warp.active) {
-                    let base =
-                        self.lane_value(warp, &ra, lane, arch.warp_size, ntid, nctaid, cycle, obs);
-                    let v =
-                        self.lane_value(warp, &rs, lane, arch.warp_size, ntid, nctaid, cycle, obs);
-                    let a = base.wrapping_add(offset as u32);
-                    let forks = self.scn_mask(warp, &ra, lane, arch.warp_size);
-                    self.scn_fork(forks);
-                    let dv =
-                        self.scn_divergent(warp, &[&rs], &[v], lane, arch.warp_size, v, &|q| q[0]);
-                    let w = self.lds_word(warp, a, cycle)?;
-                    self.store_lds(w, v, cycle, obs);
-                    self.scn_assert(Structure::LocalMemory, w, dv);
+                MemSpace::Shared => {
+                    let w = self.lds_word(warp, a, cx.cycle)?;
+                    self.store(Structure::LocalMemory, w, v, &carry, cx);
                 }
             }
+            addrs.push(a);
         }
-        self.stats.warp_instructions += 1;
-        self.stats.thread_instructions += warp.active.count_ones() as u64;
+        if at.space == MemSpace::Global {
+            let _ = cx.mem_sys.access_latency(self.id, addrs.as_slice());
+        }
+        self.count_warp_instr(warp);
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// `dst = space[addr + offset]; space[addr + offset] = op(dst, src)`
+    /// lane by lane.
+    #[inline(never)]
     fn exec_atomic<O: SimObserver>(
         &mut self,
         warp: &mut Warp,
-        space: MemSpace,
-        op: simt_isa::AtomOp,
+        op: AtomOp,
         dst: Reg,
-        addr: Operand,
-        offset: i32,
-        src: Operand,
-        cycle: u64,
-        arch: &ArchConfig,
-        mem: &mut GlobalMemory,
-        mem_sys: &mut MemorySystem,
-        ntid: (u32, u32),
-        nctaid: (u32, u32),
-        obs: &mut O,
+        at: Access,
+        src: Resolved,
+        cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
-        let ra = self.resolve_cfg(warp, addr, ntid, nctaid, cycle, obs);
-        let rs = self.resolve_cfg(warp, src, ntid, nctaid, cycle, obs);
-        let d = vreg_of(dst);
         let mut distinct = LaneBuf::new();
         for lane in lanes(warp.active) {
-            let base = self.lane_value(warp, &ra, lane, arch.warp_size, ntid, nctaid, cycle, obs);
-            let v = self.lane_value(warp, &rs, lane, arch.warp_size, ntid, nctaid, cycle, obs);
-            let a = base.wrapping_add(offset as u32);
+            let a = self.lane_addr(warp, &at, lane, cx);
+            let v = self.lane_value(warp, &src, lane, cx);
             // An atomic is a read-modify-write: divergence in the
             // address, the operand *or* the target word makes the
             // scenario's whole chain diverge — always fork.
-            let mut forks = self.scn_mask(warp, &ra, lane, arch.warp_size)
-                | self.scn_mask(warp, &rs, lane, arch.warp_size);
-            let old = match space {
+            let mut forks = self.scn_mask(warp, &src, lane);
+            let old = match at.space {
                 MemSpace::Global => {
-                    if let Some(ov) = mem.overlay.as_deref() {
+                    if let Some(ov) = cx.mem.overlay.as_deref() {
                         forks |= ov.cell(a / 4).map_or(0, |c| c.mask);
                     }
                     self.scn_fork(forks);
-                    let old = mem.load(a, self.id, cycle)?;
+                    let old = cx.mem.load(a, self.id, cx.cycle)?;
                     let (new, old) = eval_atom(op, old, v);
-                    mem.store(a, new, self.id, cycle)?;
-                    obs.on_global_write(self.id, a, new, cycle);
+                    cx.mem.store(a, new, self.id, cx.cycle)?;
+                    cx.obs.on_global_write(self.id, a, new, cx.cycle);
                     old
                 }
                 MemSpace::Shared => {
-                    let w = self.lds_word(warp, a, cycle)?;
+                    let w = self.lds_word(warp, a, cx.cycle)?;
                     if let Some(ov) = self.overlay.as_deref() {
                         forks |= ov.cell(Structure::LocalMemory, w).map_or(0, |c| c.mask);
                     }
                     self.scn_fork(forks);
-                    obs.on_lds_read(self.id, w, cycle);
+                    cx.obs.on_lds_read(self.id, w, cx.cycle);
                     let (new, old) = eval_atom(op, self.lds[w as usize], v);
-                    self.store_lds(w, new, cycle, obs);
+                    self.store(Structure::LocalMemory, w, new, &[], cx);
                     old
                 }
             };
-            self.write_vreg(warp, d, lane, old, arch.warp_size, cycle, obs);
+            self.write_reg(warp, dst, lane, old, &[], cx);
             if !distinct.as_slice().contains(&a) {
                 distinct.push(a);
             }
         }
-        let lat = match space {
-            MemSpace::Global => mem_sys.atomic_latency(distinct.len as u32),
+        let lat = match at.space {
+            MemSpace::Global => cx.mem_sys.atomic_latency(distinct.len as u32),
             MemSpace::Shared => {
-                arch.lat.lds + (distinct.len as u32).saturating_sub(1) * arch.lds_bank_penalty
+                cx.arch.lat.lds + (distinct.len as u32).saturating_sub(1) * cx.arch.lds_bank_penalty
             }
         };
-        warp.vreg_ready[d as usize] = cycle + lat as u64;
-        self.stats.warp_instructions += 1;
-        self.stats.thread_instructions += warp.active.count_ones() as u64;
+        self.complete(warp, dst, cx.cycle + lat as u64);
         Ok(())
+    }
+}
+
+/// Executes `instr` on `warp` when it is control flow (the warp's
+/// reconvergence stack moves its PC); returns whether it was.
+fn exec_control(warp: &mut Warp, instr: Instr, kernel: &LoweredKernel) -> bool {
+    let pc = warp.pc;
+    match instr {
+        Instr::IfBegin { p, negate } => {
+            let taken = pred_mask(warp, p, negate);
+            warp.exec_if_begin(pc, taken, kernel.control());
+        }
+        Instr::Else => warp.exec_else(),
+        Instr::IfEnd => warp.exec_if_end(),
+        Instr::LoopBegin => warp.exec_loop_begin(pc, kernel.control()),
+        Instr::Break { p, negate } => {
+            let breaking = pred_mask(warp, p, negate);
+            warp.exec_break(breaking);
+        }
+        Instr::LoopEnd => warp.exec_loop_end(),
+        Instr::Exit => warp.exec_exit(),
+        _ => return false,
+    }
+    true
+}
+
+/// Predicate `p` of `warp`, inverted when `negate` is set.
+fn pred_mask(warp: &Warp, p: PReg, negate: bool) -> LaneMask {
+    let m = warp.preds[p.0 as usize];
+    if negate {
+        !m
+    } else {
+        m
+    }
+}
+
+/// The lanes that write `dst`: lane 0 alone for a scalar register, the
+/// active lanes for a vector one.
+fn dst_lanes(warp: &Warp, dst: Reg) -> LaneMask {
+    match dst {
+        Reg::S(_) => 1,
+        Reg::V(_) => warp.active,
     }
 }
 
@@ -1613,10 +1326,9 @@ impl LaneBuf {
     }
 }
 
-/// LDS bank-conflict degree of the physical words one warp access
-/// touches: the most distinct words that share a bank (lanes reading the
-/// same word get a broadcast, not a conflict), and at least 1.
-/// Allocates nothing.
+/// LDS bank-conflict degree of the words one warp access touches: the
+/// most distinct words that share a bank (lanes reading the same word get
+/// a broadcast, not a conflict), and at least 1. Allocates nothing.
 ///
 /// # Example
 /// ```
@@ -1678,17 +1390,6 @@ fn lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
     set_bits(mask)
 }
 
-fn vreg_of(r: Reg) -> u16 {
-    match r {
-        Reg::V(VReg(i)) => i,
-        Reg::S(_) => unreachable!("validated: per-lane destination is a vector register"),
-    }
-}
-
-fn warp_size_of(arch: &ArchConfig) -> u32 {
-    arch.warp_size
-}
-
 fn un_latency(arch: &ArchConfig, op: simt_isa::UnOp) -> u32 {
     if op.is_sfu() {
         arch.lat.sfu
@@ -1740,15 +1441,15 @@ mod tests {
         let mut sm = Sm::new(0, &arch);
         assert!(!sm.busy());
         assert_eq!(sm.rf_allocated(), 0);
-        sm.flip_rf_bit(10, 3);
+        sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
         assert_eq!(sm.rf[10], 8);
-        sm.flip_rf_bit(10, 3);
+        sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
         assert_eq!(sm.rf[10], 0);
-        sm.flip_lds_bit(0, 0);
+        sm.flip_bit(Structure::LocalMemory, 0, 0);
         assert_eq!(sm.lds[0], 1);
         // Out-of-range flips are ignored (defensive).
-        sm.flip_rf_bit(u32::MAX, 0);
-        sm.flip_srf_bit(0, 5); // srf is empty on this config
+        sm.flip_bit(Structure::VectorRegisterFile, u32::MAX, 0);
+        sm.flip_bit(Structure::ScalarRegisterFile, 0, 5); // srf is empty on this config
     }
 
     #[test]
@@ -1776,13 +1477,29 @@ mod tests {
         });
         assert_eq!(sm.rf[10], 0, "forced at arm time");
         let mut obs = crate::observer::CountingObserver::default();
-        sm.store_rf(10, u32::MAX, 5, &mut obs);
+        let mut mem = GlobalMemory::new();
+        let mut mem_sys = MemorySystem::new(
+            arch.num_sms,
+            arch.l1,
+            arch.l2,
+            arch.lat,
+            arch.coalesce_bytes,
+        );
+        let mut cx = Ctx {
+            cycle: 5,
+            arch: &arch,
+            cfg: LaunchConfig::linear(1, 1),
+            mem: &mut mem,
+            mem_sys: &mut mem_sys,
+            obs: &mut obs,
+        };
+        let rf = Structure::VectorRegisterFile;
+        sm.store(rf, 10, u32::MAX, &[], &mut cx);
         assert_eq!(sm.rf[10], !0b1000, "re-asserted on write");
-        assert_eq!(obs.rf_writes, 1);
-        assert_eq!(obs.stuck_reasserts, 1);
+        assert_eq!((cx.obs.rf_writes, cx.obs.stuck_reasserts), (1, 1));
         // A write that agrees with the stuck polarity is not a reassert.
-        sm.store_rf(10, 0, 6, &mut obs);
-        assert_eq!(obs.stuck_reasserts, 1);
+        sm.store(rf, 10, 0, &[], &mut cx);
+        assert_eq!(cx.obs.stuck_reasserts, 1);
         // Permanent faults survive the inter-launch reset.
         sm.arm_stuck(StuckBit {
             structure: Structure::LocalMemory,

@@ -3,7 +3,7 @@
 //! randomly generated straight-line kernels.
 
 use proptest::prelude::*;
-use simt_isa::{lower, KernelBuilder, MemSpace};
+use simt_isa::{lower, CmpOp, KernelBuilder, MemSpace};
 use simt_sim::mem::{count_segments, MemorySystem};
 use simt_sim::regfile::RegionAllocator;
 use simt_sim::sm::lds_conflict_degree;
@@ -95,12 +95,15 @@ proptest! {
 }
 
 /// Random arithmetic expression kernel: out[i] = f(i) for a random f
-/// composed of ALU ops; checks device-vs-host agreement and determinism.
+/// composed of one-, two- and three-operand ALU ops and predicated
+/// selects; checks device-vs-host agreement and determinism.
 fn random_alu_program() -> impl Strategy<Value = Vec<(u8, u32)>> {
-    proptest::collection::vec((0u8..6, any::<u32>()), 1..20)
+    proptest::collection::vec((0u8..10, any::<u32>()), 1..20)
 }
 
-fn apply_host(ops: &[(u8, u32)], mut v: u32) -> u32 {
+/// The host model of [`random_alu_program`] for thread `i`.
+fn apply_host(ops: &[(u8, u32)], i: u32) -> u32 {
+    let mut v = i;
     for &(op, imm) in ops {
         v = match op {
             0 => v.wrapping_add(imm),
@@ -108,7 +111,17 @@ fn apply_host(ops: &[(u8, u32)], mut v: u32) -> u32 {
             2 => v.wrapping_mul(imm | 1),
             3 => v ^ imm,
             4 => v | imm,
-            _ => v.wrapping_shl(imm & 7),
+            5 => v.wrapping_shl(imm & 7),
+            6 => !v,
+            7 => v.wrapping_neg(),
+            8 => v.wrapping_mul(imm).wrapping_add(i),
+            _ => {
+                if v < imm {
+                    i
+                } else {
+                    v
+                }
+            }
         };
     }
     v
@@ -126,6 +139,7 @@ proptest! {
         let gid = kb.vreg();
         let v = kb.vreg();
         let addr = kb.vreg();
+        let p = kb.preg();
         kb.global_tid_x(gid);
         kb.mov(v, gid);
         for &(op, imm) in &ops {
@@ -135,7 +149,11 @@ proptest! {
                 2 => kb.imul(v, v, imm | 1),
                 3 => kb.xor(v, v, imm),
                 4 => kb.or(v, v, imm),
-                _ => kb.shl(v, v, imm & 7),
+                5 => kb.shl(v, v, imm & 7),
+                6 => kb.not(v, v),
+                7 => kb.ineg(v, v),
+                8 => kb.imad(v, v, imm, gid),
+                _ => kb.isetp(CmpOp::ULt, p, v, imm).sel(p, v, gid, v),
             };
         }
         kb.word_addr(addr, out, gid);
