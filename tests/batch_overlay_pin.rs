@@ -8,13 +8,19 @@
 //! lanes fork, when they fork and how many end as SDC at the final read,
 //! so the sums move even where every verdict happens to survive.
 //!
+//! Kmeans and backprop read device memory back on the host *between*
+//! launches (the membership vector, the hidden-layer partial sums), so a
+//! lane whose divergence reaches one of those words forks at the
+//! session's host-read route rather than at an SM trigger. Their cases
+//! also check the batched tally against the tally with batching off.
+//!
 //! Each sum is independent of the worker count, so every configuration
 //! runs at one and at three workers against the same constants. The
 //! setup (golden run, ladder, oracle) is built under `NoopHook`, so only
 //! the replays feed the registry.
 
 use gpu_archs::{geforce_gtx_480, hd_radeon_7970, quadro_fx_5600};
-use gpu_workloads::{Histogram, MatrixMul, Transpose, VectorAdd, Workload};
+use gpu_workloads::{Backprop, Histogram, Kmeans, MatrixMul, Transpose, VectorAdd, Workload};
 use grel_core::campaign::{Campaign, CampaignConfig, Capture};
 use grel_telemetry::{MetricsRegistry, NoopHook, RegistryHook};
 use simt_sim::{ArchConfig, Structure};
@@ -33,7 +39,9 @@ const COUNTERS: [&str; 6] = [
 
 /// Runs a pruned, batched transient campaign of `injections` sites on
 /// `structure` at one and at three workers and checks both runs'
-/// counter sums against `expected` (an absent counter reads 0).
+/// counter sums against `expected` (an absent counter reads 0). With
+/// `against_scalar`, both tallies must also equal the tally of the same
+/// campaign run with batching off.
 fn pin(
     label: &str,
     arch: &ArchConfig,
@@ -41,6 +49,7 @@ fn pin(
     structure: Structure,
     injections: u32,
     expected: [u64; 6],
+    against_scalar: bool,
 ) {
     let cfg = CampaignConfig {
         injections,
@@ -51,6 +60,13 @@ fn pin(
         ..CampaignConfig::quick(17)
     };
     let setup = Campaign::new(arch, workload, &cfg, Capture::campaign(&cfg), &NoopHook).unwrap();
+    let scalar = against_scalar.then(|| {
+        let cfg = CampaignConfig {
+            batch: false,
+            ..cfg
+        };
+        setup.run(structure, cfg, &NoopHook).unwrap().tally
+    });
     for threads in [1usize, 3] {
         let registry = MetricsRegistry::new();
         let hook = RegistryHook::new(&registry);
@@ -58,6 +74,12 @@ fn pin(
             .run(structure, CampaignConfig { threads, ..cfg }, &hook)
             .unwrap();
         assert_eq!(result.tally.total(), u64::from(injections), "{label}");
+        if let Some(scalar) = &scalar {
+            assert_eq!(
+                &result.tally, scalar,
+                "{label} at {threads} worker(s): batched vs scalar"
+            );
+        }
         let snap = registry.snapshot();
         let got: Vec<u64> = COUNTERS
             .iter()
@@ -89,6 +111,7 @@ fn histogram_lds_atomics_batch_counters_are_pinned() {
         Structure::LocalMemory,
         40000,
         [1, 31, 0, 567, 2779, 40000],
+        false,
     );
 }
 
@@ -103,6 +126,7 @@ fn transpose_lds_batch_counters_are_pinned() {
         Structure::LocalMemory,
         40000,
         [1, 0, 49, 323, 0, 40000],
+        false,
     );
 }
 
@@ -117,6 +141,7 @@ fn matrixmul_lds_batch_counters_are_pinned() {
         Structure::LocalMemory,
         40000,
         [3, 0, 156, 3605, 0, 40000],
+        false,
     );
 }
 
@@ -131,5 +156,38 @@ fn southern_islands_rf_batch_counters_are_pinned() {
         Structure::VectorRegisterFile,
         8000,
         [1, 17, 21, 467, 257, 8000],
+        false,
+    );
+}
+
+/// Kmeans reads the membership vector back after every round but the
+/// last and recomputes the centroids from it on the host, so a lane whose
+/// divergence reaches a membership word forks at that mid-plan read.
+#[test]
+fn kmeans_rf_host_read_batch_counters_are_pinned() {
+    pin(
+        "kmeans RF",
+        &geforce_gtx_480(),
+        &Kmeans::new(256, 4, 2, 17),
+        Structure::VectorRegisterFile,
+        40000,
+        [4, 147, 4, 10254, 575684, 40000],
+        true,
+    );
+}
+
+/// Backprop reads the hidden-layer partial sums back between its two
+/// launches and derives the deltas on the host, so a lane whose
+/// divergence reaches a partial sum forks at that mid-plan read.
+#[test]
+fn backprop_rf_host_read_batch_counters_are_pinned() {
+    pin(
+        "backprop RF",
+        &geforce_gtx_480(),
+        &Backprop::new(64, 17),
+        Structure::VectorRegisterFile,
+        40000,
+        [4, 109, 33, 5710, 80354, 40000],
+        true,
     );
 }
