@@ -957,11 +957,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     // the shared pass directly shrinks that waste (half a stride per
     // fork on average) for a few extra in-memory clones.
     let interval = (golden.cycles / 32).max(1);
-    let all_mask = if batch.len() == simt_sim::MAX_BATCH_SCENARIOS {
-        u64::MAX
-    } else {
-        (1u64 << batch.len()) - 1
-    };
+    let all_mask = simt_sim::overlay::scenario_mask(batch.len());
 
     // Shared pass. Snapshots are taken *before* stepping, so a fork
     // raised during a step always has a snapshot at or before its
@@ -983,13 +979,13 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
             0
         };
         session.gpu_mut().set_watchdog(ctx.watchdog);
-        session.arm_scenarios(batch);
+        session.gpu_mut().arm_scenarios(batch);
         snaps.push(session.snapshot());
         let mut next_snap = session.gpu().app_cycle() + interval;
         let mut finished_out: Option<Vec<u32>> = None;
         let mut broke = false;
         loop {
-            let new = session.take_scenario_forks();
+            let new = session.gpu_mut().take_scenario_forks();
             if new != 0 {
                 let snap_idx = snaps.len() - 1;
                 let mut m = new;

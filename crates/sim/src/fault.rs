@@ -459,66 +459,6 @@ impl FaultSite {
     }
 }
 
-/// Maximum scenarios per batched replay pass: one bit of a `u64` mask
-/// per scenario.
-pub const MAX_BATCH_SCENARIOS: usize = 64;
-
-/// The master state of one bit-plane batched replay pass: up to
-/// [`MAX_BATCH_SCENARIOS`] transient sites sharing a single golden
-/// simulation, each tracked as a *scenario* (a bit of the `u64` masks).
-///
-/// The shared pass executes pure golden state; each scenario's would-be
-/// divergence lives in sparse overlay cells (per-SM shards plus a
-/// global-memory shard). A scenario leaves the pass — *forks* into a
-/// private replay — only when its divergence becomes architecturally
-/// consequential: a divergent predicate or address, an atomic touching
-/// an overlaid word, or a host read of one. A scenario still unforked
-/// when the workload finishes is provably Masked.
-#[derive(Debug, Clone)]
-pub struct BatchPlane {
-    /// The batched sites, scenario `s` = `sites[s]`.
-    pub sites: Vec<FaultSite>,
-    /// Scenarios that forked into private replays (overlays dropped).
-    pub forked: u64,
-    /// Scenarios whose flip has been asserted into the overlays.
-    pub armed: u64,
-}
-
-impl BatchPlane {
-    /// Builds a plane over `sites` (all transient, at most 64).
-    ///
-    /// # Panics
-    ///
-    /// If `sites` is empty, exceeds [`MAX_BATCH_SCENARIOS`], or contains
-    /// a non-transient site (the overlay soundness argument — a clean
-    /// overwrite kills divergence — only holds for transient flips).
-    pub fn new(sites: Vec<FaultSite>) -> Self {
-        assert!(
-            !sites.is_empty() && sites.len() <= MAX_BATCH_SCENARIOS,
-            "batch of {} sites (expected 1..={MAX_BATCH_SCENARIOS})",
-            sites.len()
-        );
-        assert!(
-            sites.iter().all(FaultSite::is_transient),
-            "batched replay is kind-gated to transient flips"
-        );
-        BatchPlane {
-            sites,
-            forked: 0,
-            armed: 0,
-        }
-    }
-
-    /// Mask with one bit set per scenario in the plane.
-    pub fn all_mask(&self) -> u64 {
-        if self.sites.len() == MAX_BATCH_SCENARIOS {
-            u64::MAX
-        } else {
-            (1u64 << self.sites.len()) - 1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,10 +3,11 @@
 
 use crate::config::ArchConfig;
 use crate::error::{Due, SimError};
-use crate::fault::{BatchPlane, FaultKind, FaultSite};
+use crate::fault::{FaultKind, FaultSite};
 use crate::launch::{LaunchConfig, LaunchStats};
 use crate::mem::{GlobalMemory, MemorySystem};
 use crate::observer::{NoopObserver, SimObserver};
+use crate::overlay::BatchPlane;
 use crate::regfile::StuckBit;
 use crate::sm::{Ctx, Sm};
 use simt_isa::LoweredKernel;
@@ -96,8 +97,8 @@ pub struct Gpu {
     sms: Vec<Sm>,
     app_cycle: u64,
     armed_faults: Vec<FaultSite>,
-    /// Active bit-plane batch; `None` outside a batched replay pass.
-    plane: Option<BatchPlane>,
+    /// The bit-plane batch; without sites outside a batched replay pass.
+    plane: BatchPlane,
     watchdog_limit: Option<u64>,
     launches: u32,
     in_flight: Option<InFlight>,
@@ -121,7 +122,7 @@ impl Gpu {
             sms,
             app_cycle: 0,
             armed_faults: Vec::new(),
-            plane: None,
+            plane: BatchPlane::default(),
             watchdog_limit: None,
             launches: 0,
             in_flight: None,
@@ -262,35 +263,22 @@ impl Gpu {
     ///
     /// Same as [`BatchPlane::new`] (1..=64 transient sites).
     pub fn arm_scenarios(&mut self, sites: &[FaultSite]) {
-        self.plane = Some(BatchPlane::new(sites.to_vec()));
+        self.plane = BatchPlane::new(sites.to_vec());
     }
 
-    /// Drains every pending fork request (per-SM shards, the global
-    /// memory shard and host reads) into the plane. Returns the *newly*
-    /// forked scenarios and sweeps their dead overlay cells.
+    /// Drains the plane's pending-fork mask, which every fork trigger
+    /// sets. Returns the *newly* forked scenarios and sweeps their dead
+    /// overlay cells from every shard.
     pub fn take_scenario_forks(&mut self) -> u64 {
-        let Some(plane) = self.plane.as_mut() else {
-            return 0;
-        };
-        let mut m = 0u64;
-        for sm in &mut self.sms {
-            if let Some(ov) = sm.overlay.as_deref_mut() {
-                m |= std::mem::take(&mut ov.pending_forks);
-            }
-        }
-        if let Some(ov) = self.mem.overlay.as_deref_mut() {
-            m |= ov.take_forks();
-        }
-        let new = m & !plane.forked & plane.all_mask();
-        plane.forked |= new;
+        let new = self.plane.take_forks();
         if new != 0 {
             for sm in &mut self.sms {
                 if let Some(ov) = sm.overlay.as_deref_mut() {
-                    ov.drop_scenarios(new);
+                    ov.maps_mut().iter_mut().for_each(|m| m.drop_scenarios(new));
                 }
             }
             if let Some(ov) = self.mem.overlay.as_deref_mut() {
-                ov.drop_scenarios(new);
+                ov.map.drop_scenarios(new);
             }
         }
         new
@@ -298,8 +286,8 @@ impl Gpu {
 
     /// Drains the scenarios whose divergent global-memory words were
     /// read by the host since the last drain (see
-    /// [`GlobalOverlay::take_host_touches`](crate::mem::GlobalOverlay::take_host_touches)).
-    pub fn take_host_touches(&mut self) -> u64 {
+    /// [`GlobalOverlay::take_host_touches`](crate::overlay::GlobalOverlay::take_host_touches)).
+    pub(crate) fn take_host_touches(&mut self) -> u64 {
         self.mem
             .overlay
             .as_deref_mut()
@@ -308,13 +296,8 @@ impl Gpu {
 
     /// Requests forks for the scenarios in `mask`; they surface at the
     /// next [`Gpu::take_scenario_forks`] drain.
-    pub fn raise_scenario_forks(&mut self, mask: u64) {
-        if mask != 0 {
-            self.mem
-                .overlay
-                .get_or_insert_with(Default::default)
-                .raise_forks(mask);
-        }
+    pub(crate) fn raise_scenario_forks(&mut self, mask: u64) {
+        self.plane.pending_forks |= mask;
     }
 
     /// Collapses the device onto scenario `s`'s faulty state: its
@@ -325,7 +308,7 @@ impl Gpu {
             sm.materialize_scenario(s as u8);
         }
         self.mem.materialize_scenario(s as u8);
-        self.plane = None;
+        self.plane = BatchPlane::default();
     }
 
     /// Drops the batch plane and every overlay shard without touching
@@ -335,14 +318,12 @@ impl Gpu {
             sm.overlay = None;
         }
         self.mem.overlay = None;
-        self.plane = None;
+        self.plane = BatchPlane::default();
     }
 
     /// Asserts overlay flips for scenarios whose injection cycle is now.
     fn arm_due_scenarios(&mut self) {
-        let Some(mut plane) = self.plane.take() else {
-            return;
-        };
+        let plane = &mut self.plane;
         let n = self.sms.len().max(1);
         for (i, site) in plane.sites.iter().enumerate() {
             let bit = 1u64 << i;
@@ -356,10 +337,10 @@ impl Gpu {
             if let Some(&cur) = sm.storage(site.structure).get(site.word as usize) {
                 sm.overlay
                     .get_or_insert_with(Default::default)
-                    .assert_value(site.structure, site.word, i as u8, cur ^ (1 << site.bit));
+                    .map_mut(site.structure)
+                    .assert_value(site.word, i as u8, cur ^ (1 << site.bit));
             }
         }
-        self.plane = Some(plane);
     }
 
     /// Sets the application-cycle budget; exceeding it ends the current
@@ -534,7 +515,7 @@ impl Gpu {
                 }
             }
         }
-        if self.plane.is_some() {
+        if !self.plane.sites.is_empty() {
             self.arm_due_scenarios();
         }
         let mut cx = Ctx {
@@ -544,6 +525,7 @@ impl Gpu {
             mem: &mut self.mem,
             mem_sys: &mut self.mem_sys,
             obs: &mut *obs,
+            forks: &mut self.plane.pending_forks,
         };
         for sm in &mut self.sms {
             if let Err(d) = sm.step(&fl.kernel, &mut cx) {
@@ -604,6 +586,7 @@ impl Gpu {
             mem: &mut self.mem,
             mem_sys: &mut self.mem_sys,
             obs,
+            forks: &mut self.plane.pending_forks,
         };
         // Round-robin across SMs, stopping when a full round places nothing.
         'outer: while *next_block < total_blocks {
@@ -900,8 +883,8 @@ mod tests {
         assert_eq!(obs.faults, 1);
         // The permanent fault stays armed on the SM for later launches.
         let sm1 = &gpu.sms[1];
-        assert_eq!(sm1.stuck_faults().len(), 1);
-        assert!(sm1.stuck_faults()[0].stuck_value);
+        assert_eq!(sm1.stuck.len(), 1);
+        assert!(sm1.stuck[0].stuck_value);
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod gpu;
 pub mod launch;
 pub mod mem;
 pub mod observer;
+pub mod overlay;
 pub mod regfile;
 pub mod session;
 pub mod sm;
@@ -69,15 +70,13 @@ pub mod warp;
 pub use cache::{Cache, CacheGeom, CacheStats};
 pub use config::{ArchConfig, Latencies, SchedulerPolicy, Vendor};
 pub use error::{Due, SimError};
-pub use fault::{
-    BatchPlane, ControlTarget, FaultKind, FaultModelKind, FaultSite, InvalidFaultSite, Structure,
-    MAX_BATCH_SCENARIOS,
-};
+pub use fault::{ControlTarget, FaultKind, FaultModelKind, FaultSite, InvalidFaultSite, Structure};
 pub use gpu::{Buffer, Gpu, LaunchProgress};
 pub use launch::{Dim, LaunchConfig, LaunchStats};
 pub use observer::{
     BlockRegions, CountingObserver, HotspotCounters, HotspotObserver, NoopObserver, SimObserver,
 };
+pub use overlay::{BatchPlane, MAX_BATCH_SCENARIOS};
 pub use regfile::StuckBit;
 pub use session::{Checkpoint, LaunchPlan, PlanStep, Session, SessionStatus, SessionTelemetry};
 pub use trace::{GlobalWrite, GlobalWriteLog, TraceObserver, TraceRecord, TAINT_CAP};

@@ -1,12 +1,9 @@
 //! Global-memory arena, coalescer and the device memory timing model.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use crate::cache::{Cache, CacheGeom, CacheStats};
 use crate::config::Latencies;
 use crate::error::Due;
-use crate::regfile::OverlayCell;
+use crate::overlay::GlobalOverlay;
 
 /// Byte offset reserved as a null guard: accesses below this address are
 /// DUEs, catching fault-corrupted pointers the way a segfault would on a
@@ -29,100 +26,8 @@ pub struct GlobalMemory {
     words: Vec<u32>,
     /// First unallocated byte address.
     heap_top: u32,
-    /// Armed stuck-at cells: `(word index, bit, stuck value)`, re-asserted
-    /// by the [`GlobalMemory::store`] write intercept.
-    stuck: Vec<(usize, u8, bool)>,
     /// Batched-replay overlay shard; `None` outside a batched pass.
     pub(crate) overlay: Option<Box<GlobalOverlay>>,
-}
-
-/// The global-memory overlay shard of a batched replay: per-word
-/// divergent values for the scenarios sharing the pass, keyed by word
-/// index. Host-side reads take `&self`, so the touches they record
-/// accumulate behind a mutex until the session routes them — into forks
-/// for mid-plan reads, or into the final-output divergence mask when
-/// the read belongs to a verbatim plan's output collection.
-#[derive(Debug, Default)]
-pub struct GlobalOverlay {
-    cells: HashMap<u32, OverlayCell>,
-    /// Scenarios that must leave the shared pass, raised by `&mut` paths.
-    pub pending_forks: u64,
-    /// Scenarios whose divergent words were read by host-side (`&self`)
-    /// reads since the last drain.
-    host_touched: Mutex<u64>,
-}
-
-impl Clone for GlobalOverlay {
-    fn clone(&self) -> Self {
-        GlobalOverlay {
-            cells: self.cells.clone(),
-            pending_forks: self.pending_forks,
-            host_touched: Mutex::new(*self.host_touched.lock().expect("host_touched poisoned")),
-        }
-    }
-}
-
-impl GlobalOverlay {
-    /// The overlay cell of word index `w`, if any scenario diverges.
-    pub fn cell(&self, w: u32) -> Option<&OverlayCell> {
-        self.cells.get(&w)
-    }
-
-    /// Records scenario `s` holding `value` at word index `w`.
-    pub fn assert_value(&mut self, w: u32, s: u8, value: u32) {
-        self.cells.entry(w).or_default().set(s, value);
-    }
-
-    /// Architectural overwrite of word `w` kills all divergence there.
-    pub fn clear_word(&mut self, w: u32) {
-        self.cells.remove(&w);
-    }
-
-    /// Marks every scenario divergent at word `w` as read by the host:
-    /// its faulty value is architecturally observable from this read.
-    /// Whether that means a fork (mid-plan read feeding host logic) or a
-    /// direct SDC verdict (a verbatim plan's final output collection) is
-    /// the session's call — it drains the touches after each plan step.
-    pub fn note_host_read(&self, w: u32) {
-        if let Some(cell) = self.cells.get(&w) {
-            if !cell.is_empty() {
-                *self.host_touched.lock().expect("host_touched poisoned") |= cell.mask;
-            }
-        }
-    }
-
-    /// Drains the device-side fork channel.
-    pub fn take_forks(&mut self) -> u64 {
-        std::mem::take(&mut self.pending_forks)
-    }
-
-    /// Drains the scenarios touched by host reads since the last drain.
-    pub fn take_host_touches(&mut self) -> u64 {
-        let mut h = self.host_touched.lock().expect("host_touched poisoned");
-        std::mem::take(&mut *h)
-    }
-
-    /// Requests forks for the scenarios in `mask` (the session's routing
-    /// of mid-plan host touches back into the fork channel).
-    pub fn raise_forks(&mut self, mask: u64) {
-        self.pending_forks |= mask;
-    }
-
-    /// Removes the scenarios in `mask` from every cell.
-    pub fn drop_scenarios(&mut self, mask: u64) {
-        self.cells.retain(|_, c| {
-            c.drop_scenarios(mask);
-            !c.is_empty()
-        });
-    }
-
-    /// Scenario `s`'s divergent words as `(word index, value)`.
-    pub fn scenario_values(&self, s: u8) -> Vec<(u32, u32)> {
-        self.cells
-            .iter()
-            .filter_map(|(&w, c)| c.get(s).map(|v| (w, v)))
-            .collect()
-    }
 }
 
 impl Default for GlobalMemory {
@@ -137,23 +42,8 @@ impl GlobalMemory {
         GlobalMemory {
             words: Vec::new(),
             heap_top: NULL_GUARD_BYTES,
-            stuck: Vec::new(),
             overlay: None,
         }
-    }
-
-    /// Arms a stuck-at cell at byte address `addr`: the bit is forced now
-    /// and re-asserted by every subsequent [`GlobalMemory::store`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GlobalMemory::store`] (the address must be a valid,
-    /// allocated word).
-    pub fn arm_stuck_bit(&mut self, addr: u32, bit: u8, stuck_value: bool) -> Result<(), Due> {
-        let i = self.check(addr, u32::MAX, 0)?;
-        self.stuck.push((i, bit, stuck_value));
-        self.words[i] = force_stuck(self.words[i], bit, stuck_value);
-        Ok(())
     }
 
     /// Allocates `n` 32-bit words, 256-byte aligned; returns the byte
@@ -200,27 +90,20 @@ impl GlobalMemory {
     /// [`Due::MisalignedAccess`] or [`Due::GlobalOutOfBounds`].
     pub fn store(&mut self, addr: u32, value: u32, sm: u32, cycle: u64) -> Result<(), Due> {
         let i = self.check(addr, sm, cycle)?;
-        let mut stored = value;
-        if !self.stuck.is_empty() {
-            for &(w, bit, v) in &self.stuck {
-                if w == i {
-                    stored = force_stuck(stored, bit, v);
-                }
-            }
-        }
-        self.words[i] = stored;
+        self.words[i] = value;
         // Architectural overwrite: every batched scenario performs the
         // same store, so divergence on this word dies here (divergent
         // store values re-assert on top from the executor).
         if let Some(ov) = self.overlay.as_deref_mut() {
-            ov.clear_word(i as u32);
+            ov.map.clear_word(i as u32);
         }
         Ok(())
     }
 
     /// Host-side word read (no SM attribution). During a batched pass a
-    /// read of a scenario-divergent word forks that scenario: its faulty
-    /// value is architecturally observable from here.
+    /// read of a scenario-divergent word records that scenario as
+    /// host-touched: its faulty value is architecturally observable from
+    /// here, and the session routes the record after the plan step.
     ///
     /// # Errors
     ///
@@ -237,7 +120,7 @@ impl GlobalMemory {
     /// drops the overlay (forked private replays run on real state).
     pub(crate) fn materialize_scenario(&mut self, s: u8) {
         if let Some(ov) = self.overlay.take() {
-            for (w, v) in ov.scenario_values(s) {
+            for (w, v) in ov.map.scenario_values(s) {
                 if let Some(slot) = self.words.get_mut(w as usize) {
                     *slot = v;
                 }
@@ -252,15 +135,6 @@ impl GlobalMemory {
     /// Same as [`GlobalMemory::store`].
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), Due> {
         self.store(addr, value, u32::MAX, 0)
-    }
-}
-
-/// Forces `bit` of `value` to the stuck polarity.
-fn force_stuck(value: u32, bit: u8, stuck_value: bool) -> u32 {
-    if stuck_value {
-        value | 1 << bit
-    } else {
-        value & !(1 << bit)
     }
 }
 
@@ -485,27 +359,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(m.read_word(a + i * 4).unwrap(), i * 10);
         }
-    }
-
-    #[test]
-    fn stuck_bit_reasserts_on_store() {
-        let mut m = GlobalMemory::new();
-        let a = m.alloc_words(4);
-        m.write_word(a, 0).unwrap();
-        m.arm_stuck_bit(a, 3, true).unwrap();
-        assert_eq!(m.read_word(a).unwrap(), 8, "forced at arm time");
-        m.write_word(a, 0).unwrap();
-        assert_eq!(
-            m.read_word(a).unwrap(),
-            8,
-            "clean overwrite does not mask it"
-        );
-        m.write_word(a + 4, 0xff).unwrap();
-        assert_eq!(m.read_word(a + 4).unwrap(), 0xff, "other words unaffected");
-        assert!(
-            m.arm_stuck_bit(0, 0, true).is_err(),
-            "null guard still checked"
-        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Physical register files and LDS with block-granular allocation,
-//! plus the per-SM overlay shard of the bit-plane batched replay.
+//! Physical register files and LDS with block-granular allocation.
 //!
 //! The fault-injection methodology requires a *physical* view: a fault site
 //! names a word in the SM's register file regardless of whether a block
@@ -8,147 +7,6 @@
 //! is a fixed affine function of the block's base.
 
 use crate::fault::Structure;
-use std::collections::HashMap;
-
-/// One overlaid storage word of a batched replay: the set of fault
-/// scenarios whose (hypothetical) faulty execution holds a value
-/// different from the golden word, plus those values.
-///
-/// The invariant the batched pass maintains is that a cell never stores
-/// a value equal to the current golden word: a write that re-converges a
-/// scenario simply drops its entry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OverlayCell {
-    /// Bit `s` set when scenario `s` holds a divergent value here.
-    pub mask: u64,
-    /// `(scenario, value)` pairs, one per set bit of `mask`.
-    vals: Vec<(u8, u32)>,
-}
-
-impl OverlayCell {
-    /// Scenario `s`'s divergent value, if it has one.
-    pub fn get(&self, s: u8) -> Option<u32> {
-        self.vals.iter().find(|&&(i, _)| i == s).map(|&(_, v)| v)
-    }
-
-    /// Sets scenario `s`'s divergent value (replacing any previous one).
-    pub fn set(&mut self, s: u8, value: u32) {
-        if let Some(slot) = self.vals.iter_mut().find(|(i, _)| *i == s) {
-            slot.1 = value;
-        } else {
-            self.vals.push((s, value));
-        }
-        self.mask |= 1 << s;
-    }
-
-    /// Drops every scenario in `mask` from the cell.
-    pub fn drop_scenarios(&mut self, mask: u64) {
-        if self.mask & mask == 0 {
-            return;
-        }
-        self.vals.retain(|&(i, _)| mask >> i & 1 == 0);
-        self.mask &= !mask;
-    }
-
-    /// Whether no scenario diverges here.
-    pub fn is_empty(&self) -> bool {
-        self.mask == 0
-    }
-
-    /// The `(scenario, value)` pairs.
-    pub fn entries(&self) -> &[(u8, u32)] {
-        &self.vals
-    }
-}
-
-/// The per-SM overlay shard of a batched replay: divergent values per
-/// storage word for each of the (up to 64) scenarios sharing the pass,
-/// plus the scenarios this SM has asked to fork out of it.
-#[derive(Debug, Clone, Default)]
-pub struct SmOverlay {
-    rf: HashMap<u32, OverlayCell>,
-    srf: HashMap<u32, OverlayCell>,
-    lds: HashMap<u32, OverlayCell>,
-    /// Scenarios that must leave the shared pass (divergent address or
-    /// predicate, atomic touch); drained by the batch driver.
-    pub pending_forks: u64,
-}
-
-impl SmOverlay {
-    fn map(&self, structure: Structure) -> &HashMap<u32, OverlayCell> {
-        match structure {
-            Structure::VectorRegisterFile => &self.rf,
-            Structure::ScalarRegisterFile => &self.srf,
-            Structure::LocalMemory => &self.lds,
-        }
-    }
-
-    fn map_mut(&mut self, structure: Structure) -> &mut HashMap<u32, OverlayCell> {
-        match structure {
-            Structure::VectorRegisterFile => &mut self.rf,
-            Structure::ScalarRegisterFile => &mut self.srf,
-            Structure::LocalMemory => &mut self.lds,
-        }
-    }
-
-    /// The overlay cell of `(structure, word)`, if any scenario diverges.
-    pub fn cell(&self, structure: Structure, word: u32) -> Option<&OverlayCell> {
-        self.map(structure).get(&word)
-    }
-
-    /// Records scenario `s` holding `value` at `(structure, word)`.
-    pub fn assert_value(&mut self, structure: Structure, word: u32, s: u8, value: u32) {
-        self.map_mut(structure)
-            .entry(word)
-            .or_default()
-            .set(s, value);
-    }
-
-    /// Architectural overwrite of `(structure, word)`: every scenario's
-    /// execution performs the same write, so all divergence there dies
-    /// (divergent results re-assert afterwards).
-    pub fn clear_word(&mut self, structure: Structure, word: u32) {
-        self.map_mut(structure).remove(&word);
-    }
-
-    /// Clears every cell (inter-launch storage reset zeroes the arrays
-    /// for golden and faulty runs alike). Pending forks survive until
-    /// the driver drains them.
-    pub fn clear_cells(&mut self) {
-        self.rf.clear();
-        self.srf.clear();
-        self.lds.clear();
-    }
-
-    /// Removes the scenarios in `mask` from every cell (they forked into
-    /// private replays; their overlays are dead weight from here on).
-    pub fn drop_scenarios(&mut self, mask: u64) {
-        for m in [&mut self.rf, &mut self.srf, &mut self.lds] {
-            m.retain(|_, c| {
-                c.drop_scenarios(mask);
-                !c.is_empty()
-            });
-        }
-    }
-
-    /// Scenario `s`'s divergent words, for materializing its private
-    /// state out of a shared-pass snapshot.
-    pub fn scenario_values(&self, s: u8) -> Vec<(Structure, u32, u32)> {
-        let mut out = Vec::new();
-        for structure in [
-            Structure::VectorRegisterFile,
-            Structure::ScalarRegisterFile,
-            Structure::LocalMemory,
-        ] {
-            for (&word, cell) in self.map(structure) {
-                if let Some(v) = cell.get(s) {
-                    out.push((structure, word, v));
-                }
-            }
-        }
-        out
-    }
-}
 
 /// A permanently faulty storage cell: bit `bit` of `word` always holds
 /// `stuck_value`.

@@ -334,20 +334,6 @@ impl<'g> Session<'g> {
         self.gpu.arm_fault(site);
     }
 
-    /// Arms a bit-plane batch on the borrowed device (see
-    /// [`Gpu::arm_scenarios`]) — the convenience used by the batched
-    /// replay driver between resume and the shared pass.
-    pub fn arm_scenarios(&mut self, sites: &[crate::fault::FaultSite]) {
-        self.gpu.arm_scenarios(sites);
-    }
-
-    /// Drains the device's pending scenario-fork requests; the batched
-    /// replay driver polls this between steps and forks each newly
-    /// returned scenario into a private replay.
-    pub fn take_scenario_forks(&mut self) -> u64 {
-        self.gpu.take_scenario_forks()
-    }
-
     /// Scenarios whose divergence was first observed at a verbatim
     /// plan's final output collection: SDCs by construction, needing no
     /// private replay (see [`LaunchPlan::outputs_verbatim`]). Zero until

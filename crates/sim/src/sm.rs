@@ -7,7 +7,8 @@ use crate::fault::{ControlTarget, Structure};
 use crate::launch::LaunchConfig;
 use crate::mem::{GlobalMemory, MemorySystem, MAX_LANES};
 use crate::observer::{BlockRegions, SimObserver};
-use crate::regfile::{OverlayCell, RegionAllocator, SmOverlay, StuckBit};
+use crate::overlay::{OverlayCell, SmOverlay};
+use crate::regfile::{RegionAllocator, StuckBit};
 use crate::warp::{LaneMask, Warp};
 use simt_isa::op::{eval_atom, eval_binop, eval_cmp, eval_terop, eval_unop};
 use simt_isa::{
@@ -71,7 +72,7 @@ pub struct Sm {
     blocks: Vec<Option<ResidentBlock>>,
     /// Armed permanent stuck-at cells, re-asserted by the store
     /// intercept on every write (empty in fault-free runs).
-    stuck: Vec<StuckBit>,
+    pub(crate) stuck: Vec<StuckBit>,
     /// Batched-replay overlay shard; `None` outside a batched pass.
     pub(crate) overlay: Option<Box<SmOverlay>>,
     sched_ptr: usize,
@@ -104,6 +105,9 @@ pub(crate) struct Ctx<'a, O> {
     pub(crate) mem_sys: &'a mut MemorySystem,
     /// The event sink.
     pub(crate) obs: &'a mut O,
+    /// The batch plane's pending-fork mask, which every SM fork trigger
+    /// sets (always zero outside a batched pass: no cell diverges).
+    pub(crate) forks: &'a mut u64,
 }
 
 /// How an operand is resolved for a warp-wide execution.
@@ -195,10 +199,9 @@ impl Sm {
             self.force_stuck_now(s);
         }
         // The storage reset zeroes golden and faulty state alike, so all
-        // batched-scenario divergence dies with it (pending forks
-        // survive until the driver drains them).
+        // batched-scenario divergence dies with it.
         if let Some(ov) = self.overlay.as_deref_mut() {
-            ov.clear_cells();
+            ov.maps_mut().iter_mut().for_each(|m| m.clear());
         }
         self.rf_alloc.reset();
         self.srf_alloc.reset();
@@ -218,11 +221,6 @@ impl Sm {
     /// Whether any block is resident.
     pub fn busy(&self) -> bool {
         self.blocks.iter().any(Option::is_some)
-    }
-
-    /// Vector-RF words currently allocated (occupancy numerator).
-    pub fn rf_allocated(&self) -> u32 {
-        self.rf_alloc.allocated()
     }
 
     /// The physical words of one storage structure.
@@ -265,11 +263,6 @@ impl Sm {
     pub fn arm_stuck(&mut self, s: StuckBit) {
         self.force_stuck_now(s);
         self.stuck.push(s);
-    }
-
-    /// The armed stuck-at cells.
-    pub fn stuck_faults(&self) -> &[StuckBit] {
-        &self.stuck
     }
 
     /// Applies a control-unit fault: flips `bit` of the targeted
@@ -365,7 +358,7 @@ impl Sm {
         }
         self.storage_mut(structure)[word as usize] = stored;
         if let Some(ov) = self.overlay.as_deref_mut() {
-            ov.clear_word(structure, word);
+            ov.map_mut(structure).clear_word(word);
         }
         let (sm, cycle) = (self.id, cx.cycle);
         match structure {
@@ -377,9 +370,12 @@ impl Sm {
             cx.obs.on_stuck_reassert(sm, structure, word, cycle);
         }
         if !carry.is_empty() {
-            let ov = self.overlay.get_or_insert_with(Default::default);
+            let map = self
+                .overlay
+                .get_or_insert_with(Default::default)
+                .map_mut(structure);
             for &(s, v) in carry {
-                ov.assert_value(structure, word, s, v);
+                map.assert_value(word, s, v);
             }
         }
     }
@@ -416,11 +412,12 @@ impl Sm {
     // scenario masks of their source words, divergent results re-assert
     // on the destination after the golden write cleared it, and any
     // divergence that would change *control or addressing* forks the
-    // scenario out of the pass instead. The fork triggers are raised in
-    // three places: `lane_addr` (the address of every load, store and
-    // atomic, global and LDS), the `SetP` arm of `exec_op` (a predicate)
-    // and `exec_atomic` (an atomic's operand or target word). All
-    // helpers fast-path to nothing when no overlay is present.
+    // scenario out of the pass instead: the fork triggers set the
+    // device's one pending-fork mask, `Ctx::forks`, in three places:
+    // `lane_addr` (the address of every load, store and atomic, global
+    // and LDS), the `SetP` arm of `exec_op` (a predicate) and
+    // `exec_atomic` (an atomic's operand or target word). All helpers
+    // fast-path to nothing when no overlay is present.
 
     /// The overlay cell of a resolved operand's word for one lane, if a
     /// scenario diverges there.
@@ -429,10 +426,10 @@ impl Sm {
         let ov = self.overlay.as_deref()?;
         match *r {
             Resolved::Uniform(_) | Resolved::Special(_) => None,
-            Resolved::Sreg { phys, .. } => ov.cell(Structure::ScalarRegisterFile, phys),
-            Resolved::VReg(reg) => {
-                ov.cell(Structure::VectorRegisterFile, self.vword(warp, reg, lane))
-            }
+            Resolved::Sreg { phys, .. } => ov.map(Structure::ScalarRegisterFile).cell(phys),
+            Resolved::VReg(reg) => ov
+                .map(Structure::VectorRegisterFile)
+                .cell(self.vword(warp, reg, lane)),
         }
     }
 
@@ -496,24 +493,20 @@ impl Sm {
         out
     }
 
-    /// Requests forks for the scenarios in `mask`: their divergence is
-    /// about to change control flow, addressing or an atomic, which the
-    /// shared golden pass cannot carry.
-    fn scn_fork(&mut self, mask: u64) {
-        if mask != 0 {
-            self.overlay
-                .get_or_insert_with(Default::default)
-                .pending_forks |= mask;
-        }
-    }
-
     /// Writes scenario `s`'s divergent words into physical storage and
     /// drops the overlay shard (forked private replays run on real state).
     pub(crate) fn materialize_scenario(&mut self, s: u8) {
         if let Some(ov) = self.overlay.take() {
-            for (structure, word, v) in ov.scenario_values(s) {
-                if let Some(slot) = self.storage_mut(structure).get_mut(word as usize) {
-                    *slot = v;
+            for structure in [
+                Structure::VectorRegisterFile,
+                Structure::ScalarRegisterFile,
+                Structure::LocalMemory,
+            ] {
+                let storage = self.storage_mut(structure);
+                for (word, v) in ov.map(structure).scenario_values(s) {
+                    if let Some(slot) = storage.get_mut(word as usize) {
+                        *slot = v;
+                    }
                 }
             }
         }
@@ -853,13 +846,11 @@ impl Sm {
                     // A scenario whose compare flips the predicate would
                     // diverge in *control flow* — the shared pass cannot
                     // carry that, so it forks.
-                    let mut forks = 0u64;
                     self.scn_each(warp, &rs, [x, y], lane, |s, [xs, ys]| {
                         if eval_cmp(op, xs, ys, float) != bit {
-                            forks |= 1 << s;
+                            *cx.forks |= 1 << s;
                         }
                     });
-                    self.scn_fork(forks);
                 }
                 let old = warp.preds[pd.0 as usize];
                 warp.preds[pd.0 as usize] = (old & !warp.active) | mask;
@@ -1039,15 +1030,14 @@ impl Sm {
     /// atomic.
     #[inline(always)]
     fn lane_addr<O: SimObserver>(
-        &mut self,
+        &self,
         warp: &Warp,
         at: &Access,
         lane: u32,
         cx: &mut Ctx<'_, O>,
     ) -> u32 {
         let base = self.lane_value(warp, &at.base, lane, cx);
-        let forks = self.scn_mask(warp, &at.base, lane);
-        self.scn_fork(forks);
+        *cx.forks |= self.scn_mask(warp, &at.base, lane);
         base.wrapping_add(at.offset)
     }
 
@@ -1108,7 +1098,7 @@ impl Sm {
         match space {
             MemSpace::Global => {
                 let v = cx.mem.load(a, self.id, cx.cycle)?;
-                let carry = carry_of(cx.mem.overlay.as_deref().and_then(|ov| ov.cell(a / 4)));
+                let carry = carry_of(cx.mem.overlay.as_deref().and_then(|ov| ov.map.cell(a / 4)));
                 Ok((v, carry))
             }
             MemSpace::Shared => {
@@ -1116,7 +1106,7 @@ impl Sm {
                 let carry = carry_of(
                     self.overlay
                         .as_deref()
-                        .and_then(|ov| ov.cell(Structure::LocalMemory, w)),
+                        .and_then(|ov| ov.map(Structure::LocalMemory).cell(w)),
                 );
                 cx.obs.on_lds_read(self.id, w, cx.cycle);
                 Ok((self.lds[w as usize], carry))
@@ -1178,9 +1168,9 @@ impl Sm {
                 MemSpace::Global => {
                     cx.mem.store(a, v, self.id, cx.cycle)?;
                     if !carry.is_empty() {
-                        let ov = cx.mem.overlay.get_or_insert_with(Default::default);
+                        let map = &mut cx.mem.overlay.get_or_insert_with(Default::default).map;
                         for (s, x) in carry {
-                            ov.assert_value(a / 4, s, x);
+                            map.assert_value(a / 4, s, x);
                         }
                     }
                     cx.obs.on_global_write(self.id, a, v, cx.cycle);
@@ -1222,9 +1212,9 @@ impl Sm {
             let old = match at.space {
                 MemSpace::Global => {
                     if let Some(ov) = cx.mem.overlay.as_deref() {
-                        forks |= ov.cell(a / 4).map_or(0, |c| c.mask);
+                        forks |= ov.map.mask(a / 4);
                     }
-                    self.scn_fork(forks);
+                    *cx.forks |= forks;
                     let old = cx.mem.load(a, self.id, cx.cycle)?;
                     let (new, old) = eval_atom(op, old, v);
                     cx.mem.store(a, new, self.id, cx.cycle)?;
@@ -1234,9 +1224,9 @@ impl Sm {
                 MemSpace::Shared => {
                     let w = self.lds_word(warp, a, cx.cycle)?;
                     if let Some(ov) = self.overlay.as_deref() {
-                        forks |= ov.cell(Structure::LocalMemory, w).map_or(0, |c| c.mask);
+                        forks |= ov.map(Structure::LocalMemory).mask(w);
                     }
-                    self.scn_fork(forks);
+                    *cx.forks |= forks;
                     cx.obs.on_lds_read(self.id, w, cx.cycle);
                     let (new, old) = eval_atom(op, self.lds[w as usize], v);
                     self.store(Structure::LocalMemory, w, new, &[], cx);
@@ -1440,7 +1430,7 @@ mod tests {
         let arch = ArchConfig::small_test_gpu();
         let mut sm = Sm::new(0, &arch);
         assert!(!sm.busy());
-        assert_eq!(sm.rf_allocated(), 0);
+        assert_eq!(sm.rf_alloc.allocated(), 0);
         sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
         assert_eq!(sm.rf[10], 8);
         sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
@@ -1492,6 +1482,7 @@ mod tests {
             mem: &mut mem,
             mem_sys: &mut mem_sys,
             obs: &mut obs,
+            forks: &mut 0,
         };
         let rf = Structure::VectorRegisterFile;
         sm.store(rf, 10, u32::MAX, &[], &mut cx);
@@ -1509,7 +1500,7 @@ mod tests {
         });
         sm.reset();
         assert_eq!(sm.lds[2], 1, "stuck-at-1 re-asserts after reset");
-        assert_eq!(sm.stuck_faults().len(), 2);
+        assert_eq!(sm.stuck.len(), 2);
     }
 
     #[test]
