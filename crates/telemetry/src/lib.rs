@@ -24,8 +24,8 @@
 //!   (Chrome trace-event export for Perfetto, jobs-invariant structural
 //!   text for CI diffs). Off by default via the hook's `SPANS` const.
 //! - Presentation: [`to_prometheus`] text exposition, a level-gated
-//!   [`Logger`] that keeps stdout machine-parseable, a live
-//!   [`ProgressHook`] stderr line, and [`SpanTimer`] scoped timers.
+//!   [`Logger`] that keeps stdout machine-parseable and a live
+//!   [`ProgressHook`] stderr line.
 //! - The observatory: [`serve()`] binds a dependency-free HTTP/1.1
 //!   endpoint (`/metrics`, `/health`, `/progress`, `/convergence`) over
 //!   the live registry and a [`StatusBoard`] fed from the event stream,
@@ -54,7 +54,6 @@ pub mod metrics;
 pub mod progress;
 pub mod serve;
 pub mod spans;
-pub mod timer;
 
 pub use events::{Event, EventSink, JsonlSink, MemorySink, NullSink, TeeSink};
 pub use expo::to_prometheus;
@@ -65,4 +64,3 @@ pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use progress::ProgressHook;
 pub use serve::{serve, Observatory, ServerHandle, StatusBoard};
 pub use spans::{SpanHook, SpanNode, SpanRecord, SpanRecorder, SpanTree};
-pub use timer::{SpanTimer, Stopwatch};
