@@ -1400,18 +1400,10 @@ fn bench_campaign(
     cfg: &StudyConfig,
     log: &Logger,
 ) -> ExitCode {
-    use grel_core::campaign::{run_campaign_with_ladder_hooked, Outcome, Tally};
+    use grel_core::campaign::{run_campaign_with_ladder_hooked, Tally};
     use grel_telemetry::Json;
     use std::time::Instant;
 
-    fn tally_of(outcomes: &[Outcome]) -> Tally {
-        Tally {
-            masked: outcomes.iter().filter(|o| **o == Outcome::Masked).count() as u64,
-            sdc: outcomes.iter().filter(|o| **o == Outcome::Sdc).count() as u64,
-            due: outcomes.iter().filter(|o| **o == Outcome::Due).count() as u64,
-            hang: outcomes.iter().filter(|o| **o == Outcome::Hang).count() as u64,
-        }
-    }
     println!(
         "== Checkpointed replay vs from-zero replay (RF campaign, {} injections) ==",
         cfg.campaign.injections
@@ -1557,7 +1549,7 @@ fn bench_campaign(
             // stacks bit-plane shared passes on top of the pruned
             // configuration, so its `vs pruned` column is the marginal
             // gain of batching alone.
-            let base_tally = tally_of(&base);
+            let base_tally: Tally = base.iter().copied().collect();
             let mut modes_json: Vec<Json> = Vec::new();
             let mut full_secs = 0.0;
             let mut pruned_secs = 0.0;

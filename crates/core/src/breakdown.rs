@@ -204,11 +204,7 @@ pub fn mbu_campaign_on(
         sites.extend((0..width).map(|i| FaultSite::new(structure, sm, word, first_bit + i, cycle)));
     }
     let replayed = campaign.replay_with(&sites, Arming::Groups(width as usize), cfg, &NoopHook)?;
-    let mut tally = Tally::default();
-    for o in replayed.outcomes {
-        tally.add(o);
-    }
-    Ok(tally)
+    Ok(replayed.outcomes.into_iter().collect())
 }
 
 #[cfg(test)]

@@ -180,6 +180,24 @@ impl Tally {
     }
 }
 
+/// Counts outcomes into a tally.
+///
+/// # Example
+/// ```
+/// use grel_core::campaign::{Outcome, Tally};
+/// let t: Tally = [Outcome::Sdc, Outcome::Masked, Outcome::Sdc].into_iter().collect();
+/// assert_eq!((t.masked, t.sdc, t.total()), (1, 2, 3));
+/// ```
+impl FromIterator<Outcome> for Tally {
+    fn from_iter<I: IntoIterator<Item = Outcome>>(outcomes: I) -> Self {
+        let mut tally = Tally::default();
+        for o in outcomes {
+            tally.add(o);
+        }
+        tally
+    }
+}
+
 /// Campaign parameters.
 ///
 /// The checkpoint, pruning and batching fields tune replay
@@ -1361,10 +1379,7 @@ impl<'a> Campaign<'a> {
         started: Option<Instant>,
         hook: &H,
     ) -> CampaignResult {
-        let mut tally = Tally::default();
-        for &o in &replayed.outcomes {
-            tally.add(o);
-        }
+        let tally = replayed.outcomes.iter().copied().collect();
         let population = self.space(structure, cfg.fault_model).margin_population();
         let result = CampaignResult {
             structure,
