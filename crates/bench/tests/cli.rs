@@ -378,3 +378,104 @@ fn trace_rejects_a_site_off_the_device() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stdout.contains("outcome:"), "{stdout}");
 }
+
+/// Runs `repro` with `args`, asserts it exits 1 without a panic, and
+/// returns its stderr.
+fn run_fail(args: &[&str]) -> String {
+    let out = repro().args(args).output().expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "repro {args:?}:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "repro {args:?}:\n{stderr}");
+    stderr
+}
+
+#[test]
+fn trace_without_site_fails_cleanly() {
+    let stderr = run_fail(&[
+        "trace",
+        "--smoke",
+        "--workload",
+        "reduction",
+        "--device",
+        "480",
+    ]);
+    assert!(
+        stderr.starts_with(
+            "trace needs --site sm:struct:word:bit:cycle[:kind] (struct: rf, lds or srf)\n"
+        ),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn drift_on_missing_baseline_fails_cleanly() {
+    let stderr = run_fail(&[
+        "drift",
+        "/nonexistent/baseline.json",
+        "--smoke",
+        "--injections",
+        "4",
+        "--workload",
+        "vectoradd",
+        "--device",
+        "g80",
+    ]);
+    assert!(
+        stderr.starts_with("reading baseline /nonexistent/baseline.json: "),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn metrics_in_missing_directory_fails_cleanly() {
+    let stderr = run_fail(&[
+        "fig1",
+        "--smoke",
+        "--injections",
+        "4",
+        "--workload",
+        "vectoradd",
+        "--device",
+        "g80",
+        "--metrics",
+        "/nonexistent/dir/m.jsonl",
+    ]);
+    assert!(
+        stderr.starts_with("error: cannot open metrics file /nonexistent/dir/m.jsonl: "),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn unknown_strata_axis_fails_with_help() {
+    let stderr = run_fail(&["fig1", "--strata", "bogus", "--target-margin", "0.05"]);
+    assert!(
+        stderr.starts_with(
+            "error: --strata: unknown axis 'bogus' (expected liveness|cycle|bit|region \
+             or default|full|none)\nrepro — regenerate"
+        ),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn listen_without_port_fails_cleanly() {
+    // "127.0.0.1" is no socket address: it is rejected before any bind.
+    let stderr = run_fail(&[
+        "fig1",
+        "--smoke",
+        "--injections",
+        "4",
+        "--workload",
+        "vectoradd",
+        "--device",
+        "g80",
+        "--listen",
+        "127.0.0.1",
+    ]);
+    assert!(
+        stderr.contains("cannot bind observatory on 127.0.0.1: invalid socket address\n"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("study completed"), "{stderr}");
+}
