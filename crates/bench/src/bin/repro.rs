@@ -1,58 +1,12 @@
 //! `repro` — regenerates every figure of the ISPASS 2017 paper.
 //!
-//! ```text
-//! repro [fig1|fig2|fig3|findings|stats|all|report] [options]
+//! The commands and options are documented once, in [`HELP`], which
+//! `repro --help` prints.
 //!
-//! Options:
-//!   --injections N      fault injections per structure (default 200)
-//!   --paper             paper configuration (2000 injections)
-//!   --seed S            campaign + input seed (default 2017)
-//!   --jobs N, -j N, -jN worker threads (default: all cores), split
-//!                       across study points, or inside the campaigns
-//!                       when the study has one point; results are
-//!                       bit-identical at any N
-//!   --threads T         alias for --jobs (kept for compatibility)
-//!   --smoke             tiny workload sizes (CI smoke run)
-//!   --device NAME       restrict to one device (substring match)
-//!   --workload NAME     restrict to one benchmark
-//!   --csv PATH          also write the raw study points as CSV
-//!   --json PATH         also write the raw study points as JSON
-//!   --experiments PATH  also write the EXPERIMENTS.md result body
-//!   --checkpoint-interval N  checkpoint ladder spacing in cycles (0 = auto)
-//!   --no-checkpoints    disable checkpointed replay (from-zero replays)
-//!   --no-prune          disable lifetime-oracle pruning (full replays;
-//!                       identical tallies)
-//!   --no-batch          disable bit-plane batched replay (scalar one-site
-//!                       passes; identical tallies)
-//!   --fault-model M     transient (default) | stuck0 | stuck1 | control —
-//!                       which fault family the campaigns inject
-//!   --provenance        record fault-propagation provenance per injection
-//!                       (injection.trace events + provenance_* metrics)
-//!   --target-margin M   adaptive stratified sampling: stop each campaign at
-//!                       a 99% margin of M instead of a fixed --injections
-//!                       count (e.g. 0.0288 for the paper's precision)
-//!   --pilot N           adaptive pilot draws per stratum (default 8)
-//!   --strata SPEC       stratification axes: default | full | none, or a
-//!                       comma list of liveness,cycle,bit,region
-//!   --site SPEC         fault site for `trace` (sm:struct:word:bit:cycle[:kind])
-//!   --metrics PATH      write telemetry (events + final metrics) as JSONL
-//!   --progress          live progress line on stderr (done/total, inj/s, ETA)
-//!   --listen ADDR       serve GET /metrics /health /progress /convergence over
-//!                       HTTP while the study runs (e.g. 127.0.0.1:9184)
-//!   --convergence N     cadence of streaming campaign.convergence events
-//!                       in injections (0 disables; default 100)
-//!   --profile PATH      record hierarchical spans and write a Chrome
-//!                       trace (Perfetto-loadable); PATH.tree gets the
-//!                       jobs-invariant structural span tree
-//!   --quiet, -q         suppress status lines on stderr (errors still print)
-//!   -v, --verbose       also print debug-level status lines
-//! ```
-//!
-//! `repro report <metrics.jsonl>` renders a markdown run report from a
-//! JSONL file produced by `--metrics`. `repro trace --site ...` replays
-//! one injection with the flight recorder on and prints its propagation
-//! narrative. `repro profile` runs the study with span tracing on,
-//! prints the phase/hot-spot profile and writes the Chrome trace.
+//! Every command returns `Result<(), String>`. `main` is the one place
+//! that reports a failure and exits 1: as `error: …` (followed by the
+//! help for a bad argument) before the logger exists, through the
+//! logger after.
 
 use gpu_archs::all_devices;
 use gpu_workloads::Workload;
@@ -68,19 +22,19 @@ use grel_core::campaign::{
 use grel_core::epf::structure_fit;
 use grel_core::sampling::{SamplingPlan, StrataSpec};
 use grel_core::stats::{error_margin, required_sample_size, Z_99};
-use grel_core::study::{
-    evaluate_point, run_study_parallel, run_study_parallel_hooked, StudyConfig,
-};
+use grel_core::study::{evaluate_point, run_study_parallel_hooked, StudyConfig, StudyResult};
 use grel_telemetry::{
     serve, Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NoopHook, NullSink,
     Observatory, ProgressHook, RegistryHook, SpanHook, SpanRecorder, SpanTree, StatusBoard,
-    TeeSink,
+    TeeSink, TelemetryHook,
 };
 use simt_sim::{
     ArchConfig, FaultModelKind, Gpu, HotspotObserver, SchedulerPolicy, SimError, Structure,
 };
+use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 struct Args {
@@ -155,92 +109,42 @@ fn parse_args() -> Result<Args, String> {
             | "ablate-ace" | "bench-campaign" | "report" | "trace" | "profile" | "drift" => {
                 args.command = a
             }
-            "--injections" => {
-                args.injections = it
-                    .next()
-                    .ok_or("--injections needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --injections: {e}"))?;
-            }
+            "--injections" => args.injections = flag_value(&a, it.next())?,
             "--paper" => args.injections = 2000,
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
+            "--seed" => args.seed = flag_value(&a, it.next())?,
+            "--jobs" | "-j" | "--threads" => args.threads = count_value(&a, it.next())?,
+            other if other.starts_with("-j") => {
+                args.threads = count_value("-j", Some(other[2..].to_string()))?
             }
-            "--jobs" | "-j" | "--threads" => {
-                let value = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-                args.threads = parse_jobs(&a, &value)?;
-            }
-            other if other.starts_with("-j") => args.threads = parse_jobs("-j", &other[2..])?,
             "--smoke" => args.scale = Scale::Smoke,
-            "--device" => args.device = Some(it.next().ok_or("--device needs a value")?),
-            "--workload" => args.workload = Some(it.next().ok_or("--workload needs a value")?),
-            "--checkpoint-interval" => {
-                args.checkpoint_interval = it
-                    .next()
-                    .ok_or("--checkpoint-interval needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --checkpoint-interval: {e}"))?;
-            }
+            "--device" => args.device = Some(flag_value(&a, it.next())?),
+            "--workload" => args.workload = Some(flag_value(&a, it.next())?),
+            "--checkpoint-interval" => args.checkpoint_interval = flag_value(&a, it.next())?,
             "--no-checkpoints" => args.no_checkpoints = true,
             "--no-prune" => args.no_prune = true,
             "--no-batch" => args.no_batch = true,
-            "--fault-model" => {
-                args.fault_model = it
-                    .next()
-                    .ok_or("--fault-model needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-model: {e}"))?;
-            }
+            "--fault-model" => args.fault_model = flag_value(&a, it.next())?,
             "--provenance" => args.provenance = true,
             "--target-margin" => {
-                let m: f64 = it
-                    .next()
-                    .ok_or("--target-margin needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--target-margin: {e}"))?;
+                let m: f64 = flag_value(&a, it.next())?;
                 if !(m.is_finite() && m > 0.0 && m < 1.0) {
                     return Err("--target-margin must be in (0, 1)".into());
                 }
                 args.target_margin = Some(m);
             }
-            "--pilot" => {
-                let p: u32 = it
-                    .next()
-                    .ok_or("--pilot needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--pilot: {e}"))?;
-                if p == 0 {
-                    return Err("--pilot must be at least 1".into());
-                }
-                args.pilot = Some(p);
-            }
-            "--strata" => {
-                args.strata = Some(parse_strata(&it.next().ok_or("--strata needs a value")?)?)
-            }
-            "--listen" => args.listen = Some(it.next().ok_or("--listen needs a value")?),
-            "--convergence" => {
-                args.convergence = Some(
-                    it.next()
-                        .ok_or("--convergence needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --convergence: {e}"))?,
-                );
-            }
-            "--profile" => args.profile = Some(it.next().ok_or("--profile needs a value")?),
-            "--site" => args.site = Some(it.next().ok_or("--site needs a value")?),
-            "--metrics" => args.metrics = Some(it.next().ok_or("--metrics needs a value")?),
+            "--pilot" => args.pilot = Some(count_value(&a, it.next())?),
+            "--strata" => args.strata = Some(parse_strata(&flag_value::<String>(&a, it.next())?)?),
+            "--listen" => args.listen = Some(flag_value(&a, it.next())?),
+            "--convergence" => args.convergence = Some(flag_value(&a, it.next())?),
+            "--profile" => args.profile = Some(flag_value(&a, it.next())?),
+            "--site" => args.site = Some(flag_value(&a, it.next())?),
+            "--metrics" => args.metrics = Some(flag_value(&a, it.next())?),
             "--progress" => args.progress = true,
             "--quiet" | "-q" => args.log_level = LogLevel::Quiet,
             "-v" | "--verbose" => args.log_level = LogLevel::Debug,
-            "--csv" => args.csv = Some(it.next().ok_or("--csv needs a value")?),
-            "--json" => args.json = Some(it.next().ok_or("--json needs a value")?),
-            "--experiments" => {
-                args.experiments = Some(it.next().ok_or("--experiments needs a value")?)
-            }
+            "--csv" => args.csv = Some(flag_value(&a, it.next())?),
+            "--json" => args.json = Some(flag_value(&a, it.next())?),
+            "--experiments" => args.experiments = Some(flag_value(&a, it.next())?),
             "--help" | "-h" => {
                 println!("{HELP}");
                 std::process::exit(0);
@@ -264,16 +168,35 @@ fn parse_args() -> Result<Args, String> {
     if args.target_margin.is_none() && (args.pilot.is_some() || args.strata.is_some()) {
         return Err("--pilot/--strata only apply with --target-margin".into());
     }
+    if args.command == "report" && args.report_path.is_none() {
+        return Err("report needs the path of a --metrics JSONL file".into());
+    }
     Ok(args)
 }
 
-/// Parses a `--jobs`/`-j` worker count (the value of `-jN` is `N`).
-fn parse_jobs(flag: &str, value: &str) -> Result<usize, String> {
-    let jobs: usize = value.parse().map_err(|e| format!("bad {flag}: {e}"))?;
-    if jobs == 0 {
+/// Parses the value given to `flag` (`None` when the arguments ran out).
+fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value
+        .ok_or_else(|| format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// [`flag_value`] for a count that must be at least 1 (`--jobs`, `-jN`,
+/// `--pilot`).
+fn count_value<T>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + From<u8>,
+    T::Err: Display,
+{
+    let n: T = flag_value(flag, value)?;
+    if n < T::from(1) {
         return Err(format!("{flag} must be at least 1"));
     }
-    Ok(jobs)
+    Ok(n)
 }
 
 /// Parses `--strata`: `default`, `full`, `none`, or a comma-separated
@@ -435,61 +358,75 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if args.command == "report" {
-        let Some(path) = &args.report_path else {
-            eprintln!("error: report needs the path of a --metrics JSONL file\n{HELP}");
-            return ExitCode::FAILURE;
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match grel_bench::report::render_run_report(&text) {
-            Ok(md) => {
-                print!("{md}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if args.command == "stats" {
-        println!("== Statistical fault injection calibration (paper footnote 4) ==");
-        for n in [200u64, 500, 1000, 2000, 5000] {
-            println!(
-                "  {n:>5} injections -> +/-{:.2}% at 99% confidence",
-                error_margin(u64::MAX, n, Z_99) * 100.0
-            );
+    // `report` and `stats` run without a logger; every other command
+    // opens the metrics sink first. `None` means the command is done.
+    let sink = match args.command.as_str() {
+        "report" => render_report(&args).map(|()| None),
+        "stats" => {
+            print_stats();
+            Ok(None)
         }
-        println!(
-            "  2.88% at 99% confidence needs {} injections (paper uses 2000)",
-            required_sample_size(u64::MAX, 0.0288, Z_99)
-        );
-        return ExitCode::SUCCESS;
-    }
-
+        _ => open_sink(&args).map(Some),
+    };
+    let sink = match sink {
+        Ok(Some(sink)) => sink,
+        Ok(None) => return ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     // Every status line goes through the level-gated logger; with
     // --metrics the sink also receives each line as a `log` event, so
     // stdout stays purely machine-parseable figure output.
+    let log = Logger::with_sink(args.log_level, Arc::clone(&sink));
+    if let Err(e) = run(&args, &sink, &log) {
+        log.error(&e);
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// `repro report <metrics.jsonl>`: renders the markdown run report.
+fn render_report(args: &Args) -> Result<(), String> {
+    // `parse_args` refuses `report` without a path.
+    let path = args.report_path.as_deref().unwrap_or_default();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let md = grel_bench::report::render_run_report(&text).map_err(|e| format!("{path}: {e}"))?;
+    print!("{md}");
+    Ok(())
+}
+
+/// `repro stats`: the paper's footnote-4 sample-size calibration.
+fn print_stats() {
+    println!("== Statistical fault injection calibration (paper footnote 4) ==");
+    for n in [200u64, 500, 1000, 2000, 5000] {
+        println!(
+            "  {n:>5} injections -> +/-{:.2}% at 99% confidence",
+            error_margin(u64::MAX, n, Z_99) * 100.0
+        );
+    }
+    println!(
+        "  2.88% at 99% confidence needs {} injections (paper uses 2000)",
+        required_sample_size(u64::MAX, 0.0288, Z_99)
+    );
+}
+
+/// The `--metrics` JSONL sink, or a sink that drops every event.
+fn open_sink(args: &Args) -> Result<Arc<dyn EventSink>, String> {
     let sink: Arc<dyn EventSink> = match &args.metrics {
-        Some(path) => match JsonlSink::to_file(Path::new(path)) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("error: cannot open metrics file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => Arc::new(
+            JsonlSink::to_file(Path::new(path))
+                .map_err(|e| format!("cannot open metrics file {path}: {e}"))?,
+        ),
         None => Arc::new(NullSink),
     };
-    let log = Logger::with_sink(args.log_level, Arc::clone(&sink));
+    Ok(sink)
+}
 
+/// Every command that logs: selects the devices and workloads, builds
+/// the study configuration and runs the command.
+fn run(args: &Args, sink: &Arc<dyn EventSink>, log: &Logger) -> Result<(), String> {
     let mut archs = all_devices();
     if let Some(d) = &args.device {
         let dl = d.to_ascii_lowercase();
@@ -498,8 +435,7 @@ fn main() -> ExitCode {
                 || a.microarch.to_ascii_lowercase().contains(&dl)
         });
         if archs.is_empty() {
-            log.error(&format!("no device matches '{d}'"));
-            return ExitCode::FAILURE;
+            return Err(format!("no device matches '{d}'"));
         }
     }
     let mut workloads = workload_set(args.scale, args.seed);
@@ -507,8 +443,7 @@ fn main() -> ExitCode {
         let wl = w.to_ascii_lowercase();
         workloads.retain(|x| x.name().to_ascii_lowercase().contains(&wl));
         if workloads.is_empty() {
-            log.error(&format!("no workload matches '{w}'"));
-            return ExitCode::FAILURE;
+            return Err(format!("no workload matches '{w}'"));
         }
     }
 
@@ -548,21 +483,52 @@ fn main() -> ExitCode {
         },
     };
 
+    let (archs, workloads, cfg) = (&archs[..], &workloads[..], &cfg);
     match args.command.as_str() {
-        "trace" => return trace_site(&archs, &workloads, &args, &log),
-        "drift" => return drift_sentinel(&archs, &workloads, &cfg, &args, &log),
-        "bench-campaign" => return bench_campaign(&archs, &workloads, &cfg, &log),
-        "ablate-sched" => return ablate_scheduler(&archs, &workloads, &cfg),
-        "ablate-rfsize" => return ablate_rf_size(&archs, &workloads, &cfg),
-        "ablate-ace" => return ablate_ace(&archs, &workloads, &cfg),
-        "perf" => return perf_table(&archs, &workloads),
-        "bits" => return bit_sensitivity(&archs, &workloads, &cfg),
-        "phases" => return phase_sensitivity(&archs, &workloads, &cfg),
-        "mbu" => return mbu_table(&archs, &workloads, &cfg),
-        "protect" => return protect_table(&archs, &workloads, &cfg),
-        _ => {}
+        "trace" => trace_site(archs, workloads, args, log),
+        "drift" => drift_sentinel(archs, workloads, cfg, args, log),
+        "bench-campaign" => bench_campaign(archs, workloads, cfg, log),
+        "ablate-sched" => ablate_scheduler(archs, workloads, cfg),
+        "ablate-rfsize" => ablate_rf_size(archs, workloads, cfg),
+        "ablate-ace" => ablate_ace(archs, workloads, cfg),
+        "perf" => perf_table(archs, workloads),
+        "bits" => bit_sensitivity(archs, workloads, cfg),
+        "phases" => phase_sensitivity(archs, workloads, cfg),
+        "mbu" => mbu_table(archs, workloads, cfg),
+        "protect" => protect_table(archs, workloads, cfg),
+        _ => study_command(archs, workloads, cfg, args, sink, log),
     }
+}
 
+/// Runs the study through `hook`. Every command that runs the whole
+/// study calls the study runner here.
+fn run_study<H: TelemetryHook>(
+    archs: &[ArchConfig],
+    workloads: &[Box<dyn Workload>],
+    cfg: &StudyConfig,
+    jobs: usize,
+    hook: &H,
+) -> Result<StudyResult, String> {
+    run_study_parallel_hooked(archs, workloads, cfg, jobs, hook)
+        .map_err(|e| format!("study failed: {e}"))
+}
+
+/// Writes `contents` to `path`; the error names the path.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
+}
+
+/// The study commands (`fig1`…`fig3`, `findings`, `all`, `outcomes`,
+/// `profile`): one study run with the telemetry the flags ask for, then
+/// its figures and the files of `--csv`, `--json` and `--experiments`.
+fn study_command(
+    archs: &[ArchConfig],
+    workloads: &[Box<dyn Workload>],
+    cfg: &StudyConfig,
+    args: &Args,
+    sink: &Arc<dyn EventSink>,
+    log: &Logger,
+) -> Result<(), String> {
     if let Some(target) = args.target_margin {
         log.info(&format!(
             "adaptive sampling: stop at +/-{:.2}% @ 99% (pilot {}/stratum)",
@@ -596,10 +562,10 @@ fn main() -> ExitCode {
     let board = args.listen.as_ref().map(|_| Arc::new(StatusBoard::new()));
     let tee = board
         .as_ref()
-        .map(|b| TeeSink(&*sink, b.as_ref() as &dyn EventSink));
+        .map(|b| TeeSink(&**sink, b.as_ref() as &dyn EventSink));
     let event_sink: &dyn EventSink = match &tee {
         Some(t) => t,
-        None => &*sink,
+        None => &**sink,
     };
     if args.metrics.is_some() {
         sink.emit(
@@ -631,11 +597,9 @@ fn main() -> ExitCode {
         .or_else(|| (args.command == "profile").then(|| "profile_trace.json".to_string()));
     let recorder = profile_path.as_ref().map(|_| SpanRecorder::new());
     let telemetry_on = args.metrics.is_some() || args.progress || args.listen.is_some();
-    // One campaign per structure: RF always, LDS when the workload
-    // touches local memory (mirrors evaluate_point).
     let per_point: u64 = workloads
         .iter()
-        .map(|w| 1 + u64::from(w.uses_local_memory() || cfg.fi_on_unused_lds))
+        .map(|w| cfg.injected_structures(w.as_ref()).len() as u64)
         .sum();
     let progress_total = per_point * archs.len() as u64 * args.injections as u64;
     let server = match (&args.listen, &board) {
@@ -645,57 +609,36 @@ fn main() -> ExitCode {
                 board: Arc::clone(board),
                 planned_injections: progress_total,
             };
-            match serve(addr.as_str(), observatory) {
-                Ok(handle) => {
-                    log.info(&format!(
-                        "observatory listening on http://{}/ (GET /metrics /health /progress /convergence)",
-                        handle.local_addr()
-                    ));
-                    Some(handle)
-                }
-                Err(e) => {
-                    log.error(&format!("cannot bind observatory on {addr}: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            }
+            let handle = serve(addr.as_str(), observatory)
+                .map_err(|e| format!("cannot bind observatory on {addr}: {e}"))?;
+            log.info(&format!(
+                "observatory listening on http://{}/ (GET /metrics /health /progress /convergence)",
+                handle.local_addr()
+            ));
+            Some(handle)
         }
         _ => None,
     };
     let jobs = args.threads;
     let start = std::time::Instant::now();
-    let outcome = if let Some(recorder) = &recorder {
-        let span_hook = SpanHook::new(recorder);
-        let reg_hook = RegistryHook::with_sink(&registry, event_sink);
-        if args.progress {
-            let prog = ProgressHook::new(progress_total);
-            let hook = ((reg_hook, &prog), span_hook);
-            let study = run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &hook);
-            prog.finish();
-            study
-        } else {
-            run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &(reg_hook, span_hook))
+    let reg_hook = RegistryHook::with_sink(&registry, event_sink);
+    let span_hook = recorder.as_ref().map(SpanHook::new);
+    let progress = args.progress.then(|| ProgressHook::new(progress_total));
+    // Without a telemetry flag the no-op hook compiles the
+    // instrumentation out.
+    let study = match (&span_hook, &progress, telemetry_on) {
+        (Some(spans), Some(prog), _) => {
+            run_study(archs, workloads, cfg, jobs, &((reg_hook, prog), spans))
         }
-    } else if telemetry_on {
-        let reg_hook = RegistryHook::with_sink(&registry, event_sink);
-        if args.progress {
-            let prog = ProgressHook::new(progress_total);
-            let study =
-                run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &(reg_hook, &prog));
-            prog.finish();
-            study
-        } else {
-            run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &reg_hook)
-        }
-    } else {
-        run_study_parallel(&archs, &workloads, &cfg, jobs)
+        (Some(spans), None, _) => run_study(archs, workloads, cfg, jobs, &(reg_hook, spans)),
+        (None, Some(prog), _) => run_study(archs, workloads, cfg, jobs, &(reg_hook, prog)),
+        (None, None, true) => run_study(archs, workloads, cfg, jobs, &reg_hook),
+        (None, None, false) => run_study(archs, workloads, cfg, jobs, &NoopHook),
     };
-    let study = match outcome {
-        Ok(s) => s,
-        Err(e) => {
-            log.error(&format!("study failed: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
+    if let Some(prog) = &progress {
+        prog.finish();
+    }
+    let study = study?;
     log.info(&format!("study completed in {:.1?}", start.elapsed()));
 
     if let Some(path) = &args.metrics {
@@ -736,8 +679,7 @@ fn main() -> ExitCode {
     if let (Some(recorder), Some(path)) = (&recorder, &profile_path) {
         let tree = recorder.finish();
         if tree.is_empty() {
-            log.error("profiling produced no spans; refusing to write an empty trace");
-            return ExitCode::FAILURE;
+            return Err("profiling produced no spans; refusing to write an empty trace".into());
         }
         if tree.dropped > 0 {
             log.info(&format!(
@@ -745,15 +687,9 @@ fn main() -> ExitCode {
                 tree.dropped
             ));
         }
-        if let Err(e) = std::fs::write(path, tree.to_chrome_trace().to_string()) {
-            log.error(&format!("writing {path}: {e}"));
-            return ExitCode::FAILURE;
-        }
+        write_file(path, tree.to_chrome_trace().to_string())?;
         let tree_path = format!("{path}.tree");
-        if let Err(e) = std::fs::write(&tree_path, tree.structural_text()) {
-            log.error(&format!("writing {tree_path}: {e}"));
-            return ExitCode::FAILURE;
-        }
+        write_file(&tree_path, tree.structural_text())?;
         log.info(&format!(
             "wrote Chrome trace to {path} ({} spans; structural tree: {tree_path})",
             tree.spans.len()
@@ -844,8 +780,8 @@ fn main() -> ExitCode {
                 "launches",
                 "cycles"
             );
-            for w in &workloads {
-                for arch in &archs {
+            for w in workloads {
+                for arch in archs {
                     let mut gpu = Gpu::new(arch.clone());
                     let mut obs = HotspotObserver::default();
                     match w.run(&mut gpu, &mut obs) {
@@ -900,33 +836,24 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    if let Some(path) = &args.csv {
-        if let Err(e) = std::fs::write(path, to_csv(&study)) {
-            log.error(&format!("writing {path}: {e}"));
-            return ExitCode::FAILURE;
+    let outputs: [(&Option<String>, &dyn Fn() -> String); 3] = [
+        (&args.csv, &|| to_csv(&study)),
+        (&args.json, &|| grel_bench::to_json(&study)),
+        (&args.experiments, &|| {
+            render_experiments_markdown(&study, &config_desc)
+        }),
+    ];
+    for (path, body) in outputs {
+        if let Some(path) = path {
+            write_file(path, body())?;
+            log.info(&format!("wrote {path}"));
         }
-        log.info(&format!("wrote {path}"));
-    }
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, grel_bench::to_json(&study)) {
-            log.error(&format!("writing {path}: {e}"));
-            return ExitCode::FAILURE;
-        }
-        log.info(&format!("wrote {path}"));
-    }
-    if let Some(path) = &args.experiments {
-        let body = render_experiments_markdown(&study, &config_desc);
-        if let Err(e) = std::fs::write(path, body) {
-            log.error(&format!("writing {path}: {e}"));
-            return ExitCode::FAILURE;
-        }
-        log.info(&format!("wrote {path}"));
     }
     sink.flush();
     if let Some(server) = server {
         server.stop();
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro drift [BASELINE.json]`: the baseline drift sentinel. Re-runs
@@ -944,7 +871,7 @@ fn drift_sentinel(
     cfg: &StudyConfig,
     args: &Args,
     log: &Logger,
-) -> ExitCode {
+) -> Result<(), String> {
     use grel_telemetry::Json;
     use std::collections::BTreeMap;
 
@@ -952,24 +879,13 @@ fn drift_sentinel(
         .baseline
         .clone()
         .unwrap_or_else(|| "ci/fault-model-baseline.json".to_string());
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            log.error(&format!("reading baseline {path}: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            log.error(&format!("baseline {path} is not valid JSON: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(baseline_points) = baseline.as_arr() else {
-        log.error(&format!("baseline {path} is not a JSON array of points"));
-        return ExitCode::FAILURE;
-    };
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("reading baseline {path}: {e}"))?;
+    let baseline =
+        Json::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e}"))?;
+    let baseline_points = baseline
+        .as_arr()
+        .ok_or_else(|| format!("baseline {path} is not a JSON array of points"))?;
     let mut by_key: BTreeMap<(String, String), &Json> = BTreeMap::new();
     for b in baseline_points {
         let workload = b.get("workload").and_then(Json::as_str).unwrap_or("");
@@ -981,13 +897,7 @@ fn drift_sentinel(
         "drift sentinel: fresh study vs {path} ({} baseline points)",
         baseline_points.len()
     ));
-    let study = match run_study_parallel(archs, workloads, cfg, args.threads) {
-        Ok(s) => s,
-        Err(e) => {
-            log.error(&format!("study failed: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
+    let study = run_study(archs, workloads, cfg, args.threads, &NoopHook)?;
 
     // A baseline `null` (NaN/absent on the fresh side) matches only a
     // non-finite fresh value; two finite values compare by rule.
@@ -1074,13 +984,12 @@ fn drift_sentinel(
         drifting
     );
     if drifting > 0 {
-        log.error(&format!(
+        return Err(format!(
             "baseline drift detected in {drifting} campaign(s) vs {path}"
         ));
-        return ExitCode::FAILURE;
     }
     log.info("no drift: fresh study is statistically consistent with the baseline");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro trace --site sm:struct:word:bit:cycle`: replays one injection
@@ -1093,18 +1002,12 @@ fn trace_site(
     workloads: &[Box<dyn Workload>],
     args: &Args,
     log: &Logger,
-) -> ExitCode {
-    let Some(spec) = &args.site else {
-        log.error("trace needs --site sm:struct:word:bit:cycle[:kind] (struct: rf, lds or srf)");
-        return ExitCode::FAILURE;
-    };
-    let site = match grel_core::provenance::parse_site(spec) {
-        Ok(s) => s,
-        Err(e) => {
-            log.error(&format!("bad --site: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
+) -> Result<(), String> {
+    let spec = args
+        .site
+        .as_ref()
+        .ok_or("trace needs --site sm:struct:word:bit:cycle[:kind] (struct: rf, lds or srf)")?;
+    let site = grel_core::provenance::parse_site(spec).map_err(|e| format!("bad --site: {e}"))?;
     let arch = &archs[0];
     let workload = workloads[0].as_ref();
     log.info(&format!(
@@ -1113,21 +1016,15 @@ fn trace_site(
         arch.name,
         workload.name()
     ));
-    match grel_core::provenance::trace_one(arch, workload, site, 10) {
-        Ok(t) => {
-            println!(
-                "== Injection trace ({} / {}) ==",
-                arch.name,
-                workload.name()
-            );
-            print!("{}", t.narrative());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            log.error(&format!("trace failed: {e}"));
-            ExitCode::FAILURE
-        }
-    }
+    let t = grel_core::provenance::trace_one(arch, workload, site, 10)
+        .map_err(|e| format!("trace failed: {e}"))?;
+    println!(
+        "== Injection trace ({} / {}) ==",
+        arch.name,
+        workload.name()
+    );
+    print!("{}", t.narrative());
+    Ok(())
 }
 
 /// Extension: protection trade-off — the decision the paper says EPF is
@@ -1138,7 +1035,7 @@ fn protect_table(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
-) -> ExitCode {
+) -> Result<(), String> {
     println!("== Extension: EPF under storage protection schemes ==");
     println!(
         "{:<12} {:<16} {:>10} {:>12} {:>12} {:>9}",
@@ -1170,7 +1067,7 @@ fn protect_table(
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Extension: AVF by bit position (nibble-grouped for sample density).
@@ -1178,7 +1075,7 @@ fn bit_sensitivity(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
-) -> ExitCode {
+) -> Result<(), String> {
     println!("== Extension: register-file AVF by bit position (nibbles) ==");
     println!(
         "{:<12} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
@@ -1236,7 +1133,7 @@ fn bit_sensitivity(
         }
         println!();
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Extension: AVF by execution phase (quartiles of the run).
@@ -1244,7 +1141,7 @@ fn phase_sensitivity(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
-) -> ExitCode {
+) -> Result<(), String> {
     println!("== Extension: register-file AVF by execution phase ==");
     println!(
         "{:<12} {:<16} {:>9} {:>9} {:>9} {:>9} {:>9}",
@@ -1293,11 +1190,15 @@ fn phase_sensitivity(
         }
         println!();
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Extension: adjacent multi-bit upsets vs single-bit upsets.
-fn mbu_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>], cfg: &StudyConfig) -> ExitCode {
+fn mbu_table(
+    archs: &[ArchConfig],
+    workloads: &[Box<dyn Workload>],
+    cfg: &StudyConfig,
+) -> Result<(), String> {
     println!("== Extension: multi-bit upsets (adjacent bits, register file) ==");
     println!(
         "{:<12} {:<16} {:>9} {:>9} {:>9}",
@@ -1336,12 +1237,12 @@ fn mbu_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>], cfg: &StudyC
         }
         println!();
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Performance profile table: the throughput half of the paper's
 /// reliability-performance correlation.
-fn perf_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>]) -> ExitCode {
+fn perf_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>]) -> Result<(), String> {
     println!(
         "{:<12} {:<16} {:>9} {:>10} {:>6} {:>7} {:>9} {:>7} {:>7} {:>6} {:>9}",
         "workload",
@@ -1380,26 +1281,27 @@ fn perf_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>]) -> ExitCode
         }
         println!();
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Measures the wall-clock effect of checkpointed replay: runs the same
 /// register-file campaign (same sites, same golden run) once from cycle
-/// zero and once resuming from the checkpoint ladder, asserts outcome
+/// zero and once resuming from the checkpoint ladder, checks outcome
 /// equality, and reports the speedup. A second table then re-runs the
-/// checkpointed campaign at 1, 2, 4 … `--jobs` worker threads, asserting
+/// checkpointed campaign at 1, 2, 4 … `--jobs` worker threads, checking
 /// the tally never changes, and reports the parallel scaling. A third
 /// table benchmarks the replay fast paths (full replay vs pruned vs
-/// batched, identical tallies asserted), and the whole run
+/// batched, identical tallies checked), and the whole run
 /// is written machine-readable to `BENCH_campaign.json`. A final
-/// span-traced pass per pair (identical tally asserted again) writes
-/// the phase/worker timing breakdown to `BENCH_profile.json`.
+/// span-traced pass per pair (identical tally checked again) writes
+/// the phase/worker timing breakdown to `BENCH_profile.json`. A failed
+/// check is an error naming the device and workload.
 fn bench_campaign(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
     log: &Logger,
-) -> ExitCode {
+) -> Result<(), String> {
     use grel_core::campaign::{run_campaign_with_ladder_hooked, Tally};
     use grel_telemetry::Json;
     use std::time::Instant;
@@ -1437,13 +1339,14 @@ fn bench_campaign(
     );
     for arch in archs {
         for w in workloads {
-            let golden = match golden_run(arch, w.as_ref()) {
-                Ok(g) => g,
-                Err(e) => {
-                    log.error(&format!("golden run failed on {}: {e}", arch.name));
-                    return ExitCode::FAILURE;
-                }
+            // Every failure below names the pair, and so does a tally
+            // that differs where it must not.
+            let on = format!("{} / {}", arch.name, w.name());
+            let check = |same: bool, what: &str| {
+                same.then_some(()).ok_or_else(|| format!("{what} on {on}"))
             };
+            let golden = golden_run(arch, w.as_ref())
+                .map_err(|e| format!("golden run failed on {}: {e}", arch.name))?;
             let sites = sample_sites(
                 arch,
                 Structure::VectorRegisterFile,
@@ -1452,52 +1355,25 @@ fn bench_campaign(
                 cfg.campaign.seed,
             );
             let t0 = Instant::now();
-            let base = match run_injections(arch, w.as_ref(), &golden, &sites, cfg.campaign) {
-                Ok(t) => t,
-                Err(e) => {
-                    log.error(&format!(
-                        "from-zero replay failed on {} / {}: {e}",
-                        arch.name,
-                        w.name()
-                    ));
-                    return ExitCode::FAILURE;
-                }
-            };
+            let base = run_injections(arch, w.as_ref(), &golden, &sites, cfg.campaign)
+                .map_err(|e| format!("from-zero replay failed on {on}: {e}"))?;
             let t_zero = t0.elapsed();
             // The checkpointed side pays for building its own ladder, so
             // the comparison is end-to-end, not best-case.
             let t1 = Instant::now();
-            let ladder = match CheckpointLadder::build(arch, w.as_ref(), &golden, &cfg.campaign) {
-                Ok(l) => l,
-                Err(e) => {
-                    log.error(&format!(
-                        "checkpoint ladder failed on {} / {}: {e}",
-                        arch.name,
-                        w.name()
-                    ));
-                    return ExitCode::FAILURE;
-                }
-            };
-            let fast = match run_injections_checkpointed(
+            let ladder = CheckpointLadder::build(arch, w.as_ref(), &golden, &cfg.campaign)
+                .map_err(|e| format!("checkpoint ladder failed on {on}: {e}"))?;
+            let fast = run_injections_checkpointed(
                 arch,
                 w.as_ref(),
                 &golden,
                 &ladder,
                 &sites,
                 cfg.campaign,
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    log.error(&format!(
-                        "checkpointed replay failed on {} / {}: {e}",
-                        arch.name,
-                        w.name()
-                    ));
-                    return ExitCode::FAILURE;
-                }
-            };
+            )
+            .map_err(|e| format!("checkpointed replay failed on {on}: {e}"))?;
             let t_ckpt = t1.elapsed();
-            assert_eq!(base, fast, "checkpointed outcomes must match from-zero");
+            check(base == fast, "checkpointed outcomes must match from-zero")?;
             println!(
                 "{:<16} {:<12} {:>5} {:>10.3}s {:>12.3}s {:>7.2}x",
                 arch.name,
@@ -1515,32 +1391,25 @@ fn bench_campaign(
                 let mut c = cfg.campaign;
                 c.threads = jobs;
                 let t = Instant::now();
-                match run_injections_checkpointed(arch, w.as_ref(), &golden, &ladder, &sites, c) {
-                    Ok(tally) => {
-                        assert_eq!(
-                            tally, fast,
-                            "tally must be job-count invariant (jobs = {jobs})"
-                        );
-                        let secs = t.elapsed().as_secs_f64();
-                        pair_scaling_json.push(Json::Obj(vec![
-                            ("jobs".into(), Json::from(jobs)),
-                            ("seconds".into(), Json::from(secs)),
-                            (
-                                "injections_per_second".into(),
-                                Json::from(cfg.campaign.injections as f64 / secs.max(1e-9)),
-                            ),
-                        ]));
-                        scaling.push((arch.name.clone(), w.name().to_string(), jobs, secs));
-                    }
-                    Err(e) => {
-                        log.error(&format!(
-                            "parallel replay failed on {} / {} with {jobs} jobs: {e}",
-                            arch.name,
-                            w.name()
-                        ));
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let tally =
+                    run_injections_checkpointed(arch, w.as_ref(), &golden, &ladder, &sites, c)
+                        .map_err(|e| {
+                            format!("parallel replay failed on {on} with {jobs} jobs: {e}")
+                        })?;
+                check(
+                    tally == fast,
+                    &format!("tally must be job-count invariant (jobs = {jobs})"),
+                )?;
+                let secs = t.elapsed().as_secs_f64();
+                pair_scaling_json.push(Json::Obj(vec![
+                    ("jobs".into(), Json::from(jobs)),
+                    ("seconds".into(), Json::from(secs)),
+                    (
+                        "injections_per_second".into(),
+                        Json::from(cfg.campaign.injections as f64 / secs.max(1e-9)),
+                    ),
+                ]));
+                scaling.push((arch.name.clone(), w.name().to_string(), jobs, secs));
             }
             // Replay fast paths: same golden run, same seed (so the same
             // sampled sites), three configurations. The pruned run pays
@@ -1566,7 +1435,7 @@ fn bench_campaign(
                 let registry = MetricsRegistry::new();
                 let hook = RegistryHook::new(&registry);
                 let t = Instant::now();
-                let res = match run_campaign_with_ladder_hooked(
+                let res = run_campaign_with_ladder_hooked(
                     arch,
                     w.as_ref(),
                     Structure::VectorRegisterFile,
@@ -1574,22 +1443,13 @@ fn bench_campaign(
                     &golden,
                     &ladder,
                     &hook,
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        log.error(&format!(
-                            "{mode} campaign failed on {} / {}: {e}",
-                            arch.name,
-                            w.name()
-                        ));
-                        return ExitCode::FAILURE;
-                    }
-                };
+                )
+                .map_err(|e| format!("{mode} campaign failed on {on}: {e}"))?;
                 let secs = t.elapsed().as_secs_f64();
-                assert_eq!(
-                    res.tally, base_tally,
-                    "a replay fast path must not change the tally ({mode})"
-                );
+                check(
+                    res.tally == base_tally,
+                    &format!("a replay fast path must not change the tally ({mode})"),
+                )?;
                 if mode == "full" {
                     full_secs = secs;
                 }
@@ -1647,7 +1507,7 @@ fn bench_campaign(
             {
                 let preg = MetricsRegistry::new();
                 let phook = (RegistryHook::new(&preg), SpanHook::new(&precorder));
-                match run_campaign_with_ladder_hooked(
+                let r = run_campaign_with_ladder_hooked(
                     arch,
                     w.as_ref(),
                     Structure::VectorRegisterFile,
@@ -1655,20 +1515,12 @@ fn bench_campaign(
                     &golden,
                     &ladder,
                     &phook,
-                ) {
-                    Ok(r) => assert_eq!(
-                        r.tally, base_tally,
-                        "span tracing must not change the tally"
-                    ),
-                    Err(e) => {
-                        log.error(&format!(
-                            "profiled campaign failed on {} / {}: {e}",
-                            arch.name,
-                            w.name()
-                        ));
-                        return ExitCode::FAILURE;
-                    }
-                }
+                )
+                .map_err(|e| format!("profiled campaign failed on {on}: {e}"))?;
+                check(
+                    r.tally == base_tally,
+                    "span tracing must not change the tally",
+                )?;
             }
             let ptree = precorder.finish();
             let phases: Vec<Json> = ptree
@@ -1718,7 +1570,8 @@ fn bench_campaign(
             // adaptive side stops at the same (or a user-supplied
             // `--target-margin`) margin and reports how many replays
             // that actually took.
-            let (uniform_margin, uniform_replayed) = uniform.expect("the pruned mode always runs");
+            let (uniform_margin, uniform_replayed) =
+                uniform.ok_or_else(|| format!("the pruned mode always runs, but not on {on}"))?;
             let plan = if cfg.sampling.enabled() {
                 cfg.sampling
             } else {
@@ -1727,23 +1580,14 @@ fn bench_campaign(
             let mut ac = cfg.campaign;
             ac.prune = true;
             ac.batch = true;
-            let adaptive = match grel_core::run_adaptive_campaign(
+            let adaptive = grel_core::run_adaptive_campaign(
                 arch,
                 w.as_ref(),
                 Structure::VectorRegisterFile,
                 ac,
                 plan,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    log.error(&format!(
-                        "adaptive campaign failed on {} / {}: {e}",
-                        arch.name,
-                        w.name()
-                    ));
-                    return ExitCode::FAILURE;
-                }
-            };
+            )
+            .map_err(|e| format!("adaptive campaign failed on {on}: {e}"))?;
             let savings = uniform_replayed as f64 / (adaptive.replayed as f64).max(1.0);
             sampling_rows.push((
                 arch.name.clone(),
@@ -1871,10 +1715,8 @@ fn bench_campaign(
         ("jobs".into(), Json::from(max_jobs)),
         ("pairs".into(), Json::Arr(pairs_json)),
     ]);
-    if let Err(e) = std::fs::write("BENCH_campaign.json", doc.to_string()) {
-        log.error(&format!("failed to write BENCH_campaign.json: {e}"));
-        return ExitCode::FAILURE;
-    }
+    std::fs::write("BENCH_campaign.json", doc.to_string())
+        .map_err(|e| format!("failed to write BENCH_campaign.json: {e}"))?;
     log.info("wrote BENCH_campaign.json");
     let profile_doc = Json::Obj(vec![
         ("bench".into(), Json::from("profile")),
@@ -1883,12 +1725,10 @@ fn bench_campaign(
         ("jobs".into(), Json::from(max_jobs)),
         ("pairs".into(), Json::Arr(profile_pairs_json)),
     ]);
-    if let Err(e) = std::fs::write("BENCH_profile.json", profile_doc.to_string()) {
-        log.error(&format!("failed to write BENCH_profile.json: {e}"));
-        return ExitCode::FAILURE;
-    }
+    std::fs::write("BENCH_profile.json", profile_doc.to_string())
+        .map_err(|e| format!("failed to write BENCH_profile.json: {e}"))?;
     log.info("wrote BENCH_profile.json");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Extension experiment: does the warp scheduler change reliability?
@@ -1897,7 +1737,7 @@ fn ablate_scheduler(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
-) -> ExitCode {
+) -> Result<(), String> {
     println!("== Ablation: warp scheduler vs reliability ==");
     println!(
         "{:<12} {:<16} {:>5} {:>9} {:>8} {:>8}",
@@ -1924,7 +1764,7 @@ fn ablate_scheduler(
         }
         println!();
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Extension experiment: register-file size sweep ("resource sizes").
@@ -1934,7 +1774,7 @@ fn ablate_rf_size(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
-) -> ExitCode {
+) -> Result<(), String> {
     println!("== Ablation: register-file size vs AVF and FIT ==");
     println!(
         "{:<12} {:<16} {:>7} {:>9} {:>8} {:>8} {:>10}",
@@ -1968,7 +1808,7 @@ fn ablate_rf_size(
             println!();
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Extension experiment: ACE refinement level vs fault injection — the
@@ -1977,7 +1817,7 @@ fn ablate_ace(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
     cfg: &StudyConfig,
-) -> ExitCode {
+) -> Result<(), String> {
     println!("== Ablation: ACE refinement vs fault injection ==");
     println!(
         "{:<12} {:<16} {:>6} | {:>8} {:>9} {:>8}",
@@ -1985,11 +1825,7 @@ fn ablate_ace(
     );
     for w in workloads {
         for arch in archs {
-            let structures: &[Structure] = if w.uses_local_memory() {
-                &[Structure::VectorRegisterFile, Structure::LocalMemory]
-            } else {
-                &[Structure::VectorRegisterFile]
-            };
+            let structures = cfg.injected_structures(w.as_ref());
             // One setup carries the refined ACE analysis and every
             // campaign; the conservative analysis takes one more pass.
             let capture = Capture {
@@ -2036,5 +1872,5 @@ fn ablate_ace(
         }
         println!();
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

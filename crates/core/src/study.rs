@@ -107,6 +107,29 @@ impl StudyConfig {
             sampling: SamplingPlan::default(),
         }
     }
+
+    /// The structures a study point injects into `workload`: the
+    /// register file always, the local memory when the workload touches
+    /// it or [`fi_on_unused_lds`](Self::fi_on_unused_lds) asks for it.
+    ///
+    /// ```
+    /// use grel_core::study::StudyConfig;
+    /// use gpu_workloads::VectorAdd;
+    /// use simt_sim::Structure;
+    ///
+    /// let mut cfg = StudyConfig::quick(1);
+    /// let w = VectorAdd::new(64, 1);
+    /// assert_eq!(cfg.injected_structures(&w), [Structure::VectorRegisterFile]);
+    /// cfg.fi_on_unused_lds = true;
+    /// assert_eq!(cfg.injected_structures(&w).len(), 2);
+    /// ```
+    pub fn injected_structures(&self, workload: &dyn Workload) -> &'static [Structure] {
+        if workload.uses_local_memory() || self.fi_on_unused_lds {
+            &[Structure::VectorRegisterFile, Structure::LocalMemory]
+        } else {
+            &[Structure::VectorRegisterFile]
+        }
+    }
 }
 
 /// The FI measurements [`structure_eval`] consumes, shared between the
@@ -218,7 +241,9 @@ pub fn evaluate_point_hooked<H: TelemetryHook>(
             .map(|r| FiMeasure::from(&r))
     };
     let rf_fi = run_structure(Structure::VectorRegisterFile)?;
-    let lds_fi = (workload.uses_local_memory() || cfg.fi_on_unused_lds)
+    let lds_fi = cfg
+        .injected_structures(workload)
+        .contains(&Structure::LocalMemory)
         .then(|| run_structure(Structure::LocalMemory))
         .transpose()?;
     let rf = structure_eval(Some(&rf_fi), rf_ace);
