@@ -362,10 +362,7 @@ fn main() -> ExitCode {
     // opens the metrics sink first. `None` means the command is done.
     let sink = match args.command.as_str() {
         "report" => render_report(&args).map(|()| None),
-        "stats" => {
-            print_stats();
-            Ok(None)
-        }
+        "stats" => print_stats().map(|()| None),
         _ => open_sink(&args).map(Some),
     };
     let sink = match sink {
@@ -398,7 +395,7 @@ fn render_report(args: &Args) -> Result<(), String> {
 }
 
 /// `repro stats`: the paper's footnote-4 sample-size calibration.
-fn print_stats() {
+fn print_stats() -> Result<(), String> {
     println!("== Statistical fault injection calibration (paper footnote 4) ==");
     for n in [200u64, 500, 1000, 2000, 5000] {
         println!(
@@ -410,6 +407,7 @@ fn print_stats() {
         "  2.88% at 99% confidence needs {} injections (paper uses 2000)",
         required_sample_size(u64::MAX, 0.0288, Z_99)
     );
+    Ok(())
 }
 
 /// The `--metrics` JSONL sink, or a sink that drops every event.
