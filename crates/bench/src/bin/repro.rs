@@ -236,7 +236,7 @@ usage: repro [COMMAND] [--injections N] [--paper] [--seed S] [--jobs N]
              [--fault-model transient|stuck0|stuck1|control] [--provenance]
              [--target-margin M] [--pilot N] [--strata SPEC]
              [--metrics PATH] [--progress] [--listen ADDR] [--convergence N]
-             [--profile PATH] [--quiet] [-v]
+             [--profile PATH] [-q|--quiet] [-v|--verbose] [-h|--help]
        repro profile [study options]
        repro report <metrics.jsonl>
        repro drift [BASELINE.json] [study options]
@@ -265,7 +265,10 @@ commands:
                 path). Deterministic fields must match exactly; sampled
                 AVFs may move within the fresh run's 99% interval. Exits
                 nonzero on drift. Run with the same flags the baseline
-                was generated with (CI: --smoke --injections 40 --seed 7)
+                was generated with (CI: --smoke --injections 40 --seed 7).
+                --device/--workload compare only the points they select,
+                and the telemetry flags (--metrics, --progress, --listen,
+                --profile) apply as for any study command
   profile       run the study with span tracing on, print the phase /
                 hot-spot profile and write a Perfetto-loadable Chrome
                 trace (default profile_trace.json; override --profile)
@@ -481,33 +484,158 @@ fn run(args: &Args, sink: &Arc<dyn EventSink>, log: &Logger) -> Result<(), Strin
         },
     };
 
-    let (archs, workloads, cfg) = (&archs[..], &workloads[..], &cfg);
-    match args.command.as_str() {
-        "trace" => trace_site(archs, workloads, args, log),
-        "drift" => drift_sentinel(archs, workloads, cfg, args, log),
-        "bench-campaign" => bench_campaign(archs, workloads, cfg, log),
-        "ablate-sched" => ablate_scheduler(archs, workloads, cfg),
-        "ablate-rfsize" => ablate_rf_size(archs, workloads, cfg),
-        "ablate-ace" => ablate_ace(archs, workloads, cfg),
-        "perf" => perf_table(archs, workloads),
-        "bits" => bit_sensitivity(archs, workloads, cfg),
-        "phases" => phase_sensitivity(archs, workloads, cfg),
-        "mbu" => mbu_table(archs, workloads, cfg),
-        "protect" => protect_table(archs, workloads, cfg),
-        _ => study_command(archs, workloads, cfg, args, sink, log),
+    let (points, cfg) = (&Points { archs, workloads }, &cfg);
+    let done = match args.command.as_str() {
+        "trace" => trace_site(points, args, log),
+        "drift" => drift_sentinel(points, cfg, args, sink, log),
+        "bench-campaign" => bench_campaign(points, cfg, log),
+        "ablate-sched" => ablate_scheduler(points, cfg),
+        "ablate-rfsize" => ablate_rf_size(points, cfg),
+        "ablate-ace" => ablate_ace(points, cfg),
+        "perf" => perf_table(points),
+        "bits" => bit_sensitivity(points, cfg),
+        "phases" => phase_sensitivity(points, cfg),
+        "mbu" => mbu_table(points, cfg),
+        "protect" => protect_table(points, cfg),
+        _ => study_command(points, cfg, args, sink, log),
+    };
+    sink.flush();
+    done
+}
+
+/// One column of a text table: its header, width and alignment.
+struct Col {
+    name: &'static str,
+    width: usize,
+    left: bool,
+}
+
+/// A table's columns, declared once in the terms of a format spec:
+/// `"<12 workload, >9 cycles"` is a left-aligned column 12 wide headed
+/// `workload`, then a right-aligned one 9 wide headed `cycles`. The
+/// header and every row of the table are rendered from this list.
+fn columns(spec: &'static str) -> Vec<Col> {
+    let col = |c: &'static str| {
+        let (fmt, name) = c
+            .split_once(' ')
+            .expect("a column reads `<W name` or `>W name`");
+        Col {
+            name,
+            width: fmt[1..].parse().expect("a column width is a number"),
+            left: fmt.starts_with('<'),
+        }
+    };
+    spec.split(", ").map(col).collect()
+}
+
+/// The cells of one table row, unpadded.
+type Row = Vec<String>;
+
+/// Renders `cells` under `cols`: each cell padded to its column's width
+/// and alignment, one space apart. A row may stop short of the last
+/// columns.
+fn row<S: AsRef<str>>(cols: &[Col], cells: &[S]) -> String {
+    let padded: Vec<String> = cols
+        .iter()
+        .zip(cells)
+        .map(|(c, s)| match c.left {
+            true => format!("{:<1$}", s.as_ref(), c.width),
+            false => format!("{:>1$}", s.as_ref(), c.width),
+        })
+        .collect();
+    padded.join(" ")
+}
+
+/// Prints `title`, the header of `cols`, then `rows`.
+fn print_table(title: &str, cols: &[Col], rows: impl IntoIterator<Item = Row>) {
+    println!("{title}");
+    let names: Vec<&str> = cols.iter().map(|c| c.name).collect();
+    println!("{}", row(cols, &names));
+    for cells in rows {
+        println!("{}", row(cols, &cells));
     }
 }
 
-/// Runs the study through `hook`. Every command that runs the whole
-/// study calls the study runner here.
-fn run_study<H: TelemetryHook>(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
+/// Why a point of [`Points::table`] returned no rows.
+enum PointError {
+    /// The point failed: its row reads `workload device error` and the
+    /// walk goes on.
+    Sim(SimError),
+    /// The command fails with this message.
+    Stop(String),
+}
+
+impl From<SimError> for PointError {
+    fn from(e: SimError) -> Self {
+        PointError::Sim(e)
+    }
+}
+
+impl From<String> for PointError {
+    fn from(e: String) -> Self {
+        PointError::Stop(e)
+    }
+}
+
+/// The (workload, device) points the `--workload`/`--device` filters
+/// select.
+struct Points {
+    archs: Vec<ArchConfig>,
+    workloads: Vec<Box<dyn Workload>>,
+}
+
+impl Points {
+    /// The one walk over the points, workload-major. Prints `title` and
+    /// the header of `cols`, then the rows `point` returns for each
+    /// point, and a blank line after each workload.
+    fn table(
+        &self,
+        title: &str,
+        cols: &[Col],
+        mut point: impl FnMut(&ArchConfig, &dyn Workload) -> Result<Vec<Row>, PointError>,
+    ) -> Result<(), String> {
+        print_table(title, cols, []);
+        let Points { archs, workloads } = self;
+        for w in workloads {
+            for arch in archs {
+                match point(arch, w.as_ref()) {
+                    Ok(rows) => rows
+                        .iter()
+                        .for_each(|cells| println!("{}", row(cols, cells))),
+                    Err(PointError::Sim(e)) => {
+                        println!("{} {e}", row(cols, &[w.name(), arch.name.as_str()]))
+                    }
+                    Err(PointError::Stop(e)) => return Err(e),
+                }
+            }
+            println!();
+        }
+        Ok(())
+    }
+}
+
+/// `x` as a percentage with one decimal (`0.1234` is `12.3%`).
+fn pct(x: f64) -> String {
+    format!("{:.1}%", x * 100.0)
+}
+
+/// [`pct`], or `-` for NaN (no sample).
+fn pct_or_dash(x: f64) -> String {
+    if x.is_nan() {
+        "-".into()
+    } else {
+        pct(x)
+    }
+}
+
+/// Runs the study through `hook`: the one study-runner call.
+fn study_with_hook<H: TelemetryHook>(
+    points: &Points,
     cfg: &StudyConfig,
     jobs: usize,
     hook: &H,
 ) -> Result<StudyResult, String> {
-    run_study_parallel_hooked(archs, workloads, cfg, jobs, hook)
+    run_study_parallel_hooked(&points.archs, &points.workloads, cfg, jobs, hook)
         .map_err(|e| format!("study failed: {e}"))
 }
 
@@ -516,17 +644,23 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// The study commands (`fig1`…`fig3`, `findings`, `all`, `outcomes`,
-/// `profile`): one study run with the telemetry the flags ask for, then
-/// its figures and the files of `--csv`, `--json` and `--experiments`.
-fn study_command(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
+/// The one study run, for every command that runs the study (the study
+/// commands and `drift`). Runs it under the telemetry the flags ask for:
+/// `--metrics` (`run.meta`, the live events, then the final counter,
+/// gauge and histogram values), `--listen` (the status board and HTTP
+/// server for the run), `--progress` and `--profile` (implied by the
+/// `profile` command; writes the Chrome trace and its `.tree`). Without
+/// a telemetry flag the study runs through `NoopHook`, which compiles
+/// the instrumentation out. Returns the study and, when profiling, its
+/// span tree.
+fn study_run(
+    points: &Points,
     cfg: &StudyConfig,
     args: &Args,
     sink: &Arc<dyn EventSink>,
     log: &Logger,
-) -> Result<(), String> {
+) -> Result<(StudyResult, Option<SpanTree>), String> {
+    let Points { archs, workloads } = points;
     if let Some(target) = args.target_margin {
         log.info(&format!(
             "adaptive sampling: stop at +/-{:.2}% @ 99% (pilot {}/stratum)",
@@ -626,12 +760,12 @@ fn study_command(
     // instrumentation out.
     let study = match (&span_hook, &progress, telemetry_on) {
         (Some(spans), Some(prog), _) => {
-            run_study(archs, workloads, cfg, jobs, &((reg_hook, prog), spans))
+            study_with_hook(points, cfg, jobs, &((reg_hook, prog), spans))
         }
-        (Some(spans), None, _) => run_study(archs, workloads, cfg, jobs, &(reg_hook, spans)),
-        (None, Some(prog), _) => run_study(archs, workloads, cfg, jobs, &(reg_hook, prog)),
-        (None, None, true) => run_study(archs, workloads, cfg, jobs, &reg_hook),
-        (None, None, false) => run_study(archs, workloads, cfg, jobs, &NoopHook),
+        (Some(spans), None, _) => study_with_hook(points, cfg, jobs, &(reg_hook, spans)),
+        (None, Some(prog), _) => study_with_hook(points, cfg, jobs, &(reg_hook, prog)),
+        (None, None, true) => study_with_hook(points, cfg, jobs, &reg_hook),
+        (None, None, false) => study_with_hook(points, cfg, jobs, &NoopHook),
     };
     if let Some(prog) = &progress {
         prog.finish();
@@ -694,51 +828,47 @@ fn study_command(
         ));
         profile_tree = Some(tree);
     }
+    if let Some(server) = server {
+        server.stop();
+    }
+    Ok((study, profile_tree))
+}
 
+/// The study commands (`fig1`…`fig3`, `findings`, `all`, `outcomes`,
+/// `profile`): the one study run, then its figures and the files of
+/// `--csv`, `--json` and `--experiments`.
+fn study_command(
+    points: &Points,
+    cfg: &StudyConfig,
+    args: &Args,
+    sink: &Arc<dyn EventSink>,
+    log: &Logger,
+) -> Result<(), String> {
+    let (study, profile_tree) = study_run(points, cfg, args, sink, log)?;
+    let fig1 = || render_avf_figure("Fig. 1: Register File AVF", &study.fig1_rows());
+    let fig2 = || render_avf_figure("Fig. 2: Local Memory AVF", &study.fig2_rows());
+    let fig3 = || render_epf_figure(&study.fig3_rows());
+    let findings = || render_findings(&study.findings());
     match args.command.as_str() {
-        "fig1" => print!(
-            "{}",
-            render_avf_figure("Fig. 1: Register File AVF", &study.fig1_rows())
+        "fig1" => print!("{}", fig1()),
+        "fig2" => print!("{}", fig2()),
+        "fig3" => print!("{}", fig3()),
+        "findings" => print!("{}", findings()),
+        "outcomes" => print_table(
+            &format!("fault model: {}", args.fault_model.as_str()),
+            &columns(
+                "<12 workload, <16 device, >9 struct, >1 |, >7 masked, >7 SDC, >7 DUE, \
+                 >7 hang, >1 |, >7 masked, >7 SDC, >7 DUE, >7 hang",
+            ),
+            study.points.iter().map(|p| {
+                let mut cells = vec![p.workload.clone(), p.device.clone(), "RF | LDS".into()];
+                for t in [&p.rf.tally, &p.lds.tally] {
+                    cells.push("|".into());
+                    cells.extend([t.masked, t.sdc, t.due, t.hang].map(|n| n.to_string()));
+                }
+                cells
+            }),
         ),
-        "fig2" => print!(
-            "{}",
-            render_avf_figure("Fig. 2: Local Memory AVF", &study.fig2_rows())
-        ),
-        "fig3" => print!("{}", render_epf_figure(&study.fig3_rows())),
-        "findings" => print!("{}", render_findings(&study.findings())),
-        "outcomes" => {
-            println!("fault model: {}", args.fault_model.as_str());
-            println!(
-                "{:<12} {:<16} {:>9} | {:>7} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} {:>7}",
-                "workload",
-                "device",
-                "struct",
-                "masked",
-                "SDC",
-                "DUE",
-                "hang",
-                "masked",
-                "SDC",
-                "DUE",
-                "hang"
-            );
-            for p in &study.points {
-                println!(
-                    "{:<12} {:<16} {:>9} | {:>7} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} {:>7}",
-                    p.workload,
-                    p.device,
-                    "RF | LDS",
-                    p.rf.tally.masked,
-                    p.rf.tally.sdc,
-                    p.rf.tally.due,
-                    p.rf.tally.hang,
-                    p.lds.tally.masked,
-                    p.lds.tally.sdc,
-                    p.lds.tally.due,
-                    p.lds.tally.hang
-                );
-            }
-        }
         "profile" => {
             if let Some(tree) = &profile_tree {
                 println!("== Campaign profile: phase spans ==");
@@ -765,62 +895,37 @@ fn study_command(
                 }
                 println!();
             }
-            println!("== Simulator hot spots (one clean run per point) ==");
-            println!(
-                "{:<12} {:<16} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>9}",
-                "workload",
-                "device",
-                "rf-acc",
-                "rf-live",
-                "lds-acc",
-                "srf-acc",
-                "dispatch",
-                "launches",
-                "cycles"
-            );
-            for w in workloads {
-                for arch in archs {
+            points.table(
+                "== Simulator hot spots (one clean run per point) ==",
+                &columns(
+                    "<12 workload, <16 device, >9 rf-acc, >9 rf-live, >9 lds-acc, >9 srf-acc, \
+                     >9 dispatch, >8 launches, >9 cycles",
+                ),
+                |arch, w| {
                     let mut gpu = Gpu::new(arch.clone());
                     let mut obs = HotspotObserver::default();
-                    match w.run(&mut gpu, &mut obs) {
-                        Ok(_) => println!(
-                            "{:<12} {:<16} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>9}",
-                            w.name(),
-                            arch.name,
-                            obs.rf.accesses(),
-                            obs.rf.active_cycles(),
-                            obs.lds.accesses(),
-                            obs.srf.accesses(),
-                            obs.sched_dispatches,
-                            obs.launches,
-                            obs.end_cycle
-                        ),
-                        Err(e) => println!("{:<12} {:<16} {e}", w.name(), arch.name),
-                    }
-                }
-            }
+                    w.run(&mut gpu, &mut obs)?;
+                    Ok(vec![vec![
+                        w.name().into(),
+                        arch.name.clone(),
+                        obs.rf.accesses().to_string(),
+                        obs.rf.active_cycles().to_string(),
+                        obs.lds.accesses().to_string(),
+                        obs.srf.accesses().to_string(),
+                        obs.sched_dispatches.to_string(),
+                        obs.launches.to_string(),
+                        obs.end_cycle.to_string(),
+                    ]])
+                },
+            )?;
         }
-        _ => {
-            print!(
-                "{}",
-                render_avf_figure("Fig. 1: Register File AVF", &study.fig1_rows())
-            );
-            println!();
-            print!(
-                "{}",
-                render_avf_figure("Fig. 2: Local Memory AVF", &study.fig2_rows())
-            );
-            println!();
-            print!("{}", render_epf_figure(&study.fig3_rows()));
-            println!();
-            print!("{}", render_findings(&study.findings()));
-        }
+        _ => print!("{}\n{}\n{}\n{}", fig1(), fig2(), fig3(), findings()),
     }
 
     let config_desc = format!(
         "{} injections/structure (+/-{:.2}% @ 99% confidence), {} fault model, seed {}, {} scale, devices: {}",
         args.injections,
-        margin * 100.0,
+        error_margin(u64::MAX, args.injections.max(1) as u64, Z_99) * 100.0,
         args.fault_model.as_str(),
         args.seed,
         if args.scale == Scale::Smoke {
@@ -828,7 +933,8 @@ fn study_command(
         } else {
             "default"
         },
-        archs
+        points
+            .archs
             .iter()
             .map(|a| a.name.clone())
             .collect::<Vec<_>>()
@@ -847,27 +953,26 @@ fn study_command(
             log.info(&format!("wrote {path}"));
         }
     }
-    sink.flush();
-    if let Some(server) = server {
-        server.stop();
-    }
     Ok(())
 }
 
 /// `repro drift [BASELINE.json]`: the baseline drift sentinel. Re-runs
-/// the study with the current flags and compares every point against
-/// the committed baseline written by an earlier `--json` run.
+/// the study with the current flags (the one study run, so the filters
+/// and telemetry flags apply) and compares every point against the
+/// committed baseline written by an earlier `--json` run.
 /// Deterministic fields (cycles, ACE AVFs, occupancies) must match
 /// exactly — the golden run and ACE analysis are bit-reproducible, so
 /// any difference is a behaviour change. Sampled fault-injection AVFs
 /// are statistical: the baseline value only counts as drift when it
 /// falls outside the fresh run's 99% finite-population interval, so an
-/// unchanged tree always passes while a real AVF shift is flagged.
+/// unchanged tree always passes while a real AVF shift is flagged. A
+/// baseline point whose workload or device the filters leave out is not
+/// compared.
 fn drift_sentinel(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
+    points: &Points,
     cfg: &StudyConfig,
     args: &Args,
+    sink: &Arc<dyn EventSink>,
     log: &Logger,
 ) -> Result<(), String> {
     use grel_telemetry::Json;
@@ -895,7 +1000,7 @@ fn drift_sentinel(
         "drift sentinel: fresh study vs {path} ({} baseline points)",
         baseline_points.len()
     ));
-    let study = run_study(archs, workloads, cfg, args.threads, &NoopHook)?;
+    let (study, _) = study_run(points, cfg, args, sink, log)?;
 
     // A baseline `null` (NaN/absent on the fresh side) matches only a
     // non-finite fresh value; two finite values compare by rule.
@@ -911,70 +1016,75 @@ fn drift_sentinel(
     };
     let show = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.6}"));
 
-    println!("== Baseline drift sentinel ==");
-    println!("baseline: {path}");
-    println!("{:<12} {:<16} {:<8} notes", "workload", "device", "status");
+    let cols = columns("<12 workload, <16 device, <8 status, <0 notes");
+    print_table(
+        &format!("== Baseline drift sentinel ==\nbaseline: {path}"),
+        &cols,
+        [],
+    );
     let mut drifting = 0usize;
     for p in &study.points {
-        let key = (p.workload.clone(), p.device.clone());
-        let Some(b) = by_key.remove(&key) else {
-            drifting += 1;
-            println!(
-                "{:<12} {:<16} {:<8} point missing from baseline",
-                p.workload, p.device, "DRIFT"
-            );
-            continue;
+        let notes = match by_key.remove(&(p.workload.clone(), p.device.clone())) {
+            None => vec!["point missing from baseline".to_string()],
+            Some(b) => {
+                let f = |k: &str| b.get(k).and_then(Json::as_f64);
+                let mut notes: Vec<String> = Vec::new();
+                // Deterministic fields: bit-exact or it's a behaviour change.
+                if f("cycles") != Some(p.cycles as f64) {
+                    notes.push(format!("cycles {} -> {}", show(f("cycles")), p.cycles));
+                }
+                for (key, fresh) in [
+                    ("rf_avf_ace", p.rf.avf_ace),
+                    ("rf_occ", p.rf.occupancy),
+                    ("lds_avf_ace", p.lds.avf_ace),
+                    ("lds_occ", p.lds.occupancy),
+                    ("srf_avf_ace", p.srf_avf_ace.unwrap_or(f64::NAN)),
+                ] {
+                    if !exact(f(key), fresh) {
+                        notes.push(format!("{key} {} -> {fresh:.6} (exact)", show(f(key))));
+                    }
+                }
+                // Sampled fields: the baseline proportion must sit inside
+                // the fresh run's 99% interval (margin 0 degenerates to
+                // exact).
+                for (key, fresh, margin) in [
+                    ("rf_avf_fi", p.rf.avf_fi, p.rf.margin_99),
+                    ("rf_avf_sdc", p.rf.avf_sdc, p.rf.margin_99),
+                    ("lds_avf_fi", p.lds.avf_fi, p.lds.margin_99),
+                ] {
+                    if !within(f(key), fresh, margin) {
+                        notes.push(format!(
+                            "{key} {} outside {fresh:.6} +/- {margin:.6}",
+                            show(f(key))
+                        ));
+                    }
+                }
+                notes
+            }
         };
-        let f = |k: &str| b.get(k).and_then(Json::as_f64);
-        let mut notes: Vec<String> = Vec::new();
-        // Deterministic fields: bit-exact or it's a behaviour change.
-        if f("cycles") != Some(p.cycles as f64) {
-            notes.push(format!("cycles {} -> {}", show(f("cycles")), p.cycles));
-        }
-        for (key, fresh) in [
-            ("rf_avf_ace", p.rf.avf_ace),
-            ("rf_occ", p.rf.occupancy),
-            ("lds_avf_ace", p.lds.avf_ace),
-            ("lds_occ", p.lds.occupancy),
-            ("srf_avf_ace", p.srf_avf_ace.unwrap_or(f64::NAN)),
-        ] {
-            if !exact(f(key), fresh) {
-                notes.push(format!("{key} {} -> {fresh:.6} (exact)", show(f(key))));
-            }
-        }
-        // Sampled fields: the baseline proportion must sit inside the
-        // fresh run's 99% interval (margin 0 degenerates to exact).
-        for (key, fresh, margin) in [
-            ("rf_avf_fi", p.rf.avf_fi, p.rf.margin_99),
-            ("rf_avf_sdc", p.rf.avf_sdc, p.rf.margin_99),
-            ("lds_avf_fi", p.lds.avf_fi, p.lds.margin_99),
-        ] {
-            if !within(f(key), fresh, margin) {
-                notes.push(format!(
-                    "{key} {} outside {fresh:.6} +/- {margin:.6}",
-                    show(f(key))
-                ));
-            }
-        }
         if notes.is_empty() {
-            println!("{:<12} {:<16} {:<8}", p.workload, p.device, "ok");
+            println!("{}", row(&cols, &[p.workload.as_str(), &p.device, "ok"]));
         } else {
             drifting += 1;
-            println!(
-                "{:<12} {:<16} {:<8} {}",
-                p.workload,
-                p.device,
-                "DRIFT",
-                notes.join("; ")
-            );
+            let notes = notes.join("; ");
+            let cells = [p.workload.as_str(), &p.device, "DRIFT", &notes];
+            println!("{}", row(&cols, &cells));
         }
     }
-    for (workload, device) in by_key.into_keys() {
+    // Only the points the --device/--workload filters select are owed.
+    let selected = |(workload, device): &(String, String)| {
+        points.workloads.iter().any(|w| w.name() == workload)
+            && points.archs.iter().any(|a| a.name == *device)
+    };
+    for (workload, device) in by_key.into_keys().filter(selected) {
         drifting += 1;
-        println!(
-            "{workload:<12} {device:<16} {:<8} point missing from fresh run",
-            "DRIFT"
-        );
+        let cells = [
+            workload.as_str(),
+            &device,
+            "DRIFT",
+            "point missing from fresh run",
+        ];
+        println!("{}", row(&cols, &cells));
     }
     println!(
         "{} points compared, {} drifting",
@@ -995,19 +1105,14 @@ fn drift_sentinel(
 /// (flip -> first read/overwrite -> divergence or masking reason). The
 /// first device/workload surviving the `--device`/`--workload` filters
 /// is traced.
-fn trace_site(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    args: &Args,
-    log: &Logger,
-) -> Result<(), String> {
+fn trace_site(points: &Points, args: &Args, log: &Logger) -> Result<(), String> {
     let spec = args
         .site
         .as_ref()
         .ok_or("trace needs --site sm:struct:word:bit:cycle[:kind] (struct: rf, lds or srf)")?;
     let site = grel_core::provenance::parse_site(spec).map_err(|e| format!("bad --site: {e}"))?;
-    let arch = &archs[0];
-    let workload = workloads[0].as_ref();
+    let arch = &points.archs[0];
+    let workload = points.workloads[0].as_ref();
     log.info(&format!(
         "tracing {} on {} / {}",
         site,
@@ -1029,257 +1134,148 @@ fn trace_site(
 /// for ("different protection mechanisms can deliver different
 /// improvements in the FIT rates and ... different impact on
 /// performance").
-fn protect_table(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<(), String> {
-    println!("== Extension: EPF under storage protection schemes ==");
-    println!(
-        "{:<12} {:<16} {:>10} {:>12} {:>12} {:>9}",
-        "workload", "device", "scheme", "FIT_GPU", "EPF", "SDC share"
-    );
-    for w in workloads {
-        for arch in archs {
-            match evaluate_point(arch, w.as_ref(), cfg) {
-                Ok(p) => {
-                    let sdc_share = if p.rf.avf_fi > 0.0 {
-                        p.rf.avf_sdc / p.rf.avf_fi
-                    } else {
-                        0.0
-                    };
-                    for proj in grel_core::protection_sweep(&p.fit, p.eit, sdc_share) {
-                        println!(
-                            "{:<12} {:<16} {:>10} {:>12.3} {:>12} {:>8.1}%",
-                            p.workload,
-                            p.device,
-                            proj.scheme.to_string(),
-                            proj.fit_gpu,
-                            grel_bench::sci(proj.epf),
-                            proj.sdc_share * 100.0
-                        );
-                    }
-                    println!();
-                }
-                Err(e) => println!("{:<12} {:<16} {e}", w.name(), arch.name),
-            }
-        }
-    }
-    Ok(())
+fn protect_table(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
+    points.table(
+        "== Extension: EPF under storage protection schemes ==",
+        &columns("<12 workload, <16 device, >10 scheme, >12 FIT_GPU, >12 EPF, >9 SDC share"),
+        |arch, w| {
+            let p = evaluate_point(arch, w, cfg)?;
+            let sdc_share = if p.rf.avf_fi > 0.0 {
+                p.rf.avf_sdc / p.rf.avf_fi
+            } else {
+                0.0
+            };
+            let sweep = grel_core::protection_sweep(&p.fit, p.eit, sdc_share);
+            Ok(sweep
+                .into_iter()
+                .map(|proj| {
+                    vec![
+                        p.workload.clone(),
+                        p.device.clone(),
+                        proj.scheme.to_string(),
+                        format!("{:.3}", proj.fit_gpu),
+                        grel_bench::sci(proj.epf),
+                        pct(proj.sdc_share),
+                    ]
+                })
+                .collect())
+        },
+    )
 }
 
 /// Extension: AVF by bit position (nibble-grouped for sample density).
-fn bit_sensitivity(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<(), String> {
-    println!("== Extension: register-file AVF by bit position (nibbles) ==");
-    println!(
-        "{:<12} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "workload",
-        "device",
-        "b0-3",
-        "b4-7",
-        "b8-11",
-        "b12-15",
-        "b16-19",
-        "b20-23",
-        "b24-27",
-        "b28-31"
-    );
-    for w in workloads {
-        for arch in archs {
-            match grel_core::detailed_campaign(
-                arch,
-                w.as_ref(),
-                Structure::VectorRegisterFile,
-                cfg.campaign,
-            ) {
-                Ok(detail) => {
-                    let by_bit = grel_core::avf_by_bit(&detail);
-                    let nib = |lo: usize| {
-                        let vals: Vec<f64> = (lo..lo + 4)
-                            .map(|b| by_bit[b])
-                            .filter(|v| !v.is_nan())
-                            .collect();
-                        if vals.is_empty() {
-                            "-".to_string()
-                        } else {
-                            format!(
-                                "{:.1}%",
-                                vals.iter().sum::<f64>() / vals.len() as f64 * 100.0
-                            )
-                        }
-                    };
-                    println!(
-                        "{:<12} {:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                        w.name(),
-                        arch.name,
-                        nib(0),
-                        nib(4),
-                        nib(8),
-                        nib(12),
-                        nib(16),
-                        nib(20),
-                        nib(24),
-                        nib(28)
-                    );
-                }
-                Err(e) => println!("{:<12} {:<16} {e}", w.name(), arch.name),
-            }
-        }
-        println!();
-    }
-    Ok(())
+fn bit_sensitivity(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
+    points.table(
+        "== Extension: register-file AVF by bit position (nibbles) ==",
+        &columns(
+            "<12 workload, <16 device, >8 b0-3, >8 b4-7, >8 b8-11, >8 b12-15, >8 b16-19, \
+             >8 b20-23, >8 b24-27, >8 b28-31",
+        ),
+        |arch, w| {
+            let detail =
+                grel_core::detailed_campaign(arch, w, Structure::VectorRegisterFile, cfg.campaign)?;
+            let by_bit = grel_core::avf_by_bit(&detail);
+            let mut cells = vec![w.name().to_string(), arch.name.clone()];
+            // A nibble's AVF is the mean over its sampled bits (NaN,
+            // printed `-`, when none was sampled).
+            cells.extend((0..32).step_by(4).map(|lo| {
+                let vals: Vec<f64> = by_bit[lo..lo + 4]
+                    .iter()
+                    .copied()
+                    .filter(|v| !v.is_nan())
+                    .collect();
+                pct_or_dash(vals.iter().sum::<f64>() / vals.len() as f64)
+            }));
+            Ok(vec![cells])
+        },
+    )
 }
 
 /// Extension: AVF by execution phase (quartiles of the run).
-fn phase_sensitivity(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<(), String> {
-    println!("== Extension: register-file AVF by execution phase ==");
-    println!(
-        "{:<12} {:<16} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "workload", "device", "Q1", "Q2", "Q3", "Q4", "DUE share"
-    );
-    for w in workloads {
-        for arch in archs {
-            let detail = Campaign::new(
+fn phase_sensitivity(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
+    points.table(
+        "== Extension: register-file AVF by execution phase ==",
+        &columns("<12 workload, <16 device, >9 Q1, >9 Q2, >9 Q3, >9 Q4, >9 DUE share"),
+        |arch, w| {
+            let setup = Campaign::new(
                 arch,
-                w.as_ref(),
+                w,
                 &cfg.campaign,
                 Capture::campaign(&cfg.campaign),
                 &NoopHook,
-            )
-            .and_then(|setup| {
-                let detail = grel_core::detailed_campaign_on(
-                    &setup,
-                    Structure::VectorRegisterFile,
-                    cfg.campaign,
-                )?;
-                Ok((setup.golden().cycles, detail))
-            });
-            match detail {
-                Ok((cycles, detail)) => {
-                    let phases = grel_core::avf_by_phase(&detail, cycles, 4);
-                    let cell = |p: (f64, u64)| {
-                        if p.0.is_nan() {
-                            "-".to_string()
-                        } else {
-                            format!("{:.1}%", p.0 * 100.0)
-                        }
-                    };
-                    println!(
-                        "{:<12} {:<16} {:>9} {:>9} {:>9} {:>9} {:>8.1}%",
-                        w.name(),
-                        arch.name,
-                        cell(phases[0]),
-                        cell(phases[1]),
-                        cell(phases[2]),
-                        cell(phases[3]),
-                        grel_core::due_fraction(&detail) * 100.0
-                    );
-                }
-                Err(e) => println!("{:<12} {:<16} {e}", w.name(), arch.name),
-            }
-        }
-        println!();
-    }
-    Ok(())
+            )?;
+            let detail = grel_core::detailed_campaign_on(
+                &setup,
+                Structure::VectorRegisterFile,
+                cfg.campaign,
+            )?;
+            let phases = grel_core::avf_by_phase(&detail, setup.golden().cycles, 4);
+            let mut cells = vec![w.name().to_string(), arch.name.clone()];
+            cells.extend(phases.iter().map(|p| pct_or_dash(p.0)));
+            cells.push(pct(grel_core::due_fraction(&detail)));
+            Ok(vec![cells])
+        },
+    )
 }
 
 /// Extension: adjacent multi-bit upsets vs single-bit upsets.
-fn mbu_table(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<(), String> {
-    println!("== Extension: multi-bit upsets (adjacent bits, register file) ==");
-    println!(
-        "{:<12} {:<16} {:>9} {:>9} {:>9}",
-        "workload", "device", "1-bit", "2-bit", "4-bit"
-    );
-    for w in workloads {
-        for arch in archs {
-            let mut row = format!("{:<12} {:<16}", w.name(), arch.name);
-            // One setup serves all three widths.
-            match Campaign::new(
+fn mbu_table(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
+    points.table(
+        "== Extension: multi-bit upsets (adjacent bits, register file) ==",
+        &columns("<12 workload, <16 device, >9 1-bit, >9 2-bit, >9 4-bit"),
+        |arch, w| {
+            // One setup serves all three widths; a width that fails
+            // prints its error in its own cell.
+            let setup = Campaign::new(
                 arch,
-                w.as_ref(),
+                w,
                 &cfg.campaign,
                 Capture::campaign(&cfg.campaign),
                 &NoopHook,
-            ) {
-                Ok(setup) => {
-                    for width in [1u8, 2, 4] {
-                        match grel_core::mbu_campaign_on(
-                            &setup,
-                            Structure::VectorRegisterFile,
-                            width,
-                            cfg.campaign,
-                        ) {
-                            Ok(t) => {
-                                let avf = t.failures() as f64 / t.total().max(1) as f64;
-                                row.push_str(&format!(" {:>8.1}%", avf * 100.0));
-                            }
-                            Err(e) => row.push_str(&format!(" {e}")),
-                        }
-                    }
+            )?;
+            let mut cells = vec![w.name().to_string(), arch.name.clone()];
+            cells.extend([1u8, 2, 4].map(|width| {
+                match grel_core::mbu_campaign_on(
+                    &setup,
+                    Structure::VectorRegisterFile,
+                    width,
+                    cfg.campaign,
+                ) {
+                    Ok(t) => pct(t.failures() as f64 / t.total().max(1) as f64),
+                    Err(e) => e.to_string(),
                 }
-                Err(e) => row.push_str(&format!(" {e}")),
-            }
-            println!("{row}");
-        }
-        println!();
-    }
-    Ok(())
+            }));
+            Ok(vec![cells])
+        },
+    )
 }
 
 /// Performance profile table: the throughput half of the paper's
 /// reliability-performance correlation.
-fn perf_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>]) -> Result<(), String> {
-    println!(
-        "{:<12} {:<16} {:>9} {:>10} {:>6} {:>7} {:>9} {:>7} {:>7} {:>6} {:>9}",
-        "workload",
-        "device",
-        "cycles",
-        "warp-inst",
-        "IPC",
-        "lanes/i",
-        "mem-trans",
-        "L1 hit",
-        "L2 hit",
-        "util",
-        "time (us)"
-    );
-    for w in workloads {
-        for arch in archs {
-            match grel_core::perf::profile(arch, w.as_ref()) {
-                Ok(p) => println!(
-                    "{:<12} {:<16} {:>9} {:>10} {:>6.2} {:>7.1} {:>9} {:>6.1}% {:>7} {:>5.0}% {:>9.1}",
-                    p.workload,
-                    p.device,
-                    p.cycles,
-                    p.warp_instructions,
-                    p.ipc(),
-                    p.lanes_per_instruction(),
-                    p.mem_transactions,
-                    p.l1_hit_rate * 100.0,
-                    p.l2_hit_rate
-                        .map(|r| format!("{:.1}%", r * 100.0))
-                        .unwrap_or_else(|| "-".into()),
-                    p.sm_utilization * 100.0,
-                    p.device_time_us
-                ),
-                Err(e) => println!("{:<12} {:<16} {e}", w.name(), arch.name),
-            }
-        }
-        println!();
-    }
-    Ok(())
+fn perf_table(points: &Points) -> Result<(), String> {
+    points.table(
+        "== Performance profile (cycles, IPC, cache hit rates) ==",
+        &columns(
+            "<12 workload, <16 device, >9 cycles, >10 warp-inst, >6 IPC, >7 lanes/i, \
+             >9 mem-trans, >7 L1 hit, >7 L2 hit, >6 util, >9 time (us)",
+        ),
+        |arch, w| {
+            let p = grel_core::perf::profile(arch, w)?;
+            Ok(vec![vec![
+                p.workload.clone(),
+                p.device.clone(),
+                p.cycles.to_string(),
+                p.warp_instructions.to_string(),
+                format!("{:.2}", p.ipc()),
+                format!("{:.1}", p.lanes_per_instruction()),
+                p.mem_transactions.to_string(),
+                pct(p.l1_hit_rate),
+                p.l2_hit_rate.map_or_else(|| "-".into(), pct),
+                format!("{:.0}%", p.sm_utilization * 100.0),
+                format!("{:.1}", p.device_time_us),
+            ]])
+        },
+    )
 }
 
 /// Measures the wall-clock effect of checkpointed replay: runs the same
@@ -1294,20 +1290,11 @@ fn perf_table(archs: &[ArchConfig], workloads: &[Box<dyn Workload>]) -> Result<(
 /// span-traced pass per pair (identical tally checked again) writes
 /// the phase/worker timing breakdown to `BENCH_profile.json`. A failed
 /// check is an error naming the device and workload.
-fn bench_campaign(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-    log: &Logger,
-) -> Result<(), String> {
+fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<(), String> {
     use grel_core::campaign::{run_campaign_with_ladder_hooked, Tally};
     use grel_telemetry::Json;
     use std::time::Instant;
 
-    println!(
-        "== Checkpointed replay vs from-zero replay (RF campaign, {} injections) ==",
-        cfg.campaign.injections
-    );
     // jobs = 1, 2, 4, … up to the requested worker count (always
     // including both endpoints), for the scaling table below.
     let max_jobs = cfg.campaign.threads.max(1);
@@ -1320,30 +1307,28 @@ fn bench_campaign(
     if max_jobs > 1 {
         jobs_ladder.push(max_jobs);
     }
-    let mut scaling: Vec<(String, String, usize, f64)> = Vec::new();
-    // (device, workload, mode, wall, inj/s, pruned frac, fork frac,
-    //  vs full, vs pruned)
-    type PruneRow = (String, String, String, f64, f64, f64, f64, f64, f64);
-    let mut prune_rows: Vec<PruneRow> = Vec::new();
-    // (device, workload, target margin, uniform replayed, adaptive
-    //  replayed, adaptive rounds, adaptive margin, savings, converged)
-    type SamplingRow = (String, String, f64, u64, u64, usize, f64, f64, bool);
-    let mut sampling_rows: Vec<SamplingRow> = Vec::new();
+    // The rows of the scaling, fast-path and sampling tables, printed
+    // after the walk.
+    let mut scaling: Vec<Row> = Vec::new();
+    let mut prune_rows: Vec<Row> = Vec::new();
+    let mut sampling_rows: Vec<Row> = Vec::new();
     let mut pairs_json: Vec<Json> = Vec::new();
     let mut profile_pairs_json: Vec<Json> = Vec::new();
-    println!(
-        "{:<16} {:<12} {:>5} {:>11} {:>13} {:>8}",
-        "device", "workload", "rungs", "from-zero", "checkpointed", "speedup"
-    );
-    for arch in archs {
-        for w in workloads {
+    let injections = cfg.campaign.injections as f64;
+    points.table(
+        &format!(
+            "== Checkpointed replay vs from-zero replay (RF campaign, {} injections) ==",
+            cfg.campaign.injections
+        ),
+        &columns("<16 device, <12 workload, >5 rungs, >11 from-zero, >13 checkpointed, >8 speedup"),
+        |arch, w| {
             // Every failure below names the pair, and so does a tally
             // that differs where it must not.
             let on = format!("{} / {}", arch.name, w.name());
             let check = |same: bool, what: &str| {
                 same.then_some(()).ok_or_else(|| format!("{what} on {on}"))
             };
-            let golden = golden_run(arch, w.as_ref())
+            let golden = golden_run(arch, w)
                 .map_err(|e| format!("golden run failed on {}: {e}", arch.name))?;
             let sites = sample_sites(
                 arch,
@@ -1353,61 +1338,53 @@ fn bench_campaign(
                 cfg.campaign.seed,
             );
             let t0 = Instant::now();
-            let base = run_injections(arch, w.as_ref(), &golden, &sites, cfg.campaign)
+            let base = run_injections(arch, w, &golden, &sites, cfg.campaign)
                 .map_err(|e| format!("from-zero replay failed on {on}: {e}"))?;
-            let t_zero = t0.elapsed();
+            let t_zero = t0.elapsed().as_secs_f64();
             // The checkpointed side pays for building its own ladder, so
             // the comparison is end-to-end, not best-case.
             let t1 = Instant::now();
-            let ladder = CheckpointLadder::build(arch, w.as_ref(), &golden, &cfg.campaign)
+            let ladder = CheckpointLadder::build(arch, w, &golden, &cfg.campaign)
                 .map_err(|e| format!("checkpoint ladder failed on {on}: {e}"))?;
-            let fast = run_injections_checkpointed(
-                arch,
-                w.as_ref(),
-                &golden,
-                &ladder,
-                &sites,
-                cfg.campaign,
-            )
-            .map_err(|e| format!("checkpointed replay failed on {on}: {e}"))?;
-            let t_ckpt = t1.elapsed();
+            let fast = run_injections_checkpointed(arch, w, &golden, &ladder, &sites, cfg.campaign)
+                .map_err(|e| format!("checkpointed replay failed on {on}: {e}"))?;
+            let t_ckpt = t1.elapsed().as_secs_f64();
             check(base == fast, "checkpointed outcomes must match from-zero")?;
-            println!(
-                "{:<16} {:<12} {:>5} {:>10.3}s {:>12.3}s {:>7.2}x",
-                arch.name,
-                w.name(),
-                ladder.len(),
-                t_zero.as_secs_f64(),
-                t_ckpt.as_secs_f64(),
-                t_zero.as_secs_f64() / t_ckpt.as_secs_f64().max(1e-9)
-            );
             // Parallel scaling: same ladder, same sites, varying jobs.
             // The tally must be identical at every job count — that is
             // the runner's determinism contract, enforced right here.
             let mut pair_scaling_json: Vec<Json> = Vec::new();
+            let mut j1_secs = 0.0;
             for &jobs in &jobs_ladder {
                 let mut c = cfg.campaign;
                 c.threads = jobs;
                 let t = Instant::now();
-                let tally =
-                    run_injections_checkpointed(arch, w.as_ref(), &golden, &ladder, &sites, c)
-                        .map_err(|e| {
-                            format!("parallel replay failed on {on} with {jobs} jobs: {e}")
-                        })?;
+                let tally = run_injections_checkpointed(arch, w, &golden, &ladder, &sites, c)
+                    .map_err(|e| format!("parallel replay failed on {on} with {jobs} jobs: {e}"))?;
                 check(
                     tally == fast,
                     &format!("tally must be job-count invariant (jobs = {jobs})"),
                 )?;
                 let secs = t.elapsed().as_secs_f64();
+                if jobs == 1 {
+                    j1_secs = secs;
+                }
                 pair_scaling_json.push(Json::Obj(vec![
                     ("jobs".into(), Json::from(jobs)),
                     ("seconds".into(), Json::from(secs)),
                     (
                         "injections_per_second".into(),
-                        Json::from(cfg.campaign.injections as f64 / secs.max(1e-9)),
+                        Json::from(injections / secs.max(1e-9)),
                     ),
                 ]));
-                scaling.push((arch.name.clone(), w.name().to_string(), jobs, secs));
+                scaling.push(vec![
+                    arch.name.clone(),
+                    w.name().into(),
+                    jobs.to_string(),
+                    format!("{secs:.3}s"),
+                    format!("{:.0}", injections / secs.max(1e-9)),
+                    format!("{:.2}x", j1_secs / secs.max(1e-9)),
+                ]);
             }
             // Replay fast paths: same golden run, same seed (so the same
             // sampled sites), three configurations. The pruned run pays
@@ -1435,7 +1412,7 @@ fn bench_campaign(
                 let t = Instant::now();
                 let res = run_campaign_with_ladder_hooked(
                     arch,
-                    w.as_ref(),
+                    w,
                     Structure::VectorRegisterFile,
                     c,
                     &golden,
@@ -1464,9 +1441,8 @@ fn bench_campaign(
                 }
                 let batched = snap.counter("campaign_batched_total").unwrap_or(0);
                 let forks = snap.counter("campaign_batch_forks_total").unwrap_or(0);
-                let n = cfg.campaign.injections as f64;
-                let ips = n / secs.max(1e-9);
-                let pruned_frac = pruned as f64 / n.max(1.0);
+                let ips = injections / secs.max(1e-9);
+                let pruned_frac = pruned as f64 / injections.max(1.0);
                 let fork_frac = forks as f64 / (batched as f64).max(1.0);
                 let speedup = full_secs / secs.max(1e-9);
                 let vs_pruned = if mode == "batched" {
@@ -1474,17 +1450,21 @@ fn bench_campaign(
                 } else {
                     0.0
                 };
-                prune_rows.push((
+                prune_rows.push(vec![
                     arch.name.clone(),
-                    w.name().to_string(),
-                    mode.to_string(),
-                    secs,
-                    ips,
-                    pruned_frac,
-                    fork_frac,
-                    speedup,
-                    vs_pruned,
-                ));
+                    w.name().into(),
+                    mode.into(),
+                    format!("{secs:.3}s"),
+                    format!("{ips:.0}"),
+                    pct(pruned_frac),
+                    pct(fork_frac),
+                    format!("{speedup:.2}x"),
+                    if vs_pruned > 0.0 {
+                        format!("{vs_pruned:.2}x")
+                    } else {
+                        "-".into()
+                    },
+                ]);
                 modes_json.push(Json::Obj(vec![
                     ("mode".into(), Json::from(mode)),
                     ("seconds".into(), Json::from(secs)),
@@ -1507,7 +1487,7 @@ fn bench_campaign(
                 let phook = (RegistryHook::new(&preg), SpanHook::new(&precorder));
                 let r = run_campaign_with_ladder_hooked(
                     arch,
-                    w.as_ref(),
+                    w,
                     Structure::VectorRegisterFile,
                     cfg.campaign,
                     &golden,
@@ -1578,26 +1558,21 @@ fn bench_campaign(
             let mut ac = cfg.campaign;
             ac.prune = true;
             ac.batch = true;
-            let adaptive = grel_core::run_adaptive_campaign(
-                arch,
-                w.as_ref(),
-                Structure::VectorRegisterFile,
-                ac,
-                plan,
-            )
-            .map_err(|e| format!("adaptive campaign failed on {on}: {e}"))?;
+            let adaptive =
+                grel_core::run_adaptive_campaign(arch, w, Structure::VectorRegisterFile, ac, plan)
+                    .map_err(|e| format!("adaptive campaign failed on {on}: {e}"))?;
             let savings = uniform_replayed as f64 / (adaptive.replayed as f64).max(1.0);
-            sampling_rows.push((
+            sampling_rows.push(vec![
                 arch.name.clone(),
-                w.name().to_string(),
-                plan.target_margin,
-                uniform_replayed,
-                adaptive.replayed,
-                adaptive.rounds.len(),
-                adaptive.margin,
-                savings,
-                adaptive.converged,
-            ));
+                w.name().into(),
+                format!("{:.2}%", plan.target_margin * 100.0),
+                uniform_replayed.to_string(),
+                adaptive.replayed.to_string(),
+                adaptive.rounds.len().to_string(),
+                format!("{:.2}%", adaptive.margin * 100.0),
+                format!("{savings:.2}x"),
+                if adaptive.converged { "yes" } else { "no" }.into(),
+            ]);
             let sampling_json = Json::Obj(vec![
                 ("target_margin".into(), Json::from(plan.target_margin)),
                 ("uniform_margin".into(), Json::from(uniform_margin)),
@@ -1620,255 +1595,176 @@ fn bench_campaign(
                 ("sampling".into(), sampling_json),
                 ("golden_cycles".into(), Json::from(golden.cycles)),
                 ("rungs".into(), Json::from(ladder.len())),
-                ("from_zero_seconds".into(), Json::from(t_zero.as_secs_f64())),
-                (
-                    "checkpointed_seconds".into(),
-                    Json::from(t_ckpt.as_secs_f64()),
-                ),
+                ("from_zero_seconds".into(), Json::from(t_zero)),
+                ("checkpointed_seconds".into(), Json::from(t_ckpt)),
                 ("modes".into(), Json::Arr(modes_json)),
                 ("scaling".into(), Json::Arr(pair_scaling_json)),
             ]));
-        }
-    }
+            Ok(vec![vec![
+                arch.name.clone(),
+                w.name().into(),
+                ladder.len().to_string(),
+                format!("{t_zero:.3}s"),
+                format!("{t_ckpt:.3}s"),
+                format!("{:.2}x", t_zero / t_ckpt.max(1e-9)),
+            ]])
+        },
+    )?;
     if jobs_ladder.len() > 1 {
+        print_table(
+            "== Parallel scaling (checkpointed replay, identical tallies asserted) ==",
+            &columns("<16 device, <12 workload, >5 jobs, >10 wall, >8 inj/s, >6 vs -j1"),
+            scaling,
+        );
         println!();
-        println!("== Parallel scaling (checkpointed replay, identical tallies asserted) ==");
-        println!(
-            "{:<16} {:<12} {:>5} {:>10} {:>8} {:>6}",
-            "device", "workload", "jobs", "wall", "inj/s", "vs -j1"
-        );
-        let mut base_secs = 0.0;
-        for (device, workload, jobs, secs) in &scaling {
-            if *jobs == 1 {
-                base_secs = *secs;
-            }
-            println!(
-                "{:<16} {:<12} {:>5} {:>9.3}s {:>8.0} {:>5.2}x",
-                device,
-                workload,
-                jobs,
-                secs,
-                cfg.campaign.injections as f64 / secs.max(1e-9),
-                base_secs / secs.max(1e-9)
-            );
-        }
     }
-    println!();
-    println!("== Replay fast paths (RF campaign at -j{max_jobs}, identical tallies asserted) ==");
-    println!(
-        "{:<16} {:<12} {:<10} {:>9} {:>8} {:>7} {:>7} {:>8} {:>9}",
-        "device", "workload", "mode", "wall", "inj/s", "pruned", "forked", "vs full", "vs pruned"
+    print_table(
+        &format!(
+            "== Replay fast paths (RF campaign at -j{max_jobs}, identical tallies asserted) =="
+        ),
+        &columns(
+            "<16 device, <12 workload, <10 mode, >9 wall, >8 inj/s, >7 pruned, >7 forked, \
+             >8 vs full, >9 vs pruned",
+        ),
+        prune_rows,
     );
-    for (device, workload, mode, secs, ips, pruned, forked, speedup, vs_pruned) in &prune_rows {
-        let vs_pruned_col = if *vs_pruned > 0.0 {
-            format!("{vs_pruned:>8.2}x")
-        } else {
-            format!("{:>9}", "-")
-        };
-        println!(
-            "{:<16} {:<12} {:<10} {:>8.3}s {:>8.0} {:>6.1}% {:>6.1}% {:>7.2}x {}",
-            device,
-            workload,
-            mode,
-            secs,
-            ips,
-            pruned * 100.0,
-            forked * 100.0,
-            speedup,
-            vs_pruned_col
-        );
-    }
     println!();
-    println!("== Adaptive stratified sampling vs uniform (equal margin, replayed injections) ==");
-    println!(
-        "{:<16} {:<12} {:>8} {:>9} {:>9} {:>7} {:>8} {:>8} {:>5}",
-        "device",
-        "workload",
-        "target",
-        "uniform",
-        "adaptive",
-        "rounds",
-        "margin",
-        "savings",
-        "conv"
+    print_table(
+        "== Adaptive stratified sampling vs uniform (equal margin, replayed injections) ==",
+        &columns(
+            "<16 device, <12 workload, >8 target, >9 uniform, >9 adaptive, >7 rounds, \
+             >8 margin, >8 savings, >5 conv",
+        ),
+        sampling_rows,
     );
-    for (device, workload, target, uni, ada, rounds, margin, savings, conv) in &sampling_rows {
-        println!(
-            "{:<16} {:<12} {:>7.2}% {:>9} {:>9} {:>7} {:>7.2}% {:>7.2}x {:>5}",
-            device,
-            workload,
-            target * 100.0,
-            uni,
-            ada,
-            rounds,
-            margin * 100.0,
-            savings,
-            if *conv { "yes" } else { "no" }
-        );
+    for (bench, pairs) in [("campaign", pairs_json), ("profile", profile_pairs_json)] {
+        let doc = Json::Obj(vec![
+            ("bench".into(), Json::from(bench)),
+            ("structure".into(), Json::from("rf")),
+            ("injections".into(), Json::from(cfg.campaign.injections)),
+            ("jobs".into(), Json::from(max_jobs)),
+            ("pairs".into(), Json::Arr(pairs)),
+        ]);
+        let path = format!("BENCH_{bench}.json");
+        std::fs::write(&path, doc.to_string())
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        log.info(&format!("wrote {path}"));
     }
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::from("campaign")),
-        ("structure".into(), Json::from("rf")),
-        ("injections".into(), Json::from(cfg.campaign.injections)),
-        ("jobs".into(), Json::from(max_jobs)),
-        ("pairs".into(), Json::Arr(pairs_json)),
-    ]);
-    std::fs::write("BENCH_campaign.json", doc.to_string())
-        .map_err(|e| format!("failed to write BENCH_campaign.json: {e}"))?;
-    log.info("wrote BENCH_campaign.json");
-    let profile_doc = Json::Obj(vec![
-        ("bench".into(), Json::from("profile")),
-        ("structure".into(), Json::from("rf")),
-        ("injections".into(), Json::from(cfg.campaign.injections)),
-        ("jobs".into(), Json::from(max_jobs)),
-        ("pairs".into(), Json::Arr(profile_pairs_json)),
-    ]);
-    std::fs::write("BENCH_profile.json", profile_doc.to_string())
-        .map_err(|e| format!("failed to write BENCH_profile.json: {e}"))?;
-    log.info("wrote BENCH_profile.json");
     Ok(())
 }
 
 /// Extension experiment: does the warp scheduler change reliability?
 /// The paper's intro names "execution scheduling" as a studied factor.
-fn ablate_scheduler(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<(), String> {
-    println!("== Ablation: warp scheduler vs reliability ==");
-    println!(
-        "{:<12} {:<16} {:>5} {:>9} {:>8} {:>8}",
-        "workload", "device", "sched", "cycles", "RF AVF", "RF occ"
-    );
-    for w in workloads {
-        for base in archs {
-            for policy in [SchedulerPolicy::Lrr, SchedulerPolicy::Gto] {
-                let mut arch = base.clone();
-                arch.scheduler = policy;
-                match evaluate_point(&arch, w.as_ref(), cfg) {
-                    Ok(p) => println!(
-                        "{:<12} {:<16} {:>5} {:>9} {:>7.1}% {:>7.1}%",
+fn ablate_scheduler(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
+    points.table(
+        "== Ablation: warp scheduler vs reliability ==",
+        &columns("<12 workload, <16 device, >5 sched, >9 cycles, >8 RF AVF, >8 RF occ"),
+        |base, w| {
+            let rows = [SchedulerPolicy::Lrr, SchedulerPolicy::Gto].map(|policy| {
+                let arch = ArchConfig {
+                    scheduler: policy,
+                    ..base.clone()
+                };
+                match evaluate_point(&arch, w, cfg) {
+                    Ok(p) => vec![
                         p.workload,
                         p.device,
                         format!("{policy:?}"),
-                        p.cycles,
-                        p.rf.avf_fi * 100.0,
-                        p.rf.occupancy * 100.0
-                    ),
-                    Err(e) => println!("{:<12} {:<16} {policy:?}: {e}", w.name(), base.name),
+                        p.cycles.to_string(),
+                        pct(p.rf.avf_fi),
+                        pct(p.rf.occupancy),
+                    ],
+                    Err(e) => vec![
+                        w.name().into(),
+                        base.name.clone(),
+                        format!("{policy:?}: {e}"),
+                    ],
                 }
-            }
-        }
-        println!();
-    }
-    Ok(())
+            });
+            Ok(rows.into())
+        },
+    )
 }
 
 /// Extension experiment: register-file size sweep ("resource sizes").
 /// Halving the file raises occupancy (and AVF); doubling dilutes it but
 /// adds bits, so FIT moves less than AVF — the designer's trade-off.
-fn ablate_rf_size(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<(), String> {
-    println!("== Ablation: register-file size vs AVF and FIT ==");
-    println!(
-        "{:<12} {:<16} {:>7} {:>9} {:>8} {:>8} {:>10}",
-        "workload", "device", "RF KiB", "cycles", "RF AVF", "RF occ", "RF FIT"
-    );
-    for w in workloads {
-        for base in archs {
-            for scale in [1u32, 2, 4] {
-                let mut arch = base.clone();
+fn ablate_rf_size(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
+    points.table(
+        "== Ablation: register-file size vs AVF and FIT ==",
+        &columns(
+            "<12 workload, <16 device, >7 RF KiB, >9 cycles, >8 RF AVF, >8 RF occ, >10 RF FIT",
+        ),
+        |base, w| {
+            let rows = [1u32, 2, 4].map(|scale| {
                 // scale = 2 is the stock size; 1 halves, 4 doubles.
-                arch.regfile_bytes_per_sm = base.regfile_bytes_per_sm / 2 * scale;
-                match evaluate_point(&arch, w.as_ref(), cfg) {
-                    Ok(p) => println!(
-                        "{:<12} {:<16} {:>7} {:>9} {:>7.1}% {:>7.1}% {:>10.2}",
+                let arch = ArchConfig {
+                    regfile_bytes_per_sm: base.regfile_bytes_per_sm / 2 * scale,
+                    ..base.clone()
+                };
+                let kib = (arch.regfile_bytes_per_sm / 1024).to_string();
+                match evaluate_point(&arch, w, cfg) {
+                    Ok(p) => vec![
                         p.workload,
                         p.device,
-                        arch.regfile_bytes_per_sm / 1024,
-                        p.cycles,
-                        p.rf.avf_fi * 100.0,
-                        p.rf.occupancy * 100.0,
-                        structure_fit(&arch, Structure::VectorRegisterFile, p.rf.avf_fi)
-                    ),
-                    Err(e) => println!(
-                        "{:<12} {:<16} {:>7}  launch fails: {e}",
-                        w.name(),
-                        base.name,
-                        arch.regfile_bytes_per_sm / 1024
-                    ),
+                        kib,
+                        p.cycles.to_string(),
+                        pct(p.rf.avf_fi),
+                        pct(p.rf.occupancy),
+                        format!(
+                            "{:.2}",
+                            structure_fit(&arch, Structure::VectorRegisterFile, p.rf.avf_fi)
+                        ),
+                    ],
+                    // The leading space sets the failure text two
+                    // spaces after the size.
+                    Err(e) => vec![
+                        w.name().into(),
+                        base.name.clone(),
+                        kib,
+                        format!(" launch fails: {e}"),
+                    ],
                 }
-            }
-            println!();
-        }
-    }
-    Ok(())
+            });
+            Ok(rows.into())
+        },
+    )
 }
 
 /// Extension experiment: ACE refinement level vs fault injection — the
 /// methodological trade-off behind the paper's finding F3.
-fn ablate_ace(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<(), String> {
-    println!("== Ablation: ACE refinement vs fault injection ==");
-    println!(
-        "{:<12} {:<16} {:>6} | {:>8} {:>9} {:>8}",
-        "workload", "device", "struct", "ACE-cons", "ACE-refnd", "FI"
-    );
-    for w in workloads {
-        for arch in archs {
-            let structures = cfg.injected_structures(w.as_ref());
+fn ablate_ace(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
+    points.table(
+        "== Ablation: ACE refinement vs fault injection ==",
+        &columns("<12 workload, <16 device, >6 struct, >1 |, >8 ACE-cons, >9 ACE-refnd, >8 FI"),
+        |arch, w| {
             // One setup carries the refined ACE analysis and every
             // campaign; the conservative analysis takes one more pass.
             let capture = Capture {
                 ace: Some(AceMode::WriteToLastRead),
                 ..Capture::campaign(&cfg.campaign)
             };
-            let rows = Campaign::new(arch, w.as_ref(), &cfg.campaign, capture, &NoopHook).and_then(
-                |setup| {
-                    let (_, conservative) = golden_run_with_ace(arch, w.as_ref())?;
-                    structures
-                        .iter()
-                        .map(|&s| {
-                            let fi = setup.run(s, cfg.campaign, &NoopHook)?;
-                            let refined = setup.ace(s).expect("ACE was captured");
-                            let cons = conservative.report(s).avf_ace;
-                            Ok((s, cons, refined.avf_ace, fi.avf()))
-                        })
-                        .collect::<Result<Vec<_>, SimError>>()
-                },
-            );
-            let rows = match rows {
-                Ok(rows) => rows,
-                Err(e) => {
-                    println!("{:<12} {:<16} {e}", w.name(), arch.name);
-                    continue;
-                }
-            };
-            for (s, conservative, refined, fi) in rows {
+            let setup = Campaign::new(arch, w, &cfg.campaign, capture, &NoopHook)?;
+            let (_, conservative) = golden_run_with_ace(arch, w)?;
+            let rows = cfg.injected_structures(w).iter().map(|&s| {
+                let fi = setup.run(s, cfg.campaign, &NoopHook)?;
+                let refined = setup.ace(s).expect("ACE was captured");
                 let tag = match s {
                     Structure::VectorRegisterFile => "RF",
                     Structure::LocalMemory => "LDS",
                     Structure::ScalarRegisterFile => "SRF",
                 };
-                println!(
-                    "{:<12} {:<16} {:>6} | {:>7.1}% {:>8.1}% {:>7.1}%",
-                    w.name(),
-                    arch.name,
-                    tag,
-                    conservative * 100.0,
-                    refined * 100.0,
-                    fi * 100.0
-                );
-            }
-        }
-        println!();
-    }
-    Ok(())
+                Ok(vec![
+                    w.name().into(),
+                    arch.name.clone(),
+                    tag.into(),
+                    "|".into(),
+                    pct(conservative.report(s).avf_ace),
+                    pct(refined.avf_ace),
+                    pct(fi.avf()),
+                ])
+            });
+            rows.collect()
+        },
+    )
 }

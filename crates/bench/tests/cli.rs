@@ -145,6 +145,12 @@ fn help_lists_every_command() {
         "report",
         "--metrics",
         "--progress",
+        "-q",
+        "--quiet",
+        "-v",
+        "--verbose",
+        "-h",
+        "--help",
     ] {
         assert!(out.contains(cmd), "help is missing {cmd}");
     }
@@ -478,4 +484,58 @@ fn listen_without_port_fails_cleanly() {
         "{stderr}"
     );
     assert!(!stderr.contains("study completed"), "{stderr}");
+}
+
+/// The drift run of the filtered-drift cases: one smoke point (scan on
+/// the G80) against the committed baseline, plus `extra` flags.
+fn filtered_drift(extra: &[&str]) -> std::process::Output {
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../ci/fault-model-baseline.json"
+    );
+    let mut args = vec![
+        "drift",
+        baseline,
+        "--smoke",
+        "--injections",
+        "40",
+        "--seed",
+        "7",
+        "--workload",
+        "scan",
+        "--device",
+        "g80",
+    ];
+    args.extend_from_slice(extra);
+    repro().args(&args).output().expect("repro runs")
+}
+
+#[test]
+fn filtered_drift_compares_only_the_selected_points() {
+    let out = filtered_drift(&[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("1 points compared, 0 drifting"), "{stdout}");
+    assert!(!stdout.contains("missing"), "{stdout}");
+}
+
+#[test]
+fn drift_writes_the_study_telemetry() {
+    let dir = std::env::temp_dir().join("repro_cli_drift_metrics");
+    let _ = std::fs::create_dir_all(&dir);
+    let jsonl = dir.join("m.jsonl");
+    let out = filtered_drift(&["--metrics", jsonl.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let text = std::fs::read_to_string(&jsonl).unwrap();
+    for event in ["run.meta", "study.point", "counter"] {
+        assert!(
+            text.contains(&format!("\"event\":\"{event}\"")),
+            "no {event} event in:\n{text}"
+        );
+    }
 }
