@@ -14,15 +14,17 @@ use grel_bench::{
     render_avf_figure, render_epf_figure, render_experiments_markdown, render_findings, to_csv,
     workload_set, Scale,
 };
-use grel_core::ace::AceMode;
+use grel_core::ace::{AceMode, LifetimeOracle};
 use grel_core::campaign::{
-    golden_run, golden_run_with_ace, run_injections, run_injections_checkpointed, sample_sites,
-    Campaign, CampaignConfig, Capture, CheckpointLadder,
+    golden_run, golden_run_with_ace, run_campaign_with_oracle_hooked, run_injections_checkpointed,
+    sample_sites, Campaign, CampaignConfig, Capture, CheckpointLadder,
 };
 use grel_core::epf::structure_fit;
 use grel_core::sampling::{SamplingPlan, StrataSpec};
 use grel_core::stats::{error_margin, required_sample_size, Z_99};
-use grel_core::study::{evaluate_point, run_study_parallel_hooked, StudyConfig, StudyResult};
+use grel_core::study::{
+    evaluate_point_hooked, run_study_parallel_hooked, StudyConfig, StudyResult,
+};
 use grel_telemetry::{
     serve, Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NoopHook, NullSink,
     Observatory, ProgressHook, RegistryHook, SpanHook, SpanRecorder, SpanTree, StatusBoard,
@@ -1139,7 +1141,7 @@ fn protect_table(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
         "== Extension: EPF under storage protection schemes ==",
         &columns("<12 workload, <16 device, >10 scheme, >12 FIT_GPU, >12 EPF, >9 SDC share"),
         |arch, w| {
-            let p = evaluate_point(arch, w, cfg)?;
+            let p = evaluate_point_hooked(arch, w, cfg, &NoopHook)?;
             let sdc_share = if p.rf.avf_fi > 0.0 {
                 p.rf.avf_sdc / p.rf.avf_fi
             } else {
@@ -1172,8 +1174,9 @@ fn bit_sensitivity(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
              >8 b20-23, >8 b24-27, >8 b28-31",
         ),
         |arch, w| {
-            let detail =
-                grel_core::detailed_campaign(arch, w, Structure::VectorRegisterFile, cfg.campaign)?;
+            let c = cfg.campaign;
+            let setup = Campaign::new(arch, w, &c, Capture::campaign(&c), &NoopHook)?;
+            let detail = grel_core::detailed_campaign_on(&setup, Structure::VectorRegisterFile, c)?;
             let by_bit = grel_core::avf_by_bit(&detail);
             let mut cells = vec![w.name().to_string(), arch.name.clone()];
             // A nibble's AVF is the mean over its sampled bits (NaN,
@@ -1291,7 +1294,7 @@ fn perf_table(points: &Points) -> Result<(), String> {
 /// the phase/worker timing breakdown to `BENCH_profile.json`. A failed
 /// check is an error naming the device and workload.
 fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<(), String> {
-    use grel_core::campaign::{run_campaign_with_ladder_hooked, Tally};
+    use grel_core::campaign::Tally;
     use grel_telemetry::Json;
     use std::time::Instant;
 
@@ -1338,8 +1341,15 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
                 cfg.campaign.seed,
             );
             let t0 = Instant::now();
-            let base = run_injections(arch, w, &golden, &sites, cfg.campaign)
-                .map_err(|e| format!("from-zero replay failed on {on}: {e}"))?;
+            let base = run_injections_checkpointed(
+                arch,
+                w,
+                &golden,
+                &CheckpointLadder::empty(),
+                &sites,
+                cfg.campaign,
+            )
+            .map_err(|e| format!("from-zero replay failed on {on}: {e}"))?;
             let t_zero = t0.elapsed().as_secs_f64();
             // The checkpointed side pays for building its own ladder, so
             // the comparison is end-to-end, not best-case.
@@ -1410,16 +1420,25 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
                 let registry = MetricsRegistry::new();
                 let hook = RegistryHook::new(&registry);
                 let t = Instant::now();
-                let res = run_campaign_with_ladder_hooked(
-                    arch,
-                    w,
-                    Structure::VectorRegisterFile,
-                    c,
-                    &golden,
-                    &ladder,
-                    &hook,
-                )
-                .map_err(|e| format!("{mode} campaign failed on {on}: {e}"))?;
+                // Like `Campaign::new`, a pruning campaign captures its
+                // oracle; here it is one extra fault-free pass, timed.
+                let res = Capture::campaign(&c)
+                    .oracle
+                    .then(|| LifetimeOracle::capture(arch, w))
+                    .transpose()
+                    .and_then(|oracle| {
+                        run_campaign_with_oracle_hooked(
+                            arch,
+                            w,
+                            Structure::VectorRegisterFile,
+                            c,
+                            &golden,
+                            &ladder,
+                            oracle.as_ref(),
+                            &hook,
+                        )
+                    })
+                    .map_err(|e| format!("{mode} campaign failed on {on}: {e}"))?;
                 let secs = t.elapsed().as_secs_f64();
                 check(
                     res.tally == base_tally,
@@ -1485,16 +1504,24 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
             {
                 let preg = MetricsRegistry::new();
                 let phook = (RegistryHook::new(&preg), SpanHook::new(&precorder));
-                let r = run_campaign_with_ladder_hooked(
-                    arch,
-                    w,
-                    Structure::VectorRegisterFile,
-                    cfg.campaign,
-                    &golden,
-                    &ladder,
-                    &phook,
-                )
-                .map_err(|e| format!("profiled campaign failed on {on}: {e}"))?;
+                let c = cfg.campaign;
+                let r = Capture::campaign(&c)
+                    .oracle
+                    .then(|| LifetimeOracle::capture(arch, w))
+                    .transpose()
+                    .and_then(|oracle| {
+                        run_campaign_with_oracle_hooked(
+                            arch,
+                            w,
+                            Structure::VectorRegisterFile,
+                            c,
+                            &golden,
+                            &ladder,
+                            oracle.as_ref(),
+                            &phook,
+                        )
+                    })
+                    .map_err(|e| format!("profiled campaign failed on {on}: {e}"))?;
                 check(
                     r.tally == base_tally,
                     "span tracing must not change the tally",
@@ -1558,9 +1585,17 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
             let mut ac = cfg.campaign;
             ac.prune = true;
             ac.batch = true;
-            let adaptive =
-                grel_core::run_adaptive_campaign(arch, w, Structure::VectorRegisterFile, ac, plan)
-                    .map_err(|e| format!("adaptive campaign failed on {on}: {e}"))?;
+            // The oracle serves the liveness strata, so the adaptive
+            // setup captures it whatever `ac.prune` says.
+            let capture = Capture {
+                oracle: ac.fault_model == FaultModelKind::Transient,
+                ..Capture::default()
+            };
+            let adaptive = Campaign::new(arch, w, &ac, capture, &NoopHook)
+                .and_then(|setup| {
+                    setup.run_adaptive(Structure::VectorRegisterFile, ac, plan, &NoopHook)
+                })
+                .map_err(|e| format!("adaptive campaign failed on {on}: {e}"))?;
             let savings = uniform_replayed as f64 / (adaptive.replayed as f64).max(1.0);
             sampling_rows.push(vec![
                 arch.name.clone(),
@@ -1665,7 +1700,7 @@ fn ablate_scheduler(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
                     scheduler: policy,
                     ..base.clone()
                 };
-                match evaluate_point(&arch, w, cfg) {
+                match evaluate_point_hooked(&arch, w, cfg, &NoopHook) {
                     Ok(p) => vec![
                         p.workload,
                         p.device,
@@ -1703,7 +1738,7 @@ fn ablate_rf_size(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
                     ..base.clone()
                 };
                 let kib = (arch.regfile_bytes_per_sm / 1024).to_string();
-                match evaluate_point(&arch, w, cfg) {
+                match evaluate_point_hooked(&arch, w, cfg, &NoopHook) {
                     Ok(p) => vec![
                         p.workload,
                         p.device,

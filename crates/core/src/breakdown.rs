@@ -261,10 +261,15 @@ mod tests {
     fn detailed_campaign_pairs_sites_and_outcomes() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 1);
-        let d = detailed_campaign(&arch, &w, Structure::VectorRegisterFile, cfg(10)).unwrap();
+        let c = cfg(10);
+        let d = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+            .and_then(|setup| detailed_campaign_on(&setup, Structure::VectorRegisterFile, c))
+            .unwrap();
         assert_eq!(d.len(), 10);
         // Same seed reproduces the same detail.
-        let d2 = detailed_campaign(&arch, &w, Structure::VectorRegisterFile, cfg(10)).unwrap();
+        let d2 = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+            .and_then(|setup| detailed_campaign_on(&setup, Structure::VectorRegisterFile, c))
+            .unwrap();
         assert_eq!(d, d2);
     }
 
@@ -272,9 +277,14 @@ mod tests {
     fn mbu_runs_and_single_bit_matches_sbu_statistics() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 1);
-        let t2 = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 2, cfg(10)).unwrap();
+        let c = cfg(10);
+        let t2 = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+            .and_then(|setup| mbu_campaign_on(&setup, Structure::VectorRegisterFile, 2, c))
+            .unwrap();
         assert_eq!(t2.total(), 10);
-        let t1 = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 1, cfg(10)).unwrap();
+        let t1 = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+            .and_then(|setup| mbu_campaign_on(&setup, Structure::VectorRegisterFile, 1, c))
+            .unwrap();
         assert_eq!(t1.total(), 10);
     }
 
@@ -286,7 +296,9 @@ mod tests {
         let w = VectorAdd::new(256, 1);
         let mut c = cfg(6);
         c.watchdog_factor = u64::MAX;
-        let t = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 2, c).unwrap();
+        let t = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+            .and_then(|setup| mbu_campaign_on(&setup, Structure::VectorRegisterFile, 2, c))
+            .unwrap();
         assert_eq!(t.total(), 6);
     }
 
@@ -295,6 +307,8 @@ mod tests {
     fn mbu_width_bounds() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(64, 1);
-        let _ = mbu_campaign(&arch, &w, Structure::VectorRegisterFile, 0, cfg(1));
+        let c = cfg(1);
+        let _ = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+            .and_then(|setup| mbu_campaign_on(&setup, Structure::VectorRegisterFile, 0, c));
     }
 }

@@ -1698,10 +1698,14 @@ mod tests {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
         let mut cfg = small_cfg(16);
-        let r1 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r1 = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r1.tally.total(), 16);
         cfg.threads = 1;
-        let r2 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r2 = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r1.tally, r2.tally, "threading must not change outcomes");
         assert!(r1.avf() >= 0.0 && r1.avf() <= 1.0);
         assert!(r1.margin_99 > 0.0);
@@ -1711,7 +1715,10 @@ mod tests {
     fn injections_into_lds_classify() {
         let arch = quadro_fx_5600();
         let w = Histogram::new(1024, 64, 5);
-        let r = run_campaign(&arch, &w, Structure::LocalMemory, small_cfg(12)).unwrap();
+        let cfg = small_cfg(12);
+        let r = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::LocalMemory, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r.tally.total(), 12);
     }
 
@@ -1719,17 +1726,17 @@ mod tests {
     fn shard_merge_tightens_margin() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
-        let a = run_campaign(&arch, &w, Structure::VectorRegisterFile, small_cfg(16)).unwrap();
-        let b = run_campaign(
-            &arch,
-            &w,
-            Structure::VectorRegisterFile,
-            CampaignConfig {
-                seed: 123,
-                ..small_cfg(16)
-            },
-        )
-        .unwrap();
+        let cfg = small_cfg(16);
+        let a = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
+        let cfg = CampaignConfig {
+            seed: 123,
+            ..small_cfg(16)
+        };
+        let b = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         let m = a.merge(&b);
         assert_eq!(m.tally.total(), 32);
         assert!(m.margin_99 < a.margin_99);
@@ -1772,7 +1779,18 @@ mod tests {
             cfg.seed,
         );
         let ladder = CheckpointLadder::build(&arch, &w, &golden, &cfg).unwrap();
-        let from_zero = run_injections(&arch, &w, &golden, &sites, cfg).unwrap();
+        let from_zero = Campaign::new(
+            &arch,
+            &w,
+            &CampaignConfig {
+                checkpoint_budget_bytes: 1,
+                ..cfg
+            },
+            Capture::default(),
+            &NoopHook,
+        )
+        .and_then(|setup| setup.replay(&sites, cfg, &NoopHook))
+        .unwrap();
         let from_ckpt =
             run_injections_checkpointed(&arch, &w, &golden, &ladder, &sites, cfg).unwrap();
         assert_eq!(
@@ -1790,9 +1808,13 @@ mod tests {
         cfg.checkpoint_budget_bytes = 1; // no snapshot fits
         let ladder = CheckpointLadder::build(&arch, &w, &golden, &cfg).unwrap();
         assert!(ladder.is_empty(), "a one-byte budget holds no snapshot");
-        let r = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         cfg.checkpoint_budget_bytes = 0;
-        let r2 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r2 = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r.tally, r2.tally, "budget tuning must not change outcomes");
     }
 
@@ -1802,7 +1824,9 @@ mod tests {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
         let cfg = small_cfg(12);
-        let plain = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let plain = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
 
         let reg = MetricsRegistry::new();
         let sink = MemorySink::new();
@@ -1893,17 +1917,17 @@ mod tests {
     fn merged_margin_uses_the_finite_population() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
-        let a = run_campaign(&arch, &w, Structure::VectorRegisterFile, small_cfg(16)).unwrap();
-        let b = run_campaign(
-            &arch,
-            &w,
-            Structure::VectorRegisterFile,
-            CampaignConfig {
-                seed: 321,
-                ..small_cfg(16)
-            },
-        )
-        .unwrap();
+        let cfg = small_cfg(16);
+        let a = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
+        let cfg = CampaignConfig {
+            seed: 321,
+            ..small_cfg(16)
+        };
+        let b = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         let m = a.merge(&b);
         assert_eq!(m.population, a.population);
         assert_eq!(
@@ -2029,7 +2053,9 @@ mod tests {
         let w = Reduction::new(256, 32, 5);
         let mut cfg = small_cfg(32);
         cfg.fault_model = FaultModelKind::Control;
-        let r = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r.tally.total(), 32);
         assert!(
             r.tally.hang + r.tally.due > 0,
@@ -2038,7 +2064,9 @@ mod tests {
         );
         // Determinism across job counts for the new model.
         cfg.threads = 1;
-        let r1 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r1 = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r.tally, r1.tally, "control model must stay deterministic");
     }
 
@@ -2048,9 +2076,13 @@ mod tests {
         let w = VectorAdd::new(256, 3);
         let mut cfg = small_cfg(16);
         cfg.fault_model = FaultModelKind::Stuck1;
-        let r2 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r2 = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         cfg.threads = 1;
-        let r1 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r1 = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r2.tally, r1.tally);
         assert_eq!(r2.tally.total(), 16);
     }
@@ -2063,10 +2095,14 @@ mod tests {
         let w = VectorAdd::new(256, 3);
         let mut cfg = small_cfg(8);
         cfg.watchdog_factor = u64::MAX;
-        let r = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(r.tally.total(), 8);
         cfg.watchdog_factor = 10;
-        let r2 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let r2 = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(
             r.tally, r2.tally,
             "a clamped budget must not reclassify non-hanging runs"
@@ -2081,9 +2117,13 @@ mod tests {
             let mut cfg = small_cfg(24);
             cfg.prune = prune;
             cfg.batch = true;
-            let batched = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+            let batched = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+                .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+                .unwrap();
             cfg.batch = false;
-            let scalar = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+            let scalar = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+                .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+                .unwrap();
             assert_eq!(
                 batched.tally, scalar.tally,
                 "batching must not change outcomes (prune = {prune})"
@@ -2134,7 +2174,9 @@ mod tests {
         )
         .unwrap();
         cfg.batch = false;
-        let scalar = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let scalar = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(batched.tally, scalar.tally);
         let snap = reg.snapshot();
         let counter = |name: &str| snap.counter(name).unwrap_or(0);

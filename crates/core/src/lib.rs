@@ -39,19 +39,18 @@
 //! ## Example: one campaign
 //!
 //! ```
-//! use grel_core::campaign::{run_campaign, CampaignConfig};
+//! use grel_core::campaign::{Campaign, CampaignConfig, Capture};
 //! use gpu_workloads::VectorAdd;
 //! use gpu_archs::geforce_gtx_480;
+//! use grel_telemetry::NoopHook;
 //! use simt_sim::Structure;
 //!
+//! let (arch, workload) = (geforce_gtx_480(), VectorAdd::new(512, 1));
 //! let mut cfg = CampaignConfig::quick(1);
 //! cfg.injections = 16; // doc-test sized
-//! let result = run_campaign(
-//!     &geforce_gtx_480(),
-//!     &VectorAdd::new(512, 1),
-//!     Structure::VectorRegisterFile,
-//!     cfg,
-//! )?;
+//! // One golden pass and one checkpoint ladder, then the campaign.
+//! let setup = Campaign::new(&arch, &workload, &cfg, Capture::campaign(&cfg), &NoopHook)?;
+//! let result = setup.run(Structure::VectorRegisterFile, cfg, &NoopHook)?;
 //! assert_eq!(result.tally.total(), 16);
 //! println!("AVF = {:.2}% ± {:.2}%", result.avf() * 100.0, result.margin_99 * 100.0);
 //! # Ok::<(), simt_sim::SimError>(())

@@ -935,6 +935,13 @@ mod tests {
     use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
     use gpu_workloads::VectorAdd;
 
+    /// The setup an adaptive transient campaign captures.
+    const ORACLE: Capture = Capture {
+        ace: None,
+        oracle: true,
+        writes: false,
+    };
+
     fn plan(target: f64) -> SamplingPlan {
         SamplingPlan {
             target_margin: target,
@@ -955,7 +962,10 @@ mod tests {
         let w = VectorAdd::new(256, 11);
         let mut cfg = CampaignConfig::quick(11);
         cfg.threads = 2;
-        let r = run_adaptive_campaign(&arch, &w, Structure::VectorRegisterFile, cfg, plan(0.05))
+        let r = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
+            .and_then(|setup| {
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+            })
             .unwrap();
         assert!(r.converged, "margin {} vs target 0.05", r.margin);
         assert!(r.margin <= 0.05);
@@ -978,7 +988,10 @@ mod tests {
         let arch = geforce_gtx_480();
         let w = VectorAdd::new(1024, 3);
         let cfg = CampaignConfig::quick(3);
-        let r = run_adaptive_campaign(&arch, &w, Structure::VectorRegisterFile, cfg, plan(0.05))
+        let r = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
+            .and_then(|setup| {
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+            })
             .unwrap();
         let total: u64 = r.strata.iter().map(|s| s.population).sum();
         assert_eq!(total, r.population, "strata must tile the population");
@@ -997,9 +1010,15 @@ mod tests {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 7);
         let cfg = CampaignConfig::quick(7);
-        let a = run_adaptive_campaign(&arch, &w, Structure::VectorRegisterFile, cfg, plan(0.05))
+        let a = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
+            .and_then(|setup| {
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+            })
             .unwrap();
-        let b = run_adaptive_campaign(&arch, &w, Structure::VectorRegisterFile, cfg, plan(0.05))
+        let b = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
+            .and_then(|setup| {
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+            })
             .unwrap();
         assert_eq!(a.rounds, b.rounds, "same seed must yield the same rounds");
         assert_eq!(a.tally, b.tally);
@@ -1017,7 +1036,9 @@ mod tests {
             pilot: 8,
             strata: StrataSpec::none(),
         };
-        let r = run_adaptive_campaign(&arch, &w, Structure::VectorRegisterFile, cfg, p).unwrap();
+        let r = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
+            .and_then(|setup| setup.run_adaptive(Structure::VectorRegisterFile, cfg, p, &NoopHook))
+            .unwrap();
         assert!(r.converged);
         assert_eq!(r.strata.len(), 1);
         assert_eq!(r.strata[0].label, "all");
@@ -1028,12 +1049,14 @@ mod tests {
     fn disabled_plan_rejected() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 1);
-        let _ = run_adaptive_campaign(
-            &arch,
-            &w,
-            Structure::VectorRegisterFile,
-            CampaignConfig::quick(1),
-            SamplingPlan::default(),
-        );
+        let cfg = CampaignConfig::quick(1);
+        let _ = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook).and_then(|setup| {
+            setup.run_adaptive(
+                Structure::VectorRegisterFile,
+                cfg,
+                SamplingPlan::default(),
+                &NoopHook,
+            )
+        });
     }
 }

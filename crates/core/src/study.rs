@@ -643,7 +643,7 @@ mod tests {
     fn evaluate_point_populates_everything() {
         let arch = quadro_fx_5600();
         let w = Transpose::new(32, 5);
-        let p = evaluate_point(&arch, &w, &tiny_cfg()).unwrap();
+        let p = evaluate_point_hooked(&arch, &w, &tiny_cfg(), &NoopHook).unwrap();
         assert_eq!(p.device, "Quadro FX 5600");
         assert_eq!(p.workload, "transpose");
         assert!(p.uses_local_memory);
@@ -660,7 +660,7 @@ mod tests {
     fn non_lds_workload_skips_lds_campaign() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 5);
-        let p = evaluate_point(&arch, &w, &tiny_cfg()).unwrap();
+        let p = evaluate_point_hooked(&arch, &w, &tiny_cfg(), &NoopHook).unwrap();
         assert_eq!(p.lds.tally.total(), 0);
         assert_eq!(p.lds.avf_fi, 0.0);
         assert_eq!(p.lds.occupancy, 0.0, "vectoradd allocates no LDS");
@@ -673,7 +673,8 @@ mod tests {
             Box::new(VectorAdd::new(256, 5)),
             Box::new(Transpose::new(32, 5)),
         ];
-        let study = run_study(&archs, &workloads, &tiny_cfg()).unwrap();
+        let study =
+            run_study_parallel_hooked(&archs, &workloads, &tiny_cfg(), 1, &NoopHook).unwrap();
         assert_eq!(study.points.len(), 4);
 
         let fig1 = study.fig1_rows();
@@ -702,9 +703,9 @@ mod tests {
             Box::new(Transpose::new(32, 5)),
         ];
         let cfg = tiny_cfg();
-        let seq = run_study(&archs, &workloads, &cfg).unwrap();
+        let seq = run_study_parallel_hooked(&archs, &workloads, &cfg, 1, &NoopHook).unwrap();
         for jobs in [1, 2, 8] {
-            let par = run_study_parallel(&archs, &workloads, &cfg, jobs).unwrap();
+            let par = run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &NoopHook).unwrap();
             assert_eq!(par.points.len(), seq.points.len());
             for (a, b) in seq.points.iter().zip(&par.points) {
                 assert_eq!(a.device, b.device, "jobs = {jobs}: point order");
@@ -744,9 +745,9 @@ mod tests {
         let workloads: Vec<Box<dyn gpu_workloads::Workload>> =
             vec![Box::new(Transpose::new(32, 5))];
         let cfg = tiny_cfg();
-        let seq = run_study(&archs, &workloads, &cfg).unwrap();
+        let seq = run_study_parallel_hooked(&archs, &workloads, &cfg, 1, &NoopHook).unwrap();
         for jobs in [2, 3, 8] {
-            let par = run_study_parallel(&archs, &workloads, &cfg, jobs).unwrap();
+            let par = run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &NoopHook).unwrap();
             assert_same_study(&seq, &par, &format!("jobs = {jobs}"));
         }
     }
@@ -762,9 +763,10 @@ mod tests {
             vec![quadro_fx_5600(), geforce_gtx_480()],
             vec![quadro_fx_5800()],
         ] {
-            let seq = run_study(&archs, &workloads, &cfg).unwrap();
+            let seq = run_study_parallel_hooked(&archs, &workloads, &cfg, 1, &NoopHook).unwrap();
             for jobs in [4, 5] {
-                let par = run_study_parallel(&archs, &workloads, &cfg, jobs).unwrap();
+                let par =
+                    run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &NoopHook).unwrap();
                 assert_same_study(
                     &seq,
                     &par,

@@ -10,8 +10,9 @@
 
 use gpu_reliability_repro::archs::all_devices;
 use gpu_reliability_repro::reliability::campaign::CampaignConfig;
-use gpu_reliability_repro::reliability::study::{evaluate_point, StudyConfig};
+use gpu_reliability_repro::reliability::study::{evaluate_point_hooked, StudyConfig};
 use gpu_reliability_repro::workloads::workload_by_name;
+use grel_telemetry::NoopHook;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "device", "cycles", "AVF-FI", "AVF-ACE", "occup", "AVF-FI", "AVF-ACE", "occup"
     );
     for arch in all_devices() {
-        let p = evaluate_point(&arch, workload.as_ref(), &cfg)?;
+        let p = evaluate_point_hooked(&arch, workload.as_ref(), &cfg, &NoopHook)?;
         println!(
             "{:<16} {:>8} | {:>6.1}% {:>7.1}% {:>6.1}% | {:>6.1}% {:>7.1}% {:>6.1}%",
             p.device,

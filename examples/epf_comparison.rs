@@ -11,8 +11,9 @@
 
 use gpu_reliability_repro::archs::all_devices;
 use gpu_reliability_repro::reliability::campaign::CampaignConfig;
-use gpu_reliability_repro::reliability::study::{evaluate_point, StudyConfig};
+use gpu_reliability_repro::reliability::study::{evaluate_point_hooked, StudyConfig};
 use gpu_reliability_repro::workloads::{MatrixMul, Reduction, Workload};
+use grel_telemetry::NoopHook;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let injections: u32 = std::env::args()
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let mut best: Option<(String, f64)> = None;
         for arch in all_devices() {
-            let p = evaluate_point(&arch, w.as_ref(), &cfg)?;
+            let p = evaluate_point_hooked(&arch, w.as_ref(), &cfg, &NoopHook)?;
             println!(
                 "{:<16} {:>8} {:>8.1}% {:>10.2} {:>10.2e} {:>10.2e}",
                 p.device,

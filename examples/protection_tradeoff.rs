@@ -14,8 +14,9 @@
 use gpu_reliability_repro::archs::quadro_fx_5800;
 use gpu_reliability_repro::reliability::campaign::CampaignConfig;
 use gpu_reliability_repro::reliability::protection::protection_sweep;
-use gpu_reliability_repro::reliability::study::{evaluate_point, StudyConfig};
+use gpu_reliability_repro::reliability::study::{evaluate_point_hooked, StudyConfig};
 use gpu_reliability_repro::workloads::MatrixMul;
+use grel_telemetry::NoopHook;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let injections: u32 = std::env::args()
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "measuring matrixMul on {} ({injections} injections/structure)...",
         arch.name
     );
-    let p = evaluate_point(&arch, &workload, &cfg)?;
+    let p = evaluate_point_hooked(&arch, &workload, &cfg, &NoopHook)?;
     println!(
         "baseline: RF AVF {:.1}% (SDC {:.1}% / DUE {:.1}%), FIT_GPU {:.1}, EPF {:.2e}\n",
         p.rf.avf_fi * 100.0,

@@ -6,10 +6,11 @@
 //! ```
 
 use gpu_reliability_repro::archs::geforce_gtx_480;
-use gpu_reliability_repro::reliability::campaign::{run_campaign, CampaignConfig};
+use gpu_reliability_repro::reliability::campaign::{Campaign, CampaignConfig, Capture};
 use gpu_reliability_repro::reliability::AceAnalyzer;
 use gpu_reliability_repro::sim::{Gpu, Structure};
 use gpu_reliability_repro::workloads::{VectorAdd, Workload};
+use grel_telemetry::NoopHook;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = geforce_gtx_480();
@@ -37,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Statistical fault injection: 200 single-bit flips, uniformly
     //    sampled over (SM, word, bit, cycle), each replayed and classified.
     let cfg = CampaignConfig::quick(42);
-    let fi = run_campaign(&arch, &workload, Structure::VectorRegisterFile, cfg)?;
+    let setup = Campaign::new(&arch, &workload, &cfg, Capture::campaign(&cfg), &NoopHook)?;
+    let fi = setup.run(Structure::VectorRegisterFile, cfg, &NoopHook)?;
     println!(
         "FI        : register file AVF = {:.1}% +/- {:.1}%  ({} masked / {} SDC / {} DUE)",
         fi.avf() * 100.0,

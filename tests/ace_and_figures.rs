@@ -4,9 +4,10 @@
 use gpu_reliability_repro::archs::{all_devices, quadro_fx_5600, quadro_fx_5800};
 use gpu_reliability_repro::reliability::ace::{AceAnalyzer, AceMode};
 use gpu_reliability_repro::reliability::campaign::CampaignConfig;
-use gpu_reliability_repro::reliability::study::{run_study, StudyConfig};
+use gpu_reliability_repro::reliability::study::{run_study_parallel_hooked, StudyConfig};
 use gpu_reliability_repro::sim::{Gpu, Structure};
 use gpu_reliability_repro::workloads::{MatrixMul, Transpose, VectorAdd, Workload};
+use grel_telemetry::NoopHook;
 
 fn smoke_cfg(injections: u32) -> StudyConfig {
     StudyConfig {
@@ -91,7 +92,8 @@ fn study_reproduces_figure_shapes_at_smoke_scale() {
         Box::new(Transpose::new(64, 2017)),
         Box::new(MatrixMul::new(32, 2017)),
     ];
-    let study = run_study(&archs, &workloads, &smoke_cfg(60)).unwrap();
+    let study =
+        run_study_parallel_hooked(&archs, &workloads, &smoke_cfg(60), 1, &NoopHook).unwrap();
     assert_eq!(study.points.len(), 6);
 
     // Fig. 1: per-device averages exist and AVFs are probabilities.

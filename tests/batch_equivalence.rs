@@ -7,8 +7,8 @@
 
 use gpu_archs::geforce_gtx_480;
 use gpu_workloads::{Histogram, Transpose, VectorAdd, Workload};
-use grel_core::campaign::{run_campaign_parallel, CampaignConfig, CampaignResult};
-use grel_telemetry::{MetricsRegistry, RegistryHook};
+use grel_core::campaign::{Campaign, CampaignConfig, CampaignResult, Capture};
+use grel_telemetry::{MetricsRegistry, NoopHook, RegistryHook};
 use simt_sim::Structure;
 
 /// Field-by-field equality, floats compared bit-for-bit.
@@ -36,23 +36,26 @@ fn cfg(injections: u32, prune: bool, batch: bool) -> CampaignConfig {
 /// scalar unbatched run.
 fn check_batch_equivalence(workload: &dyn Workload, structure: Structure, injections: u32) {
     let arch = geforce_gtx_480();
-    let scalar =
-        run_campaign_parallel(&arch, workload, structure, cfg(injections, false, false), 1)
-            .unwrap();
+    let c = CampaignConfig {
+        threads: 1,
+        ..cfg(injections, false, false)
+    };
+    let scalar = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(structure, c, &NoopHook))
+        .unwrap();
     for jobs in [1usize, 2, 8] {
         for (prune, batch, label) in [
             (false, true, "batched"),
             (true, false, "pruned scalar"),
             (true, true, "pruned + batched"),
         ] {
-            let run = run_campaign_parallel(
-                &arch,
-                workload,
-                structure,
-                cfg(injections, prune, batch),
-                jobs,
-            )
-            .unwrap();
+            let c = CampaignConfig {
+                threads: jobs,
+                ..cfg(injections, prune, batch)
+            };
+            let run = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
+                .and_then(|setup| setup.run(structure, c, &NoopHook))
+                .unwrap();
             assert_identical(
                 &scalar,
                 &run,
@@ -93,15 +96,13 @@ fn batching_fires_and_forks_on_a_real_workload() {
     let w = VectorAdd::new(1024, 9);
     let reg = MetricsRegistry::new();
     let hook = RegistryHook::new(&reg);
-    let r = grel_core::campaign::run_campaign_parallel_hooked(
-        &arch,
-        &w,
-        Structure::VectorRegisterFile,
-        cfg(32, false, true),
-        2,
-        &hook,
-    )
-    .unwrap();
+    let c = CampaignConfig {
+        threads: 2,
+        ..cfg(32, false, true)
+    };
+    let r = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &hook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &hook))
+        .unwrap();
     let snap = reg.snapshot();
     let batched = snap.counter("campaign_batched_total").unwrap_or(0);
     let batches = snap.counter("campaign_batches_total").unwrap_or(0);

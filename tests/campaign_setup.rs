@@ -7,13 +7,9 @@
 use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
 use gpu_workloads::{Transpose, Workload};
 use grel_core::ace::LifetimeOracle;
-use grel_core::campaign::{
-    golden_run, run_campaign_hooked, run_injections, sample_sites, Campaign, CampaignConfig,
-    Capture, CheckpointLadder,
-};
-use grel_core::provenance::{golden_write_log, run_campaign_with_provenance_hooked};
-use grel_core::sampling::{run_adaptive_campaign, SamplingPlan};
-use grel_core::study::{evaluate_point, evaluate_point_hooked, StudyConfig};
+use grel_core::campaign::{run_campaign_hooked, sample_sites, Campaign, CampaignConfig, Capture};
+use grel_core::sampling::SamplingPlan;
+use grel_core::study::{evaluate_point_hooked, StudyConfig};
 use grel_telemetry::{MemorySink, MetricsRegistry, NoopHook, RegistryHook};
 use simt_sim::{ArchConfig, Structure};
 
@@ -64,16 +60,16 @@ fn run_traced_matches_the_provenance_wrapper() {
             ..Capture::campaign(&c)
         };
         let setup = Campaign::new(&arch, &w, &c, capture, &NoopHook).unwrap();
-        let golden = golden_run(&arch, &w).unwrap();
-        let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
-        let writes = golden_write_log(&arch, &w).unwrap();
+        let writes_only = Capture {
+            writes: true,
+            ..Capture::default()
+        };
+        let parts = Campaign::new(&arch, &w, &c, writes_only, &NoopHook).unwrap();
+        let writes = parts.golden_writes().unwrap().to_vec();
         assert_eq!(setup.golden_writes(), Some(&writes[..]));
         for s in STRUCTURES {
             let (a, records_a, aggregate_a) = setup.run_traced(s, c, &NoopHook).unwrap();
-            let (b, records_b, aggregate_b) = run_campaign_with_provenance_hooked(
-                &arch, &w, s, c, &golden, &writes, &ladder, &NoopHook,
-            )
-            .unwrap();
+            let (b, records_b, aggregate_b) = parts.run_traced(s, c, &NoopHook).unwrap();
             assert_eq!(a.tally, b.tally, "{} {s}", arch.name);
             assert_eq!(a.margin_99.to_bits(), b.margin_99.to_bits());
             assert_eq!(records_a, records_b);
@@ -96,7 +92,9 @@ fn run_adaptive_matches_run_adaptive_campaign() {
         let setup = Campaign::new(&arch, &w, &c, capture, &NoopHook).unwrap();
         for s in STRUCTURES {
             let a = setup.run_adaptive(s, c, plan, &NoopHook).unwrap();
-            let b = run_adaptive_campaign(&arch, &w, s, c, plan).unwrap();
+            let b = Campaign::new(&arch, &w, &c, capture, &NoopHook)
+                .and_then(|fresh| fresh.run_adaptive(s, c, plan, &NoopHook))
+                .unwrap();
             assert!(a.sampled > 0);
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{} {s}", arch.name);
         }
@@ -108,10 +106,16 @@ fn replay_matches_run_injections() {
     let (w, c) = (workload(), cfg());
     for arch in devices() {
         let setup = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook).unwrap();
+        let from_zero_cfg = CampaignConfig {
+            checkpoint_budget_bytes: 1,
+            ..c
+        };
+        let from_zero =
+            Campaign::new(&arch, &w, &from_zero_cfg, Capture::default(), &NoopHook).unwrap();
         for s in STRUCTURES {
             let sites = sample_sites(&arch, s, setup.golden().cycles, 40, 5);
             let a = setup.replay(&sites, c, &NoopHook).unwrap();
-            let b = run_injections(&arch, &w, setup.golden(), &sites, c).unwrap();
+            let b = from_zero.replay(&sites, c, &NoopHook).unwrap();
             assert_eq!(a, b, "{} {s}", arch.name);
         }
     }
@@ -147,8 +151,8 @@ fn study_cfg(provenance: bool) -> StudyConfig {
 fn provenance_leaves_the_study_point_unchanged() {
     let w = workload();
     for arch in devices() {
-        let plain = evaluate_point(&arch, &w, &study_cfg(false)).unwrap();
-        let traced = evaluate_point(&arch, &w, &study_cfg(true)).unwrap();
+        let plain = evaluate_point_hooked(&arch, &w, &study_cfg(false), &NoopHook).unwrap();
+        let traced = evaluate_point_hooked(&arch, &w, &study_cfg(true), &NoopHook).unwrap();
         assert_eq!(plain.lds.tally.total(), 24, "the LDS campaign ran");
         assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "{}", arch.name);
     }

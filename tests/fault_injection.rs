@@ -3,10 +3,11 @@
 
 use gpu_reliability_repro::archs::{geforce_gtx_480, hd_radeon_7970, quadro_fx_5600};
 use gpu_reliability_repro::reliability::campaign::{
-    golden_run, run_campaign, run_injections, sample_sites, CampaignConfig, Outcome,
+    golden_run, sample_sites, Campaign, CampaignConfig, Capture, Outcome,
 };
 use gpu_reliability_repro::sim::{FaultSite, Gpu, NoopObserver, Structure};
 use gpu_reliability_repro::workloads::{Histogram, Kmeans, Transpose, VectorAdd, Workload};
+use grel_telemetry::NoopHook;
 
 fn cfg(n: u32, threads: usize) -> CampaignConfig {
     CampaignConfig {
@@ -20,19 +21,22 @@ fn cfg(n: u32, threads: usize) -> CampaignConfig {
 fn campaign_outcomes_are_seed_deterministic_and_thread_invariant() {
     let arch = quadro_fx_5600();
     let w = Transpose::new(32, 9);
-    let r1 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg(24, 1)).unwrap();
-    let r4 = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg(24, 4)).unwrap();
+    let c = cfg(24, 1);
+    let r1 = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+        .unwrap();
+    let c = cfg(24, 4);
+    let r4 = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+        .unwrap();
     assert_eq!(r1.tally, r4.tally);
-    let r_other_seed = run_campaign(
-        &arch,
-        &w,
-        Structure::VectorRegisterFile,
-        CampaignConfig {
-            seed: 43,
-            ..cfg(24, 4)
-        },
-    )
-    .unwrap();
+    let c = CampaignConfig {
+        seed: 43,
+        ..cfg(24, 4)
+    };
+    let r_other_seed = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+        .unwrap();
     // Same totals, potentially different split.
     assert_eq!(r_other_seed.tally.total(), 24);
 }
@@ -55,7 +59,13 @@ fn flip_in_never_allocated_space_is_always_masked() {
             )
         })
         .collect();
-    let outcomes = run_injections(&arch, &w, &golden, &sites, cfg(8, 2)).unwrap();
+    let c = CampaignConfig {
+        checkpoint_budget_bytes: 1,
+        ..cfg(8, 2)
+    };
+    let outcomes = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook)
+        .and_then(|setup| setup.replay(&sites, c, &NoopHook))
+        .unwrap();
     assert!(
         outcomes.iter().all(|o| *o == Outcome::Masked),
         "unallocated space must be invulnerable: {outcomes:?}"
@@ -74,7 +84,13 @@ fn flip_after_execution_finishes_is_masked() {
         0,
         golden.cycles.saturating_sub(1),
     );
-    let outcomes = run_injections(&arch, &w, &golden, &[site], cfg(1, 1)).unwrap();
+    let c = CampaignConfig {
+        checkpoint_budget_bytes: 1,
+        ..cfg(1, 1)
+    };
+    let outcomes = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook)
+        .and_then(|setup| setup.replay(&[site], c, &NoopHook))
+        .unwrap();
     // The very last cycles are drain; a flip in the RF there is almost
     // always dead. (Not a tautology: the site targets word 0, which IS
     // used early in the launch.)
@@ -88,7 +104,10 @@ fn histogram_index_corruption_can_raise_due() {
     // non-masked outcome with a decent sample.
     let arch = quadro_fx_5600();
     let w = Histogram::new(1024, 64, 5);
-    let r = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg(150, 8)).unwrap();
+    let c = cfg(150, 8);
+    let r = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+        .unwrap();
     assert!(
         r.tally.failures() > 0,
         "150 injections into a busy RF produced no failure at all: {:?}",
@@ -100,7 +119,10 @@ fn histogram_index_corruption_can_raise_due() {
 fn scalar_register_file_campaign_runs_on_si_only() {
     let si = hd_radeon_7970();
     let w = Kmeans::new(256, 4, 1, 5);
-    let r = run_campaign(&si, &w, Structure::ScalarRegisterFile, cfg(12, 2)).unwrap();
+    let c = cfg(12, 2);
+    let r = Campaign::new(&si, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::ScalarRegisterFile, c, &NoopHook))
+        .unwrap();
     assert_eq!(r.tally.total(), 12);
 }
 

@@ -6,8 +6,9 @@
 
 use gpu_archs::geforce_gtx_480;
 use gpu_workloads::{Reduction, Transpose, VectorAdd, Workload};
-use grel_core::breakdown::mbu_campaign;
-use grel_core::campaign::{CampaignConfig, Tally};
+use grel_core::breakdown::mbu_campaign_on;
+use grel_core::campaign::{Campaign, CampaignConfig, Capture, Tally};
+use grel_telemetry::NoopHook;
 use simt_sim::{ArchConfig, Structure};
 
 fn cfg(injections: u32, threads: usize) -> CampaignConfig {
@@ -19,7 +20,9 @@ fn cfg(injections: u32, threads: usize) -> CampaignConfig {
 }
 
 fn mbu(arch: &ArchConfig, w: &dyn Workload, width: u8, cfg: CampaignConfig) -> Tally {
-    mbu_campaign(arch, w, Structure::VectorRegisterFile, width, cfg).unwrap()
+    Campaign::new(arch, w, &cfg, Capture::campaign(&cfg), &NoopHook)
+        .and_then(|setup| mbu_campaign_on(&setup, Structure::VectorRegisterFile, width, cfg))
+        .unwrap()
 }
 
 #[test]

@@ -5,11 +5,8 @@
 
 use gpu_archs::{all_devices, geforce_gtx_480, quadro_fx_5600};
 use gpu_workloads::{Histogram, Reduction, VectorAdd, Workload};
-use grel_core::campaign::{
-    run_campaign, run_campaign_parallel, run_campaign_parallel_hooked, CampaignConfig,
-    CampaignResult,
-};
-use grel_core::study::{run_study, run_study_parallel, run_study_parallel_hooked, StudyConfig};
+use grel_core::campaign::{Campaign, CampaignConfig, CampaignResult, Capture};
+use grel_core::study::{run_study_parallel_hooked, StudyConfig};
 use grel_telemetry::{MetricsRegistry, MetricsSnapshot, NoopHook, RegistryHook};
 use simt_sim::{ArchConfig, FaultModelKind, Structure};
 
@@ -43,10 +40,17 @@ fn campaign_is_bit_identical_at_jobs_1_2_8() {
     let w = VectorAdd::new(1024, 11);
     let cfg = quick_cfg(24);
 
-    let sequential = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+    let sequential = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+        .unwrap();
     for jobs in [1usize, 2, 8] {
-        let parallel =
-            run_campaign_parallel(&arch, &w, Structure::VectorRegisterFile, cfg, jobs).unwrap();
+        let c = CampaignConfig {
+            threads: jobs,
+            ..cfg
+        };
+        let parallel = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+            .unwrap();
         assert_identical(&sequential, &parallel);
     }
 }
@@ -57,14 +61,20 @@ fn campaign_with_live_hooks_is_bit_identical_at_jobs_1_2_8() {
     let w = Histogram::new(1024, 64, 7);
     let cfg = quick_cfg(24);
 
-    let plain =
-        run_campaign_parallel_hooked(&arch, &w, Structure::LocalMemory, cfg, 1, &NoopHook).unwrap();
+    let c = CampaignConfig { threads: 1, ..cfg };
+    let plain = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::LocalMemory, c, &NoopHook))
+        .unwrap();
     for jobs in [1usize, 2, 8] {
         let registry = MetricsRegistry::new();
         let hook = RegistryHook::new(&registry);
-        let hooked =
-            run_campaign_parallel_hooked(&arch, &w, Structure::LocalMemory, cfg, jobs, &hook)
-                .unwrap();
+        let c = CampaignConfig {
+            threads: jobs,
+            ..cfg
+        };
+        let hooked = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &hook)
+            .and_then(|setup| setup.run(Structure::LocalMemory, c, &hook))
+            .unwrap();
         assert_identical(&plain, &hooked);
 
         // The live hooks shard per worker; the harvest still accounts
@@ -107,11 +117,18 @@ fn stuck_at_and_control_campaigns_are_bit_identical_at_jobs_1_2_8() {
     ] {
         let mut cfg = quick_cfg(24);
         cfg.fault_model = model;
-        let sequential = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+        let sequential = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+            .unwrap();
         assert_eq!(sequential.tally.total(), 24, "{model:?}");
         for jobs in [1usize, 2, 8] {
-            let parallel =
-                run_campaign_parallel(&arch, &w, Structure::VectorRegisterFile, cfg, jobs).unwrap();
+            let c = CampaignConfig {
+                threads: jobs,
+                ..cfg
+            };
+            let parallel = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+                .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+                .unwrap();
             assert_identical(&sequential, &parallel);
         }
     }
@@ -133,9 +150,10 @@ fn study_is_bit_identical_at_jobs_1_2_8() {
         sampling: Default::default(),
     };
 
-    let sequential = run_study(&archs, &workloads, &cfg).unwrap();
+    let sequential = run_study_parallel_hooked(&archs, &workloads, &cfg, 1, &NoopHook).unwrap();
     for jobs in [1usize, 2, 8] {
-        let parallel = run_study_parallel(&archs, &workloads, &cfg, jobs).unwrap();
+        let parallel =
+            run_study_parallel_hooked(&archs, &workloads, &cfg, jobs, &NoopHook).unwrap();
         assert_eq!(sequential.points.len(), parallel.points.len());
         for (a, b) in sequential.points.iter().zip(&parallel.points) {
             assert_eq!(a.workload, b.workload);
@@ -168,7 +186,7 @@ fn study_with_live_hooks_is_bit_identical() {
         sampling: Default::default(),
     };
 
-    let plain = run_study(&archs, &workloads, &cfg).unwrap();
+    let plain = run_study_parallel_hooked(&archs, &workloads, &cfg, 1, &NoopHook).unwrap();
     let registry = MetricsRegistry::new();
     let hook = RegistryHook::new(&registry);
     let hooked = run_study_parallel_hooked(&archs, &workloads, &cfg, 2, &hook).unwrap();
@@ -198,12 +216,17 @@ fn four_jobs_halve_the_2000_injection_wall_clock() {
     let cfg = quick_cfg(2000);
 
     let t1 = std::time::Instant::now();
-    let sequential =
-        run_campaign_parallel(&arch, &w, Structure::VectorRegisterFile, cfg, 1).unwrap();
+    let c = CampaignConfig { threads: 1, ..cfg };
+    let sequential = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+        .unwrap();
     let serial_secs = t1.elapsed().as_secs_f64();
 
     let t4 = std::time::Instant::now();
-    let parallel = run_campaign_parallel(&arch, &w, Structure::VectorRegisterFile, cfg, 4).unwrap();
+    let c = CampaignConfig { threads: 4, ..cfg };
+    let parallel = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
+        .unwrap();
     let parallel_secs = t4.elapsed().as_secs_f64();
 
     assert_identical(&sequential, &parallel);

@@ -3,11 +3,12 @@
 
 use gpu_reliability_repro::archs::{geforce_gtx_480, quadro_fx_5600};
 use gpu_reliability_repro::reliability::campaign::{
-    golden_run, run_injections, sample_sites, CampaignConfig, Outcome,
+    golden_run, sample_sites, Campaign, CampaignConfig, Capture, Outcome,
 };
 use gpu_reliability_repro::reliability::stats::{Proportion, Z_99};
 use gpu_reliability_repro::sim::{Gpu, NoopObserver, Structure};
 use gpu_reliability_repro::workloads::{VectorAdd, Workload};
+use grel_telemetry::NoopHook;
 use proptest::prelude::*;
 
 proptest! {
@@ -68,8 +69,9 @@ proptest! {
         let golden = golden_run(&arch, &w).unwrap();
         let sites = sample_sites(&arch, Structure::VectorRegisterFile, golden.cycles, 4, seed);
         let cfg = CampaignConfig { injections: 4, threads: 1, ..CampaignConfig::quick(seed) };
-        let o1 = run_injections(&arch, &w, &golden, &sites, cfg).unwrap();
-        let o2 = run_injections(&arch, &w, &golden, &sites, cfg).unwrap();
+        let c = CampaignConfig { checkpoint_budget_bytes: 1, ..cfg };
+        let o1 = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook).and_then(|setup| setup.replay(&sites, c, &NoopHook)).unwrap();
+        let o2 = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook).and_then(|setup| setup.replay(&sites, c, &NoopHook)).unwrap();
         prop_assert_eq!(o1, o2);
     }
 }

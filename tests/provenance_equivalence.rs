@@ -6,12 +6,8 @@
 
 use gpu_archs::geforce_gtx_480;
 use gpu_workloads::{Histogram, VectorAdd, Workload};
-use grel_core::campaign::{
-    golden_run, run_campaign_with_ladder_hooked, CampaignConfig, CampaignResult, CheckpointLadder,
-};
-use grel_core::provenance::{
-    golden_write_log, run_campaign_with_provenance_hooked, trace_one, MaskingReason,
-};
+use grel_core::campaign::{Campaign, CampaignConfig, CampaignResult, Capture};
+use grel_core::provenance::{trace_one, MaskingReason};
 use grel_telemetry::NoopHook;
 use simt_isa::{KernelBuilder, MemSpace};
 use simt_sim::{
@@ -33,24 +29,17 @@ fn check_equivalence(workload: &dyn Workload, structure: Structure, injections: 
     let mut cfg = CampaignConfig::quick(9);
     cfg.injections = injections;
     cfg.threads = 1;
-    let golden = golden_run(&arch, workload).unwrap();
-    let ladder = CheckpointLadder::build(&arch, workload, &golden, &cfg).unwrap();
-    let writes = golden_write_log(&arch, workload).unwrap();
+    let capture = Capture {
+        writes: true,
+        ..Capture::campaign(&cfg)
+    };
+    let setup = Campaign::new(&arch, workload, &cfg, capture, &NoopHook).unwrap();
 
-    let baseline = run_campaign_with_ladder_hooked(
-        &arch, workload, structure, cfg, &golden, &ladder, &NoopHook,
-    )
-    .unwrap();
-    let (traced1, recs1, agg1) = run_campaign_with_provenance_hooked(
-        &arch, workload, structure, cfg, &golden, &writes, &ladder, &NoopHook,
-    )
-    .unwrap();
+    let baseline = setup.run(structure, cfg, &NoopHook).unwrap();
+    let (traced1, recs1, agg1) = setup.run_traced(structure, cfg, &NoopHook).unwrap();
     let mut cfg8 = cfg;
     cfg8.threads = 8;
-    let (traced8, recs8, agg8) = run_campaign_with_provenance_hooked(
-        &arch, workload, structure, cfg8, &golden, &writes, &ladder, &NoopHook,
-    )
-    .unwrap();
+    let (traced8, recs8, agg8) = setup.run_traced(structure, cfg8, &NoopHook).unwrap();
 
     // Observing changes nothing: tallies, margins and cycle counts are
     // bit-identical to the NoopObserver path.

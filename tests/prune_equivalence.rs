@@ -8,9 +8,9 @@
 use gpu_archs::geforce_gtx_480;
 use gpu_workloads::{Histogram, Transpose, VectorAdd, Workload};
 use grel_core::ace::{AceAnalyzer, AceMode, LifetimeOracle};
-use grel_core::campaign::{run_campaign_parallel, CampaignConfig, CampaignResult};
-use grel_core::study::{run_study_parallel, StudyConfig};
-use grel_telemetry::{MetricsRegistry, RegistryHook};
+use grel_core::campaign::{Campaign, CampaignConfig, CampaignResult, Capture};
+use grel_core::study::{run_study_parallel_hooked, StudyConfig};
+use grel_telemetry::{MetricsRegistry, NoopHook, RegistryHook};
 use simt_isa::{KernelBuilder, MemSpace};
 use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError, Structure};
 
@@ -38,7 +38,12 @@ fn cfg(injections: u32, prune: bool, early_exit: bool) -> CampaignConfig {
 /// replay.
 fn check_campaign_equivalence(workload: &dyn Workload, structure: Structure, injections: u32) {
     let arch = geforce_gtx_480();
-    let full = run_campaign_parallel(&arch, workload, structure, cfg(injections, false, false), 1)
+    let c = CampaignConfig {
+        threads: 1,
+        ..cfg(injections, false, false)
+    };
+    let full = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
+        .and_then(|setup| setup.run(structure, c, &NoopHook))
         .unwrap();
     for jobs in [1usize, 2, 8] {
         for (prune, early_exit, label) in [
@@ -46,14 +51,13 @@ fn check_campaign_equivalence(workload: &dyn Workload, structure: Structure, inj
             (false, true, "early-exit only"),
             (true, true, "pruned"),
         ] {
-            let run = run_campaign_parallel(
-                &arch,
-                workload,
-                structure,
-                cfg(injections, prune, early_exit),
-                jobs,
-            )
-            .unwrap();
+            let c = CampaignConfig {
+                threads: jobs,
+                ..cfg(injections, prune, early_exit)
+            };
+            let run = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
+                .and_then(|setup| setup.run(structure, c, &NoopHook))
+                .unwrap();
             assert_identical(
                 &full,
                 &run,
@@ -97,9 +101,12 @@ fn study_tallies_are_prune_invariant_at_jobs_1_2_8() {
         ace_mode: Default::default(),
         sampling: Default::default(),
     };
-    let full = run_study_parallel(&archs, &workloads, &study_cfg(false), 1).unwrap();
+    let full =
+        run_study_parallel_hooked(&archs, &workloads, &study_cfg(false), 1, &NoopHook).unwrap();
     for jobs in [1usize, 2, 8] {
-        let pruned = run_study_parallel(&archs, &workloads, &study_cfg(true), jobs).unwrap();
+        let pruned =
+            run_study_parallel_hooked(&archs, &workloads, &study_cfg(true), jobs, &NoopHook)
+                .unwrap();
         assert_eq!(full.points.len(), pruned.points.len());
         for (a, b) in full.points.iter().zip(&pruned.points) {
             assert_eq!(a.workload, b.workload, "jobs = {jobs}");
@@ -124,15 +131,13 @@ fn pruning_fires_on_a_low_avf_workload() {
     let w = VectorAdd::new(1024, 9);
     let reg = MetricsRegistry::new();
     let hook = RegistryHook::new(&reg);
-    let pruned = grel_core::campaign::run_campaign_parallel_hooked(
-        &arch,
-        &w,
-        Structure::VectorRegisterFile,
-        cfg(32, true, true),
-        2,
-        &hook,
-    )
-    .unwrap();
+    let c = CampaignConfig {
+        threads: 2,
+        ..cfg(32, true, true)
+    };
+    let pruned = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &hook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &hook))
+        .unwrap();
     let snap = reg.snapshot();
     let pruned_count = snap.counter("campaign_pruned_total").unwrap_or(0);
     assert!(pruned_count > 0, "oracle pruned nothing on vectoradd RF");
@@ -317,7 +322,7 @@ fn refined_ace_equals_oracle_live_fraction_on_the_probe_kernel() {
 /// not defensive.
 #[test]
 fn oracle_pruning_would_be_unsound_for_stuck_at_faults() {
-    use grel_core::campaign::{golden_run, run_injections, Outcome};
+    use grel_core::campaign::Outcome;
     use simt_sim::{FaultKind, FaultSite};
 
     let arch = geforce_gtx_480();
@@ -373,15 +378,13 @@ fn oracle_pruning_would_be_unsound_for_stuck_at_faults() {
         .iter()
         .map(|s| s.with_kind(FaultKind::StuckAt1))
         .collect();
-    let golden = golden_run(&arch, &probe).unwrap();
-    let outcomes = run_injections(
-        &arch,
-        &probe,
-        &golden,
-        &stuck_twins,
-        cfg(stuck_twins.len() as u32, false, false),
-    )
-    .unwrap();
+    let c = CampaignConfig {
+        checkpoint_budget_bytes: 1,
+        ..cfg(stuck_twins.len() as u32, false, false)
+    };
+    let outcomes = Campaign::new(&arch, &probe, &c, Capture::default(), &NoopHook)
+        .and_then(|setup| setup.replay(&stuck_twins, c, &NoopHook))
+        .unwrap();
     assert!(
         outcomes.iter().any(|o| *o != Outcome::Masked),
         "every stuck-at twin of an oracle-dead site replayed masked — \

@@ -7,8 +7,9 @@
 
 use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
 use gpu_workloads::{Reduction, VectorAdd, Workload};
-use grel_core::campaign::CampaignConfig;
-use grel_core::sampling::{run_adaptive_campaign, AdaptiveCampaign, SamplingPlan};
+use grel_core::campaign::{Campaign, CampaignConfig, Capture};
+use grel_core::sampling::{AdaptiveCampaign, SamplingPlan};
+use grel_telemetry::NoopHook;
 use simt_sim::Structure;
 
 /// Field-by-field equality, floats compared bit-for-bit, rounds
@@ -57,8 +58,14 @@ fn cfg(threads: usize, prune: bool, batch: bool) -> CampaignConfig {
 fn check_adaptive_equivalence(workload: &dyn Workload, structure: Structure) {
     let arch = quadro_fx_5600();
     let plan = SamplingPlan::with_target(0.05);
-    let full =
-        run_adaptive_campaign(&arch, workload, structure, cfg(1, false, false), plan).unwrap();
+    let capture = Capture {
+        oracle: true,
+        ..Capture::default()
+    };
+    let c = cfg(1, false, false);
+    let full = Campaign::new(&arch, workload, &c, capture, &NoopHook)
+        .and_then(|setup| setup.run_adaptive(structure, c, plan, &NoopHook))
+        .unwrap();
     assert!(full.converged, "loose target must be reachable");
     assert!(!full.rounds.is_empty(), "the pilot always runs");
     for jobs in [1usize, 2, 8] {
@@ -68,9 +75,10 @@ fn check_adaptive_equivalence(workload: &dyn Workload, structure: Structure) {
             (true, false, "pruned"),
             (true, true, "pruned+batched"),
         ] {
-            let run =
-                run_adaptive_campaign(&arch, workload, structure, cfg(jobs, prune, batch), plan)
-                    .unwrap();
+            let c = cfg(jobs, prune, batch);
+            let run = Campaign::new(&arch, workload, &c, capture, &NoopHook)
+                .and_then(|setup| setup.run_adaptive(structure, c, plan, &NoopHook))
+                .unwrap();
             assert_identical(
                 &full,
                 &run,
@@ -108,10 +116,16 @@ fn same_seed_reproduces_the_same_rounds() {
     let plan = SamplingPlan::with_target(0.05);
     let mut c = CampaignConfig::quick(23);
     c.threads = 2;
-    let a =
-        run_adaptive_campaign(&arch, &workload, Structure::VectorRegisterFile, c, plan).unwrap();
-    let b =
-        run_adaptive_campaign(&arch, &workload, Structure::VectorRegisterFile, c, plan).unwrap();
+    let capture = Capture {
+        oracle: true,
+        ..Capture::default()
+    };
+    let a = Campaign::new(&arch, &workload, &c, capture, &NoopHook)
+        .and_then(|setup| setup.run_adaptive(Structure::VectorRegisterFile, c, plan, &NoopHook))
+        .unwrap();
+    let b = Campaign::new(&arch, &workload, &c, capture, &NoopHook)
+        .and_then(|setup| setup.run_adaptive(Structure::VectorRegisterFile, c, plan, &NoopHook))
+        .unwrap();
     assert_identical(&a, &b, "same seed, same campaign");
     assert_eq!(a.replayed, b.replayed, "same seed, same replays");
     assert_eq!(a.rounds, b.rounds, "same seed, same rounds verbatim");

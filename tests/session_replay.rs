@@ -5,7 +5,7 @@
 
 use gpu_reliability_repro::archs::{all_devices, geforce_gtx_480, hd_radeon_7970, quadro_fx_5600};
 use gpu_reliability_repro::reliability::campaign::{
-    golden_run, run_injections, run_injections_checkpointed, sample_sites, CampaignConfig,
+    golden_run, run_injections_checkpointed, sample_sites, Campaign, CampaignConfig, Capture,
     CheckpointLadder,
 };
 use gpu_reliability_repro::sim::{ArchConfig, Gpu, NoopObserver, Session, Structure};
@@ -13,6 +13,7 @@ use gpu_reliability_repro::workloads::{
     Backprop, DwtHaar1D, Gaussian, Histogram, Kmeans, MatrixMul, Reduction, Scan, Transpose,
     VectorAdd, Workload,
 };
+use grel_telemetry::NoopHook;
 use proptest::prelude::*;
 
 /// Every benchmark at an integration-test-friendly size.
@@ -100,7 +101,13 @@ fn assert_replay_equivalence(arch: &ArchConfig, w: &dyn Workload, structure: Str
         "auto ladder must have rungs for {}",
         w.name()
     );
-    let from_zero = run_injections(arch, w, &golden, &sites, c).unwrap();
+    let from_zero_cfg = CampaignConfig {
+        checkpoint_budget_bytes: 1,
+        ..c
+    };
+    let from_zero = Campaign::new(arch, w, &from_zero_cfg, Capture::default(), &NoopHook)
+        .and_then(|setup| setup.replay(&sites, c, &NoopHook))
+        .unwrap();
     let from_ckpt = run_injections_checkpointed(arch, w, &golden, &ladder, &sites, c).unwrap();
     assert_eq!(
         from_zero,

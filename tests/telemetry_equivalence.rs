@@ -4,8 +4,8 @@
 
 use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
 use gpu_workloads::{Histogram, VectorAdd};
-use grel_core::campaign::{run_campaign, run_campaign_hooked, CampaignConfig, CampaignResult};
-use grel_core::study::{evaluate_point, evaluate_point_hooked, StudyConfig};
+use grel_core::campaign::{run_campaign_hooked, Campaign, CampaignConfig, CampaignResult, Capture};
+use grel_core::study::{evaluate_point_hooked, StudyConfig};
 use grel_telemetry::{MemorySink, MetricsRegistry, MetricsSnapshot, NoopHook, RegistryHook};
 use simt_sim::Structure;
 
@@ -37,7 +37,9 @@ fn hooked_campaign_result_is_byte_identical_to_noop() {
     let w = VectorAdd::new(1024, 9);
     let cfg = quick_cfg(20);
 
-    let plain = run_campaign(&arch, &w, Structure::VectorRegisterFile, cfg).unwrap();
+    let plain = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
+        .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
+        .unwrap();
     let explicit_noop =
         run_campaign_hooked(&arch, &w, Structure::VectorRegisterFile, cfg, &NoopHook).unwrap();
     assert_identical(&plain, &explicit_noop);
@@ -120,7 +122,7 @@ fn hooked_study_point_matches_noop_point() {
         sampling: Default::default(),
     };
 
-    let plain = evaluate_point(&arch, &w, &cfg).unwrap();
+    let plain = evaluate_point_hooked(&arch, &w, &cfg, &NoopHook).unwrap();
     let registry = MetricsRegistry::new();
     let sink = MemorySink::new();
     let hook = RegistryHook::with_sink(&registry, &sink);
