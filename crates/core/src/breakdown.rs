@@ -3,13 +3,12 @@
 //! deeper cuts the paper's "full scale of the study" paragraph promises
 //! for follow-up work.
 
-use crate::campaign::{Campaign, CampaignConfig, Capture, Outcome, Tally};
+use crate::campaign::{Campaign, CampaignConfig, Outcome, Tally};
 use crate::runner::Arming;
-use gpu_workloads::Workload;
 use grel_telemetry::NoopHook;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simt_sim::{ArchConfig, FaultModelKind, FaultSite, SimError, Structure};
+use simt_sim::{FaultModelKind, FaultSite, SimError, Structure};
 
 /// One injection with its classified outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,45 +19,31 @@ pub struct SiteOutcome {
     pub outcome: Outcome,
 }
 
-/// A campaign that keeps every `(site, outcome)` pair for post-analysis.
-///
-/// # Errors
-///
-/// Fails only if the fault-free golden run fails.
-///
-/// # Example
-/// ```
-/// use grel_core::breakdown::detailed_campaign;
-/// use grel_core::campaign::CampaignConfig;
-/// use gpu_workloads::VectorAdd;
-/// use gpu_archs::quadro_fx_5600;
-/// use simt_sim::Structure;
-///
-/// let mut cfg = CampaignConfig::quick(1);
-/// cfg.injections = 12;
-/// let detail = detailed_campaign(
-///     &quadro_fx_5600(), &VectorAdd::new(256, 1),
-///     Structure::VectorRegisterFile, cfg)?;
-/// assert_eq!(detail.len(), 12);
-/// # Ok::<(), simt_sim::SimError>(())
-/// ```
-pub fn detailed_campaign(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-) -> Result<Vec<SiteOutcome>, SimError> {
-    let campaign = Campaign::new(arch, workload, &cfg, Capture::campaign(&cfg), &NoopHook)?;
-    detailed_campaign_on(&campaign, structure, cfg)
-}
-
-/// [`detailed_campaign`] against an existing setup: the same uniform
-/// sites a [`Campaign::run`] on `structure` draws, each paired with its
-/// outcome.
+/// A campaign that keeps every `(site, outcome)` pair for post-analysis:
+/// the same uniform sites a [`Campaign::run`] on `structure` draws, each
+/// paired with its outcome.
 ///
 /// # Errors
 ///
 /// Propagates replay failures that are not fault classifications.
+///
+/// # Example
+/// ```
+/// use grel_core::breakdown::detailed_campaign_on;
+/// use grel_core::campaign::{Campaign, CampaignConfig, Capture};
+/// use gpu_workloads::VectorAdd;
+/// use gpu_archs::quadro_fx_5600;
+/// use grel_telemetry::NoopHook;
+/// use simt_sim::Structure;
+///
+/// let (arch, w) = (quadro_fx_5600(), VectorAdd::new(256, 1));
+/// let mut cfg = CampaignConfig::quick(1);
+/// cfg.injections = 12;
+/// let setup = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)?;
+/// let detail = detailed_campaign_on(&setup, Structure::VectorRegisterFile, cfg)?;
+/// assert_eq!(detail.len(), 12);
+/// # Ok::<(), simt_sim::SimError>(())
+/// ```
 pub fn detailed_campaign_on(
     campaign: &Campaign<'_>,
     structure: Structure,
@@ -141,57 +126,48 @@ pub fn due_fraction(detail: &[SiteOutcome]) -> f64 {
 /// injection of the shared runner, so it resumes from the checkpoint
 /// ladder, fans out over `cfg.threads` workers and classifies exactly
 /// like the single-bit campaign; the tally is identical at any job
-/// count.
+/// count. Several widths can share one setup, so one golden run and one
+/// ladder serve them all.
 ///
 /// # Errors
 ///
-/// Fails only if the golden run fails.
-///
-/// # Example
-/// ```
-/// use grel_core::breakdown::mbu_campaign;
-/// use grel_core::campaign::CampaignConfig;
-/// use gpu_workloads::VectorAdd;
-/// use gpu_archs::quadro_fx_5600;
-/// use simt_sim::Structure;
-///
-/// let mut cfg = CampaignConfig::quick(1);
-/// cfg.injections = 8;
-/// let tally = mbu_campaign(
-///     &quadro_fx_5600(), &VectorAdd::new(256, 1),
-///     Structure::VectorRegisterFile, 2, cfg)?;
-/// assert_eq!(tally.total(), 8);
-/// # Ok::<(), simt_sim::SimError>(())
-/// ```
-pub fn mbu_campaign(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    width: u8,
-    cfg: CampaignConfig,
-) -> Result<Tally, SimError> {
-    let campaign = Campaign::new(arch, workload, &cfg, Capture::campaign(&cfg), &NoopHook)?;
-    mbu_campaign_on(&campaign, structure, width, cfg)
-}
-
-/// [`mbu_campaign`] against an existing setup, so several widths share
-/// one golden run and one ladder.
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications.
+/// [`SimError::LaunchConfig`] naming the MBU width when `width` is
+/// outside `1..=32`; otherwise propagates replay failures that are not
+/// fault classifications.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= width <= 32`, or if the device lacks the
-/// structure.
+/// Panics if the device lacks the structure.
+///
+/// # Example
+/// ```
+/// use grel_core::breakdown::mbu_campaign_on;
+/// use grel_core::campaign::{Campaign, CampaignConfig, Capture};
+/// use gpu_workloads::VectorAdd;
+/// use gpu_archs::quadro_fx_5600;
+/// use grel_telemetry::NoopHook;
+/// use simt_sim::Structure;
+///
+/// let (arch, w) = (quadro_fx_5600(), VectorAdd::new(256, 1));
+/// let mut cfg = CampaignConfig::quick(1);
+/// cfg.injections = 8;
+/// let setup = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)?;
+/// let tally = mbu_campaign_on(&setup, Structure::VectorRegisterFile, 2, cfg)?;
+/// assert_eq!(tally.total(), 8);
+/// assert!(mbu_campaign_on(&setup, Structure::VectorRegisterFile, 33, cfg).is_err());
+/// # Ok::<(), simt_sim::SimError>(())
+/// ```
 pub fn mbu_campaign_on(
     campaign: &Campaign<'_>,
     structure: Structure,
     width: u8,
     cfg: CampaignConfig,
 ) -> Result<Tally, SimError> {
-    assert!((1..=32).contains(&width), "MBU width must be 1..=32");
+    if !(1..=32).contains(&width) {
+        return Err(SimError::LaunchConfig {
+            reason: format!("MBU width must be 1..=32, got {width}"),
+        });
+    }
     let space = campaign.space(structure, FaultModelKind::Transient);
     // One flat list, `width` adjacent-bit sites per injection.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6b75);
@@ -210,6 +186,7 @@ pub fn mbu_campaign_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Capture;
     use gpu_archs::quadro_fx_5600;
     use gpu_workloads::VectorAdd;
     use simt_sim::Structure;
@@ -303,12 +280,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MBU width")]
     fn mbu_width_bounds() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(64, 1);
         let c = cfg(1);
-        let _ = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
-            .and_then(|setup| mbu_campaign_on(&setup, Structure::VectorRegisterFile, 0, c));
+        let setup = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook).unwrap();
+        for width in [0, 33] {
+            let err = mbu_campaign_on(&setup, Structure::VectorRegisterFile, width, c).unwrap_err();
+            assert!(matches!(err, SimError::LaunchConfig { .. }), "{err:?}");
+            assert!(err.to_string().contains("MBU width"), "{err}");
+        }
+        // The bounds themselves are valid widths.
+        for width in [1, 32] {
+            let t = mbu_campaign_on(&setup, Structure::VectorRegisterFile, width, c).unwrap();
+            assert_eq!(t.total(), 1);
+        }
     }
 }

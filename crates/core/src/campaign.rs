@@ -13,9 +13,8 @@
 //!    error: bad access, divergent barrier or watchdog timeout);
 //! 5. report `AVF = (SDC + DUE) / n` with its statistical margin.
 //!
-//! Replays are embarrassingly parallel; [`run_campaign`] fans them out
-//! over a scoped worker pool (`cfg.threads` wide, or
-//! [`run_campaign_parallel`] for an explicit `--jobs` count) with fully
+//! Replays are embarrassingly parallel; [`Campaign::run`] fans them out
+//! over a scoped worker pool (`cfg.threads` wide) with fully
 //! deterministic results: outcomes are merged back in site order, so the
 //! campaign is bit-identical to a sequential run at any job count. The
 //! pool lives in [`crate::runner`], which documents the contract.
@@ -1172,9 +1171,11 @@ impl<T: ?Sized> std::ops::Deref for Part<'_, T> {
 ///
 /// [`Campaign::new`] builds it from two fault-free passes — one golden
 /// pass carrying every requested analysis, then the ladder pass —
-/// however many campaigns then run against it. The crate's free
-/// campaign functions ([`run_campaign`] and the rest) are thin wrappers
-/// over it.
+/// however many campaigns then run against it. It is the crate's one
+/// campaign entry point: [`Campaign::run`], [`Campaign::run_adaptive`],
+/// [`Campaign::run_traced`] and [`Campaign::replay`] all replay against
+/// it, and so do [`crate::breakdown`]'s per-site and multi-bit-upset
+/// campaigns.
 ///
 /// # Example
 /// ```
@@ -1439,51 +1440,15 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// Runs a full statistical fault-injection campaign.
-///
-/// Deterministic for a given `(arch, workload, structure, cfg)` ensemble
-/// regardless of `cfg.threads` and of the checkpoint tuning.
+/// One uniform campaign: a [`Campaign`] built for `cfg` and one
+/// [`Campaign::run`] on it. Kept for the `perfbench/layers` harness,
+/// which calls it; other code builds the [`Campaign`] itself.
 ///
 /// # Errors
 ///
 /// Fails if the fault-free golden run fails, or if a replay fails with a
 /// non-DUE simulator error (which indicates a harness bug, not a fault
 /// effect).
-///
-/// # Example
-/// ```
-/// use grel_core::campaign::{run_campaign, CampaignConfig};
-/// use gpu_workloads::VectorAdd;
-/// use gpu_archs::quadro_fx_5600;
-/// use simt_sim::Structure;
-///
-/// let mut cfg = CampaignConfig::quick(7);
-/// cfg.injections = 24;
-/// let r = run_campaign(
-///     &quadro_fx_5600(),
-///     &VectorAdd::new(256, 7),
-///     Structure::VectorRegisterFile,
-///     cfg,
-/// )?;
-/// assert_eq!(r.tally.total(), 24);
-/// # Ok::<(), simt_sim::SimError>(())
-/// ```
-pub fn run_campaign(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-) -> Result<CampaignResult, SimError> {
-    run_campaign_hooked(arch, workload, structure, cfg, &NoopHook)
-}
-
-/// [`run_campaign`] with full telemetry through `hook`: a [`Campaign`]
-/// built for `cfg` and one [`Campaign::run`] on it. Outcomes are
-/// identical to the unhooked call — the hook only observes.
-///
-/// # Errors
-///
-/// Same as [`run_campaign`].
 pub fn run_campaign_hooked<H: TelemetryHook>(
     arch: &ArchConfig,
     workload: &dyn Workload,
@@ -1494,53 +1459,17 @@ pub fn run_campaign_hooked<H: TelemetryHook>(
     Campaign::new(arch, workload, &cfg, Capture::campaign(&cfg), hook)?.run(structure, cfg, hook)
 }
 
-/// [`run_campaign`] against a shared golden run and checkpoint ladder.
-/// When `cfg` prunes transient flips this captures a [`LifetimeOracle`]
-/// from one extra fault-free pass; callers running several campaigns
-/// over one golden run should build a [`Campaign`] instead, which
-/// captures the oracle on the golden pass itself.
+/// [`Campaign::run`] against a golden run, checkpoint ladder and
+/// [`LifetimeOracle`] the caller built: sampled sites falling outside
+/// every live interval of their word are pre-classified as `Masked`
+/// without a replay (rung label `pruned`), and only the live remainder
+/// fans out to the worker pool. Passing `None` disables pruning
+/// regardless of `cfg.prune`. Kept for the `perfbench/layers` harness
+/// and `repro bench-campaign`, which time the setup passes one by one.
 ///
 /// # Errors
 ///
-/// Same as [`run_campaign`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_with_ladder_hooked<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-    ladder: &CheckpointLadder,
-    hook: &H,
-) -> Result<CampaignResult, SimError> {
-    let oracle = Capture::campaign(&cfg)
-        .oracle
-        .then(|| LifetimeOracle::capture(arch, workload))
-        .transpose()?;
-    run_campaign_with_oracle_hooked(
-        arch,
-        workload,
-        structure,
-        cfg,
-        golden,
-        ladder,
-        oracle.as_ref(),
-        hook,
-    )
-}
-
-/// [`run_campaign_with_ladder_hooked`] against a shared
-/// [`LifetimeOracle`]: sampled sites falling outside every live interval
-/// of their word are pre-classified as `Masked` without a replay (rung
-/// label `pruned`), and only the live remainder fans out to the worker
-/// pool. Pruning is exact — tallies are bit-identical to an unpruned run
-/// at any job count — because a pruned flip is erased before any read
-/// could propagate it. Passing `None` disables pruning regardless of
-/// `cfg.prune`.
-///
-/// # Errors
-///
-/// Same as [`run_campaign`].
+/// Propagates replay failures that are not fault classifications.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
     arch: &ArchConfig,
@@ -1559,32 +1488,11 @@ pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
     Campaign::lent(arch, workload, golden, ladder, oracle, None).run(structure, cfg, hook)
 }
 
-/// Replays every site from cycle zero, fanning out across threads;
-/// outcome order matches the site order.
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications.
-pub fn run_injections(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    golden: &GoldenRun,
-    sites: &[FaultSite],
-    cfg: CampaignConfig,
-) -> Result<Vec<Outcome>, SimError> {
-    run_injections_checkpointed(
-        arch,
-        workload,
-        golden,
-        &CheckpointLadder::empty(),
-        sites,
-        cfg,
-    )
-}
-
-/// [`run_injections`] resuming each replay from the nearest ladder rung
-/// at or before its fault cycle. Outcomes are byte-identical to from-zero
-/// replay; only wall-clock time changes.
+/// [`Campaign::replay`] against a golden run and checkpoint ladder the
+/// caller built; an empty ladder replays every site from cycle zero.
+/// Outcomes are byte-identical to from-zero replay; only wall-clock time
+/// changes. Kept for the `perfbench/layers` harness and `repro
+/// bench-campaign`, which time the ladder on its own.
 ///
 /// # Errors
 ///
@@ -1598,44 +1506,6 @@ pub fn run_injections_checkpointed(
     cfg: CampaignConfig,
 ) -> Result<Vec<Outcome>, SimError> {
     Campaign::lent(arch, workload, golden, ladder, None, None).replay(sites, cfg, &NoopHook)
-}
-
-/// [`run_campaign`] with an explicit worker count, overriding
-/// `cfg.threads`: the injection replays fan out over a scoped pool of
-/// `jobs` workers (see [`crate::runner`] for the determinism contract).
-/// Results are bit-identical at any job count.
-///
-/// # Errors
-///
-/// Same as [`run_campaign`].
-pub fn run_campaign_parallel(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    mut cfg: CampaignConfig,
-    jobs: usize,
-) -> Result<CampaignResult, SimError> {
-    cfg.threads = jobs.max(1);
-    run_campaign(arch, workload, structure, cfg)
-}
-
-/// [`run_campaign_parallel`] with full telemetry through `hook`,
-/// including the `campaign_workers` gauge and per-worker throughput
-/// series.
-///
-/// # Errors
-///
-/// Same as [`run_campaign`].
-pub fn run_campaign_parallel_hooked<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    mut cfg: CampaignConfig,
-    jobs: usize,
-    hook: &H,
-) -> Result<CampaignResult, SimError> {
-    cfg.threads = jobs.max(1);
-    run_campaign_hooked(arch, workload, structure, cfg, hook)
 }
 
 #[cfg(test)]

@@ -10,8 +10,15 @@
 //!   from a checkpoint ladder, and masked/SDC/DUE classification. Its
 //!   [`Campaign`] is the one per-point setup — one golden pass carrying
 //!   the analyses a [`Capture`] asks for, then the ladder — that every
-//!   campaign, adaptive, traced and multi-bit-upset run replays against;
-//!   the free `run_*` functions are thin wrappers over it;
+//!   campaign, adaptive, traced and multi-bit-upset run replays against.
+//!   The public campaign API is [`Campaign`] (`new`, `run`,
+//!   `run_traced`, `run_adaptive`, `replay`), [`golden_run`],
+//!   [`evaluate_point_hooked`], [`run_study_parallel_hooked`],
+//!   [`detailed_campaign_on`], [`mbu_campaign_on`] and [`trace_one`].
+//!   [`golden_run_hooked`], [`golden_run_with_ace`],
+//!   [`run_campaign_hooked`], [`run_campaign_with_oracle_hooked`] and
+//!   [`run_injections_checkpointed`] remain only because the
+//!   `perfbench/layers` harness calls them;
 //! * [`ace`] — **ACE analysis**: single-pass write→last-read lifetime
 //!   tracking over the physical register files and local memory, plus
 //!   time-weighted occupancy (the red line of Fig. 1/2);
@@ -75,14 +82,12 @@ pub mod study;
 
 pub use ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
 pub use breakdown::{
-    avf_by_bit, avf_by_phase, detailed_campaign, detailed_campaign_on, due_fraction, mbu_campaign,
-    mbu_campaign_on, SiteOutcome,
+    avf_by_bit, avf_by_phase, detailed_campaign_on, due_fraction, mbu_campaign_on, SiteOutcome,
 };
 pub use campaign::{
-    golden_run, golden_run_hooked, golden_run_with_ace, run_campaign, run_campaign_hooked,
-    run_campaign_parallel, run_campaign_parallel_hooked, run_campaign_with_ladder_hooked,
-    run_campaign_with_oracle_hooked, run_injections, run_injections_checkpointed, Campaign,
-    CampaignConfig, CampaignResult, Capture, CheckpointLadder, GoldenRun, Outcome, Tally,
+    golden_run, golden_run_hooked, golden_run_with_ace, run_campaign_hooked,
+    run_campaign_with_oracle_hooked, run_injections_checkpointed, Campaign, CampaignConfig,
+    CampaignResult, Capture, CheckpointLadder, GoldenRun, Outcome, Tally,
 };
 pub use convergence::{
     ConvergenceMonitor, ConvergenceSnapshot, StratumProgress, DEFAULT_TARGET_MARGIN,
@@ -91,14 +96,11 @@ pub use epf::{eit, epf, structure_bits, structure_fit, FitBreakdown};
 pub use perf::{profile, PerfProfile};
 pub use protection::{project, protection_sweep, ProtectedPoint, Protection};
 pub use provenance::{
-    golden_write_log, parse_site, run_campaign_with_provenance_hooked, trace_one, CellStat,
-    MaskingReason, Provenance, ProvenanceAggregate, SingleTrace, RF_REGIONS,
+    parse_site, trace_one, CellStat, MaskingReason, Provenance, ProvenanceAggregate, SingleTrace,
+    RF_REGIONS,
 };
-pub use sampling::{
-    run_adaptive_campaign, AdaptiveCampaign, RoundPlan, SamplingPlan, StrataSpec, StratumSnapshot,
-};
+pub use sampling::{AdaptiveCampaign, RoundPlan, SamplingPlan, StrataSpec, StratumSnapshot};
 pub use study::{
-    evaluate_point, evaluate_point_hooked, run_study, run_study_parallel,
-    run_study_parallel_hooked, AvfRow, EpfRow, EvalPoint, Findings, StructureEval, StudyConfig,
-    StudyResult,
+    evaluate_point_hooked, run_study_parallel_hooked, AvfRow, EpfRow, EvalPoint, Findings,
+    StructureEval, StudyConfig, StudyResult,
 };

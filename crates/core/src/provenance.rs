@@ -17,15 +17,12 @@
 
 #[cfg(test)]
 use crate::campaign::golden_run;
-use crate::campaign::{
-    golden_pass, Campaign, CampaignConfig, CampaignResult, Capture, CheckpointLadder, GoldenRun,
-    Outcome,
-};
+use crate::campaign::{Campaign, CampaignConfig, CampaignResult, Capture, Outcome};
 use crate::runner::Arming;
 use crate::space::SiteSpace;
 use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
-use simt_sim::{ArchConfig, FaultKind, FaultSite, GlobalWrite, SimError, Structure, TraceRecord};
+use simt_sim::{ArchConfig, FaultKind, FaultSite, SimError, Structure, TraceRecord};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -424,46 +421,6 @@ impl ProvenanceAggregate {
         self.taint_words_total += other.taint_words_total;
         self.taint_saturated_total += other.taint_saturated_total;
     }
-}
-
-/// Captures the golden run's ordered global-store stream — the
-/// divergence reference shared by every traced replay of the workload.
-///
-/// # Errors
-///
-/// Propagates a fault-free launch failure.
-pub fn golden_write_log(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-) -> Result<Vec<GlobalWrite>, SimError> {
-    let capture = Capture {
-        writes: true,
-        ..Capture::default()
-    };
-    let pass = golden_pass(arch, workload, capture, &NoopHook)?;
-    Ok(pass.writes.expect("the write log was captured"))
-}
-
-/// [`crate::campaign::run_campaign_with_ladder_hooked`] with the flight
-/// recorder enabled, against a shared golden run, write log and ladder:
-/// [`Campaign::run_traced`] over those parts.
-///
-/// # Errors
-///
-/// Propagates replay failures that are not fault classifications.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_with_provenance_hooked<H: TelemetryHook>(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    golden: &GoldenRun,
-    golden_writes: &[GlobalWrite],
-    ladder: &CheckpointLadder,
-    hook: &H,
-) -> Result<(CampaignResult, Vec<Provenance>, ProvenanceAggregate), SimError> {
-    Campaign::lent(arch, workload, golden, ladder, None, Some(golden_writes))
-        .run_traced(structure, cfg, hook)
 }
 
 impl Campaign<'_> {

@@ -431,7 +431,7 @@ fn worker_loop<H: TelemetryHook>(
     // The worker's private device. A checkpoint resume replaces it with a
     // clone of the checkpoint's device (`Session::resume` runs
     // `*gpu = ckpt.gpu.clone()`), so every resumed replay allocates a
-    // whole device; ROADMAP item 5 (incremental checkpoints) is about
+    // whole device; ROADMAP item 3 (copy-on-write device state) is about
     // restoring only what changed instead.
     let setup = shared.ctx.setup;
     let mut gpu = Gpu::new(setup.arch.clone());

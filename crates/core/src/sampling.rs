@@ -43,13 +43,12 @@
 //! `tests/sampling_equivalence.rs`.
 
 use crate::ace::{LifetimeOracle, WordCycleSegment};
-use crate::campaign::{structure_label, Campaign, CampaignConfig, Capture, Tally};
+use crate::campaign::{structure_label, Campaign, CampaignConfig, Tally};
 use crate::runner::Arming;
 use crate::space::{FlatStream, SiteSpace};
 use crate::stats::{Proportion, Z_99};
-use gpu_workloads::Workload;
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
-use simt_sim::{ArchConfig, FaultModelKind, FaultSite, SimError, Structure};
+use simt_sim::{FaultModelKind, FaultSite, SimError, Structure};
 
 /// Which stratification axes the engine crosses. Axes that a campaign
 /// cannot support are dropped silently: liveness needs a captured
@@ -638,36 +637,6 @@ fn allocate(strata: &[Stratum], total: u128, target: f64, pilot: u64) -> Vec<u64
         .collect()
 }
 
-/// Runs one adaptive campaign end to end: a [`Campaign`] captured for
-/// it, then [`Campaign::run_adaptive`].
-///
-/// # Errors
-///
-/// Propagates a fault-free launch failure, or replay failures that are
-/// not fault classifications.
-///
-/// # Panics
-///
-/// Panics if `plan` is disabled (`target_margin <= 0`) or not finite.
-pub fn run_adaptive_campaign(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    structure: Structure,
-    cfg: CampaignConfig,
-    plan: SamplingPlan,
-) -> Result<AdaptiveCampaign, SimError> {
-    // The oracle serves the liveness axis (and pruning, when on), so it
-    // is captured whenever the model supports it — not only when
-    // `cfg.prune` is set. That keeps the partition, and therefore the
-    // whole allocation sequence, invariant across the prune knob.
-    let capture = Capture {
-        oracle: cfg.fault_model == FaultModelKind::Transient,
-        ..Capture::default()
-    };
-    Campaign::new(arch, workload, &cfg, capture, &NoopHook)?
-        .run_adaptive(structure, cfg, plan, &NoopHook)
-}
-
 impl Campaign<'_> {
     /// Runs the adaptive engine on `structure` against this setup, with
     /// full telemetry: per-round `campaign.round` events, per-stratum
@@ -932,6 +901,7 @@ impl Campaign<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Capture;
     use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
     use gpu_workloads::VectorAdd;
 

@@ -8,7 +8,7 @@ use crate::runner::fan_out;
 use crate::sampling::SamplingPlan;
 use crate::stats::pearson;
 use gpu_workloads::Workload;
-use grel_telemetry::{Event, NoopHook, SpanRecord, TelemetryHook};
+use grel_telemetry::{Event, SpanRecord, TelemetryHook};
 use simt_sim::{ArchConfig, FaultModelKind, SimError, Structure};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -179,26 +179,14 @@ fn structure_eval(fi: Option<&FiMeasure>, rep: StructureReport) -> StructureEval
 
 /// Evaluates one workload on one device: golden run with ACE analysis,
 /// then fault-injection campaigns on the register file and (when used)
-/// the local memory, then the FIT/EIT/EPF roll-up.
+/// the local memory, then the FIT/EIT/EPF roll-up. Telemetry goes
+/// through `hook` (golden/ACE wall time, per-campaign metrics and a
+/// `study.point` event closing the point with its total duration);
+/// with [`grel_telemetry::NoopHook`] the instrumentation compiles away.
 ///
 /// # Errors
 ///
 /// Propagates a fault-free launch failure (device/workload mismatch).
-pub fn evaluate_point(
-    arch: &ArchConfig,
-    workload: &dyn Workload,
-    cfg: &StudyConfig,
-) -> Result<EvalPoint, SimError> {
-    evaluate_point_hooked(arch, workload, cfg, &NoopHook)
-}
-
-/// [`evaluate_point`] with full telemetry through `hook`: golden/ACE
-/// wall time, per-campaign metrics and a `study.point` event closing the
-/// point with its total duration.
-///
-/// # Errors
-///
-/// Same as [`evaluate_point`].
 pub fn evaluate_point_hooked<H: TelemetryHook>(
     arch: &ArchConfig,
     workload: &dyn Workload,
@@ -509,21 +497,9 @@ fn minmax(v: &[f64]) -> (f64, f64) {
 }
 
 /// Runs the study over the given devices and workloads (workload-major
-/// order, matching the paper's figure layout).
-///
-/// # Errors
-///
-/// Propagates the first launch failure.
-pub fn run_study(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-) -> Result<StudyResult, SimError> {
-    run_study_parallel_hooked(archs, workloads, cfg, 1, &NoopHook)
-}
-
-/// [`run_study`] with the (device, workload) points spread across a
-/// scoped pool of workers instead of parallelising inside each campaign.
+/// order, matching the paper's figure layout), with the (device,
+/// workload) points spread across a scoped pool of `jobs` workers
+/// instead of parallelising inside each campaign.
 ///
 /// Point-level parallelism beats replay-level parallelism once the study
 /// has more than one point: the golden run, the ACE pass and the ladder
@@ -535,36 +511,21 @@ pub fn run_study(
 /// parallelism stays at `jobs` (a study with fewer points than jobs
 /// still uses the spare cores inside its campaigns). A single-point
 /// study (or `jobs == 1`) runs its points serially on the calling
-/// thread with the campaign thread count of `cfg` untouched, exactly
-/// like [`run_study`]. Results land in slots by
-/// point index, so the assembled result keeps [`run_study`]'s
+/// thread with the campaign thread count of `cfg` untouched. Results
+/// land in slots by point index, so the assembled result keeps the
 /// workload-major point order; campaign results are thread-count
-/// invariant, so the study result is bit-identical to the sequential
-/// one.
+/// invariant, so the study result is bit-identical at any `jobs`.
+///
+/// Every golden run, ladder build, campaign and study point reports its
+/// metrics and events through `hook`. The hook is shared across point
+/// workers; the metrics registry shards per thread and merges
+/// associatively, so harvested totals match the sequential run. Events
+/// of concurrent points interleave in completion order.
 ///
 /// # Errors
 ///
-/// Propagates the failure of the lowest-index failing point, matching
-/// the error [`run_study`] would report.
-pub fn run_study_parallel(
-    archs: &[ArchConfig],
-    workloads: &[Box<dyn Workload>],
-    cfg: &StudyConfig,
-    jobs: usize,
-) -> Result<StudyResult, SimError> {
-    run_study_parallel_hooked(archs, workloads, cfg, jobs, &NoopHook)
-}
-
-/// [`run_study_parallel`] with full telemetry through `hook` — every
-/// golden run, ladder build, campaign and study point reports its
-/// metrics and events. The hook is shared across point workers; the
-/// metrics registry shards per thread and merges associatively, so
-/// harvested totals match the sequential run. Events of concurrent
-/// points interleave in completion order.
-///
-/// # Errors
-///
-/// Same as [`run_study_parallel`].
+/// Propagates the failure of the lowest-index failing point: the error
+/// a sequential run would report first.
 pub fn run_study_parallel_hooked<H: TelemetryHook>(
     archs: &[ArchConfig],
     workloads: &[Box<dyn Workload>],
@@ -623,6 +584,7 @@ mod tests {
     use crate::campaign::CampaignConfig;
     use gpu_archs::{geforce_gtx_480, quadro_fx_5600, quadro_fx_5800};
     use gpu_workloads::{Transpose, VectorAdd};
+    use grel_telemetry::NoopHook;
 
     fn tiny_cfg() -> StudyConfig {
         StudyConfig {

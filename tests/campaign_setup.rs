@@ -1,8 +1,10 @@
 //! `Campaign` is the one per-point setup every entry point builds its
 //! golden run, oracle, write log and ladder through. Its methods must
-//! reproduce the wrappers that take those parts ready-made, and a study
-//! point — with or without the flight recorder — must pay for exactly
-//! one golden pass and one ladder pass.
+//! give the same results whatever else the setup captured, whether it
+//! serves one campaign or several and whether replays resume from the
+//! ladder or from cycle zero, and a study point — with or without the
+//! flight recorder — must pay for exactly one golden pass and one
+//! ladder pass.
 
 use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
 use gpu_workloads::{Transpose, Workload};
