@@ -6,7 +6,8 @@
 //! Every command returns `Result<(), String>`. `main` is the one place
 //! that reports a failure and exits 1: as `error: …` (followed by the
 //! help for a bad argument) before the logger exists, through the
-//! logger after.
+//! logger after. A reader that closes stdout early (`repro … | head`)
+//! ends the command quietly with exit 0.
 
 use gpu_archs::all_devices;
 use gpu_workloads::Workload;
@@ -33,7 +34,9 @@ use grel_telemetry::{
 use simt_sim::{
     ArchConfig, FaultModelKind, Gpu, HotspotObserver, SchedulerPolicy, SimError, Structure,
 };
+use std::any::Any;
 use std::fmt::Display;
+use std::panic;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -356,6 +359,33 @@ provenance:
   results are identical with or without it.";
 
 fn main() -> ExitCode {
+    // `println!` panics once stdout is closed. That panic ends the
+    // command quietly: the hook keeps it off stderr, and the unwind stops
+    // here. Any other panic reports and exits as usual.
+    let report = panic::take_hook();
+    panic::set_hook(Box::new(move |info| {
+        if !stdout_closed(info.payload()) {
+            report(info);
+        }
+    }));
+    match panic::catch_unwind(repro) {
+        Ok(code) => code,
+        Err(payload) if stdout_closed(&*payload) => ExitCode::SUCCESS,
+        Err(payload) => panic::resume_unwind(payload),
+    }
+}
+
+/// Whether a panic is `println!` failing on a closed stdout.
+fn stdout_closed(payload: &(dyn Any + Send)) -> bool {
+    let message = match payload.downcast_ref::<String>() {
+        Some(message) => message.as_str(),
+        None => payload.downcast_ref::<&str>().copied().unwrap_or_default(),
+    };
+    message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
+}
+
+/// Parses the arguments and runs the command.
+fn repro() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -539,3 +539,37 @@ fn drift_writes_the_study_telemetry() {
         );
     }
 }
+
+/// A reader that stops early (`repro … | head`) closes stdout while
+/// rows are still to come: the command ends quietly, with exit 0 and no
+/// panic or `error:` line.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = repro()
+        .args([
+            "protect",
+            "--smoke",
+            "--injections",
+            "10",
+            "-j1",
+            "--device",
+            "fx",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    let mut title = String::new();
+    // The reader is dropped at the end of this statement, closing stdout.
+    BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut title)
+        .expect("repro prints a title");
+    assert!(title.starts_with("== Extension: EPF"), "{title}");
+    let out = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}\n{stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("error:"), "{stderr}");
+}
