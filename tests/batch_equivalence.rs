@@ -36,10 +36,8 @@ fn cfg(injections: u32, prune: bool, batch: bool) -> CampaignConfig {
 /// scalar unbatched run.
 fn check_batch_equivalence(workload: &dyn Workload, structure: Structure, injections: u32) {
     let arch = geforce_gtx_480();
-    let c = CampaignConfig {
-        threads: 1,
-        ..cfg(injections, false, false)
-    };
+    let mut c = cfg(injections, false, false);
+    c.threads = 1;
     let scalar = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
         .and_then(|setup| setup.run(structure, c, &NoopHook))
         .unwrap();
@@ -49,10 +47,8 @@ fn check_batch_equivalence(workload: &dyn Workload, structure: Structure, inject
             (true, false, "pruned scalar"),
             (true, true, "pruned + batched"),
         ] {
-            let c = CampaignConfig {
-                threads: jobs,
-                ..cfg(injections, prune, batch)
-            };
+            let mut c = cfg(injections, prune, batch);
+            c.threads = jobs;
             let run = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
                 .and_then(|setup| setup.run(structure, c, &NoopHook))
                 .unwrap();
@@ -96,10 +92,8 @@ fn batching_fires_and_forks_on_a_real_workload() {
     let w = VectorAdd::new(1024, 9);
     let reg = MetricsRegistry::new();
     let hook = RegistryHook::new(&reg);
-    let c = CampaignConfig {
-        threads: 2,
-        ..cfg(32, false, true)
-    };
+    let mut c = cfg(32, false, true);
+    c.threads = 2;
     let r = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &hook)
         .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &hook))
         .unwrap();

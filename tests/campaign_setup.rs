@@ -108,10 +108,8 @@ fn replay_matches_run_injections() {
     let (w, c) = (workload(), cfg());
     for arch in devices() {
         let setup = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook).unwrap();
-        let from_zero_cfg = CampaignConfig {
-            checkpoint_budget_bytes: 1,
-            ..c
-        };
+        let mut from_zero_cfg = c;
+        from_zero_cfg.checkpoint_budget_bytes = 1;
         let from_zero =
             Campaign::new(&arch, &w, &from_zero_cfg, Capture::default(), &NoopHook).unwrap();
         for s in STRUCTURES {

@@ -59,10 +59,8 @@ fn flip_in_never_allocated_space_is_always_masked() {
             )
         })
         .collect();
-    let c = CampaignConfig {
-        checkpoint_budget_bytes: 1,
-        ..cfg(8, 2)
-    };
+    let mut c = cfg(8, 2);
+    c.checkpoint_budget_bytes = 1;
     let outcomes = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook)
         .and_then(|setup| setup.replay(&sites, c, &NoopHook))
         .unwrap();
@@ -84,10 +82,8 @@ fn flip_after_execution_finishes_is_masked() {
         0,
         golden.cycles.saturating_sub(1),
     );
-    let c = CampaignConfig {
-        checkpoint_budget_bytes: 1,
-        ..cfg(1, 1)
-    };
+    let mut c = cfg(1, 1);
+    c.checkpoint_budget_bytes = 1;
     let outcomes = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook)
         .and_then(|setup| setup.replay(&[site], c, &NoopHook))
         .unwrap();

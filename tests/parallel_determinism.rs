@@ -44,10 +44,8 @@ fn campaign_is_bit_identical_at_jobs_1_2_8() {
         .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
         .unwrap();
     for jobs in [1usize, 2, 8] {
-        let c = CampaignConfig {
-            threads: jobs,
-            ..cfg
-        };
+        let mut c = cfg;
+        c.threads = jobs;
         let parallel = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
             .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
             .unwrap();
@@ -61,17 +59,17 @@ fn campaign_with_live_hooks_is_bit_identical_at_jobs_1_2_8() {
     let w = Histogram::new(1024, 64, 7);
     let cfg = quick_cfg(24);
 
-    let c = CampaignConfig { threads: 1, ..cfg };
+    let mut c = cfg;
+
+    c.threads = 1;
     let plain = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
         .and_then(|setup| setup.run(Structure::LocalMemory, c, &NoopHook))
         .unwrap();
     for jobs in [1usize, 2, 8] {
         let registry = MetricsRegistry::new();
         let hook = RegistryHook::new(&registry);
-        let c = CampaignConfig {
-            threads: jobs,
-            ..cfg
-        };
+        let mut c = cfg;
+        c.threads = jobs;
         let hooked = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &hook)
             .and_then(|setup| setup.run(Structure::LocalMemory, c, &hook))
             .unwrap();
@@ -122,10 +120,8 @@ fn stuck_at_and_control_campaigns_are_bit_identical_at_jobs_1_2_8() {
             .unwrap();
         assert_eq!(sequential.tally.total(), 24, "{model:?}");
         for jobs in [1usize, 2, 8] {
-            let c = CampaignConfig {
-                threads: jobs,
-                ..cfg
-            };
+            let mut c = cfg;
+            c.threads = jobs;
             let parallel = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
                 .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
                 .unwrap();
@@ -216,14 +212,16 @@ fn four_jobs_halve_the_2000_injection_wall_clock() {
     let cfg = quick_cfg(2000);
 
     let t1 = std::time::Instant::now();
-    let c = CampaignConfig { threads: 1, ..cfg };
+    let mut c = cfg;
+    c.threads = 1;
     let sequential = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
         .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
         .unwrap();
     let serial_secs = t1.elapsed().as_secs_f64();
 
     let t4 = std::time::Instant::now();
-    let c = CampaignConfig { threads: 4, ..cfg };
+    let mut c = cfg;
+    c.threads = 4;
     let parallel = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &NoopHook)
         .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &NoopHook))
         .unwrap();

@@ -69,7 +69,8 @@ proptest! {
         let golden = golden_run(&arch, &w).unwrap();
         let sites = sample_sites(&arch, Structure::VectorRegisterFile, golden.cycles, 4, seed);
         let cfg = CampaignConfig { injections: 4, threads: 1, ..CampaignConfig::quick(seed) };
-        let c = CampaignConfig { checkpoint_budget_bytes: 1, ..cfg };
+        let mut c = cfg;
+        c.checkpoint_budget_bytes = 1;
         let o1 = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook).and_then(|setup| setup.replay(&sites, c, &NoopHook)).unwrap();
         let o2 = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook).and_then(|setup| setup.replay(&sites, c, &NoopHook)).unwrap();
         prop_assert_eq!(o1, o2);

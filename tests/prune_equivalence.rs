@@ -38,10 +38,8 @@ fn cfg(injections: u32, prune: bool, early_exit: bool) -> CampaignConfig {
 /// replay.
 fn check_campaign_equivalence(workload: &dyn Workload, structure: Structure, injections: u32) {
     let arch = geforce_gtx_480();
-    let c = CampaignConfig {
-        threads: 1,
-        ..cfg(injections, false, false)
-    };
+    let mut c = cfg(injections, false, false);
+    c.threads = 1;
     let full = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
         .and_then(|setup| setup.run(structure, c, &NoopHook))
         .unwrap();
@@ -51,10 +49,8 @@ fn check_campaign_equivalence(workload: &dyn Workload, structure: Structure, inj
             (false, true, "early-exit only"),
             (true, true, "pruned"),
         ] {
-            let c = CampaignConfig {
-                threads: jobs,
-                ..cfg(injections, prune, early_exit)
-            };
+            let mut c = cfg(injections, prune, early_exit);
+            c.threads = jobs;
             let run = Campaign::new(&arch, workload, &c, Capture::campaign(&c), &NoopHook)
                 .and_then(|setup| setup.run(structure, c, &NoopHook))
                 .unwrap();
@@ -131,10 +127,8 @@ fn pruning_fires_on_a_low_avf_workload() {
     let w = VectorAdd::new(1024, 9);
     let reg = MetricsRegistry::new();
     let hook = RegistryHook::new(&reg);
-    let c = CampaignConfig {
-        threads: 2,
-        ..cfg(32, true, true)
-    };
+    let mut c = cfg(32, true, true);
+    c.threads = 2;
     let pruned = Campaign::new(&arch, &w, &c, Capture::campaign(&c), &hook)
         .and_then(|setup| setup.run(Structure::VectorRegisterFile, c, &hook))
         .unwrap();
@@ -378,10 +372,8 @@ fn oracle_pruning_would_be_unsound_for_stuck_at_faults() {
         .iter()
         .map(|s| s.with_kind(FaultKind::StuckAt1))
         .collect();
-    let c = CampaignConfig {
-        checkpoint_budget_bytes: 1,
-        ..cfg(stuck_twins.len() as u32, false, false)
-    };
+    let mut c = cfg(stuck_twins.len() as u32, false, false);
+    c.checkpoint_budget_bytes = 1;
     let outcomes = Campaign::new(&arch, &probe, &c, Capture::default(), &NoopHook)
         .and_then(|setup| setup.replay(&stuck_twins, c, &NoopHook))
         .unwrap();

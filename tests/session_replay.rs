@@ -101,10 +101,8 @@ fn assert_replay_equivalence(arch: &ArchConfig, w: &dyn Workload, structure: Str
         "auto ladder must have rungs for {}",
         w.name()
     );
-    let from_zero_cfg = CampaignConfig {
-        checkpoint_budget_bytes: 1,
-        ..c
-    };
+    let mut from_zero_cfg = c;
+    from_zero_cfg.checkpoint_budget_bytes = 1;
     let from_zero = Campaign::new(arch, w, &from_zero_cfg, Capture::default(), &NoopHook)
         .and_then(|setup| setup.replay(&sites, c, &NoopHook))
         .unwrap();
