@@ -377,11 +377,9 @@ fn main() -> ExitCode {
 
 /// Whether a panic is `println!` failing on a closed stdout.
 fn stdout_closed(payload: &(dyn Any + Send)) -> bool {
-    let message = match payload.downcast_ref::<String>() {
-        Some(message) => message.as_str(),
-        None => payload.downcast_ref::<&str>().copied().unwrap_or_default(),
-    };
-    message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
+    payload.downcast_ref::<String>().is_some_and(|message| {
+        message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
+    })
 }
 
 /// Parses the arguments and runs the command.

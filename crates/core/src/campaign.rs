@@ -1246,14 +1246,14 @@ impl<'a> Campaign<'a> {
         })
     }
 
-    /// A setup over parts the caller already built.
+    /// A setup over parts the caller already built, without the golden
+    /// write log or ACE reports.
     pub(crate) fn lent(
         arch: &'a ArchConfig,
         workload: &'a dyn Workload,
         golden: &'a GoldenRun,
         ladder: &'a CheckpointLadder,
         oracle: Option<&'a LifetimeOracle>,
-        writes: Option<&'a [GlobalWrite]>,
     ) -> Self {
         Campaign {
             arch,
@@ -1261,7 +1261,7 @@ impl<'a> Campaign<'a> {
             golden: Part::Lent(golden),
             ladder: Part::Lent(ladder),
             oracle: oracle.map(Part::Lent),
-            writes: writes.map(Part::Lent),
+            writes: None,
             ace: None,
         }
     }
@@ -1485,7 +1485,7 @@ pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
         prune: oracle.is_some(),
         ..cfg
     };
-    Campaign::lent(arch, workload, golden, ladder, oracle, None).run(structure, cfg, hook)
+    Campaign::lent(arch, workload, golden, ladder, oracle).run(structure, cfg, hook)
 }
 
 /// [`Campaign::replay`] against a golden run and checkpoint ladder the
@@ -1505,7 +1505,7 @@ pub fn run_injections_checkpointed(
     sites: &[FaultSite],
     cfg: CampaignConfig,
 ) -> Result<Vec<Outcome>, SimError> {
-    Campaign::lent(arch, workload, golden, ladder, None, None).replay(sites, cfg, &NoopHook)
+    Campaign::lent(arch, workload, golden, ladder, None).replay(sites, cfg, &NoopHook)
 }
 
 #[cfg(test)]
@@ -1649,18 +1649,11 @@ mod tests {
             cfg.seed,
         );
         let ladder = CheckpointLadder::build(&arch, &w, &golden, &cfg).unwrap();
-        let from_zero = Campaign::new(
-            &arch,
-            &w,
-            &CampaignConfig {
-                checkpoint_budget_bytes: 1,
-                ..cfg
-            },
-            Capture::default(),
-            &NoopHook,
-        )
-        .and_then(|setup| setup.replay(&sites, cfg, &NoopHook))
-        .unwrap();
+        let mut zero = cfg;
+        zero.checkpoint_budget_bytes = 1;
+        let from_zero = Campaign::new(&arch, &w, &zero, Capture::default(), &NoopHook)
+            .and_then(|setup| setup.replay(&sites, cfg, &NoopHook))
+            .unwrap();
         let from_ckpt =
             run_injections_checkpointed(&arch, &w, &golden, &ladder, &sites, cfg).unwrap();
         assert_eq!(
