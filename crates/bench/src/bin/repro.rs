@@ -1532,8 +1532,7 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
             {
                 let preg = MetricsRegistry::new();
                 let phook = (RegistryHook::new(&preg), SpanHook::new(&precorder));
-                let c = cfg.campaign;
-                let r = Capture::campaign(&c)
+                let r = Capture::campaign(&cfg.campaign)
                     .oracle
                     .then(|| LifetimeOracle::capture(arch, w))
                     .transpose()
@@ -1542,7 +1541,7 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
                             arch,
                             w,
                             Structure::VectorRegisterFile,
-                            c,
+                            cfg.campaign,
                             &golden,
                             &ladder,
                             oracle.as_ref(),

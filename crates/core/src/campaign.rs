@@ -1463,8 +1463,10 @@ pub fn run_campaign_hooked<H: TelemetryHook>(
 /// [`LifetimeOracle`] the caller built: sampled sites falling outside
 /// every live interval of their word are pre-classified as `Masked`
 /// without a replay (rung label `pruned`), and only the live remainder
-/// fans out to the worker pool. Passing `None` disables pruning
-/// regardless of `cfg.prune`. Kept for the `perfbench/layers` harness
+/// fans out to the worker pool. Pruning is exact — tallies are
+/// bit-identical to an unpruned run at any job count — because a pruned
+/// flip is erased before any read could propagate it. Passing `None`
+/// disables pruning regardless of `cfg.prune`. Kept for the `perfbench/layers` harness
 /// and `repro bench-campaign`, which time the setup passes one by one.
 ///
 /// # Errors
