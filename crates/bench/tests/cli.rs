@@ -573,3 +573,31 @@ fn closed_stdout_ends_the_command_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("error:"), "{stderr}");
 }
+
+/// A reader that closes stderr (`repro … -v 2>&1 | head -1` once `head`
+/// exits) drops the status lines and the progress meter: the command
+/// still prints its whole table to stdout and exits 0.
+#[test]
+fn closed_stderr_drops_status_lines() {
+    let args = [
+        "fig1",
+        "--smoke",
+        "--injections",
+        "10",
+        "--device",
+        "fx",
+        "-v",
+        "--progress",
+    ];
+    let table = run_ok(&args);
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    // With no reader left, every write to the child's stderr fails.
+    drop(reader);
+    let out = repro()
+        .args(args)
+        .stderr(writer)
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success(), "{:?}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stdout), table);
+}

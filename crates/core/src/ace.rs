@@ -50,15 +50,6 @@ pub enum AceMode {
     WriteToLastRead,
 }
 
-/// Position of a structure's tracker and index: RF, SRF, LDS.
-fn slot(s: Structure) -> usize {
-    match s {
-        Structure::VectorRegisterFile => 0,
-        Structure::ScalarRegisterFile => 1,
-        Structure::LocalMemory => 2,
-    }
-}
-
 /// The table entry of one physical word: `(wrote_at, last_read, tail,
 /// retired)`, the cycle the open value was written (or the launch start,
 /// for a read of launch-zeroed contents), its last read so far, the
@@ -388,7 +379,7 @@ pub struct StructureReport {
 /// ```
 #[derive(Debug)]
 pub struct AceAnalyzer {
-    /// RF, SRF and LDS (see [`slot`]).
+    /// One tracker per structure, keyed by [`Structure::index`].
     trackers: [Tracker; 3],
     launch_start: u64,
     total_cycles: u64,
@@ -410,13 +401,9 @@ impl AceAnalyzer {
     /// An analyzer that also records the oracle's live intervals when
     /// `intervals` is set (see [`AceAnalyzer::finish`]).
     pub(crate) fn tracking(arch: &ArchConfig, mode: AceMode, intervals: bool) -> Self {
-        let words = [
-            arch.rf_words_per_sm(),
-            arch.srf_words_per_sm(),
-            arch.lds_words_per_sm(),
-        ];
         AceAnalyzer {
-            trackers: words.map(|w| Tracker::new(w, arch.num_sms, intervals)),
+            trackers: Structure::ALL
+                .map(|s| Tracker::new(arch.words_per_sm(s), arch.num_sms, intervals)),
             launch_start: 0,
             total_cycles: 0,
             num_sms: arch.num_sms,
@@ -449,7 +436,7 @@ impl AceAnalyzer {
     /// capacity of all SMs — the same site space the fault-injection
     /// campaign samples uniformly.
     pub fn report(&self, s: Structure) -> StructureReport {
-        let t = &self.trackers[slot(s)];
+        let t = &self.trackers[s.index()];
         let total_bits = t.total_words * 32;
         let denom = (total_bits as f64) * (self.total_cycles as f64);
         let ace_bit_cycles = 32
@@ -480,41 +467,21 @@ impl AceAnalyzer {
 }
 
 impl SimObserver for AceAnalyzer {
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.trackers[0].on_write(sm, word, cycle, self.launch_start);
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        self.trackers[structure.index()].on_write(sm, word, cycle, self.launch_start);
     }
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.trackers[0].on_read(sm, word, cycle, self.launch_start);
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.trackers[1].on_write(sm, word, cycle, self.launch_start);
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.trackers[1].on_read(sm, word, cycle, self.launch_start);
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.trackers[2].on_write(sm, word, cycle, self.launch_start);
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.trackers[2].on_read(sm, word, cycle, self.launch_start);
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        self.trackers[structure.index()].on_read(sm, word, cycle, self.launch_start);
     }
     fn on_block_dispatch(&mut self, _sm: u32, r: BlockRegions, cycle: u64) {
-        for (t, len) in self
-            .trackers
-            .iter_mut()
-            .zip([r.rf_len, r.srf_len, r.lds_len])
-        {
+        for (t, s) in self.trackers.iter_mut().zip(Structure::ALL) {
             t.occupancy_tick(cycle);
-            t.allocated += len as u64;
+            t.allocated += r.region(s).1 as u64;
         }
     }
     fn on_block_retire(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
-        let regions = [
-            (r.rf_base, r.rf_len),
-            (r.srf_base, r.srf_len),
-            (r.lds_base, r.lds_len),
-        ];
-        for (t, (base, len)) in self.trackers.iter_mut().zip(regions) {
+        for (t, s) in self.trackers.iter_mut().zip(Structure::ALL) {
+            let (base, len) = r.region(s);
             t.occupancy_tick(cycle);
             t.allocated -= len as u64;
             t.free_region(sm, base, len, cycle);
@@ -586,8 +553,8 @@ impl WordCycleSegment {
 pub struct LifetimeOracle {
     /// The tracker of a run still being observed; `None` once sealed.
     life: Option<AceAnalyzer>,
-    /// The RF, SRF and LDS indexes, built on the first query after the
-    /// last event.
+    /// One index per structure (keyed by [`Structure::index`]), built
+    /// on the first query after the last event.
     index: OnceLock<[Index; 3]>,
     num_sms: u32,
 }
@@ -622,7 +589,7 @@ impl LifetimeOracle {
             let life = self.life.as_ref().expect("a sealed oracle holds its index");
             life.trackers.each_ref().map(Tracker::index)
         });
-        &index[slot(s)]
+        &index[s.index()]
     }
 
     /// Feeds an event to the tracker of a run still being observed; any
@@ -704,23 +671,11 @@ impl LifetimeOracle {
 }
 
 impl SimObserver for LifetimeOracle {
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.observe(|l| l.on_rf_write(sm, word, cycle));
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        self.observe(|l| l.on_write(sm, structure, word, cycle));
     }
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.observe(|l| l.on_rf_read(sm, word, cycle));
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.observe(|l| l.on_srf_write(sm, word, cycle));
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.observe(|l| l.on_srf_read(sm, word, cycle));
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.observe(|l| l.on_lds_write(sm, word, cycle));
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.observe(|l| l.on_lds_read(sm, word, cycle));
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        self.observe(|l| l.on_read(sm, structure, word, cycle));
     }
     fn on_block_dispatch(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
         self.observe(|l| l.on_block_dispatch(sm, r, cycle));
@@ -740,6 +695,7 @@ impl SimObserver for LifetimeOracle {
 mod tests {
     use super::*;
     use simt_sim::ArchConfig;
+    use Structure::{LocalMemory as Lds, ScalarRegisterFile as Srf, VectorRegisterFile as Rf};
 
     fn refined() -> AceAnalyzer {
         AceAnalyzer::with_mode(&ArchConfig::small_test_gpu(), AceMode::WriteToLastRead)
@@ -753,10 +709,10 @@ mod tests {
     fn refined_counts_write_to_last_read() {
         let mut a = refined();
         a.on_launch_begin("k", 0);
-        a.on_rf_write(0, 5, 10);
-        a.on_rf_read(0, 5, 20);
-        a.on_rf_read(0, 5, 50);
-        a.on_rf_write(0, 5, 60);
+        a.on_write(0, Rf, 5, 10);
+        a.on_read(0, Rf, 5, 20);
+        a.on_read(0, Rf, 5, 50);
+        a.on_write(0, Rf, 5, 60);
         a.on_launch_end(100);
         // [10, 50] closed by the overwrite, plus the dead tail value.
         assert_eq!(
@@ -769,9 +725,9 @@ mod tests {
     fn conservative_counts_write_to_overwrite() {
         let mut a = conservative();
         a.on_launch_begin("k", 0);
-        a.on_rf_write(0, 5, 10);
-        a.on_rf_read(0, 5, 20); // reads are irrelevant here
-        a.on_rf_write(0, 5, 60);
+        a.on_write(0, Rf, 5, 10);
+        a.on_read(0, Rf, 5, 20); // reads are irrelevant here
+        a.on_write(0, Rf, 5, 60);
         a.on_launch_end(100);
         // [10, 60) + [60, 100) (flushed at launch end).
         assert_eq!(
@@ -784,25 +740,9 @@ mod tests {
     fn conservative_closes_at_block_retire() {
         let mut a = conservative();
         a.on_launch_begin("k", 0);
-        a.on_block_dispatch(
-            0,
-            BlockRegions {
-                rf_base: 0,
-                rf_len: 8,
-                ..Default::default()
-            },
-            0,
-        );
-        a.on_rf_write(0, 3, 10);
-        a.on_block_retire(
-            0,
-            BlockRegions {
-                rf_base: 0,
-                rf_len: 8,
-                ..Default::default()
-            },
-            40,
-        );
+        a.on_block_dispatch(0, BlockRegions::default().with_region(Rf, 0, 8), 0);
+        a.on_write(0, Rf, 3, 10);
+        a.on_block_retire(0, BlockRegions::default().with_region(Rf, 0, 8), 40);
         a.on_launch_end(100);
         // Live [10, 40): ends at deallocation, not at launch end.
         assert_eq!(
@@ -815,19 +755,15 @@ mod tests {
     fn a_read_after_block_retirement_continues_the_retired_value() {
         // Storage is zeroed per launch, not per block: the read at 30
         // consumes the value written at 10 by the retired block.
-        let block = BlockRegions {
-            rf_base: 0,
-            rf_len: 8,
-            ..Default::default()
-        };
+        let block = BlockRegions::default().with_region(Rf, 0, 8);
         let drive = |obs: &mut dyn SimObserver| {
             obs.on_launch_begin("k", 0);
             obs.on_block_dispatch(0, block, 0);
-            obs.on_rf_write(0, 3, 10);
-            obs.on_rf_read(0, 3, 12);
+            obs.on_write(0, Rf, 3, 10);
+            obs.on_read(0, Rf, 3, 12);
             obs.on_block_retire(0, block, 20);
             obs.on_block_dispatch(0, block, 25);
-            obs.on_rf_read(0, 3, 30);
+            obs.on_read(0, Rf, 3, 30);
             obs.on_block_retire(0, block, 35);
             obs.on_launch_end(40);
         };
@@ -853,13 +789,13 @@ mod tests {
     fn refined_dead_write_is_unace_conservative_is_not() {
         let mut r = refined();
         r.on_launch_begin("k", 0);
-        r.on_rf_write(0, 1, 10);
+        r.on_write(0, Rf, 1, 10);
         r.on_launch_end(100);
         assert_eq!(r.report(Structure::VectorRegisterFile).ace_bit_cycles, 0);
 
         let mut c = conservative();
         c.on_launch_begin("k", 0);
-        c.on_rf_write(0, 1, 10);
+        c.on_write(0, Rf, 1, 10);
         c.on_launch_end(100);
         assert_eq!(
             c.report(Structure::VectorRegisterFile).ace_bit_cycles,
@@ -872,7 +808,7 @@ mod tests {
     fn refined_read_of_initial_zero_counts_from_launch_start() {
         let mut a = refined();
         a.on_launch_begin("k", 5);
-        a.on_rf_read(0, 2, 25);
+        a.on_read(0, Rf, 2, 25);
         a.on_launch_end(100);
         // [5, 25] inclusive of the launch-start cycle: the reset that
         // zeroes the word precedes fault application at cycle 5.
@@ -886,8 +822,8 @@ mod tests {
     fn avf_normalizes_over_structure_and_time() {
         let mut a = refined();
         a.on_launch_begin("k", 0);
-        a.on_rf_write(0, 0, 0);
-        a.on_rf_read(0, 0, 100);
+        a.on_write(0, Rf, 0, 0);
+        a.on_read(0, Rf, 0, 100);
         a.on_launch_end(100);
         let r = a.report(Structure::VectorRegisterFile);
         // The write at cycle 0 is launch-rooted, so [0, 100] counts 101
@@ -904,24 +840,8 @@ mod tests {
     fn occupancy_integrates_block_residency() {
         let mut a = conservative();
         a.on_launch_begin("k", 0);
-        a.on_block_dispatch(
-            0,
-            BlockRegions {
-                rf_base: 0,
-                rf_len: 4096,
-                ..Default::default()
-            },
-            0,
-        );
-        a.on_block_retire(
-            0,
-            BlockRegions {
-                rf_base: 0,
-                rf_len: 4096,
-                ..Default::default()
-            },
-            50,
-        );
+        a.on_block_dispatch(0, BlockRegions::default().with_region(Rf, 0, 4096), 0);
+        a.on_block_retire(0, BlockRegions::default().with_region(Rf, 0, 4096), 50);
         a.on_launch_end(100);
         let r = a.report(Structure::VectorRegisterFile);
         assert!((r.occupancy - 0.25).abs() < 1e-12, "{}", r.occupancy);
@@ -931,12 +851,12 @@ mod tests {
     fn multi_launch_accumulates() {
         let mut a = refined();
         a.on_launch_begin("k1", 0);
-        a.on_rf_write(0, 0, 0);
-        a.on_rf_read(0, 0, 10);
+        a.on_write(0, Rf, 0, 0);
+        a.on_read(0, Rf, 0, 10);
         a.on_launch_end(50);
         a.on_launch_begin("k2", 50);
-        a.on_rf_write(0, 0, 50);
-        a.on_rf_read(0, 0, 70);
+        a.on_write(0, Rf, 0, 50);
+        a.on_read(0, Rf, 0, 70);
         a.on_launch_end(100);
         let r = a.report(Structure::VectorRegisterFile);
         // Both writes land on their launch-start cycle, so each window
@@ -949,8 +869,8 @@ mod tests {
     fn out_of_range_events_are_ignored() {
         let mut a = refined();
         a.on_launch_begin("k", 0);
-        a.on_rf_write(0, u32::MAX, 1);
-        a.on_rf_read(0, u32::MAX, 2);
+        a.on_write(0, Rf, u32::MAX, 1);
+        a.on_read(0, Rf, u32::MAX, 2);
         a.on_launch_end(10);
         assert_eq!(a.report(Structure::VectorRegisterFile).ace_bit_cycles, 0);
     }
@@ -973,8 +893,8 @@ mod tests {
         use simt_sim::{ControlTarget, FaultKind};
         let mut o = LifetimeOracle::new(&ArchConfig::small_test_gpu());
         o.on_launch_begin("k", 0);
-        o.on_rf_write(0, 5, 10);
-        o.on_rf_read(0, 5, 20);
+        o.on_write(0, Rf, 5, 10);
+        o.on_read(0, Rf, 5, 20);
         o.on_launch_end(100);
         // Cycle 60 is outside the live window: dead for a flip…
         let dead_flip = rf_site(5, 60);
@@ -998,10 +918,10 @@ mod tests {
     fn oracle_live_window_is_write_to_last_read() {
         let mut o = LifetimeOracle::new(&ArchConfig::small_test_gpu());
         o.on_launch_begin("k", 0);
-        o.on_rf_write(0, 5, 10);
-        o.on_rf_read(0, 5, 20);
-        o.on_rf_read(0, 5, 50);
-        o.on_rf_write(0, 5, 60); // never read again: dead tail
+        o.on_write(0, Rf, 5, 10);
+        o.on_read(0, Rf, 5, 20);
+        o.on_read(0, Rf, 5, 50);
+        o.on_write(0, Rf, 5, 60); // never read again: dead tail
         o.on_launch_end(100);
         // A flip at the write's own cycle is clobbered by the write
         // (fault application precedes SM stepping), so the window is
@@ -1019,9 +939,9 @@ mod tests {
     fn oracle_launch_boundary_cycle_is_vulnerable() {
         let mut o = LifetimeOracle::new(&ArchConfig::small_test_gpu());
         o.on_launch_begin("k", 5);
-        o.on_rf_write(0, 1, 5); // dispatch preload: precedes the fault
-        o.on_rf_read(0, 1, 9);
-        o.on_rf_read(0, 2, 25); // launch-zeroed contents
+        o.on_write(0, Rf, 1, 5); // dispatch preload: precedes the fault
+        o.on_read(0, Rf, 1, 9);
+        o.on_read(0, Rf, 2, 25); // launch-zeroed contents
         o.on_launch_end(100);
         assert!(!o.is_dead(rf_site(1, 5)));
         assert!(!o.is_dead(rf_site(2, 5)));
@@ -1038,12 +958,12 @@ mod tests {
     fn oracle_separates_launches() {
         let mut o = LifetimeOracle::new(&ArchConfig::small_test_gpu());
         o.on_launch_begin("k1", 0);
-        o.on_rf_write(0, 0, 10);
-        o.on_rf_read(0, 0, 20);
+        o.on_write(0, Rf, 0, 10);
+        o.on_read(0, Rf, 0, 20);
         o.on_launch_end(50);
         o.on_launch_begin("k2", 50);
-        o.on_rf_write(0, 0, 60);
-        o.on_rf_read(0, 0, 70);
+        o.on_write(0, Rf, 0, 60);
+        o.on_read(0, Rf, 0, 70);
         o.on_launch_end(100);
         // [11, 20] and [61, 70]; the gap spans the launch boundary —
         // the k1 value left resident at cycle 21.. is never read again
@@ -1063,17 +983,17 @@ mod tests {
         let mut o = LifetimeOracle::new(&arch);
         let drive = |obs: &mut dyn SimObserver| {
             obs.on_launch_begin("k1", 0);
-            obs.on_rf_write(0, 0, 0); // launch-rooted preload
-            obs.on_rf_read(0, 0, 7);
-            obs.on_rf_write(1, 3, 4);
-            obs.on_rf_read(1, 3, 30);
-            obs.on_rf_read(0, 9, 12); // launch-zeroed read
-            obs.on_rf_write(0, 9, 15); // overwrite, then dead
+            obs.on_write(0, Rf, 0, 0); // launch-rooted preload
+            obs.on_read(0, Rf, 0, 7);
+            obs.on_write(1, Rf, 3, 4);
+            obs.on_read(1, Rf, 3, 30);
+            obs.on_read(0, Rf, 9, 12); // launch-zeroed read
+            obs.on_write(0, Rf, 9, 15); // overwrite, then dead
             obs.on_launch_end(40);
             obs.on_launch_begin("k2", 40);
-            obs.on_rf_read(0, 2, 55);
-            obs.on_rf_write(0, 2, 58);
-            obs.on_rf_read(0, 2, 60);
+            obs.on_read(0, Rf, 2, 55);
+            obs.on_write(0, Rf, 2, 58);
+            obs.on_read(0, Rf, 2, 60);
             obs.on_launch_end(80);
         };
         drive(&mut ace);
@@ -1102,9 +1022,9 @@ mod tests {
         let arch = ArchConfig::small_test_gpu();
         let mut a = AceAnalyzer::new(&arch);
         a.on_launch_begin("k", 0);
-        a.on_rf_write(arch.num_sms + 3, 0, 1);
-        a.on_rf_read(arch.num_sms + 3, 0, 2);
-        a.on_lds_write(arch.num_sms, 0, 3);
+        a.on_write(arch.num_sms + 3, Rf, 0, 1);
+        a.on_read(arch.num_sms + 3, Rf, 0, 2);
+        a.on_write(arch.num_sms, Lds, 0, 3);
         a.on_launch_end(10);
         assert_eq!(a.report(Structure::VectorRegisterFile).ace_bit_cycles, 0);
         assert_eq!(a.report(Structure::LocalMemory).ace_bit_cycles, 0);
@@ -1136,14 +1056,6 @@ mod tests {
         a
     }
 
-    fn region(r: BlockRegions, s: usize) -> (u32, u32) {
-        [
-            (r.rf_base, r.rf_len),
-            (r.srf_base, r.srf_len),
-            (r.lds_base, r.lds_len),
-        ][s]
-    }
-
     /// Turns raw `(kind, slot, sm, word, dt)` draws into a stream the
     /// simulator could emit: cycles never decrease, every block retires
     /// before its launch ends, and no read shares a cycle with a launch
@@ -1162,14 +1074,10 @@ mod tests {
                 }
                 4..=6 => evs.push(Ev::Write(s, sm, word, cycle)),
                 7 | 8 => {
-                    let r = BlockRegions {
-                        rf_base: word,
-                        rf_len: dt as u32 + 1,
-                        srf_base: word % 4,
-                        srf_len: 2,
-                        lds_base: (word + n as u32) % 5,
-                        lds_len: (n % 4) as u32,
-                    };
+                    let r = BlockRegions::default()
+                        .with_region(Rf, word, dt as u32 + 1)
+                        .with_region(Srf, word % 4, 2)
+                        .with_region(Lds, (word + n as u32) % 5, (n % 4) as u32);
                     blocks.push((sm, r));
                     evs.push(Ev::Dispatch(sm, r, cycle));
                 }
@@ -1198,12 +1106,8 @@ mod tests {
     fn drive(obs: &mut dyn SimObserver, evs: &[Ev]) {
         for &e in evs {
             match e {
-                Ev::Read(0, sm, w, c) => obs.on_rf_read(sm, w, c),
-                Ev::Read(1, sm, w, c) => obs.on_srf_read(sm, w, c),
-                Ev::Read(_, sm, w, c) => obs.on_lds_read(sm, w, c),
-                Ev::Write(0, sm, w, c) => obs.on_rf_write(sm, w, c),
-                Ev::Write(1, sm, w, c) => obs.on_srf_write(sm, w, c),
-                Ev::Write(_, sm, w, c) => obs.on_lds_write(sm, w, c),
+                Ev::Read(s, sm, w, c) => obs.on_read(sm, SLOTS[s], w, c),
+                Ev::Write(s, sm, w, c) => obs.on_write(sm, SLOTS[s], w, c),
                 Ev::Dispatch(sm, r, c) => obs.on_block_dispatch(sm, r, c),
                 Ev::Retire(sm, r, c) => obs.on_block_retire(sm, r, c),
                 Ev::Begin(c) => obs.on_launch_begin("k", c),
@@ -1239,7 +1143,7 @@ mod tests {
             let Ev::Retire(sm, r, _) = e else {
                 return false;
             };
-            let (base, len) = region(r, self.s);
+            let (base, len) = r.region(SLOTS[self.s]);
             sm == self.sm && (base..base + len).contains(&self.word)
         }
 
@@ -1342,7 +1246,7 @@ mod tests {
                             Ev::Retire(rsm, rr, c) if rsm == sm && rr == r => Some(c),
                             _ => None,
                         });
-                        occ += region(r, s).1 as u64 * (retired.unwrap() - d);
+                        occ += r.region(SLOTS[s]).1 as u64 * (retired.unwrap() - d);
                     }
                 }
                 let total = words[s] as u64 * arch.num_sms as u64;

@@ -53,23 +53,15 @@ const PHASE_LADDER: u64 = 2;
 const PHASE_CAMPAIGN_BASE: u64 = 3;
 
 /// Short stable token naming a structure in span paths and tables
-/// (`campaign:rf`); the `Display` impl is prose ("register file").
+/// (`campaign:rf`): [`Structure::label`]. The `Display` impl is prose
+/// ("register file").
 pub fn structure_label(structure: Structure) -> &'static str {
-    match structure {
-        Structure::VectorRegisterFile => "rf",
-        Structure::LocalMemory => "lds",
-        Structure::ScalarRegisterFile => "srf",
-    }
+    structure.label()
 }
 
 /// The sibling-ordering ordinal of a structure's campaign span.
 pub(crate) fn campaign_phase_seq(structure: Structure) -> u64 {
-    PHASE_CAMPAIGN_BASE
-        + match structure {
-            Structure::VectorRegisterFile => 0,
-            Structure::LocalMemory => 1,
-            Structure::ScalarRegisterFile => 2,
-        }
+    PHASE_CAMPAIGN_BASE + structure.index() as u64
 }
 
 /// Outcome of one fault-injection run.

@@ -32,6 +32,51 @@ pub enum Structure {
     ScalarRegisterFile,
 }
 
+impl Structure {
+    /// Every structure, in declaration order (the order of
+    /// [`Structure::index`]).
+    pub const ALL: [Structure; 3] = [
+        Structure::VectorRegisterFile,
+        Structure::LocalMemory,
+        Structure::ScalarRegisterFile,
+    ];
+
+    /// Position within [`Structure::ALL`]: the key of every per-structure
+    /// array (allocators, lifetime trackers, phase ordinals).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Stable short token used in site strings, span paths and telemetry
+    /// labels (`rf`, `lds`, `srf`); parse it back with [`str::parse`].
+    ///
+    /// # Example
+    /// ```
+    /// use simt_sim::Structure;
+    /// for s in Structure::ALL {
+    ///     assert_eq!(s.label().parse::<Structure>(), Ok(s));
+    /// }
+    /// ```
+    pub fn label(self) -> &'static str {
+        match self {
+            Structure::VectorRegisterFile => "rf",
+            Structure::LocalMemory => "lds",
+            Structure::ScalarRegisterFile => "srf",
+        }
+    }
+}
+
+impl FromStr for Structure {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Structure::ALL
+            .into_iter()
+            .find(|st| st.label() == s)
+            .ok_or_else(|| format!("unknown structure {s:?} (expected rf, lds or srf)"))
+    }
+}
+
 impl fmt::Display for Structure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -399,16 +444,7 @@ impl FromStr for FaultSite {
                 parts.len()
             ));
         }
-        let structure = match parts[1] {
-            "rf" => Structure::VectorRegisterFile,
-            "lds" => Structure::LocalMemory,
-            "srf" => Structure::ScalarRegisterFile,
-            other => {
-                return Err(format!(
-                    "unknown structure {other:?} (expected rf, lds or srf)"
-                ))
-            }
-        };
+        let structure = parts[1].parse::<Structure>()?;
         let num = |name: &str, v: &str| -> Result<u64, String> {
             v.parse::<u64>()
                 .map_err(|_| format!("invalid {name} {v:?} in {s:?}"))
@@ -442,14 +478,13 @@ impl FaultSite {
     /// Renders the site in the `sm:struct:word:bit:cycle[:kind]` grammar
     /// accepted by [`FaultSite::from_str`] (round-trips all kinds).
     pub fn to_site_string(&self) -> String {
-        let st = match self.structure {
-            Structure::VectorRegisterFile => "rf",
-            Structure::LocalMemory => "lds",
-            Structure::ScalarRegisterFile => "srf",
-        };
         let mut out = format!(
             "{}:{}:{}:{}:{}",
-            self.sm, st, self.word, self.bit, self.cycle
+            self.sm,
+            self.structure.label(),
+            self.word,
+            self.bit,
+            self.cycle
         );
         if self.kind != FaultKind::TransientFlip {
             out.push(':');

@@ -6,73 +6,70 @@
 //! injection needs none of them (campaign runs use [`NoopObserver`], which
 //! monomorphises to nothing).
 
-use crate::fault::FaultSite;
+use crate::fault::{FaultSite, Structure};
 
-/// The physical regions a block occupies on its SM, reported at dispatch
-/// and retire so analyses can reason about exact allocation extents.
+/// The physical regions a block occupies on its SM, one word range per
+/// structure, reported at dispatch and retire so analyses can reason
+/// about exact allocation extents.
+///
+/// # Example
+/// ```
+/// use simt_sim::{observer::BlockRegions, Structure};
+/// let r = BlockRegions::default().with_region(Structure::LocalMemory, 64, 16);
+/// assert_eq!(r.region(Structure::LocalMemory), (64, 16));
+/// assert_eq!(r.region(Structure::VectorRegisterFile), (0, 0));
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockRegions {
-    /// Vector-RF region start (words).
-    pub rf_base: u32,
-    /// Vector-RF region length (words).
-    pub rf_len: u32,
-    /// Scalar-RF region start (words).
-    pub srf_base: u32,
-    /// Scalar-RF region length (words).
-    pub srf_len: u32,
-    /// LDS region start (words).
-    pub lds_base: u32,
-    /// LDS region length (words).
-    pub lds_len: u32,
+    /// `(base, len)` in words, keyed by [`Structure::index`].
+    regions: [(u32, u32); 3],
+}
+
+impl BlockRegions {
+    /// The `(base, len)` word range the block holds in `structure`
+    /// (`(0, 0)` when it holds none).
+    pub fn region(&self, structure: Structure) -> (u32, u32) {
+        self.regions[structure.index()]
+    }
+
+    /// These regions with `structure`'s range set to `len` words from
+    /// `base`.
+    pub fn with_region(mut self, structure: Structure, base: u32, len: u32) -> Self {
+        self.regions[structure.index()] = (base, len);
+        self
+    }
 }
 
 /// Receiver of simulation events.
 ///
 /// All methods have empty default bodies so an observer implements only
-/// what it needs. Word indices are *physical* indices into the named
-/// per-SM structure — the same address space as [`FaultSite::word`].
+/// what it needs. Every storage access is one event keyed by its
+/// [`Structure`]; word indices are *physical* indices into that per-SM
+/// structure — the same address space as [`FaultSite::word`].
 ///
 /// # Example
 /// ```
-/// use simt_sim::SimObserver;
+/// use simt_sim::{SimObserver, Structure};
 ///
 /// #[derive(Default)]
-/// struct CountWrites(u64);
-/// impl SimObserver for CountWrites {
-///     fn on_rf_write(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-///         self.0 += 1;
+/// struct CountRfWrites(u64);
+/// impl SimObserver for CountRfWrites {
+///     fn on_write(&mut self, _sm: u32, structure: Structure, _word: u32, _cycle: u64) {
+///         if structure == Structure::VectorRegisterFile {
+///             self.0 += 1;
+///         }
 ///     }
 /// }
 /// ```
 pub trait SimObserver {
-    /// A vector-register word was written.
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        let _ = (sm, word, cycle);
+    /// A word of `structure` was written.
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        let _ = (sm, structure, word, cycle);
     }
 
-    /// A vector-register word was read.
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        let _ = (sm, word, cycle);
-    }
-
-    /// A scalar-register word was written.
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        let _ = (sm, word, cycle);
-    }
-
-    /// A scalar-register word was read.
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        let _ = (sm, word, cycle);
-    }
-
-    /// An LDS word was written.
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        let _ = (sm, word, cycle);
-    }
-
-    /// An LDS word was read.
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        let _ = (sm, word, cycle);
+    /// A word of `structure` was read.
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        let _ = (sm, structure, word, cycle);
     }
 
     /// A block was dispatched to `sm`, allocating the given regions.
@@ -112,13 +109,7 @@ pub trait SimObserver {
 
     /// A stuck-at fault re-asserted itself on a write: the value stored
     /// to `word` differed from the value the program requested.
-    fn on_stuck_reassert(
-        &mut self,
-        sm: u32,
-        structure: crate::fault::Structure,
-        word: u32,
-        cycle: u64,
-    ) {
+    fn on_stuck_reassert(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
         let _ = (sm, structure, word, cycle);
     }
 
@@ -138,23 +129,11 @@ pub trait SimObserver {
 }
 
 impl<T: SimObserver + ?Sized> SimObserver for &mut T {
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        (**self).on_rf_write(sm, word, cycle);
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        (**self).on_write(sm, structure, word, cycle);
     }
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        (**self).on_rf_read(sm, word, cycle);
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        (**self).on_srf_write(sm, word, cycle);
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        (**self).on_srf_read(sm, word, cycle);
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        (**self).on_lds_write(sm, word, cycle);
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        (**self).on_lds_read(sm, word, cycle);
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        (**self).on_read(sm, structure, word, cycle);
     }
     fn on_block_dispatch(&mut self, sm: u32, regions: BlockRegions, cycle: u64) {
         (**self).on_block_dispatch(sm, regions, cycle);
@@ -174,13 +153,7 @@ impl<T: SimObserver + ?Sized> SimObserver for &mut T {
     fn on_fault_injected(&mut self, site: FaultSite) {
         (**self).on_fault_injected(site);
     }
-    fn on_stuck_reassert(
-        &mut self,
-        sm: u32,
-        structure: crate::fault::Structure,
-        word: u32,
-        cycle: u64,
-    ) {
+    fn on_stuck_reassert(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
         (**self).on_stuck_reassert(sm, structure, word, cycle);
     }
     fn on_hang(&mut self, cycle: u64, parked_warps: u32) {
@@ -199,35 +172,20 @@ impl<T: SimObserver + ?Sized> SimObserver for &mut T {
 /// # Example
 /// ```
 /// use simt_sim::{CountingObserver, SimObserver};
+/// use simt_sim::Structure::VectorRegisterFile as Rf;
 /// let mut pair = (CountingObserver::default(), CountingObserver::default());
-/// pair.on_rf_write(0, 1, 2);
+/// pair.on_write(0, Rf, 1, 2);
 /// assert_eq!(pair.0.rf_writes, 1);
 /// assert_eq!(pair.1.rf_writes, 1);
 /// ```
 impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.0.on_rf_write(sm, word, cycle);
-        self.1.on_rf_write(sm, word, cycle);
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        self.0.on_write(sm, structure, word, cycle);
+        self.1.on_write(sm, structure, word, cycle);
     }
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.0.on_rf_read(sm, word, cycle);
-        self.1.on_rf_read(sm, word, cycle);
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.0.on_srf_write(sm, word, cycle);
-        self.1.on_srf_write(sm, word, cycle);
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.0.on_srf_read(sm, word, cycle);
-        self.1.on_srf_read(sm, word, cycle);
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.0.on_lds_write(sm, word, cycle);
-        self.1.on_lds_write(sm, word, cycle);
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.0.on_lds_read(sm, word, cycle);
-        self.1.on_lds_read(sm, word, cycle);
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        self.0.on_read(sm, structure, word, cycle);
+        self.1.on_read(sm, structure, word, cycle);
     }
     fn on_block_dispatch(&mut self, sm: u32, regions: BlockRegions, cycle: u64) {
         self.0.on_block_dispatch(sm, regions, cycle);
@@ -253,13 +211,7 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
         self.0.on_fault_injected(site);
         self.1.on_fault_injected(site);
     }
-    fn on_stuck_reassert(
-        &mut self,
-        sm: u32,
-        structure: crate::fault::Structure,
-        word: u32,
-        cycle: u64,
-    ) {
+    fn on_stuck_reassert(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
         self.0.on_stuck_reassert(sm, structure, word, cycle);
         self.1.on_stuck_reassert(sm, structure, word, cycle);
     }
@@ -282,38 +234,18 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
 /// use simt_sim::{CountingObserver, SimObserver};
 /// let mut on = Some(CountingObserver::default());
 /// let mut off: Option<CountingObserver> = None;
-/// (&mut on, &mut off).on_rf_write(0, 1, 2);
+/// (&mut on, &mut off).on_write(0, simt_sim::Structure::VectorRegisterFile, 1, 2);
 /// assert_eq!(on.unwrap().rf_writes, 1);
 /// ```
 impl<T: SimObserver> SimObserver for Option<T> {
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
         if let Some(o) = self {
-            o.on_rf_write(sm, word, cycle);
+            o.on_write(sm, structure, word, cycle);
         }
     }
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
         if let Some(o) = self {
-            o.on_rf_read(sm, word, cycle);
-        }
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        if let Some(o) = self {
-            o.on_srf_write(sm, word, cycle);
-        }
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        if let Some(o) = self {
-            o.on_srf_read(sm, word, cycle);
-        }
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        if let Some(o) = self {
-            o.on_lds_write(sm, word, cycle);
-        }
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        if let Some(o) = self {
-            o.on_lds_read(sm, word, cycle);
+            o.on_read(sm, structure, word, cycle);
         }
     }
     fn on_block_dispatch(&mut self, sm: u32, regions: BlockRegions, cycle: u64) {
@@ -346,13 +278,7 @@ impl<T: SimObserver> SimObserver for Option<T> {
             o.on_fault_injected(site);
         }
     }
-    fn on_stuck_reassert(
-        &mut self,
-        sm: u32,
-        structure: crate::fault::Structure,
-        word: u32,
-        cycle: u64,
-    ) {
+    fn on_stuck_reassert(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
         if let Some(o) = self {
             o.on_stuck_reassert(sm, structure, word, cycle);
         }
@@ -373,9 +299,9 @@ impl<T: SimObserver> SimObserver for Option<T> {
 ///
 /// # Example
 /// ```
-/// use simt_sim::{NoopObserver, SimObserver};
+/// use simt_sim::{NoopObserver, SimObserver, Structure};
 /// let mut o = NoopObserver;
-/// o.on_rf_write(0, 0, 0); // compiles to nothing
+/// o.on_write(0, Structure::VectorRegisterFile, 0, 0); // compiles to nothing
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopObserver;
@@ -388,11 +314,11 @@ impl SimObserver for NoopObserver {}
 ///
 /// # Example
 /// ```
-/// use simt_sim::{CountingObserver, SimObserver};
+/// use simt_sim::{CountingObserver, SimObserver, Structure};
 /// let mut c = CountingObserver::default();
-/// c.on_rf_write(0, 1, 2);
-/// c.on_rf_read(0, 1, 3);
-/// c.on_lds_write(0, 0, 4);
+/// c.on_write(0, Structure::VectorRegisterFile, 1, 2);
+/// c.on_read(0, Structure::VectorRegisterFile, 1, 3);
+/// c.on_write(0, Structure::LocalMemory, 0, 4);
 /// assert_eq!(c.rf_writes, 1);
 /// assert_eq!(c.rf_reads, 1);
 /// assert_eq!(c.lds_writes, 1);
@@ -428,23 +354,19 @@ pub struct CountingObserver {
 }
 
 impl SimObserver for CountingObserver {
-    fn on_rf_write(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-        self.rf_writes += 1;
+    fn on_write(&mut self, _sm: u32, structure: Structure, _word: u32, _cycle: u64) {
+        *match structure {
+            Structure::VectorRegisterFile => &mut self.rf_writes,
+            Structure::LocalMemory => &mut self.lds_writes,
+            Structure::ScalarRegisterFile => &mut self.srf_writes,
+        } += 1;
     }
-    fn on_rf_read(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-        self.rf_reads += 1;
-    }
-    fn on_srf_write(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-        self.srf_writes += 1;
-    }
-    fn on_srf_read(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-        self.srf_reads += 1;
-    }
-    fn on_lds_write(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-        self.lds_writes += 1;
-    }
-    fn on_lds_read(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-        self.lds_reads += 1;
+    fn on_read(&mut self, _sm: u32, structure: Structure, _word: u32, _cycle: u64) {
+        *match structure {
+            Structure::VectorRegisterFile => &mut self.rf_reads,
+            Structure::LocalMemory => &mut self.lds_reads,
+            Structure::ScalarRegisterFile => &mut self.srf_reads,
+        } += 1;
     }
     fn on_global_write(&mut self, _sm: u32, _addr: u32, _value: u32, _cycle: u64) {
         self.global_writes += 1;
@@ -458,13 +380,7 @@ impl SimObserver for CountingObserver {
     fn on_fault_injected(&mut self, _site: FaultSite) {
         self.faults += 1;
     }
-    fn on_stuck_reassert(
-        &mut self,
-        _sm: u32,
-        _structure: crate::fault::Structure,
-        _word: u32,
-        _cycle: u64,
-    ) {
+    fn on_stuck_reassert(&mut self, _sm: u32, _structure: Structure, _word: u32, _cycle: u64) {
         self.stuck_reasserts += 1;
     }
     fn on_hang(&mut self, _cycle: u64, _parked_warps: u32) {
@@ -523,10 +439,10 @@ impl HotspotCounters {
 ///
 /// # Example
 /// ```
-/// use simt_sim::{HotspotObserver, SimObserver};
+/// use simt_sim::{HotspotObserver, SimObserver, Structure};
 /// let mut h = HotspotObserver::default();
-/// h.on_rf_write(0, 1, 10);
-/// h.on_rf_read(0, 1, 90);
+/// h.on_write(0, Structure::VectorRegisterFile, 1, 10);
+/// h.on_read(0, Structure::VectorRegisterFile, 1, 90);
 /// assert_eq!(h.rf.accesses(), 2);
 /// assert_eq!(h.rf.active_cycles(), 81);
 /// ```
@@ -559,30 +475,27 @@ impl Default for HotspotObserver {
     }
 }
 
+impl HotspotObserver {
+    /// The counters of one structure.
+    fn counters(&mut self, structure: Structure) -> &mut HotspotCounters {
+        match structure {
+            Structure::VectorRegisterFile => &mut self.rf,
+            Structure::LocalMemory => &mut self.lds,
+            Structure::ScalarRegisterFile => &mut self.srf,
+        }
+    }
+}
+
 impl SimObserver for HotspotObserver {
-    fn on_rf_write(&mut self, _sm: u32, _word: u32, cycle: u64) {
-        self.rf.writes += 1;
-        self.rf.touch(cycle);
+    fn on_write(&mut self, _sm: u32, structure: Structure, _word: u32, cycle: u64) {
+        let c = self.counters(structure);
+        c.writes += 1;
+        c.touch(cycle);
     }
-    fn on_rf_read(&mut self, _sm: u32, _word: u32, cycle: u64) {
-        self.rf.reads += 1;
-        self.rf.touch(cycle);
-    }
-    fn on_srf_write(&mut self, _sm: u32, _word: u32, cycle: u64) {
-        self.srf.writes += 1;
-        self.srf.touch(cycle);
-    }
-    fn on_srf_read(&mut self, _sm: u32, _word: u32, cycle: u64) {
-        self.srf.reads += 1;
-        self.srf.touch(cycle);
-    }
-    fn on_lds_write(&mut self, _sm: u32, _word: u32, cycle: u64) {
-        self.lds.writes += 1;
-        self.lds.touch(cycle);
-    }
-    fn on_lds_read(&mut self, _sm: u32, _word: u32, cycle: u64) {
-        self.lds.reads += 1;
-        self.lds.touch(cycle);
+    fn on_read(&mut self, _sm: u32, structure: Structure, _word: u32, cycle: u64) {
+        let c = self.counters(structure);
+        c.reads += 1;
+        c.touch(cycle);
     }
     fn on_block_dispatch(&mut self, _sm: u32, _regions: BlockRegions, _cycle: u64) {
         self.sched_dispatches += 1;
@@ -598,7 +511,7 @@ impl SimObserver for HotspotObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::Structure;
+    use Structure::{LocalMemory as Lds, VectorRegisterFile as Rf};
 
     #[derive(Default)]
     struct Recorder {
@@ -609,11 +522,15 @@ mod tests {
     }
 
     impl SimObserver for Recorder {
-        fn on_rf_write(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-            self.rf_writes += 1;
+        fn on_write(&mut self, _sm: u32, structure: Structure, _word: u32, _cycle: u64) {
+            if structure == Rf {
+                self.rf_writes += 1;
+            }
         }
-        fn on_lds_read(&mut self, _sm: u32, _word: u32, _cycle: u64) {
-            self.lds_reads += 1;
+        fn on_read(&mut self, _sm: u32, structure: Structure, _word: u32, _cycle: u64) {
+            if structure == Lds {
+                self.lds_reads += 1;
+            }
         }
         fn on_launch_begin(&mut self, _name: &str, _cycle: u64) {
             self.launches += 1;
@@ -626,9 +543,9 @@ mod tests {
     #[test]
     fn default_methods_are_noops_and_overrides_fire() {
         let mut r = Recorder::default();
-        r.on_rf_write(0, 1, 2);
-        r.on_rf_read(0, 1, 2); // default: ignored
-        r.on_lds_read(1, 2, 3);
+        r.on_write(0, Rf, 1, 2);
+        r.on_read(0, Rf, 1, 2); // not recorded
+        r.on_read(1, Lds, 2, 3);
         r.on_launch_begin("k", 0);
         r.on_launch_end(10);
         r.on_fault_injected(FaultSite::new(Structure::VectorRegisterFile, 0, 0, 0, 0));
@@ -643,9 +560,9 @@ mod tests {
         let mut h = HotspotObserver::default();
         h.on_launch_begin("k", 0);
         h.on_block_dispatch(0, BlockRegions::default(), 1);
-        h.on_rf_write(0, 1, 10);
-        h.on_rf_read(0, 1, 50);
-        h.on_lds_write(0, 3, 20);
+        h.on_write(0, Rf, 1, 10);
+        h.on_read(0, Rf, 1, 50);
+        h.on_write(0, Lds, 3, 20);
         h.on_launch_end(100);
         assert_eq!(h.rf.writes, 1);
         assert_eq!(h.rf.reads, 1);

@@ -20,18 +20,8 @@ use simt_isa::{
 pub struct ResidentBlock {
     /// Block coordinates.
     pub ctaid: (u32, u32),
-    /// Vector-RF region (words).
-    pub rf_base: u32,
-    /// Vector-RF region length (words).
-    pub rf_len: u32,
-    /// Scalar-RF region (words).
-    pub srf_base: u32,
-    /// Scalar-RF region length (words).
-    pub srf_len: u32,
-    /// LDS region (words).
-    pub lds_base: u32,
-    /// LDS region length (words).
-    pub lds_len: u32,
+    /// The RF, SRF and LDS regions the block holds.
+    pub regions: BlockRegions,
     /// Warp slots owned by this block.
     pub warp_slots: Vec<usize>,
     /// Warps that have not finished.
@@ -65,9 +55,8 @@ pub struct Sm {
     pub(crate) rf: Vec<u32>,
     pub(crate) srf: Vec<u32>,
     pub(crate) lds: Vec<u32>,
-    rf_alloc: RegionAllocator,
-    srf_alloc: RegionAllocator,
-    lds_alloc: RegionAllocator,
+    /// One allocator per structure, keyed by [`Structure::index`].
+    alloc: [RegionAllocator; 3],
     warps: Vec<Option<Warp>>,
     blocks: Vec<Option<ResidentBlock>>,
     /// Armed permanent stuck-at cells, re-asserted by the store
@@ -171,9 +160,7 @@ impl Sm {
             rf: vec![0; arch.rf_words_per_sm() as usize],
             srf: vec![0; arch.srf_words_per_sm() as usize],
             lds: vec![0; arch.lds_words_per_sm() as usize],
-            rf_alloc: RegionAllocator::new(arch.rf_words_per_sm()),
-            srf_alloc: RegionAllocator::new(arch.srf_words_per_sm()),
-            lds_alloc: RegionAllocator::new(arch.lds_words_per_sm()),
+            alloc: Structure::ALL.map(|s| RegionAllocator::new(arch.words_per_sm(s))),
             warps: (0..arch.max_warps_per_sm).map(|_| None).collect(),
             blocks: (0..arch.max_blocks_per_sm).map(|_| None).collect(),
             stuck: Vec::new(),
@@ -203,9 +190,7 @@ impl Sm {
         if let Some(ov) = self.overlay.as_deref_mut() {
             ov.maps_mut().iter_mut().for_each(|m| m.clear());
         }
-        self.rf_alloc.reset();
-        self.srf_alloc.reset();
-        self.lds_alloc.reset();
+        self.alloc.iter_mut().for_each(RegionAllocator::reset);
         for w in &mut self.warps {
             *w = None;
         }
@@ -360,14 +345,9 @@ impl Sm {
         if let Some(ov) = self.overlay.as_deref_mut() {
             ov.map_mut(structure).clear_word(word);
         }
-        let (sm, cycle) = (self.id, cx.cycle);
-        match structure {
-            Structure::VectorRegisterFile => cx.obs.on_rf_write(sm, word, cycle),
-            Structure::ScalarRegisterFile => cx.obs.on_srf_write(sm, word, cycle),
-            Structure::LocalMemory => cx.obs.on_lds_write(sm, word, cycle),
-        }
+        cx.obs.on_write(self.id, structure, word, cx.cycle);
         if stored != value {
-            cx.obs.on_stuck_reassert(sm, structure, word, cycle);
+            cx.obs.on_stuck_reassert(self.id, structure, word, cx.cycle);
         }
         if !carry.is_empty() {
             let map = self
@@ -497,11 +477,7 @@ impl Sm {
     /// drops the overlay shard (forked private replays run on real state).
     pub(crate) fn materialize_scenario(&mut self, s: u8) {
         if let Some(ov) = self.overlay.take() {
-            for structure in [
-                Structure::VectorRegisterFile,
-                Structure::ScalarRegisterFile,
-                Structure::LocalMemory,
-            ] {
+            for structure in Structure::ALL {
                 let storage = self.storage_mut(structure);
                 for (word, v) in ov.map(structure).scenario_values(s) {
                     if let Some(slot) = storage.get_mut(word as usize) {
@@ -537,25 +513,28 @@ impl Sm {
         let Some(block_slot) = self.blocks.iter().position(Option::is_none) else {
             return false;
         };
-        let rf_len = warps_n * warp_size * kernel.vregs_per_thread() as u32;
-        let srf_len = warps_n * kernel.sregs_per_warp() as u32;
-        let lds_len = kernel.shared_bytes().div_ceil(4);
-        let Some(rf_base) = self.rf_alloc.alloc(rf_len) else {
-            return false;
-        };
-        let Some(srf_base) = self.srf_alloc.alloc(srf_len) else {
-            self.rf_alloc.free(rf_base, rf_len);
-            return false;
-        };
-        let Some(lds_base) = self.lds_alloc.alloc(lds_len) else {
-            self.rf_alloc.free(rf_base, rf_len);
-            self.srf_alloc.free(srf_base, srf_len);
-            return false;
-        };
-
-        self.wake = 0;
         let vregs = kernel.vregs_per_thread() as u32;
         let sregs = kernel.sregs_per_warp() as u32;
+        let mut regions = BlockRegions::default();
+        for s in Structure::ALL {
+            let len = match s {
+                Structure::VectorRegisterFile => warps_n * warp_size * vregs,
+                Structure::LocalMemory => kernel.shared_bytes().div_ceil(4),
+                Structure::ScalarRegisterFile => warps_n * sregs,
+            };
+            let Some(base) = self.alloc[s.index()].alloc(len) else {
+                // The regions not taken yet are empty: freeing them is a
+                // no-op.
+                self.free_regions(regions);
+                return false;
+            };
+            regions = regions.with_region(s, base, len);
+        }
+        let (rf_base, _) = regions.region(Structure::VectorRegisterFile);
+        let (srf_base, _) = regions.region(Structure::ScalarRegisterFile);
+        let (lds_base, lds_len) = regions.region(Structure::LocalMemory);
+
+        self.wake = 0;
         let mut warp_slots = Vec::with_capacity(warps_n as usize);
         for w in 0..warps_n {
             let lanes = (threads - w * warp_size).min(warp_size);
@@ -586,29 +565,21 @@ impl Sm {
         }
         self.blocks[block_slot] = Some(ResidentBlock {
             ctaid,
-            rf_base,
-            rf_len,
-            srf_base,
-            srf_len,
-            lds_base,
-            lds_len,
+            regions,
             warp_slots,
             running_warps: warps_n,
             at_barrier: 0,
         });
-        cx.obs.on_block_dispatch(
-            self.id,
-            BlockRegions {
-                rf_base,
-                rf_len,
-                srf_base,
-                srf_len,
-                lds_base,
-                lds_len,
-            },
-            cx.cycle,
-        );
+        cx.obs.on_block_dispatch(self.id, regions, cx.cycle);
         true
+    }
+
+    /// Returns a block's regions to their allocators.
+    fn free_regions(&mut self, regions: BlockRegions) {
+        for s in Structure::ALL {
+            let (base, len) = regions.region(s);
+            self.alloc[s.index()].free(base, len);
+        }
     }
 
     /// The earliest cycle at which the warp in `slot` can issue, or
@@ -771,23 +742,10 @@ impl Sm {
         for s in &block.warp_slots {
             self.warps[*s] = None;
         }
-        self.rf_alloc.free(block.rf_base, block.rf_len);
-        self.srf_alloc.free(block.srf_base, block.srf_len);
-        self.lds_alloc.free(block.lds_base, block.lds_len);
+        self.free_regions(block.regions);
         self.stats.blocks_retired += 1;
         self.retired_flag = true;
-        cx.obs.on_block_retire(
-            self.id,
-            BlockRegions {
-                rf_base: block.rf_base,
-                rf_len: block.rf_len,
-                srf_base: block.srf_base,
-                srf_len: block.srf_len,
-                lds_base: block.lds_base,
-                lds_len: block.lds_len,
-            },
-            cx.cycle,
-        );
+        cx.obs.on_block_retire(self.id, block.regions, cx.cycle);
     }
 
     /// Executes one instruction that is not control flow. On success the
@@ -933,7 +891,8 @@ impl Sm {
             Operand::Imm(v) => Resolved::Uniform(v),
             Operand::Reg(Reg::S(SReg(r))) => {
                 let phys = warp.srf_base + r as u32;
-                cx.obs.on_srf_read(self.id, phys, cx.cycle);
+                cx.obs
+                    .on_read(self.id, Structure::ScalarRegisterFile, phys, cx.cycle);
                 Resolved::Sreg {
                     phys,
                     value: self.srf[phys as usize],
@@ -996,7 +955,8 @@ impl Sm {
             Resolved::Uniform(v) | Resolved::Sreg { value: v, .. } => v,
             Resolved::VReg(reg) => {
                 let phys = self.vword(warp, reg, lane);
-                cx.obs.on_rf_read(self.id, phys, cx.cycle);
+                cx.obs
+                    .on_read(self.id, Structure::VectorRegisterFile, phys, cx.cycle);
                 self.rf[phys as usize]
             }
             Resolved::Special(s) => match s {
@@ -1108,7 +1068,7 @@ impl Sm {
                         .as_deref()
                         .and_then(|ov| ov.map(Structure::LocalMemory).cell(w)),
                 );
-                cx.obs.on_lds_read(self.id, w, cx.cycle);
+                cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
                 Ok((self.lds[w as usize], carry))
             }
         }
@@ -1227,7 +1187,7 @@ impl Sm {
                         forks |= ov.map(Structure::LocalMemory).mask(w);
                     }
                     *cx.forks |= forks;
-                    cx.obs.on_lds_read(self.id, w, cx.cycle);
+                    cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
                     let (new, old) = eval_atom(op, self.lds[w as usize], v);
                     self.store(Structure::LocalMemory, w, new, &[], cx);
                     old
@@ -1430,7 +1390,10 @@ mod tests {
         let arch = ArchConfig::small_test_gpu();
         let mut sm = Sm::new(0, &arch);
         assert!(!sm.busy());
-        assert_eq!(sm.rf_alloc.allocated(), 0);
+        assert_eq!(
+            sm.alloc[Structure::VectorRegisterFile.index()].allocated(),
+            0
+        );
         sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
         assert_eq!(sm.rf[10], 8);
         sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
@@ -1501,6 +1464,58 @@ mod tests {
         sm.reset();
         assert_eq!(sm.lds[2], 1, "stuck-at-1 re-asserts after reset");
         assert_eq!(sm.stuck.len(), 2);
+    }
+
+    #[test]
+    fn failed_dispatch_releases_every_region_it_took() {
+        use simt_isa::{lower, KernelBuilder};
+        let arch = ArchConfig::small_test_gpu_scalar();
+        let mut b = KernelBuilder::new("lds_hog", 1);
+        let out = b.param(0);
+        let gid = b.vreg();
+        let addr = b.vreg();
+        b.global_tid_x(gid);
+        b.word_addr(addr, out, gid);
+        b.st(MemSpace::Global, addr, gid);
+        // Three quarters of the LDS: one block fits, a second does not.
+        b.shared(arch.lds_bytes_per_sm / 4 * 3);
+        let kernel = lower(&b.build().unwrap(), arch.caps()).unwrap();
+        assert!(kernel.sregs_per_warp() > 0, "the block takes SRF words");
+
+        let mut sm = Sm::new(0, &arch);
+        let mut obs = crate::observer::CountingObserver::default();
+        let mut mem = GlobalMemory::new();
+        let mut mem_sys = MemorySystem::new(
+            arch.num_sms,
+            arch.l1,
+            arch.l2,
+            arch.lat,
+            arch.coalesce_bytes,
+        );
+        let mut cx = Ctx {
+            cycle: 0,
+            arch: &arch,
+            cfg: LaunchConfig::linear(2, arch.warp_size),
+            mem: &mut mem,
+            mem_sys: &mut mem_sys,
+            obs: &mut obs,
+            forks: &mut 0,
+        };
+        assert!(sm.try_dispatch(&kernel, (0, 0), &[0], &mut cx));
+        let allocated = sm.alloc.each_ref().map(RegionAllocator::allocated);
+        for s in [Structure::VectorRegisterFile, Structure::ScalarRegisterFile] {
+            let a = &sm.alloc[s.index()];
+            assert!(
+                a.capacity() - a.allocated() >= a.allocated(),
+                "{s} holds two"
+            );
+        }
+        assert!(!sm.try_dispatch(&kernel, (1, 0), &[0], &mut cx));
+        assert_eq!(
+            sm.alloc.each_ref().map(RegionAllocator::allocated),
+            allocated
+        );
+        assert_eq!(cx.obs.blocks, 1);
     }
 
     #[test]

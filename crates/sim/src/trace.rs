@@ -208,39 +208,6 @@ impl<'a> TraceObserver<'a> {
         self.live.insert(key);
     }
 
-    fn read(&mut self, structure: Structure, sm: u32, word: u32, cycle: u64) {
-        if self.injected_at.is_none() || sm != self.sm_index {
-            return;
-        }
-        let key = (structure, word);
-        if !self.live.contains(&key) {
-            return;
-        }
-        self.tainted_read_cycle = Some(cycle);
-        if Some(key) == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
-            self.first_read = Some(cycle);
-        }
-    }
-
-    fn write(&mut self, structure: Structure, sm: u32, word: u32, cycle: u64) {
-        if self.injected_at.is_none() || sm != self.sm_index {
-            return;
-        }
-        let key = (structure, word);
-        if self.tainted_read_cycle == Some(cycle) {
-            // A tainted word was read on this SM this cycle: the stored
-            // value may derive from the corruption, so the destination
-            // joins the taint set.
-            self.taint(key);
-        } else {
-            // Clean data overwrites the word: the corruption there dies.
-            if Some(key) == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
-                self.overwrite = Some(cycle);
-            }
-            self.live.remove(&key);
-        }
-    }
-
     /// Distills the recording; `lds_banks` is the device's LDS bank
     /// count (used to fold tainted LDS words onto banks).
     pub fn into_record(self, lds_banks: u32) -> TraceRecord {
@@ -268,23 +235,36 @@ impl<'a> TraceObserver<'a> {
 }
 
 impl SimObserver for TraceObserver<'_> {
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.read(Structure::VectorRegisterFile, sm, word, cycle);
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        if self.injected_at.is_none() || sm != self.sm_index {
+            return;
+        }
+        let key = (structure, word);
+        if !self.live.contains(&key) {
+            return;
+        }
+        self.tainted_read_cycle = Some(cycle);
+        if Some(key) == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
+            self.first_read = Some(cycle);
+        }
     }
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.write(Structure::VectorRegisterFile, sm, word, cycle);
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.read(Structure::ScalarRegisterFile, sm, word, cycle);
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.write(Structure::ScalarRegisterFile, sm, word, cycle);
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.read(Structure::LocalMemory, sm, word, cycle);
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.write(Structure::LocalMemory, sm, word, cycle);
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        if self.injected_at.is_none() || sm != self.sm_index {
+            return;
+        }
+        let key = (structure, word);
+        if self.tainted_read_cycle == Some(cycle) {
+            // A tainted word was read on this SM this cycle: the stored
+            // value may derive from the corruption, so the destination
+            // joins the taint set.
+            self.taint(key);
+        } else {
+            // Clean data overwrites the word: the corruption there dies.
+            if Some(key) == self.origin() && self.first_read.is_none() && self.overwrite.is_none() {
+                self.overwrite = Some(cycle);
+            }
+            self.live.remove(&key);
+        }
     }
     fn on_global_write(&mut self, _sm: u32, addr: u32, value: u32, cycle: u64) {
         // Track the full post-resume stream (pre-injection stores match
@@ -334,6 +314,7 @@ impl SimObserver for TraceObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Structure::{LocalMemory as Lds, VectorRegisterFile as Rf};
 
     fn site() -> FaultSite {
         FaultSite::new(Structure::VectorRegisterFile, 0, 10, 3, 100)
@@ -343,10 +324,10 @@ mod tests {
     fn first_read_is_recorded_and_overwrite_suppressed_after_it() {
         let golden = [];
         let mut t = TraceObserver::new(site(), 1, &golden, 0);
-        t.on_rf_read(0, 10, 50); // pre-injection: ignored
+        t.on_read(0, Rf, 10, 50); // pre-injection: ignored
         t.on_fault_injected(site());
-        t.on_rf_read(0, 10, 120);
-        t.on_rf_write(0, 10, 130); // later clean overwrite: not masking
+        t.on_read(0, Rf, 10, 120);
+        t.on_write(0, Rf, 10, 130); // later clean overwrite: not masking
         let r = t.into_record(16);
         assert_eq!(r.injected_at, Some(100));
         assert_eq!(r.first_read, Some(120));
@@ -362,8 +343,8 @@ mod tests {
         let mut t = TraceObserver::new(ctrl, 1, &golden, 0);
         t.on_fault_injected(ctrl);
         // Register word 10 shares the slot's index; it is not the fault.
-        t.on_rf_write(0, 10, 110);
-        t.on_rf_read(0, 10, 120);
+        t.on_write(0, Rf, 10, 110);
+        t.on_read(0, Rf, 10, 120);
         t.on_control_corrupt(ctrl, 100);
         let r = t.into_record(16);
         assert_eq!(r.injected_at, Some(100));
@@ -377,8 +358,8 @@ mod tests {
         let golden = [];
         let mut t = TraceObserver::new(site(), 1, &golden, 0);
         t.on_fault_injected(site());
-        t.on_rf_write(0, 10, 110);
-        t.on_rf_read(0, 10, 120); // reads the clean value: not a fault read
+        t.on_write(0, Rf, 10, 110);
+        t.on_read(0, Rf, 10, 120); // reads the clean value: not a fault read
         let r = t.into_record(16);
         assert_eq!(r.overwrite, Some(110));
         assert_eq!(r.first_read, None);
@@ -391,10 +372,10 @@ mod tests {
         t.on_fault_injected(site());
         // Corrupted word read, result written to another RF word and two
         // LDS words in the same cycle.
-        t.on_rf_read(0, 10, 120);
-        t.on_rf_write(0, 44, 120);
-        t.on_lds_write(0, 3, 120);
-        t.on_lds_write(0, 19, 120); // 19 % 16 == 3: same bank
+        t.on_read(0, Rf, 10, 120);
+        t.on_write(0, Rf, 44, 120);
+        t.on_write(0, Lds, 3, 120);
+        t.on_write(0, Lds, 19, 120); // 19 % 16 == 3: same bank
         let r = t.into_record(16);
         assert_eq!(r.taint_words, 4);
         assert_eq!(r.lds_banks, 1);
@@ -448,7 +429,7 @@ mod tests {
         let golden = [];
         let mut t = TraceObserver::new(site(), 4, &golden, 0);
         t.on_fault_injected(site());
-        t.on_rf_read(2, 10, 120); // different SM
+        t.on_read(2, Rf, 10, 120); // different SM
         let r = t.into_record(16);
         assert_eq!(r.first_read, None);
     }
@@ -458,9 +439,9 @@ mod tests {
         let golden = [];
         let mut t = TraceObserver::new(site(), 1, &golden, 0);
         t.on_fault_injected(site());
-        t.on_rf_read(0, 10, 120);
+        t.on_read(0, Rf, 10, 120);
         for w in 0..(TAINT_CAP as u32 + 8) {
-            t.on_lds_write(0, w, 120);
+            t.on_write(0, Lds, w, 120);
         }
         let r = t.into_record(16);
         assert!(r.taint_saturated);

@@ -4,6 +4,7 @@
 //! also mirrored into the telemetry event sink (as a `log` event) so a
 //! JSONL export contains the full narrative of the run.
 
+use std::io::Write;
 use std::sync::Arc;
 
 use crate::events::{Event, EventSink, NullSink};
@@ -62,7 +63,8 @@ impl Logger {
 
     fn emit(&self, level: &str, min: LogLevel, msg: &str) {
         if self.level >= min {
-            eprintln!("{msg}");
+            // A closed stderr drops the line; `eprintln!` would panic.
+            let _ = writeln!(std::io::stderr(), "{msg}");
         }
         // The sink gets every line regardless of the stderr gate: the
         // JSONL export should tell the whole story even under --quiet.

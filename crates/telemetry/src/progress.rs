@@ -24,6 +24,7 @@
 //! (`campaign_batched_total` / `campaign_batches_total`) are folded in
 //! for the shared-pass note on the progress line.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -173,13 +174,14 @@ impl ProgressHook {
             }
             *last = now;
         }
-        eprint!("\r{:<72}", self.render(done));
+        // A closed stderr drops the redraw; `eprint!` would panic.
+        let _ = write!(std::io::stderr(), "\r{:<72}", self.render(done));
     }
 
     /// Draws the final state and moves stderr to a fresh line.
     pub fn finish(&self) {
         self.draw(self.done(), true);
-        eprintln!();
+        let _ = writeln!(std::io::stderr());
     }
 }
 

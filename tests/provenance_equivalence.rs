@@ -174,13 +174,13 @@ struct RfLog {
 }
 
 impl SimObserver for RfLog {
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        if sm == 0 {
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        if sm == 0 && structure == Structure::VectorRegisterFile {
             self.writes.push((word, cycle));
         }
     }
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        if sm == 0 {
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        if sm == 0 && structure == Structure::VectorRegisterFile {
             self.reads.push((word, cycle));
         }
     }

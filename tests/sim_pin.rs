@@ -175,13 +175,16 @@ impl EventDigest {
     }
 
     fn regions(r: BlockRegions) -> [u64; 6] {
+        let (rf_base, rf_len) = r.region(Structure::VectorRegisterFile);
+        let (srf_base, srf_len) = r.region(Structure::ScalarRegisterFile);
+        let (lds_base, lds_len) = r.region(Structure::LocalMemory);
         [
-            r.rf_base as u64,
-            r.rf_len as u64,
-            r.srf_base as u64,
-            r.srf_len as u64,
-            r.lds_base as u64,
-            r.lds_len as u64,
+            rf_base as u64,
+            rf_len as u64,
+            srf_base as u64,
+            srf_len as u64,
+            lds_base as u64,
+            lds_len as u64,
         ]
     }
 
@@ -212,23 +215,21 @@ fn structure_code(s: Structure) -> u64 {
 }
 
 impl SimObserver for EventDigest {
-    fn on_rf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.mix(1, &[sm as u64, word as u64, cycle]);
+    fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        let tag = match structure {
+            Structure::VectorRegisterFile => 1,
+            Structure::ScalarRegisterFile => 3,
+            Structure::LocalMemory => 5,
+        };
+        self.mix(tag, &[sm as u64, word as u64, cycle]);
     }
-    fn on_rf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.mix(2, &[sm as u64, word as u64, cycle]);
-    }
-    fn on_srf_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.mix(3, &[sm as u64, word as u64, cycle]);
-    }
-    fn on_srf_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.mix(4, &[sm as u64, word as u64, cycle]);
-    }
-    fn on_lds_write(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.mix(5, &[sm as u64, word as u64, cycle]);
-    }
-    fn on_lds_read(&mut self, sm: u32, word: u32, cycle: u64) {
-        self.mix(6, &[sm as u64, word as u64, cycle]);
+    fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+        let tag = match structure {
+            Structure::VectorRegisterFile => 2,
+            Structure::ScalarRegisterFile => 4,
+            Structure::LocalMemory => 6,
+        };
+        self.mix(tag, &[sm as u64, word as u64, cycle]);
     }
     fn on_block_dispatch(&mut self, sm: u32, regions: BlockRegions, cycle: u64) {
         if sm == 0 {
