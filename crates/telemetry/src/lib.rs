@@ -64,3 +64,14 @@ pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use progress::ProgressHook;
 pub use serve::{serve, Observatory, ServerHandle, StatusBoard};
 pub use spans::{SpanHook, SpanNode, SpanRecord, SpanRecorder, SpanTree};
+
+/// Writes `args` to stderr and drops the error a closed stderr gives
+/// (`eprint!` panics on it). The crate's unit tests keep `eprint!`, the
+/// one form libtest's output capture sees, so redraws stay out of the
+/// test report.
+pub(crate) fn to_stderr(args: std::fmt::Arguments<'_>) {
+    #[cfg(test)]
+    eprint!("{args}");
+    #[cfg(not(test))]
+    let _ = std::io::Write::write_fmt(&mut std::io::stderr(), args);
+}

@@ -4,7 +4,6 @@
 //! also mirrored into the telemetry event sink (as a `log` event) so a
 //! JSONL export contains the full narrative of the run.
 
-use std::io::Write;
 use std::sync::Arc;
 
 use crate::events::{Event, EventSink, NullSink};
@@ -63,8 +62,7 @@ impl Logger {
 
     fn emit(&self, level: &str, min: LogLevel, msg: &str) {
         if self.level >= min {
-            // A closed stderr drops the line; `eprintln!` would panic.
-            let _ = writeln!(std::io::stderr(), "{msg}");
+            crate::to_stderr(format_args!("{msg}\n"));
         }
         // The sink gets every line regardless of the stderr gate: the
         // JSONL export should tell the whole story even under --quiet.

@@ -24,7 +24,6 @@
 //! (`campaign_batched_total` / `campaign_batches_total`) are folded in
 //! for the shared-pass note on the progress line.
 
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -174,14 +173,13 @@ impl ProgressHook {
             }
             *last = now;
         }
-        // A closed stderr drops the redraw; `eprint!` would panic.
-        let _ = write!(std::io::stderr(), "\r{:<72}", self.render(done));
+        crate::to_stderr(format_args!("\r{:<72}", self.render(done)));
     }
 
     /// Draws the final state and moves stderr to a fresh line.
     pub fn finish(&self) {
         self.draw(self.done(), true);
-        let _ = writeln!(std::io::stderr());
+        crate::to_stderr(format_args!("\n"));
     }
 }
 
