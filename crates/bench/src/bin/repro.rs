@@ -36,6 +36,7 @@ use simt_sim::{
 };
 use std::any::Any;
 use std::fmt::Display;
+use std::io::Write;
 use std::panic;
 use std::path::Path;
 use std::process::ExitCode;
@@ -387,7 +388,9 @@ fn repro() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n{HELP}");
+            // Like the logger, drop the error a closed stderr gives
+            // instead of panicking on it.
+            let _ = writeln!(std::io::stderr(), "error: {e}\n{HELP}");
             return ExitCode::FAILURE;
         }
     };
@@ -402,7 +405,7 @@ fn repro() -> ExitCode {
         Ok(Some(sink)) => sink,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(std::io::stderr(), "error: {e}");
             return ExitCode::FAILURE;
         }
     };

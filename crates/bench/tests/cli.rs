@@ -601,3 +601,24 @@ fn closed_stderr_drops_status_lines() {
     assert!(out.status.success(), "{:?}", out.status);
     assert_eq!(String::from_utf8_lossy(&out.stdout), table);
 }
+
+/// A failed command whose stderr is closed still exits 1: the error
+/// line is dropped, not a panic (exit 101). Covers both of `main`'s
+/// direct error writes: a bad flag, and a command failing before the
+/// logger exists.
+#[test]
+fn closed_stderr_keeps_the_failure_exit() {
+    for args in [
+        &["fig1", "--bogus"][..],
+        &["report", "/nonexistent/metrics.jsonl"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = repro()
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {:?}", out.status);
+    }
+}

@@ -738,6 +738,11 @@ impl CheckpointLadder {
         }
     }
 
+    /// The rungs in cycle order.
+    pub fn rungs(&self) -> &[Checkpoint] {
+        &self.ckpts
+    }
+
     /// Number of rungs.
     pub fn len(&self) -> usize {
         self.ckpts.len()
@@ -824,10 +829,12 @@ fn replay_private<O: SimObserver, H: TelemetryHook>(
     start_cycle: u64,
     obs: &mut O,
 ) -> Result<Outcome, SimError> {
-    let base_instructions = if H::ENABLED {
-        session.gpu().exec_totals().warp_instructions
+    // The cumulative counters the device carried in from its checkpoint.
+    let base = if H::ENABLED {
+        let gpu = session.gpu();
+        (gpu.exec_totals().warp_instructions, gpu.page_copies())
     } else {
-        0
+        (0, 0)
     };
     session.set_watchdog(ctx.watchdog);
     let result = session.run_to_completion(obs);
@@ -837,17 +844,18 @@ fn replay_private<O: SimObserver, H: TelemetryHook>(
             "campaign_cycles_replayed_total",
             gpu.app_cycle().saturating_sub(start_cycle),
         );
-        record_replay_cost(ctx.hook, gpu, base_instructions, session.telemetry());
+        record_replay_cost(ctx.hook, gpu, base, session.telemetry());
     }
     verdict(ctx, result, gpu, site, start_cycle)
 }
 
-/// Instructions a replay retired beyond its checkpoint prefix, and the
-/// cost of the checkpoint restore it started from.
+/// Instructions a replay retired beyond its checkpoint prefix, the cost
+/// of the checkpoint restore it started from, and the storage pages it
+/// copied on first writes: the copying a restore no longer does.
 fn record_replay_cost<H: TelemetryHook>(
     hook: &H,
     gpu: &Gpu,
-    base_instructions: u64,
+    (base_instructions, base_copies): (u64, u64),
     session_tel: &simt_sim::SessionTelemetry,
 ) {
     hook.count(
@@ -855,6 +863,10 @@ fn record_replay_cost<H: TelemetryHook>(
         gpu.exec_totals()
             .warp_instructions
             .saturating_sub(base_instructions),
+    );
+    hook.count(
+        "sim_page_copies_total",
+        gpu.page_copies().saturating_sub(base_copies),
     );
     if session_tel.restores > 0 {
         hook.count("sim_restores_total", session_tel.restores);

@@ -430,9 +430,9 @@ fn worker_loop<H: TelemetryHook>(
     let started = H::ENABLED.then(Instant::now);
     // The worker's private device. A checkpoint resume replaces it with a
     // clone of the checkpoint's device (`Session::resume` runs
-    // `*gpu = ckpt.gpu.clone()`), so every resumed replay allocates a
-    // whole device; ROADMAP item 3 (copy-on-write device state) is about
-    // restoring only what changed instead.
+    // `*gpu = ckpt.gpu.clone()`). The clone shares every storage page
+    // with the checkpoint, so a resume copies page handles and warp
+    // state, not storage words; the replay copies each page it writes.
     let setup = shared.ctx.setup;
     let mut gpu = Gpu::new(setup.arch.clone());
     let mut done: Vec<Done> = Vec::new();

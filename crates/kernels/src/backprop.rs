@@ -6,6 +6,7 @@ use crate::common::{f32_words, sigmoid, uniform_f32};
 use crate::Workload;
 use simt_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, Special};
 use simt_sim::{Buffer, Dim, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 /// Hidden units (fixed at 16 as in Rodinia's `bpnn` GPU path).
 pub const HID: u32 = 16;
@@ -30,9 +31,9 @@ const MOMENTUM: f32 = 0.3;
 #[derive(Debug, Clone)]
 pub struct Backprop {
     n_in: u32,
-    input: Vec<f32>,
-    w1: Vec<f32>,
-    w2: Vec<f32>,
+    input: Arc<[f32]>,
+    w1: Arc<[f32]>,
+    w2: Arc<[f32]>,
     target: f32,
 }
 
@@ -45,9 +46,9 @@ impl Backprop {
         );
         Backprop {
             n_in,
-            input: uniform_f32(n_in as usize, seed ^ 0xb9),
-            w1: uniform_f32((n_in * HID) as usize, seed ^ 0xba),
-            w2: uniform_f32(HID as usize, seed ^ 0xbb),
+            input: uniform_f32(n_in as usize, seed ^ 0xb9).into(),
+            w1: uniform_f32((n_in * HID) as usize, seed ^ 0xba).into(),
+            w2: uniform_f32(HID as usize, seed ^ 0xbb).into(),
             target: 0.7,
         }
     }
@@ -197,7 +198,7 @@ impl Backprop {
             })
             .collect();
         let mut o = 0.0f32;
-        for (h, w2) in hidden.iter().zip(&self.w2) {
+        for (h, w2) in hidden.iter().zip(&self.w2[..]) {
             o += h * w2;
         }
         let out = sigmoid(o);
@@ -310,7 +311,7 @@ impl Workload for Backprop {
             .map(|i| self.host_partial(i / hid, i % hid))
             .collect();
         let delta = self.host_deltas(&partial);
-        let mut w1 = self.w1.clone();
+        let mut w1 = self.w1.to_vec();
         let mut oldw = vec![0.0f32; self.n_in as usize * hid];
         for row in 0..self.n_in as usize {
             for (j, d) in delta.iter().enumerate() {
@@ -377,7 +378,7 @@ mod tests {
         let blocks = 2usize;
         let w1_new = &out[blocks * hid..blocks * hid + 32 * hid];
         assert!(
-            w1_new.iter().zip(&w.w1).any(|(a, b)| a != b),
+            w1_new.iter().zip(&w.w1[..]).any(|(a, b)| a != b),
             "training must change at least one weight"
         );
     }

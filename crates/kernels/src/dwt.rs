@@ -5,6 +5,7 @@ use crate::common::{f32_words, uniform_f32};
 use crate::Workload;
 use simt_isa::{Kernel, KernelBuilder, MemSpace, Special};
 use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 const INV_SQRT2: f32 = std::f32::consts::FRAC_1_SQRT_2;
 
@@ -28,7 +29,7 @@ const INV_SQRT2: f32 = std::f32::consts::FRAC_1_SQRT_2;
 pub struct DwtHaar1D {
     n: u32,
     block: u32,
-    input: Vec<f32>,
+    input: Arc<[f32]>,
 }
 
 impl DwtHaar1D {
@@ -45,7 +46,7 @@ impl DwtHaar1D {
         DwtHaar1D {
             n,
             block: 128,
-            input: uniform_f32(n as usize, seed ^ 0xd7),
+            input: uniform_f32(n as usize, seed ^ 0xd7).into(),
         }
     }
 
@@ -173,7 +174,7 @@ impl Workload for DwtHaar1D {
 
     fn reference(&self) -> Vec<u32> {
         let mut coef = vec![0.0f32; self.n as usize];
-        let mut cur = self.input.clone();
+        let mut cur = self.input.to_vec();
         let mut half = (self.n / 2) as usize;
         while half >= 1 {
             let mut next = vec![0.0f32; half];
@@ -213,7 +214,7 @@ mod tests {
     #[test]
     fn constant_signal_has_zero_details() {
         let mut w = DwtHaar1D::new(64, 0);
-        w.input = vec![2.0; 64];
+        w.input = vec![2.0; 64].into();
         let mut gpu = Gpu::new(quadro_fx_5600());
         let out = crate::common::words_f32(&w.run(&mut gpu, &mut NoopObserver).unwrap());
         for (i, v) in out.iter().enumerate().skip(1) {

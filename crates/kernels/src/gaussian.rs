@@ -5,6 +5,7 @@ use crate::common::{f32_words, uniform_f32};
 use crate::Workload;
 use simt_isa::{CmpOp, Kernel, KernelBuilder, MemSpace};
 use simt_sim::{Buffer, Dim, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 /// Forward elimination of an `n × n` system `A·x = b` with the Rodinia
 /// kernel pair: `Fan1` computes the column of multipliers, `Fan2` updates
@@ -24,8 +25,8 @@ use simt_sim::{Buffer, Dim, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
 #[derive(Debug, Clone)]
 pub struct Gaussian {
     n: u32,
-    a: Vec<f32>,
-    b: Vec<f32>,
+    a: Arc<[f32]>,
+    b: Arc<[f32]>,
 }
 
 impl Gaussian {
@@ -38,7 +39,11 @@ impl Gaussian {
         for i in 0..n as usize {
             a[i * n as usize + i] += n as f32; // diagonal dominance
         }
-        Gaussian { n, a, b }
+        Gaussian {
+            n,
+            a: a.into(),
+            b: b.into(),
+        }
     }
 
     /// Default size used by the figure harness (32 × 32).
@@ -237,8 +242,8 @@ impl Workload for Gaussian {
 
     fn reference(&self) -> Vec<u32> {
         let n = self.n as usize;
-        let mut a = self.a.clone();
-        let mut b = self.b.clone();
+        let mut a = self.a.to_vec();
+        let mut b = self.b.to_vec();
         let mut m = vec![0.0f32; n * n];
         for t in 0..n - 1 {
             for i in t + 1..n {

@@ -5,6 +5,7 @@ use crate::common::uniform_u32;
 use crate::Workload;
 use simt_isa::{AtomOp, CmpOp, Kernel, KernelBuilder, MemSpace, Special};
 use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 /// Histograms `n` integer samples into `bins` buckets: each block
 /// accumulates into shared-memory bins with LDS atomics, then merges into
@@ -27,7 +28,7 @@ pub struct Histogram {
     n: u32,
     bins: u32,
     block: u32,
-    input: Vec<u32>,
+    input: Arc<[u32]>,
 }
 
 impl Histogram {
@@ -43,7 +44,7 @@ impl Histogram {
             n,
             bins,
             block,
-            input: uniform_u32(n as usize, bins, seed ^ 0x415),
+            input: uniform_u32(n as usize, bins, seed ^ 0x415).into(),
         }
     }
 
@@ -156,7 +157,7 @@ impl Workload for Histogram {
 
     fn reference(&self) -> Vec<u32> {
         let mut hist = vec![0u32; self.bins as usize];
-        for &v in &self.input {
+        for &v in &self.input[..] {
             hist[v as usize] += 1;
         }
         hist

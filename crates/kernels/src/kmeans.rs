@@ -5,6 +5,7 @@ use crate::common::uniform_f32;
 use crate::Workload;
 use simt_isa::{CmpOp, Kernel, KernelBuilder, MemSpace};
 use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 /// `iters` rounds of k-means over `n` points with `FEATURES` features and
 /// `k` clusters: the assignment kernel runs on the GPU (distance loop over
@@ -26,7 +27,7 @@ pub struct Kmeans {
     n: u32,
     k: u32,
     iters: u32,
-    points: Vec<f32>,
+    points: Arc<[f32]>,
 }
 
 /// Features per point (unrolled in the kernel).
@@ -40,7 +41,7 @@ impl Kmeans {
             n,
             k,
             iters,
-            points: uniform_f32((n * FEATURES) as usize, seed ^ 0x43a),
+            points: uniform_f32((n * FEATURES) as usize, seed ^ 0x43a).into(),
         }
     }
 

@@ -23,6 +23,11 @@
 //! The "Local memory" column matches Fig. 2 of the paper, which evaluates
 //! LDS vulnerability only for the seven benchmarks that use it.
 //!
+//! Each workload holds its generated inputs as immutable `Arc<[T]>`
+//! slices. A launch plan carries a clone of its workload, and every
+//! checkpoint restore clones the plan, so the inputs are shared rather
+//! than copied.
+//!
 //! # Example
 //! ```
 //! use gpu_workloads::{VectorAdd, Workload};

@@ -5,6 +5,7 @@ use crate::common::{f32_words, uniform_f32};
 use crate::Workload;
 use simt_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, Special};
 use simt_sim::{Buffer, Dim, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 const TILE: u32 = 16;
 
@@ -24,8 +25,8 @@ const TILE: u32 = 16;
 #[derive(Debug, Clone)]
 pub struct MatrixMul {
     n: u32,
-    a: Vec<f32>,
-    b: Vec<f32>,
+    a: Arc<[f32]>,
+    b: Arc<[f32]>,
 }
 
 impl MatrixMul {
@@ -41,8 +42,8 @@ impl MatrixMul {
         );
         MatrixMul {
             n,
-            a: uniform_f32((n * n) as usize, seed ^ 0x3a7a),
-            b: uniform_f32((n * n) as usize, seed ^ 0x3a7b),
+            a: uniform_f32((n * n) as usize, seed ^ 0x3a7a).into(),
+            b: uniform_f32((n * n) as usize, seed ^ 0x3a7b).into(),
         }
     }
 
@@ -231,10 +232,11 @@ mod tests {
     #[test]
     fn identity_times_matrix_is_matrix() {
         let mut w = MatrixMul::new(16, 2);
-        w.a = vec![0.0; 256];
+        let mut a = vec![0.0; 256];
         for i in 0..16 {
-            w.a[i * 16 + i] = 1.0;
+            a[i * 16 + i] = 1.0;
         }
+        w.a = a.into();
         let mut gpu = Gpu::new(hd_radeon_7970());
         let out = w.run(&mut gpu, &mut NoopObserver).unwrap();
         assert_eq!(out, f32_words(&w.b));

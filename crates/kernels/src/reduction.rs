@@ -5,6 +5,7 @@ use crate::common::{f32_words, uniform_f32};
 use crate::Workload;
 use simt_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, Special};
 use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 /// Sums `n` floats with the classic shared-memory tree: each block reduces
 /// `block` elements, a second launch reduces the per-block partials.
@@ -20,7 +21,7 @@ use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
 pub struct Reduction {
     n: u32,
     block: u32,
-    input: Vec<f32>,
+    input: Arc<[f32]>,
 }
 
 impl Reduction {
@@ -43,7 +44,7 @@ impl Reduction {
         Reduction {
             n,
             block,
-            input: uniform_f32(n as usize, seed ^ 0x5ed),
+            input: uniform_f32(n as usize, seed ^ 0x5ed).into(),
         }
     }
 
@@ -244,7 +245,7 @@ mod tests {
     #[test]
     fn ones_sum_exactly() {
         let mut w = Reduction::new(256, 64, 0);
-        w.input = vec![1.0; 256];
+        w.input = vec![1.0; 256].into();
         let mut gpu = Gpu::new(quadro_fx_5800());
         let out = w.run(&mut gpu, &mut NoopObserver).unwrap();
         assert_eq!(f32::from_bits(out[0]), 256.0);

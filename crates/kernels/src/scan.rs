@@ -5,6 +5,7 @@ use crate::common::{f32_words, uniform_f32};
 use crate::Workload;
 use simt_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, Special};
 use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 /// Inclusive prefix sum of `n` floats in three launches: per-block
 /// Hillis–Steele scan (collecting block sums), a scan of the block sums,
@@ -21,7 +22,7 @@ use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
 pub struct Scan {
     n: u32,
     block: u32,
-    input: Vec<f32>,
+    input: Arc<[f32]>,
 }
 
 impl Scan {
@@ -44,7 +45,7 @@ impl Scan {
         Scan {
             n,
             block,
-            input: uniform_f32(n as usize, seed ^ 0x5ca),
+            input: uniform_f32(n as usize, seed ^ 0x5ca).into(),
         }
     }
 
@@ -243,7 +244,7 @@ impl Workload for Scan {
     fn reference(&self) -> Vec<u32> {
         let b = self.block as usize;
         let blocks = (self.n / self.block) as usize;
-        let mut out = self.input.clone();
+        let mut out = self.input.to_vec();
         let mut sums = vec![0.0f32; blocks];
         for i in 0..blocks {
             Self::host_block_scan(&mut out[i * b..(i + 1) * b]);
@@ -282,7 +283,7 @@ mod tests {
     #[test]
     fn scan_of_ones_is_iota() {
         let mut w = Scan::new(256, 64, 0);
-        w.input = vec![1.0; 256];
+        w.input = vec![1.0; 256].into();
         let mut gpu = Gpu::new(geforce_gtx_480());
         let out = w.run(&mut gpu, &mut NoopObserver).unwrap();
         let floats = crate::common::words_f32(&out);

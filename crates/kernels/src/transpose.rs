@@ -5,6 +5,7 @@ use crate::common::{f32_words, uniform_f32};
 use crate::Workload;
 use simt_isa::{Kernel, KernelBuilder, MemSpace, Special};
 use simt_sim::{Buffer, Dim, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 const TILE: u32 = 16;
 /// Tile rows are padded by one word to spread accesses across LDS banks.
@@ -26,7 +27,7 @@ const PITCH: u32 = TILE + 1;
 #[derive(Debug, Clone)]
 pub struct Transpose {
     n: u32,
-    input: Vec<f32>,
+    input: Arc<[f32]>,
 }
 
 impl Transpose {
@@ -42,7 +43,7 @@ impl Transpose {
         );
         Transpose {
             n,
-            input: uniform_f32((n * n) as usize, seed ^ 0x7a05),
+            input: uniform_f32((n * n) as usize, seed ^ 0x7a05).into(),
         }
     }
 
@@ -197,7 +198,7 @@ mod tests {
                 twice[x * n + y] = once[y * n + x];
             }
         }
-        assert_eq!(twice, w.input);
+        assert_eq!(twice, *w.input);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::common::{f32_words, uniform_f32};
 use crate::Workload;
 use simt_isa::{Kernel, KernelBuilder, MemSpace};
 use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
+use std::sync::Arc;
 
 /// `c[i] = a[i] + b[i]` over `n` floats, one thread per element.
 ///
@@ -23,8 +24,8 @@ use simt_sim::{Buffer, Gpu, LaunchConfig, LaunchPlan, PlanStep, SimError};
 pub struct VectorAdd {
     n: u32,
     block: u32,
-    a: Vec<f32>,
-    b: Vec<f32>,
+    a: Arc<[f32]>,
+    b: Arc<[f32]>,
 }
 
 impl VectorAdd {
@@ -33,8 +34,8 @@ impl VectorAdd {
         VectorAdd {
             n,
             block: 128,
-            a: uniform_f32(n as usize, seed ^ 0xadd0),
-            b: uniform_f32(n as usize, seed ^ 0xadd1),
+            a: uniform_f32(n as usize, seed ^ 0xadd0).into(),
+            b: uniform_f32(n as usize, seed ^ 0xadd1).into(),
         }
     }
 
@@ -142,7 +143,7 @@ impl Workload for VectorAdd {
     }
 
     fn reference(&self) -> Vec<u32> {
-        let c: Vec<f32> = self.a.iter().zip(&self.b).map(|(x, y)| x + y).collect();
+        let c: Vec<f32> = self.a.iter().zip(&self.b[..]).map(|(x, y)| x + y).collect();
         f32_words(&c)
     }
 }

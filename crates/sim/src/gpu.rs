@@ -3,11 +3,12 @@
 
 use crate::config::ArchConfig;
 use crate::error::{Due, SimError};
-use crate::fault::{FaultKind, FaultSite};
+use crate::fault::{FaultKind, FaultSite, Structure};
 use crate::launch::{LaunchConfig, LaunchStats};
 use crate::mem::{GlobalMemory, MemorySystem};
 use crate::observer::{NoopObserver, SimObserver};
 use crate::overlay::BatchPlane;
+use crate::pages::Pages;
 use crate::regfile::StuckBit;
 use crate::sm::{Ctx, Sm};
 use simt_isa::LoweredKernel;
@@ -164,6 +165,29 @@ impl Gpu {
     /// analysis.
     pub fn per_sm_stats(&self) -> Vec<crate::sm::SmStats> {
         self.sms.iter().map(|sm| sm.stats).collect()
+    }
+
+    /// Storage pages copied on a first write (see
+    /// [`Pages::page_copies`]): zero pages, and pages shared with a
+    /// checkpoint. Summed over every SM and global memory, and carried
+    /// through clones like [`Gpu::exec_totals`].
+    pub fn page_copies(&self) -> u64 {
+        self.sms.iter().map(Sm::page_copies).sum::<u64>() + self.mem.words().page_copies()
+    }
+
+    /// The physical words of SM `sm`'s storage structure (empty when the
+    /// device lacks the structure).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is not an SM of the device.
+    pub fn storage(&self, sm: u32, structure: Structure) -> &Pages {
+        self.sms[sm as usize].storage(structure)
+    }
+
+    /// The global-memory words, from address 0 to the heap top.
+    pub fn global_words(&self) -> &Pages {
+        self.mem.words()
     }
 
     /// Cumulative execution counters summed over all SMs (all launches).
@@ -334,7 +358,7 @@ impl Gpu {
             let sm = &mut self.sms[site.sm as usize % n];
             // An out-of-range word cannot affect execution: the scenario
             // never diverges — same no-op as `Sm::flip_bit`.
-            if let Some(&cur) = sm.storage(site.structure).get(site.word as usize) {
+            if let Some(cur) = sm.storage(site.structure).get_checked(site.word as usize) {
                 sm.overlay
                     .get_or_insert_with(Default::default)
                     .map_mut(site.structure)

@@ -12,7 +12,9 @@
 //! 1. **Physical storage layout** — the vector register file, scalar
 //!    register file and local memory (LDS) of every SM are real arrays of
 //!    words whose *physical bit addresses* are stable, so a fault site
-//!    ([`FaultSite`]) names an exact flip target, allocated or not.
+//!    ([`FaultSite`]) names an exact flip target, allocated or not. They
+//!    and global memory are held in copy-on-write [`Pages`], so a
+//!    checkpoint snapshot or restore shares every page it does not write.
 //! 2. **Observer hooks** — every register/LDS read and write, block
 //!    dispatch/retire and launch boundary is reported through the
 //!    [`SimObserver`] trait (monomorphised, so the no-op observer costs
@@ -61,6 +63,7 @@ pub mod launch;
 pub mod mem;
 pub mod observer;
 pub mod overlay;
+pub mod pages;
 pub mod regfile;
 pub mod session;
 pub mod sm;
@@ -77,6 +80,7 @@ pub use observer::{
     BlockRegions, CountingObserver, HotspotCounters, HotspotObserver, NoopObserver, SimObserver,
 };
 pub use overlay::{BatchPlane, MAX_BATCH_SCENARIOS};
+pub use pages::Pages;
 pub use regfile::StuckBit;
 pub use session::{Checkpoint, LaunchPlan, PlanStep, Session, SessionStatus, SessionTelemetry};
 pub use trace::{GlobalWrite, GlobalWriteLog, TraceObserver, TraceRecord, TAINT_CAP};

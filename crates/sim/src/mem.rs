@@ -4,14 +4,15 @@ use crate::cache::{Cache, CacheGeom, CacheStats};
 use crate::config::Latencies;
 use crate::error::Due;
 use crate::overlay::GlobalOverlay;
+use crate::pages::Pages;
 
 /// Byte offset reserved as a null guard: accesses below this address are
 /// DUEs, catching fault-corrupted pointers the way a segfault would on a
 /// real device.
 pub const NULL_GUARD_BYTES: u32 = 256;
 
-/// The device global-memory arena: a flat word array with a bump
-/// allocator and bounds/alignment checking.
+/// The device global-memory arena: a flat array of copy-on-write word
+/// pages with a bump allocator and bounds/alignment checking.
 ///
 /// # Example
 /// ```
@@ -23,7 +24,7 @@ pub const NULL_GUARD_BYTES: u32 = 256;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GlobalMemory {
-    words: Vec<u32>,
+    words: Pages,
     /// First unallocated byte address.
     heap_top: u32,
     /// Batched-replay overlay shard; `None` outside a batched pass.
@@ -40,7 +41,7 @@ impl GlobalMemory {
     /// Creates an empty arena (only the null guard is reserved).
     pub fn new() -> Self {
         GlobalMemory {
-            words: Vec::new(),
+            words: Pages::new(0),
             heap_top: NULL_GUARD_BYTES,
             overlay: None,
         }
@@ -52,16 +53,18 @@ impl GlobalMemory {
         let addr = self.heap_top;
         let bytes = n.checked_mul(4).expect("allocation size overflow");
         self.heap_top = (self.heap_top + bytes + 255) & !255;
-        let need = (self.heap_top / 4) as usize;
-        if self.words.len() < need {
-            self.words.resize(need, 0);
-        }
+        self.words.grow((self.heap_top / 4) as usize);
         addr
     }
 
     /// Total allocated bytes (including the null guard).
     pub fn heap_top(&self) -> u32 {
         self.heap_top
+    }
+
+    /// The arena's words, from address 0 to [`GlobalMemory::heap_top`].
+    pub fn words(&self) -> &Pages {
+        &self.words
     }
 
     fn check(&self, addr: u32, sm: u32, cycle: u64) -> Result<usize, Due> {
@@ -80,7 +83,7 @@ impl GlobalMemory {
     ///
     /// [`Due::MisalignedAccess`] or [`Due::GlobalOutOfBounds`].
     pub fn load(&self, addr: u32, sm: u32, cycle: u64) -> Result<u32, Due> {
-        Ok(self.words[self.check(addr, sm, cycle)?])
+        Ok(self.words.get(self.check(addr, sm, cycle)?))
     }
 
     /// Writes a word with full checking.
@@ -90,7 +93,7 @@ impl GlobalMemory {
     /// [`Due::MisalignedAccess`] or [`Due::GlobalOutOfBounds`].
     pub fn store(&mut self, addr: u32, value: u32, sm: u32, cycle: u64) -> Result<(), Due> {
         let i = self.check(addr, sm, cycle)?;
-        self.words[i] = value;
+        self.words.set(i, value);
         // Architectural overwrite: every batched scenario performs the
         // same store, so divergence on this word dies here (divergent
         // store values re-assert on top from the executor).
@@ -121,8 +124,8 @@ impl GlobalMemory {
     pub(crate) fn materialize_scenario(&mut self, s: u8) {
         if let Some(ov) = self.overlay.take() {
             for (w, v) in ov.map.scenario_values(s) {
-                if let Some(slot) = self.words.get_mut(w as usize) {
-                    *slot = v;
+                if self.words.get_checked(w as usize).is_some() {
+                    self.words.set(w as usize, v);
                 }
             }
         }

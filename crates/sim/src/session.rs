@@ -145,10 +145,14 @@ pub trait LaunchPlan: Send + Sync {
 
 /// A point-in-time capture of a whole execution session.
 ///
-/// Owns a deep clone of the device and of the plan; restoring (or cloning
-/// out of) a checkpoint yields execution byte-identical to having never
-/// left it. `Checkpoint` is `Send + Sync`, so one golden-run ladder can be
-/// shared read-only across injection worker threads.
+/// Owns a clone of the device and of the plan. The device's storage
+/// words are copy-on-write [`Pages`](crate::pages::Pages): the clone
+/// shares the device's unwritten pages and copies the ones it wrote
+/// since they were last reset or restored; a device restored from the
+/// checkpoint shares all of its pages until it writes one. Restoring (or cloning out of) a
+/// checkpoint yields execution byte-identical to having never left it.
+/// `Checkpoint` is `Send + Sync`, so one golden-run ladder can be shared
+/// read-only across injection worker threads.
 pub struct Checkpoint {
     gpu: Gpu,
     plan: Box<dyn LaunchPlan>,

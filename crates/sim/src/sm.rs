@@ -8,6 +8,7 @@ use crate::launch::LaunchConfig;
 use crate::mem::{GlobalMemory, MemorySystem, MAX_LANES};
 use crate::observer::{BlockRegions, SimObserver};
 use crate::overlay::{OverlayCell, SmOverlay};
+use crate::pages::Pages;
 use crate::regfile::{RegionAllocator, StuckBit};
 use crate::warp::{LaneMask, Warp};
 use simt_isa::op::{eval_atom, eval_binop, eval_cmp, eval_terop, eval_unop};
@@ -52,9 +53,8 @@ pub struct Sm {
     pub id: u32,
     /// Lanes per warp: the row length of a vector register.
     warp_size: u32,
-    pub(crate) rf: Vec<u32>,
-    pub(crate) srf: Vec<u32>,
-    pub(crate) lds: Vec<u32>,
+    /// The RF, LDS and SRF words, keyed by [`Structure::index`].
+    storage: [Pages; 3],
     /// One allocator per structure, keyed by [`Structure::index`].
     alloc: [RegionAllocator; 3],
     warps: Vec<Option<Warp>>,
@@ -157,9 +157,7 @@ impl Sm {
         Sm {
             id,
             warp_size: arch.warp_size,
-            rf: vec![0; arch.rf_words_per_sm() as usize],
-            srf: vec![0; arch.srf_words_per_sm() as usize],
-            lds: vec![0; arch.lds_words_per_sm() as usize],
+            storage: Structure::ALL.map(|s| Pages::new(arch.words_per_sm(s) as usize)),
             alloc: Structure::ALL.map(|s| RegionAllocator::new(arch.words_per_sm(s))),
             warps: (0..arch.max_warps_per_sm).map(|_| None).collect(),
             blocks: (0..arch.max_blocks_per_sm).map(|_| None).collect(),
@@ -178,9 +176,7 @@ impl Sm {
     /// Armed stuck-at cells survive the reset (they are permanent
     /// faults) and re-assert on the zeroed storage.
     pub fn reset(&mut self) {
-        self.rf.fill(0);
-        self.srf.fill(0);
-        self.lds.fill(0);
+        self.storage.iter_mut().for_each(Pages::reset);
         for i in 0..self.stuck.len() {
             let s = self.stuck[i];
             self.force_stuck_now(s);
@@ -209,36 +205,32 @@ impl Sm {
     }
 
     /// The physical words of one storage structure.
-    pub(crate) fn storage(&self, structure: Structure) -> &[u32] {
-        match structure {
-            Structure::VectorRegisterFile => &self.rf,
-            Structure::ScalarRegisterFile => &self.srf,
-            Structure::LocalMemory => &self.lds,
-        }
+    #[inline(always)]
+    pub(crate) fn storage(&self, structure: Structure) -> &Pages {
+        &self.storage[structure.index()]
     }
 
-    /// The physical words of one storage structure, writable.
-    fn storage_mut(&mut self, structure: Structure) -> &mut [u32] {
-        match structure {
-            Structure::VectorRegisterFile => &mut self.rf,
-            Structure::ScalarRegisterFile => &mut self.srf,
-            Structure::LocalMemory => &mut self.lds,
-        }
+    /// Pages the SM's storage copied on a first write (see
+    /// [`Pages::page_copies`]).
+    pub(crate) fn page_copies(&self) -> u64 {
+        self.storage.iter().map(Pages::page_copies).sum()
     }
 
     /// Flips one bit of a storage word. A word off the structure is
     /// ignored: the flip lands nowhere.
     pub fn flip_bit(&mut self, structure: Structure, word: u32, bit: u8) {
-        if let Some(w) = self.storage_mut(structure).get_mut(word as usize) {
-            *w ^= 1 << bit;
+        let words = &mut self.storage[structure.index()];
+        if let Some(w) = words.get_checked(word as usize) {
+            words.set(word as usize, w ^ (1 << bit));
         }
     }
 
     /// Forces a stuck cell's polarity onto current storage (no observer:
     /// arming is not a program write).
     fn force_stuck_now(&mut self, s: StuckBit) {
-        if let Some(w) = self.storage_mut(s.structure).get_mut(s.word as usize) {
-            *w = s.force(*w);
+        let words = &mut self.storage[s.structure.index()];
+        if let Some(w) = words.get_checked(s.word as usize) {
+            words.set(s.word as usize, s.force(w));
         }
     }
 
@@ -274,9 +266,10 @@ impl Sm {
                 None => false,
             },
             ControlTarget::Scoreboard => match self.warp_slot_mut(word) {
-                Some(w) if !w.vreg_ready.is_empty() => {
-                    let idx = bit as usize % w.vreg_ready.len();
-                    w.vreg_ready[idx] ^= 1u64 << bit;
+                Some(w) if !w.vreg_ready().is_empty() => {
+                    let scoreboard = w.vreg_ready_mut();
+                    let idx = bit as usize % scoreboard.len();
+                    scoreboard[idx] ^= 1u64 << bit;
                     true
                 }
                 _ => false,
@@ -341,7 +334,7 @@ impl Sm {
                 stored = s.force(stored);
             }
         }
-        self.storage_mut(structure)[word as usize] = stored;
+        self.storage[structure.index()].set(word as usize, stored);
         if let Some(ov) = self.overlay.as_deref_mut() {
             ov.map_mut(structure).clear_word(word);
         }
@@ -478,10 +471,10 @@ impl Sm {
     pub(crate) fn materialize_scenario(&mut self, s: u8) {
         if let Some(ov) = self.overlay.take() {
             for structure in Structure::ALL {
-                let storage = self.storage_mut(structure);
+                let words = &mut self.storage[structure.index()];
                 for (word, v) in ov.map(structure).scenario_values(s) {
-                    if let Some(slot) = storage.get_mut(word as usize) {
-                        *slot = v;
+                    if words.get_checked(word as usize).is_some() {
+                        words.set(word as usize, v);
                     }
                 }
             }
@@ -778,7 +771,7 @@ impl Sm {
                 // The predicate is golden for every unforked scenario (a
                 // divergent SetP forks), so the select direction is
                 // shared; only values differ.
-                let pmask = warp.preds[p.0 as usize];
+                let pmask = warp.preds()[p.0 as usize];
                 let pick = move |lane: u32, [x, y]: [u32; 2]| {
                     if pmask >> lane & 1 == 1 {
                         x
@@ -810,9 +803,9 @@ impl Sm {
                         }
                     });
                 }
-                let old = warp.preds[pd.0 as usize];
-                warp.preds[pd.0 as usize] = (old & !warp.active) | mask;
-                warp.pred_ready[pd.0 as usize] = cx.cycle + arch.lat.alu as u64;
+                let old = warp.preds()[pd.0 as usize];
+                warp.preds_mut()[pd.0 as usize] = (old & !warp.active) | mask;
+                warp.pred_ready_mut()[pd.0 as usize] = cx.cycle + arch.lat.alu as u64;
                 self.count_warp_instr(warp);
             }
             Instr::Ld {
@@ -872,11 +865,11 @@ impl Sm {
     fn complete(&mut self, warp: &mut Warp, dst: Reg, ready: u64) {
         match dst {
             Reg::S(SReg(r)) => {
-                warp.sreg_ready[r as usize] = ready;
+                warp.sreg_ready_mut()[r as usize] = ready;
                 self.stats.scalar_instructions += 1;
             }
             Reg::V(VReg(r)) => {
-                warp.vreg_ready[r as usize] = ready;
+                warp.vreg_ready_mut()[r as usize] = ready;
                 self.count_warp_instr(warp);
             }
         }
@@ -895,7 +888,9 @@ impl Sm {
                     .on_read(self.id, Structure::ScalarRegisterFile, phys, cx.cycle);
                 Resolved::Sreg {
                     phys,
-                    value: self.srf[phys as usize],
+                    value: self
+                        .storage(Structure::ScalarRegisterFile)
+                        .get(phys as usize),
                 }
             }
             Operand::Reg(Reg::V(VReg(r))) => Resolved::VReg(r),
@@ -957,7 +952,8 @@ impl Sm {
                 let phys = self.vword(warp, reg, lane);
                 cx.obs
                     .on_read(self.id, Structure::VectorRegisterFile, phys, cx.cycle);
-                self.rf[phys as usize]
+                self.storage(Structure::VectorRegisterFile)
+                    .get(phys as usize)
             }
             Resolved::Special(s) => match s {
                 Special::TidX => warp.tid(lane, self.warp_size, cx.cfg.block.x).0,
@@ -1069,7 +1065,7 @@ impl Sm {
                         .and_then(|ov| ov.map(Structure::LocalMemory).cell(w)),
                 );
                 cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
-                Ok((self.lds[w as usize], carry))
+                Ok((self.storage(Structure::LocalMemory).get(w as usize), carry))
             }
         }
     }
@@ -1188,7 +1184,8 @@ impl Sm {
                     }
                     *cx.forks |= forks;
                     cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
-                    let (new, old) = eval_atom(op, self.lds[w as usize], v);
+                    let cur = self.storage(Structure::LocalMemory).get(w as usize);
+                    let (new, old) = eval_atom(op, cur, v);
                     self.store(Structure::LocalMemory, w, new, &[], cx);
                     old
                 }
@@ -1234,7 +1231,7 @@ fn exec_control(warp: &mut Warp, instr: Instr, kernel: &LoweredKernel) -> bool {
 
 /// Predicate `p` of `warp`, inverted when `negate` is set.
 fn pred_mask(warp: &Warp, p: PReg, negate: bool) -> LaneMask {
-    let m = warp.preds[p.0 as usize];
+    let m = warp.preds()[p.0 as usize];
     if negate {
         !m
     } else {
@@ -1314,8 +1311,8 @@ pub fn lds_conflict_degree(words: &[u32], banks: u32) -> u32 {
 /// when this is `<= cycle`.
 fn issue_cycle(warp: &Warp, instr: &Instr) -> u64 {
     let ready = |r: Reg| match r {
-        Reg::V(VReg(i)) => warp.vreg_ready[i as usize],
-        Reg::S(SReg(i)) => warp.sreg_ready[i as usize],
+        Reg::V(VReg(i)) => warp.vreg_ready()[i as usize],
+        Reg::S(SReg(i)) => warp.sreg_ready()[i as usize],
     };
     let mut at = warp.next_issue;
     if let Some(d) = instr.dst_reg() {
@@ -1327,10 +1324,10 @@ fn issue_cycle(warp: &Warp, instr: &Instr) -> u64 {
         }
     });
     if let Some(p) = instr.src_pred() {
-        at = at.max(warp.pred_ready[p.0 as usize]);
+        at = at.max(warp.pred_ready()[p.0 as usize]);
     }
     if let Some(p) = instr.dst_pred() {
-        at = at.max(warp.pred_ready[p.0 as usize]);
+        at = at.max(warp.pred_ready()[p.0 as usize]);
     }
     at
 }
@@ -1385,6 +1382,16 @@ mod tests {
         assert_eq!(lds_conflict_degree(&[0, 8, 16, 24], 8), 4);
     }
 
+    /// Word `w` of the SM's RF.
+    fn rf_at(sm: &Sm, w: usize) -> u32 {
+        sm.storage(Structure::VectorRegisterFile).get(w)
+    }
+
+    /// Word `w` of the SM's LDS.
+    fn lds_at(sm: &Sm, w: usize) -> u32 {
+        sm.storage(Structure::LocalMemory).get(w)
+    }
+
     #[test]
     fn sm_construction_and_flips() {
         let arch = ArchConfig::small_test_gpu();
@@ -1395,11 +1402,11 @@ mod tests {
             0
         );
         sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
-        assert_eq!(sm.rf[10], 8);
+        assert_eq!(rf_at(&sm, 10), 8);
         sm.flip_bit(Structure::VectorRegisterFile, 10, 3);
-        assert_eq!(sm.rf[10], 0);
+        assert_eq!(rf_at(&sm, 10), 0);
         sm.flip_bit(Structure::LocalMemory, 0, 0);
-        assert_eq!(sm.lds[0], 1);
+        assert_eq!(lds_at(&sm, 0), 1);
         // Out-of-range flips are ignored (defensive).
         sm.flip_bit(Structure::VectorRegisterFile, u32::MAX, 0);
         sm.flip_bit(Structure::ScalarRegisterFile, 0, 5); // srf is empty on this config
@@ -1409,11 +1416,11 @@ mod tests {
     fn reset_clears_state() {
         let arch = ArchConfig::small_test_gpu();
         let mut sm = Sm::new(0, &arch);
-        sm.rf[0] = 77;
-        sm.lds[1] = 88;
+        sm.storage[Structure::VectorRegisterFile.index()].set(0, 77);
+        sm.storage[Structure::LocalMemory.index()].set(1, 88);
         sm.reset();
-        assert_eq!(sm.rf[0], 0);
-        assert_eq!(sm.lds[1], 0);
+        assert_eq!(rf_at(&sm, 0), 0);
+        assert_eq!(lds_at(&sm, 1), 0);
         assert!(!sm.busy());
     }
 
@@ -1421,14 +1428,14 @@ mod tests {
     fn stuck_bit_forces_reasserts_and_survives_reset() {
         let arch = ArchConfig::small_test_gpu();
         let mut sm = Sm::new(0, &arch);
-        sm.rf[10] = 0b1000;
+        sm.storage[Structure::VectorRegisterFile.index()].set(10, 0b1000);
         sm.arm_stuck(StuckBit {
             structure: Structure::VectorRegisterFile,
             word: 10,
             bit: 3,
             stuck_value: false,
         });
-        assert_eq!(sm.rf[10], 0, "forced at arm time");
+        assert_eq!(rf_at(&sm, 10), 0, "forced at arm time");
         let mut obs = crate::observer::CountingObserver::default();
         let mut mem = GlobalMemory::new();
         let mut mem_sys = MemorySystem::new(
@@ -1449,7 +1456,7 @@ mod tests {
         };
         let rf = Structure::VectorRegisterFile;
         sm.store(rf, 10, u32::MAX, &[], &mut cx);
-        assert_eq!(sm.rf[10], !0b1000, "re-asserted on write");
+        assert_eq!(rf_at(&sm, 10), !0b1000, "re-asserted on write");
         assert_eq!((cx.obs.rf_writes, cx.obs.stuck_reasserts), (1, 1));
         // A write that agrees with the stuck polarity is not a reassert.
         sm.store(rf, 10, 0, &[], &mut cx);
@@ -1462,7 +1469,7 @@ mod tests {
             stuck_value: true,
         });
         sm.reset();
-        assert_eq!(sm.lds[2], 1, "stuck-at-1 re-asserts after reset");
+        assert_eq!(lds_at(&sm, 2), 1, "stuck-at-1 re-asserts after reset");
         assert_eq!(sm.stuck.len(), 2);
     }
 

@@ -76,14 +76,16 @@ pub struct Warp {
     pub live: LaneMask,
     /// The reconvergence stack.
     pub stack: Vec<StackEntry>,
-    /// Per-predicate-register lane masks.
-    pub preds: Vec<LaneMask>,
-    /// Scoreboard: cycle at which each vector register's value is ready.
-    pub vreg_ready: Vec<u64>,
-    /// Scoreboard for scalar registers.
-    pub sreg_ready: Vec<u64>,
-    /// Scoreboard for predicate registers.
-    pub pred_ready: Vec<u64>,
+    /// The scoreboard, then the predicate lane masks: the cycle at which
+    /// each vector, scalar and predicate register's value is ready, then
+    /// each predicate register's lanes. One allocation, because a
+    /// checkpoint restore clones every live warp.
+    regs: Box<[u64]>,
+    /// Where the scalar scoreboard, the predicate scoreboard and the
+    /// predicate masks start in `regs`.
+    sreg_at: usize,
+    pred_ready_at: usize,
+    preds_at: usize,
     /// Earliest cycle the warp may issue its next instruction.
     pub next_issue: u64,
     /// Warp is parked at a barrier.
@@ -121,6 +123,9 @@ impl Warp {
         block_slot: usize,
     ) -> Self {
         let live = full_mask(lanes);
+        let sreg_at = num_vregs as usize;
+        let pred_ready_at = sreg_at + num_sregs as usize;
+        let preds_at = pred_ready_at + num_pregs as usize;
         Warp {
             warp_in_block,
             pc: 0,
@@ -128,10 +133,10 @@ impl Warp {
             exited: 0,
             live,
             stack: Vec::new(),
-            preds: vec![0; num_pregs as usize],
-            vreg_ready: vec![0; num_vregs as usize],
-            sreg_ready: vec![0; num_sregs as usize],
-            pred_ready: vec![0; num_pregs as usize],
+            regs: vec![0; preds_at + num_pregs as usize].into_boxed_slice(),
+            sreg_at,
+            pred_ready_at,
+            preds_at,
             next_issue: 0,
             at_barrier: false,
             finished: false,
@@ -142,6 +147,46 @@ impl Warp {
             ctaid,
             block_slot,
         }
+    }
+
+    /// Scoreboard: cycle at which each vector register's value is ready.
+    pub fn vreg_ready(&self) -> &[u64] {
+        &self.regs[..self.sreg_at]
+    }
+
+    /// The vector-register scoreboard, writable.
+    pub fn vreg_ready_mut(&mut self) -> &mut [u64] {
+        &mut self.regs[..self.sreg_at]
+    }
+
+    /// Scoreboard for scalar registers.
+    pub fn sreg_ready(&self) -> &[u64] {
+        &self.regs[self.sreg_at..self.pred_ready_at]
+    }
+
+    /// The scalar-register scoreboard, writable.
+    pub fn sreg_ready_mut(&mut self) -> &mut [u64] {
+        &mut self.regs[self.sreg_at..self.pred_ready_at]
+    }
+
+    /// Scoreboard for predicate registers.
+    pub fn pred_ready(&self) -> &[u64] {
+        &self.regs[self.pred_ready_at..self.preds_at]
+    }
+
+    /// The predicate-register scoreboard, writable.
+    pub fn pred_ready_mut(&mut self) -> &mut [u64] {
+        &mut self.regs[self.pred_ready_at..self.preds_at]
+    }
+
+    /// Per-predicate-register lane masks.
+    pub fn preds(&self) -> &[LaneMask] {
+        &self.regs[self.preds_at..]
+    }
+
+    /// Per-predicate-register lane masks, writable.
+    pub fn preds_mut(&mut self) -> &mut [LaneMask] {
+        &mut self.regs[self.preds_at..]
     }
 
     /// Lanes that are live and have not exited.

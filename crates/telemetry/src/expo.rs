@@ -126,6 +126,9 @@ fn help_text(base: &str) -> &'static str {
         "sim_snapshot_bytes_total" => "Bytes serialized into simulator snapshots.",
         "sim_snapshot_seconds" => "Wall-clock seconds taking simulator snapshots.",
         "sim_restores_total" => "Simulator snapshot restores.",
+        "sim_page_copies_total" => {
+            "Storage pages replays copied on a first write to a shared page (checkpoint or zero page)."
+        }
         "study_point_seconds" => "Wall-clock seconds per (workload, device) study point.",
         "observatory_requests_total" => "HTTP requests answered by the observatory, by path.",
         _ => "",

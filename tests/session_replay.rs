@@ -3,12 +3,16 @@
 //! from a single-shot run, and replaying from checkpoints must never
 //! change a campaign outcome.
 
-use gpu_reliability_repro::archs::{all_devices, geforce_gtx_480, hd_radeon_7970, quadro_fx_5600};
+use gpu_reliability_repro::archs::{
+    all_devices, geforce_gtx_480, hd_radeon_7970, quadro_fx_5600, quadro_fx_5800,
+};
 use gpu_reliability_repro::reliability::campaign::{
     golden_run, run_injections_checkpointed, sample_sites, Campaign, CampaignConfig, Capture,
     CheckpointLadder,
 };
-use gpu_reliability_repro::sim::{ArchConfig, Gpu, NoopObserver, Session, Structure};
+use gpu_reliability_repro::sim::{
+    ArchConfig, Checkpoint, FaultSite, Gpu, NoopObserver, Session, SimError, Structure,
+};
 use gpu_reliability_repro::workloads::{
     Backprop, DwtHaar1D, Gaussian, Histogram, Kmeans, MatrixMul, Reduction, Scan, Transpose,
     VectorAdd, Workload,
@@ -148,6 +152,137 @@ fn checkpointed_srf_campaign_matches_from_zero_on_si() {
         &MatrixMul::new(16, 5),
         Structure::ScalarRegisterFile,
     );
+}
+
+/// Every storage word of a device: the RF, LDS and SRF of each SM in
+/// turn, then global memory.
+fn storage_words(gpu: &Gpu) -> Vec<u32> {
+    let mut words = Vec::new();
+    for sm in 0..gpu.arch().num_sms {
+        for structure in Structure::ALL {
+            words.extend(gpu.storage(sm, structure).iter());
+        }
+    }
+    words.extend(gpu.global_words().iter());
+    words
+}
+
+/// A 64-bit FNV-1a digest of [`storage_words`].
+fn fingerprint(gpu: &Gpu) -> u64 {
+    storage_words(gpu)
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ u64::from(w)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Replays `site` on `gpu`: resumed from `from`, or from cycle zero on
+/// a fresh device.
+fn replay_site(
+    gpu: &mut Gpu,
+    w: &dyn Workload,
+    from: Option<&Checkpoint>,
+    site: FaultSite,
+    watchdog: u64,
+) -> Result<Vec<u32>, SimError> {
+    let mut session = match from {
+        Some(ck) => Session::resume(gpu, ck),
+        None => {
+            *gpu = Gpu::new(gpu.arch().clone());
+            Session::new(gpu, w.plan())
+        }
+    };
+    session.set_watchdog(watchdog);
+    session.arm_fault(site);
+    session.run_to_completion(&mut NoopObserver)
+}
+
+/// Copy-on-write storage never aliases: a worker device that replays
+/// one site from rung `j` and then another from rung `k` ends the second
+/// replay exactly where a from-zero replay of that site ends (outputs,
+/// clock, execution counters and every storage word), and no replay
+/// changes a word of any rung.
+fn assert_pages_never_alias(arch: &ArchConfig, w: &dyn Workload, structure: Structure, seed: u64) {
+    let c = cfg(64);
+    let golden = golden_run(arch, w).unwrap();
+    let ladder = CheckpointLadder::build(arch, w, &golden, &c).unwrap();
+    let label = format!("{structure} on {} / {} (seed {seed})", arch.name, w.name());
+    let before: Vec<u64> = ladder
+        .rungs()
+        .iter()
+        .map(|ck| fingerprint(ck.gpu()))
+        .collect();
+    // Two sites past the first rung, resumed from different rungs where
+    // the ladder allows it.
+    let sites = sample_sites(arch, structure, golden.cycles, c.injections, seed);
+    let mut resumable = sites
+        .iter()
+        .filter_map(|&s| ladder.nearest_indexed(s.cycle).map(|(i, _)| (i, s)));
+    let (j, first) = resumable.next().expect("a site past the first rung");
+    let (k, second) = resumable
+        .clone()
+        .find(|&(k, _)| k != j)
+        .or_else(|| resumable.next())
+        .expect("a second site past the first rung");
+    let watchdog = golden.cycles.saturating_mul(c.watchdog_factor) + 10_000;
+
+    let mut worker = Gpu::new(arch.clone());
+    let _ = replay_site(&mut worker, w, Some(&ladder.rungs()[j]), first, watchdog);
+    let resumed = replay_site(&mut worker, w, Some(&ladder.rungs()[k]), second, watchdog);
+    let mut fresh = Gpu::new(arch.clone());
+    let from_zero = replay_site(&mut fresh, w, None, second, watchdog);
+
+    assert_eq!(resumed, from_zero, "{label}: outputs of {second}");
+    assert_eq!(worker.app_cycle(), fresh.app_cycle(), "{label}: app_cycle");
+    assert_eq!(
+        worker.exec_totals(),
+        fresh.exec_totals(),
+        "{label}: exec_totals"
+    );
+    assert!(
+        storage_words(&worker) == storage_words(&fresh),
+        "{label}: storage words differ after {second} from rung {k}"
+    );
+    let after: Vec<u64> = ladder
+        .rungs()
+        .iter()
+        .map(|ck| fingerprint(ck.gpu()))
+        .collect();
+    assert_eq!(before, after, "{label}: a replay wrote into a rung");
+}
+
+#[test]
+fn copy_on_write_replays_never_alias_a_rung_or_each_other() {
+    let cases: [(ArchConfig, Box<dyn Workload>, Structure); 5] = [
+        (
+            hd_radeon_7970(),
+            Box::new(VectorAdd::new(256, 3)),
+            Structure::VectorRegisterFile,
+        ),
+        (
+            hd_radeon_7970(),
+            Box::new(MatrixMul::new(16, 3)),
+            Structure::ScalarRegisterFile,
+        ),
+        (
+            geforce_gtx_480(),
+            Box::new(Histogram::new(512, 64, 3)),
+            Structure::LocalMemory,
+        ),
+        (
+            quadro_fx_5600(),
+            Box::new(Kmeans::new(128, 4, 2, 3)),
+            Structure::VectorRegisterFile,
+        ),
+        (
+            quadro_fx_5800(),
+            Box::new(Transpose::new(32, 3)),
+            Structure::LocalMemory,
+        ),
+    ];
+    for (seed, (arch, w, structure)) in cases.iter().enumerate() {
+        assert_pages_never_alias(arch, w.as_ref(), *structure, 40 + seed as u64);
+    }
 }
 
 proptest! {

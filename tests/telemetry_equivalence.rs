@@ -106,6 +106,25 @@ fn hooked_campaign_is_thread_count_invariant_too() {
     assert_identical(&r1, &r4);
     assert_eq!(outcome_counter_sum(&reg1.snapshot()), 16);
     assert_eq!(outcome_counter_sum(&reg4.snapshot()), 16);
+    // Each replay copies the pages it first writes on its own device, so
+    // the copy count is per replay and independent of the worker count.
+    // The oracle prunes every site above; unpruned and unbatched, every
+    // site replays on its own.
+    let copies = |threads: usize| {
+        let cfg = CampaignConfig {
+            threads,
+            prune: false,
+            batch: false,
+            ..quick_cfg(16)
+        };
+        let reg = MetricsRegistry::new();
+        let hook = RegistryHook::new(&reg);
+        run_campaign_hooked(&arch, &w, Structure::VectorRegisterFile, cfg, &hook).unwrap();
+        reg.snapshot().counter("sim_page_copies_total")
+    };
+    let one = copies(1);
+    assert!(one.is_some_and(|n| n > 0), "unpruned replays copy pages");
+    assert_eq!(one, copies(4));
 }
 
 #[test]
