@@ -1243,7 +1243,8 @@ fn phase_sensitivity(points: &Points, cfg: &StudyConfig) -> Result<(), String> {
                 Structure::VectorRegisterFile,
                 cfg.campaign,
             )?;
-            let phases = grel_core::avf_by_phase(&detail, setup.golden().cycles, 4);
+            let phases = grel_core::avf_by_phase(&detail, setup.golden().cycles, 4)
+                .map_err(|e| e.to_string())?;
             let mut cells = vec![w.name().to_string(), arch.name.clone()];
             cells.extend(phases.iter().map(|p| pct_or_dash(p.0)));
             cells.push(pct(grel_core::due_fraction(&detail)));

@@ -20,15 +20,36 @@
 //!
 //! Both modes and the [`LifetimeOracle`] behind campaign pruning come
 //! from the [`AceAnalyzer`], which keeps one lifetime tracker per
-//! structure. A tracker's one per-word table holds the open value of
-//! every physical word (write cycle, last read) and the word's latest
-//! live interval. Each storage
-//! event updates that entry once; closing a value adds to both ACE counts
-//! and, when the oracle is wanted, to a flat interval log. A launch
-//! boundary closes only the words opened since the previous one. At the
-//! end of the golden pass the log is sealed into a per-word index
-//! (offsets plus sorted intervals: a liveness query is a binary search)
-//! and the per-word table is freed.
+//! structure. Its layout:
+//!
+//! * **The word table**, one 16-byte entry per physical word, allocated
+//!   zeroed (words a run never uses cost nothing when the allocator maps
+//!   fresh pages): the open value's state (its write cycle, or "read"
+//!   once a read has consumed it), its block's retirement cycle, and the
+//!   word's *latest* live interval `lo..=hi`. Cycles are `u32`; an event
+//!   at or past [`CYCLE_LIMIT`] is dropped and reported instead (a golden
+//!   pass fails with [`SimError::CycleLimit`]).
+//! * **The interval log**, kept only for the oracle: an append-only list
+//!   of 12-byte spans `(lo, hi, prev)` in fixed-size chunks, where `prev`
+//!   links to the same word's previous span, plus one head per word. A
+//!   span is appended only when the word's latest interval is final, i.e.
+//!   when a later value of the word is read and does not extend it.
+//!
+//! Each storage event touches one table entry. The first read of a value
+//! settles its interval: it extends the latest one when it starts at or
+//! right after that interval's end (an accumulator's read and write in
+//! one cycle), and otherwise appends the latest one to the log and
+//! replaces it. Later reads move `hi`, and both ACE counts grow by the
+//! cycles since the value's previous read, so a value's counts telescope
+//! to `last read − write` exactly as if they were taken at its close. A
+//! launch boundary closes only the words opened since the previous one.
+//!
+//! Sealing at the end of the golden pass appends every word's latest
+//! interval to the log and frees the table: there is no sort and no
+//! copy. A query walks one word's chain, latest first. The chain holds
+//! exactly the sorted, disjoint intervals a per-word list would, in
+//! reverse, so every interval, count and oracle answer is the one the
+//! event stream defines, whatever the log's order across words.
 //!
 //! Attach an [`AceAnalyzer`] to one fault-free run and read per-structure
 //! AVF and time-weighted occupancy (the red line of the paper's Fig. 1/2).
@@ -40,6 +61,10 @@ use simt_sim::observer::BlockRegions;
 use simt_sim::{ArchConfig, FaultSite, SimError, SimObserver, Structure};
 use std::sync::OnceLock;
 
+/// The first cycle the lifetime tracker cannot record: cycles are stored
+/// as `u32`, plus one, and `u32::MAX` marks a value that was read.
+pub const CYCLE_LIMIT: u64 = u32::MAX as u64 - 1;
+
 /// Refinement level of the lifetime analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AceMode {
@@ -50,24 +75,38 @@ pub enum AceMode {
     WriteToLastRead,
 }
 
-/// The table entry of one physical word: `(wrote_at, last_read, tail,
-/// retired)`, the cycle the open value was written (or the launch start,
-/// for a read of launch-zeroed contents), its last read so far, the
-/// position in the interval log of the word's latest live interval, and
-/// the retirement of the value's block when nothing has read or written
-/// the word since. Each is stored plus one, so zero means "none" and a
-/// fresh table is zeroed memory the allocator hands out untouched: words
-/// a run never uses cost nothing.
-type Word = (u64, u64, u32, u64);
+/// The table entry of one physical word: `(open, retired, lo, hi1)`.
+///
+/// * `open`: zero when no value is open, [`READ`] once the open value has
+///   been read, else the cycle it was written plus one (the launch start
+///   for a read of launch-zeroed contents).
+/// * `retired`: the retirement of the value's block plus one, when
+///   nothing has read or written the word since; else zero.
+/// * `lo..=hi1 - 1`: the word's latest live interval; `hi1` is zero
+///   until the word has one. Once the open value is read, `hi1 - 1` is
+///   its last read.
+///
+/// A tuple of integers, so a fresh table is zeroed memory.
+type Word = (u32, u32, u32, u32);
 
-/// A closed live interval `lo..=hi` of the word at `sm * words_per_sm +
-/// word`.
+/// `open` of a value that has been read: its write cycle is no longer
+/// needed, because both ACE counts run from its last read on.
+const READ: u32 = u32::MAX;
+
+/// A live interval `lo..=hi` of one word in the log. `prev` is one plus
+/// the log position of the word's previous interval, zero for its first.
 #[derive(Debug, Clone, Copy)]
 struct Span {
-    word: u32,
-    lo: u64,
-    hi: u64,
+    lo: u32,
+    hi: u32,
+    prev: u32,
 }
+
+/// Spans per chunk of the log (384 KiB). The log grows a chunk at a
+/// time, so it is never copied to grow, and the chunks a dropped oracle
+/// frees are the size the next golden pass asks for. One doubling `Vec`
+/// per log kept far more of a study's memory resident (CHANGES.md).
+const CHUNK: usize = 1 << 15;
 
 /// The lifetime tracker of one structure (all SMs).
 #[derive(Debug, Default)]
@@ -77,8 +116,10 @@ struct Tracker {
     total_words: u64,
     /// Words opened since the last flush, the only ones a flush closes.
     opened: Vec<u32>,
-    /// Live intervals in close order, merged per word as they close.
-    log: Option<Vec<Span>>,
+    /// The oracle's interval log, when it is wanted.
+    log: Option<Index>,
+    /// Words whose latest interval is in the table; sealing appends them.
+    latest: Vec<u32>,
     conservative_word_cycles: u64,
     refined_word_cycles: u64,
     allocated: u64,
@@ -93,7 +134,7 @@ impl Tracker {
             words: vec![(0, 0, 0, 0); total],
             words_per_sm,
             total_words: total as u64,
-            log: log.then(Vec::new),
+            log: log.then(|| Index::new(total, words_per_sm)),
             ..Tracker::default()
         }
     }
@@ -110,90 +151,107 @@ impl Tracker {
     /// Conservative ACE counts `[wrote_at, cycle)`, or up to the
     /// retirement of the value's block if that came first; a value that
     /// is read counts `(wrote_at, last_read]` in refined ACE and is live
-    /// over the same cycles to the oracle. Launch-rooted values (dispatch
-    /// preloads and launch-zeroed contents) are vulnerable *at* the
-    /// launch-start cycle too: the per-launch storage reset and preloads
-    /// precede fault application within that cycle, so a flip at the
-    /// boundary lands on the value. A later write lands after fault
-    /// application, so a flip at its own cycle is clobbered. Refined
-    /// bit-cycles therefore equal the oracle's live bit-cycles.
-    fn close(&mut self, i: usize, cycle: u64, launch_start: u64) {
+    /// over the same cycles to the oracle. Reads already counted both up
+    /// to the last read, so only the rest is added here.
+    fn close(&mut self, i: usize, cycle: u32) {
         let w = &mut self.words[i];
-        let Some(wrote_at) = w.0.checked_sub(1) else {
-            return;
+        let counted_to = match w.0 {
+            0 => return,
+            READ => w.3 - 1,
+            open => open - 1,
         };
-        let last_read = w.1.checked_sub(1);
-        let held_until = w.3.checked_sub(1).unwrap_or(cycle);
-        (w.0, w.1, w.3) = (0, 0, 0);
-        self.conservative_word_cycles += held_until.saturating_sub(wrote_at);
-        let Some(last_read) = last_read else {
-            return; // never read: a dead value
-        };
-        let rooted = wrote_at == launch_start;
-        self.refined_word_cycles += last_read.saturating_sub(wrote_at) + rooted as u64;
-        let Some(log) = &mut self.log else { return };
-        let lo = if rooted { wrote_at } else { wrote_at + 1 };
-        // A word's intervals close in cycle order, so merging with its
-        // latest one keeps them sorted and disjoint.
-        match w.2.checked_sub(1).map(|t| &mut log[t as usize]) {
-            Some(last) if lo <= last.hi + 1 => last.hi = last.hi.max(last_read),
-            _ => {
-                let (word, hi) = (i as u32, last_read);
-                log.push(Span { word, lo, hi });
-                w.2 = log.len() as u32;
-            }
-        }
+        let held_until = w.1.checked_sub(1).unwrap_or(cycle);
+        (w.0, w.1) = (0, 0);
+        self.conservative_word_cycles += held_until.saturating_sub(counted_to) as u64;
     }
 
-    fn on_write(&mut self, sm: u32, word: u32, cycle: u64, launch_start: u64) {
+    fn on_write(&mut self, sm: u32, word: u32, cycle: u32) {
         let Some(i) = self.idx(sm, word) else { return };
         if self.words[i].0 == 0 {
             self.opened.push(i as u32);
         } else {
-            self.close(i, cycle, launch_start);
+            self.close(i, cycle);
         }
         self.words[i].0 = cycle + 1;
     }
 
-    fn on_read(&mut self, sm: u32, word: u32, cycle: u64, launch_start: u64) {
+    /// Launch-rooted values (dispatch preloads and launch-zeroed
+    /// contents) are vulnerable *at* the launch-start cycle too: the
+    /// per-launch storage reset and preloads precede fault application
+    /// within that cycle, so a flip at the boundary lands on the value. A
+    /// later write lands after fault application, so a flip at its own
+    /// cycle is clobbered. Refined bit-cycles therefore equal the
+    /// oracle's live bit-cycles.
+    fn on_read(&mut self, sm: u32, word: u32, cycle: u32, launch_start: u32) {
         let Some(i) = self.idx(sm, word) else { return };
         let w = &mut self.words[i];
-        if w.0 == 0 {
-            // Consuming the launch-zeroed contents: the value was
-            // architecturally live since the start of the launch.
-            w.0 = launch_start + 1;
-            self.opened.push(i as u32);
-        }
         // Storage is zeroed only per launch, so a read after the block
         // retired consumes the retired value: it stays one value, held
         // as if the block had never retired.
-        (w.1, w.3) = (cycle + 1, 0);
+        w.1 = 0;
+        match w.0 {
+            READ => {
+                let more = cycle.saturating_sub(w.3 - 1) as u64;
+                self.conservative_word_cycles += more;
+                self.refined_word_cycles += more;
+                w.3 = w.3.max(cycle + 1);
+                return;
+            }
+            0 => {
+                // Consuming the launch-zeroed contents: the value was
+                // architecturally live since the start of the launch.
+                w.0 = launch_start + 1;
+                self.opened.push(i as u32);
+            }
+            _ => {}
+        }
+        let wrote_at = w.0 - 1;
+        let rooted = wrote_at == launch_start;
+        let lo = wrote_at + !rooted as u32;
+        w.0 = READ;
+        self.conservative_word_cycles += cycle.saturating_sub(wrote_at) as u64;
+        self.refined_word_cycles += cycle.saturating_sub(wrote_at) as u64 + rooted as u64;
+        // A word's values are read in cycle order, so extending its latest
+        // interval or starting a new one keeps them sorted and disjoint.
+        if w.3 != 0 && lo <= w.3 {
+            w.3 = w.3.max(cycle + 1);
+            return;
+        }
+        let (last_lo, last_hi1) = (w.2, w.3);
+        (w.2, w.3) = (lo, cycle + 1);
+        if let Some(log) = &mut self.log {
+            if last_hi1 == 0 {
+                self.latest.push(i as u32);
+            } else {
+                log.push(i, last_lo, last_hi1 - 1);
+            }
+        }
     }
 
     /// Marks the open values of a retiring block's region. They stay
     /// open: the next write or launch boundary closes them, and until a
     /// read proves otherwise conservative ACE holds them only up to the
     /// retirement.
-    fn free_region(&mut self, sm: u32, base: u32, len: u32, cycle: u64) {
+    fn free_region(&mut self, sm: u32, base: u32, len: u32, cycle: u32) {
         for w in base..base.saturating_add(len).min(self.words_per_sm) {
             if let Some(i) = self.idx(sm, w) {
                 let w = &mut self.words[i];
-                if w.0 != 0 && w.3 == 0 {
-                    w.3 = cycle + 1;
+                if w.0 != 0 && w.1 == 0 {
+                    w.1 = cycle + 1;
                 }
             }
         }
     }
 
     /// Closes every value still open at a launch boundary.
-    fn flush(&mut self, cycle: u64, launch_start: u64) {
+    fn flush(&mut self, cycle: u32) {
         let mut opened = std::mem::take(&mut self.opened);
         for &i in &opened {
-            self.close(i as usize, cycle, launch_start);
+            self.close(i as usize, cycle);
         }
         opened.clear();
         self.opened = opened;
-        self.occupancy_tick(cycle);
+        self.occupancy_tick(cycle as u64);
     }
 
     fn occupancy_tick(&mut self, cycle: u64) {
@@ -201,83 +259,109 @@ impl Tracker {
         self.last_event_cycle = cycle;
     }
 
-    /// The interval index of the values closed so far.
-    fn index(&self) -> Index {
-        let log = self.log.as_deref().unwrap_or_default();
-        Index::build(log, self.total_words as usize, self.words_per_sm)
+    /// Appends every word's latest interval to `log`.
+    fn complete(&self, mut log: Index) -> Index {
+        for &i in &self.latest {
+            let (_, _, lo, hi1) = self.words[i as usize];
+            log.push(i as usize, lo, hi1 - 1);
+        }
+        log
     }
 
-    /// [`Tracker::index`], freeing the per-word table and the log.
-    fn seal(&mut self) -> Index {
-        let index = self.index();
-        (self.words, self.opened, self.log) = (Vec::new(), Vec::new(), None);
+    /// The intervals of the values read so far, leaving the tracker as
+    /// it is (a copy of the log).
+    fn index(&self) -> Index {
+        self.complete(self.log.clone().unwrap_or_default())
+    }
+
+    /// Frees the per-word table and returns the sealed log, if one was
+    /// kept.
+    fn seal(&mut self) -> Option<Index> {
+        let index = self.log.take().map(|log| self.complete(log));
+        (self.words, self.opened, self.latest) = (Vec::new(), Vec::new(), Vec::new());
         index
     }
 }
 
-/// The sealed live intervals of one structure: word `i`'s sorted,
-/// disjoint `lo..=hi` intervals are `spans[at[i]..at[i + 1]]`.
-#[derive(Debug)]
+/// The live intervals of one structure: one chain of [`Span`]s per word,
+/// latest first. Each word's intervals are sorted and disjoint, so along
+/// a chain both ends of the intervals strictly decrease.
+#[derive(Debug, Clone, Default)]
 struct Index {
-    at: Vec<u32>,
-    spans: Vec<(u64, u64)>,
+    /// The log, [`CHUNK`] spans a chunk.
+    chunks: Vec<Vec<Span>>,
+    /// Per word, one plus the log position of its latest interval (zero:
+    /// none).
+    heads: Vec<u32>,
     words_per_sm: u32,
 }
 
 impl Index {
-    /// Groups `log` by word, keeping each word's intervals in log order.
-    fn build(log: &[Span], words: usize, words_per_sm: u32) -> Self {
-        let mut at = vec![0u32; words + 1];
-        for s in log {
-            at[s.word as usize] += 1;
-        }
-        let mut end = 0;
-        for a in &mut at {
-            end += *a;
-            *a = end;
-        }
-        let mut spans = vec![(0, 0); log.len()];
-        for s in log.iter().rev() {
-            let a = &mut at[s.word as usize];
-            *a -= 1;
-            spans[*a as usize] = (s.lo, s.hi);
-        }
+    fn new(words: usize, words_per_sm: u32) -> Self {
         Index {
-            at,
-            spans,
+            chunks: Vec::new(),
+            heads: vec![0; words],
             words_per_sm,
         }
     }
 
-    fn word(&self, i: usize) -> &[(u64, u64)] {
-        &self.spans[self.at[i] as usize..self.at[i + 1] as usize]
+    fn push(&mut self, i: usize, lo: u32, hi: u32) {
+        let prev = self.heads[i];
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let n = self.chunks.len() - 1;
+        self.chunks[n].push(Span { lo, hi, prev });
+        self.heads[i] = (n * CHUNK + self.chunks[n].len()) as u32;
+    }
+
+    /// Intervals in the log.
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    /// Word `i`'s intervals `(lo, hi)` that end at or after `cycle`,
+    /// latest first.
+    fn chain(&self, i: usize, cycle: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut at = self.heads[i];
+        std::iter::from_fn(move || {
+            let k = at.checked_sub(1)? as usize;
+            let s = self.chunks[k / CHUNK][k % CHUNK];
+            at = s.prev;
+            Some((s.lo as u64, s.hi as u64))
+        })
+        .take_while(move |&(_, hi)| hi >= cycle)
     }
 
     fn is_dead(&self, sm: u32, word: u32, cycle: u64) -> bool {
         let i = sm as usize * self.words_per_sm as usize + word as usize;
-        if word >= self.words_per_sm || i + 1 >= self.at.len() {
+        if word >= self.words_per_sm || i >= self.heads.len() {
             return true; // out-of-range words are never consumed
         }
-        let list = self.word(i);
-        let p = list.partition_point(|&(lo, _)| lo <= cycle);
-        p == 0 || list[p - 1].1 < cycle
+        self.chain(i, cycle).all(|(lo, _)| lo > cycle)
     }
 
     fn live_bit_cycles(&self) -> u64 {
-        self.spans.iter().map(|&(lo, hi)| (hi + 1 - lo) * 32).sum()
+        let live = |s: &Span| s.hi as u64 + 1 - s.lo as u64;
+        self.chunks.iter().flatten().map(live).sum::<u64>() * 32
     }
 
-    /// `(sm, word, intervals)` of every word in `[word_lo, word_hi)` of
-    /// every SM, in physical order.
-    fn words_in(
-        &self,
-        word_lo: u32,
-        word_hi: u32,
-    ) -> impl Iterator<Item = (u32, u32, &[(u64, u64)])> {
+    /// Bytes the index holds.
+    fn bytes(&self) -> usize {
+        let spans: usize = self.chunks.iter().map(Vec::capacity).sum();
+        spans * std::mem::size_of::<Span>() + self.heads.capacity() * 4
+    }
+
+    /// Calls `f(sm, word, table index)` for every word in
+    /// `[word_lo, word_hi)` of every SM, in physical order.
+    fn for_words(&self, word_lo: u32, word_hi: u32, mut f: impl FnMut(u32, u32, usize)) {
         let words = self.words_per_sm as usize;
-        (0..self.at.len() - 1)
-            .map(move |i| ((i / words) as u32, (i % words) as u32, self.word(i)))
-            .filter(move |&(_, word, _)| word_lo <= word && word < word_hi)
+        let sms = self.heads.len().checked_div(words).unwrap_or(0);
+        for sm in 0..sms {
+            for word in word_lo..word_hi.min(self.words_per_sm) {
+                f(sm as u32, word, sm * words + word as usize);
+            }
+        }
     }
 
     fn live_word_cycles_in(&self, word_lo: u32, word_hi: u32, cycle_lo: u64, cycle_hi: u64) -> u64 {
@@ -285,14 +369,14 @@ impl Index {
             return 0;
         }
         let mut total = 0;
-        for (_, _, list) in self.words_in(word_lo, word_hi) {
-            for &(lo, hi) in list {
+        self.for_words(word_lo, word_hi, |_, _, i| {
+            for (lo, hi) in self.chain(i, cycle_lo) {
                 // Intervals are stored inclusive; the query window is
                 // half-open, so clip its upper edge back by one.
                 let (lo, hi) = (lo.max(cycle_lo), hi.min(cycle_hi - 1));
                 total += (hi + 1).saturating_sub(lo);
             }
-        }
+        });
         total
     }
 
@@ -308,13 +392,17 @@ impl Index {
         if cycle_hi <= cycle_lo {
             return out;
         }
-        for (sm, word, list) in self.words_in(word_lo, word_hi) {
+        let mut list = Vec::new();
+        self.for_words(word_lo, word_hi, |sm, word, i| {
             let seg = |lo, hi| WordCycleSegment { sm, word, lo, hi };
-            let clipped = list
-                .iter()
-                .map(|&(lo, hi)| (lo.max(cycle_lo), hi.min(cycle_hi - 1)));
+            list.clear();
+            list.extend(self.chain(i, cycle_lo));
             let mut next = cycle_lo;
-            for (lo, hi) in clipped.filter(|(lo, hi)| lo <= hi) {
+            for &(lo, hi) in list.iter().rev() {
+                let (lo, hi) = (lo.max(cycle_lo), hi.min(cycle_hi - 1));
+                if lo > hi {
+                    continue;
+                }
                 if live {
                     out.push(seg(lo, hi));
                 } else if lo > next {
@@ -327,7 +415,7 @@ impl Index {
             if !live && next < cycle_hi {
                 out.push(seg(next, cycle_hi - 1));
             }
-        }
+        });
         out
     }
 }
@@ -381,8 +469,10 @@ pub struct StructureReport {
 pub struct AceAnalyzer {
     /// One tracker per structure, keyed by [`Structure::index`].
     trackers: [Tracker; 3],
-    launch_start: u64,
+    launch_start: u32,
     total_cycles: u64,
+    /// The first event cycle at or past [`CYCLE_LIMIT`], if any.
+    untracked: Option<u64>,
     num_sms: u32,
     mode: AceMode,
 }
@@ -406,6 +496,7 @@ impl AceAnalyzer {
                 .map(|s| Tracker::new(arch.words_per_sm(s), arch.num_sms, intervals)),
             launch_start: 0,
             total_cycles: 0,
+            untracked: None,
             num_sms: arch.num_sms,
             mode,
         }
@@ -419,10 +510,39 @@ impl AceAnalyzer {
         let index = self.trackers.each_mut().map(Tracker::seal);
         let oracle = intervals.then(|| LifetimeOracle {
             life: None,
-            index: OnceLock::from(index),
+            index: OnceLock::from(index.map(Option::unwrap_or_default)),
             num_sms: self.num_sms,
         });
         (ace.then_some(self), oracle)
+    }
+
+    /// `Ok` unless an event reached [`CYCLE_LIMIT`]: the tracker drops
+    /// such events, so its counts and intervals would be incomplete. The
+    /// error names `workload`, `device` and the first such cycle.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CycleLimit`] when an event was dropped.
+    pub fn within_cycle_limit(&self, workload: &str, device: &str) -> Result<(), SimError> {
+        match self.untracked {
+            None => Ok(()),
+            Some(cycle) => Err(SimError::CycleLimit {
+                workload: workload.to_string(),
+                device: device.to_string(),
+                cycle,
+                limit: CYCLE_LIMIT,
+            }),
+        }
+    }
+
+    /// `cycle` as the tracker stores it, or `None` (and the cycle noted)
+    /// when it is at or past [`CYCLE_LIMIT`].
+    fn tracked(&mut self, cycle: u64) -> Option<u32> {
+        if cycle < CYCLE_LIMIT {
+            return Some(cycle as u32);
+        }
+        self.untracked.get_or_insert(cycle);
+        None
     }
 
     /// The refinement mode in use.
@@ -468,34 +588,50 @@ impl AceAnalyzer {
 
 impl SimObserver for AceAnalyzer {
     fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
-        self.trackers[structure.index()].on_write(sm, word, cycle, self.launch_start);
+        if let Some(cycle) = self.tracked(cycle) {
+            self.trackers[structure.index()].on_write(sm, word, cycle);
+        }
     }
     fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
-        self.trackers[structure.index()].on_read(sm, word, cycle, self.launch_start);
+        if let Some(cycle) = self.tracked(cycle) {
+            self.trackers[structure.index()].on_read(sm, word, cycle, self.launch_start);
+        }
     }
     fn on_block_dispatch(&mut self, _sm: u32, r: BlockRegions, cycle: u64) {
+        if self.tracked(cycle).is_none() {
+            return;
+        }
         for (t, s) in self.trackers.iter_mut().zip(Structure::ALL) {
             t.occupancy_tick(cycle);
             t.allocated += r.region(s).1 as u64;
         }
     }
     fn on_block_retire(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
+        let Some(at) = self.tracked(cycle) else {
+            return;
+        };
         for (t, s) in self.trackers.iter_mut().zip(Structure::ALL) {
             let (base, len) = r.region(s);
             t.occupancy_tick(cycle);
             t.allocated -= len as u64;
-            t.free_region(sm, base, len, cycle);
+            t.free_region(sm, base, len, at);
         }
     }
     fn on_launch_begin(&mut self, _name: &str, cycle: u64) {
+        let Some(cycle) = self.tracked(cycle) else {
+            return;
+        };
         for t in &mut self.trackers {
-            t.flush(cycle, self.launch_start);
+            t.flush(cycle);
         }
         self.launch_start = cycle;
     }
     fn on_launch_end(&mut self, cycle: u64) {
+        let Some(at) = self.tracked(cycle) else {
+            return;
+        };
         for t in &mut self.trackers {
-            t.flush(cycle, self.launch_start);
+            t.flush(at);
         }
         self.total_cycles = cycle;
     }
@@ -590,6 +726,16 @@ impl LifetimeOracle {
             life.trackers.each_ref().map(Tracker::index)
         });
         &index[s.index()]
+    }
+
+    /// Live intervals the oracle holds, over all three structures.
+    pub(crate) fn intervals(&self) -> usize {
+        Structure::ALL.iter().map(|&s| self.index(s).len()).sum()
+    }
+
+    /// Bytes the oracle's intervals and per-word heads take.
+    pub(crate) fn bytes(&self) -> usize {
+        Structure::ALL.iter().map(|&s| self.index(s).bytes()).sum()
     }
 
     /// Feeds an event to the tracker of a run still being observed; any
@@ -1028,6 +1174,208 @@ mod tests {
         a.on_launch_end(10);
         assert_eq!(a.report(Structure::VectorRegisterFile).ace_bit_cycles, 0);
         assert_eq!(a.report(Structure::LocalMemory).ace_bit_cycles, 0);
+    }
+
+    /// A sealed oracle and the refined analyzer of one synthetic stream.
+    fn sealed(drive: impl FnOnce(&mut AceAnalyzer)) -> (AceAnalyzer, LifetimeOracle) {
+        let arch = ArchConfig::small_test_gpu();
+        let mut a = AceAnalyzer::tracking(&arch, AceMode::WriteToLastRead, true);
+        drive(&mut a);
+        let (a, o) = a.finish(true);
+        (a.unwrap(), o.unwrap())
+    }
+
+    #[test]
+    fn a_loop_carried_accumulator_seals_to_one_interval() {
+        let rf = Structure::VectorRegisterFile;
+        let (a, o) = sealed(|a| {
+            a.on_launch_begin("k", 0);
+            a.on_write(0, Rf, 7, 1);
+            // Each iteration reads the accumulator and writes it back in
+            // the same cycle.
+            for c in 2..5000 {
+                a.on_read(0, Rf, 7, c);
+                a.on_write(0, Rf, 7, c);
+            }
+            a.on_read(0, Rf, 7, 5000);
+            let log = a.trackers[rf.index()].log.as_ref().unwrap();
+            assert_eq!(log.len(), 0, "a merge never touches the log");
+            a.on_launch_end(5100);
+        });
+        assert_eq!(o.intervals(), 1);
+        assert_eq!(o.live_bit_cycles(rf), 4999 * 32);
+        assert_eq!(a.report(rf).ace_bit_cycles, 4999 * 32);
+        let seg = |lo, hi| WordCycleSegment {
+            sm: 0,
+            word: 7,
+            lo,
+            hi,
+        };
+        assert_eq!(o.segments_in(rf, 7, 8, 0, 5100, true), [seg(2, 5000)]);
+        assert!(o.is_dead(rf_site(7, 1)));
+        assert!(!o.is_dead(rf_site(7, 2)) && !o.is_dead(rf_site(7, 5000)));
+        assert!(o.is_dead(rf_site(7, 5001)));
+    }
+
+    #[test]
+    fn a_words_intervals_across_two_launches_stay_separate_and_sorted() {
+        let rf = Structure::VectorRegisterFile;
+        let (a, o) = sealed(|a| {
+            a.on_launch_begin("k1", 0);
+            a.on_write(0, Rf, 3, 5);
+            a.on_read(0, Rf, 3, 9);
+            a.on_write(0, Rf, 3, 20);
+            a.on_read(0, Rf, 3, 30);
+            a.on_launch_end(40);
+            // Launch-zeroed contents, live from the launch start.
+            a.on_launch_begin("k2", 40);
+            a.on_read(0, Rf, 3, 45);
+            a.on_launch_end(50);
+        });
+        let seg = |lo, hi| WordCycleSegment {
+            sm: 0,
+            word: 3,
+            lo,
+            hi,
+        };
+        let live = [seg(6, 9), seg(21, 30), seg(40, 45)];
+        assert_eq!(o.segments_in(rf, 0, 8, 0, 51, true), live);
+        assert_eq!(
+            o.segments_in(rf, 3, 4, 0, 51, false),
+            [
+                seg(0, 5),
+                seg(10, 20),
+                seg(31, 39),
+                seg(46, 50),
+                WordCycleSegment {
+                    sm: 1,
+                    ..seg(0, 50)
+                }
+            ]
+        );
+        assert_eq!(o.intervals(), 3);
+        assert_eq!(o.live_word_cycles_in(rf, 3, 4, 8, 42), 2 + 10 + 2);
+        assert_eq!(o.live_bit_cycles(rf), (4 + 10 + 6) * 32);
+        assert_eq!(a.report(rf).ace_bit_cycles, o.live_bit_cycles(rf));
+        for c in 0..52 {
+            let want = live.iter().any(|s| s.lo <= c && c <= s.hi);
+            assert_eq!(o.is_dead(rf_site(3, c)), !want, "cycle {c}");
+        }
+    }
+
+    /// Forwards a run to a [`LifetimeOracle`] and queries it at every
+    /// launch boundary and every 4096th storage event.
+    struct Queried {
+        oracle: LifetimeOracle,
+        events: u64,
+        queries: u64,
+    }
+
+    impl Queried {
+        fn query(&mut self) {
+            self.queries += 1;
+            for s in Structure::ALL {
+                self.oracle.live_bit_cycles(s);
+            }
+        }
+
+        fn tick(&mut self) {
+            self.events += 1;
+            if self.events.is_multiple_of(4096) {
+                self.query();
+            }
+        }
+    }
+
+    impl SimObserver for Queried {
+        fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+            self.oracle.on_write(sm, structure, word, cycle);
+            self.tick();
+        }
+        fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
+            self.oracle.on_read(sm, structure, word, cycle);
+            self.tick();
+        }
+        fn on_block_dispatch(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
+            self.oracle.on_block_dispatch(sm, r, cycle);
+        }
+        fn on_block_retire(&mut self, sm: u32, r: BlockRegions, cycle: u64) {
+            self.oracle.on_block_retire(sm, r, cycle);
+        }
+        fn on_launch_begin(&mut self, name: &str, cycle: u64) {
+            self.oracle.on_launch_begin(name, cycle);
+            self.query();
+        }
+        fn on_launch_end(&mut self, cycle: u64) {
+            self.oracle.on_launch_end(cycle);
+            self.query();
+        }
+    }
+
+    #[test]
+    fn an_observer_queried_mid_stream_agrees_with_a_sealed_capture() {
+        use gpu_workloads::{Reduction, Workload};
+        let arch = gpu_archs::quadro_fx_5600();
+        let w = Reduction::new(512, 128, 3);
+        let sealed = LifetimeOracle::capture(&arch, &w).unwrap();
+        let mut observed = Queried {
+            oracle: LifetimeOracle::new(&arch),
+            events: 0,
+            queries: 0,
+        };
+        let mut gpu = simt_sim::Gpu::new(arch.clone());
+        w.run(&mut gpu, &mut observed).unwrap();
+        assert!(observed.queries > 4, "{} queries", observed.queries);
+        let (o, cycles) = (observed.oracle, gpu.app_cycle());
+        for s in Structure::ALL {
+            let words = arch.words_per_sm(s);
+            assert_eq!(o.live_bit_cycles(s), sealed.live_bit_cycles(s), "{s:?}");
+            for live in [false, true] {
+                assert_eq!(
+                    o.segments_in(s, 0, words, 0, cycles + 1, live),
+                    sealed.segments_in(s, 0, words, 0, cycles + 1, live),
+                    "{s:?}"
+                );
+            }
+        }
+        assert!(sealed.live_bit_cycles(Structure::LocalMemory) > 0);
+    }
+
+    #[test]
+    fn an_event_past_the_cycle_limit_is_a_typed_error() {
+        let arch = ArchConfig::small_test_gpu();
+        let mut a = AceAnalyzer::tracking(&arch, AceMode::WriteToLastRead, true);
+        a.on_launch_begin("k", 0);
+        a.on_write(0, Rf, 1, 10);
+        a.on_read(0, Rf, 1, 20);
+        assert_eq!(a.within_cycle_limit("w", "d"), Ok(()));
+        a.on_read(0, Rf, 1, CYCLE_LIMIT);
+        a.on_write(0, Lds, 2, u64::MAX);
+        a.on_launch_end(CYCLE_LIMIT + 5);
+        let err = a
+            .within_cycle_limit("vectoradd", "HD Radeon 7970")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::CycleLimit {
+                workload: "vectoradd".into(),
+                device: "HD Radeon 7970".into(),
+                cycle: CYCLE_LIMIT,
+                limit: CYCLE_LIMIT,
+            }
+        );
+        let text = err.to_string();
+        assert!(text.contains("vectoradd on HD Radeon 7970 reached cycle 4294967294"));
+        // The dropped events changed nothing: the last tracked read still
+        // ends the value's window, and nothing wrapped around.
+        assert_eq!(
+            a.report(Structure::VectorRegisterFile).ace_bit_cycles,
+            10 * 32
+        );
+        assert_eq!(a.report(Structure::LocalMemory).ace_bit_cycles, 0);
+        let cycle = CYCLE_LIMIT - 1;
+        assert_eq!(a.tracked(cycle), Some(cycle as u32));
+        assert_eq!(a.untracked, Some(CYCLE_LIMIT));
     }
 
     /// One event of a synthetic stream; `usize` is the structure slot.

@@ -81,11 +81,33 @@ pub fn avf_by_bit(detail: &[SiteOutcome]) -> [f64; 32] {
     })
 }
 
+/// `phases` was zero: a run cannot be split into no windows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoPhases;
+
+impl std::fmt::Display for NoPhases {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the AVF by phase needs at least one phase")
+    }
+}
+
+impl std::error::Error for NoPhases {}
+
 /// AVF per execution phase: the run is split into `phases` equal cycle
 /// windows; returns `(avf, samples)` per window. Early-phase flips tend
 /// to be overwritten (masked), late-phase flips die with the launch.
-pub fn avf_by_phase(detail: &[SiteOutcome], total_cycles: u64, phases: usize) -> Vec<(f64, u64)> {
-    assert!(phases > 0, "need at least one phase");
+///
+/// # Errors
+///
+/// [`NoPhases`] when `phases` is zero.
+pub fn avf_by_phase(
+    detail: &[SiteOutcome],
+    total_cycles: u64,
+    phases: usize,
+) -> Result<Vec<(f64, u64)>, NoPhases> {
+    if phases == 0 {
+        return Err(NoPhases);
+    }
     let mut fail = vec![0u64; phases];
     let mut total = vec![0u64; phases];
     for d in detail {
@@ -96,7 +118,7 @@ pub fn avf_by_phase(detail: &[SiteOutcome], total_cycles: u64, phases: usize) ->
             fail[p] += 1;
         }
     }
-    (0..phases)
+    Ok((0..phases)
         .map(|p| {
             let avf = if total[p] == 0 {
                 f64::NAN
@@ -105,7 +127,7 @@ pub fn avf_by_phase(detail: &[SiteOutcome], total_cycles: u64, phases: usize) ->
             };
             (avf, total[p])
         })
-        .collect()
+        .collect())
 }
 
 /// Fraction of failures that are DUEs (vs SDCs) in a detailed campaign.
@@ -222,10 +244,16 @@ mod tests {
 
     #[test]
     fn phase_breakdown_buckets() {
-        let phases = avf_by_phase(&fake_detail(), 100, 2);
+        let phases = avf_by_phase(&fake_detail(), 100, 2).unwrap();
         assert_eq!(phases.len(), 2);
         assert_eq!(phases[0], (0.5, 2));
         assert_eq!(phases[1], (1.0, 2));
+    }
+
+    #[test]
+    fn zero_phases_is_an_error() {
+        assert_eq!(avf_by_phase(&fake_detail(), 100, 0), Err(NoPhases));
+        assert!(NoPhases.to_string().contains("at least one phase"));
     }
 
     #[test]

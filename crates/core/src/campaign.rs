@@ -415,7 +415,26 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
         outputs,
         cycles: gpu.app_cycle(),
     };
-    let (ace, oracle) = life.map_or((None, None), |life| life.finish(capture.ace.is_some()));
+    let point = || format!("point:{}@{}/golden", workload.name(), arch.name);
+    let (ace, oracle) = match life {
+        Some(life) => {
+            life.within_cycle_limit(workload.name(), &arch.name)?;
+            let sealing = H::SPANS.then(Instant::now);
+            let (ace, oracle) = life.finish(capture.ace.is_some());
+            if let Some(sealing) = sealing {
+                let (intervals, bytes) = oracle
+                    .as_ref()
+                    .map_or((0, 0), |o| (o.intervals(), o.bytes()));
+                hook.span(
+                    &SpanRecord::new(format!("{}/seal", point()), 0, PHASE_GOLDEN, sealing)
+                        .tag("intervals", intervals)
+                        .tag("bytes", bytes),
+                );
+            }
+            (ace, oracle)
+        }
+        None => (None, None),
+    };
     if let Some(started) = started {
         let seconds = started.elapsed().as_secs_f64();
         hook.observe("campaign_golden_seconds", seconds);
@@ -428,14 +447,9 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
         );
         if H::SPANS {
             hook.span(
-                &SpanRecord::new(
-                    format!("point:{}@{}/golden", workload.name(), arch.name),
-                    0,
-                    PHASE_GOLDEN,
-                    started,
-                )
-                .tag("cycles", golden.cycles)
-                .tag("ace", ace.is_some()),
+                &SpanRecord::new(point(), 0, PHASE_GOLDEN, started)
+                    .tag("cycles", golden.cycles)
+                    .tag("ace", ace.is_some()),
             );
         }
     }
@@ -1535,6 +1549,37 @@ mod tests {
             batch: true,
             convergence: 0,
         }
+    }
+
+    #[test]
+    fn a_traced_golden_pass_records_its_seal() {
+        use grel_telemetry::{SpanHook, SpanRecorder};
+        let (arch, w) = (quadro_fx_5600(), VectorAdd::new(256, 3));
+        let seal = |capture| {
+            let recorder = SpanRecorder::new();
+            golden_pass(&arch, &w, capture, &SpanHook::new(&recorder)).unwrap();
+            let tree = recorder.finish();
+            let node = tree.spans.iter().find(|n| n.name == "seal");
+            node.map(|n| (n.path.clone(), n.tags.clone()))
+        };
+        let oracle = Capture {
+            oracle: true,
+            ..Capture::default()
+        };
+        let (path, tags) = seal(oracle).expect("a seal span");
+        assert_eq!(path, format!("point:vectoradd@{}/golden/seal", arch.name));
+        let tag = |k: &str| tags.iter().find(|(key, _)| key == k).unwrap().1.clone();
+        let sealed = LifetimeOracle::capture(&arch, &w).unwrap();
+        assert_eq!(tag("intervals"), sealed.intervals().to_string());
+        assert_eq!(tag("bytes"), sealed.bytes().to_string());
+        assert!(sealed.intervals() > 0);
+        let ace = Capture {
+            ace: Some(AceMode::LiveUntilOverwrite),
+            ..Capture::default()
+        };
+        let (_, tags) = seal(ace).expect("an ACE-only pass seals too");
+        assert!(tags.contains(&("intervals".into(), "0".into())), "{tags:?}");
+        assert_eq!(seal(Capture::default()), None, "no tracker, no seal");
     }
 
     #[test]

@@ -82,7 +82,8 @@ pub mod study;
 
 pub use ace::{AceAnalyzer, AceMode, LifetimeOracle, StructureReport};
 pub use breakdown::{
-    avf_by_bit, avf_by_phase, detailed_campaign_on, due_fraction, mbu_campaign_on, SiteOutcome,
+    avf_by_bit, avf_by_phase, detailed_campaign_on, due_fraction, mbu_campaign_on, NoPhases,
+    SiteOutcome,
 };
 pub use campaign::{
     golden_run, golden_run_hooked, golden_run_with_ace, run_campaign_hooked,

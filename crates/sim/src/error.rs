@@ -96,6 +96,18 @@ pub enum SimError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A fault-free pass reached a cycle its lifetime tracking (ACE
+    /// analysis and the lifetime oracle) cannot record.
+    CycleLimit {
+        /// Workload of the pass.
+        workload: String,
+        /// Device of the pass.
+        device: String,
+        /// The first cycle the tracking dropped.
+        cycle: u64,
+        /// The tracking records cycles below this one.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -103,6 +115,15 @@ impl fmt::Display for SimError {
         match self {
             SimError::Due(d) => write!(f, "detected unrecoverable error: {d}"),
             SimError::LaunchConfig { reason } => write!(f, "invalid launch: {reason}"),
+            SimError::CycleLimit {
+                workload,
+                device,
+                cycle,
+                limit,
+            } => write!(
+                f,
+                "{workload} on {device} reached cycle {cycle}; lifetime tracking records cycles below {limit}"
+            ),
         }
     }
 }
@@ -111,7 +132,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Due(d) => Some(d),
-            SimError::LaunchConfig { .. } => None,
+            SimError::LaunchConfig { .. } | SimError::CycleLimit { .. } => None,
         }
     }
 }
