@@ -360,64 +360,63 @@ provenance:
   results are identical with or without it.";
 
 fn main() -> ExitCode {
-    // `println!` panics once stdout is closed. That panic ends the
-    // command quietly: the hook keeps it off stderr, and the unwind stops
-    // here. Any other panic reports and exits as usual.
+    // `println!` panics once a write to stdout fails. That panic ends
+    // the command: the hook keeps its backtrace off stderr and the
+    // unwind stops here. A closed stdout (a reader that stopped early)
+    // ends it quietly; any other write error is the command's failure.
+    // Any other panic reports and exits as usual.
     let report = panic::take_hook();
     panic::set_hook(Box::new(move |info| {
-        if !stdout_closed(info.payload()) {
+        if stdout_failure(info.payload()).is_none() {
             report(info);
         }
     }));
-    match panic::catch_unwind(repro) {
-        Ok(code) => code,
-        Err(payload) if stdout_closed(&*payload) => ExitCode::SUCCESS,
-        Err(payload) => panic::resume_unwind(payload),
+    let result =
+        panic::catch_unwind(repro).unwrap_or_else(|payload| match stdout_failure(&*payload) {
+            Some(message) if message.contains("Broken pipe") => Ok(()),
+            Some(message) => Err(Some(message.to_string())),
+            None => panic::resume_unwind(payload),
+        });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            // Like the logger, drop the error a closed stderr gives
+            // instead of panicking on it.
+            if let Some(message) = message {
+                let _ = writeln!(std::io::stderr(), "error: {message}");
+            }
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// Whether a panic is `println!` failing on a closed stdout.
-fn stdout_closed(payload: &(dyn Any + Send)) -> bool {
-    payload.downcast_ref::<String>().is_some_and(|message| {
-        message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
-    })
+/// The message of a panic that is `println!` failing to write stdout.
+fn stdout_failure(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<String>()
+        .filter(|message| message.starts_with("failed printing to stdout"))
+        .map(String::as_str)
 }
 
-/// Parses the arguments and runs the command.
-fn repro() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            // Like the logger, drop the error a closed stderr gives
-            // instead of panicking on it.
-            let _ = writeln!(std::io::stderr(), "error: {e}\n{HELP}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Parses the arguments and runs the command. A failure carries the
+/// message `main` reports, or `None` when the logger reported it.
+fn repro() -> Result<(), Option<String>> {
+    let args = parse_args().map_err(|e| Some(format!("{e}\n{HELP}")))?;
     // `report` and `stats` run without a logger; every other command
-    // opens the metrics sink first. `None` means the command is done.
+    // opens the metrics sink first.
     let sink = match args.command.as_str() {
-        "report" => render_report(&args).map(|()| None),
-        "stats" => print_stats().map(|()| None),
-        _ => open_sink(&args).map(Some),
-    };
-    let sink = match sink {
-        Ok(Some(sink)) => sink,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            let _ = writeln!(std::io::stderr(), "error: {e}");
-            return ExitCode::FAILURE;
-        }
+        "report" => return render_report(&args).map_err(Some),
+        "stats" => return print_stats().map_err(Some),
+        _ => open_sink(&args).map_err(Some)?,
     };
     // Every status line goes through the level-gated logger; with
     // --metrics the sink also receives each line as a `log` event, so
     // stdout stays purely machine-parseable figure output.
     let log = Logger::with_sink(args.log_level, Arc::clone(&sink));
-    if let Err(e) = run(&args, &sink, &log) {
+    run(&args, &sink, &log).map_err(|e| {
         log.error(&e);
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        None
+    })
 }
 
 /// `repro report <metrics.jsonl>`: renders the markdown run report.

@@ -622,3 +622,37 @@ fn closed_stderr_keeps_the_failure_exit() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {:?}", out.status);
     }
 }
+
+/// A stdout write that fails for any reason but a closed reader (a full
+/// disk: `/dev/full` refuses every write with `ENOSPC`) fails the
+/// command through `main`'s one error path: one `error:` line naming
+/// the write error and exit 1, not a panic and backtrace (exit 101).
+/// Skipped where the system has no `/dev/full`.
+#[test]
+fn stdout_write_error_fails_the_command_in_one_line() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let out = repro()
+        .args([
+            "fig1",
+            "--device",
+            "480",
+            "--workload",
+            "vectoradd",
+            "--injections",
+            "20",
+        ])
+        .stdout(full)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}\n{stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].starts_with("error: failed printing to stdout: "),
+        "{stderr}"
+    );
+}

@@ -716,7 +716,7 @@ impl LifetimeOracle {
             oracle: true,
             ..Capture::default()
         };
-        let pass = golden_pass(arch, workload, capture, &NoopHook)?;
+        let pass = golden_pass(arch, workload, capture, None, &NoopHook)?;
         Ok(pass.oracle.expect("the oracle was captured"))
     }
 
@@ -1408,7 +1408,11 @@ mod tests {
     /// simulator could emit: cycles never decrease, every block retires
     /// before its launch ends, and no read shares a cycle with a launch
     /// boundary. SMs and words run past the device so that out-of-range
-    /// events occur too.
+    /// events occur too. One kind in seven is an accumulator: a read and
+    /// a write of one word in each of `dt + 1` consecutive cycles, then a
+    /// read of the result in the last of them, so a read, a write and a
+    /// read of one word in one cycle, and intervals that meet end to
+    /// end, are common.
     fn stream(raw: &[(u8, usize, u32, u32, u64)]) -> Vec<Ev> {
         let mut evs = vec![Ev::Begin(0)];
         let (mut cycle, mut launch) = (0, 0);
@@ -1433,6 +1437,15 @@ mod tests {
                     cycle = cycle.max(launch + 1);
                     let (bsm, r) = blocks.remove(word as usize % blocks.len());
                     evs.push(Ev::Retire(bsm, r, cycle));
+                }
+                12 | 13 => {
+                    cycle = cycle.max(launch + 1);
+                    for step in 0..=dt {
+                        evs.push(Ev::Read(s, sm, word, cycle + step));
+                        evs.push(Ev::Write(s, sm, word, cycle + step));
+                    }
+                    cycle += dt;
+                    evs.push(Ev::Read(s, sm, word, cycle));
                 }
                 11 => {
                     cycle = cycle.max(launch) + 1;
@@ -1552,7 +1565,7 @@ mod tests {
     }
 
     fn raw_event() -> impl Strategy<Value = (u8, usize, u32, u32, u64)> {
-        (0u8..12, 0usize..3, 0u32..3, 0u32..7, 0u64..4)
+        (0u8..14, 0usize..3, 0u32..3, 0u32..7, 0u64..4)
     }
 
     use proptest::prelude::*;

@@ -41,7 +41,7 @@ use simt_sim::{
     NoopObserver, Session, SessionStatus, SimError, SimObserver, Structure,
 };
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Deterministic sibling-ordering ordinals for the point-level phase
 /// spans (`point:workload@device/...`): golden run, ladder build, then
@@ -225,14 +225,16 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Watchdog budget as a multiple of the fault-free cycle count.
     pub watchdog_factor: u64,
-    /// Cycle spacing of the checkpoint ladder captured from the golden
-    /// run; `0` selects an automatic spacing (one sixteenth of the golden
-    /// cycle count).
+    /// Cycle spacing of the checkpoint ladder laid by the golden run;
+    /// `0` selects an automatic power-of-two spacing between a sixteenth
+    /// and an eighth of the golden cycle count (at most 15 rungs).
     pub checkpoint_interval: u64,
     /// Upper bound in bytes on the simulator state retained by the
-    /// checkpoint ladder; `0` selects the 256 MiB default. Once the
-    /// budget is reached no further rungs are captured (late-cycle faults
-    /// then replay from the highest retained rung).
+    /// checkpoint ladder; `0` selects the 256 MiB default. A rung past
+    /// the budget first thins an automatic grid; once fewer than two
+    /// rungs are left (or at once under a fixed interval) no further
+    /// rungs are captured, and late-cycle faults replay from the highest
+    /// retained rung.
     pub checkpoint_budget_bytes: u64,
     /// Pre-classify sampled sites against a [`LifetimeOracle`] captured
     /// from one instrumented golden run: flips landing outside every
@@ -334,7 +336,7 @@ pub fn golden_run_hooked<H: TelemetryHook>(
     workload: &dyn Workload,
     hook: &H,
 ) -> Result<GoldenRun, SimError> {
-    let pass = golden_pass(arch, workload, Capture::default(), hook)?;
+    let pass = golden_pass(arch, workload, Capture::default(), None, hook)?;
     if H::ENABLED {
         hook.count("sim_instructions_total", pass.instructions);
     }
@@ -355,7 +357,7 @@ pub fn golden_run_with_ace(
         ace: Some(AceMode::LiveUntilOverwrite),
         ..Capture::default()
     };
-    let pass = golden_pass(arch, workload, capture, &NoopHook)?;
+    let pass = golden_pass(arch, workload, capture, None, &NoopHook)?;
     Ok((pass.golden, pass.ace.expect("ACE was captured")))
 }
 
@@ -392,16 +394,24 @@ pub(crate) struct GoldenPass {
     ace: Option<AceAnalyzer>,
     pub(crate) oracle: Option<LifetimeOracle>,
     pub(crate) writes: Option<Vec<GlobalWrite>>,
+    ladder: Option<CheckpointLadder>,
 }
 
 /// The one fault-free golden pass: runs the workload on a fresh device
 /// with the analyses `capture` asks for riding along, and reports wall
 /// time, cycle count, a `golden.done` event and the point's `golden`
 /// span through `hook`. Every golden run of the crate is this pass.
+///
+/// Given `ladder`, the pass also lays the checkpoint ladder that config
+/// asks for (see [`RungGrid`]) and reports it: a `ladder.done` event,
+/// the `ladder_build_seconds` histogram and the point's `ladder` span,
+/// all timing the snapshots. The golden pass's own seconds and span
+/// leave that time out, so the two phases never count it twice.
 pub(crate) fn golden_pass<H: TelemetryHook>(
     arch: &ArchConfig,
     workload: &dyn Workload,
     capture: Capture,
+    ladder: Option<&CampaignConfig>,
     hook: &H,
 ) -> Result<GoldenPass, SimError> {
     let started = H::ENABLED.then(Instant::now);
@@ -410,10 +420,24 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
     let mut life = (capture.ace.is_some() || capture.oracle)
         .then(|| AceAnalyzer::tracking(arch, capture.ace.unwrap_or_default(), capture.oracle));
     let mut writes = capture.writes.then(GlobalWriteLog::default);
-    let outputs = workload.run(&mut gpu, &mut (&mut life, &mut writes))?;
+    let mut grid = ladder.map(RungGrid::new);
+    let mut session = Session::new(&mut gpu, workload.plan());
+    let mut obs = (&mut life, &mut writes);
+    let outputs = match &mut grid {
+        Some(grid) => grid.lay(&mut session, &mut obs)?,
+        None => session.run_to_completion(&mut obs)?,
+    };
+    let snapshots = *session.telemetry();
     let golden = GoldenRun {
         outputs,
         cycles: gpu.app_cycle(),
+    };
+    let (ladder, laying) = match grid {
+        Some(grid) => {
+            let (ladder, laying) = grid.finish();
+            (Some(ladder), laying)
+        }
+        None => (None, Duration::ZERO),
     };
     let point = || format!("point:{}@{}/golden", workload.name(), arch.name);
     let (ace, oracle) = match life {
@@ -436,7 +460,10 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
         None => (None, None),
     };
     if let Some(started) = started {
-        let seconds = started.elapsed().as_secs_f64();
+        // The ladder's snapshot time is its own phase: the golden span
+        // and seconds leave it out, and the ladder span comes first.
+        let simulating = started + laying;
+        let seconds = simulating.elapsed().as_secs_f64();
         hook.observe("campaign_golden_seconds", seconds);
         hook.event(
             &Event::new("golden.done")
@@ -447,10 +474,39 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
         );
         if H::SPANS {
             hook.span(
-                &SpanRecord::new(point(), 0, PHASE_GOLDEN, started)
+                &SpanRecord::new(point(), 0, PHASE_GOLDEN, simulating)
                     .tag("cycles", golden.cycles)
                     .tag("ace", ace.is_some()),
             );
+        }
+        if let Some(ladder) = &ladder {
+            let seconds = laying.as_secs_f64();
+            hook.observe("ladder_build_seconds", seconds);
+            hook.count("sim_snapshots_total", snapshots.snapshots);
+            hook.count("sim_snapshot_bytes_total", snapshots.snapshot_bytes);
+            hook.observe(
+                "sim_snapshot_seconds",
+                snapshots.snapshot_nanos as f64 * 1e-9,
+            );
+            hook.event(
+                &Event::new("ladder.done")
+                    .field("workload", workload.name())
+                    .field("device", arch.name.as_str())
+                    .field("rungs", ladder.len())
+                    .field("bytes", ladder.total_bytes())
+                    .field("seconds", seconds),
+            );
+            if H::SPANS {
+                let path = format!("point:{}@{}/ladder", workload.name(), arch.name);
+                hook.span(
+                    &SpanRecord {
+                        end: simulating,
+                        ..SpanRecord::new(path, 0, PHASE_LADDER, started)
+                    }
+                    .tag("rungs", ladder.len())
+                    .tag("bytes", ladder.total_bytes()),
+                );
+            }
         }
     }
     Ok(GoldenPass {
@@ -459,6 +515,7 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
         ace,
         oracle,
         writes: writes.map(GlobalWriteLog::into_writes),
+        ladder,
     })
 }
 
@@ -628,10 +685,15 @@ const DEFAULT_CHECKPOINT_BUDGET: u64 = 256 << 20;
 
 /// A ladder of mid-execution snapshots captured from one fault-free run.
 ///
-/// Rungs are spaced `cfg.checkpoint_interval` cycles apart (auto-spaced
-/// when `0`) and capped by `cfg.checkpoint_budget_bytes`. The ladder is
-/// immutable after construction and `Sync`, so the replay fan-out shares
-/// it across worker threads without copying.
+/// Rungs are placed while the run goes on: at every multiple of
+/// `cfg.checkpoint_interval`, or, when it is `0`, on a power-of-two grid
+/// that starts one cycle apart and drops every other rung whenever 16
+/// are kept (at most 15 rungs, spaced between a sixteenth and an eighth
+/// of the run), within `cfg.checkpoint_budget_bytes`. Each rung
+/// shares with the rung before it every storage page the run did not
+/// write between them. The ladder is immutable after construction and
+/// `Sync`, so the replay fan-out shares it across worker threads without
+/// copying.
 #[derive(Debug)]
 pub struct CheckpointLadder {
     ckpts: Vec<Checkpoint>,
@@ -643,9 +705,9 @@ impl CheckpointLadder {
         CheckpointLadder { ckpts: Vec::new() }
     }
 
-    /// Re-runs the workload fault-free, snapshotting the full simulator
-    /// state every interval until the budget is exhausted or the run
-    /// finishes.
+    /// Runs the workload fault-free and lays the ladder `cfg` asks for,
+    /// by the rule [`Campaign::new`]'s golden pass lays it with: the
+    /// two give the same rungs.
     ///
     /// # Errors
     ///
@@ -657,82 +719,14 @@ impl CheckpointLadder {
         golden: &GoldenRun,
         cfg: &CampaignConfig,
     ) -> Result<Self, SimError> {
-        Self::capture(arch, workload, golden, cfg, &NoopHook)
-    }
-
-    /// The ladder pass behind [`CheckpointLadder::build`] and
-    /// [`Campaign::new`], reporting rung count, retained bytes, snapshot
-    /// cost and build wall time through `hook`.
-    fn capture<H: TelemetryHook>(
-        arch: &ArchConfig,
-        workload: &dyn Workload,
-        golden: &GoldenRun,
-        cfg: &CampaignConfig,
-        hook: &H,
-    ) -> Result<Self, SimError> {
-        let started = H::ENABLED.then(Instant::now);
-        let interval = if cfg.checkpoint_interval > 0 {
-            cfg.checkpoint_interval
-        } else {
-            (golden.cycles / 16).max(1)
-        };
-        let budget = if cfg.checkpoint_budget_bytes > 0 {
-            cfg.checkpoint_budget_bytes
-        } else {
-            DEFAULT_CHECKPOINT_BUDGET
-        };
         let mut gpu = Gpu::new(arch.clone());
-        let mut session = Session::new(&mut gpu, workload.plan());
-        let mut ckpts = Vec::new();
-        let mut total = 0u64;
-        let mut mark = interval;
-        while mark < golden.cycles {
-            session.run_until_cycle(mark, &mut NoopObserver)?;
-            if session.finished() {
-                break;
-            }
-            let ck = session.snapshot();
-            let sz = ck.size_bytes() as u64;
-            if total + sz > budget {
-                break;
-            }
-            total += sz;
-            ckpts.push(ck);
-            mark += interval;
-        }
-        let session_tel = *session.telemetry();
-        let ladder = CheckpointLadder { ckpts };
-        if let Some(started) = started {
-            let seconds = started.elapsed().as_secs_f64();
-            hook.observe("ladder_build_seconds", seconds);
-            hook.count("sim_snapshots_total", session_tel.snapshots);
-            hook.count("sim_snapshot_bytes_total", session_tel.snapshot_bytes);
-            hook.observe(
-                "sim_snapshot_seconds",
-                session_tel.snapshot_nanos as f64 * 1e-9,
-            );
-            hook.event(
-                &Event::new("ladder.done")
-                    .field("workload", workload.name())
-                    .field("device", arch.name.as_str())
-                    .field("rungs", ladder.len())
-                    .field("bytes", ladder.total_bytes())
-                    .field("seconds", seconds),
-            );
-            if H::SPANS {
-                hook.span(
-                    &SpanRecord::new(
-                        format!("point:{}@{}/ladder", workload.name(), arch.name),
-                        0,
-                        PHASE_LADDER,
-                        started,
-                    )
-                    .tag("rungs", ladder.len())
-                    .tag("bytes", ladder.total_bytes()),
-                );
-            }
-        }
-        Ok(ladder)
+        let mut grid = RungGrid::new(cfg);
+        grid.lay(
+            &mut Session::new(&mut gpu, workload.plan()),
+            &mut NoopObserver,
+        )?;
+        debug_assert_eq!(gpu.app_cycle(), golden.cycles, "the run is the golden run");
+        Ok(grid.finish().0)
     }
 
     /// The highest rung at or before `cycle`, if any. A fault armed for
@@ -770,6 +764,117 @@ impl CheckpointLadder {
     /// Estimated bytes of simulator state retained by all rungs.
     pub fn total_bytes(&self) -> u64 {
         self.ckpts.iter().map(|c| c.size_bytes() as u64).sum()
+    }
+}
+
+/// Where the rungs of a [`CheckpointLadder`] go, decided while the
+/// fault-free run that lays them goes on (its end is not known yet).
+///
+/// An explicit `checkpoint_interval` puts a rung at every multiple of
+/// it. With `0`, rungs sit on a power-of-two grid that starts one cycle
+/// apart; once 16 rungs are kept, every other one is dropped and the
+/// spacing doubles. So at most 15 rungs are left, spaced between a
+/// sixteenth and an eighth of the run's `C` cycles (`[C/16, C/8)`).
+///
+/// A rung that would take the retained [`Checkpoint::size_bytes`] past
+/// the budget thins an auto grid the same way, and ends the ladder only
+/// when fewer than two rungs are left; it ends a fixed grid at once.
+struct RungGrid {
+    ckpts: Vec<Checkpoint>,
+    spacing: u64,
+    auto: bool,
+    budget: u64,
+    bytes: u64,
+    /// The budget ended the ladder.
+    full: bool,
+    /// Time spent taking, keeping and dropping snapshots.
+    laying: Duration,
+}
+
+/// Rungs at which an auto grid is thinned.
+const GRID_RUNGS: usize = 16;
+
+impl RungGrid {
+    fn new(cfg: &CampaignConfig) -> Self {
+        RungGrid {
+            ckpts: Vec::new(),
+            spacing: cfg.checkpoint_interval.max(1),
+            auto: cfg.checkpoint_interval == 0,
+            budget: match cfg.checkpoint_budget_bytes {
+                0 => DEFAULT_CHECKPOINT_BUDGET,
+                b => b,
+            },
+            bytes: 0,
+            full: false,
+            laying: Duration::ZERO,
+        }
+    }
+
+    /// The cycle of the next rung, unless the budget ended the ladder.
+    fn next_mark(&self) -> Option<u64> {
+        let last = self.ckpts.last().map_or(0, Checkpoint::cycle);
+        (!self.full).then_some(last + self.spacing)
+    }
+
+    /// Runs `session` to the end under `obs`, taking a snapshot at each
+    /// mark, and returns the outputs.
+    fn lay<O: SimObserver>(
+        &mut self,
+        session: &mut Session<'_>,
+        obs: &mut O,
+    ) -> Result<Vec<u32>, SimError> {
+        while let Some(mark) = self.next_mark() {
+            if session.run_until_cycle(mark, obs)? == SessionStatus::Finished {
+                break;
+            }
+            let started = Instant::now();
+            let ck = session.snapshot();
+            self.laying += started.elapsed();
+            // A rung must lie before the end of the run, which may come
+            // at this very cycle; only one more cycle tells.
+            if session.run_until_cycle(mark + 1, obs)? == SessionStatus::Finished {
+                break;
+            }
+            let started = Instant::now();
+            self.keep(ck);
+            self.laying += started.elapsed();
+        }
+        session.run_to_completion(obs)
+    }
+
+    /// Keeps the snapshot at the current mark as a rung, thinning the
+    /// grid (or ending the ladder) where the budget or the rung count
+    /// asks for it.
+    fn keep(&mut self, ck: Checkpoint) {
+        let size = ck.size_bytes() as u64;
+        while self.bytes + size > self.budget {
+            if !self.auto || self.ckpts.len() < 2 {
+                self.full = true;
+                return;
+            }
+            self.thin();
+            if !ck.cycle().is_multiple_of(self.spacing) {
+                return;
+            }
+        }
+        self.bytes += size;
+        self.ckpts.push(ck);
+        if self.auto && self.ckpts.len() == GRID_RUNGS {
+            self.thin();
+        }
+    }
+
+    /// Drops every other rung and doubles the spacing.
+    fn thin(&mut self) {
+        self.spacing *= 2;
+        let spacing = self.spacing;
+        self.ckpts.retain(|ck| ck.cycle().is_multiple_of(spacing));
+        self.bytes = self.ckpts.iter().map(|ck| ck.size_bytes() as u64).sum();
+    }
+
+    /// The ladder laid, and the time spent laying it.
+    fn finish(self) -> (CheckpointLadder, Duration) {
+        (CheckpointLadder { ckpts: self.ckpts }, self.laying)
     }
 }
 
@@ -1187,8 +1292,8 @@ impl<T: ?Sized> std::ops::Deref for Part<'_, T> {
 /// asked for, the ACE reports, the lifetime oracle and the golden
 /// global-store stream.
 ///
-/// [`Campaign::new`] builds it from two fault-free passes — one golden
-/// pass carrying every requested analysis, then the ladder pass —
+/// [`Campaign::new`] builds it from one fault-free pass, the golden
+/// pass, which carries every requested analysis and lays the ladder,
 /// however many campaigns then run against it. It is the crate's one
 /// campaign entry point: [`Campaign::run`], [`Campaign::run_adaptive`],
 /// [`Campaign::run_traced`] and [`Campaign::replay`] all replay against
@@ -1226,8 +1331,8 @@ pub struct Campaign<'a> {
 
 impl<'a> Campaign<'a> {
     /// Builds the setup: one golden pass recording what `capture` asks
-    /// for, then the checkpoint ladder spaced and capped per `cfg`. Both
-    /// passes report their telemetry (`golden.done`, `ladder.done`, the
+    /// for and laying the checkpoint ladder spaced and capped per `cfg`.
+    /// The pass reports both phases (`golden.done`, `ladder.done`, the
     /// `golden` and `ladder` spans) through `hook`.
     ///
     /// # Errors
@@ -1240,10 +1345,7 @@ impl<'a> Campaign<'a> {
         capture: Capture,
         hook: &H,
     ) -> Result<Self, SimError> {
-        let pass = golden_pass(arch, workload, capture, hook)?;
-        // The ACE reports are final once the golden pass is over; taking
-        // them now frees the analyzer's per-word state before the ladder
-        // is built.
+        let pass = golden_pass(arch, workload, capture, Some(cfg), hook)?;
         let ace = pass.ace.map(|ace| {
             [
                 Structure::VectorRegisterFile,
@@ -1252,7 +1354,7 @@ impl<'a> Campaign<'a> {
             ]
             .map(|s| (s, ace.report(s)))
         });
-        let ladder = CheckpointLadder::capture(arch, workload, &pass.golden, cfg, hook)?;
+        let ladder = pass.ladder.expect("the golden pass was asked for a ladder");
         Ok(Campaign {
             arch,
             workload,
@@ -1557,7 +1659,7 @@ mod tests {
         let (arch, w) = (quadro_fx_5600(), VectorAdd::new(256, 3));
         let seal = |capture| {
             let recorder = SpanRecorder::new();
-            golden_pass(&arch, &w, capture, &SpanHook::new(&recorder)).unwrap();
+            golden_pass(&arch, &w, capture, None, &SpanHook::new(&recorder)).unwrap();
             let tree = recorder.finish();
             let node = tree.spans.iter().find(|n| n.name == "seal");
             node.map(|n| (n.path.clone(), n.tags.clone()))

@@ -9,7 +9,7 @@
 //!   `(SM, word, bit, cycle)` site sampling, parallel replays resumed
 //!   from a checkpoint ladder, and masked/SDC/DUE classification. Its
 //!   [`Campaign`] is the one per-point setup — one golden pass carrying
-//!   the analyses a [`Capture`] asks for, then the ladder — that every
+//!   the analyses a [`Capture`] asks for and laying the ladder — that every
 //!   campaign, adaptive, traced and multi-bit-upset run replays against.
 //!   The public campaign API is [`Campaign`] (`new`, `run`,
 //!   `run_traced`, `run_adaptive`, `replay`), [`golden_run`],

@@ -250,6 +250,7 @@ fn stratum_seed(seed: u64, h: usize) -> u64 {
 /// Rank → `(sm, word, cycle)` bijection over one stratum's word-cycle
 /// sites. Rectangular strata decode arithmetically; liveness strata
 /// bisect the cumulative lengths of their explicit segment list.
+#[derive(Clone)]
 enum RankMap {
     /// `sms × words × cycles` box (no liveness axis).
     Rect {
@@ -491,6 +492,9 @@ impl Partition<'_> {
             let c_lo = part_lo(q, self.cyc_parts as u128, cycles) as u64;
             let c_hi = part_lo(q + 1, self.cyc_parts as u128, cycles) as u64;
             let map = match (self.liveness, oracle) {
+                // The bit parts of one (region, cycle) cell share its
+                // word-cycle sites: the part below built them already.
+                (true, Some(_)) if b > 0 => out[cell - self.reg_parts as usize].map.clone(),
                 (true, Some(oracle)) => {
                     let map = RankMap::from_segments(oracle.segments_in(
                         space.structure(),

@@ -175,6 +175,15 @@ impl Gpu {
         self.sms.iter().map(Sm::page_copies).sum::<u64>() + self.mem.words().page_copies()
     }
 
+    /// Freezes every storage page of the device, the RF, SRF and LDS
+    /// of each SM and global memory (see [`Pages::freeze`]). No word
+    /// changes; a clone taken next shares every page with the device,
+    /// which copies a page again only on its next write to it.
+    pub(crate) fn freeze(&mut self) {
+        self.sms.iter_mut().for_each(Sm::freeze);
+        self.mem.freeze();
+    }
+
     /// The physical words of SM `sm`'s storage structure (empty when the
     /// device lacks the structure).
     ///

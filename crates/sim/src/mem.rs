@@ -67,6 +67,11 @@ impl GlobalMemory {
         &self.words
     }
 
+    /// Freezes the arena's pages (see [`Pages::freeze`]).
+    pub(crate) fn freeze(&mut self) {
+        self.words.freeze();
+    }
+
     fn check(&self, addr: u32, sm: u32, cycle: u64) -> Result<usize, Due> {
         if !addr.is_multiple_of(4) {
             return Err(Due::MisalignedAccess { addr, sm, cycle });

@@ -19,6 +19,12 @@
 //! which is one handle per page whatever the device holds, and the
 //! replay then copies only the pages it writes.
 //!
+//! [Freezing](Pages::freeze) a store turns its owned pages into shared
+//! ones in place. A clone taken right after shares every page with the
+//! store, so two checkpoints taken from one run share each page the run
+//! did not write between them; the store copies a frozen page again
+//! only on its next write to it.
+//!
 //! Writes never touch a reference count: only the owner of a `Box` can
 //! write it, and no code writes through an `Arc`. That is also the
 //! exactness argument: a page is copied before its first write, so no
@@ -145,6 +151,19 @@ impl Pages {
         }
     }
 
+    /// Turns every owned page into a shared one, changing no word: the
+    /// store then holds only zero and shared pages, exactly as if it
+    /// had been restored from a clone of itself. A clone taken next
+    /// shares all of its pages instead of copying the owned ones.
+    pub fn freeze(&mut self) {
+        for page in &mut self.pages {
+            *page = match std::mem::replace(page, Page::Zero) {
+                Page::Owned(words) => Page::Shared(Arc::from(words)),
+                other => other,
+            };
+        }
+    }
+
     /// Zeroes every word: every page becomes a zero page.
     pub fn reset(&mut self) {
         self.pages.fill_with(|| Page::Zero);
@@ -266,6 +285,26 @@ mod tests {
             "a stored zero copies nothing"
         );
         assert_eq!(a.page_copies(), 1);
+    }
+
+    #[test]
+    fn freeze_shares_every_page_with_the_next_clone() {
+        let mut live = Pages::new(3 * PAGE_WORDS);
+        live.set(1, 1);
+        live.set(PAGE_WORDS + 1, 2);
+        live.freeze();
+        let first = live.clone();
+        assert!((0..2).all(|p| shared(&live, &first, p)));
+        // The run goes on: one page written, then the next checkpoint.
+        live.set(PAGE_WORDS + 1, 3);
+        assert_eq!(live.page_copies(), 3, "a frozen page is copied on write");
+        live.freeze();
+        let second = live.clone();
+        assert!(shared(&first, &second, 0), "the unwritten page is shared");
+        assert!(!shared(&first, &second, 1));
+        assert!(matches!(second.pages[2], Page::Zero));
+        let words = |p: &Pages| [p.get(1), p.get(PAGE_WORDS + 1)];
+        assert_eq!((words(&first), words(&second)), ([1, 2], [1, 3]));
     }
 
     #[test]

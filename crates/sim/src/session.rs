@@ -146,11 +146,11 @@ pub trait LaunchPlan: Send + Sync {
 /// A point-in-time capture of a whole execution session.
 ///
 /// Owns a clone of the device and of the plan. The device's storage
-/// words are copy-on-write [`Pages`](crate::pages::Pages): the clone
-/// shares the device's unwritten pages and copies the ones it wrote
-/// since they were last reset or restored; a device restored from the
-/// checkpoint shares all of its pages until it writes one. Restoring (or cloning out of) a
-/// checkpoint yields execution byte-identical to having never left it.
+/// words are copy-on-write [`Pages`](crate::pages::Pages): a snapshot
+/// freezes the device's pages and then shares all of them, and a device
+/// restored from the checkpoint shares all of its pages until it writes
+/// one. Restoring (or cloning out of) a checkpoint yields execution
+/// byte-identical to having never left it.
 /// `Checkpoint` is `Send + Sync`, so one golden-run ladder can be shared
 /// read-only across injection worker threads.
 pub struct Checkpoint {
@@ -442,8 +442,16 @@ impl<'g> Session<'g> {
     }
 
     /// Captures the complete session state (device + plan position).
+    ///
+    /// The device's storage pages are
+    /// [frozen](crate::pages::Pages::freeze) first, so the checkpoint
+    /// shares every page with the device and with the checkpoints taken
+    /// before it that the device has not written since. Freezing
+    /// changes no word: the device goes on exactly as if it had been
+    /// restored from the checkpoint just taken.
     pub fn snapshot(&mut self) -> Checkpoint {
         let started = Instant::now();
+        self.gpu.freeze();
         let ckpt = Checkpoint {
             gpu: self.gpu.clone(),
             plan: self.plan.clone_plan(),

@@ -210,6 +210,12 @@ impl Sm {
         &self.storage[structure.index()]
     }
 
+    /// Freezes the pages of every storage structure (see
+    /// [`Pages::freeze`]).
+    pub(crate) fn freeze(&mut self) {
+        self.storage.iter_mut().for_each(Pages::freeze);
+    }
+
     /// Pages the SM's storage copied on a first write (see
     /// [`Pages::page_copies`]).
     pub(crate) fn page_copies(&self) -> u64 {

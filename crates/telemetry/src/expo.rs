@@ -108,7 +108,9 @@ fn help_text(base: &str) -> &'static str {
         "campaign_hang_total" => "Replays killed by the watchdog and classified Hang.",
         "campaign_injection_seconds" => "Wall-clock seconds per injection replay.",
         "campaign_worker_seconds" => "Wall-clock seconds each replay worker ran.",
-        "campaign_golden_seconds" => "Wall-clock seconds of the golden (fault-free) run.",
+        "campaign_golden_seconds" => {
+            "Wall-clock seconds of the golden (fault-free) run, less its ladder snapshots."
+        }
         "campaign_workers" => "Replay worker threads used by the last campaign.",
         "campaign_worker_injections_total" => "Injections replayed, by worker.",
         "campaign_worker_injections_per_second" => "Replay throughput, by worker.",
@@ -120,7 +122,9 @@ fn help_text(base: &str) -> &'static str {
         "campaign_injection_latency_by_kind_us_total" => {
             "Injection replay latency, log2-microsecond buckets by fault kind."
         }
-        "ladder_build_seconds" => "Wall-clock seconds building the checkpoint ladder.",
+        "ladder_build_seconds" => {
+            "Wall-clock seconds the golden run spent snapshotting its checkpoint ladder."
+        }
         "sim_instructions_total" => "Warp instructions executed by the simulator.",
         "sim_snapshots_total" => "Simulator snapshots taken.",
         "sim_snapshot_bytes_total" => "Bytes serialized into simulator snapshots.",

@@ -110,7 +110,7 @@ fn histogram_lds_atomics_batch_counters_are_pinned() {
         &Histogram::new(512, 32, 17),
         Structure::LocalMemory,
         40000,
-        [1, 31, 0, 567, 2779, 40000],
+        [1, 31, 0, 605, 2779, 40000],
         false,
     );
 }
@@ -125,7 +125,7 @@ fn transpose_lds_batch_counters_are_pinned() {
         &Transpose::new(64, 17),
         Structure::LocalMemory,
         40000,
-        [1, 0, 49, 323, 0, 40000],
+        [1, 0, 49, 312, 0, 40000],
         false,
     );
 }
@@ -171,7 +171,7 @@ fn kmeans_rf_host_read_batch_counters_are_pinned() {
         &Kmeans::new(256, 4, 2, 17),
         Structure::VectorRegisterFile,
         40000,
-        [4, 147, 4, 10254, 575684, 40000],
+        [4, 147, 4, 10080, 576137, 40000],
         true,
     );
 }
@@ -187,7 +187,7 @@ fn backprop_rf_host_read_batch_counters_are_pinned() {
         &Backprop::new(64, 17),
         Structure::VectorRegisterFile,
         40000,
-        [4, 109, 33, 5710, 80354, 40000],
+        [4, 109, 33, 5856, 81736, 40000],
         true,
     );
 }

@@ -91,7 +91,7 @@ fn checkpointed_scalar_campaign_counters_are_pinned() {
         &Histogram::new(512, 32, 17),
         Structure::VectorRegisterFile,
         cfg(40, false, false),
-        [12810, 11590, 5150, 38, 0, 0, 0, 0, 0, 40],
+        [13584, 10816, 5860, 35, 0, 0, 0, 0, 0, 40],
     );
 }
 
@@ -136,6 +136,6 @@ fn stuck_at_campaign_counters_are_pinned() {
         &Kmeans::default_size(17),
         Structure::VectorRegisterFile,
         c,
-        [1264258, 1064520, 724606, 39, 0, 0, 0, 0, 447736, 40],
+        [1292490, 1036288, 747646, 37, 0, 0, 0, 0, 446356, 40],
     );
 }

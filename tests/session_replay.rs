@@ -285,6 +285,140 @@ fn copy_on_write_replays_never_alias_a_rung_or_each_other() {
     }
 }
 
+/// The rung cycles of a ladder.
+fn rung_cycles(ladder: &CheckpointLadder) -> Vec<u64> {
+    ladder.rungs().iter().map(Checkpoint::cycle).collect()
+}
+
+/// Every rung holds the storage words of the fault-free run at its
+/// cycle, checked against a second run that takes no snapshot: a page a
+/// rung shared with the run that laid it was never written after the
+/// rung was taken.
+fn assert_rungs_hold_the_run(arch: &ArchConfig, w: &dyn Workload, ladder: &CheckpointLadder) {
+    let mut gpu = Gpu::new(arch.clone());
+    let mut session = Session::new(&mut gpu, w.plan());
+    for ck in ladder.rungs() {
+        session
+            .run_until_cycle(ck.cycle(), &mut NoopObserver)
+            .unwrap();
+        assert!(
+            storage_words(ck.gpu()) == storage_words(session.gpu()),
+            "{} / {}: the rung at cycle {} changed after it was taken",
+            arch.name,
+            w.name(),
+            ck.cycle()
+        );
+    }
+}
+
+/// The ladder [`Campaign::new`] lays inside its golden pass is the one
+/// [`CheckpointLadder::build`] lays on its own: the same rung cycles,
+/// sizes and storage words, under the auto grid, a fixed interval and a
+/// one-byte budget. Covers a single launch (HD 7970 vectoradd), several
+/// launches with host steps between them (FX 5600 kmeans) and an LDS
+/// kernel (GTX 480 matrixMul), at smoke size: kmeans ends in
+/// (15, 16] times its auto spacing and matrixMul in (8, 8.5], so
+/// thinning at 15 or at 17 rungs instead of 16 moves their grids.
+#[test]
+fn the_golden_pass_lays_the_standalone_ladder() {
+    let cases: [(ArchConfig, Box<dyn Workload>); 3] = [
+        (hd_radeon_7970(), Box::new(VectorAdd::new(1024, 7))),
+        (quadro_fx_5600(), Box::new(Kmeans::new(256, 4, 2, 7))),
+        (geforce_gtx_480(), Box::new(MatrixMul::new(32, 7))),
+    ];
+    for (arch, w) in &cases {
+        let w = w.as_ref();
+        for (interval, budget) in [(0, 0), (97, 0), (0, 1)] {
+            let c = CampaignConfig {
+                checkpoint_interval: interval,
+                checkpoint_budget_bytes: budget,
+                ..cfg(8)
+            };
+            let label = format!(
+                "{} / {} (interval {interval}, budget {budget})",
+                arch.name,
+                w.name()
+            );
+            let setup = Campaign::new(arch, w, &c, Capture::campaign(&c), &NoopHook).unwrap();
+            let (laid, cycles) = (setup.ladder(), setup.golden().cycles);
+            let built = CheckpointLadder::build(arch, w, setup.golden(), &c).unwrap();
+            assert_eq!(rung_cycles(laid), rung_cycles(&built), "{label}");
+            for (a, b) in laid.rungs().iter().zip(built.rungs()) {
+                assert_eq!(a.size_bytes(), b.size_bytes(), "{label}");
+                assert!(storage_words(a.gpu()) == storage_words(b.gpu()), "{label}");
+            }
+            let rungs = rung_cycles(laid);
+            match (interval, budget) {
+                (_, 1) => assert!(rungs.is_empty(), "{label}: a one-byte budget holds no rung"),
+                (0, _) => {
+                    // Rungs at every multiple of a power-of-two spacing
+                    // below the end, spaced in [C/16, C/8).
+                    let s = rungs[0];
+                    assert!(
+                        s.is_power_of_two() && rungs.len() <= 15,
+                        "{label}: {rungs:?}"
+                    );
+                    assert!(
+                        16 * s >= cycles && 8 * s < cycles,
+                        "{label}: {s} of {cycles}"
+                    );
+                    let grid: Vec<u64> = (1..).map(|k| k * s).take_while(|&m| m < cycles).collect();
+                    assert_eq!(rungs, grid, "{label}");
+                }
+                _ => {
+                    let grid: Vec<u64> = (1..)
+                        .map(|k| k * interval)
+                        .take_while(|&m| m < cycles)
+                        .collect();
+                    assert_eq!(rungs, grid, "{label}");
+                }
+            }
+            assert_rungs_hold_the_run(arch, w, laid);
+        }
+        // A rung lies before the end of the run: a mark at its last
+        // cycle lays none, a mark one cycle earlier lays one.
+        let golden = golden_run(arch, w).unwrap();
+        let end = golden.cycles;
+        for (interval, want) in [(end, vec![]), (end - 1, vec![end - 1])] {
+            let c = CampaignConfig {
+                checkpoint_interval: interval,
+                ..cfg(8)
+            };
+            let ladder = CheckpointLadder::build(arch, w, &golden, &c).unwrap();
+            assert_eq!(rung_cycles(&ladder), want, "{} / {}", arch.name, w.name());
+        }
+    }
+}
+
+/// Under the auto grid a rung past the budget thins the grid instead of
+/// ending the ladder: a budget of four rungs keeps two to four of them,
+/// evenly spaced up to the end of the run, within the budget.
+#[test]
+fn an_auto_ladder_thins_to_fit_its_budget() {
+    let (arch, w) = (hd_radeon_7970(), VectorAdd::new(256, 5));
+    let golden = golden_run(&arch, &w).unwrap();
+    let unbounded = CheckpointLadder::build(&arch, &w, &golden, &cfg(8)).unwrap();
+    assert!(unbounded.len() > 4, "the budget below must bind");
+    let c = CampaignConfig {
+        checkpoint_budget_bytes: 4 * unbounded.rungs()[0].size_bytes() as u64,
+        ..cfg(8)
+    };
+    let ladder = CheckpointLadder::build(&arch, &w, &golden, &c).unwrap();
+    let rungs = rung_cycles(&ladder);
+    assert!((2..=4).contains(&rungs.len()), "{rungs:?}");
+    assert!(ladder.total_bytes() <= c.checkpoint_budget_bytes);
+    let s = rungs[0];
+    assert!(s.is_power_of_two());
+    assert!(
+        rungs
+            .iter()
+            .enumerate()
+            .all(|(k, &r)| r == (k as u64 + 1) * s),
+        "{rungs:?}"
+    );
+    assert!(rungs[rungs.len() - 1] + s >= golden.cycles, "{rungs:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
