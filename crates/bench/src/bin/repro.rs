@@ -21,7 +21,7 @@ use grel_core::campaign::{
     sample_sites, Campaign, CampaignConfig, Capture, CheckpointLadder,
 };
 use grel_core::epf::structure_fit;
-use grel_core::sampling::{SamplingPlan, StrataSpec};
+use grel_core::sampling::SamplingPlan;
 use grel_core::stats::{error_margin, required_sample_size, Z_99};
 use grel_core::study::{
     evaluate_point_hooked, run_study_parallel_hooked, StudyConfig, StudyResult,
@@ -70,8 +70,6 @@ struct Args {
     convergence: Option<u64>,
     baseline: Option<String>,
     target_margin: Option<f64>,
-    pilot: Option<u32>,
-    strata: Option<StrataSpec>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -104,8 +102,6 @@ fn parse_args() -> Result<Args, String> {
         convergence: None,
         baseline: None,
         target_margin: None,
-        pilot: None,
-        strata: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -138,8 +134,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.target_margin = Some(m);
             }
-            "--pilot" => args.pilot = Some(count_value(&a, it.next())?),
-            "--strata" => args.strata = Some(parse_strata(&flag_value::<String>(&a, it.next())?)?),
             "--listen" => args.listen = Some(flag_value(&a, it.next())?),
             "--convergence" => args.convergence = Some(flag_value(&a, it.next())?),
             "--profile" => args.profile = Some(flag_value(&a, it.next())?),
@@ -171,9 +165,6 @@ fn parse_args() -> Result<Args, String> {
                 .into(),
         );
     }
-    if args.target_margin.is_none() && (args.pilot.is_some() || args.strata.is_some()) {
-        return Err("--pilot/--strata only apply with --target-margin".into());
-    }
     if args.command == "report" && args.report_path.is_none() {
         return Err("report needs the path of a --metrics JSONL file".into());
     }
@@ -191,8 +182,7 @@ where
         .map_err(|e| format!("bad {flag}: {e}"))
 }
 
-/// [`flag_value`] for a count that must be at least 1 (`--jobs`, `-jN`,
-/// `--pilot`).
+/// [`flag_value`] for a count that must be at least 1 (`--jobs`, `-jN`).
 fn count_value<T>(flag: &str, value: Option<String>) -> Result<T, String>
 where
     T: FromStr + PartialOrd + From<u8>,
@@ -205,33 +195,6 @@ where
     Ok(n)
 }
 
-/// Parses `--strata`: `default`, `full`, `none`, or a comma-separated
-/// subset of `liveness,cycle,bit,region`.
-fn parse_strata(spec: &str) -> Result<StrataSpec, String> {
-    match spec {
-        "default" => return Ok(StrataSpec::default()),
-        "full" => return Ok(StrataSpec::full()),
-        "none" => return Ok(StrataSpec::none()),
-        _ => {}
-    }
-    let mut s = StrataSpec::none();
-    for axis in spec.split(',') {
-        match axis.trim() {
-            "liveness" => s.liveness = true,
-            "cycle" => s.cycle = true,
-            "bit" => s.bit = true,
-            "region" => s.region = true,
-            other => {
-                return Err(format!(
-                    "--strata: unknown axis '{other}' (expected liveness|cycle|bit|region \
-                     or default|full|none)"
-                ))
-            }
-        }
-    }
-    Ok(s)
-}
-
 const HELP: &str = "repro — regenerate the figures of \
 'Microarchitecture Level Reliability Comparison of Modern GPU Designs' (ISPASS 2017)
 
@@ -240,7 +203,7 @@ usage: repro [COMMAND] [--injections N] [--paper] [--seed S] [--jobs N]
              [--csv PATH] [--json PATH] [--experiments PATH]
              [--checkpoint-interval N] [--no-checkpoints] [--no-prune] [--no-batch]
              [--fault-model transient|stuck0|stuck1|control] [--provenance]
-             [--target-margin M] [--pilot N] [--strata SPEC]
+             [--target-margin M]
              [--metrics PATH] [--progress] [--listen ADDR] [--convergence N]
              [--profile PATH] [-q|--quiet] [-v|--verbose] [-h|--help]
        repro profile [study options]
@@ -343,7 +306,7 @@ profiling:
 adaptive sampling:
   --target-margin M replaces the fixed --injections budget with a stop
   rule: each campaign stratifies its site population (dead vs live per
-  the lifetime oracle, fault-cycle quartile, bit half; see --strata),
+  the lifetime oracle, fault-cycle quartile, bit half),
   draws a deterministic pilot per stratum, then Neyman-allocates further
   rounds to the high-variance strata until the post-stratified 99%
   margin is at or below M. The same seed-stable site stream and striped
@@ -501,19 +464,9 @@ fn run(args: &Args, sink: &Arc<dyn EventSink>, log: &Logger) -> Result<(), Strin
         fi_on_unused_lds: false,
         provenance: args.provenance,
         ace_mode: Default::default(),
-        sampling: match args.target_margin {
-            Some(target_margin) => {
-                let mut plan = SamplingPlan::with_target(target_margin);
-                if let Some(p) = args.pilot {
-                    plan.pilot = p;
-                }
-                if let Some(s) = args.strata {
-                    plan.strata = s;
-                }
-                plan
-            }
-            None => SamplingPlan::default(),
-        },
+        sampling: args
+            .target_margin
+            .map_or_else(SamplingPlan::default, SamplingPlan::with_target),
     };
 
     let (points, cfg) = (&Points { archs, workloads }, &cfg);
@@ -695,9 +648,8 @@ fn study_run(
     let Points { archs, workloads } = points;
     if let Some(target) = args.target_margin {
         log.info(&format!(
-            "adaptive sampling: stop at +/-{:.2}% @ 99% (pilot {}/stratum)",
-            target * 100.0,
-            cfg.sampling.pilot
+            "adaptive sampling: stop at +/-{:.2}% @ 99%",
+            target * 100.0
         ));
     }
     let margin = error_margin(u64::MAX, args.injections.max(1) as u64, Z_99);

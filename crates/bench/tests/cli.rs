@@ -453,18 +453,6 @@ fn metrics_in_missing_directory_fails_cleanly() {
 }
 
 #[test]
-fn unknown_strata_axis_fails_with_help() {
-    let stderr = run_fail(&["fig1", "--strata", "bogus", "--target-margin", "0.05"]);
-    assert!(
-        stderr.starts_with(
-            "error: --strata: unknown axis 'bogus' (expected liveness|cycle|bit|region \
-             or default|full|none)\nrepro — regenerate"
-        ),
-        "{stderr}"
-    );
-}
-
-#[test]
 fn listen_without_port_fails_cleanly() {
     // "127.0.0.1" is no socket address: it is rejected before any bind.
     let stderr = run_fail(&[

@@ -100,7 +100,7 @@ pub use provenance::{
     parse_site, trace_one, CellStat, MaskingReason, Provenance, ProvenanceAggregate, SingleTrace,
     RF_REGIONS,
 };
-pub use sampling::{AdaptiveCampaign, RoundPlan, SamplingPlan, StrataSpec, StratumSnapshot};
+pub use sampling::{AdaptiveCampaign, RoundPlan, SamplingPlan, StratumSnapshot};
 pub use study::{
     evaluate_point_hooked, run_study_parallel_hooked, AvfRow, EpfRow, EvalPoint, Findings,
     StructureEval, StudyConfig, StudyResult,

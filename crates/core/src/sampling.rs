@@ -12,10 +12,9 @@
 //!
 //! 1. **Stratify** the flat `(SM, word, bit, cycle)` site space along
 //!    byproducts the toolkit already computes: live vs dead oracle
-//!    intervals, fault-cycle quartile, bit half, and (optionally) the
-//!    word-index region. Stratum weights are *exact* integer counts
-//!    (live weights via [`LifetimeOracle::live_word_cycles_in`]), not
-//!    estimates.
+//!    intervals, fault-cycle quartile and bit half. Stratum weights are
+//!    *exact* integer counts (live weights via
+//!    [`LifetimeOracle::live_word_cycles_in`]), not estimates.
 //! 2. **Pilot**: draw a small deterministic sample from every
 //!    non-empty stratum.
 //! 3. **Allocate** the remaining budget in rounds by Neyman allocation
@@ -50,98 +49,23 @@ use crate::stats::{Proportion, Z_99};
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
 use simt_sim::{FaultModelKind, FaultSite, SimError, Structure};
 
-/// Which stratification axes the engine crosses. Axes that a campaign
-/// cannot support are dropped silently: liveness needs a captured
-/// [`LifetimeOracle`] and the transient model; an axis whose
-/// cardinality exceeds the dimension it splits just yields empty
-/// strata, which carry zero weight and are never drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StrataSpec {
-    /// Split provably-dead sites (per the lifetime oracle) into their
-    /// own stratum. The dead stratum's AVF is exactly zero — oracle
-    /// soundness, not an estimate — so it contributes nothing to the
-    /// post-stratified margin and is never allocated beyond its pilot.
-    pub liveness: bool,
-    /// Split the live remainder by fault-cycle quartile.
-    pub cycle: bool,
-    /// Split by bit position (low half `0..16` vs high half `16..32`).
-    pub bit: bool,
-    /// Split by word-index (RF region / LDS address) quartile. Off by
-    /// default: the cycle and bit axes capture most of the variance
-    /// and fewer strata keep the pilot cheap.
-    pub region: bool,
-}
-
-impl Default for StrataSpec {
-    fn default() -> Self {
-        StrataSpec {
-            liveness: true,
-            cycle: true,
-            bit: true,
-            region: false,
-        }
-    }
-}
-
-impl StrataSpec {
-    /// Every axis on (8 live strata × 4 regions = 32 cells + dead).
-    pub fn full() -> Self {
-        StrataSpec {
-            liveness: true,
-            cycle: true,
-            bit: true,
-            region: true,
-        }
-    }
-
-    /// No axes at all: one stratum, equivalent to uniform sampling
-    /// with a margin-driven stop rule.
-    pub fn none() -> Self {
-        StrataSpec {
-            liveness: false,
-            cycle: false,
-            bit: false,
-            region: false,
-        }
-    }
-}
-
-/// The adaptive engine's knobs. A default plan is *disabled*
+/// The adaptive engine's one setting. A default plan is *disabled*
 /// (`target_margin == 0.0`): the campaign keeps its fixed-`injections`
 /// uniform path byte-for-byte, which is what lets the engine ride on
 /// [`crate::study::StudyConfig`] without disturbing any baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SamplingPlan {
     /// Target half-width of the post-stratified 99 % AVF interval; the
     /// engine stops as soon as its margin is at or below this. `0.0`
     /// disables the engine entirely.
     pub target_margin: f64,
-    /// Pilot draws per non-empty stratum (clamped to the stratum
-    /// population; at least 1). The default is deliberately lean —
-    /// with the default nine-stratum partition a pilot of 8 replays at
-    /// most 64 live sites, and rounds grow geometrically from there —
-    /// because every pilot site is spent before any variance is known.
-    pub pilot: u32,
-    /// Stratification axes.
-    pub strata: StrataSpec,
-}
-
-impl Default for SamplingPlan {
-    fn default() -> Self {
-        SamplingPlan {
-            target_margin: 0.0,
-            pilot: 8,
-            strata: StrataSpec::default(),
-        }
-    }
 }
 
 impl SamplingPlan {
-    /// A plan targeting `margin` with default pilot and strata.
+    /// A plan targeting `margin`.
     pub fn with_target(margin: f64) -> Self {
         SamplingPlan {
             target_margin: margin,
-            ..Self::default()
         }
     }
 
@@ -154,7 +78,7 @@ impl SamplingPlan {
 /// One stratum's final state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StratumSnapshot {
-    /// Label (`live/c2/b0`, `dead`, `all`, …).
+    /// Label (`live/c2/b0`, `dead`, or `c2/b0` without an oracle).
     pub label: String,
     /// Exact site count of the stratum (saturated to `u64`).
     pub population: u64,
@@ -232,6 +156,18 @@ pub struct AdaptiveCampaign {
     pub strata: Vec<StratumSnapshot>,
 }
 
+/// Pilot draws per non-empty stratum (clamped to the stratum
+/// population). Deliberately lean — with the nine-stratum partition it
+/// replays at most 64 live sites, and rounds grow geometrically from
+/// there — because every pilot site is spent before any variance is
+/// known.
+const PILOT: u64 = 8;
+
+/// Fault-cycle quartiles and bit halves: each crossing is one stratum
+/// (one live stratum when the campaign has a liveness axis).
+const CYCLE_PARTS: u64 = 4;
+const BIT_PARTS: u32 = 2;
+
 /// Hard cap on allocation rounds — a backstop, never the expected stop
 /// (per-round quotas at least double a stratum's sample, so real
 /// campaigns converge or exhaust long before this).
@@ -255,7 +191,6 @@ enum RankMap {
     /// `sms × words × cycles` box (no liveness axis).
     Rect {
         sms: u32,
-        word_lo: u32,
         words: u32,
         cycle_lo: u64,
         cycles: u64,
@@ -296,7 +231,6 @@ impl RankMap {
     fn site_of(&self, rank: u128) -> (u32, u32, u64) {
         match self {
             RankMap::Rect {
-                word_lo,
                 words,
                 cycle_lo,
                 cycles,
@@ -307,7 +241,7 @@ impl RankMap {
                 let per_sm = *words as u128 * *cycles as u128;
                 let sm = (rank / per_sm) as u32;
                 let rem = rank % per_sm;
-                let word = word_lo + (rem / *cycles as u128) as u32;
+                let word = (rem / *cycles as u128) as u32;
                 let cycle = cycle_lo + (rem % *cycles as u128) as u64;
                 (sm, word, cycle)
             }
@@ -423,149 +357,97 @@ impl Stratum {
     }
 }
 
-/// The stratum partition of one campaign's site space: axis
-/// cardinalities, the site → stratum classifier and the exact weights.
-struct Partition<'s> {
-    space: &'s SiteSpace,
-    liveness: bool,
-    cyc_parts: u32,
-    bit_parts: u32,
-    reg_parts: u32,
-}
-
-/// `ceil(a·b / c)` over integers: the lower edge of part `a` when `c`
-/// units are split into `b` parts by `floor(x·b/c)`.
-fn part_lo(part: u128, parts: u128, units: u128) -> u128 {
-    (part * units).div_ceil(parts)
-}
-
-impl Partition<'_> {
-    fn live_cells(&self) -> usize {
-        (self.cyc_parts * self.bit_parts * self.reg_parts) as usize
+/// Builds the stratum table: exact populations, rank→site maps and
+/// seed-stable per-stratum permutation streams. Every fault-cycle
+/// quartile × bit half crossing is one stratum; with an `oracle` (the
+/// liveness axis) those strata hold live sites only and one more
+/// stratum holds every dead site. The bit axis splits the space's
+/// per-`(word, cycle)` lanes (32 bits for storage, `4 targets × 32 bits`
+/// for control).
+fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<Stratum> {
+    let lanes = space.lanes() as u128;
+    let bits_span = 32 / BIT_PARTS;
+    let cycles = space.cycles();
+    let cells = (CYCLE_PARTS * BIT_PARTS as u64) as usize;
+    let mut out: Vec<Stratum> = Vec::with_capacity(cells + 1);
+    let mut live_total: u128 = 0;
+    for cell in 0..cells {
+        let (q, b) = (cell as u64 / BIT_PARTS as u64, cell as u32 % BIT_PARTS);
+        let c_lo = (q * cycles).div_ceil(CYCLE_PARTS);
+        let c_hi = ((q + 1) * cycles).div_ceil(CYCLE_PARTS);
+        let map = match oracle {
+            // The bit halves of one cycle quartile share its word-cycle
+            // sites: the half below built them already.
+            Some(_) if b > 0 => out[cell - 1].map.clone(),
+            Some(oracle) => {
+                let map = RankMap::from_segments(oracle.segments_in(
+                    space.structure(),
+                    0,
+                    space.words(),
+                    c_lo,
+                    c_hi,
+                    true,
+                ));
+                debug_assert_eq!(
+                    map.word_cycles(),
+                    oracle.live_word_cycles_in(space.structure(), 0, space.words(), c_lo, c_hi)
+                        as u128,
+                    "segment list and live count must describe the same set"
+                );
+                map
+            }
+            None => RankMap::Rect {
+                sms: space.sms(),
+                words: space.words(),
+                cycle_lo: c_lo,
+                cycles: c_hi - c_lo,
+            },
+        };
+        let population = map.word_cycles() * (lanes / BIT_PARTS as u128);
+        live_total += population;
+        let live = if oracle.is_some() { "live/" } else { "" };
+        out.push(Stratum {
+            label: format!("{live}c{q}/b{b}"),
+            population,
+            seen: 0,
+            planned: 0,
+            tally: Tally::default(),
+            dead: false,
+            bits_span,
+            bit_lo: b * bits_span,
+            stream: FlatStream::new(population, stratum_seed(seed, cell)),
+            map,
+        });
     }
-
-    fn count(&self) -> usize {
-        self.live_cells() + usize::from(self.liveness)
+    if let Some(oracle) = oracle {
+        let map = RankMap::from_segments(oracle.segments_in(
+            space.structure(),
+            0,
+            space.words(),
+            0,
+            cycles,
+            false,
+        ));
+        let dead_population = map.word_cycles() * lanes;
+        debug_assert_eq!(
+            dead_population,
+            space.population() - live_total,
+            "the dead stratum is exactly the complement of the live cells"
+        );
+        out.push(Stratum {
+            label: "dead".to_string(),
+            population: dead_population,
+            seen: 0,
+            planned: 0,
+            tally: Tally::default(),
+            dead: true,
+            bits_span: 32,
+            bit_lo: 0,
+            stream: FlatStream::new(dead_population, stratum_seed(seed, out.len())),
+            map,
+        });
     }
-
-    fn cell_label(&self, cell: usize) -> String {
-        let r = cell as u32 % self.reg_parts;
-        let b = (cell as u32 / self.reg_parts) % self.bit_parts;
-        let q = cell as u32 / (self.reg_parts * self.bit_parts);
-        let mut parts: Vec<String> = Vec::new();
-        if self.liveness {
-            parts.push("live".to_string());
-        }
-        if self.cyc_parts > 1 {
-            parts.push(format!("c{q}"));
-        }
-        if self.bit_parts > 1 {
-            parts.push(format!("b{b}"));
-        }
-        if self.reg_parts > 1 {
-            parts.push(format!("r{r}"));
-        }
-        if parts.is_empty() {
-            "all".to_string()
-        } else {
-            parts.join("/")
-        }
-    }
-
-    /// Builds the stratum table: exact populations, rank→site maps and
-    /// seed-stable per-stratum permutation streams. The bit axis splits
-    /// the space's per-`(word, cycle)` lanes (32 bits for storage,
-    /// `4 targets × 32 bits` for control).
-    fn strata(&self, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<Stratum> {
-        let (space, lanes) = (self.space, self.space.lanes() as u128);
-        let bits_per_part = lanes / self.bit_parts as u128;
-        let bits_span = 32 / self.bit_parts;
-        let mut out: Vec<Stratum> = Vec::with_capacity(self.count());
-        let mut live_total: u128 = 0;
-        for cell in 0..self.live_cells() {
-            let r = cell as u128 % self.reg_parts as u128;
-            let b = (cell as u32 / self.reg_parts) % self.bit_parts;
-            let q = cell as u128 / (self.reg_parts as u128 * self.bit_parts as u128);
-            let (words, cycles) = (space.words() as u128, space.cycles() as u128);
-            let w_lo = part_lo(r, self.reg_parts as u128, words) as u32;
-            let w_hi = part_lo(r + 1, self.reg_parts as u128, words) as u32;
-            let c_lo = part_lo(q, self.cyc_parts as u128, cycles) as u64;
-            let c_hi = part_lo(q + 1, self.cyc_parts as u128, cycles) as u64;
-            let map = match (self.liveness, oracle) {
-                // The bit parts of one (region, cycle) cell share its
-                // word-cycle sites: the part below built them already.
-                (true, Some(_)) if b > 0 => out[cell - self.reg_parts as usize].map.clone(),
-                (true, Some(oracle)) => {
-                    let map = RankMap::from_segments(oracle.segments_in(
-                        space.structure(),
-                        w_lo,
-                        w_hi,
-                        c_lo,
-                        c_hi,
-                        true,
-                    ));
-                    debug_assert_eq!(
-                        map.word_cycles(),
-                        oracle.live_word_cycles_in(space.structure(), w_lo, w_hi, c_lo, c_hi)
-                            as u128,
-                        "segment list and live count must describe the same set"
-                    );
-                    map
-                }
-                _ => RankMap::Rect {
-                    sms: space.sms(),
-                    word_lo: w_lo,
-                    words: w_hi.saturating_sub(w_lo),
-                    cycle_lo: c_lo,
-                    cycles: c_hi.saturating_sub(c_lo),
-                },
-            };
-            let population = map.word_cycles() * bits_per_part;
-            live_total += population;
-            out.push(Stratum {
-                label: self.cell_label(cell),
-                population,
-                seen: 0,
-                planned: 0,
-                tally: Tally::default(),
-                dead: false,
-                bits_span,
-                bit_lo: b * bits_span,
-                stream: FlatStream::new(population, stratum_seed(seed, cell)),
-                map,
-            });
-        }
-        if self.liveness {
-            let oracle = oracle.expect("liveness strata require an oracle");
-            let map = RankMap::from_segments(oracle.segments_in(
-                space.structure(),
-                0,
-                space.words(),
-                0,
-                space.cycles(),
-                false,
-            ));
-            let dead_population = map.word_cycles() * lanes;
-            debug_assert_eq!(
-                dead_population,
-                space.population() - live_total,
-                "the dead stratum is exactly the complement of the live cells"
-            );
-            out.push(Stratum {
-                label: "dead".to_string(),
-                population: dead_population,
-                seen: 0,
-                planned: 0,
-                tally: Tally::default(),
-                dead: true,
-                bits_span: 32,
-                bit_lo: 0,
-                stream: FlatStream::new(dead_population, stratum_seed(seed, out.len())),
-                map,
-            });
-        }
-        out
-    }
+    out
 }
 
 /// The post-stratified estimate: `(avf, avf_sdc, margin)`.
@@ -647,7 +529,8 @@ impl Campaign<'_> {
     /// sample counters, `campaign.convergence` events (with the
     /// per-stratum `strata` array) at every round boundary, and a
     /// closing `campaign.done`. The liveness axis needs a captured
-    /// oracle; without one the strata cross the other axes only.
+    /// oracle and the transient model; without them the strata cross
+    /// the other axes only.
     ///
     /// # Errors
     ///
@@ -672,17 +555,8 @@ impl Campaign<'_> {
         let started = H::ENABLED.then(std::time::Instant::now);
         let space = self.space(structure, cfg.fault_model);
         let (cycles, population) = (space.cycles(), space.population());
-        let spec = plan.strata;
-        let partition = Partition {
-            space: &space,
-            liveness: spec.liveness
-                && oracle.is_some()
-                && cfg.fault_model == FaultModelKind::Transient,
-            cyc_parts: if spec.cycle { 4 } else { 1 },
-            bit_parts: if spec.bit { 2 } else { 1 },
-            reg_parts: if spec.region { 4 } else { 1 },
-        };
-        let mut strata = partition.strata(oracle, cfg.seed);
+        let liveness = oracle.filter(|_| cfg.fault_model == FaultModelKind::Transient);
+        let mut strata = strata(&space, liveness, cfg.seed);
         // Rounds drive their own convergence narration: cadence is pushed
         // past any real sample size and `emit_now` fires at each round
         // boundary instead, so the event stream narrates rounds, not raw
@@ -699,7 +573,7 @@ impl Campaign<'_> {
         .with_target(plan.target_margin);
         let mut round_cfg = cfg;
         round_cfg.convergence = 0;
-        let pilot = plan.pilot.max(1) as u64;
+        let pilot = PILOT;
         let mut rounds: Vec<RoundPlan> = Vec::new();
         let mut sampled: u64 = 0;
         let mut replayed: u64 = 0;
@@ -916,13 +790,10 @@ mod tests {
         writes: false,
     };
 
-    fn plan(target: f64) -> SamplingPlan {
-        SamplingPlan {
-            target_margin: target,
-            pilot: 8,
-            strata: StrataSpec::default(),
-        }
-    }
+    /// The target the tests' campaigns aim for.
+    const PLAN: SamplingPlan = SamplingPlan {
+        target_margin: 0.05,
+    };
 
     #[test]
     fn default_plan_is_disabled() {
@@ -938,7 +809,7 @@ mod tests {
         cfg.threads = 2;
         let r = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
             .and_then(|setup| {
-                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, PLAN, &NoopHook)
             })
             .unwrap();
         assert!(r.converged, "margin {} vs target 0.05", r.margin);
@@ -964,7 +835,7 @@ mod tests {
         let cfg = CampaignConfig::quick(3);
         let r = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
             .and_then(|setup| {
-                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, PLAN, &NoopHook)
             })
             .unwrap();
         let total: u64 = r.strata.iter().map(|s| s.population).sum();
@@ -986,36 +857,18 @@ mod tests {
         let cfg = CampaignConfig::quick(7);
         let a = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
             .and_then(|setup| {
-                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, PLAN, &NoopHook)
             })
             .unwrap();
         let b = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
             .and_then(|setup| {
-                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan(0.05), &NoopHook)
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, PLAN, &NoopHook)
             })
             .unwrap();
         assert_eq!(a.rounds, b.rounds, "same seed must yield the same rounds");
         assert_eq!(a.tally, b.tally);
         assert_eq!(a.avf.to_bits(), b.avf.to_bits());
         assert_eq!(a.margin.to_bits(), b.margin.to_bits());
-    }
-
-    #[test]
-    fn no_strata_spec_still_converges() {
-        let arch = quadro_fx_5600();
-        let w = VectorAdd::new(256, 5);
-        let cfg = CampaignConfig::quick(5);
-        let p = SamplingPlan {
-            target_margin: 0.25,
-            pilot: 8,
-            strata: StrataSpec::none(),
-        };
-        let r = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
-            .and_then(|setup| setup.run_adaptive(Structure::VectorRegisterFile, cfg, p, &NoopHook))
-            .unwrap();
-        assert!(r.converged);
-        assert_eq!(r.strata.len(), 1);
-        assert_eq!(r.strata[0].label, "all");
     }
 
     #[test]
