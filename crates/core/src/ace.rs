@@ -386,7 +386,6 @@ impl Index {
         word_hi: u32,
         cycle_lo: u64,
         cycle_hi: u64,
-        live: bool,
     ) -> Vec<WordCycleSegment> {
         let mut out = Vec::new();
         if cycle_hi <= cycle_lo {
@@ -394,26 +393,14 @@ impl Index {
         }
         let mut list = Vec::new();
         self.for_words(word_lo, word_hi, |sm, word, i| {
-            let seg = |lo, hi| WordCycleSegment { sm, word, lo, hi };
             list.clear();
             list.extend(self.chain(i, cycle_lo));
-            let mut next = cycle_lo;
+            // The chain runs newest first; emit in cycle order.
             for &(lo, hi) in list.iter().rev() {
                 let (lo, hi) = (lo.max(cycle_lo), hi.min(cycle_hi - 1));
-                if lo > hi {
-                    continue;
+                if lo <= hi {
+                    out.push(WordCycleSegment { sm, word, lo, hi });
                 }
-                if live {
-                    out.push(seg(lo, hi));
-                } else if lo > next {
-                    // The complement: gaps between the (sorted, disjoint)
-                    // live intervals within the window.
-                    out.push(seg(next, lo - 1));
-                }
-                next = hi + 1;
-            }
-            if !live && next < cycle_hi {
-                out.push(seg(next, cycle_hi - 1));
             }
         });
         out
@@ -637,9 +624,12 @@ impl SimObserver for AceAnalyzer {
     }
 }
 
-/// A run of consecutive cycles (`lo..=hi`, inclusive) of one physical
-/// word that is uniformly live or uniformly dead — the unit the
-/// adaptive sampler's rank→site mapping bisects over.
+/// A run of consecutive cycles (`lo..=hi`, inclusive) during which one
+/// physical word is live — the unit the adaptive sampler's rank→site
+/// mapping bisects over.
+///
+/// [`WordCycleSegment`]s come sorted by `(sm, word, lo)` and never
+/// overlap, so the dead sites are their complement in the same order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WordCycleSegment {
     /// SM index.
@@ -796,12 +786,13 @@ impl LifetimeOracle {
     }
 
     /// Explicit segment list behind [`LifetimeOracle::live_word_cycles_in`]:
-    /// every maximal live (`live = true`) or dead (`live = false`) cycle
-    /// run of every word in the window, across all SMs. The adaptive
-    /// sampler bisects the cumulative lengths of this list to map a
-    /// stratum-local rank to a concrete `(sm, word, cycle)` — which is
-    /// what lets it draw from a rare stratum directly instead of
-    /// rejection-scanning the full site population.
+    /// every maximal live cycle run of every word in the window, across
+    /// all SMs, in `(sm, word, cycle)` order. The adaptive sampler
+    /// bisects the cumulative lengths of this list (or of its
+    /// complement, for the dead sites) to map a stratum-local rank to a
+    /// concrete `(sm, word, cycle)` — which is what lets it draw from a
+    /// rare stratum directly instead of rejection-scanning the full
+    /// site population.
     pub(crate) fn segments_in(
         &self,
         s: Structure,
@@ -809,10 +800,9 @@ impl LifetimeOracle {
         word_hi: u32,
         cycle_lo: u64,
         cycle_hi: u64,
-        live: bool,
     ) -> Vec<WordCycleSegment> {
         self.index(s)
-            .segments_in(word_lo, word_hi, cycle_lo, cycle_hi, live)
+            .segments_in(word_lo, word_hi, cycle_lo, cycle_hi)
     }
 }
 
@@ -1211,7 +1201,7 @@ mod tests {
             lo,
             hi,
         };
-        assert_eq!(o.segments_in(rf, 7, 8, 0, 5100, true), [seg(2, 5000)]);
+        assert_eq!(o.segments_in(rf, 7, 8, 0, 5100), [seg(2, 5000)]);
         assert!(o.is_dead(rf_site(7, 1)));
         assert!(!o.is_dead(rf_site(7, 2)) && !o.is_dead(rf_site(7, 5000)));
         assert!(o.is_dead(rf_site(7, 5001)));
@@ -1239,20 +1229,8 @@ mod tests {
             hi,
         };
         let live = [seg(6, 9), seg(21, 30), seg(40, 45)];
-        assert_eq!(o.segments_in(rf, 0, 8, 0, 51, true), live);
-        assert_eq!(
-            o.segments_in(rf, 3, 4, 0, 51, false),
-            [
-                seg(0, 5),
-                seg(10, 20),
-                seg(31, 39),
-                seg(46, 50),
-                WordCycleSegment {
-                    sm: 1,
-                    ..seg(0, 50)
-                }
-            ]
-        );
+        assert_eq!(o.segments_in(rf, 0, 8, 0, 51), live);
+        assert_eq!(o.segments_in(rf, 3, 4, 8, 25), [seg(8, 9), seg(21, 24)]);
         assert_eq!(o.intervals(), 3);
         assert_eq!(o.live_word_cycles_in(rf, 3, 4, 8, 42), 2 + 10 + 2);
         assert_eq!(o.live_bit_cycles(rf), (4 + 10 + 6) * 32);
@@ -1330,13 +1308,11 @@ mod tests {
         for s in Structure::ALL {
             let words = arch.words_per_sm(s);
             assert_eq!(o.live_bit_cycles(s), sealed.live_bit_cycles(s), "{s:?}");
-            for live in [false, true] {
-                assert_eq!(
-                    o.segments_in(s, 0, words, 0, cycles + 1, live),
-                    sealed.segments_in(s, 0, words, 0, cycles + 1, live),
-                    "{s:?}"
-                );
-            }
+            assert_eq!(
+                o.segments_in(s, 0, words, 0, cycles + 1),
+                sealed.segments_in(s, 0, words, 0, cycles + 1),
+                "{s:?}"
+            );
         }
         assert!(sealed.live_bit_cycles(Structure::LocalMemory) > 0);
     }
@@ -1628,7 +1604,7 @@ mod tests {
                         }
                     }
                     for (wl, wh, cl, ch) in [(0, words[s] + 1, 0, end + 2), (1, 3, end / 3, 2 * end / 3 + 1)] {
-                        let mut want = [Vec::new(), Vec::new()];
+                        let mut want = Vec::new();
                         let mut count = 0;
                         for sm in 0..arch.num_sms {
                             for word in wl..wh.min(words[s]) {
@@ -1640,15 +1616,15 @@ mod tests {
                                     while c < ch && m.live(c) == l {
                                         c += 1;
                                     }
-                                    count += if l { c - lo } else { 0 };
-                                    want[l as usize].push(WordCycleSegment { sm, word, lo, hi: c - 1 });
+                                    if l {
+                                        count += c - lo;
+                                        want.push(WordCycleSegment { sm, word, lo, hi: c - 1 });
+                                    }
                                 }
                             }
                         }
                         prop_assert_eq!(oracle.live_word_cycles_in(structure, wl, wh, cl, ch), count);
-                        for live in [false, true] {
-                            prop_assert_eq!(&oracle.segments_in(structure, wl, wh, cl, ch, live), &want[live as usize]);
-                        }
+                        prop_assert_eq!(&oracle.segments_in(structure, wl, wh, cl, ch), &want);
                     }
                 }
             }

@@ -184,8 +184,10 @@ fn stratum_seed(seed: u64, h: usize) -> u64 {
 }
 
 /// Rank → `(sm, word, cycle)` bijection over one stratum's word-cycle
-/// sites. Rectangular strata decode arithmetically; liveness strata
-/// bisect the cumulative lengths of their explicit segment list.
+/// sites, in `(sm, word, cycle)` order. Rectangular strata decode
+/// arithmetically; live strata bisect the cumulative lengths of their
+/// explicit segment list, and the dead stratum bisects the gaps
+/// between the live segments.
 #[derive(Clone)]
 enum RankMap {
     /// `sms × words × cycles` box (no liveness axis).
@@ -195,23 +197,54 @@ enum RankMap {
         cycle_lo: u64,
         cycles: u64,
     },
-    /// Explicit live or dead cycle runs; `cum[i]` is the number of
-    /// word-cycle sites in `segs[..i]`.
-    Segs {
+    /// Explicit live cycle runs; `cum[i]` is the number of word-cycle
+    /// sites in `segs[..i]`.
+    Live {
         segs: Vec<WordCycleSegment>,
         cum: Vec<u64>,
+    },
+    /// Every `(sm, word, cycle)` of the `words × cycles` box per SM that
+    /// no live run covers. With the box flattened in rank-major order,
+    /// `dead[i]` is the number of dead sites before live run `i` and
+    /// `live[i]` the number of live sites up to and including it.
+    Dead {
+        dead: Vec<u64>,
+        live: Vec<u64>,
+        words: u32,
+        cycles: u64,
+        sites: u64,
     },
 }
 
 impl RankMap {
-    fn from_segments(segs: Vec<WordCycleSegment>) -> Self {
+    fn live(segs: Vec<WordCycleSegment>) -> Self {
         let mut cum = Vec::with_capacity(segs.len());
         let mut total = 0u64;
         for s in &segs {
             cum.push(total);
             total += s.len();
         }
-        RankMap::Segs { segs, cum }
+        RankMap::Live { segs, cum }
+    }
+
+    /// The complement of `live` (sorted, disjoint runs inside the box).
+    fn dead(live_segs: &[WordCycleSegment], sms: u32, words: u32, cycles: u64) -> Self {
+        let mut dead = Vec::with_capacity(live_segs.len());
+        let mut live = Vec::with_capacity(live_segs.len());
+        let mut live_sites = 0u64;
+        for s in live_segs {
+            let flat = (s.sm as u64 * words as u64 + s.word as u64) * cycles + s.lo;
+            dead.push(flat - live_sites);
+            live_sites += s.len();
+            live.push(live_sites);
+        }
+        RankMap::Dead {
+            dead,
+            live,
+            words,
+            cycles,
+            sites: sms as u64 * words as u64 * cycles - live_sites,
+        }
     }
 
     /// Word-cycle sites in the map.
@@ -220,10 +253,11 @@ impl RankMap {
             RankMap::Rect {
                 sms, words, cycles, ..
             } => *sms as u128 * *words as u128 * *cycles as u128,
-            RankMap::Segs { segs, cum } => match (segs.last(), cum.last()) {
+            RankMap::Live { segs, cum } => match (segs.last(), cum.last()) {
                 (Some(s), Some(&c)) => (c + s.len()) as u128,
                 _ => 0,
             },
+            RankMap::Dead { sites, .. } => *sites as u128,
         }
     }
 
@@ -245,11 +279,26 @@ impl RankMap {
                 let cycle = cycle_lo + (rem % *cycles as u128) as u64;
                 (sm, word, cycle)
             }
-            RankMap::Segs { segs, cum } => {
+            RankMap::Live { segs, cum } => {
                 let rank = rank as u64;
                 let i = cum.partition_point(|&c| c <= rank) - 1;
                 let seg = &segs[i];
                 (seg.sm, seg.word, seg.lo + (rank - cum[i]))
+            }
+            RankMap::Dead {
+                dead,
+                live,
+                words,
+                cycles,
+                ..
+            } => {
+                // The live runs with at most `rank` dead sites before
+                // them all lie before the site; skip their sites.
+                let rank = rank as u64;
+                let k = dead.partition_point(|&d| d <= rank);
+                let flat = rank + k.checked_sub(1).map_or(0, |i| live[i]);
+                let (cell, words) = (flat / cycles, *words as u64);
+                ((cell / words) as u32, (cell % words) as u32, flat % cycles)
             }
         }
     }
@@ -369,6 +418,11 @@ fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<
     let bits_span = 32 / BIT_PARTS;
     let cycles = space.cycles();
     let cells = (CYCLE_PARTS * BIT_PARTS as u64) as usize;
+    // Every live run of the structure: each live stratum clips it to
+    // its cycle quartile, and the dead stratum is its complement.
+    let live_segs = oracle.map_or_else(Vec::new, |o| {
+        o.segments_in(space.structure(), 0, space.words(), 0, cycles)
+    });
     let mut out: Vec<Stratum> = Vec::with_capacity(cells + 1);
     let mut live_total: u128 = 0;
     for cell in 0..cells {
@@ -380,14 +434,17 @@ fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<
             // sites: the half below built them already.
             Some(_) if b > 0 => out[cell - 1].map.clone(),
             Some(oracle) => {
-                let map = RankMap::from_segments(oracle.segments_in(
-                    space.structure(),
-                    0,
-                    space.words(),
-                    c_lo,
-                    c_hi,
-                    true,
-                ));
+                let map = RankMap::live(
+                    live_segs
+                        .iter()
+                        .filter(|s| s.lo < c_hi && s.hi >= c_lo)
+                        .map(|s| WordCycleSegment {
+                            lo: s.lo.max(c_lo),
+                            hi: s.hi.min(c_hi - 1),
+                            ..*s
+                        })
+                        .collect(),
+                );
                 debug_assert_eq!(
                     map.word_cycles(),
                     oracle.live_word_cycles_in(space.structure(), 0, space.words(), c_lo, c_hi)
@@ -419,15 +476,8 @@ fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<
             map,
         });
     }
-    if let Some(oracle) = oracle {
-        let map = RankMap::from_segments(oracle.segments_in(
-            space.structure(),
-            0,
-            space.words(),
-            0,
-            cycles,
-            false,
-        ));
+    if oracle.is_some() {
+        let map = RankMap::dead(&live_segs, space.sms(), space.words(), cycles);
         let dead_population = map.word_cycles() * lanes;
         debug_assert_eq!(
             dead_population,
@@ -781,7 +831,8 @@ mod tests {
     use super::*;
     use crate::campaign::Capture;
     use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
-    use gpu_workloads::VectorAdd;
+    use gpu_workloads::{Reduction, VectorAdd};
+    use simt_sim::ArchConfig;
 
     /// The setup an adaptive transient campaign captures.
     const ORACLE: Capture = Capture {
@@ -848,6 +899,38 @@ mod tests {
             r.population
         );
         assert_eq!(dead.tally.failures(), 0, "dead samples can never fail");
+    }
+
+    #[test]
+    fn the_dead_map_ranks_every_site_the_oracle_calls_dead() {
+        let arch = ArchConfig::small_test_gpu();
+        let w = Reduction::new(128, 32, 2);
+        let cfg = CampaignConfig::quick(2);
+        let setup = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook).unwrap();
+        let oracle = setup.oracle().unwrap();
+        for structure in [Structure::VectorRegisterFile, Structure::LocalMemory] {
+            let space = setup.space(structure, FaultModelKind::Transient);
+            let table = strata(&space, Some(oracle), cfg.seed);
+            let dead = table.last().filter(|s| s.dead).unwrap();
+            // A brute-force scan in the map's (sm, word, cycle) order.
+            let mut rank = 0;
+            for sm in 0..space.sms() {
+                for word in 0..space.words() {
+                    for cycle in 0..space.cycles() {
+                        if oracle.is_dead(FaultSite::new(structure, sm, word, 0, cycle)) {
+                            let site = dead.map.site_of(rank);
+                            assert_eq!(site, (sm, word, cycle), "{structure:?} rank {rank}");
+                            rank += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(dead.map.word_cycles(), rank, "{structure:?}");
+            assert!(
+                rank < space.population() / 32,
+                "{structure:?} has live sites"
+            );
+        }
     }
 
     #[test]
