@@ -297,19 +297,20 @@ observatory:
 
 profiling:
   --profile PATH records a hierarchical span for every study phase
-  (golden run, oracle capture, checkpoint ladder, prune, replay, merge)
-  and every campaign injection, then writes a Chrome trace-event JSON
-  to PATH — load it at https://ui.perfetto.dev or chrome://tracing.
+  (golden run and its lifetime seal, checkpoint ladder, prune, replay,
+  merge) and every campaign injection, then writes a Chrome trace-event
+  JSON to PATH — load it at https://ui.perfetto.dev or chrome://tracing.
   PATH.tree gets the duration-stripped structural span tree, which is
   byte-identical at any --jobs. Spans never change campaign results.
 
 adaptive sampling:
   --target-margin M replaces the fixed --injections budget with a stop
   rule: each campaign stratifies its site population (dead vs live per
-  the lifetime oracle, fault-cycle quartile, bit half),
-  draws a deterministic pilot per stratum, then Neyman-allocates further
-  rounds to the high-variance strata until the post-stratified 99%
-  margin is at or below M. The same seed-stable site stream and striped
+  the lifetime oracle, fault-cycle quartile, bit half), draws a
+  deterministic pilot per stratum (its share of the uniform sample that
+  reaches M, 1 to 8 sites), then Neyman-allocates further rounds to the
+  high-variance strata until the post-stratified 99% margin is at or
+  below M. The same seed-stable site stream and striped
   worker pool as the uniform path are used, so adaptive tallies are
   bit-identical at any --jobs and with pruning/batching on or off.
   Incompatible with --provenance.
@@ -648,7 +649,8 @@ fn study_run(
     let Points { archs, workloads } = points;
     if let Some(target) = args.target_margin {
         log.info(&format!(
-            "adaptive sampling: stop at +/-{:.2}% @ 99%",
+            "adaptive sampling: stop at +/-{:.2}% @ 99% \
+             (pilot: each stratum's share of the uniform sample, 1 to 8 sites)",
             target * 100.0
         ));
     }

@@ -889,8 +889,9 @@ pub(crate) struct ReplayContext<'a, H> {
 
 /// Opens a replay session on a worker's scratch device: resumed from
 /// `ckpt` when given (`Session::resume` runs `*gpu = ckpt.gpu.clone()`,
-/// which allocates a whole device per replay — 11 MB on the HD 7970),
-/// otherwise on a fresh device at the start of the workload's plan.
+/// which clones the storage's page handles, not its words; the replay
+/// copies only the pages it writes), otherwise on a fresh device at the
+/// start of the workload's plan.
 /// Either way the replay never observes state left behind by a previous
 /// injection. Opening touches nothing else on the device, so the caller
 /// arms faults and scenarios on the session afterwards.
@@ -1092,10 +1093,11 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     let golden: &GoldenRun = &setup.golden;
     let start_cycle = ckpt.map_or(0, |ck| ck.cycle());
     debug_assert!(batch.iter().all(|s| s.cycle >= start_cycle));
-    // Twice the ladder's rung density: a fork replays the stretch from
-    // its snapshot to its trigger for nothing, so a finer stride inside
-    // the shared pass directly shrinks that waste (half a stride per
-    // fork on average) for a few extra in-memory clones.
+    // Two to four times the ladder's rung density (its rungs sit
+    // between C/16 and C/8 apart): a fork replays the stretch from its
+    // snapshot to its trigger for nothing, so a finer stride inside the
+    // shared pass directly shrinks that waste (half a stride per fork
+    // on average) for a few extra in-memory clones.
     let interval = (golden.cycles / 32).max(1);
     let all_mask = simt_sim::overlay::scenario_mask(batch.len());
 

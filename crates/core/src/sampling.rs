@@ -16,7 +16,8 @@
 //!    *exact* integer counts (live weights via
 //!    [`LifetimeOracle::live_word_cycles_in`]), not estimates.
 //! 2. **Pilot**: draw a small deterministic sample from every
-//!    non-empty stratum.
+//!    non-empty stratum — its share of the uniform sample that reaches
+//!    the same margin, between 1 and 8 draws.
 //! 3. **Allocate** the remaining budget in rounds by Neyman allocation
 //!    (`n_h ∝ W_h·s_h`, with the per-stratum deviation floored by the
 //!    Wilson score center so an all-masked pilot still leaves a
@@ -45,7 +46,7 @@ use crate::ace::{LifetimeOracle, WordCycleSegment};
 use crate::campaign::{structure_label, Campaign, CampaignConfig, Tally};
 use crate::runner::Arming;
 use crate::space::{FlatStream, SiteSpace};
-use crate::stats::{Proportion, Z_99};
+use crate::stats::{required_sample_size, Proportion, Z_99};
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
 use simt_sim::{FaultModelKind, FaultSite, SimError, Structure};
 
@@ -156,12 +157,22 @@ pub struct AdaptiveCampaign {
     pub strata: Vec<StratumSnapshot>,
 }
 
-/// Pilot draws per non-empty stratum (clamped to the stratum
-/// population). Deliberately lean — with the nine-stratum partition it
-/// replays at most 64 live sites, and rounds grow geometrically from
-/// there — because every pilot site is spent before any variance is
-/// known.
-const PILOT: u64 = 8;
+/// The most pilot draws a stratum takes. Deliberately lean — with the
+/// nine-stratum partition the pilot replays at most 64 live sites, and
+/// rounds grow geometrically from there — because every pilot site is
+/// spent before any variance is known.
+const MAX_PILOT: u64 = 8;
+
+/// A stratum's pilot: its share `W_h · n_u` of the `uniform` sample
+/// that reaches the same margin, at least 1 and at most [`MAX_PILOT`]
+/// draws, and never more than the stratum holds. A stratum the uniform
+/// campaign would barely touch is not sampled eight times over.
+fn pilot(population: u128, total: u128, uniform: u64) -> u64 {
+    let share = (population as f64 / total as f64 * uniform as f64).ceil() as u64;
+    share
+        .clamp(1, MAX_PILOT)
+        .min(u64::try_from(population).unwrap_or(u64::MAX))
+}
 
 /// Fault-cycle quartiles and bit halves: each crossing is one stratum
 /// (one live stratum when the campaign has a liveness axis).
@@ -204,7 +215,7 @@ enum RankMap {
         cum: Vec<u64>,
     },
     /// Every `(sm, word, cycle)` of the `words × cycles` box per SM that
-    /// no live run covers. With the box flattened in rank-major order,
+    /// no live run covers. With the box flattened in that order,
     /// `dead[i]` is the number of dead sites before live run `i` and
     /// `live[i]` the number of live sites up to and including it.
     Dead {
@@ -227,7 +238,8 @@ impl RankMap {
         RankMap::Live { segs, cum }
     }
 
-    /// The complement of `live` (sorted, disjoint runs inside the box).
+    /// The complement of `live_segs` (sorted, disjoint runs inside the
+    /// box).
     fn dead(live_segs: &[WordCycleSegment], sms: u32, words: u32, cycles: u64) -> Self {
         let mut dead = Vec::with_capacity(live_segs.len());
         let mut live = Vec::with_capacity(live_segs.len());
@@ -323,6 +335,8 @@ struct Stratum {
     /// Seed-stable in-stratum permutation (campaign seed ⊕ stratum
     /// index), drawn lazily as rounds allocate.
     stream: FlatStream,
+    /// Round 0's draws, and the floor of every later round's growth.
+    pilot: u64,
 }
 
 impl Stratum {
@@ -412,9 +426,15 @@ impl Stratum {
 /// liveness axis) those strata hold live sites only and one more
 /// stratum holds every dead site. The bit axis splits the space's
 /// per-`(word, cycle)` lanes (32 bits for storage, `4 targets × 32 bits`
-/// for control).
-fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<Stratum> {
-    let lanes = space.lanes() as u128;
+/// for control). `uniform` is the uniform sample size of the target
+/// margin, which sizes each stratum's [`pilot`].
+fn strata(
+    space: &SiteSpace,
+    oracle: Option<&LifetimeOracle>,
+    seed: u64,
+    uniform: u64,
+) -> Vec<Stratum> {
+    let (lanes, total) = (space.lanes() as u128, space.population());
     let bits_span = 32 / BIT_PARTS;
     let cycles = space.cycles();
     let cells = (CYCLE_PARTS * BIT_PARTS as u64) as usize;
@@ -473,6 +493,7 @@ fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<
             bits_span,
             bit_lo: b * bits_span,
             stream: FlatStream::new(population, stratum_seed(seed, cell)),
+            pilot: pilot(population, total, uniform),
             map,
         });
     }
@@ -481,7 +502,7 @@ fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<
         let dead_population = map.word_cycles() * lanes;
         debug_assert_eq!(
             dead_population,
-            space.population() - live_total,
+            total - live_total,
             "the dead stratum is exactly the complement of the live cells"
         );
         out.push(Stratum {
@@ -494,6 +515,7 @@ fn strata(space: &SiteSpace, oracle: Option<&LifetimeOracle>, seed: u64) -> Vec<
             bits_span: 32,
             bit_lo: 0,
             stream: FlatStream::new(dead_population, stratum_seed(seed, out.len())),
+            pilot: pilot(dead_population, total, uniform),
             map,
         });
     }
@@ -536,10 +558,10 @@ fn post_stratified(strata: &[Stratum], total: u128) -> (f64, f64, f64) {
 
 /// Neyman allocation: the next round's quota per stratum, a pure
 /// function of (stratum populations, cumulative stratum tallies,
-/// target margin, pilot). Quotas at least double a stratum's sample
-/// per round (geometric growth bounds both the round count and the
-/// overshoot past a noisy pilot's variance estimate).
-fn allocate(strata: &[Stratum], total: u128, target: f64, pilot: u64) -> Vec<u64> {
+/// target margin). Quotas at least double a stratum's sample per round
+/// (geometric growth bounds both the round count and the overshoot
+/// past a noisy pilot's variance estimate).
+fn allocate(strata: &[Stratum], total: u128, target: f64) -> Vec<u64> {
     let weighted: Vec<f64> = strata
         .iter()
         .map(|s| {
@@ -568,7 +590,7 @@ fn allocate(strata: &[Stratum], total: u128, target: f64, pilot: u64) -> Vec<u64
             let missing = share.saturating_sub(s.seen);
             let headroom = u64::try_from(s.population).unwrap_or(u64::MAX) - s.seen;
             // Geometric round growth: at most double (pilot-floored).
-            missing.min(s.seen.max(pilot)).min(headroom)
+            missing.min(s.seen.max(s.pilot)).min(headroom)
         })
         .collect()
 }
@@ -584,12 +606,9 @@ impl Campaign<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates replay failures that are not fault classifications.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` is disabled (`target_margin <= 0`) or not
-    /// finite.
+    /// [`SimError::LaunchConfig`] naming the margin when `plan` is
+    /// disabled (`target_margin <= 0`) or not finite; otherwise
+    /// propagates replay failures that are not fault classifications.
     pub fn run_adaptive<H: TelemetryHook>(
         &self,
         structure: Structure,
@@ -598,15 +617,20 @@ impl Campaign<'_> {
         hook: &H,
     ) -> Result<AdaptiveCampaign, SimError> {
         let (arch, workload, oracle) = (self.arch, self.workload, self.oracle());
-        assert!(
-            plan.target_margin.is_finite() && plan.target_margin > 0.0,
-            "adaptive sampling needs a positive finite target margin"
-        );
+        if !(plan.target_margin.is_finite() && plan.target_margin > 0.0) {
+            return Err(SimError::LaunchConfig {
+                reason: format!(
+                    "adaptive sampling needs a positive finite target margin, got {}",
+                    plan.target_margin
+                ),
+            });
+        }
         let started = H::ENABLED.then(std::time::Instant::now);
         let space = self.space(structure, cfg.fault_model);
         let (cycles, population) = (space.cycles(), space.population());
         let liveness = oracle.filter(|_| cfg.fault_model == FaultModelKind::Transient);
-        let mut strata = strata(&space, liveness, cfg.seed);
+        let uniform = required_sample_size(space.margin_population(), plan.target_margin, Z_99);
+        let mut strata = strata(&space, liveness, cfg.seed, uniform);
         // Rounds drive their own convergence narration: cadence is pushed
         // past any real sample size and `emit_now` fires at each round
         // boundary instead, so the event stream narrates rounds, not raw
@@ -623,7 +647,6 @@ impl Campaign<'_> {
         .with_target(plan.target_margin);
         let mut round_cfg = cfg;
         round_cfg.convergence = 0;
-        let pilot = PILOT;
         let mut rounds: Vec<RoundPlan> = Vec::new();
         let mut sampled: u64 = 0;
         let mut replayed: u64 = 0;
@@ -634,10 +657,7 @@ impl Campaign<'_> {
         let mut converged = false;
         // Round 0 draws the pilot; later rounds draw the Neyman quotas
         // computed from the tallies accumulated so far.
-        let mut quotas: Vec<u64> = strata
-            .iter()
-            .map(|s| pilot.min(u64::try_from(s.population).unwrap_or(u64::MAX)))
-            .collect();
+        let mut quotas: Vec<u64> = strata.iter().map(|s| s.pilot).collect();
         while !converged && (rounds.len() as u32) < MAX_ROUNDS && quotas.iter().any(|&q| q > 0) {
             // Draw this round's sites stratum by stratum: each stratum's
             // permutation stream yields the next undrawn in-stratum rank,
@@ -672,7 +692,7 @@ impl Campaign<'_> {
             quotas = if converged {
                 vec![0; strata.len()]
             } else {
-                let mut q = allocate(&strata, population, plan.target_margin, pilot);
+                let mut q = allocate(&strata, population, plan.target_margin);
                 if q.iter().all(|&x| x == 0) {
                     // The Wilson-quadrature margin can sit above the target
                     // while the normal-approximation allocation believes it
@@ -693,7 +713,7 @@ impl Campaign<'_> {
                     if let Some(h) = widest {
                         let s = &strata[h];
                         let headroom = u64::try_from(s.population).unwrap_or(u64::MAX) - s.seen;
-                        q[h] = s.seen.max(pilot).min(headroom);
+                        q[h] = s.seen.max(s.pilot).min(headroom);
                     }
                     q
                 } else {
@@ -910,7 +930,7 @@ mod tests {
         let oracle = setup.oracle().unwrap();
         for structure in [Structure::VectorRegisterFile, Structure::LocalMemory] {
             let space = setup.space(structure, FaultModelKind::Transient);
-            let table = strata(&space, Some(oracle), cfg.seed);
+            let table = strata(&space, Some(oracle), cfg.seed, 2000);
             let dead = table.last().filter(|s| s.dead).unwrap();
             // A brute-force scan in the map's (sm, word, cycle) order.
             let mut rank = 0;
@@ -955,18 +975,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive finite target margin")]
+    fn the_pilot_is_each_stratums_share_of_the_uniform_sample() {
+        // The margin of a 100-injection uniform campaign, the one
+        // `repro bench-campaign --smoke` compares against.
+        let target = 0.1288;
+        let arch = geforce_gtx_480();
+        let w = VectorAdd::new(1024, 7);
+        let cfg = CampaignConfig::quick(7);
+        let plan = SamplingPlan::with_target(target);
+        let r = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook)
+            .and_then(|setup| {
+                setup.run_adaptive(Structure::VectorRegisterFile, cfg, plan, &NoopHook)
+            })
+            .unwrap();
+        let uniform = required_sample_size(r.population, target, Z_99) as f64;
+        for (s, &quota) in r.strata.iter().zip(&r.rounds[0].quotas) {
+            let share = (s.population as f64 / r.population as f64 * uniform).ceil() as u64;
+            assert!(
+                quota <= share.clamp(1, MAX_PILOT),
+                "{}: {quota} pilot draws for a share of {share}",
+                s.label
+            );
+        }
+        assert!(r.converged);
+    }
+
+    #[test]
     fn disabled_plan_rejected() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 1);
         let cfg = CampaignConfig::quick(1);
-        let _ = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook).and_then(|setup| {
-            setup.run_adaptive(
-                Structure::VectorRegisterFile,
-                cfg,
-                SamplingPlan::default(),
-                &NoopHook,
-            )
-        });
+        let setup = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook).unwrap();
+        for margin in [0.0, -0.05, f64::NAN, f64::INFINITY] {
+            let plan = SamplingPlan::with_target(margin);
+            let err = setup
+                .run_adaptive(Structure::VectorRegisterFile, cfg, plan, &NoopHook)
+                .unwrap_err();
+            assert!(matches!(err, SimError::LaunchConfig { .. }), "{err:?}");
+            assert!(err.to_string().contains(&format!("got {margin}")), "{err}");
+        }
     }
 }

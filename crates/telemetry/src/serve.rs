@@ -15,8 +15,7 @@
 //! crate is vendored): requests are parsed by
 //! hand, one connection at a time, `Connection: close` semantics. That
 //! is deliberately modest — the endpoint exists for a Prometheus
-//! scraper and a curious `curl`, not for traffic; the resident
-//! `grel-serve` service the ROADMAP plans will grow out of this seam.
+//! scraper and a curious `curl`, not for traffic.
 //!
 //! The observatory is strictly read-only: it snapshots the sharded
 //! [`MetricsRegistry`] (a merge, never a lock on the recording shards)
