@@ -24,7 +24,7 @@ use grel_core::epf::structure_fit;
 use grel_core::sampling::SamplingPlan;
 use grel_core::stats::{error_margin, required_sample_size, Z_99};
 use grel_core::study::{
-    evaluate_point_hooked, run_study_parallel_hooked, StudyConfig, StudyResult,
+    evaluate_point_hooked, run_study_parallel_hooked, CampaignMode, StudyConfig, StudyResult,
 };
 use grel_telemetry::{
     serve, Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NoopHook, NullSink,
@@ -62,14 +62,13 @@ struct Args {
     progress: bool,
     log_level: LogLevel,
     report_path: Option<String>,
-    provenance: bool,
+    mode: CampaignMode,
     site: Option<String>,
     fault_model: FaultModelKind,
     profile: Option<String>,
     listen: Option<String>,
     convergence: Option<u64>,
     baseline: Option<String>,
-    target_margin: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -94,14 +93,13 @@ fn parse_args() -> Result<Args, String> {
         progress: false,
         log_level: LogLevel::Info,
         report_path: None,
-        provenance: false,
+        mode: CampaignMode::Uniform,
         site: None,
         fault_model: FaultModelKind::Transient,
         profile: None,
         listen: None,
         convergence: None,
         baseline: None,
-        target_margin: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -126,13 +124,14 @@ fn parse_args() -> Result<Args, String> {
             "--no-prune" => args.no_prune = true,
             "--no-batch" => args.no_batch = true,
             "--fault-model" => args.fault_model = flag_value(&a, it.next())?,
-            "--provenance" => args.provenance = true,
+            "--provenance" => args.mode = mode_once(args.mode, CampaignMode::Traced)?,
             "--target-margin" => {
                 let m: f64 = flag_value(&a, it.next())?;
                 if !(m.is_finite() && m > 0.0 && m < 1.0) {
                     return Err("--target-margin must be in (0, 1)".into());
                 }
-                args.target_margin = Some(m);
+                let plan = SamplingPlan::with_target(m);
+                args.mode = mode_once(args.mode, CampaignMode::Adaptive(plan))?;
             }
             "--listen" => args.listen = Some(flag_value(&a, it.next())?),
             "--convergence" => args.convergence = Some(flag_value(&a, it.next())?),
@@ -158,17 +157,24 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if args.target_margin.is_some() && args.provenance {
-        return Err(
-            "--target-margin cannot be combined with --provenance (the flight \
-             recorder traces a fixed uniform sample)"
-                .into(),
-        );
-    }
     if args.command == "report" && args.report_path.is_none() {
         return Err("report needs the path of a --metrics JSONL file".into());
     }
     Ok(args)
+}
+
+/// The campaign mode after a flag asks for `next`: `--provenance` and
+/// `--target-margin` each pick one, and they do not combine.
+fn mode_once(mode: CampaignMode, next: CampaignMode) -> Result<CampaignMode, String> {
+    match (mode, next) {
+        (CampaignMode::Traced, CampaignMode::Adaptive(_))
+        | (CampaignMode::Adaptive(_), CampaignMode::Traced) => Err(
+            "--target-margin cannot be combined with --provenance (the flight \
+             recorder traces a fixed uniform sample)"
+                .into(),
+        ),
+        _ => Ok(next),
+    }
 }
 
 /// Parses the value given to `flag` (`None` when the arguments ran out).
@@ -263,10 +269,13 @@ fault models:
   faults that re-assert on every write of the target word. `control`
   corrupts parallelism-management state (scheduler slot, per-warp active
   mask, scoreboard entry, block barrier counter) instead of a storage
-  array; a replay that stops making progress is cut off by a watchdog and
-  classified as a hang (reported separately from DUE). Lifetime pruning
-  applies only to the transient model — it is unsound for persistent and
-  control faults and is bypassed automatically.
+  array, so a control study runs one campaign per point (labelled RF;
+  the LDS columns read as for a workload that does not use the LDS: FI
+  AVF 0, FIT from ACE). A replay that stops making progress is cut off
+  by a watchdog and classified as a hang (reported separately from
+  DUE). Lifetime pruning applies only to the transient model — it is
+  unsound for persistent and control faults and is bypassed
+  automatically.
 
 pruning:
   Campaigns pre-classify sampled sites against a lifetime oracle captured
@@ -461,13 +470,7 @@ fn run(args: &Args, sink: &Arc<dyn EventSink>, log: &Logger) -> Result<(), Strin
             convergence: args.convergence.unwrap_or(100),
             ..CampaignConfig::paper(args.seed)
         },
-        workload_seed: args.seed,
-        fi_on_unused_lds: false,
-        provenance: args.provenance,
-        ace_mode: Default::default(),
-        sampling: args
-            .target_margin
-            .map_or_else(SamplingPlan::default, SamplingPlan::with_target),
+        mode: args.mode,
     };
 
     let (points, cfg) = (&Points { archs, workloads }, &cfg);
@@ -647,11 +650,11 @@ fn study_run(
     log: &Logger,
 ) -> Result<(StudyResult, Option<SpanTree>), String> {
     let Points { archs, workloads } = points;
-    if let Some(target) = args.target_margin {
+    if let CampaignMode::Adaptive(plan) = cfg.mode {
         log.info(&format!(
             "adaptive sampling: stop at +/-{:.2}% @ 99% \
              (pilot: each stratum's share of the uniform sample, 1 to 8 sites)",
-            target * 100.0
+            plan.target_margin * 100.0
         ));
     }
     let margin = error_margin(u64::MAX, args.injections.max(1) as u64, Z_99);
@@ -1561,20 +1564,14 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
             // that actually took.
             let (uniform_margin, uniform_replayed) =
                 uniform.ok_or_else(|| format!("the pruned mode always runs, but not on {on}"))?;
-            let plan = if cfg.sampling.enabled() {
-                cfg.sampling
-            } else {
-                SamplingPlan::with_target(uniform_margin)
+            let plan = match cfg.mode {
+                CampaignMode::Adaptive(plan) => plan,
+                _ => SamplingPlan::with_target(uniform_margin),
             };
             let mut ac = cfg.campaign;
             ac.prune = true;
             ac.batch = true;
-            // The oracle serves the liveness strata, so the adaptive
-            // setup captures it whatever `ac.prune` says.
-            let capture = Capture {
-                oracle: ac.fault_model == FaultModelKind::Transient,
-                ..Capture::default()
-            };
+            let capture = CampaignMode::Adaptive(plan).capture(&ac);
             let adaptive = Campaign::new(arch, w, &ac, capture, &NoopHook)
                 .and_then(|setup| {
                     setup.run_adaptive(Structure::VectorRegisterFile, ac, plan, &NoopHook)

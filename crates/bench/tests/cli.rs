@@ -644,3 +644,53 @@ fn stdout_write_error_fails_the_command_in_one_line() {
         "{stderr}"
     );
 }
+
+#[test]
+fn control_study_injects_the_lds_of_no_point() {
+    let dir = std::env::temp_dir().join("repro_cli_control");
+    let _ = std::fs::create_dir_all(&dir);
+    let json = dir.join("control.json");
+    let _ = run_ok(&[
+        "fig1",
+        "--device",
+        "480",
+        "--workload",
+        "reduction",
+        "--fault-model",
+        "control",
+        "--injections",
+        "200",
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&json).unwrap();
+    let doc = grel_telemetry::Json::parse(&text).expect("--json output parses");
+    let points = doc.as_arr().expect("an array of points");
+    assert_eq!(points.len(), 1, "{text}");
+    let field = |key: &str| {
+        points[0]
+            .get(key)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("no number {key} in {text}"))
+    };
+    // The register-file campaign is the control campaign, unchanged.
+    for (key, value) in [
+        ("rf_avf_fi", 0.22_f64),
+        ("rf_avf_sdc", 0.0),
+        ("rf_avf_ace", 0.12576291666666667),
+        ("rf_occ", 0.1612825),
+        ("rf_margin99", 0.09107532195155212),
+    ] {
+        assert_eq!(field(key).to_bits(), value.to_bits(), "{key} in {text}");
+    }
+    // The LDS reads as for a workload whose LDS is not injected: no FI
+    // AVF, and the FIT from the ACE AVF.
+    assert_eq!(field("lds_avf_fi"), 0.0, "{text}");
+    let arch = gpu_archs::geforce_gtx_480();
+    let fit = grel_core::epf::structure_fit(
+        &arch,
+        simt_sim::Structure::LocalMemory,
+        field("lds_avf_ace"),
+    );
+    assert_eq!(field("fit_lds").to_bits(), fit.to_bits(), "{text}");
+}

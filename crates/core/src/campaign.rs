@@ -556,41 +556,6 @@ impl CampaignResult {
         }
     }
 
-    /// Merges a second campaign shard over the same `(arch, workload,
-    /// structure)` into a combined estimate with a tighter margin.
-    ///
-    /// The merged margin uses the same finite-population correction as
-    /// each shard's own margin (the shards sample the identical site
-    /// population, so the correction carries over unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shards disagree on structure, golden cycle count or
-    /// population size (they would not be measuring the same
-    /// population).
-    pub fn merge(&self, other: &CampaignResult) -> CampaignResult {
-        assert_eq!(
-            self.structure, other.structure,
-            "shards must share a structure"
-        );
-        assert_eq!(
-            self.golden_cycles, other.golden_cycles,
-            "shards must share the golden run"
-        );
-        assert_eq!(
-            self.population, other.population,
-            "shards must sample the same fault-site population"
-        );
-        let tally = self.tally.merge(&other.tally);
-        CampaignResult {
-            structure: self.structure,
-            tally,
-            golden_cycles: self.golden_cycles,
-            population: self.population,
-            margin_99: campaign_margin(self.population, tally.total()),
-        }
-    }
-
     /// The AVF as a [`Proportion`] with its confidence interval over the
     /// campaign's own fault-site population, or `None` for a campaign
     /// that ran no injections (an empty tally is reported as the absence
@@ -1748,27 +1713,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_tightens_margin() {
-        let arch = quadro_fx_5600();
-        let w = VectorAdd::new(256, 3);
-        let cfg = small_cfg(16);
-        let a = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
-            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
-            .unwrap();
-        let cfg = CampaignConfig {
-            seed: 123,
-            ..small_cfg(16)
-        };
-        let b = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
-            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
-            .unwrap();
-        let m = a.merge(&b);
-        assert_eq!(m.tally.total(), 32);
-        assert!(m.margin_99 < a.margin_99);
-        assert_eq!(m.golden_cycles, a.golden_cycles);
-    }
-
-    #[test]
     fn ladder_rungs_are_ordered_and_bounded() {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
@@ -1926,33 +1870,6 @@ mod tests {
         };
         assert_eq!(r.avf(), 0.0);
         assert!(r.proportion().is_none(), "zero trials is not an estimate");
-        let m = r.merge(&r);
-        assert_eq!(m.tally.total(), 0);
-        assert_eq!(m.margin_99, 0.0, "merged empty shards stay estimate-free");
-    }
-
-    #[test]
-    fn merged_margin_uses_the_finite_population() {
-        let arch = quadro_fx_5600();
-        let w = VectorAdd::new(256, 3);
-        let cfg = small_cfg(16);
-        let a = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
-            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
-            .unwrap();
-        let cfg = CampaignConfig {
-            seed: 321,
-            ..small_cfg(16)
-        };
-        let b = Campaign::new(&arch, &w, &cfg, Capture::campaign(&cfg), &NoopHook)
-            .and_then(|setup| setup.run(Structure::VectorRegisterFile, cfg, &NoopHook))
-            .unwrap();
-        let m = a.merge(&b);
-        assert_eq!(m.population, a.population);
-        assert_eq!(
-            m.margin_99.to_bits(),
-            error_margin(a.population, 32, Z_99).to_bits(),
-            "merged margin must use the shards' shared population, not u64::MAX"
-        );
     }
 
     #[test]

@@ -102,6 +102,6 @@ pub use provenance::{
 };
 pub use sampling::{AdaptiveCampaign, RoundPlan, SamplingPlan, StratumSnapshot};
 pub use study::{
-    evaluate_point_hooked, run_study_parallel_hooked, AvfRow, EpfRow, EvalPoint, Findings,
-    StructureEval, StudyConfig, StudyResult,
+    evaluate_point_hooked, run_study_parallel_hooked, AvfRow, CampaignMode, EpfRow, EvalPoint,
+    Findings, StructureEval, StudyConfig, StudyResult,
 };

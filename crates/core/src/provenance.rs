@@ -381,46 +381,6 @@ impl ProvenanceAggregate {
             );
         }
     }
-
-    /// Merges another aggregate into this one (cells align index-wise;
-    /// shorter vectors grow as needed).
-    pub fn merge(&mut self, other: &ProvenanceAggregate) {
-        fn merge_cells(into: &mut Vec<CellStat>, from: &[CellStat]) {
-            if into.len() < from.len() {
-                into.resize(from.len(), CellStat::default());
-            }
-            for (a, b) in into.iter_mut().zip(from) {
-                a.injections += b.injections;
-                a.sdc += b.sdc;
-                a.due += b.due;
-                a.hang += b.hang;
-            }
-        }
-        merge_cells(&mut self.rf_regions, &other.rf_regions);
-        merge_cells(&mut self.lds_banks, &other.lds_banks);
-        for (b, &n) in other.divergence_hist.iter().enumerate() {
-            if n > 0 {
-                bump(&mut self.divergence_hist, b);
-                *self.divergence_hist.last_mut().unwrap() -= 1;
-                self.divergence_hist[b] += n;
-            }
-        }
-        for (b, &n) in other.first_read_hist.iter().enumerate() {
-            if n > 0 {
-                bump(&mut self.first_read_hist, b);
-                *self.first_read_hist.last_mut().unwrap() -= 1;
-                self.first_read_hist[b] += n;
-            }
-        }
-        for (a, b) in self.masking.iter_mut().zip(&other.masking) {
-            *a += b;
-        }
-        for (a, b) in self.causes.iter_mut().zip(&other.causes) {
-            *a += b;
-        }
-        self.taint_words_total += other.taint_words_total;
-        self.taint_saturated_total += other.taint_saturated_total;
-    }
 }
 
 impl Campaign<'_> {
@@ -795,14 +755,6 @@ mod tests {
         assert_eq!(agg.rf_regions[0].hang, 1);
         assert_eq!(agg.rf_regions[0].due, 1);
         assert_eq!(agg.causes, [1, 0, 1], "stuck-reassert and deadlock");
-        let mut merged =
-            ProvenanceAggregate::from_records(&arch, Structure::VectorRegisterFile, &[h]);
-        merged.merge(&ProvenanceAggregate::from_records(
-            &arch,
-            Structure::VectorRegisterFile,
-            &[d],
-        ));
-        assert_eq!(merged, agg);
     }
 
     #[test]
@@ -869,22 +821,6 @@ mod tests {
         assert_eq!(agg.divergence_hist[log2_bucket(8)], 1);
         assert_eq!(agg.masking[1], 1, "never-read count");
         assert!(agg.lds_banks.is_empty());
-    }
-
-    #[test]
-    fn aggregate_merge_is_additive() {
-        let arch = quadro_fx_5600();
-        let a = Provenance::from_trace(Outcome::Sdc, &rec(rf_site(0, 10)));
-        let b = Provenance::from_trace(Outcome::Masked, &rec(rf_site(1, 20)));
-        let both = ProvenanceAggregate::from_records(&arch, Structure::VectorRegisterFile, &[a, b]);
-        let mut merged =
-            ProvenanceAggregate::from_records(&arch, Structure::VectorRegisterFile, &[a]);
-        merged.merge(&ProvenanceAggregate::from_records(
-            &arch,
-            Structure::VectorRegisterFile,
-            &[b],
-        ));
-        assert_eq!(merged, both);
     }
 
     #[test]

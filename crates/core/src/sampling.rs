@@ -50,15 +50,14 @@ use crate::stats::{required_sample_size, Proportion, Z_99};
 use grel_telemetry::{Event, NoopHook, TelemetryHook};
 use simt_sim::{FaultModelKind, FaultSite, SimError, Structure};
 
-/// The adaptive engine's one setting. A default plan is *disabled*
-/// (`target_margin == 0.0`): the campaign keeps its fixed-`injections`
-/// uniform path byte-for-byte, which is what lets the engine ride on
-/// [`crate::study::StudyConfig`] without disturbing any baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// The adaptive engine's one setting, carried by a study point's
+/// [`crate::study::CampaignMode::Adaptive`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingPlan {
     /// Target half-width of the post-stratified 99 % AVF interval; the
-    /// engine stops as soon as its margin is at or below this. `0.0`
-    /// disables the engine entirely.
+    /// engine stops as soon as its margin is at or below this. It must
+    /// be positive and finite: [`Campaign::run_adaptive`] rejects any
+    /// other value.
     pub target_margin: f64,
 }
 
@@ -68,11 +67,6 @@ impl SamplingPlan {
         SamplingPlan {
             target_margin: margin,
         }
-    }
-
-    /// Whether the adaptive engine is on (a positive target margin).
-    pub fn enabled(&self) -> bool {
-        self.target_margin > 0.0
     }
 }
 
@@ -865,12 +859,6 @@ mod tests {
     const PLAN: SamplingPlan = SamplingPlan {
         target_margin: 0.05,
     };
-
-    #[test]
-    fn default_plan_is_disabled() {
-        assert!(!SamplingPlan::default().enabled());
-        assert!(SamplingPlan::with_target(0.05).enabled());
-    }
 
     #[test]
     fn adaptive_campaign_reaches_a_loose_target() {

@@ -56,31 +56,51 @@ pub struct EvalPoint {
     pub epf: f64,
 }
 
+/// How a study point runs each of its campaigns.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum CampaignMode {
+    /// A fixed uniform sample of `campaign.injections` sites per
+    /// structure: the paper's protocol.
+    #[default]
+    Uniform,
+    /// The uniform sample with the fault-propagation flight recorder on:
+    /// per-injection `injection.trace` events and `provenance_*`
+    /// attribution metrics. Tallies and study results equal
+    /// [`Uniform`](Self::Uniform)'s.
+    Traced,
+    /// Adaptive stratified sampling: each campaign stops at the plan's
+    /// target margin instead of `campaign.injections`.
+    Adaptive(SamplingPlan),
+}
+
+impl CampaignMode {
+    /// What the golden pass captures for a campaign of this mode under
+    /// `cfg`: [`Capture::campaign`]'s oracle, which the adaptive
+    /// liveness strata want with pruning off too, and for a traced
+    /// campaign the golden global-store stream its replays compare
+    /// against.
+    pub fn capture(self, cfg: &CampaignConfig) -> Capture {
+        let capture = match self {
+            CampaignMode::Adaptive(_) => Capture::campaign(&CampaignConfig {
+                prune: true,
+                ..*cfg
+            }),
+            _ => Capture::campaign(cfg),
+        };
+        Capture {
+            writes: self == CampaignMode::Traced,
+            ..capture
+        }
+    }
+}
+
 /// Study-wide parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
     /// Fault-injection campaign parameters.
     pub campaign: CampaignConfig,
-    /// Seed for workload input generation.
-    pub workload_seed: u64,
-    /// Whether to run FI on local memory for workloads that never touch
-    /// it (the paper does not; the result is ~0 by construction).
-    pub fi_on_unused_lds: bool,
-    /// Whether to run campaigns with the fault-propagation flight
-    /// recorder on (per-injection `injection.trace` events and
-    /// `provenance_*` attribution metrics). Off by default; tallies and
-    /// study results are identical either way.
-    pub provenance: bool,
-    /// ACE refinement level (the paper's figures correspond to the
-    /// conservative default).
-    pub ace_mode: AceMode,
-    /// Adaptive stratified sampling plan. Disabled by default
-    /// (`target_margin == 0`), in which case campaigns run the classic
-    /// fixed-`injections` uniform path byte-for-byte. When enabled, each
-    /// FI campaign stops at the plan's target margin instead of
-    /// `campaign.injections`. Ignored when `provenance` is on (the
-    /// flight recorder traces a fixed uniform sample).
-    pub sampling: SamplingPlan,
+    /// How each campaign samples its sites.
+    pub mode: CampaignMode,
 }
 
 impl StudyConfig {
@@ -88,11 +108,7 @@ impl StudyConfig {
     pub fn paper(seed: u64) -> Self {
         StudyConfig {
             campaign: CampaignConfig::paper(seed),
-            workload_seed: seed,
-            fi_on_unused_lds: false,
-            provenance: false,
-            ace_mode: AceMode::default(),
-            sampling: SamplingPlan::default(),
+            mode: CampaignMode::Uniform,
         }
     }
 
@@ -100,31 +116,30 @@ impl StudyConfig {
     pub fn quick(seed: u64) -> Self {
         StudyConfig {
             campaign: CampaignConfig::quick(seed),
-            workload_seed: seed,
-            fi_on_unused_lds: false,
-            provenance: false,
-            ace_mode: AceMode::default(),
-            sampling: SamplingPlan::default(),
+            mode: CampaignMode::Uniform,
         }
     }
 
     /// The structures a study point injects into `workload`: the
     /// register file always, the local memory when the workload touches
-    /// it or [`fi_on_unused_lds`](Self::fi_on_unused_lds) asks for it.
+    /// it. A control fault corrupts scheduler state, which belongs to
+    /// neither structure, so a control study runs one campaign per
+    /// point, under the register file's label.
     ///
     /// ```
     /// use grel_core::study::StudyConfig;
-    /// use gpu_workloads::VectorAdd;
-    /// use simt_sim::Structure;
+    /// use gpu_workloads::{Transpose, VectorAdd};
+    /// use simt_sim::{FaultModelKind, Structure};
     ///
     /// let mut cfg = StudyConfig::quick(1);
-    /// let w = VectorAdd::new(64, 1);
-    /// assert_eq!(cfg.injected_structures(&w), [Structure::VectorRegisterFile]);
-    /// cfg.fi_on_unused_lds = true;
-    /// assert_eq!(cfg.injected_structures(&w).len(), 2);
+    /// let (v, t) = (VectorAdd::new(64, 1), Transpose::new(32, 1));
+    /// assert_eq!(cfg.injected_structures(&v), [Structure::VectorRegisterFile]);
+    /// assert_eq!(cfg.injected_structures(&t).len(), 2);
+    /// cfg.campaign.fault_model = FaultModelKind::Control;
+    /// assert_eq!(cfg.injected_structures(&t), [Structure::VectorRegisterFile]);
     /// ```
     pub fn injected_structures(&self, workload: &dyn Workload) -> &'static [Structure] {
-        if workload.uses_local_memory() || self.fi_on_unused_lds {
+        if workload.uses_local_memory() && self.campaign.fault_model != FaultModelKind::Control {
             &[Structure::VectorRegisterFile, Structure::LocalMemory]
         } else {
             &[Structure::VectorRegisterFile]
@@ -178,8 +193,9 @@ fn structure_eval(fi: Option<&FiMeasure>, rep: StructureReport) -> StructureEval
 }
 
 /// Evaluates one workload on one device: golden run with ACE analysis,
-/// then fault-injection campaigns on the register file and (when used)
-/// the local memory, then the FIT/EIT/EPF roll-up. Telemetry goes
+/// then one fault-injection campaign per structure that
+/// [`StudyConfig::injected_structures`] names, then the FIT/EIT/EPF
+/// roll-up (ACE AVF for a structure without a campaign). Telemetry goes
 /// through `hook` (golden/ACE wall time, per-campaign metrics and a
 /// `study.point` event closing the point with its total duration);
 /// with [`grel_telemetry::NoopHook`] the instrumentation compiles away.
@@ -195,17 +211,9 @@ pub fn evaluate_point_hooked<H: TelemetryHook>(
 ) -> Result<EvalPoint, SimError> {
     let started = H::ENABLED.then(Instant::now);
     // One setup serves the ACE report and every structure's campaign.
-    // The lifetime oracle prunes transient flips only (a stuck-at fault
-    // survives the overwrite it reasons about); the adaptive engine
-    // wants it with pruning off too, since its liveness stratum is
-    // defined by the oracle. The flight recorder compares each traced
-    // replay against the golden global-store stream.
-    let adaptive = cfg.sampling.enabled() && !cfg.provenance;
     let capture = Capture {
-        ace: Some(cfg.ace_mode),
-        oracle: (cfg.campaign.prune || adaptive)
-            && cfg.campaign.fault_model == FaultModelKind::Transient,
-        writes: cfg.provenance,
+        ace: Some(AceMode::default()),
+        ..cfg.mode.capture(&cfg.campaign)
     };
     let campaign = Campaign::new(arch, workload, &cfg.campaign, capture, hook)?;
     let ace = |s| campaign.ace(s).expect("the study setup captures ACE");
@@ -215,18 +223,17 @@ pub fn evaluate_point_hooked<H: TelemetryHook>(
         (arch.srf_words_per_sm() > 0).then(|| ace(Structure::ScalarRegisterFile).avf_ace);
     let golden = campaign.golden();
     let run_structure = |structure: Structure| -> Result<FiMeasure, SimError> {
-        if cfg.provenance {
-            let (result, _, _) = campaign.run_traced(structure, cfg.campaign, hook)?;
-            return Ok(FiMeasure::from(&result));
+        match cfg.mode {
+            CampaignMode::Uniform => campaign
+                .run(structure, cfg.campaign, hook)
+                .map(|r| FiMeasure::from(&r)),
+            CampaignMode::Traced => campaign
+                .run_traced(structure, cfg.campaign, hook)
+                .map(|(r, _, _)| FiMeasure::from(&r)),
+            CampaignMode::Adaptive(plan) => campaign
+                .run_adaptive(structure, cfg.campaign, plan, hook)
+                .map(|r| FiMeasure::from(&r)),
         }
-        if adaptive {
-            return campaign
-                .run_adaptive(structure, cfg.campaign, cfg.sampling, hook)
-                .map(|r| FiMeasure::from(&r));
-        }
-        campaign
-            .run(structure, cfg.campaign, hook)
-            .map(|r| FiMeasure::from(&r))
     };
     let rf_fi = run_structure(Structure::VectorRegisterFile)?;
     let lds_fi = cfg
@@ -583,7 +590,7 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
     use gpu_archs::{geforce_gtx_480, quadro_fx_5600, quadro_fx_5800};
-    use gpu_workloads::{Transpose, VectorAdd};
+    use gpu_workloads::{Reduction, Transpose, VectorAdd};
     use grel_telemetry::NoopHook;
 
     fn tiny_cfg() -> StudyConfig {
@@ -593,11 +600,7 @@ mod tests {
                 threads: 2,
                 ..CampaignConfig::quick(5)
             },
-            workload_seed: 5,
-            fi_on_unused_lds: false,
-            provenance: false,
-            ace_mode: AceMode::default(),
-            sampling: SamplingPlan::default(),
+            mode: CampaignMode::Uniform,
         }
     }
 
@@ -626,6 +629,24 @@ mod tests {
         assert_eq!(p.lds.tally.total(), 0);
         assert_eq!(p.lds.avf_fi, 0.0);
         assert_eq!(p.lds.occupancy, 0.0, "vectoradd allocates no LDS");
+    }
+
+    #[test]
+    fn control_point_runs_one_campaign() {
+        let arch = geforce_gtx_480();
+        let w = Reduction::new(256, 32, 5);
+        let mut cfg = tiny_cfg();
+        cfg.campaign.fault_model = FaultModelKind::Control;
+        let p = evaluate_point_hooked(&arch, &w, &cfg, &NoopHook).unwrap();
+        assert!(p.uses_local_memory);
+        assert_eq!(p.lds.tally.total(), 0, "no LDS-labelled control campaign");
+        assert_eq!(p.lds.avf_fi, 0.0);
+        let capture = Capture::campaign(&cfg.campaign);
+        let rf = Campaign::new(&arch, &w, &cfg.campaign, capture, &NoopHook)
+            .and_then(|c| c.run(Structure::VectorRegisterFile, cfg.campaign, &NoopHook))
+            .unwrap();
+        assert_eq!(p.rf.tally, rf.tally);
+        assert_eq!(rf.tally.total(), 8);
     }
 
     #[test]

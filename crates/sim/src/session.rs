@@ -216,17 +216,6 @@ pub struct SessionTelemetry {
     pub restore_nanos: u64,
 }
 
-impl SessionTelemetry {
-    /// Folds another session's counters into this one.
-    pub fn merge(&mut self, other: &SessionTelemetry) {
-        self.snapshots += other.snapshots;
-        self.snapshot_bytes += other.snapshot_bytes;
-        self.snapshot_nanos += other.snapshot_nanos;
-        self.restores += other.restores;
-        self.restore_nanos += other.restore_nanos;
-    }
-}
-
 // Compile-time audit of the thread-safety bounds the parallel campaign
 // runner relies on. `grel-core` shares one immutable checkpoint ladder
 // by reference across its injection workers and hands each worker its
@@ -642,11 +631,6 @@ mod tests {
         let resumed = Session::resume(&mut gpu2, &ckpt);
         assert_eq!(resumed.telemetry().restores, 1);
         assert_eq!(resumed.telemetry().snapshots, 0);
-
-        let mut merged = after_snap;
-        merged.merge(resumed.telemetry());
-        assert_eq!(merged.snapshots, 1);
-        assert_eq!(merged.restores, 1);
     }
 
     #[test]

@@ -28,11 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             threads: std::thread::available_parallelism()?.get(),
             ..CampaignConfig::quick(seed)
         },
-        workload_seed: seed,
-        fi_on_unused_lds: false,
-        provenance: false,
-        ace_mode: Default::default(),
-        sampling: Default::default(),
+        mode: Default::default(),
     };
 
     let workloads: Vec<Box<dyn Workload>> = vec![

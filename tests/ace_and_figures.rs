@@ -16,11 +16,7 @@ fn smoke_cfg(injections: u32) -> StudyConfig {
             threads: 4,
             ..CampaignConfig::quick(2017)
         },
-        workload_seed: 2017,
-        fi_on_unused_lds: false,
-        provenance: false,
-        ace_mode: AceMode::LiveUntilOverwrite,
-        sampling: Default::default(),
+        mode: Default::default(),
     }
 }
 

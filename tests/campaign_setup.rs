@@ -11,7 +11,7 @@ use gpu_workloads::{Transpose, Workload};
 use grel_core::ace::LifetimeOracle;
 use grel_core::campaign::{run_campaign_hooked, sample_sites, Campaign, CampaignConfig, Capture};
 use grel_core::sampling::SamplingPlan;
-use grel_core::study::{evaluate_point_hooked, StudyConfig};
+use grel_core::study::{evaluate_point_hooked, CampaignMode, StudyConfig};
 use grel_telemetry::{MemorySink, MetricsRegistry, NoopHook, RegistryHook};
 use simt_sim::{ArchConfig, Structure};
 
@@ -142,8 +142,11 @@ fn setup_oracle_agrees_with_a_standalone_capture() {
 fn study_cfg(provenance: bool) -> StudyConfig {
     StudyConfig {
         campaign: cfg(),
-        provenance,
-        ..StudyConfig::quick(13)
+        mode: if provenance {
+            CampaignMode::Traced
+        } else {
+            CampaignMode::Uniform
+        },
     }
 }
 

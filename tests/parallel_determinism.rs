@@ -139,11 +139,7 @@ fn study_is_bit_identical_at_jobs_1_2_8() {
     ];
     let cfg = StudyConfig {
         campaign: quick_cfg(8),
-        workload_seed: 13,
-        fi_on_unused_lds: false,
-        provenance: false,
-        ace_mode: Default::default(),
-        sampling: Default::default(),
+        mode: Default::default(),
     };
 
     let sequential = run_study_parallel_hooked(&archs, &workloads, &cfg, 1, &NoopHook).unwrap();
@@ -175,11 +171,7 @@ fn study_with_live_hooks_is_bit_identical() {
     ];
     let cfg = StudyConfig {
         campaign: quick_cfg(8),
-        workload_seed: 17,
-        fi_on_unused_lds: false,
-        provenance: false,
-        ace_mode: Default::default(),
-        sampling: Default::default(),
+        mode: Default::default(),
     };
 
     let plain = run_study_parallel_hooked(&archs, &workloads, &cfg, 1, &NoopHook).unwrap();

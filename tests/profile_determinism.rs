@@ -13,11 +13,7 @@ use grel_telemetry::{Json, NoopHook, SpanHook, SpanRecorder, SpanTree};
 fn cfg(threads: usize) -> StudyConfig {
     let mut cfg = StudyConfig {
         campaign: grel_core::campaign::CampaignConfig::quick(9),
-        workload_seed: 9,
-        fi_on_unused_lds: false,
-        provenance: false,
-        ace_mode: Default::default(),
-        sampling: Default::default(),
+        mode: Default::default(),
     };
     cfg.campaign.injections = 24;
     cfg.campaign.threads = threads;

@@ -91,11 +91,7 @@ fn study_tallies_are_prune_invariant_at_jobs_1_2_8() {
     ];
     let study_cfg = |prune: bool| StudyConfig {
         campaign: cfg(8, prune, prune),
-        workload_seed: 13,
-        fi_on_unused_lds: false,
-        provenance: false,
-        ace_mode: Default::default(),
-        sampling: Default::default(),
+        mode: Default::default(),
     };
     let full =
         run_study_parallel_hooked(&archs, &workloads, &study_cfg(false), 1, &NoopHook).unwrap();

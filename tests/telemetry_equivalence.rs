@@ -134,11 +134,7 @@ fn hooked_study_point_matches_noop_point() {
     let w = Histogram::new(1024, 64, 5);
     let cfg = StudyConfig {
         campaign: quick_cfg(10),
-        workload_seed: 5,
-        fi_on_unused_lds: false,
-        provenance: false,
-        ace_mode: Default::default(),
-        sampling: Default::default(),
+        mode: Default::default(),
     };
 
     let plain = evaluate_point_hooked(&arch, &w, &cfg, &NoopHook).unwrap();
