@@ -851,9 +851,13 @@ fn study_command(
             ),
             study.points.iter().map(|p| {
                 let mut cells = vec![p.workload.clone(), p.device.clone(), "RF | LDS".into()];
+                // A structure that got no campaign reads `-`, not zeros.
                 for t in [&p.rf.tally, &p.lds.tally] {
                     cells.push("|".into());
-                    cells.extend([t.masked, t.sdc, t.due, t.hang].map(|n| n.to_string()));
+                    cells.extend([t.masked, t.sdc, t.due, t.hang].map(|n| match t.total() {
+                        0 => "-".into(),
+                        _ => n.to_string(),
+                    }));
                 }
                 cells
             }),

@@ -694,3 +694,33 @@ fn control_study_injects_the_lds_of_no_point() {
     );
     assert_eq!(field("fit_lds").to_bits(), fit.to_bits(), "{text}");
 }
+
+#[test]
+fn outcomes_print_dashes_for_a_structure_without_a_campaign() {
+    let out = run_ok(&[
+        "outcomes",
+        "--smoke",
+        "--injections",
+        "20",
+        "--workload",
+        "vectoradd",
+        "--device",
+        "5600",
+    ]);
+    let row = out
+        .lines()
+        .find(|l| l.starts_with("vectoradd"))
+        .unwrap_or_else(|| panic!("no vectoradd row in\n{out}"));
+    let (rf, lds) = row
+        .split_once("LDS |")
+        .and_then(|(_, cells)| cells.split_once('|'))
+        .unwrap_or_else(|| panic!("no RF | LDS cells in {row}"));
+    let rf: Vec<u64> = rf.split_whitespace().map(|c| c.parse().unwrap()).collect();
+    assert_eq!(rf.iter().sum::<u64>(), 20, "the RF campaign counts: {row}");
+    // vectoradd uses no LDS, so its LDS got no campaign.
+    assert_eq!(
+        lds.split_whitespace().collect::<Vec<_>>(),
+        ["-"; 4],
+        "{row}"
+    );
+}

@@ -37,11 +37,12 @@
 //!    the fan-out in worker order, so when several workers fail the
 //!    lowest-numbered worker's error wins.
 //!
-//! Telemetry shards per worker thread inside the
-//! [`MetricsRegistry`](grel_telemetry::MetricsRegistry) and merges
-//! associatively at harvest, so hooked runs observe the same totals at
-//! any job count (per-worker series are labelled `worker="N"` by stripe
-//! index, not by OS thread, and are therefore deterministic too).
+//! Every worker records into the one
+//! [`MetricsRegistry`](grel_telemetry::MetricsRegistry) of the hook.
+//! Counters and histograms are integer sums, so hooked runs observe the
+//! same totals at any job count (per-worker series are labelled
+//! `worker="N"` by stripe index, not by OS thread, and are therefore
+//! deterministic too).
 
 use crate::campaign::{
     classify_batch_on, classify_on, structure_label, Campaign, CampaignConfig, Outcome,
@@ -53,7 +54,7 @@ use simt_sim::{
     FaultModelKind, FaultSite, Gpu, NoopObserver, SimError, SimObserver, Structure, TraceObserver,
     TraceRecord, MAX_BATCH_SCENARIOS,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Runs `work(w)` for every worker `w in 0..n` (at least one) — on `n`
 /// scoped threads, or inline on the calling thread when `n == 1` — and
@@ -214,9 +215,9 @@ fn record_injection<H: TelemetryHook>(
     hook.count(&format!("campaign_rung_hits_total{{rung=\"{rung}\"}}"), 1);
 }
 
-/// Records one injection's replay span at `path` plus the
-/// log2-microsecond latency buckets the profile report renders, charging
-/// it `us` microseconds. Only called when `H::SPANS`.
+/// Records one injection's replay span at `path`, covering `elapsed`
+/// from `started`, plus the log2-microsecond latency buckets the profile
+/// report renders. Only called when `H::SPANS`.
 ///
 /// The span path is keyed by the **injection index**, not the worker,
 /// so the structural span tree is identical at any job count; the
@@ -227,19 +228,20 @@ fn record_injection_span<H: TelemetryHook>(
     hook: &H,
     path: String,
     started: Instant,
+    elapsed: Duration,
     index: usize,
     worker: usize,
     site: FaultSite,
     outcome: Outcome,
     rung: &str,
-    us: u64,
 ) {
-    hook.span(
-        &SpanRecord::new(path, worker as u32 + 1, index as u64, started)
-            .tag("outcome", outcome.as_str())
-            .tag("kind", site.kind.as_str())
-            .tag("rung", rung),
-    );
+    let mut span = SpanRecord::new(path, worker as u32 + 1, index as u64, started)
+        .tag("outcome", outcome.as_str())
+        .tag("kind", site.kind.as_str())
+        .tag("rung", rung);
+    span.end = started + elapsed;
+    hook.span(&span);
+    let us = elapsed.as_micros() as u64;
     // log2 buckets: bucket b holds latencies in [2^b, 2^(b+1)) µs, and
     // the counter accumulates microseconds (not samples) so the report
     // shows where wall time went, not just how many replays landed where.
@@ -330,18 +332,17 @@ fn replay_scalar<O: SimObserver, H: TelemetryHook>(
         let elapsed = injection_started.elapsed();
         record_injection(hook, faults[0], outcome, &rung, elapsed.as_secs_f64());
         if let Some(prefix) = shared.span_prefix.as_deref() {
-            let us = elapsed.as_micros() as u64;
-            *busy_us += us;
+            *busy_us += elapsed.as_micros() as u64;
             record_injection_span(
                 hook,
                 format!("{prefix}/replay/inj:{i:06}"),
                 injection_started,
+                elapsed,
                 i,
                 worker,
                 faults[0],
                 outcome,
                 &rung,
-                us,
             );
         }
     }
@@ -351,7 +352,8 @@ fn replay_scalar<O: SimObserver, H: TelemetryHook>(
 /// Replays a batch unit in one shared pass through
 /// [`classify_batch_on`], emitting the batch counters and span plus the
 /// same per-site outcome/kind/rung accounting as a scalar replay
-/// (latency is the batch wall time split evenly across its sites).
+/// (each site's latency sample and span get an even share of the batch
+/// wall time).
 fn replay_batch<H: TelemetryHook>(
     shared: &ReplayShared<'_, H>,
     gpu: &mut Gpu,
@@ -375,9 +377,9 @@ fn replay_batch<H: TelemetryHook>(
             hook.count("campaign_batch_fallbacks_total", 1);
         }
         let rung = rung_label(rung.map(|(idx, _)| idx));
-        let per_site = elapsed.as_secs_f64() / unit.len() as f64;
+        let share = elapsed / unit.len() as u32;
         for (&site, &outcome) in batch_sites.iter().zip(&rep.outcomes) {
-            record_injection(hook, site, outcome, &rung, per_site);
+            record_injection(hook, site, outcome, &rung, share.as_secs_f64());
         }
         if let Some(prefix) = shared.span_prefix.as_deref() {
             *busy_us += elapsed.as_micros() as u64;
@@ -394,22 +396,22 @@ fn replay_batch<H: TelemetryHook>(
             );
             // One nested span per batched site, keyed by site index like
             // the scalar path, so the structural tree still carries one
-            // `inj:` node per replayed injection at any job count. Each
-            // spans the whole unit's wall time — when its scenario was
-            // in flight — while the latency buckets get the even
-            // per-site share.
-            let us_share = (elapsed.as_micros() as u64 / unit.len() as u64).max(1);
-            for ((&i, &site), &outcome) in unit.iter().zip(&batch_sites).zip(&rep.outcomes) {
+            // `inj:` node per replayed injection at any job count. The
+            // sites share the pass evenly: site k's span is the k-th
+            // slice of the batch's wall time, so the children add up to
+            // their batch.
+            let slices = unit.iter().zip(&batch_sites).zip(&rep.outcomes);
+            for (k, ((&i, &site), &outcome)) in slices.enumerate() {
                 record_injection_span(
                     hook,
                     format!("{prefix}/replay/batch:{first:06}/inj:{i:06}"),
-                    batch_started,
+                    batch_started + share * k as u32,
+                    share,
                     i,
                     worker,
                     site,
                     outcome,
                     &rung,
-                    us_share,
                 );
             }
         }
@@ -525,10 +527,10 @@ impl Campaign<'_> {
     /// pre-classified as `Masked` *before* the fan-out — serially, so the
     /// replayed set is a pure function of the inputs and the determinism
     /// contract is untouched. [`Replayed::pruned`] counts them. Each
-    /// pruned site still produces the full per-injection telemetry (a
-    /// zero-latency sample, an `outcome="masked"` count and a
-    /// `rung="pruned"` hit), so hooked totals account for every sampled
-    /// site at any pruning rate.
+    /// pruned site still gets its per-injection counters (an
+    /// `outcome="masked"` count and a `rung="pruned"` hit), so hooked
+    /// totals account for every sampled site at any pruning rate; it
+    /// records no latency sample, because no replay ran.
     ///
     /// # Errors
     ///
@@ -596,9 +598,6 @@ impl Campaign<'_> {
                 "campaign_cycles_saved_total",
                 pruned.saturating_mul(self.golden().cycles),
             );
-            for _ in 0..pruned {
-                hook.observe("campaign_injection_seconds", 0.0);
-            }
         }
         order.sort_by_key(|&i| (sites[i * width].cycle, i));
         // Bit-plane batching is kind-gated like pruning — only the
@@ -665,7 +664,7 @@ mod tests {
     use crate::campaign::Capture;
     use gpu_archs::quadro_fx_5600;
     use gpu_workloads::VectorAdd;
-    use grel_telemetry::{MetricsRegistry, NoopHook, RegistryHook};
+    use grel_telemetry::{MetricsRegistry, NoopHook, RegistryHook, SpanHook, SpanRecorder};
     use simt_sim::Structure;
 
     fn cfg(n: u32, threads: usize) -> CampaignConfig {
@@ -740,8 +739,9 @@ mod tests {
             .oracle()
             .expect("a pruning campaign captures the oracle");
         let sites = setup.sample(Structure::VectorRegisterFile, &c);
+        let reg = MetricsRegistry::new();
         let pruned = setup
-            .replay_with(&sites, Arming::Groups(1), c, &NoopHook)
+            .replay_with(&sites, Arming::Groups(1), c, &RegistryHook::new(&reg))
             .unwrap();
         let full_cfg = CampaignConfig { prune: false, ..c };
         let full = setup
@@ -752,5 +752,43 @@ mod tests {
         assert!(dead > 0, "vectoradd leaves dead register-file sites");
         assert_eq!(pruned.pruned, dead);
         assert_eq!(full.pruned, 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("campaign_pruned_total"), Some(dead));
+        assert_eq!(
+            snap.histogram("campaign_injection_seconds")
+                .map_or(0, |h| h.count()),
+            sites.len() as u64 - dead,
+            "one latency sample per replayed site, none per pruned site"
+        );
+    }
+
+    #[test]
+    fn batched_injection_spans_share_their_batch_time() {
+        let c = cfg(48, 2);
+        assert!(c.batch, "the quick config batches transient sites");
+        let rec = SpanRecorder::new();
+        replay(c, &SpanHook::new(&rec));
+        let tree = rec.finish();
+        let batches: Vec<_> = tree.nodes_named(|n| n.starts_with("batch:")).collect();
+        assert!(
+            !batches.is_empty(),
+            "vectoradd's RF sites replay in batches"
+        );
+        for batch in batches {
+            let children: Vec<_> = tree
+                .spans
+                .iter()
+                .filter(|n| n.parent == Some(batch.id) && n.name.starts_with("inj:"))
+                .collect();
+            assert!(!children.is_empty(), "{} has no inj: children", batch.path);
+            let sum: u64 = children.iter().map(|n| n.dur_us).sum();
+            assert!(
+                sum <= batch.dur_us + children.len() as u64,
+                "{}: {} children add up to {sum} us over a {} us batch",
+                batch.path,
+                children.len(),
+                batch.dur_us
+            );
+        }
     }
 }

@@ -525,8 +525,8 @@ fn minmax(v: &[f64]) -> (f64, f64) {
 ///
 /// Every golden run, ladder build, campaign and study point reports its
 /// metrics and events through `hook`. The hook is shared across point
-/// workers; the metrics registry shards per thread and merges
-/// associatively, so harvested totals match the sequential run. Events
+/// workers; the metrics registry keeps integer sums under one lock, so
+/// harvested totals match the sequential run. Events
 /// of concurrent points interleave in completion order.
 ///
 /// # Errors

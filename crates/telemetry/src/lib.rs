@@ -4,12 +4,11 @@
 //! replays per structure — and this crate is how they stop running
 //! dark. It provides four pieces, composable and individually optional:
 //!
-//! - [`MetricsRegistry`]: lock-cheap counters, gauges and log-bucketed
-//!   histograms. Every recording thread writes to a private shard
-//!   (registered through a thread-local table), so the scoped-thread
-//!   injection loop records without contention; [`MetricsRegistry::snapshot`]
-//!   merges all shards at harvest time. Merges are associative and
-//!   order-independent.
+//! - [`MetricsRegistry`]: counters, gauges and log-bucketed histograms
+//!   behind one mutex, shared by every replay worker;
+//!   [`MetricsRegistry::snapshot`] clones them. Counters and histograms
+//!   are integer sums, so totals do not depend on the order in which
+//!   workers record.
 //! - [`TelemetryHook`]: the instrumentation seam. Hot code is generic
 //!   over the hook; [`NoopHook`] sets `ENABLED = false` and call sites
 //!   guard with `if H::ENABLED`, so uninstrumented builds monomorphise
@@ -19,8 +18,8 @@
 //!   sink ([`JsonlSink`]) whose output `repro report` parses back via
 //!   the vendored [`json`] module.
 //! - Hierarchical spans: [`SpanRecorder`] + [`SpanHook`] collect timed,
-//!   path-addressed regions of the campaign pipeline into per-thread
-//!   ring buffers and merge them into a deterministic [`SpanTree`]
+//!   path-addressed regions of the campaign pipeline into one ring
+//!   buffer per timeline lane and merge them into a deterministic [`SpanTree`]
 //!   (Chrome trace-event export for Perfetto, jobs-invariant structural
 //!   text for CI diffs). Off by default via the hook's `SPANS` const.
 //! - Presentation: [`to_prometheus`] text exposition, a level-gated
@@ -38,9 +37,10 @@
 //! every telemetry branch is statically dead, and no clock is read.
 //! `perfbench/layers` measures this as its `telemetry.hook_overhead`
 //! layer metric: one campaign timed with `NoopHook` against the same
-//! campaign with the registry and span hooks. With a live hook, the
-//! record path is one thread-local lookup plus one uncontended mutex
-//! lock — no cross-thread traffic until harvest.
+//! campaign with the registry and span hooks. With a live hook, each
+//! record is one mutex lock on the registry or the span recorder. The
+//! workers share that lock, but a replay takes milliseconds and records
+//! a handful of values, so the lock is rarely contended.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,6 +64,19 @@ pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use progress::ProgressHook;
 pub use serve::{serve, Observatory, ServerHandle, StatusBoard};
 pub use spans::{SpanHook, SpanNode, SpanRecord, SpanRecorder, SpanTree};
+
+/// Prefix of the per-outcome counters (`…{outcome="masked"}`): one
+/// count per classified injection, replayed or pruned.
+pub(crate) const INJECTIONS_COUNTER: &str = "campaign_injections_total";
+
+/// Sites the lifetime oracle resolved without a replay.
+pub(crate) const PRUNED_COUNTER: &str = "campaign_pruned_total";
+
+/// Sites classified inside shared bit-plane passes.
+pub(crate) const BATCHED_COUNTER: &str = "campaign_batched_total";
+
+/// Shared bit-plane passes run.
+pub(crate) const BATCHES_COUNTER: &str = "campaign_batches_total";
 
 /// Writes `args` to stderr and drops the error a closed stderr gives
 /// (`eprint!` panics on it). The crate's unit tests keep `eprint!`, the

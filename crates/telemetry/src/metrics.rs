@@ -1,18 +1,17 @@
-//! Lock-cheap metrics: counters, gauges and log-bucketed histograms,
-//! recorded into per-thread shards and merged at harvest.
+//! Campaign metrics: counters, gauges and log-bucketed histograms
+//! behind one lock.
 //!
-//! [`MetricsRegistry`] is the write-side handle. Every recording thread
-//! lazily owns a private shard (registered once per thread per registry,
-//! found again through a thread-local table), so the campaign fan-out
-//! records without inter-thread contention: the shard's mutex is only
-//! ever contended by a concurrent harvest, never by other workers.
-//! [`MetricsRegistry::snapshot`] merges all shards into a
-//! [`MetricsSnapshot`] without disturbing them.
+//! [`MetricsRegistry`] is the write-side handle: one mutex over one
+//! [`MetricsSnapshot`]. Every record takes the lock, updates the data
+//! and releases it; [`MetricsRegistry::snapshot`] clones the data under
+//! the same lock. A hooked paper-protocol study makes a few thousand
+//! records per second across its workers, which one mutex handles with
+//! room to spare.
 //!
-//! All merge operations are associative and order-independent (counters
-//! and histogram buckets are integer sums; gauges carry a registry-wide
-//! sequence number and the highest write wins), so a snapshot is a pure
-//! function of the set of recorded events — never of thread scheduling.
+//! Totals never depend on thread scheduling: counters and histogram
+//! buckets are integer sums and histogram sums are kept in integer
+//! nano-units, so the order in which workers record cannot change
+//! them. A gauge holds the last value written under the lock.
 //!
 //! # Example
 //! ```
@@ -27,10 +26,8 @@
 //! assert_eq!(snap.histogram("replay_seconds").unwrap().count(), 1);
 //! ```
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of log₂ buckets per histogram.
 const BUCKETS: usize = 64;
@@ -44,7 +41,7 @@ const HIST_MIN: f64 = 1e-9;
 ///
 /// Bucket `i` holds samples in `[2^i, 2^(i+1))` nano-units, covering
 /// `1e-9 .. ~9.2e9` with one bucket per octave. The running sum is kept
-/// in integer nano-units so merging histograms is exactly associative.
+/// in integer nano-units, so it does not depend on recording order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
@@ -160,40 +157,13 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Folds another histogram into this one (exact integer merge:
-    /// associative and order-independent).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_nanos += other.sum_nanos;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
-/// A gauge value stamped with a registry-wide write sequence; merging
-/// keeps the latest write regardless of shard merge order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gauge {
-    seq: u64,
-    value: f64,
-}
-
-impl Gauge {
-    /// The gauge's current value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-}
-
-/// One merged (or per-shard) view of every metric.
+/// Every metric of a registry at one moment.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Gauge>,
+    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -205,7 +175,7 @@ impl MetricsSnapshot {
 
     /// The latest value of a gauge, if it was ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).map(|g| g.value)
+        self.gauges.get(name).copied()
     }
 
     /// A histogram, if it ever received a sample.
@@ -220,7 +190,7 @@ impl MetricsSnapshot {
 
     /// All gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, g)| (k.as_str(), g.value))
+        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// All histograms in name order.
@@ -241,15 +211,8 @@ impl MetricsSnapshot {
         }
     }
 
-    fn record_gauge(&mut self, name: &str, seq: u64, value: f64) {
-        let g = Gauge { seq, value };
-        match self.gauges.get_mut(name) {
-            Some(cur) if cur.seq >= seq => {}
-            Some(cur) => *cur = g,
-            None => {
-                self.gauges.insert(name.to_string(), g);
-            }
-        }
+    fn record_gauge(&mut self, name: &str, value: f64) {
+        self.gauges.insert(name.to_string(), value);
     }
 
     fn record_observation(&mut self, name: &str, value: f64) {
@@ -261,128 +224,45 @@ impl MetricsSnapshot {
             self.histograms.insert(name.to_string(), h);
         }
     }
-
-    /// Folds another snapshot into this one. Associative and
-    /// order-independent: merging any permutation of the same shard set
-    /// yields the identical snapshot.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            self.record_counter(k, *v);
-        }
-        for (k, g) in &other.gauges {
-            self.record_gauge(k, g.seq, g.value);
-        }
-        for (k, h) in &other.histograms {
-            if let Some(mine) = self.histograms.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(k.clone(), h.clone());
-            }
-        }
-    }
 }
 
-/// Process-unique registry ids for the thread-local shard table.
-static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(1);
-
-struct RegistryCore {
-    id: u64,
-    gauge_seq: AtomicU64,
-    shards: Mutex<Vec<Arc<Mutex<MetricsSnapshot>>>>,
-}
-
-/// One thread-local shard entry: `(registry id, liveness probe, shard)`.
-type ShardSlot = (u64, Weak<RegistryCore>, Arc<Mutex<MetricsSnapshot>>);
-
-thread_local! {
-    /// This thread's shard per live registry. Entries for dropped
-    /// registries are pruned lazily.
-    static THREAD_SHARDS: RefCell<Vec<ShardSlot>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The write-side handle: see the [module docs](self) for the sharding
-/// model. Cloning is shallow (`Arc`); clones record into the same
-/// metric set.
-#[derive(Clone)]
+/// The write-side handle: one lock over one [`MetricsSnapshot`] (see the
+/// [module docs](self)). Cloning is shallow (`Arc`); clones record into
+/// the same metric set.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    core: Arc<RegistryCore>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("id", &self.core.id)
-            .finish()
-    }
+    data: Arc<Mutex<MetricsSnapshot>>,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        MetricsRegistry {
-            core: Arc::new(RegistryCore {
-                id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
-                gauge_seq: AtomicU64::new(0),
-                shards: Mutex::new(Vec::new()),
-            }),
-        }
+        Self::default()
     }
 
-    fn with_shard<R>(&self, f: impl FnOnce(&mut MetricsSnapshot) -> R) -> R {
-        THREAD_SHARDS.with(|cell| {
-            let mut table = cell.borrow_mut();
-            let shard = match table.iter().find(|(id, _, _)| *id == self.core.id) {
-                Some((_, _, shard)) => Arc::clone(shard),
-                None => {
-                    // First record from this thread: drop entries whose
-                    // registry died, then register a fresh shard.
-                    table.retain(|(_, live, _)| live.strong_count() > 0);
-                    let shard = Arc::new(Mutex::new(MetricsSnapshot::default()));
-                    self.core
-                        .shards
-                        .lock()
-                        .expect("shard list poisoned")
-                        .push(Arc::clone(&shard));
-                    table.push((self.core.id, Arc::downgrade(&self.core), Arc::clone(&shard)));
-                    shard
-                }
-            };
-            let mut data = shard.lock().expect("shard poisoned");
-            f(&mut data)
-        })
+    fn data(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.data.lock().expect("metrics registry poisoned")
     }
 
     /// Adds `delta` to the named monotonic counter.
     pub fn counter(&self, name: &str, delta: u64) {
-        self.with_shard(|s| s.record_counter(name, delta));
+        self.data().record_counter(name, delta);
     }
 
-    /// Sets the named gauge (last write wins, even across shards).
+    /// Sets the named gauge (the last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        let seq = self.core.gauge_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.with_shard(|s| s.record_gauge(name, seq, value));
+        self.data().record_gauge(name, value);
     }
 
     /// Records one sample into the named histogram.
     pub fn observe(&self, name: &str, value: f64) {
-        self.with_shard(|s| s.record_observation(name, value));
+        self.data().record_observation(name, value);
     }
 
-    /// Merges every thread's shard into one snapshot. Shards are left
-    /// untouched, so repeated snapshots report cumulative totals.
+    /// A copy of every metric recorded so far. Repeated snapshots
+    /// report cumulative totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let shards = self.core.shards.lock().expect("shard list poisoned");
-        let mut merged = MetricsSnapshot::default();
-        for shard in shards.iter() {
-            merged.merge(&shard.lock().expect("shard poisoned"));
-        }
-        merged
+        self.data().clone()
     }
 }
 

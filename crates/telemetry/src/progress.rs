@@ -29,18 +29,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::hook::TelemetryHook;
-
-/// Counter-name prefix that marks one finished injection.
-const INJECTION_COUNTER_PREFIX: &str = "campaign_injections_total";
-
-/// Counter counting sites the lifetime oracle resolved without replay.
-const PRUNED_COUNTER: &str = "campaign_pruned_total";
-
-/// Counter counting sites classified inside shared bit-plane passes.
-const BATCHED_COUNTER: &str = "campaign_batched_total";
-
-/// Counter counting the shared bit-plane passes themselves.
-const BATCHES_COUNTER: &str = "campaign_batches_total";
+use crate::{BATCHED_COUNTER, BATCHES_COUNTER, INJECTIONS_COUNTER, PRUNED_COUNTER};
 
 /// Minimum interval between stderr redraws.
 const REDRAW_EVERY: Duration = Duration::from_millis(100);
@@ -191,7 +180,7 @@ impl TelemetryHook for ProgressHook {
             self.batched.fetch_add(delta, Ordering::Relaxed);
         } else if name == BATCHES_COUNTER {
             self.batches.fetch_add(delta, Ordering::Relaxed);
-        } else if name.starts_with(INJECTION_COUNTER_PREFIX) {
+        } else if name.starts_with(INJECTIONS_COUNTER) {
             let done = self.done.fetch_add(delta, Ordering::Relaxed) + delta;
             self.last_event_us
                 .store(self.started.elapsed().as_micros() as u64, Ordering::Relaxed);

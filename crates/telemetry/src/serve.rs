@@ -17,11 +17,11 @@
 //! is deliberately modest — the endpoint exists for a Prometheus
 //! scraper and a curious `curl`, not for traffic.
 //!
-//! The observatory is strictly read-only: it snapshots the sharded
-//! [`MetricsRegistry`] (a merge, never a lock on the recording shards)
-//! and reads the [`StatusBoard`] the event stream tees into. Nothing a
-//! scrape does can perturb a campaign, and runs without `--listen` do
-//! not construct any of this.
+//! The observatory is strictly read-only: it snapshots the
+//! [`MetricsRegistry`] (a clone taken under the registry's one lock,
+//! held only for the copy) and reads the [`StatusBoard`] the event
+//! stream tees into. Nothing a scrape does changes a campaign's
+//! results, and runs without `--listen` do not construct any of this.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -35,10 +35,7 @@ use crate::events::{Event, EventSink};
 use crate::expo::to_prometheus;
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
-
-/// Counter-name prefix that marks one finished injection (shared with
-/// `ProgressHook`'s accounting).
-const INJECTION_COUNTER_PREFIX: &str = "campaign_injections_total";
+use crate::{BATCHED_COUNTER, INJECTIONS_COUNTER, PRUNED_COUNTER};
 
 /// Poll interval of the accept loop while idle (the listener is
 /// non-blocking so the stop flag is honoured promptly).
@@ -318,11 +315,11 @@ fn progress_body(observatory: &Observatory) -> String {
     let snap = observatory.registry.snapshot();
     let done: u64 = snap
         .counters()
-        .filter(|(name, _)| name.starts_with(INJECTION_COUNTER_PREFIX))
+        .filter(|(name, _)| name.starts_with(INJECTIONS_COUNTER))
         .map(|(_, v)| v)
         .sum();
-    let pruned = snap.counter("campaign_pruned_total").unwrap_or(0);
-    let batched = snap.counter("campaign_batched_total").unwrap_or(0);
+    let pruned = snap.counter(PRUNED_COUNTER).unwrap_or(0);
+    let batched = snap.counter(BATCHED_COUNTER).unwrap_or(0);
     let total = observatory.planned_injections;
     let percent = if total > 0 {
         (done as f64 / total as f64 * 100.0).min(100.0)

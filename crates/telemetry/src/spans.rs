@@ -4,11 +4,10 @@
 //! `/`-separated **path** (`point:mmul@G80/campaign:rf/replay/inj:000042`).
 //! Paths encode the hierarchy, so call sites never thread parent ids —
 //! they build the full path from locally-known data and record at end
-//! (no guard objects, safe across `?` early returns). Records land in a
-//! per-thread ring buffer inside a [`SpanRecorder`] (the same sharding
-//! idiom as [`crate::MetricsRegistry`]: no cross-thread contention on
-//! the hot path), and [`SpanRecorder::finish`] merges every shard into a
-//! [`SpanTree`] whose shape is a pure function of the record multiset.
+//! (no guard objects, safe across `?` early returns). A [`SpanRecorder`]
+//! keeps one ring buffer per timeline lane behind one lock, and
+//! [`SpanRecorder::finish`] merges the rings into a [`SpanTree`] whose
+//! shape is a pure function of the record multiset.
 //!
 //! # Determinism contract
 //!
@@ -27,12 +26,12 @@
 //! guards with `if H::SPANS`, exactly like the `ENABLED` guard.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::Json;
 
-/// Default per-thread ring capacity (records kept per shard before the
+/// Default per-lane ring capacity (records kept per lane before the
 /// oldest are dropped). 65 536 spans comfortably covers a 2 000-site
 /// paper campaign per worker with room for phase spans.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
@@ -84,53 +83,22 @@ impl SpanRecord {
     }
 }
 
-/// A per-thread ring of records plus the count of overflow drops.
-#[derive(Debug)]
+/// One lane's ring of records plus the count of overflow drops.
+#[derive(Debug, Default)]
 struct SpanRing {
-    capacity: usize,
     records: VecDeque<SpanRecord>,
     dropped: u64,
 }
 
-impl SpanRing {
-    fn push(&mut self, record: SpanRecord) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-}
-
-/// Shared state behind a recorder: the epoch every timestamp is
-/// expressed against, and one ring per thread that ever recorded.
-#[derive(Debug)]
-struct RecorderCore {
-    id: u64,
-    epoch: Instant,
-    capacity: usize,
-    rings: Mutex<Vec<Arc<Mutex<SpanRing>>>>,
-}
-
-static NEXT_RECORDER_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// One thread-local table entry: (recorder id, liveness probe, ring).
-type ThreadRingEntry = (u64, Weak<RecorderCore>, Arc<Mutex<SpanRing>>);
-
-thread_local! {
-    /// This thread's ring per live recorder. Entries for dropped
-    /// recorders are pruned on the next miss — same idiom as the
-    /// metrics registry's shard table.
-    static THREAD_RINGS: std::cell::RefCell<Vec<ThreadRingEntry>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Collects [`SpanRecord`]s from any number of threads without
-/// cross-thread contention: each thread writes its own ring, and
-/// [`SpanRecorder::finish`] merges the rings into a deterministic tree.
+/// Collects [`SpanRecord`]s from any number of threads into one ring
+/// per lane behind one lock; [`SpanRecorder::finish`] merges the rings
+/// into a deterministic tree. A full ring drops its oldest record, so
+/// each worker keeps its own most recent spans.
 #[derive(Debug)]
 pub struct SpanRecorder {
-    core: Arc<RecorderCore>,
+    epoch: Instant,
+    capacity: usize,
+    rings: Mutex<BTreeMap<u32, SpanRing>>,
 }
 
 impl Default for SpanRecorder {
@@ -140,78 +108,53 @@ impl Default for SpanRecorder {
 }
 
 impl SpanRecorder {
-    /// A recorder with the default per-thread ring capacity.
+    /// A recorder with the default per-lane ring capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// A recorder keeping at most `per_thread` records per thread (the
+    /// A recorder keeping at most `per_lane` records per lane (the
     /// oldest records are dropped and counted once a ring is full).
-    pub fn with_capacity(per_thread: usize) -> Self {
+    pub fn with_capacity(per_lane: usize) -> Self {
         SpanRecorder {
-            core: Arc::new(RecorderCore {
-                id: NEXT_RECORDER_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                epoch: Instant::now(),
-                capacity: per_thread.max(1),
-                rings: Mutex::new(Vec::new()),
-            }),
+            epoch: Instant::now(),
+            capacity: per_lane.max(1),
+            rings: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// The instant all exported timestamps are relative to.
     pub fn epoch(&self) -> Instant {
-        self.core.epoch
+        self.epoch
     }
 
-    /// Appends one record to the calling thread's ring.
+    /// Appends one record to its lane's ring.
     pub fn record(&self, record: SpanRecord) {
-        THREAD_RINGS.with(|rings| {
-            let mut rings = rings.borrow_mut();
-            if let Some((_, _, ring)) = rings.iter().find(|(id, _, _)| *id == self.core.id) {
-                ring.lock().expect("span ring poisoned").push(record);
-                return;
-            }
-            // First record from this thread: register a new ring and
-            // drop table entries whose recorder is gone.
-            rings.retain(|(_, weak, _)| weak.strong_count() > 0);
-            let ring = Arc::new(Mutex::new(SpanRing {
-                capacity: self.core.capacity,
-                records: VecDeque::new(),
-                dropped: 0,
-            }));
-            ring.lock().expect("span ring poisoned").push(record);
-            self.core
-                .rings
-                .lock()
-                .expect("recorder poisoned")
-                .push(Arc::clone(&ring));
-            rings.push((self.core.id, Arc::downgrade(&self.core), ring));
-        });
+        let mut rings = self.rings.lock().expect("span recorder poisoned");
+        let ring = rings.entry(record.lane).or_default();
+        if ring.records.len() == self.capacity {
+            ring.records.pop_front();
+            ring.dropped += 1;
+        }
+        ring.records.push_back(record);
     }
 
-    /// Total records dropped to ring overflow, across all threads.
+    /// Total records dropped to ring overflow, across all lanes.
     pub fn dropped(&self) -> u64 {
-        let rings = self.core.rings.lock().expect("recorder poisoned");
-        rings
-            .iter()
-            .map(|r| r.lock().expect("span ring poisoned").dropped)
-            .sum()
+        let rings = self.rings.lock().expect("span recorder poisoned");
+        rings.values().map(|r| r.dropped).sum()
     }
 
-    /// Merges every thread's ring into a [`SpanTree`]. Non-draining:
+    /// Merges every lane's ring into a [`SpanTree`]. Non-draining:
     /// rings keep their records, so `finish` can be called repeatedly.
     pub fn finish(&self) -> SpanTree {
-        let mut records: Vec<SpanRecord> = Vec::new();
-        let mut dropped = 0;
-        {
-            let rings = self.core.rings.lock().expect("recorder poisoned");
-            for ring in rings.iter() {
-                let ring = ring.lock().expect("span ring poisoned");
-                dropped += ring.dropped;
-                records.extend(ring.records.iter().cloned());
-            }
-        }
-        SpanTree::build(records, self.core.epoch, dropped)
+        let rings = self.rings.lock().expect("span recorder poisoned");
+        let records = rings
+            .values()
+            .flat_map(|r| r.records.iter().cloned())
+            .collect();
+        let dropped = rings.values().map(|r| r.dropped).sum();
+        SpanTree::build(records, self.epoch, dropped)
     }
 }
 
@@ -631,6 +574,23 @@ mod tests {
             4,
             "only the newest records survive"
         );
+    }
+
+    #[test]
+    fn ring_bound_holds_per_lane() {
+        let r = SpanRecorder::with_capacity(2);
+        for i in 0..5u64 {
+            rec(&r, &format!("p:a@d/replay/inj:{i:06}"), 1, i);
+        }
+        rec(&r, "p:a@d/golden", 0, 0);
+        assert_eq!(
+            r.dropped(),
+            3,
+            "a busy lane never evicts another lane's spans"
+        );
+        let tree = r.finish();
+        assert_eq!(tree.nodes_named(|n| n == "golden").count(), 1);
+        assert_eq!(tree.nodes_named(|n| n.starts_with("inj:")).count(), 2);
     }
 
     #[test]

@@ -1,21 +1,18 @@
-//! Property tests for the metrics merge laws.
+//! Property tests for the metrics registry.
 //!
-//! The whole sharding design rests on snapshot merging being a pure
-//! function of the recorded-event multiset: associative,
-//! order-independent, and with deterministic derived statistics. These
-//! properties are what make a harvest reproducible regardless of how
-//! the scoped-thread campaign scheduler interleaved the workers.
+//! A snapshot must be a pure function of the recorded-event multiset,
+//! with deterministic derived statistics, so that a harvest is
+//! reproducible however the scoped-thread campaign scheduler
+//! interleaved the workers that recorded into the one registry.
 
 use grel_telemetry::{Histogram, MetricsRegistry, MetricsSnapshot};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// One abstract recording op, replayable onto any shard.
+/// One abstract recording op, replayable onto any thread.
 #[derive(Debug, Clone)]
 enum Op {
     Count(u8, u64),
-    /// Gauge writes carry an explicit global order (index into the op
-    /// stream) so "last write wins" is well-defined for the model.
     Observe(u8, u32),
 }
 
@@ -30,12 +27,12 @@ fn name(k: u8) -> String {
     format!("metric_{k}")
 }
 
-/// Replays ops into per-shard snapshots via a registry on dedicated
-/// threads (one thread == one shard), splitting the stream at `cuts`.
-fn record_sharded(ops: &[Op], shards: usize) -> MetricsSnapshot {
+/// Replays ops into one registry from `threads` dedicated threads, each
+/// taking one contiguous chunk of the stream.
+fn record_threaded(ops: &[Op], threads: usize) -> MetricsSnapshot {
     let reg = MetricsRegistry::new();
     std::thread::scope(|scope| {
-        for chunk in ops.chunks(ops.len().div_ceil(shards).max(1)) {
+        for chunk in ops.chunks(ops.len().div_ceil(threads).max(1)) {
             let reg = &reg;
             scope.spawn(move || {
                 for op in chunk {
@@ -51,56 +48,22 @@ fn record_sharded(ops: &[Op], shards: usize) -> MetricsSnapshot {
 }
 
 proptest! {
-    /// Recording the same op stream through 1, 2 or 5 thread shards
-    /// yields identical snapshots: the shard/merge model is invisible.
+    /// Recording the same op stream from 1, 2 or 5 threads yields
+    /// identical snapshots: the thread count is invisible.
     #[test]
     fn merge_is_shard_count_independent(ops in vec(op(), 0..120)) {
-        let one = record_sharded(&ops, 1);
-        let two = record_sharded(&ops, 2);
-        let five = record_sharded(&ops, 5);
+        let one = record_threaded(&ops, 1);
+        let two = record_threaded(&ops, 2);
+        let five = record_threaded(&ops, 5);
         prop_assert_eq!(&one, &two);
         prop_assert_eq!(&one, &five);
     }
 
-    /// Merging a permutation of shard snapshots in any order gives the
-    /// same result (associativity + commutativity of the fold).
-    #[test]
-    fn merge_is_order_independent(
-        ops in vec(op(), 0..120),
-        rot in 0usize..7,
-    ) {
-        // Build per-shard snapshots directly, one registry per shard.
-        let chunks: Vec<&[Op]> = ops.chunks(ops.len().div_ceil(4).max(1)).collect();
-        let shards: Vec<MetricsSnapshot> = chunks
-            .iter()
-            .map(|chunk| record_sharded(chunk, 1))
-            .collect();
-
-        let mut forward = MetricsSnapshot::default();
-        for s in &shards {
-            forward.merge(s);
-        }
-
-        let mut rotated = MetricsSnapshot::default();
-        let n = shards.len().max(1);
-        for i in 0..shards.len() {
-            rotated.merge(&shards[(i + rot) % n]);
-        }
-
-        let mut reversed = MetricsSnapshot::default();
-        for s in shards.iter().rev() {
-            reversed.merge(s);
-        }
-
-        prop_assert_eq!(&forward, &rotated);
-        prop_assert_eq!(&forward, &reversed);
-    }
-
     /// Counter totals equal the plain sum of all deltas, however the
-    /// stream was sharded.
+    /// stream was split across threads.
     #[test]
     fn counters_sum_exactly(ops in vec(op(), 0..120)) {
-        let snap = record_sharded(&ops, 3);
+        let snap = record_threaded(&ops, 3);
         for k in 0u8..4 {
             let expected: u64 = ops
                 .iter()
@@ -144,43 +107,15 @@ proptest! {
             prop_assert!(qa >= a.min() && qa <= a.max());
         }
     }
-
-    /// Splitting a sample stream arbitrarily and merging the two halves
-    /// equals recording the whole stream into one histogram.
-    #[test]
-    fn histogram_merge_matches_single_recording(
-        samples in vec(0u32..5_000_000, 0..80),
-        cut_seed in any::<u64>(),
-    ) {
-        let cut = if samples.is_empty() {
-            0
-        } else {
-            (cut_seed % (samples.len() as u64 + 1)) as usize
-        };
-        let mut whole = Histogram::default();
-        for v in &samples {
-            whole.record(*v as f64 * 1e-3);
-        }
-        let mut left = Histogram::default();
-        for v in &samples[..cut] {
-            left.record(*v as f64 * 1e-3);
-        }
-        let mut right = Histogram::default();
-        for v in &samples[cut..] {
-            right.record(*v as f64 * 1e-3);
-        }
-        left.merge(&right);
-        prop_assert_eq!(&left, &whole);
-    }
 }
 
 proptest! {
-    /// The campaign runner's per-worker shard pattern: every worker
-    /// records into both a shared counter and a worker-labelled counter
+    /// The campaign runner's per-worker pattern: every worker records
+    /// into both a shared counter and a worker-labelled counter
     /// (`…{worker="w"}`). However many workers the site list is striped
     /// across, the shared counter must equal the injection count and the
-    /// labelled counters must partition it exactly — merging per-thread
-    /// shards never loses or double-counts a worker's contribution.
+    /// labelled counters must partition it exactly — concurrent records
+    /// never lose or double-count a worker's contribution.
     #[test]
     fn worker_labelled_shards_partition_the_total(
         injections in 1usize..200,
@@ -191,7 +126,7 @@ proptest! {
             for w in 0..jobs {
                 let reg = &reg;
                 scope.spawn(move || {
-                    // Striped sharding, exactly as the runner assigns sites.
+                    // Striped, exactly as the runner assigns sites.
                     let mine = (w..injections).step_by(jobs).count() as u64;
                     for _ in 0..mine {
                         reg.counter("campaign_injections_total", 1);
@@ -220,10 +155,9 @@ proptest! {
     }
 }
 
-/// Gauge semantics need real registry sequencing (the proptest model
-/// above can't express cross-shard "latest write"), so pin them with a
-/// deterministic single-threaded check: the registry-global sequence
-/// makes the final write win no matter which shard it landed in.
+/// Gauge semantics need a real order of writes (the proptest model
+/// above has none), so pin them with a deterministic check: a write
+/// from another thread that happens after ours wins.
 #[test]
 fn gauge_latest_write_wins_across_threads() {
     let reg = MetricsRegistry::new();
@@ -237,7 +171,6 @@ fn gauge_latest_write_wins_across_threads() {
             .join()
             .expect("writer thread");
     });
-    // The spawned thread's write sequenced after ours: it must win even
-    // though it lives in a different shard.
+    // The spawned thread's write happened after ours: it must win.
     assert_eq!(reg.snapshot().gauge("g"), Some(2.0));
 }

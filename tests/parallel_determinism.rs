@@ -75,7 +75,7 @@ fn campaign_with_live_hooks_is_bit_identical_at_jobs_1_2_8() {
             .unwrap();
         assert_identical(&plain, &hooked);
 
-        // The live hooks shard per worker; the harvest still accounts
+        // Every worker records into the one registry; the harvest accounts
         // for every injection: oracle-pruned sites are tallied serially
         // before the fan-out, and the workers replay exactly the
         // unpruned remainder (the worker gauge reflects that pool).
