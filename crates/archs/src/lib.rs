@@ -89,7 +89,6 @@ pub fn hd_radeon_7970() -> ArchConfig {
         coalesce_bytes: 128,
         // 28 nm SRAM.
         raw_fit_per_mbit: 650.0,
-        watchdog_factor: 20,
     }
 }
 
@@ -141,7 +140,6 @@ pub fn quadro_fx_5600() -> ArchConfig {
         coalesce_bytes: 64,
         // 90 nm SRAM.
         raw_fit_per_mbit: 1100.0,
-        watchdog_factor: 20,
     }
 }
 
@@ -192,7 +190,6 @@ pub fn quadro_fx_5800() -> ArchConfig {
         coalesce_bytes: 64,
         // 65 nm SRAM.
         raw_fit_per_mbit: 900.0,
-        watchdog_factor: 20,
     }
 }
 
@@ -253,7 +250,6 @@ pub fn geforce_gtx_480() -> ArchConfig {
         coalesce_bytes: 128,
         // 40 nm SRAM.
         raw_fit_per_mbit: 800.0,
-        watchdog_factor: 20,
     }
 }
 

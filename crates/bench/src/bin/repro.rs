@@ -18,7 +18,7 @@ use grel_bench::{
 use grel_core::ace::{AceMode, LifetimeOracle};
 use grel_core::campaign::{
     golden_run, golden_run_with_ace, run_campaign_with_oracle_hooked, run_injections_checkpointed,
-    sample_sites, Campaign, CampaignConfig, Capture, CheckpointLadder,
+    sample_model_sites, Campaign, CampaignConfig, Capture, CheckpointLadder,
 };
 use grel_core::epf::structure_fit;
 use grel_core::sampling::SamplingPlan;
@@ -460,9 +460,9 @@ fn run(args: &Args, sink: &Arc<dyn EventSink>, log: &Logger) -> Result<(), Strin
             threads: args.threads,
             watchdog_factor: 10,
             checkpoint_interval: args.checkpoint_interval,
-            // A one-byte budget holds no snapshot: every replay starts
-            // from cycle zero, which is exactly what --no-checkpoints
-            // promises.
+            // A one-byte budget holds no rung: every replay starts at
+            // the run's start checkpoint, which is exactly what
+            // --no-checkpoints promises.
             checkpoint_budget_bytes: if args.no_checkpoints { 1 } else { 0 },
             prune: !args.no_prune,
             fault_model: args.fault_model,
@@ -1325,23 +1325,25 @@ fn bench_campaign(points: &Points, cfg: &StudyConfig, log: &Logger) -> Result<()
             };
             let golden = golden_run(arch, w)
                 .map_err(|e| format!("golden run failed on {}: {e}", arch.name))?;
-            let sites = sample_sites(
+            let sites = sample_model_sites(
                 arch,
                 Structure::VectorRegisterFile,
+                FaultModelKind::Transient,
                 golden.cycles,
                 cfg.campaign.injections,
                 cfg.campaign.seed,
             );
+            // The from-zero side: a one-byte budget holds the run's
+            // start alone, so every replay resumes from cycle zero.
+            let zero = CampaignConfig {
+                checkpoint_budget_bytes: 1,
+                ..cfg.campaign
+            };
+            let start = CheckpointLadder::build(arch, w, &golden, &zero)
+                .map_err(|e| format!("start checkpoint failed on {on}: {e}"))?;
             let t0 = Instant::now();
-            let base = run_injections_checkpointed(
-                arch,
-                w,
-                &golden,
-                &CheckpointLadder::empty(),
-                &sites,
-                cfg.campaign,
-            )
-            .map_err(|e| format!("from-zero replay failed on {on}: {e}"))?;
+            let base = run_injections_checkpointed(arch, w, &golden, &start, &sites, cfg.campaign)
+                .map_err(|e| format!("from-zero replay failed on {on}: {e}"))?;
             let t_zero = t0.elapsed().as_secs_f64();
             // The checkpointed side pays for building its own ladder, so
             // the comparison is end-to-end, not best-case.

@@ -1049,7 +1049,7 @@ mod tests {
             r#"{"event":"counter","name":"campaign_injections_total{outcome=\"sdc\"}","value":2}"#,
             r#"{"event":"counter","name":"campaign_injections_total{outcome=\"due\"}","value":1}"#,
             r#"{"event":"counter","name":"campaign_rung_hits_total{rung=\"0\"}","value":8}"#,
-            r#"{"event":"counter","name":"campaign_rung_hits_total{rung=\"none\"}","value":4}"#,
+            r#"{"event":"counter","name":"campaign_rung_hits_total{rung=\"start\"}","value":4}"#,
             r#"{"event":"counter","name":"campaign_worker_injections_total{worker=\"0\"}","value":7}"#,
             r#"{"event":"counter","name":"campaign_worker_injections_total{worker=\"1\"}","value":5}"#,
             r#"{"event":"gauge","name":"campaign_workers","value":2.0}"#,

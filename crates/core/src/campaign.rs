@@ -19,10 +19,11 @@
 //! campaign is bit-identical to a sequential run at any job count. The
 //! pool lives in [`crate::runner`], which documents the contract.
 //!
-//! Replays also do not start from cycle zero: the golden run leaves
-//! behind a ladder of mid-execution snapshots ([`CheckpointLadder`]) and
-//! each injection resumes from the nearest checkpoint at or before its
-//! fault cycle. The prefix it skips is fault-free and therefore
+//! Every replay resumes from a checkpoint: the golden run leaves behind
+//! a ladder ([`CheckpointLadder`]) holding the run's start and its
+//! mid-execution snapshots, and each injection resumes from the nearest
+//! one at or before its fault cycle (the start, for a fault before the
+//! first rung). The prefix it skips is fault-free and therefore
 //! bit-identical to the golden execution, so checkpointed replay produces
 //! exactly the same outcome sequence as from-zero replay — only faster.
 //!
@@ -403,7 +404,8 @@ pub(crate) struct GoldenPass {
 /// span through `hook`. Every golden run of the crate is this pass.
 ///
 /// Given `ladder`, the pass also lays the checkpoint ladder that config
-/// asks for (see [`RungGrid`]) and reports it: a `ladder.done` event,
+/// asks for (see [`RungGrid`]), starting with a snapshot of the run's
+/// start, and reports it: a `ladder.done` event,
 /// the `ladder_build_seconds` histogram and the point's `ladder` span,
 /// all timing the snapshots. The golden pass's own seconds and span
 /// leave that time out, so the two phases never count it twice.
@@ -420,8 +422,8 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
     let mut life = (capture.ace.is_some() || capture.oracle)
         .then(|| AceAnalyzer::tracking(arch, capture.ace.unwrap_or_default(), capture.oracle));
     let mut writes = capture.writes.then(GlobalWriteLog::default);
-    let mut grid = ladder.map(RungGrid::new);
     let mut session = Session::new(&mut gpu, workload.plan());
+    let mut grid = ladder.map(|cfg| RungGrid::new(cfg, &mut session));
     let mut obs = (&mut life, &mut writes);
     let outputs = match &mut grid {
         Some(grid) => grid.lay(&mut session, &mut obs)?,
@@ -577,44 +579,12 @@ pub(crate) fn campaign_margin(population: u64, trials: u64) -> f64 {
     }
 }
 
-/// Draws the deterministic fault-site list for a campaign: `n`
-/// **distinct** `(SM, word, bit, cycle)` sites, uniform over the
-/// structure's fault population.
-///
-/// Sampling is *without* replacement — the finite-population correction
-/// in [`error_margin`] models a sample of distinct sites, so a duplicate
-/// draw would silently widen the true interval. Distinctness comes from
-/// a seed-stable partial Fisher–Yates shuffle over the flat site index
-/// space, tracked sparsely in an index map: exactly `n` draws, O(n) time
-/// and memory for any `n`, up to and including `n == population` (where
-/// the result is a full permutation of the site space).
-///
-/// Exposed for reproducibility tooling: the sites depend only on the
-/// arguments, never on threading.
-///
-/// A request larger than the population saturates to the full
-/// population — the result is then a permutation of every site exactly
-/// once (an exhaustive campaign), never a panic and never a duplicate.
-///
-/// # Panics
-///
-/// Panics if the device lacks the structure or if `cycles` is zero.
-pub fn sample_sites(
-    arch: &ArchConfig,
-    structure: Structure,
-    cycles: u64,
-    n: u32,
-    seed: u64,
-) -> Vec<FaultSite> {
-    SiteSpace::new(arch, structure, FaultModelKind::Transient, cycles).sample(n, seed)
-}
-
 /// Draws the deterministic fault-site list for a campaign under any
-/// fault model.
+/// fault model: `n` **distinct** sites, uniform over the model's fault
+/// population.
 ///
-/// * [`FaultModelKind::Transient`] — exactly [`sample_sites`]: the same
-///   RNG stream over the same `(SM, word, bit, cycle)` population, so
-///   the default model reproduces pre-taxonomy campaigns bit-for-bit.
+/// * [`FaultModelKind::Transient`] — single bit flips over the
+///   structure's `(SM, word, bit, cycle)` population.
 /// * [`FaultModelKind::Stuck0`] / [`FaultModelKind::Stuck1`] — the same
 ///   storage-site population (a permanent fault still names a storage
 ///   cell and an onset cycle), with every site carrying the stuck-at
@@ -627,13 +597,24 @@ pub fn sample_sites(
 ///   scheduler state, not storage); their `word` field is the warp/block
 ///   slot index.
 ///
-/// Oversampling saturates exactly like [`sample_sites`]: a request
-/// beyond the model's population returns the exhaustive permutation.
+/// Sampling is *without* replacement — the finite-population correction
+/// in [`error_margin`] models a sample of distinct sites, so a duplicate
+/// draw would silently widen the true interval. Distinctness comes from
+/// a seed-stable partial Fisher–Yates shuffle over the flat site index
+/// space, tracked sparsely in an index map: exactly `n` draws, O(n) time
+/// and memory for any `n`. A request beyond the population saturates to
+/// the full population: the result is then a permutation of every site
+/// exactly once (an exhaustive campaign), never a panic and never a
+/// duplicate.
+///
+/// Exposed for reproducibility tooling: the sites depend only on the
+/// arguments, never on threading.
 ///
 /// # Panics
 ///
-/// Same conditions as [`sample_sites`]; the control population
-/// additionally requires `arch.max_warps_per_sm > 0`.
+/// Panics if the device lacks the structure or if `cycles` is zero; the
+/// control population additionally requires
+/// `arch.max_warps_per_sm > 0`.
 pub fn sample_model_sites(
     arch: &ArchConfig,
     structure: Structure,
@@ -648,7 +629,13 @@ pub fn sample_model_sites(
 /// Default cap on the simulator state a [`CheckpointLadder`] may retain.
 const DEFAULT_CHECKPOINT_BUDGET: u64 = 256 << 20;
 
-/// A ladder of mid-execution snapshots captured from one fault-free run.
+/// The checkpoints every replay of one fault-free run resumes from: the
+/// run's start and a ladder of mid-execution snapshots, its rungs.
+///
+/// The start is the device and plan before the plan's first step. It is
+/// not a rung: [`CheckpointLadder::rungs`], [`CheckpointLadder::len`],
+/// [`CheckpointLadder::total_bytes`] and the budget leave it out, so a
+/// one-byte budget leaves a ladder of the start alone.
 ///
 /// Rungs are placed while the run goes on: at every multiple of
 /// `cfg.checkpoint_interval`, or, when it is `0`, on a power-of-two grid
@@ -661,18 +648,13 @@ const DEFAULT_CHECKPOINT_BUDGET: u64 = 256 << 20;
 /// copying.
 #[derive(Debug)]
 pub struct CheckpointLadder {
+    start: Checkpoint,
     ckpts: Vec<Checkpoint>,
 }
 
 impl CheckpointLadder {
-    /// A ladder with no rungs: every replay starts from cycle zero.
-    pub fn empty() -> Self {
-        CheckpointLadder { ckpts: Vec::new() }
-    }
-
-    /// Runs the workload fault-free and lays the ladder `cfg` asks for,
-    /// by the rule [`Campaign::new`]'s golden pass lays it with: the
-    /// two give the same rungs.
+    /// Runs the workload fault-free and lays the ladder `cfg` asks for:
+    /// the ladder of the golden pass [`Campaign::new`] runs.
     ///
     /// # Errors
     ///
@@ -684,30 +666,32 @@ impl CheckpointLadder {
         golden: &GoldenRun,
         cfg: &CampaignConfig,
     ) -> Result<Self, SimError> {
-        let mut gpu = Gpu::new(arch.clone());
-        let mut grid = RungGrid::new(cfg);
-        grid.lay(
-            &mut Session::new(&mut gpu, workload.plan()),
-            &mut NoopObserver,
-        )?;
-        debug_assert_eq!(gpu.app_cycle(), golden.cycles, "the run is the golden run");
-        Ok(grid.finish().0)
+        let pass = golden_pass(arch, workload, Capture::default(), Some(cfg), &NoopHook)?;
+        debug_assert_eq!(
+            pass.golden.cycles, golden.cycles,
+            "the run is the golden run"
+        );
+        Ok(pass.ladder.expect("the golden pass was asked for a ladder"))
     }
 
-    /// The highest rung at or before `cycle`, if any. A fault armed for
-    /// `cycle` still fires when replay resumes here: the checkpoint was
-    /// taken at an iteration boundary, before the fault-application step
-    /// of its own cycle.
+    /// The checkpoint a replay of a fault at `cycle` resumes from: the
+    /// highest rung at or before `cycle`, or the run's start before the
+    /// first rung. A fault armed for `cycle` still fires when replay
+    /// resumes here: the checkpoint was taken at an iteration boundary,
+    /// before the fault-application step of its own cycle.
+    ///
+    /// Never `None`: the `Option` stays for the `perfbench/layers`
+    /// harness, which calls it.
     pub fn nearest(&self, cycle: u64) -> Option<&Checkpoint> {
-        self.nearest_indexed(cycle).map(|(_, ck)| ck)
+        Some(self.nearest_indexed(cycle).1)
     }
 
-    /// [`CheckpointLadder::nearest`] with the rung's ladder index, for
-    /// rung-hit accounting.
-    pub fn nearest_indexed(&self, cycle: u64) -> Option<(usize, &Checkpoint)> {
+    /// [`CheckpointLadder::nearest`] with the rung's ladder index
+    /// (`None` for the run's start), for rung-hit accounting.
+    pub fn nearest_indexed(&self, cycle: u64) -> (Option<usize>, &Checkpoint) {
         match self.ckpts.partition_point(|c| c.cycle() <= cycle) {
-            0 => None,
-            i => Some((i - 1, &self.ckpts[i - 1])),
+            0 => (None, &self.start),
+            i => (Some(i - 1), &self.ckpts[i - 1]),
         }
     }
 
@@ -744,7 +728,9 @@ impl CheckpointLadder {
 /// A rung that would take the retained [`Checkpoint::size_bytes`] past
 /// the budget thins an auto grid the same way, and ends the ladder only
 /// when fewer than two rungs are left; it ends a fixed grid at once.
+/// The run's start, taken before the grid's first mark, is no rung.
 struct RungGrid {
+    start: Checkpoint,
     ckpts: Vec<Checkpoint>,
     spacing: u64,
     auto: bool,
@@ -760,8 +746,12 @@ struct RungGrid {
 const GRID_RUNGS: usize = 16;
 
 impl RungGrid {
-    fn new(cfg: &CampaignConfig) -> Self {
+    /// A grid for `cfg` over the run `session` is about to start, whose
+    /// start it snapshots.
+    fn new(cfg: &CampaignConfig, session: &mut Session<'_>) -> Self {
+        let started = Instant::now();
         RungGrid {
+            start: session.snapshot(),
             ckpts: Vec::new(),
             spacing: cfg.checkpoint_interval.max(1),
             auto: cfg.checkpoint_interval == 0,
@@ -771,7 +761,7 @@ impl RungGrid {
             },
             bytes: 0,
             full: false,
-            laying: Duration::ZERO,
+            laying: started.elapsed(),
         }
     }
 
@@ -839,7 +829,11 @@ impl RungGrid {
 
     /// The ladder laid, and the time spent laying it.
     fn finish(self) -> (CheckpointLadder, Duration) {
-        (CheckpointLadder { ckpts: self.ckpts }, self.laying)
+        let ladder = CheckpointLadder {
+            start: self.start,
+            ckpts: self.ckpts,
+        };
+        (ladder, self.laying)
     }
 }
 
@@ -852,32 +846,13 @@ pub(crate) struct ReplayContext<'a, H> {
     pub(crate) hook: &'a H,
 }
 
-/// Opens a replay session on a worker's scratch device: resumed from
-/// `ckpt` when given (`Session::resume` runs `*gpu = ckpt.gpu.clone()`,
-/// which clones the storage's page handles, not its words; the replay
-/// copies only the pages it writes), otherwise on a fresh device at the
-/// start of the workload's plan.
-/// Either way the replay never observes state left behind by a previous
-/// injection. Opening touches nothing else on the device, so the caller
-/// arms faults and scenarios on the session afterwards.
-fn open_session<'g>(
-    setup: &Campaign<'_>,
-    gpu: &'g mut Gpu,
-    ckpt: Option<&Checkpoint>,
-) -> Session<'g> {
-    match ckpt {
-        Some(ck) => Session::resume(gpu, ck),
-        None => {
-            *gpu = Gpu::new(setup.arch.clone());
-            Session::new(gpu, setup.workload.plan())
-        }
-    }
-}
-
-/// Classifies one injection replay on a caller-owned device, resuming
-/// from `ckpt` when given. `faults` is the injection: one site, or a
-/// group of sites armed together (a multi-bit upset), all sharing the
-/// first site's cycle. `obs` rides along the replay (the flight
+/// Classifies one injection replay on a caller-owned device, resumed
+/// from `ckpt` (`Session::resume` runs `*gpu = ckpt.gpu.clone()`, which
+/// clones the storage's page handles, not its words; the replay copies
+/// only the pages it writes), so the replay never observes state left
+/// behind by a previous injection. `faults` is the injection: one site,
+/// or a group of sites armed together (a multi-bit upset), all sharing
+/// the first site's cycle. `obs` rides along the replay (the flight
 /// recorder of a traced campaign, [`NoopObserver`] otherwise).
 ///
 /// # Errors
@@ -890,12 +865,12 @@ pub(crate) fn classify_on<O: SimObserver, H: TelemetryHook>(
     ctx: &ReplayContext<'_, H>,
     gpu: &mut Gpu,
     faults: &[FaultSite],
-    ckpt: Option<&Checkpoint>,
+    ckpt: &Checkpoint,
     obs: &mut O,
 ) -> Result<Outcome, SimError> {
     debug_assert!(faults.iter().all(|f| f.cycle == faults[0].cycle));
-    let start_cycle = ckpt.map_or(0, |ck| ck.cycle());
-    let mut session = open_session(ctx.setup, gpu, ckpt);
+    let start_cycle = ckpt.cycle();
+    let mut session = Session::resume(gpu, ckpt);
     session.gpu_mut().arm_faults(faults);
     if H::ENABLED {
         ctx.hook.count("campaign_cycles_saved_total", start_cycle);
@@ -953,13 +928,11 @@ fn record_replay_cost<H: TelemetryHook>(
         "sim_page_copies_total",
         gpu.page_copies().saturating_sub(base_copies),
     );
-    if session_tel.restores > 0 {
-        hook.count("sim_restores_total", session_tel.restores);
-        hook.observe(
-            "sim_restore_seconds",
-            session_tel.restore_nanos as f64 * 1e-9,
-        );
-    }
+    hook.count("sim_restores_total", session_tel.restores);
+    hook.observe(
+        "sim_restore_seconds",
+        session_tel.restore_nanos as f64 * 1e-9,
+    );
 }
 
 /// Sorts a finished replay into its [`Outcome`] — the one place the
@@ -1023,7 +996,8 @@ pub(crate) struct BatchReplay {
 }
 
 /// Classifies up to [`simt_sim::MAX_BATCH_SCENARIOS`] transient sites
-/// sharing one checkpoint rung in a single shared simulation pass.
+/// in a single shared simulation pass resumed from `ckpt`, the
+/// checkpoint of the earliest site.
 ///
 /// The shared pass replays the fault-free trajectory once with every
 /// site's flip held in a sparse overlay lane: physical machine state
@@ -1050,13 +1024,13 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     ctx: &ReplayContext<'_, H>,
     gpu: &mut Gpu,
     batch: &[FaultSite],
-    ckpt: Option<&Checkpoint>,
+    ckpt: &Checkpoint,
 ) -> Result<BatchReplay, SimError> {
     debug_assert!(!batch.is_empty() && batch.len() <= simt_sim::MAX_BATCH_SCENARIOS);
     debug_assert!(batch.iter().all(|s| s.is_transient()));
     let (setup, hook) = (ctx.setup, ctx.hook);
     let golden: &GoldenRun = &setup.golden;
-    let start_cycle = ckpt.map_or(0, |ck| ck.cycle());
+    let start_cycle = ckpt.cycle();
     debug_assert!(batch.iter().all(|s| s.cycle >= start_cycle));
     // Two to four times the ladder's rung density (its rungs sit
     // between C/16 and C/8 apart): a fork replays the stretch from its
@@ -1079,7 +1053,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
     let mut forked = 0u64;
     let mut last_snap_used = false;
     let (finished_out, final_sdc, shared_broke, shared_end, shared_instr) = {
-        let mut session = open_session(setup, gpu, ckpt);
+        let mut session = Session::resume(gpu, ckpt);
         let base = if H::ENABLED {
             session.gpu().exec_totals().warp_instructions
         } else {
@@ -1578,8 +1552,9 @@ pub fn run_campaign_with_oracle_hooked<H: TelemetryHook>(
 }
 
 /// [`Campaign::replay`] against a golden run and checkpoint ladder the
-/// caller built; an empty ladder replays every site from cycle zero.
-/// Outcomes are byte-identical to from-zero replay; only wall-clock time
+/// caller built; a ladder of the start alone (a one-byte budget)
+/// resumes every replay from the run's start checkpoint. Outcomes are
+/// byte-identical to from-zero replay; only wall-clock time
 /// changes. Kept for the `perfbench/layers` harness and `repro
 /// bench-campaign`, which time the ladder on its own.
 ///
@@ -1603,6 +1578,7 @@ mod tests {
     use gpu_archs::quadro_fx_5600;
     use gpu_workloads::{Histogram, VectorAdd};
     use simt_sim::FaultKind;
+    use simt_sim::FaultModelKind::Transient;
 
     fn small_cfg(n: u32) -> CampaignConfig {
         CampaignConfig {
@@ -1663,8 +1639,8 @@ mod tests {
     #[test]
     fn sites_are_deterministic_and_in_range() {
         let arch = quadro_fx_5600();
-        let a = sample_sites(&arch, Structure::VectorRegisterFile, 1000, 50, 7);
-        let b = sample_sites(&arch, Structure::VectorRegisterFile, 1000, 50, 7);
+        let a = sample_model_sites(&arch, Structure::VectorRegisterFile, Transient, 1000, 50, 7);
+        let b = sample_model_sites(&arch, Structure::VectorRegisterFile, Transient, 1000, 50, 7);
         assert_eq!(a, b);
         for s in &a {
             assert!(s.sm < arch.num_sms);
@@ -1672,7 +1648,7 @@ mod tests {
             assert!(s.bit < 32);
             assert!(s.cycle < 1000);
         }
-        let c = sample_sites(&arch, Structure::VectorRegisterFile, 1000, 50, 8);
+        let c = sample_model_sites(&arch, Structure::VectorRegisterFile, Transient, 1000, 50, 8);
         assert_ne!(a, c, "different seed, different sites");
     }
 
@@ -1680,7 +1656,7 @@ mod tests {
     #[should_panic(expected = "no scalar register file")]
     fn sampling_missing_structure_panics() {
         let arch = quadro_fx_5600();
-        let _ = sample_sites(&arch, Structure::ScalarRegisterFile, 100, 1, 0);
+        let _ = sample_model_sites(&arch, Structure::ScalarRegisterFile, Transient, 100, 1, 0);
     }
 
     #[test]
@@ -1731,7 +1707,11 @@ mod tests {
         // nearest() never returns a rung past the requested cycle.
         let first = ladder.nearest(u64::MAX).unwrap().cycle();
         assert!(ladder.nearest(first).unwrap().cycle() <= first);
-        assert!(ladder.nearest(0).is_none(), "no rung at or before cycle 0");
+        assert_eq!(
+            ladder.nearest(0).unwrap().cycle(),
+            0,
+            "the start serves cycle 0"
+        );
     }
 
     #[test]
@@ -1740,9 +1720,10 @@ mod tests {
         let w = Histogram::new(1024, 64, 5);
         let golden = golden_run(&arch, &w).unwrap();
         let cfg = small_cfg(16);
-        let sites = sample_sites(
+        let sites = sample_model_sites(
             &arch,
             Structure::LocalMemory,
+            Transient,
             golden.cycles,
             cfg.injections,
             cfg.seed,
@@ -1877,7 +1858,7 @@ mod tests {
         let arch = quadro_fx_5600();
         // A deliberately tiny window so with-replacement sampling would
         // collide with near-certainty (population = num_sms·words·32·2).
-        let sites = sample_sites(&arch, Structure::VectorRegisterFile, 2, 500, 13);
+        let sites = sample_model_sites(&arch, Structure::VectorRegisterFile, Transient, 2, 500, 13);
         let unique: std::collections::HashSet<_> = sites.iter().copied().collect();
         assert_eq!(unique.len(), sites.len(), "sites must be distinct");
     }
@@ -1891,7 +1872,14 @@ mod tests {
         arch.num_sms = 2;
         arch.regfile_bytes_per_sm = 8; // two words: population = 2·2·32·2
         let population = 2 * 2 * 32 * 2;
-        let sites = sample_sites(&arch, Structure::VectorRegisterFile, 2, population, 41);
+        let sites = sample_model_sites(
+            &arch,
+            Structure::VectorRegisterFile,
+            Transient,
+            2,
+            population,
+            41,
+        );
         assert_eq!(sites.len(), population as usize);
         let unique: std::collections::HashSet<_> = sites.iter().copied().collect();
         assert_eq!(unique.len(), sites.len(), "a full draw is a permutation");
@@ -1901,25 +1889,9 @@ mod tests {
     }
 
     #[test]
-    fn transient_model_sampling_matches_legacy_sampler() {
-        let arch = quadro_fx_5600();
-        let legacy = sample_sites(&arch, Structure::VectorRegisterFile, 500, 40, 3);
-        let model = sample_model_sites(
-            &arch,
-            Structure::VectorRegisterFile,
-            FaultModelKind::Transient,
-            500,
-            40,
-            3,
-        );
-        assert_eq!(legacy, model, "default model must be bit-identical");
-        assert!(model.iter().all(|s| s.is_transient()));
-    }
-
-    #[test]
     fn stuck_model_reuses_the_storage_population() {
         let arch = quadro_fx_5600();
-        let flips = sample_sites(&arch, Structure::VectorRegisterFile, 500, 40, 3);
+        let flips = sample_model_sites(&arch, Structure::VectorRegisterFile, Transient, 500, 40, 3);
         let stuck = sample_model_sites(
             &arch,
             Structure::VectorRegisterFile,
@@ -2074,16 +2046,18 @@ mod tests {
         let mut cfg = small_cfg(64);
         let setup = Campaign::new(&arch, &w, &cfg, Capture::default(), &NoopHook).unwrap();
         let ctx = setup.context(&cfg, &NoopHook);
-        let mut sites = sample_sites(
+        let mut sites = sample_model_sites(
             &arch,
             Structure::VectorRegisterFile,
+            Transient,
             setup.golden().cycles,
             simt_sim::MAX_BATCH_SCENARIOS as u32,
             7,
         );
         sites.sort_by_key(|s| s.cycle);
         let mut gpu = Gpu::new(arch.clone());
-        let rep = classify_batch_on(&ctx, &mut gpu, &sites, None).unwrap();
+        let (_, start) = setup.ladder().nearest_indexed(0);
+        let rep = classify_batch_on(&ctx, &mut gpu, &sites, start).unwrap();
         assert!(!rep.fell_back);
         assert!(rep.forks > 0, "vectoradd lanes fork on address registers");
         assert!(
@@ -2093,7 +2067,7 @@ mod tests {
             rep.forks
         );
         for (&site, &outcome) in sites.iter().zip(&rep.outcomes) {
-            let scalar = classify_on(&ctx, &mut gpu, &[site], None, &mut NoopObserver).unwrap();
+            let scalar = classify_on(&ctx, &mut gpu, &[site], start, &mut NoopObserver).unwrap();
             assert_eq!(outcome, scalar, "site {site:?}");
         }
 
@@ -2128,7 +2102,7 @@ mod tests {
         let mut arch = quadro_fx_5600();
         arch.num_sms = 1;
         arch.regfile_bytes_per_sm = 4; // one word: population = 32 * cycles
-        let sites = sample_sites(&arch, Structure::VectorRegisterFile, 2, 1000, 0);
+        let sites = sample_model_sites(&arch, Structure::VectorRegisterFile, Transient, 2, 1000, 0);
         assert_eq!(sites.len(), 64, "request above the population saturates");
         let mut seen: Vec<_> = sites
             .iter()

@@ -491,9 +491,9 @@ pub struct SingleTrace {
 /// Replays one injection with the flight recorder on and returns its
 /// provenance: the one-shot path behind `repro trace`. The golden run
 /// and its write log come from one [`Campaign`] built for this
-/// injection; it captures no checkpoint ladder, since a single replay
-/// would resume from at most one rung, so the replay starts from cycle
-/// zero.
+/// injection. Its ladder holds the run's start alone, since a single
+/// replay would resume from at most one rung, so the replay starts at
+/// the run's start checkpoint.
 ///
 /// # Errors
 ///

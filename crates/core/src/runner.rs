@@ -184,9 +184,9 @@ fn stream_convergence<H: TelemetryHook>(
 }
 
 /// The rung label of the per-injection telemetry: the ladder index the
-/// replay resumed from, or `none` for a from-zero replay.
+/// replay resumed from, or `start` for the run's start.
 fn rung_label(rung: Option<usize>) -> String {
-    rung.map_or_else(|| "none".to_string(), |idx| idx.to_string())
+    rung.map_or_else(|| "start".to_string(), |idx| idx.to_string())
 }
 
 /// Records one injection's outcome/hang/kind/rung counters and its
@@ -324,11 +324,11 @@ fn replay_scalar<O: SimObserver, H: TelemetryHook>(
 ) -> Result<Outcome, SimError> {
     let hook = shared.ctx.hook;
     let faults = shared.group(i);
-    let rung = shared.ctx.setup.ladder().nearest_indexed(faults[0].cycle);
+    let (rung, ckpt) = shared.ctx.setup.ladder().nearest_indexed(faults[0].cycle);
     let injection_started = H::ENABLED.then(Instant::now);
-    let outcome = classify_on(&shared.ctx, gpu, faults, rung.map(|(_, ck)| ck), obs)?;
+    let outcome = classify_on(&shared.ctx, gpu, faults, ckpt, obs)?;
     if let Some(injection_started) = injection_started {
-        let rung = rung_label(rung.map(|(idx, _)| idx));
+        let rung = rung_label(rung);
         let elapsed = injection_started.elapsed();
         record_injection(hook, faults[0], outcome, &rung, elapsed.as_secs_f64());
         if let Some(prefix) = shared.span_prefix.as_deref() {
@@ -363,10 +363,10 @@ fn replay_batch<H: TelemetryHook>(
 ) -> Result<Vec<Outcome>, SimError> {
     let (hook, ladder) = (shared.ctx.hook, shared.ctx.setup.ladder());
     let first = unit[0];
-    let rung = ladder.nearest_indexed(shared.sites[first].cycle);
+    let (rung, ckpt) = ladder.nearest_indexed(shared.sites[first].cycle);
     let batch_sites: Vec<FaultSite> = unit.iter().map(|&i| shared.sites[i]).collect();
     let batch_started = H::ENABLED.then(Instant::now);
-    let rep = classify_batch_on(&shared.ctx, gpu, &batch_sites, rung.map(|(_, ck)| ck))?;
+    let rep = classify_batch_on(&shared.ctx, gpu, &batch_sites, ckpt)?;
     if let Some(batch_started) = batch_started {
         let elapsed = batch_started.elapsed();
         hook.count("campaign_batches_total", 1);
@@ -376,7 +376,7 @@ fn replay_batch<H: TelemetryHook>(
         if rep.fell_back {
             hook.count("campaign_batch_fallbacks_total", 1);
         }
-        let rung = rung_label(rung.map(|(idx, _)| idx));
+        let rung = rung_label(rung);
         let share = elapsed / unit.len() as u32;
         for (&site, &outcome) in batch_sites.iter().zip(&rep.outcomes) {
             record_injection(hook, site, outcome, &rung, share.as_secs_f64());
@@ -430,11 +430,12 @@ fn worker_loop<H: TelemetryHook>(
     jobs: usize,
 ) -> Result<Vec<Done>, SimError> {
     let started = H::ENABLED.then(Instant::now);
-    // The worker's private device. A checkpoint resume replaces it with a
-    // clone of the checkpoint's device (`Session::resume` runs
-    // `*gpu = ckpt.gpu.clone()`). The clone shares every storage page
-    // with the checkpoint, so a resume copies page handles and warp
-    // state, not storage words; the replay copies each page it writes.
+    // The worker's private device. Every replay's checkpoint resume
+    // replaces it with a clone of the checkpoint's device
+    // (`Session::resume` runs `*gpu = ckpt.gpu.clone()`). The clone
+    // shares every storage page with the checkpoint, so a resume copies
+    // page handles and warp state, not storage words; the replay copies
+    // each page it writes.
     let setup = shared.ctx.setup;
     let mut gpu = Gpu::new(setup.arch.clone());
     let mut done: Vec<Done> = Vec::new();
@@ -448,10 +449,7 @@ fn worker_loop<H: TelemetryHook>(
             }
             &Unit::Traced(i) => {
                 let site = shared.sites[i];
-                let resume_cycle = setup
-                    .ladder()
-                    .nearest(site.cycle)
-                    .map_or(0, |ck| ck.cycle());
+                let resume_cycle = setup.ladder().nearest_indexed(site.cycle).1.cycle();
                 let mut tracer = TraceObserver::new(
                     site,
                     setup.arch.num_sms as usize,

@@ -119,10 +119,6 @@ pub struct ArchConfig {
     /// Raw soft-error rate of the SRAM arrays, in FIT per Mbit, used by the
     /// FIT/EPF metrics. Technology-node dependent.
     pub raw_fit_per_mbit: f64,
-    /// Watchdog: a launch consuming more than
-    /// `watchdog_factor × fault-free cycles` (set by the campaign runner)
-    /// is killed as a DUE. Stored here as the default factor.
-    pub watchdog_factor: u32,
 }
 
 impl ArchConfig {
@@ -220,7 +216,6 @@ impl ArchConfig {
             }),
             coalesce_bytes: 64,
             raw_fit_per_mbit: 1000.0,
-            watchdog_factor: 20,
         }
     }
 

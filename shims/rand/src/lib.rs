@@ -104,7 +104,7 @@ impl_sample_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 // u128 spans do not fit the macro's i128 arithmetic, so the half-open
 // range gets a dedicated impl built from two 64-bit draws. That is the
-// only u128 shape the workspace samples (site indices in `sample_sites`).
+// only u128 shape the workspace samples (site indices in `SiteSpace::sample`).
 impl SampleRange<u128> for Range<u128> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> u128 {
         assert!(self.start < self.end, "cannot sample empty range");

@@ -9,11 +9,13 @@
 use gpu_archs::{geforce_gtx_480, quadro_fx_5600};
 use gpu_workloads::{Transpose, Workload};
 use grel_core::ace::LifetimeOracle;
-use grel_core::campaign::{run_campaign_hooked, sample_sites, Campaign, CampaignConfig, Capture};
+use grel_core::campaign::{
+    run_campaign_hooked, sample_model_sites, Campaign, CampaignConfig, Capture,
+};
 use grel_core::sampling::SamplingPlan;
 use grel_core::study::{evaluate_point_hooked, CampaignMode, StudyConfig};
 use grel_telemetry::{MemorySink, MetricsRegistry, NoopHook, RegistryHook};
-use simt_sim::{ArchConfig, Structure};
+use simt_sim::{ArchConfig, FaultModelKind, Structure};
 
 const STRUCTURES: [Structure; 2] = [Structure::VectorRegisterFile, Structure::LocalMemory];
 
@@ -113,7 +115,14 @@ fn replay_matches_run_injections() {
         let from_zero =
             Campaign::new(&arch, &w, &from_zero_cfg, Capture::default(), &NoopHook).unwrap();
         for s in STRUCTURES {
-            let sites = sample_sites(&arch, s, setup.golden().cycles, 40, 5);
+            let sites = sample_model_sites(
+                &arch,
+                s,
+                FaultModelKind::Transient,
+                setup.golden().cycles,
+                40,
+                5,
+            );
             let a = setup.replay(&sites, c, &NoopHook).unwrap();
             let b = from_zero.replay(&sites, c, &NoopHook).unwrap();
             assert_eq!(a, b, "{} {s}", arch.name);
@@ -129,7 +138,14 @@ fn setup_oracle_agrees_with_a_standalone_capture() {
         let oracle = setup.oracle().expect("a pruning setup captures the oracle");
         let standalone = LifetimeOracle::capture(&arch, &w).unwrap();
         for s in STRUCTURES {
-            let sites = sample_sites(&arch, s, setup.golden().cycles, 2000, 21);
+            let sites = sample_model_sites(
+                &arch,
+                s,
+                FaultModelKind::Transient,
+                setup.golden().cycles,
+                2000,
+                21,
+            );
             assert!(sites.iter().any(|&site| oracle.is_dead(site)));
             for site in sites {
                 assert_eq!(oracle.is_dead(site), standalone.is_dead(site), "{site}");

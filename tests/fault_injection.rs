@@ -3,9 +3,9 @@
 
 use gpu_reliability_repro::archs::{geforce_gtx_480, hd_radeon_7970, quadro_fx_5600};
 use gpu_reliability_repro::reliability::campaign::{
-    golden_run, sample_sites, Campaign, CampaignConfig, Capture, Outcome,
+    golden_run, sample_model_sites, Campaign, CampaignConfig, Capture, Outcome,
 };
-use gpu_reliability_repro::sim::{FaultSite, Gpu, NoopObserver, Structure};
+use gpu_reliability_repro::sim::{FaultModelKind, FaultSite, Gpu, NoopObserver, Structure};
 use gpu_reliability_repro::workloads::{Histogram, Kmeans, Transpose, VectorAdd, Workload};
 use grel_telemetry::NoopHook;
 
@@ -125,7 +125,14 @@ fn scalar_register_file_campaign_runs_on_si_only() {
 #[test]
 fn sample_sites_cover_the_structure() {
     let arch = geforce_gtx_480();
-    let sites = sample_sites(&arch, Structure::LocalMemory, 10_000, 500, 1);
+    let sites = sample_model_sites(
+        &arch,
+        Structure::LocalMemory,
+        FaultModelKind::Transient,
+        10_000,
+        500,
+        1,
+    );
     assert!(
         sites.iter().any(|s| s.sm >= arch.num_sms / 2),
         "high SMs sampled"

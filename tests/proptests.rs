@@ -3,10 +3,10 @@
 
 use gpu_reliability_repro::archs::{geforce_gtx_480, quadro_fx_5600};
 use gpu_reliability_repro::reliability::campaign::{
-    golden_run, sample_sites, Campaign, CampaignConfig, Capture, Outcome,
+    golden_run, sample_model_sites, Campaign, CampaignConfig, Capture, Outcome,
 };
 use gpu_reliability_repro::reliability::stats::{Proportion, Z_99};
-use gpu_reliability_repro::sim::{Gpu, NoopObserver, Structure};
+use gpu_reliability_repro::sim::{FaultModelKind, Gpu, NoopObserver, Structure};
 use gpu_reliability_repro::workloads::{VectorAdd, Workload};
 use grel_telemetry::NoopHook;
 use proptest::prelude::*;
@@ -18,7 +18,7 @@ proptest! {
     #[test]
     fn sites_always_in_range(seed in any::<u64>(), cycles in 1u64..1_000_000) {
         let arch = geforce_gtx_480();
-        for s in sample_sites(&arch, Structure::VectorRegisterFile, cycles, 64, seed) {
+        for s in sample_model_sites(&arch, Structure::VectorRegisterFile, FaultModelKind::Transient, cycles, 64, seed) {
             prop_assert!(s.sm < arch.num_sms);
             prop_assert!(s.word < arch.rf_words_per_sm());
             prop_assert!(s.bit < 32);
@@ -37,8 +37,8 @@ proptest! {
         cycles in 1u64..100_000,
     ) {
         let arch = geforce_gtx_480();
-        let a = sample_sites(&arch, Structure::VectorRegisterFile, cycles, 128, seed);
-        let b = sample_sites(&arch, Structure::VectorRegisterFile, cycles, 128, seed);
+        let a = sample_model_sites(&arch, Structure::VectorRegisterFile, FaultModelKind::Transient, cycles, 128, seed);
+        let b = sample_model_sites(&arch, Structure::VectorRegisterFile, FaultModelKind::Transient, cycles, 128, seed);
         prop_assert_eq!(&a, &b);
         let mut seen = std::collections::HashSet::new();
         for s in &a {
@@ -67,7 +67,7 @@ proptest! {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 3);
         let golden = golden_run(&arch, &w).unwrap();
-        let sites = sample_sites(&arch, Structure::VectorRegisterFile, golden.cycles, 4, seed);
+        let sites = sample_model_sites(&arch, Structure::VectorRegisterFile, FaultModelKind::Transient, golden.cycles, 4, seed);
         let cfg = CampaignConfig { injections: 4, threads: 1, ..CampaignConfig::quick(seed) };
         let mut c = cfg;
         c.checkpoint_budget_bytes = 1;
@@ -89,7 +89,7 @@ proptest! {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(512, 5);
         let golden = golden_run(&arch, &w).unwrap();
-        let sites = sample_sites(&arch, Structure::VectorRegisterFile, golden.cycles, 6, seed);
+        let sites = sample_model_sites(&arch, Structure::VectorRegisterFile, FaultModelKind::Transient, golden.cycles, 6, seed);
         for site in sites {
             let mut gpu = Gpu::new(arch.clone());
             gpu.set_watchdog(golden.cycles * 10 + 10_000);

@@ -82,7 +82,8 @@ fn pin(
     }
 }
 
-/// Scalar replays, each resuming from its nearest ladder rung.
+/// Scalar replays, each resuming from its nearest ladder rung (the
+/// run's start before the first rung): one restore per replay.
 #[test]
 fn checkpointed_scalar_campaign_counters_are_pinned() {
     pin(
@@ -91,11 +92,12 @@ fn checkpointed_scalar_campaign_counters_are_pinned() {
         &Histogram::new(512, 32, 17),
         Structure::VectorRegisterFile,
         cfg(40, false, false),
-        [13584, 10816, 5860, 35, 0, 0, 0, 0, 0, 40],
+        [13584, 10816, 5860, 40, 0, 0, 0, 0, 0, 40],
     );
 }
 
-/// Scalar replays from cycle zero: a one-byte budget holds no rung.
+/// Scalar replays from cycle zero: a one-byte budget holds no rung, so
+/// every replay restores the run's start checkpoint.
 #[test]
 fn from_zero_campaign_counters_are_pinned() {
     let mut c = cfg(40, false, false);
@@ -106,7 +108,7 @@ fn from_zero_campaign_counters_are_pinned() {
         &Histogram::new(512, 32, 17),
         Structure::VectorRegisterFile,
         c,
-        [24400, 0, 10800, 0, 0, 0, 0, 0, 0, 40],
+        [24400, 0, 10800, 40, 0, 0, 0, 0, 0, 40],
     );
 }
 
@@ -136,6 +138,6 @@ fn stuck_at_campaign_counters_are_pinned() {
         &Kmeans::default_size(17),
         Structure::VectorRegisterFile,
         c,
-        [1292490, 1036288, 747646, 37, 0, 0, 0, 0, 446356, 40],
+        [1292490, 1036288, 747646, 40, 0, 0, 0, 0, 446356, 40],
     );
 }

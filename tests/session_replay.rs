@@ -7,11 +7,12 @@ use gpu_reliability_repro::archs::{
     all_devices, geforce_gtx_480, hd_radeon_7970, quadro_fx_5600, quadro_fx_5800,
 };
 use gpu_reliability_repro::reliability::campaign::{
-    golden_run, run_injections_checkpointed, sample_sites, Campaign, CampaignConfig, Capture,
-    CheckpointLadder,
+    golden_run, run_injections_checkpointed, sample_model_sites, Campaign, CampaignConfig, Capture,
+    CheckpointLadder, Outcome,
 };
 use gpu_reliability_repro::sim::{
-    ArchConfig, Checkpoint, FaultSite, Gpu, NoopObserver, Session, SimError, Structure,
+    ArchConfig, Checkpoint, Due, FaultModelKind, FaultSite, Gpu, NoopObserver, Session, SimError,
+    Structure,
 };
 use gpu_reliability_repro::workloads::{
     Backprop, DwtHaar1D, Gaussian, Histogram, Kmeans, MatrixMul, Reduction, Scan, Transpose,
@@ -94,22 +95,41 @@ fn cfg(n: u32) -> CampaignConfig {
 }
 
 /// From-zero and checkpointed replay of the identical site list must
-/// produce the identical outcome sequence.
+/// produce the identical outcome sequence. The from-zero side replays
+/// each site on a fresh device from the plan's first step
+/// ([`replay_site`] without a checkpoint), not through a campaign,
+/// whose replays all resume from a checkpoint.
 fn assert_replay_equivalence(arch: &ArchConfig, w: &dyn Workload, structure: Structure) {
     let c = cfg(10);
     let golden = golden_run(arch, w).unwrap();
-    let sites = sample_sites(arch, structure, golden.cycles, c.injections, c.seed);
+    let sites = sample_model_sites(
+        arch,
+        structure,
+        FaultModelKind::Transient,
+        golden.cycles,
+        c.injections,
+        c.seed,
+    );
     let ladder = CheckpointLadder::build(arch, w, &golden, &c).unwrap();
     assert!(
         !ladder.is_empty(),
         "auto ladder must have rungs for {}",
         w.name()
     );
-    let mut from_zero_cfg = c;
-    from_zero_cfg.checkpoint_budget_bytes = 1;
-    let from_zero = Campaign::new(arch, w, &from_zero_cfg, Capture::default(), &NoopHook)
-        .and_then(|setup| setup.replay(&sites, c, &NoopHook))
-        .unwrap();
+    let watchdog = golden.cycles.saturating_mul(c.watchdog_factor) + 10_000;
+    let mut gpu = Gpu::new(arch.clone());
+    let from_zero: Vec<Outcome> = sites
+        .iter()
+        .map(
+            |&site| match replay_site(&mut gpu, w, None, site, watchdog) {
+                Ok(out) if out == golden.outputs => Outcome::Masked,
+                Ok(_) => Outcome::Sdc,
+                Err(SimError::Due(Due::WatchdogTimeout { .. })) => Outcome::Hang,
+                Err(SimError::Due(_)) => Outcome::Due,
+                Err(e) => panic!("from-zero replay of {site} failed: {e}"),
+            },
+        )
+        .collect();
     let from_ckpt = run_injections_checkpointed(arch, w, &golden, &ladder, &sites, c).unwrap();
     assert_eq!(
         from_zero,
@@ -214,10 +234,17 @@ fn assert_pages_never_alias(arch: &ArchConfig, w: &dyn Workload, structure: Stru
         .collect();
     // Two sites past the first rung, resumed from different rungs where
     // the ladder allows it.
-    let sites = sample_sites(arch, structure, golden.cycles, c.injections, seed);
+    let sites = sample_model_sites(
+        arch,
+        structure,
+        FaultModelKind::Transient,
+        golden.cycles,
+        c.injections,
+        seed,
+    );
     let mut resumable = sites
         .iter()
-        .filter_map(|&s| ladder.nearest_indexed(s.cycle).map(|(i, _)| (i, s)));
+        .filter_map(|&s| ladder.nearest_indexed(s.cycle).0.map(|i| (i, s)));
     let (j, first) = resumable.next().expect("a site past the first rung");
     let (k, second) = resumable
         .clone()
