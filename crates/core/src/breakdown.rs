@@ -49,7 +49,7 @@ pub fn detailed_campaign_on(
     structure: Structure,
     cfg: CampaignConfig,
 ) -> Result<Vec<SiteOutcome>, SimError> {
-    let sites = campaign.sample(structure, &cfg);
+    let sites = campaign.sample(structure, &cfg)?;
     let outcomes = campaign.replay(&sites, cfg, &NoopHook)?;
     Ok(sites
         .into_iter()
@@ -190,7 +190,7 @@ pub fn mbu_campaign_on(
             reason: format!("MBU width must be 1..=32, got {width}"),
         });
     }
-    let space = campaign.space(structure, FaultModelKind::Transient);
+    let space = campaign.space(structure, FaultModelKind::Transient)?;
     // One flat list, `width` adjacent-bit sites per injection.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6b75);
     let mut sites = Vec::with_capacity(cfg.injections as usize * width as usize);

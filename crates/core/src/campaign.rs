@@ -427,7 +427,7 @@ pub(crate) fn golden_pass<H: TelemetryHook>(
     let mut obs = (&mut life, &mut writes);
     let outputs = match &mut grid {
         Some(grid) => grid.lay(&mut session, &mut obs)?,
-        None => session.run_to_completion(&mut obs)?,
+        None => session.run_to_completion(&mut obs)?.to_vec(),
     };
     let snapshots = *session.telemetry();
     let golden = GoldenRun {
@@ -612,9 +612,10 @@ pub(crate) fn campaign_margin(population: u64, trials: u64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the device lacks the structure or if `cycles` is zero; the
-/// control population additionally requires
-/// `arch.max_warps_per_sm > 0`.
+/// Panics with the [`SimError::LaunchConfig`] reason that the campaign
+/// entry points return instead: the device lacks the structure (a
+/// storage model) or has no warp slots (the control model), or
+/// `cycles` is zero.
 pub fn sample_model_sites(
     arch: &ArchConfig,
     structure: Structure,
@@ -623,7 +624,9 @@ pub fn sample_model_sites(
     n: u32,
     seed: u64,
 ) -> Vec<FaultSite> {
-    SiteSpace::new(arch, structure, model, cycles).sample(n, seed)
+    SiteSpace::new(arch, structure, model, cycles)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .sample(n, seed)
 }
 
 /// Default cap on the simulator state a [`CheckpointLadder`] may retain.
@@ -794,7 +797,7 @@ impl RungGrid {
             self.keep(ck);
             self.laying += started.elapsed();
         }
-        session.run_to_completion(obs)
+        Ok(session.run_to_completion(obs)?.to_vec())
     }
 
     /// Keeps the snapshot at the current mark as a rung, thinning the
@@ -897,7 +900,7 @@ fn replay_private<O: SimObserver, H: TelemetryHook>(
         (0, 0)
     };
     session.set_watchdog(ctx.watchdog);
-    let result = session.run_to_completion(obs);
+    let result = session.run_to_completion(obs).map(drop);
     let gpu = session.gpu();
     if H::ENABLED {
         ctx.hook.count(
@@ -906,7 +909,8 @@ fn replay_private<O: SimObserver, H: TelemetryHook>(
         );
         record_replay_cost(ctx.hook, gpu, base, session.telemetry());
     }
-    verdict(ctx, result, gpu, site, start_cycle)
+    let outputs = result.map(|()| session.outputs().expect("finished session has outputs"));
+    verdict(ctx, outputs, gpu, site, start_cycle)
 }
 
 /// Instructions a replay retired beyond its checkpoint prefix, the cost
@@ -947,7 +951,7 @@ fn record_replay_cost<H: TelemetryHook>(
 /// `watchdog_factor` would recover).
 fn verdict<H: TelemetryHook>(
     ctx: &ReplayContext<'_, H>,
-    result: Result<Vec<u32>, SimError>,
+    result: Result<&[u32], SimError>,
     gpu: &Gpu,
     site: FaultSite,
     start_cycle: u64,
@@ -1360,14 +1364,33 @@ impl<'a> Campaign<'a> {
 
     /// The site space of a `model` campaign on `structure` against this
     /// setup's golden run.
-    pub(crate) fn space(&self, structure: Structure, model: FaultModelKind) -> SiteSpace {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::LaunchConfig`] when the device lacks the structure
+    /// (a storage model) or warp slots (the control model).
+    pub(crate) fn space(
+        &self,
+        structure: Structure,
+        model: FaultModelKind,
+    ) -> Result<SiteSpace, SimError> {
         SiteSpace::new(self.arch, structure, model, self.golden.cycles)
     }
 
     /// The uniform site sample of a campaign on `structure` under `cfg`.
-    pub(crate) fn sample(&self, structure: Structure, cfg: &CampaignConfig) -> Vec<FaultSite> {
-        self.space(structure, cfg.fault_model)
-            .sample(cfg.injections, cfg.seed)
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::LaunchConfig`] when the device lacks the structure
+    /// (a storage model) or warp slots (the control model).
+    pub(crate) fn sample(
+        &self,
+        structure: Structure,
+        cfg: &CampaignConfig,
+    ) -> Result<Vec<FaultSite>, SimError> {
+        Ok(self
+            .space(structure, cfg.fault_model)?
+            .sample(cfg.injections, cfg.seed))
     }
 
     /// The context every replay of a run under `cfg` reads. The
@@ -1424,9 +1447,10 @@ impl<'a> Campaign<'a> {
         hook: &H,
     ) -> Result<CampaignResult, SimError> {
         let started = H::ENABLED.then(Instant::now);
-        let sites = self.sample(structure, &cfg);
+        let space = self.space(structure, cfg.fault_model)?;
+        let sites = space.sample(cfg.injections, cfg.seed);
         let replayed = self.replay_with(&sites, Arming::Groups(1), cfg, hook)?;
-        Ok(self.finish(structure, cfg, &replayed, started, hook))
+        Ok(self.finish(&space, cfg, &replayed, started, hook))
     }
 
     /// The tail every uniform and traced campaign shares: tallies the
@@ -1435,14 +1459,15 @@ impl<'a> Campaign<'a> {
     /// event and `campaign:` span.
     pub(crate) fn finish<H: TelemetryHook>(
         &self,
-        structure: Structure,
+        space: &SiteSpace,
         cfg: CampaignConfig,
         replayed: &Replayed,
         started: Option<Instant>,
         hook: &H,
     ) -> CampaignResult {
+        let structure = space.structure();
         let tally = replayed.outcomes.iter().copied().collect();
-        let population = self.space(structure, cfg.fault_model).margin_population();
+        let population = space.margin_population();
         let result = CampaignResult {
             structure,
             tally,

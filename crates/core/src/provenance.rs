@@ -410,7 +410,8 @@ impl Campaign<'_> {
         hook: &H,
     ) -> Result<(CampaignResult, Vec<Provenance>, ProvenanceAggregate), SimError> {
         let started = H::ENABLED.then(Instant::now);
-        let sites = self.sample(structure, &cfg);
+        let space = self.space(structure, cfg.fault_model)?;
+        let sites = space.sample(cfg.injections, cfg.seed);
         let replayed = self.replay_with(&sites, Arming::Traced, cfg, hook)?;
         let provenance: Vec<Provenance> = replayed
             .outcomes
@@ -443,7 +444,7 @@ impl Campaign<'_> {
             }
             aggregate.emit(hook);
         }
-        let result = self.finish(structure, cfg, &replayed, started, hook);
+        let result = self.finish(&space, cfg, &replayed, started, hook);
         Ok((result, provenance, aggregate))
     }
 }

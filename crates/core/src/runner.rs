@@ -54,24 +54,47 @@ use simt_sim::{
     FaultModelKind, FaultSite, Gpu, NoopObserver, SimError, SimObserver, Structure, TraceObserver,
     TraceRecord, MAX_BATCH_SCENARIOS,
 };
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Runs `work(w)` for every worker `w in 0..n` (at least one) — on `n`
 /// scoped threads, or inline on the calling thread when `n == 1` — and
 /// returns the results in worker order. The one thread fan-out of the crate: replay
 /// workers and study-point workers both go through it.
-pub(crate) fn fan_out<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+///
+/// # Errors
+///
+/// [`SimError::WorkerPanicked`] naming the lowest-numbered worker that
+/// panicked. Every worker runs to its end first.
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, SimError> {
     if n <= 1 {
-        return vec![work(0)];
+        let done = panic::catch_unwind(AssertUnwindSafe(|| work(0)));
+        return done.map(|t| vec![t]).map_err(|p| worker_panicked(0, &*p));
     }
     let work = &work;
-    std::thread::scope(|scope| {
+    let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || work(w))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    joined
+        .into_iter()
+        .enumerate()
+        .map(|(w, done)| done.map_err(|p| worker_panicked(w, &*p)))
+        .collect()
+}
+
+/// The harness error of worker `worker`'s panic with payload `payload`.
+fn worker_panicked(worker: usize, payload: &(dyn Any + Send)) -> SimError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a non-string payload".into());
+    SimError::WorkerPanicked { worker, message }
 }
 
 /// How each injection of a replay run is armed and observed.
@@ -163,9 +186,9 @@ fn stream_convergence<H: TelemetryHook>(
     structure: Structure,
     cfg: CampaignConfig,
     outcomes: &[Outcome],
-) {
+) -> Result<(), SimError> {
     if !H::ENABLED || cfg.convergence == 0 || outcomes.is_empty() {
-        return;
+        return Ok(());
     }
     let setup = ctx.setup;
     let mut monitor = ConvergenceMonitor::new(
@@ -173,7 +196,7 @@ fn stream_convergence<H: TelemetryHook>(
         &setup.arch.name,
         structure,
         cfg.fault_model,
-        setup.space(structure, cfg.fault_model).margin_population(),
+        setup.space(structure, cfg.fault_model)?.margin_population(),
         outcomes.len() as u64,
         cfg.convergence,
     );
@@ -181,6 +204,7 @@ fn stream_convergence<H: TelemetryHook>(
         monitor.observe(o, ctx.hook);
     }
     monitor.finish(ctx.hook);
+    Ok(())
 }
 
 /// The rung label of the per-injection telemetry: the ladder index the
@@ -615,7 +639,7 @@ impl Campaign<'_> {
             span_prefix,
         };
         let replay_started = H::SPANS.then(Instant::now);
-        let per_worker = fan_out(jobs, |w| worker_loop(&shared, w, jobs))
+        let per_worker = fan_out(jobs, |w| worker_loop(&shared, w, jobs))?
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         let span_prefix = shared.span_prefix.as_deref();
@@ -642,7 +666,7 @@ impl Campaign<'_> {
             ));
         }
         if let Some(first) = sites.first() {
-            stream_convergence(&shared.ctx, first.structure, cfg, &outcomes);
+            stream_convergence(&shared.ctx, first.structure, cfg, &outcomes)?;
         }
         let records = records
             .into_iter()
@@ -673,13 +697,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_panicking_worker_is_an_error_naming_the_lowest_one() {
+        assert_eq!(fan_out(3, |w| w * 10), Ok(vec![0, 10, 20]));
+        let failing = |w: usize| {
+            if w % 2 == 1 {
+                panic!("worker {w} gave up");
+            }
+            w
+        };
+        assert_eq!(
+            fan_out(4, failing),
+            Err(SimError::WorkerPanicked {
+                worker: 1,
+                message: "worker 1 gave up".into(),
+            })
+        );
+        // Inline on the calling thread too, with a `&str` payload.
+        let err = fan_out(1, |_| -> u32 { panic!("no threads") }).unwrap_err();
+        assert_eq!(err.to_string(), "worker 0 panicked: no threads");
+    }
+
     /// Replays `c.injections` register-file sites on a fresh setup with
     /// no oracle, through `hook`.
     fn replay<H: TelemetryHook>(c: CampaignConfig, hook: &H) -> Replayed {
         let arch = quadro_fx_5600();
         let w = VectorAdd::new(256, 11);
         let setup = Campaign::new(&arch, &w, &c, Capture::default(), &NoopHook).unwrap();
-        let sites = setup.sample(Structure::VectorRegisterFile, &c);
+        let sites = setup.sample(Structure::VectorRegisterFile, &c).unwrap();
         setup
             .replay_with(&sites, Arming::Groups(1), c, hook)
             .unwrap()
@@ -736,7 +781,7 @@ mod tests {
         let oracle = setup
             .oracle()
             .expect("a pruning campaign captures the oracle");
-        let sites = setup.sample(Structure::VectorRegisterFile, &c);
+        let sites = setup.sample(Structure::VectorRegisterFile, &c).unwrap();
         let reg = MetricsRegistry::new();
         let pruned = setup
             .replay_with(&sites, Arming::Groups(1), c, &RegistryHook::new(&reg))

@@ -620,7 +620,7 @@ impl Campaign<'_> {
             });
         }
         let started = H::ENABLED.then(std::time::Instant::now);
-        let space = self.space(structure, cfg.fault_model);
+        let space = self.space(structure, cfg.fault_model)?;
         let (cycles, population) = (space.cycles(), space.population());
         let liveness = oracle.filter(|_| cfg.fault_model == FaultModelKind::Transient);
         let uniform = required_sample_size(space.margin_population(), plan.target_margin, Z_99);
@@ -917,7 +917,7 @@ mod tests {
         let setup = Campaign::new(&arch, &w, &cfg, ORACLE, &NoopHook).unwrap();
         let oracle = setup.oracle().unwrap();
         for structure in [Structure::VectorRegisterFile, Structure::LocalMemory] {
-            let space = setup.space(structure, FaultModelKind::Transient);
+            let space = setup.space(structure, FaultModelKind::Transient).unwrap();
             let table = strata(&space, Some(oracle), cfg.seed, 2000);
             let dead = table.last().filter(|s| s.dead).unwrap();
             // A brute-force scan in the map's (sm, word, cycle) order.

@@ -15,7 +15,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simt_sim::{ArchConfig, ControlTarget, FaultKind, FaultModelKind, FaultSite, Structure};
+use simt_sim::{
+    ArchConfig, ControlTarget, FaultKind, FaultModelKind, FaultSite, SimError, Structure,
+};
 use std::collections::HashMap;
 
 /// The `(sm, cell, lane, cycle)` site space of one campaign.
@@ -37,26 +39,32 @@ impl SiteSpace {
     /// The space a `model` campaign on `structure` samples from over a
     /// golden run of `cycles` cycles.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a storage model's structure is absent from the device,
-    /// if the device has no warp slots (control), or if `cycles` is zero.
+    /// [`SimError::LaunchConfig`] if a storage model's structure is
+    /// absent from the device, if the device has no warp slots
+    /// (control), or if `cycles` is zero.
     pub(crate) fn new(
         arch: &ArchConfig,
         structure: Structure,
         model: FaultModelKind,
         cycles: u64,
-    ) -> Self {
+    ) -> Result<Self, SimError> {
         let kind = model.storage_kind();
-        let words = Self::cells(arch, structure, kind).unwrap_or_else(|e| panic!("{e}"));
-        assert!(cycles > 0, "cannot sample an empty execution");
-        SiteSpace {
+        let words = Self::cells(arch, structure, kind)
+            .map_err(|reason| SimError::LaunchConfig { reason })?;
+        if cycles == 0 {
+            return Err(SimError::LaunchConfig {
+                reason: "cannot sample an empty execution".into(),
+            });
+        }
+        Ok(SiteSpace {
             structure,
             kind,
             sms: arch.num_sms,
             words,
             cycles,
-        }
+        })
     }
 
     /// The per-SM cell count of a layout: the structure's words for a
@@ -249,7 +257,8 @@ mod tests {
             for model in FaultModelKind::ALL {
                 for s in STRUCTURES {
                     if model.storage_kind().is_none() || arch.words_per_sm(s) > 0 {
-                        out.push((arch.clone(), SiteSpace::new(&arch, s, model, 1000)));
+                        let space = SiteSpace::new(&arch, s, model, 1000).unwrap();
+                        out.push((arch.clone(), space));
                     }
                 }
             }
@@ -315,7 +324,8 @@ mod tests {
             Structure::VectorRegisterFile,
             FaultModelKind::Transient,
             u64::MAX,
-        );
+        )
+        .unwrap();
         assert_eq!(huge.margin_population(), u64::MAX);
         assert!(huge.population() > u64::MAX as u128);
     }
@@ -355,23 +365,43 @@ mod tests {
         assert_eq!(SiteSpace::check(&arch, &late), Ok(()));
     }
 
+    /// The reason of the `LaunchConfig` error `SiteSpace::new` returns.
+    fn refusal(arch: &ArchConfig, s: Structure, model: FaultModelKind, cycles: u64) -> String {
+        match SiteSpace::new(arch, s, model, cycles) {
+            Err(SimError::LaunchConfig { reason }) => reason,
+            other => panic!("expected a launch-config error, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "device has no warp slots")]
     fn control_space_needs_warp_slots() {
         let mut arch = all_devices()[0].clone();
         arch.max_warps_per_sm = 0;
-        let _ = SiteSpace::new(
+        let reason = refusal(
             &arch,
             Structure::VectorRegisterFile,
             FaultModelKind::Control,
             10,
         );
+        assert_eq!(reason, "device has no warp slots");
     }
 
     #[test]
-    #[should_panic(expected = "cannot sample an empty execution")]
+    fn a_storage_space_needs_its_structure() {
+        let arch = all_devices()
+            .into_iter()
+            .find(|a| a.srf_words_per_sm() == 0)
+            .expect("a device without a scalar register file");
+        for model in [FaultModelKind::Transient, FaultModelKind::Stuck1] {
+            let reason = refusal(&arch, Structure::ScalarRegisterFile, model, 10);
+            assert!(reason.contains("no scalar register file"), "{reason}");
+        }
+    }
+
+    #[test]
     fn empty_execution_has_no_space() {
         let arch = &all_devices()[0];
-        let _ = SiteSpace::new(arch, Structure::LocalMemory, FaultModelKind::Stuck0, 0);
+        let reason = refusal(arch, Structure::LocalMemory, FaultModelKind::Stuck0, 0);
+        assert_eq!(reason, "cannot sample an empty execution");
     }
 }

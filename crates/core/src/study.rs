@@ -570,7 +570,7 @@ pub fn run_study_parallel_hooked<H: TelemetryHook>(
                 break done;
             }
         }
-    });
+    })?;
     let mut slots: Vec<Option<Result<EvalPoint, SimError>>> = (0..n).map(|_| None).collect();
     for (idx, r) in per_worker.into_iter().flatten() {
         slots[idx] = Some(r);

@@ -354,6 +354,7 @@ impl fmt::Display for MemSpace {
 /// assert_eq!(eval_unop(UnOp::INeg, 1), u32::MAX);
 /// assert_eq!(eval_unop(UnOp::I2F, 2), 2.0f32.to_bits());
 /// ```
+#[inline]
 pub fn eval_unop(op: UnOp, a: u32) -> u32 {
     match op {
         UnOp::Mov => a,
@@ -401,6 +402,7 @@ pub fn eval_unop(op: UnOp, a: u32) -> u32 {
 /// assert_eq!(eval_binop(BinOp::IAdd, 2, 3), 5);
 /// assert_eq!(eval_binop(BinOp::UDiv, 7, 0), 0);
 /// ```
+#[inline]
 pub fn eval_binop(op: BinOp, a: u32, b: u32) -> u32 {
     match op {
         BinOp::IAdd => a.wrapping_add(b),
@@ -456,6 +458,7 @@ pub fn eval_binop(op: BinOp, a: u32, b: u32) -> u32 {
 /// use simt_isa::TerOp;
 /// assert_eq!(eval_terop(TerOp::IMad, 2, 3, 4), 10);
 /// ```
+#[inline]
 pub fn eval_terop(op: TerOp, a: u32, b: u32, c: u32) -> u32 {
     match op {
         TerOp::IMad => a.wrapping_mul(b).wrapping_add(c),
@@ -478,6 +481,7 @@ pub fn eval_terop(op: TerOp, a: u32, b: u32, c: u32) -> u32 {
 /// assert!(!eval_cmp(CmpOp::ULt, (-1i32) as u32, 1, false));
 /// assert!(eval_cmp(CmpOp::SLt, 1.0f32.to_bits(), 2.0f32.to_bits(), true));
 /// ```
+#[inline]
 pub fn eval_cmp(op: CmpOp, a: u32, b: u32, float: bool) -> bool {
     if float {
         let (x, y) = (f32::from_bits(a), f32::from_bits(b));
@@ -504,6 +508,117 @@ pub fn eval_cmp(op: CmpOp, a: u32, b: u32, float: bool) -> bool {
             CmpOp::UGe => a >= b,
         }
     }
+}
+
+/// Matches `$op` once, then runs `$body` with `$k` bound to the matched
+/// variant: inside each arm the op is a constant, so the per-lane
+/// evaluation in `$body` folds to that one operation.
+macro_rules! per_op {
+    ($op:expr, $ty:ident [$($v:ident),*], |$k:ident| $body:expr) => {
+        match $op {
+            $($ty::$v => {
+                let $k = $ty::$v;
+                $body
+            })*
+        }
+    };
+}
+
+/// Evaluates a unary op on a row of lanes: `out[l] = op(a[l])`, with one
+/// op dispatch for the row. `out` is as long as the shorter of the two.
+///
+/// # Example
+/// ```
+/// use simt_isa::op::eval_unop_row;
+/// use simt_isa::UnOp;
+/// let mut out = [0; 3];
+/// eval_unop_row(UnOp::INeg, &[1, 2, 3], &mut out);
+/// assert_eq!(out, [u32::MAX, u32::MAX - 1, u32::MAX - 2]);
+/// ```
+pub fn eval_unop_row(op: UnOp, a: &[u32], out: &mut [u32]) {
+    per_op!(
+        op,
+        UnOp[Mov, INeg, IAbs, Not, FNeg, FAbs, FSqrt, FRcp, FExp2, FLog2, I2F, U2F, F2I, F2U, Clz, Popc],
+        |k| for (o, &x) in out.iter_mut().zip(a) {
+            *o = eval_unop(k, x);
+        }
+    )
+}
+
+/// Evaluates a binary op on rows of lanes: `out[l] = op(a[l], b[l])`,
+/// with one op dispatch for the row.
+///
+/// # Example
+/// ```
+/// use simt_isa::op::eval_binop_row;
+/// use simt_isa::BinOp;
+/// let mut out = [0; 2];
+/// eval_binop_row(BinOp::IAdd, &[1, 2], &[10, 20], &mut out);
+/// assert_eq!(out, [11, 22]);
+/// ```
+pub fn eval_binop_row(op: BinOp, a: &[u32], b: &[u32], out: &mut [u32]) {
+    per_op!(
+        op,
+        BinOp[
+            IAdd, ISub, IMul, IMulHi, IDiv, UDiv, IRem, URem, IMin, IMax, UMin, UMax, And, Or,
+            Xor, Shl, Shr, AShr, FAdd, FSub, FMul, FDiv, FMin, FMax
+        ],
+        |k| for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = eval_binop(k, x, y);
+        }
+    )
+}
+
+/// Evaluates a ternary op on rows of lanes: `out[l] = op(a[l], b[l],
+/// c[l])`, with one op dispatch for the row.
+///
+/// # Example
+/// ```
+/// use simt_isa::op::eval_terop_row;
+/// use simt_isa::TerOp;
+/// let mut out = [0; 2];
+/// eval_terop_row(TerOp::IMad, &[2, 3], &[4, 5], &[1, 1], &mut out);
+/// assert_eq!(out, [9, 16]);
+/// ```
+pub fn eval_terop_row(op: TerOp, a: &[u32], b: &[u32], c: &[u32], out: &mut [u32]) {
+    per_op!(
+        op,
+        TerOp[IMad, FFma],
+        |k| for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+            *o = eval_terop(k, x, y, z);
+        }
+    )
+}
+
+/// Evaluates a comparison on rows of at most 64 lanes, returning the
+/// predicate of lane `l` as bit `l`, with one op dispatch for the row.
+///
+/// # Example
+/// ```
+/// use simt_isa::op::eval_cmp_row;
+/// use simt_isa::CmpOp;
+/// assert_eq!(eval_cmp_row(CmpOp::ULt, &[1, 5, 2], &[3, 3, 3], false), 0b101);
+/// ```
+///
+/// # Panics
+///
+/// Panics (debug assertions) if the rows are longer than 64 lanes.
+pub fn eval_cmp_row(op: CmpOp, a: &[u32], b: &[u32], float: bool) -> u64 {
+    debug_assert!(a.len().min(b.len()) <= 64, "a lane mask holds 64 lanes");
+    let mut mask = 0;
+    let rows = a.iter().zip(b).enumerate();
+    per_op!(op, CmpOp[Eq, Ne, SLt, SLe, SGt, SGe, ULt, ULe, UGt, UGe], |k| {
+        if float {
+            for (l, (&x, &y)) in rows {
+                mask |= (eval_cmp(k, x, y, true) as u64) << l;
+            }
+        } else {
+            for (l, (&x, &y)) in rows {
+                mask |= (eval_cmp(k, x, y, false) as u64) << l;
+            }
+        }
+    });
+    mask
 }
 
 /// Applies an atomic read-modify-write op, returning `(new, old)`.
@@ -613,6 +728,108 @@ mod tests {
         assert_eq!(eval_atom(AtomOp::Min, 3, (-7i32) as u32).0, (-7i32) as u32);
         assert_eq!(eval_atom(AtomOp::Max, 3, 9), (9, 3));
         assert_eq!(eval_atom(AtomOp::Add, u32::MAX, 1).0, 0);
+    }
+
+    /// Words that reach the edge cases: zero, signs, NaN, infinities,
+    /// denormals and shift amounts past 31.
+    const EDGES: [u32; 12] = [
+        0,
+        1,
+        2,
+        33,
+        u32::MAX,
+        0x8000_0000,
+        0x7fff_ffff,
+        0x7fc0_0000, // NaN
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x0000_0001, // smallest denormal
+        0x4049_0fdb, // pi
+    ];
+
+    /// Every ordered pair of edge words as two rows.
+    fn pairs() -> (Vec<u32>, Vec<u32>) {
+        EDGES
+            .iter()
+            .flat_map(|&x| EDGES.iter().map(move |&y| (x, y)))
+            .unzip()
+    }
+
+    #[test]
+    fn row_forms_match_the_per_lane_ops() {
+        use UnOp::*;
+        let (a, b) = pairs();
+        let c: Vec<u32> = a.iter().rev().copied().collect();
+        let mut out = vec![0; a.len()];
+        for op in [
+            Mov, INeg, IAbs, Not, FNeg, FAbs, FSqrt, FRcp, FExp2, FLog2, I2F, U2F, F2I, F2U, Clz,
+            Popc,
+        ] {
+            eval_unop_row(op, &a, &mut out);
+            assert!(
+                a.iter().zip(&out).all(|(&x, &o)| o == eval_unop(op, x)),
+                "{op}"
+            );
+        }
+        for op in [
+            BinOp::IAdd,
+            BinOp::ISub,
+            BinOp::IMul,
+            BinOp::IMulHi,
+            BinOp::IDiv,
+            BinOp::UDiv,
+            BinOp::IRem,
+            BinOp::URem,
+            BinOp::IMin,
+            BinOp::IMax,
+            BinOp::UMin,
+            BinOp::UMax,
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+            BinOp::Shl,
+            BinOp::Shr,
+            BinOp::AShr,
+            BinOp::FAdd,
+            BinOp::FSub,
+            BinOp::FMul,
+            BinOp::FDiv,
+            BinOp::FMin,
+            BinOp::FMax,
+        ] {
+            eval_binop_row(op, &a, &b, &mut out);
+            let want = a.iter().zip(&b).map(|(&x, &y)| eval_binop(op, x, y));
+            assert!(want.eq(out.iter().copied()), "{op}");
+        }
+        for op in [TerOp::IMad, TerOp::FFma] {
+            eval_terop_row(op, &a, &b, &c, &mut out);
+            for l in 0..a.len() {
+                assert_eq!(out[l], eval_terop(op, a[l], b[l], c[l]), "{op}");
+            }
+        }
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::SLt,
+            CmpOp::SLe,
+            CmpOp::SGt,
+            CmpOp::SGe,
+            CmpOp::ULt,
+            CmpOp::ULe,
+            CmpOp::UGt,
+            CmpOp::UGe,
+        ] {
+            for float in [false, true] {
+                for chunk in (0..a.len()).step_by(64) {
+                    let end = (chunk + 64).min(a.len());
+                    let mask = eval_cmp_row(op, &a[chunk..end], &b[chunk..end], float);
+                    for l in chunk..end {
+                        let bit = mask >> (l - chunk) & 1 == 1;
+                        assert_eq!(bit, eval_cmp(op, a[l], b[l], float), "{op} {float}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

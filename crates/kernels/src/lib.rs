@@ -115,7 +115,9 @@ pub trait Workload: Send + Sync {
     /// Propagates launch failures, including [`simt_sim::Due`]s raised
     /// under fault injection.
     fn run(&self, gpu: &mut Gpu, mut obs: &mut dyn SimObserver) -> Result<Vec<u32>, SimError> {
-        Session::new(gpu, self.plan()).run_to_completion(&mut obs)
+        Session::new(gpu, self.plan())
+            .run_to_completion(&mut obs)
+            .map(<[u32]>::to_vec)
     }
 
     /// The host-computed golden output (bit-exact against a fault-free

@@ -102,8 +102,9 @@ impl Cache {
     /// Accesses the byte address, updating LRU state; returns `true` on hit.
     pub fn access(&mut self, addr: u32) -> bool {
         self.tick += 1;
-        let line = (addr >> self.line_shift) as u64;
-        let set = (line % self.num_sets as u64) as usize;
+        let line = addr >> self.line_shift;
+        let set = (line % self.num_sets) as usize;
+        let line = line as u64;
         let base = set * self.geom.assoc as usize;
         let ways = &mut self.tags[base..base + self.geom.assoc as usize];
         if let Some(way) = ways.iter().position(|&t| t == line) {

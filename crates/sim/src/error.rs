@@ -108,6 +108,14 @@ pub enum SimError {
         /// The tracking records cycles below this one.
         limit: u64,
     },
+    /// A worker of the campaign harness panicked: a harness fault, not
+    /// a device one.
+    WorkerPanicked {
+        /// The worker's index in its fan-out.
+        worker: usize,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -124,6 +132,9 @@ impl fmt::Display for SimError {
                 f,
                 "{workload} on {device} reached cycle {cycle}; lifetime tracking records cycles below {limit}"
             ),
+            SimError::WorkerPanicked { worker, message } => {
+                write!(f, "worker {worker} panicked: {message}")
+            }
         }
     }
 }
@@ -132,7 +143,9 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Due(d) => Some(d),
-            SimError::LaunchConfig { .. } | SimError::CycleLimit { .. } => None,
+            SimError::LaunchConfig { .. }
+            | SimError::CycleLimit { .. }
+            | SimError::WorkerPanicked { .. } => None,
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::launch::{LaunchConfig, LaunchStats};
 use crate::mem::{GlobalMemory, MemorySystem};
 use crate::observer::{NoopObserver, SimObserver};
 use crate::overlay::BatchPlane;
-use crate::pages::Pages;
+use crate::pages::{Pages, PAGE_WORDS};
 use crate::regfile::StuckBit;
 use crate::sm::{Ctx, Sm};
 use simt_isa::LoweredKernel;
@@ -222,44 +222,46 @@ impl Gpu {
         }
     }
 
-    /// Copies words to the device.
+    /// Copies words to the device, one page slice at a time.
     ///
     /// # Panics
     ///
     /// Panics if `data` exceeds the buffer.
     pub fn write_words(&mut self, buf: Buffer, data: &[u32]) {
         assert!(data.len() as u32 <= buf.words, "write exceeds buffer");
-        for (i, &w) in data.iter().enumerate() {
-            self.mem
-                .write_word(buf.addr + i as u32 * 4, w)
-                .expect("buffer-bounded host write cannot fault");
-        }
+        self.mem
+            .write_words(buf.addr, data)
+            .expect("buffer-bounded host write cannot fault");
     }
 
-    /// Copies `f32` values to the device (bit-pattern preserving).
+    /// Copies `f32` values to the device (bit-pattern preserving), a
+    /// page of words at a time.
     pub fn write_floats(&mut self, buf: Buffer, data: &[f32]) {
         assert!(data.len() as u32 <= buf.words, "write exceeds buffer");
-        for (i, &v) in data.iter().enumerate() {
+        let mut words = [0; PAGE_WORDS];
+        for (i, chunk) in data.chunks(PAGE_WORDS).enumerate() {
+            let words = &mut words[..chunk.len()];
+            for (w, v) in words.iter_mut().zip(chunk) {
+                *w = v.to_bits();
+            }
             self.mem
-                .write_word(buf.addr + i as u32 * 4, v.to_bits())
+                .write_words(buf.addr + (i * PAGE_WORDS * 4) as u32, words)
                 .expect("buffer-bounded host write cannot fault");
         }
     }
 
-    /// Reads `n` words back from the device.
+    /// Reads `n` words back from the device, one page slice at a time.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds the buffer.
     pub fn read_words(&self, buf: Buffer, n: u32) -> Vec<u32> {
         assert!(n <= buf.words, "read exceeds buffer");
-        (0..n)
-            .map(|i| {
-                self.mem
-                    .read_word(buf.addr + i * 4)
-                    .expect("buffer-bounded host read cannot fault")
-            })
-            .collect()
+        let mut out = vec![0; n as usize];
+        self.mem
+            .read_words(buf.addr, &mut out)
+            .expect("buffer-bounded host read cannot fault");
+        out
     }
 
     /// Reads `n` `f32` values back from the device.

@@ -67,12 +67,21 @@ impl GlobalMemory {
         &self.words
     }
 
+    /// The arena's words to write in place: the storage half of a warp's
+    /// stores, whose lane walk checked each address and cleared its
+    /// divergence.
+    pub(crate) fn words_mut(&mut self) -> &mut Pages {
+        &mut self.words
+    }
+
     /// Freezes the arena's pages (see [`Pages::freeze`]).
     pub(crate) fn freeze(&mut self) {
         self.words.freeze();
     }
 
-    fn check(&self, addr: u32, sm: u32, cycle: u64) -> Result<usize, Due> {
+    /// The word index of byte address `addr`, or the DUE an access there
+    /// raises for `sm` at `cycle`.
+    pub(crate) fn check(&self, addr: u32, sm: u32, cycle: u64) -> Result<usize, Due> {
         if !addr.is_multiple_of(4) {
             return Err(Due::MisalignedAccess { addr, sm, cycle });
         }
@@ -99,13 +108,19 @@ impl GlobalMemory {
     pub fn store(&mut self, addr: u32, value: u32, sm: u32, cycle: u64) -> Result<(), Due> {
         let i = self.check(addr, sm, cycle)?;
         self.words.set(i, value);
-        // Architectural overwrite: every batched scenario performs the
-        // same store, so divergence on this word dies here (divergent
-        // store values re-assert on top from the executor).
-        if let Some(ov) = self.overlay.as_deref_mut() {
-            ov.map.clear_word(i as u32);
-        }
+        self.clear_divergence(i);
         Ok(())
+    }
+
+    /// The overlay half of a store to word `w`. Architectural overwrite:
+    /// every batched scenario performs the same store, so divergence on
+    /// this word dies here (divergent store values re-assert on top from
+    /// the executor).
+    #[inline(always)]
+    pub(crate) fn clear_divergence(&mut self, w: usize) {
+        if let Some(ov) = self.overlay.as_deref_mut() {
+            ov.map.clear_word(w as u32);
+        }
     }
 
     /// Host-side word read (no SM attribution). During a batched pass a
@@ -122,6 +137,63 @@ impl GlobalMemory {
             ov.note_host_read(addr / 4);
         }
         Ok(v)
+    }
+
+    /// Host-side copy of the words from byte address `addr` into `out`,
+    /// one page slice at a time. During a batched pass every word read
+    /// is noted as by [`GlobalMemory::read_word`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`GlobalMemory::load`], for the first or the last word.
+    pub fn read_words(&self, addr: u32, out: &mut [u32]) -> Result<(), Due> {
+        let Some(range) = self.host_range(addr, out.len())? else {
+            return Ok(());
+        };
+        self.words.read_row(range.start, out);
+        if let Some(ov) = self.overlay.as_deref() {
+            for w in range {
+                ov.note_host_read(w as u32);
+            }
+        }
+        Ok(())
+    }
+
+    /// Host-side copy of `data` to the words from byte address `addr`,
+    /// one page slice at a time, with the overlay rule of
+    /// [`GlobalMemory::store`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`GlobalMemory::store`], for the first or the last word.
+    pub fn write_words(&mut self, addr: u32, data: &[u32]) -> Result<(), Due> {
+        let Some(range) = self.host_range(addr, data.len())? else {
+            return Ok(());
+        };
+        self.words.write_slice(range.start, data);
+        for w in range {
+            self.clear_divergence(w);
+        }
+        Ok(())
+    }
+
+    /// The word indices of `n` words from byte address `addr`, checked
+    /// at both ends; `None` for no words.
+    fn host_range(&self, addr: u32, n: usize) -> Result<Option<std::ops::Range<usize>>, Due> {
+        let Some(last) = n.checked_sub(1) else {
+            return Ok(None);
+        };
+        let first = self.check(addr, u32::MAX, 0)?;
+        let end = u32::try_from(last)
+            .ok()
+            .and_then(|l| l.checked_mul(4))
+            .and_then(|b| addr.checked_add(b));
+        let end = end.ok_or(Due::GlobalOutOfBounds {
+            addr,
+            sm: u32::MAX,
+            cycle: 0,
+        })?;
+        Ok(Some(first..self.check(end, u32::MAX, 0)? + 1))
     }
 
     /// Writes scenario `s`'s divergent words into the physical arena and
@@ -159,9 +231,21 @@ pub const MAX_LANES: usize = 64;
 /// Panics if `addrs` touch more than [`MAX_LANES`] distinct segments,
 /// which one warp access cannot.
 fn coalesce(addrs: &[u32], segment_bytes: u32, segs: &mut [u32; MAX_LANES]) -> usize {
+    let shift = segment_bytes
+        .is_power_of_two()
+        .then(|| segment_bytes.trailing_zeros());
     let mut n = 0;
+    let mut prev = None;
     for &a in addrs {
-        let seg = a / segment_bytes;
+        let seg = match shift {
+            Some(s) => a >> s,
+            None => a / segment_bytes,
+        };
+        // Neighbouring lanes mostly share a segment.
+        if prev == Some(seg) {
+            continue;
+        }
+        prev = Some(seg);
         if let Err(i) = segs[..n].binary_search(&seg) {
             assert!(
                 n < MAX_LANES,

@@ -30,6 +30,7 @@
 //! exactness argument: a page is copied before its first write, so no
 //! store ever sees another's write.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Words per page: 1,024 words, 4 KiB.
@@ -140,13 +141,128 @@ impl Pages {
     #[inline(always)]
     pub fn set(&mut self, i: usize, value: u32) {
         debug_assert!(i < self.len, "word {i} of {}", self.len);
-        let page = &mut self.pages[i >> PAGE_SHIFT];
+        if let Some(words) = self.page_mut(i >> PAGE_SHIFT, || value == 0) {
+            words[i & PAGE_MASK] = value;
+        }
+    }
+
+    /// Copies words `start..start + out.len()` into `out`, one page
+    /// slice at a time: the row read of a warp register (a row never
+    /// crosses a page) and the bulk read of a host copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the last page.
+    pub fn read_row(&self, start: usize, out: &mut [u32]) {
+        debug_assert!(
+            start + out.len() <= self.len,
+            "words {start}.. of {}",
+            self.len
+        );
+        for (page, off, range) in pieces(start, out.len()) {
+            let dst = &mut out[range];
+            match &self.pages[page] {
+                Page::Owned(words) => dst.copy_from_slice(&words[off..off + dst.len()]),
+                Page::Shared(words) => dst.copy_from_slice(&words[off..off + dst.len()]),
+                Page::Zero => dst.fill(0),
+            }
+        }
+    }
+
+    /// Sets word `start + l` to `row[l]` for every lane `l` in `lanes`:
+    /// the row write of a warp register, one
+    /// [`write_slice`](Pages::write_slice) per run of consecutive lanes.
+    /// Each page is copied on write exactly as the [`set`](Pages::set)
+    /// loop over the same lanes would: a zero page written only zeros
+    /// copies nothing, and a zero or shared page is copied once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane indexes past `row` or past the last page.
+    pub fn write_row(&mut self, start: usize, row: &[u32], lanes: u64) {
+        for (l, n) in lane_runs(lanes) {
+            self.write_slice(start + l, &row[l..l + n]);
+        }
+    }
+
+    /// Gathers word `words[l]` into `out[l]` for every lane `l` in
+    /// `lanes`: the reads of a warp's loads. Lanes that name consecutive
+    /// words are one [`read_row`](Pages::read_row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane indexes past `words` or `out`, or a word is past
+    /// the last page.
+    pub fn read_lanes(&self, words: &[u32], lanes: u64, out: &mut [u32]) {
+        match row_start(words, lanes) {
+            Some(start) => {
+                let (first, last) = (lanes.trailing_zeros(), 63 - lanes.leading_zeros());
+                let (first, last) = (first as usize, last as usize);
+                self.read_row(start + first, &mut out[first..=last]);
+            }
+            None => {
+                for l in lane_bits(lanes) {
+                    out[l] = self.get(words[l] as usize);
+                }
+            }
+        }
+    }
+
+    /// Sets word `words[l]` to `row[l]` for every lane `l` in `lanes`, in
+    /// lane order, so the last of two lanes that name one word wins: the
+    /// writes of a warp's stores. Lanes that name consecutive words are
+    /// one [`write_row`](Pages::write_row); either way each page is
+    /// copied on write as the [`set`](Pages::set) loop would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane indexes past `words` or `row`, or a word is past
+    /// the last page.
+    pub fn write_lanes(&mut self, words: &[u32], row: &[u32], lanes: u64) {
+        match row_start(words, lanes) {
+            Some(start) => self.write_row(start, row, lanes),
+            None => {
+                for l in lane_bits(lanes) {
+                    self.set(words[l] as usize, row[l]);
+                }
+            }
+        }
+    }
+
+    /// Copies `data` into words `start..start + data.len()`, one page
+    /// slice at a time: a host copy, and each run of a row write. A page
+    /// is copied on write as by the [`set`](Pages::set) loop: not at
+    /// all for a zero page written only zeros, else once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the last page.
+    pub fn write_slice(&mut self, start: usize, data: &[u32]) {
+        debug_assert!(
+            start + data.len() <= self.len,
+            "words {start}.. of {}",
+            self.len
+        );
+        for (page, off, range) in pieces(start, data.len()) {
+            let src = &data[range];
+            if let Some(words) = self.page_mut(page, || src.iter().all(|&w| w == 0)) {
+                words[off..off + src.len()].copy_from_slice(src);
+            }
+        }
+    }
+
+    /// The words of page `p` to write in place, copying a zero or shared
+    /// page first; `None` for a zero page when `zeros()` says that every
+    /// word to write is zero (nothing changes, nothing is copied).
+    #[inline(always)]
+    fn page_mut(&mut self, p: usize, zeros: impl FnOnce() -> bool) -> Option<&mut Words> {
+        let page = &mut self.pages[p];
         match page {
-            Page::Owned(words) => words[i & PAGE_MASK] = value,
-            Page::Zero if value == 0 => {}
+            Page::Owned(words) => Some(words),
+            Page::Zero if zeros() => None,
             _ => {
-                copy_on_write(page)[i & PAGE_MASK] = value;
                 self.copies += 1;
+                Some(copy_on_write(page))
             }
         }
     }
@@ -188,6 +304,49 @@ impl Pages {
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.len).map(|i| self.get(i))
     }
+}
+
+/// The pieces of words `start..start + len` that fall on one page each,
+/// in order: `(page, offset in the page, range within the len words)`.
+fn pieces(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let (i, at) = (start + done, done);
+            let off = i & PAGE_MASK;
+            done += (PAGE_WORDS - off).min(len - done);
+            (i >> PAGE_SHIFT, off, at..done)
+        })
+    })
+}
+
+/// The set lanes of a mask, lowest first, as indices.
+fn lane_bits(lanes: u64) -> impl Iterator<Item = usize> {
+    crate::warp::lanes(lanes).map(|l| l as usize)
+}
+
+/// The word `start` of a row when every lane `l` of `lanes` names word
+/// `start + l`; `None` when they do not, or `lanes` is empty.
+fn row_start(words: &[u32], lanes: u64) -> Option<usize> {
+    let first = lanes.trailing_zeros() as usize;
+    let start = (*words.get(first)? as usize).checked_sub(first)?;
+    lane_bits(lanes)
+        .all(|l| words[l] as usize == start + l)
+        .then_some(start)
+}
+
+/// The runs of consecutive set bits of a lane mask as `(first lane,
+/// lanes)`, lowest first: a full row is one run.
+fn lane_runs(mut mask: u64) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let first = mask.trailing_zeros();
+            let n = (!(mask >> first)).trailing_zeros();
+            // Adding the lowest set bit carries through its run.
+            mask &= mask.wrapping_add(mask & mask.wrapping_neg());
+            (first as usize, n as usize)
+        })
+    })
 }
 
 /// Replaces a zero or shared page with an owned copy of its words and
@@ -305,6 +464,121 @@ mod tests {
         assert!(matches!(second.pages[2], Page::Zero));
         let words = |p: &Pages| [p.get(1), p.get(PAGE_WORDS + 1)];
         assert_eq!((words(&first), words(&second)), ([1, 2], [1, 3]));
+    }
+
+    /// A store of four pages: page 0 zero, page 1 shared with a clone,
+    /// page 2 owned, page 3 zero; the clone is returned to keep page 1
+    /// shared.
+    fn mixed() -> (Pages, Pages) {
+        let mut a = Pages::new(4 * PAGE_WORDS);
+        for i in PAGE_WORDS..3 * PAGE_WORDS {
+            a.set(i, i as u32);
+        }
+        a.freeze();
+        let held = a.clone();
+        a.set(2 * PAGE_WORDS, 7);
+        (a, held)
+    }
+
+    /// Applies `writes` (`(start, row, lanes)`) once through `write_row`
+    /// and once through the `set` loop, and checks that the words, the
+    /// page states and the copy counts agree.
+    fn rows_match_sets(writes: &[(usize, Vec<u32>, u64)]) {
+        let ((mut rows, _a), (mut sets, _b)) = (mixed(), mixed());
+        for (start, row, lanes) in writes {
+            rows.write_row(*start, row, *lanes);
+            for l in (0..64).filter(|l| lanes >> l & 1 == 1) {
+                sets.set(start + l, row[l]);
+            }
+        }
+        assert!(rows.iter().eq(sets.iter()));
+        assert_eq!(rows.page_copies(), sets.page_copies());
+        let kinds = |p: &Pages| {
+            p.pages
+                .iter()
+                .map(std::mem::discriminant)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(kinds(&rows), kinds(&sets));
+    }
+
+    #[test]
+    fn a_row_write_copies_what_the_set_loop_copies() {
+        let row: Vec<u32> = (1..=64).collect();
+        let zeros = vec![0; 64];
+        let mut half = zeros.clone();
+        half[40] = 9;
+        rows_match_sets(&[(0, zeros.clone(), u64::MAX)]); // zeros into a zero page
+        rows_match_sets(&[(64, half.clone(), 0xff)]); // masked-out nonzero lane
+        rows_match_sets(&[(64, half, u64::MAX)]); // one nonzero lane
+        rows_match_sets(&[(PAGE_WORDS, zeros, 1 << 3)]); // a zero into a shared page
+        rows_match_sets(&[(PAGE_WORDS + 64, row.clone(), 0xf0f0)]);
+        rows_match_sets(&[(2 * PAGE_WORDS, row.clone(), u64::MAX)]); // owned
+        rows_match_sets(&[
+            (3 * PAGE_WORDS, row.clone(), 1),
+            (3 * PAGE_WORDS + 64, row.clone(), 1 << 63), // the page is owned now
+        ]);
+        // A row across a page boundary writes and copies both pages.
+        rows_match_sets(&[(PAGE_WORDS - 32, row.clone(), u64::MAX)]);
+        rows_match_sets(&[(2 * PAGE_WORDS - 8, row, 0x1ff)]);
+    }
+
+    #[test]
+    fn a_lane_scatter_and_gather_match_the_per_word_loops() {
+        let row: Vec<u32> = (1..=64).collect();
+        // One row across a page boundary, a stride over all four pages,
+        // and the row with two lanes on one word (the later lane wins).
+        let consecutive: Vec<u32> = (0..64).map(|l| (PAGE_WORDS - 8 + l) as u32).collect();
+        let strided: Vec<u32> = (0..64).map(|l| (l * 61) as u32).collect();
+        let mut twice = consecutive.clone();
+        twice[5] = twice[9];
+        for words in [consecutive, strided, twice] {
+            for lanes in [u64::MAX, 0x0ff0_0000_0000_ff01] {
+                let ((mut scattered, _a), (mut sets, _b)) = (mixed(), mixed());
+                scattered.write_lanes(&words, &row, lanes);
+                for l in (0..64).filter(|l| lanes >> l & 1 == 1) {
+                    sets.set(words[l] as usize, row[l]);
+                }
+                assert!(scattered.iter().eq(sets.iter()));
+                assert_eq!(scattered.page_copies(), sets.page_copies());
+                let mut out = [0; 64];
+                scattered.read_lanes(&words, lanes, &mut out);
+                for l in (0..64).filter(|l| lanes >> l & 1 == 1) {
+                    assert_eq!(out[l], sets.get(words[l] as usize), "lane {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_copies_cross_pages_and_copy_as_the_set_loop() {
+        for (start, len) in [(0, 10), (PAGE_WORDS - 3, 6), (5, 3 * PAGE_WORDS + 2)] {
+            for fill in [0u32, 1] {
+                let data: Vec<u32> = (0..len).map(|i| fill * (i as u32 + 1)).collect();
+                let ((mut bulk, _a), (mut sets, _b)) = (mixed(), mixed());
+                bulk.write_slice(start, &data);
+                for (i, &w) in data.iter().enumerate() {
+                    sets.set(start + i, w);
+                }
+                assert!(bulk.iter().eq(sets.iter()), "{start}+{len}");
+                assert_eq!(bulk.page_copies(), sets.page_copies(), "{start}+{len}");
+                let mut out = vec![u32::MAX; len];
+                bulk.read_row(start, &mut out);
+                assert_eq!(out, data);
+            }
+        }
+        // A read across zero, shared and owned pages.
+        let (a, _held) = mixed();
+        let mut out = vec![u32::MAX; 2 * PAGE_WORDS + 2];
+        a.read_row(PAGE_WORDS - 1, &mut out);
+        assert!(out
+            .iter()
+            .zip(PAGE_WORDS - 1..)
+            .all(|(&w, i)| w == a.get(i)));
+        assert_eq!(
+            (out[0], out[1], out[PAGE_WORDS + 1]),
+            (0, PAGE_WORDS as u32, 7)
+        );
     }
 
     #[test]

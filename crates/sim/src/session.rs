@@ -420,14 +420,18 @@ impl<'g> Session<'g> {
         })
     }
 
-    /// Runs the plan to completion and returns the final output words.
+    /// Runs the plan to completion and returns the final output words,
+    /// which the session keeps (see [`Session::outputs`]).
     ///
     /// # Errors
     ///
     /// Same as [`Session::step`].
-    pub fn run_to_completion<O: SimObserver>(&mut self, obs: &mut O) -> Result<Vec<u32>, SimError> {
+    pub fn run_to_completion<O: SimObserver>(&mut self, obs: &mut O) -> Result<&[u32], SimError> {
         while self.step(obs)? == SessionStatus::Running {}
-        Ok(self.outputs.clone().expect("finished session has outputs"))
+        Ok(self
+            .outputs
+            .as_deref()
+            .expect("finished session has outputs"))
     }
 
     /// Captures the complete session state (device + plan position).
@@ -561,7 +565,7 @@ mod tests {
         let mut s = Session::new(&mut gpu, plan());
 
         // Straight run for the truth.
-        let truth = s.run_to_completion(&mut NoopObserver).unwrap();
+        let truth = s.run_to_completion(&mut NoopObserver).unwrap().to_vec();
         let truth_cycles = s.gpu().app_cycle();
 
         // Run a few cycles in, snapshot, finish, then rewind and finish
@@ -572,7 +576,7 @@ mod tests {
         let ckpt = s2.snapshot();
         assert_eq!(ckpt.cycle(), 5);
         assert!(ckpt.size_bytes() > 0);
-        let first = s2.run_to_completion(&mut NoopObserver).unwrap();
+        let first = s2.run_to_completion(&mut NoopObserver).unwrap().to_vec();
         let first_cycles = s2.gpu().app_cycle();
         s2.restore(&ckpt);
         assert_eq!(s2.gpu().app_cycle(), 5);
@@ -588,7 +592,7 @@ mod tests {
         let arch = ArchConfig::small_test_gpu();
         let mut gpu = Gpu::new(arch.clone());
         let mut s = Session::new(&mut gpu, plan());
-        let truth = s.run_to_completion(&mut NoopObserver).unwrap();
+        let truth = s.run_to_completion(&mut NoopObserver).unwrap().to_vec();
 
         let mut gpu2 = Gpu::new(arch.clone());
         let mut s2 = Session::new(&mut gpu2, plan());
@@ -649,7 +653,7 @@ mod tests {
                     scope.spawn(move || {
                         let mut g = Gpu::new(ArchConfig::small_test_gpu());
                         let mut s = Session::resume(&mut g, ckpt);
-                        s.run_to_completion(&mut NoopObserver).unwrap()
+                        s.run_to_completion(&mut NoopObserver).unwrap().to_vec()
                     })
                 })
                 .collect::<Vec<_>>()

@@ -10,8 +10,11 @@ use crate::observer::{BlockRegions, SimObserver};
 use crate::overlay::{OverlayCell, SmOverlay};
 use crate::pages::Pages;
 use crate::regfile::{RegionAllocator, StuckBit};
-use crate::warp::{LaneMask, Warp};
-use simt_isa::op::{eval_atom, eval_binop, eval_cmp, eval_terop, eval_unop};
+use crate::warp::{lanes, LaneMask, Warp};
+use simt_isa::op::{
+    eval_atom, eval_binop, eval_binop_row, eval_cmp, eval_cmp_row, eval_terop, eval_terop_row,
+    eval_unop, eval_unop_row,
+};
 use simt_isa::{
     AtomOp, Instr, LoweredKernel, MemSpace, Operand, PReg, Reg, SReg, Special, TerOp, VReg,
 };
@@ -130,20 +133,9 @@ struct Access {
 /// `(scenario, value)` overlay entries a written word carries.
 type Carry = Vec<(u8, u32)>;
 
-/// Iterates the set bit indices of a mask, lowest first.
-fn set_bits(mut mask: u64) -> impl Iterator<Item = u32> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let bit = mask.trailing_zeros();
-            mask &= mask - 1;
-            bit
-        })
-    })
-}
-
 /// Iterates the set scenario indices of a batch mask.
 fn scn_bits(mask: u64) -> impl Iterator<Item = u8> {
-    set_bits(mask).map(|s| s as u8)
+    lanes(mask).map(|s| s as u8)
 }
 
 /// The entries of an overlay cell, if there is one.
@@ -319,12 +311,10 @@ impl Sm {
 
     // ---- the store intercept ----
 
-    /// Stores `value` to `(structure, word)`: the one path of every
-    /// program-visible write of the three storage arrays. It re-asserts
-    /// armed stuck bits (the fault-free path costs one empty loop), kills
-    /// the word's batched divergence, reports the write, and then
-    /// re-asserts `carry`: the divergent scenario values the word holds
-    /// from here on.
+    /// Stores `value` to `(structure, word)`: the
+    /// [intercept](Sm::intercept) and then a one-word storage write.
+    /// The execute bodies' lane walks run the intercept per lane and
+    /// write the destination row once instead.
     #[inline(always)]
     fn store<O: SimObserver>(
         &mut self,
@@ -334,13 +324,40 @@ impl Sm {
         carry: &[(u8, u32)],
         cx: &mut Ctx<'_, O>,
     ) {
+        let stored = self.intercept(structure, word, value, carry, cx);
+        self.storage[structure.index()].set(word as usize, stored);
+    }
+
+    /// Whether a write has intercept work besides its event: an overlay
+    /// of the SM or of global memory, or an armed stuck bit, exists.
+    /// Each lane walk asks once; unguarded, a lane's write is its event
+    /// alone.
+    fn guarded(&self, mem: &GlobalMemory) -> bool {
+        self.overlay.is_some() || mem.overlay.is_some() || !self.stuck.is_empty()
+    }
+
+    /// The store intercept of one word, less the storage write itself:
+    /// the one path of every guarded program-visible write of the three
+    /// storage arrays. It re-asserts armed stuck bits, kills the word's
+    /// batched divergence, reports the write, and then re-asserts
+    /// `carry`, the divergent scenario values the word holds from here
+    /// on. Returns the value to store. A lane walk runs it lane by lane,
+    /// so each lane's write event follows its reads.
+    #[inline(always)]
+    fn intercept<O: SimObserver>(
+        &mut self,
+        structure: Structure,
+        word: u32,
+        value: u32,
+        carry: &[(u8, u32)],
+        cx: &mut Ctx<'_, O>,
+    ) -> u32 {
         let mut stored = value;
         for s in &self.stuck {
             if s.structure == structure && s.word == word {
                 stored = s.force(stored);
             }
         }
-        self.storage[structure.index()].set(word as usize, stored);
         if let Some(ov) = self.overlay.as_deref_mut() {
             ov.map_mut(structure).clear_word(word);
         }
@@ -357,26 +374,17 @@ impl Sm {
                 map.assert_value(word, s, v);
             }
         }
+        stored
     }
 
-    /// Writes lane `lane` of register `dst` (a scalar register has one
-    /// word for the whole warp) through the store intercept, carrying
-    /// `carry`.
-    #[inline(always)]
-    fn write_reg<O: SimObserver>(
-        &mut self,
-        warp: &Warp,
-        dst: Reg,
-        lane: u32,
-        value: u32,
-        carry: &[(u8, u32)],
-        cx: &mut Ctx<'_, O>,
-    ) {
-        let (structure, word) = match dst {
+    /// The structure and first word of `dst`'s row: lane `l` of a vector
+    /// register is word `start + l`; a scalar register is the one word
+    /// `start`, which lane 0 writes.
+    fn dst_row(&self, warp: &Warp, dst: Reg) -> (Structure, u32) {
+        match dst {
             Reg::S(SReg(r)) => (Structure::ScalarRegisterFile, warp.srf_base + r as u32),
-            Reg::V(VReg(r)) => (Structure::VectorRegisterFile, self.vword(warp, r, lane)),
-        };
-        self.store(structure, word, value, carry, cx);
+            Reg::V(VReg(r)) => (Structure::VectorRegisterFile, self.vword(warp, r, 0)),
+        }
     }
 
     /// Physical vector-RF word of `(reg, lane)` in `warp`'s region.
@@ -393,7 +401,7 @@ impl Sm {
     // divergence that would change *control or addressing* forks the
     // scenario out of the pass instead: the fork triggers set the
     // device's one pending-fork mask, `Ctx::forks`, in three places:
-    // `lane_addr` (the address of every load, store and atomic, global
+    // `lane_addr_read` (the address of every load, store and atomic, global
     // and LDS), the `SetP` arm of `exec_op` (a predicate) and
     // `exec_atomic` (an atomic's operand or target word). All helpers
     // fast-path to nothing when no overlay is present.
@@ -555,8 +563,9 @@ impl Sm {
             for (i, &value) in params.iter().enumerate() {
                 let reg = kernel.param_reg(i as u16);
                 let words = if matches!(reg, Reg::S(_)) { 1 } else { lanes };
+                let (structure, start) = self.dst_row(&warp, reg);
                 for lane in 0..words {
-                    self.write_reg(&warp, reg, lane, value, &[], cx);
+                    self.store(structure, start + lane, value, &[], cx);
                 }
             }
             self.warps[slot] = Some(warp);
@@ -758,20 +767,25 @@ impl Sm {
         let arch = cx.arch;
         match instr {
             Instr::Un { op, dst, a } => {
+                let row = |[x]: &[&[u32]; 1], out: &mut [u32]| eval_unop_row(op, x, out);
                 let f = |_, [x]: [u32; 1]| eval_unop(op, x);
-                self.exec_alu(warp, dst, [a], un_latency(arch, op), f, cx);
+                self.exec_alu(warp, dst, [a], un_latency(arch, op), (row, f), cx);
             }
             Instr::Bin { op, dst, a, b } => {
+                let row = |[x, y]: &[&[u32]; 2], out: &mut [u32]| eval_binop_row(op, x, y, out);
                 let f = |_, [x, y]: [u32; 2]| eval_binop(op, x, y);
-                self.exec_alu(warp, dst, [a, b], bin_latency(arch, op), f, cx);
+                self.exec_alu(warp, dst, [a, b], bin_latency(arch, op), (row, f), cx);
             }
             Instr::Ter { op, dst, a, b, c } => {
                 let lat = match op {
                     TerOp::IMad => arch.lat.imul,
                     TerOp::FFma => arch.lat.fp,
                 };
+                let row = |[x, y, z]: &[&[u32]; 3], out: &mut [u32]| {
+                    eval_terop_row(op, x, y, z, out);
+                };
                 let f = |_, [x, y, z]: [u32; 3]| eval_terop(op, x, y, z);
-                self.exec_alu(warp, dst, [a, b, c], lat, f, cx);
+                self.exec_alu(warp, dst, [a, b, c], lat, (row, f), cx);
             }
             Instr::Sel { p, dst, a, b } => {
                 // The predicate is golden for every unforked scenario (a
@@ -785,7 +799,12 @@ impl Sm {
                         y
                     }
                 };
-                self.exec_alu(warp, dst, [a, b], arch.lat.alu, pick, cx);
+                let row = |[x, y]: &[&[u32]; 2], out: &mut [u32]| {
+                    for (l, o) in out.iter_mut().enumerate() {
+                        *o = pick(l as u32, [x[l], y[l]]);
+                    }
+                };
+                self.exec_alu(warp, dst, [a, b], arch.lat.alu, (row, pick), cx);
             }
             Instr::SetP {
                 op,
@@ -795,15 +814,16 @@ impl Sm {
                 b,
             } => {
                 let rs = self.resolve_all(warp, [a, b], cx);
-                let mut mask: LaneMask = 0;
+                let rows = self.fetch_rows(warp, &rs, warp.active, cx);
+                let [x, y] = rows.slices();
+                let mask = eval_cmp_row(op, x, y, float) & warp.active;
                 for lane in lanes(warp.active) {
-                    let [x, y] = self.lane_values(warp, &rs, lane, cx);
-                    let bit = eval_cmp(op, x, y, float);
-                    mask |= (bit as LaneMask) << lane;
+                    self.lane_reads(warp, &rs, lane, cx);
+                    let bit = mask >> lane & 1 == 1;
                     // A scenario whose compare flips the predicate would
                     // diverge in *control flow* — the shared pass cannot
                     // carry that, so it forks.
-                    self.scn_each(warp, &rs, [x, y], lane, |s, [xs, ys]| {
+                    self.scn_each(warp, &rs, rows.lane(lane), lane, |s, [xs, ys]| {
                         if eval_cmp(op, xs, ys, float) != bit {
                             *cx.forks |= 1 << s;
                         }
@@ -943,77 +963,82 @@ impl Sm {
         }
     }
 
-    /// Lane `lane`'s value of a resolved operand.
+    /// Every lane's values of `rs`, one row per operand: a vector
+    /// register's row is one page read. The rows cover the warp and
+    /// every lane of `mask` (a control fault can set a mask bit past the
+    /// warp). Reports nothing: [`Sm::lane_reads`] reports each lane's
+    /// reads where the lane walk reaches it.
     #[inline(always)]
-    fn lane_value<O: SimObserver>(
-        &self,
-        warp: &Warp,
-        r: &Resolved,
-        lane: u32,
-        cx: &mut Ctx<'_, O>,
-    ) -> u32 {
-        match *r {
-            Resolved::Uniform(v) | Resolved::Sreg { value: v, .. } => v,
-            Resolved::VReg(reg) => {
-                let phys = self.vword(warp, reg, lane);
-                cx.obs
-                    .on_read(self.id, Structure::VectorRegisterFile, phys, cx.cycle);
-                self.storage(Structure::VectorRegisterFile)
-                    .get(phys as usize)
-            }
-            Resolved::Special(s) => match s {
-                Special::TidX => warp.tid(lane, self.warp_size, cx.cfg.block.x).0,
-                Special::TidY => warp.tid(lane, self.warp_size, cx.cfg.block.x).1,
-                Special::LaneId => lane,
-                _ => unreachable!("uniform specials resolve to values"),
-            },
-        }
-    }
-
-    /// Lane `lane`'s values of `rs`, read in source order.
-    #[inline(always)]
-    fn lane_values<O: SimObserver, const N: usize>(
+    fn fetch_rows<O: SimObserver, const N: usize>(
         &self,
         warp: &Warp,
         rs: &[Resolved; N],
-        lane: u32,
-        cx: &mut Ctx<'_, O>,
-    ) -> [u32; N] {
-        let mut xs = [0; N];
-        for (x, r) in xs.iter_mut().zip(rs) {
-            *x = self.lane_value(warp, r, lane, cx);
+        mask: LaneMask,
+        cx: &Ctx<'_, O>,
+    ) -> Rows<N> {
+        let len = (self.warp_size as usize).max(64 - mask.leading_zeros() as usize);
+        let mut rows = Rows {
+            words: [[0; MAX_LANES]; N],
+            len,
+        };
+        for (row, r) in rows.words.iter_mut().zip(rs) {
+            let row = &mut row[..len];
+            match *r {
+                Resolved::Uniform(v) | Resolved::Sreg { value: v, .. } => row.fill(v),
+                Resolved::VReg(reg) => self
+                    .storage(Structure::VectorRegisterFile)
+                    .read_row(self.vword(warp, reg, 0) as usize, row),
+                Resolved::Special(s) => {
+                    for (lane, x) in row.iter_mut().enumerate() {
+                        let lane = lane as u32;
+                        *x = match s {
+                            Special::TidX => warp.tid(lane, self.warp_size, cx.cfg.block.x).0,
+                            Special::TidY => warp.tid(lane, self.warp_size, cx.cfg.block.x).1,
+                            Special::LaneId => lane,
+                            _ => unreachable!("uniform specials resolve to values"),
+                        };
+                    }
+                }
+            }
         }
-        xs
+        rows
     }
 
-    /// Lane `lane`'s byte address of a memory access. A scenario whose
-    /// address diverges would touch another word with other timing, so
-    /// it forks here: the address fork trigger of every load, store and
-    /// atomic.
+    /// Reports lane `lane`'s reads of `rs` in source order: one event per
+    /// vector register (a scalar register's read was reported when it
+    /// was resolved).
     #[inline(always)]
-    fn lane_addr<O: SimObserver>(
+    fn lane_reads<O: SimObserver>(
         &self,
         warp: &Warp,
-        at: &Access,
+        rs: &[Resolved],
         lane: u32,
         cx: &mut Ctx<'_, O>,
-    ) -> u32 {
-        let base = self.lane_value(warp, &at.base, lane, cx);
-        *cx.forks |= self.scn_mask(warp, &at.base, lane);
-        base.wrapping_add(at.offset)
+    ) {
+        for r in rs {
+            if let Resolved::VReg(reg) = *r {
+                let phys = self.vword(warp, reg, lane);
+                cx.obs
+                    .on_read(self.id, Structure::VectorRegisterFile, phys, cx.cycle);
+            }
+        }
     }
 
     // ---- execute bodies ----
     //
-    // The ALU, load, store and atomic bodies stay out of line, and the
-    // per-lane helpers they call are forced inline. Left to the
-    // compiler's own choices, this layout ran the simulator 6–13% slower
-    // than the per-arity copies it replaced (GTX 480 matrixMul replays).
+    // Each body runs a warp instruction by rows: it fetches each vector
+    // operand's row once, computes what it can for the whole row (a
+    // memory instruction checks its lanes' addresses), and then walks
+    // the lanes in order. The walk reports each lane's reads and then
+    // its write, runs the overlay and stuck-bit work of the lane (only
+    // when `Sm::guarded`), and leaves the destination row, or a store's
+    // words, to one write at the end. The bodies stay out of line, and
+    // the helpers they call are forced inline.
 
     /// The one ALU body, shared by `Un`, `Bin`, `Ter` and `Sel`:
-    /// `dst = f(lane, srcs)` on every active lane, or once (lane 0) for a
-    /// scalar destination. Each lane reads its operands in source order
-    /// before its write, and the write carries the lane's divergent
+    /// `dst = row(srcs)` on every active lane, or on lane 0 for a scalar
+    /// destination. `row` evaluates the op once for the whole row; `f`
+    /// is the same op on one lane, which recomputes a lane's divergent
     /// scenario results.
     #[inline(never)]
     fn exec_alu<O: SimObserver, const N: usize>(
@@ -1022,16 +1047,31 @@ impl Sm {
         dst: Reg,
         srcs: [Operand; N],
         lat: u32,
-        f: impl Fn(u32, [u32; N]) -> u32,
+        (row, f): (
+            impl Fn(&[&[u32]; N], &mut [u32]),
+            impl Fn(u32, [u32; N]) -> u32,
+        ),
         cx: &mut Ctx<'_, O>,
     ) {
         let rs = self.resolve_all(warp, srcs, cx);
-        for lane in lanes(dst_lanes(warp, dst)) {
-            let xs = self.lane_values(warp, &rs, lane, cx);
-            let v = f(lane, xs);
-            let carry = self.scn_divergent(warp, &rs, xs, lane, v, |q| f(lane, q));
-            self.write_reg(warp, dst, lane, v, &carry, cx);
+        let mask = dst_lanes(warp, dst);
+        let rows = self.fetch_rows(warp, &rs, mask, cx);
+        let mut out = [0; MAX_LANES];
+        row(&rows.slices(), &mut out[..rows.len]);
+        let (structure, start) = self.dst_row(warp, dst);
+        let guarded = self.guarded(cx.mem);
+        for lane in lanes(mask) {
+            self.lane_reads(warp, &rs, lane, cx);
+            let word = start + lane;
+            if guarded {
+                let v = out[lane as usize];
+                let carry = self.scn_divergent(warp, &rs, rows.lane(lane), lane, v, |q| f(lane, q));
+                out[lane as usize] = self.intercept(structure, word, v, &carry, cx);
+            } else {
+                cx.obs.on_write(self.id, structure, word, cx.cycle);
+            }
         }
+        self.storage[structure.index()].write_row(start as usize, &out, mask);
         self.complete(warp, dst, cx.cycle + lat as u64);
     }
 
@@ -1047,37 +1087,94 @@ impl Sm {
         Ok(warp.lds_base + addr / 4)
     }
 
-    /// Loads the word at byte address `a` of `space` together with its
-    /// overlay entries, which the destination write carries.
-    #[inline(always)]
-    fn load_word<O: SimObserver>(
+    /// The words of a warp memory access at the byte addresses `addrs`:
+    /// global words, or words of the block's LDS region. Checks the
+    /// lanes of `mask` in lane order and stops at the first whose
+    /// address faults.
+    fn lane_words<O: SimObserver>(
         &self,
         warp: &Warp,
         space: MemSpace,
-        a: u32,
-        cx: &mut Ctx<'_, O>,
-    ) -> Result<(u32, Carry), Due> {
-        match space {
-            MemSpace::Global => {
-                let v = cx.mem.load(a, self.id, cx.cycle)?;
-                let carry = carry_of(cx.mem.overlay.as_deref().and_then(|ov| ov.map.cell(a / 4)));
-                Ok((v, carry))
+        addrs: &[u32; MAX_LANES],
+        mask: LaneMask,
+        cx: &Ctx<'_, O>,
+    ) -> LaneWords {
+        let mut words = [0; MAX_LANES];
+        for lane in lanes(mask) {
+            let a = addrs[lane as usize];
+            let word = match space {
+                MemSpace::Global => cx.mem.check(a, self.id, cx.cycle).map(|w| w as u32),
+                MemSpace::Shared => self.lds_word(warp, a, cx.cycle),
+            };
+            match word {
+                Ok(w) => words[lane as usize] = w,
+                Err(due) => {
+                    return LaneWords {
+                        words,
+                        ok: mask & ((1 << lane) - 1),
+                        fault: Some((lane, due)),
+                    }
+                }
             }
-            MemSpace::Shared => {
-                let w = self.lds_word(warp, a, cx.cycle)?;
-                let carry = carry_of(
-                    self.overlay
-                        .as_deref()
-                        .and_then(|ov| ov.map(Structure::LocalMemory).cell(w)),
-                );
-                cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
-                Ok((self.storage(Structure::LocalMemory).get(w as usize), carry))
-            }
+        }
+        LaneWords {
+            words,
+            ok: mask,
+            fault: None,
         }
     }
 
+    /// The overlay entries of word `w` of `space`, which a load's
+    /// destination write carries.
+    #[inline(always)]
+    fn load_carry<O: SimObserver>(&self, space: MemSpace, w: u32, cx: &Ctx<'_, O>) -> Carry {
+        carry_of(match space {
+            MemSpace::Global => cx.mem.overlay.as_deref().and_then(|ov| ov.map.cell(w)),
+            MemSpace::Shared => self
+                .overlay
+                .as_deref()
+                .and_then(|ov| ov.map(Structure::LocalMemory).cell(w)),
+        })
+    }
+
+    /// Reports lane `lane`'s read of the base operand of a memory access.
+    /// A scenario whose address diverges would touch another word with
+    /// other timing, so it forks here: the address fork trigger of every
+    /// load, store and atomic.
+    #[inline(always)]
+    fn lane_addr_read<O: SimObserver>(
+        &self,
+        warp: &Warp,
+        at: &Access,
+        lane: u32,
+        guarded: bool,
+        cx: &mut Ctx<'_, O>,
+    ) {
+        self.lane_reads(warp, &[at.base], lane, cx);
+        if guarded {
+            *cx.forks |= self.scn_mask(warp, &at.base, lane);
+        }
+    }
+
+    /// The coalescer's byte addresses (global) or the LDS banking's
+    /// words (shared) of the lanes of `mask`. The block's LDS base
+    /// shifts every word alike, which permutes the banks and keeps the
+    /// conflict degree.
+    fn access_keys(space: MemSpace, addrs: &[u32; MAX_LANES], mask: LaneMask) -> LaneBuf {
+        let mut keys = LaneBuf::new();
+        for lane in lanes(mask) {
+            let a = addrs[lane as usize];
+            keys.push(match space {
+                MemSpace::Global => a,
+                MemSpace::Shared => a / 4,
+            });
+        }
+        keys
+    }
+
     /// `dst = space[addr + offset]`; a scalar load reads one uniform
-    /// address.
+    /// address. A DUE stops the walk at its lane; the lanes before it
+    /// keep their writes.
     #[inline(never)]
     fn exec_load<O: SimObserver>(
         &mut self,
@@ -1086,23 +1183,42 @@ impl Sm {
         at: Access,
         cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
-        let mut addrs = LaneBuf::new();
-        for lane in lanes(dst_lanes(warp, dst)) {
-            let a = self.lane_addr(warp, &at, lane, cx);
-            let (v, carry) = self.load_word(warp, at.space, a, cx)?;
-            self.write_reg(warp, dst, lane, v, &carry, cx);
-            // The coalescer takes byte addresses, LDS banking takes words.
-            // The block's LDS base shifts every word alike, which permutes
-            // the banks and keeps the conflict degree.
-            addrs.push(match at.space {
-                MemSpace::Global => a,
-                MemSpace::Shared => a / 4,
-            });
+        let mask = dst_lanes(warp, dst);
+        let [base] = self.fetch_rows(warp, &[at.base], mask, cx).words;
+        let addrs = base.map(|b| b.wrapping_add(at.offset));
+        let lw = self.lane_words(warp, at.space, &addrs, mask, cx);
+        let mut out = [0; MAX_LANES];
+        let words = match at.space {
+            MemSpace::Global => cx.mem.words(),
+            MemSpace::Shared => self.storage(Structure::LocalMemory),
+        };
+        words.read_lanes(&lw.words, lw.ok, &mut out);
+        let (structure, start) = self.dst_row(warp, dst);
+        let guarded = self.guarded(cx.mem);
+        for lane in lanes(lw.ok) {
+            let (l, w) = (lane as usize, lw.words[lane as usize]);
+            self.lane_addr_read(warp, &at, lane, guarded, cx);
+            if at.space == MemSpace::Shared {
+                cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
+            }
+            let word = start + lane;
+            if guarded {
+                let carry = self.load_carry(at.space, w, cx);
+                out[l] = self.intercept(structure, word, out[l], &carry, cx);
+            } else {
+                cx.obs.on_write(self.id, structure, word, cx.cycle);
+            }
         }
+        self.storage[structure.index()].write_row(start as usize, &out, lw.ok);
+        if let Some((lane, due)) = lw.fault {
+            self.lane_addr_read(warp, &at, lane, guarded, cx);
+            return Err(due);
+        }
+        let keys = Self::access_keys(at.space, &addrs, mask);
         let lat = match at.space {
-            MemSpace::Global => cx.mem_sys.access_latency(self.id, addrs.as_slice()),
+            MemSpace::Global => cx.mem_sys.access_latency(self.id, keys.as_slice()),
             MemSpace::Shared => {
-                let degree = lds_conflict_degree(addrs.as_slice(), cx.arch.lds_banks);
+                let degree = lds_conflict_degree(keys.as_slice(), cx.arch.lds_banks);
                 cx.arch.lat.lds + (degree - 1) * cx.arch.lds_bank_penalty
             }
         };
@@ -1110,7 +1226,8 @@ impl Sm {
         Ok(())
     }
 
-    /// `space[addr + offset] = src` on every active lane.
+    /// `space[addr + offset] = src` on every active lane. A DUE stops the
+    /// walk at its lane; the lanes before it keep their writes.
     #[inline(never)]
     fn exec_store<O: SimObserver>(
         &mut self,
@@ -1119,40 +1236,65 @@ impl Sm {
         src: Resolved,
         cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
-        let mut addrs = LaneBuf::new();
-        for lane in lanes(warp.active) {
-            let a = self.lane_addr(warp, &at, lane, cx);
-            let v = self.lane_value(warp, &src, lane, cx);
-            // A divergent value at the golden address propagates into
-            // the written word's overlay.
-            let carry = self.scn_divergent(warp, &[src], [v], lane, v, |[x]| x);
-            match at.space {
-                MemSpace::Global => {
-                    cx.mem.store(a, v, self.id, cx.cycle)?;
-                    if !carry.is_empty() {
-                        let map = &mut cx.mem.overlay.get_or_insert_with(Default::default).map;
-                        for (s, x) in carry {
-                            map.assert_value(a / 4, s, x);
+        let [base, mut vals] = self
+            .fetch_rows(warp, &[at.base, src], warp.active, cx)
+            .words;
+        let addrs = base.map(|b| b.wrapping_add(at.offset));
+        let lw = self.lane_words(warp, at.space, &addrs, warp.active, cx);
+        let guarded = self.guarded(cx.mem);
+        for lane in lanes(lw.ok) {
+            let (l, w) = (lane as usize, lw.words[lane as usize]);
+            self.lane_addr_read(warp, &at, lane, guarded, cx);
+            self.lane_reads(warp, &[src], lane, cx);
+            let v = vals[l];
+            if guarded {
+                // A divergent value at the golden address propagates into
+                // the written word's overlay.
+                let carry = self.scn_divergent(warp, &[src], [v], lane, v, |[x]| x);
+                match at.space {
+                    MemSpace::Global => {
+                        cx.mem.clear_divergence(w as usize);
+                        if !carry.is_empty() {
+                            let map = &mut cx.mem.overlay.get_or_insert_with(Default::default).map;
+                            for (s, x) in carry {
+                                map.assert_value(w, s, x);
+                            }
                         }
                     }
-                    cx.obs.on_global_write(self.id, a, v, cx.cycle);
+                    MemSpace::Shared => {
+                        vals[l] = self.intercept(Structure::LocalMemory, w, v, &carry, cx);
+                    }
                 }
-                MemSpace::Shared => {
-                    let w = self.lds_word(warp, a, cx.cycle)?;
-                    self.store(Structure::LocalMemory, w, v, &carry, cx);
-                }
+            } else if at.space == MemSpace::Shared {
+                cx.obs
+                    .on_write(self.id, Structure::LocalMemory, w, cx.cycle);
             }
-            addrs.push(a);
+            if at.space == MemSpace::Global {
+                cx.obs.on_global_write(self.id, addrs[l], v, cx.cycle);
+            }
+        }
+        match at.space {
+            MemSpace::Global => cx.mem.words_mut().write_lanes(&lw.words, &vals, lw.ok),
+            MemSpace::Shared => {
+                self.storage[Structure::LocalMemory.index()].write_lanes(&lw.words, &vals, lw.ok)
+            }
+        }
+        if let Some((lane, due)) = lw.fault {
+            self.lane_addr_read(warp, &at, lane, guarded, cx);
+            self.lane_reads(warp, &[src], lane, cx);
+            return Err(due);
         }
         if at.space == MemSpace::Global {
-            let _ = cx.mem_sys.access_latency(self.id, addrs.as_slice());
+            let keys = Self::access_keys(at.space, &addrs, warp.active);
+            let _ = cx.mem_sys.access_latency(self.id, keys.as_slice());
         }
         self.count_warp_instr(warp);
         Ok(())
     }
 
     /// `dst = space[addr + offset]; space[addr + offset] = op(dst, src)`
-    /// lane by lane.
+    /// lane by lane. A DUE stops the walk at its lane; the lanes before
+    /// it keep their writes.
     #[inline(never)]
     fn exec_atomic<O: SimObserver>(
         &mut self,
@@ -1163,44 +1305,66 @@ impl Sm {
         src: Resolved,
         cx: &mut Ctx<'_, O>,
     ) -> Result<(), Due> {
+        let rows = self.fetch_rows(warp, &[at.base, src], warp.active, cx);
+        let [base, vals] = rows.words;
+        let (structure, start) = self.dst_row(warp, dst);
+        let mut out = [0; MAX_LANES];
+        let mut written: LaneMask = 0;
         let mut distinct = LaneBuf::new();
-        for lane in lanes(warp.active) {
-            let a = self.lane_addr(warp, &at, lane, cx);
-            let v = self.lane_value(warp, &src, lane, cx);
-            // An atomic is a read-modify-write: divergence in the
-            // address, the operand *or* the target word makes the
-            // scenario's whole chain diverge — always fork.
-            let mut forks = self.scn_mask(warp, &src, lane);
-            let old = match at.space {
-                MemSpace::Global => {
-                    if let Some(ov) = cx.mem.overlay.as_deref() {
-                        forks |= ov.map.mask(a / 4);
+        let guarded = self.guarded(cx.mem);
+        let mut walk = || -> Result<(), Due> {
+            for lane in lanes(warp.active) {
+                let a = base[lane as usize].wrapping_add(at.offset);
+                self.lane_addr_read(warp, &at, lane, guarded, cx);
+                self.lane_reads(warp, &[src], lane, cx);
+                let v = vals[lane as usize];
+                // An atomic is a read-modify-write: divergence in the
+                // address, the operand *or* the target word makes the
+                // scenario's whole chain diverge — always fork.
+                let mut forks = self.scn_mask(warp, &src, lane);
+                let old = match at.space {
+                    MemSpace::Global => {
+                        if let Some(ov) = cx.mem.overlay.as_deref() {
+                            forks |= ov.map.mask(a / 4);
+                        }
+                        *cx.forks |= forks;
+                        let old = cx.mem.load(a, self.id, cx.cycle)?;
+                        let (new, old) = eval_atom(op, old, v);
+                        cx.mem.store(a, new, self.id, cx.cycle)?;
+                        cx.obs.on_global_write(self.id, a, new, cx.cycle);
+                        old
                     }
-                    *cx.forks |= forks;
-                    let old = cx.mem.load(a, self.id, cx.cycle)?;
-                    let (new, old) = eval_atom(op, old, v);
-                    cx.mem.store(a, new, self.id, cx.cycle)?;
-                    cx.obs.on_global_write(self.id, a, new, cx.cycle);
-                    old
-                }
-                MemSpace::Shared => {
-                    let w = self.lds_word(warp, a, cx.cycle)?;
-                    if let Some(ov) = self.overlay.as_deref() {
-                        forks |= ov.map(Structure::LocalMemory).mask(w);
+                    MemSpace::Shared => {
+                        let w = self.lds_word(warp, a, cx.cycle)?;
+                        if let Some(ov) = self.overlay.as_deref() {
+                            forks |= ov.map(Structure::LocalMemory).mask(w);
+                        }
+                        *cx.forks |= forks;
+                        cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
+                        let cur = self.storage(Structure::LocalMemory).get(w as usize);
+                        let (new, old) = eval_atom(op, cur, v);
+                        self.store(Structure::LocalMemory, w, new, &[], cx);
+                        old
                     }
-                    *cx.forks |= forks;
-                    cx.obs.on_read(self.id, Structure::LocalMemory, w, cx.cycle);
-                    let cur = self.storage(Structure::LocalMemory).get(w as usize);
-                    let (new, old) = eval_atom(op, cur, v);
-                    self.store(Structure::LocalMemory, w, new, &[], cx);
-                    old
+                };
+                // A scalar destination is one word, which the last lane
+                // writes.
+                let word = if structure == Structure::ScalarRegisterFile {
+                    0
+                } else {
+                    lane
+                };
+                out[word as usize] = self.intercept(structure, start + word, old, &[], cx);
+                written |= 1 << word;
+                if !distinct.as_slice().contains(&a) {
+                    distinct.push(a);
                 }
-            };
-            self.write_reg(warp, dst, lane, old, &[], cx);
-            if !distinct.as_slice().contains(&a) {
-                distinct.push(a);
             }
-        }
+            Ok(())
+        };
+        let walked = walk();
+        self.storage[structure.index()].write_row(start as usize, &out, written);
+        walked?;
         let lat = match at.space {
             MemSpace::Global => cx.mem_sys.atomic_latency(distinct.len as u32),
             MemSpace::Shared => {
@@ -1251,6 +1415,35 @@ fn dst_lanes(warp: &Warp, dst: Reg) -> LaneMask {
     match dst {
         Reg::S(_) => 1,
         Reg::V(_) => warp.active,
+    }
+}
+
+/// The words a warp memory access touches, checked in lane order:
+/// `words[l]` for each lane `l` of `ok`, the lanes before the first
+/// whose address faults, and that lane with its DUE.
+struct LaneWords {
+    words: [u32; MAX_LANES],
+    ok: LaneMask,
+    fault: Option<(u32, Due)>,
+}
+
+/// Every lane's values of `N` operands of one warp instruction, one row
+/// per operand, kept on the stack; lanes `len..` are unused.
+struct Rows<const N: usize> {
+    words: [[u32; MAX_LANES]; N],
+    len: usize,
+}
+
+impl<const N: usize> Rows<N> {
+    /// The rows, `len` lanes each.
+    fn slices(&self) -> [&[u32]; N] {
+        std::array::from_fn(|i| &self.words[i][..self.len])
+    }
+
+    /// Lane `lane`'s value of each operand.
+    #[inline(always)]
+    fn lane(&self, lane: u32) -> [u32; N] {
+        std::array::from_fn(|i| self.words[i][lane as usize])
     }
 }
 
@@ -1336,11 +1529,6 @@ fn issue_cycle(warp: &Warp, instr: &Instr) -> u64 {
         at = at.max(warp.pred_ready()[p.0 as usize]);
     }
     at
-}
-
-/// Iterates the set lane indices of a mask.
-fn lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
-    set_bits(mask)
 }
 
 fn un_latency(arch: &ArchConfig, op: simt_isa::UnOp) -> u32 {

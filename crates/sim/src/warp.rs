@@ -35,6 +35,17 @@ pub fn full_mask(n: u32) -> LaneMask {
     }
 }
 
+/// Iterates the set lane indices of a mask, lowest first.
+pub(crate) fn lanes(mut mask: LaneMask) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros();
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// One entry of the SIMT reconvergence stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StackEntry {

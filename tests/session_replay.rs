@@ -214,7 +214,9 @@ fn replay_site(
     };
     session.set_watchdog(watchdog);
     session.arm_fault(site);
-    session.run_to_completion(&mut NoopObserver)
+    session
+        .run_to_completion(&mut NoopObserver)
+        .map(<[u32]>::to_vec)
 }
 
 /// Copy-on-write storage never aliases: a worker device that replays
@@ -463,7 +465,7 @@ proptest! {
         let mut session = Session::new(&mut gpu, w.plan());
         session.run_until_cycle(cut, &mut NoopObserver).unwrap();
         let ckpt = session.snapshot();
-        let direct = session.run_to_completion(&mut NoopObserver).unwrap();
+        let direct = session.run_to_completion(&mut NoopObserver).unwrap().to_vec();
         let direct_cycles = gpu.app_cycle();
 
         let mut gpu2 = Gpu::new(arch.clone());
