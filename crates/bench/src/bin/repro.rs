@@ -27,9 +27,8 @@ use grel_core::study::{
     evaluate_point_hooked, run_study_parallel_hooked, CampaignMode, StudyConfig, StudyResult,
 };
 use grel_telemetry::{
-    serve, Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NoopHook, NullSink,
-    Observatory, ProgressHook, RegistryHook, SpanHook, SpanRecorder, SpanTree, StatusBoard,
-    TeeSink, TelemetryHook,
+    Event, EventSink, JsonlSink, LogLevel, Logger, MetricsRegistry, NoopHook, NullSink,
+    ProgressHook, RegistryHook, SpanHook, SpanRecorder, SpanTree, TelemetryHook,
 };
 use simt_sim::{
     ArchConfig, FaultModelKind, Gpu, HotspotObserver, SchedulerPolicy, SimError, Structure,
@@ -66,7 +65,6 @@ struct Args {
     site: Option<String>,
     fault_model: FaultModelKind,
     profile: Option<String>,
-    listen: Option<String>,
     convergence: Option<u64>,
     baseline: Option<String>,
 }
@@ -97,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
         site: None,
         fault_model: FaultModelKind::Transient,
         profile: None,
-        listen: None,
         convergence: None,
         baseline: None,
     };
@@ -133,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
                 let plan = SamplingPlan::with_target(m);
                 args.mode = mode_once(args.mode, CampaignMode::Adaptive(plan))?;
             }
-            "--listen" => args.listen = Some(flag_value(&a, it.next())?),
             "--convergence" => args.convergence = Some(flag_value(&a, it.next())?),
             "--profile" => args.profile = Some(flag_value(&a, it.next())?),
             "--site" => args.site = Some(flag_value(&a, it.next())?),
@@ -210,7 +206,7 @@ usage: repro [COMMAND] [--injections N] [--paper] [--seed S] [--jobs N]
              [--checkpoint-interval N] [--no-checkpoints] [--no-prune] [--no-batch]
              [--fault-model transient|stuck0|stuck1|control] [--provenance]
              [--target-margin M]
-             [--metrics PATH] [--progress] [--listen ADDR] [--convergence N]
+             [--metrics PATH] [--progress] [--convergence N]
              [--profile PATH] [-q|--quiet] [-v|--verbose] [-h|--help]
        repro profile [study options]
        repro report <metrics.jsonl>
@@ -242,8 +238,8 @@ commands:
                 nonzero on drift. Run with the same flags the baseline
                 was generated with (CI: --smoke --injections 40 --seed 7).
                 --device/--workload compare only the points they select,
-                and the telemetry flags (--metrics, --progress, --listen,
-                --profile) apply as for any study command
+                and the telemetry flags (--metrics, --progress, --profile)
+                apply as for any study command
   profile       run the study with span tracing on, print the phase /
                 hot-spot profile and write a Perfetto-loadable Chrome
                 trace (default profile_trace.json; override --profile)
@@ -290,19 +286,12 @@ telemetry:
   study.point, log) while the study runs, then the final
   counter/gauge/histogram values. --progress draws a live done/total +
   inj/s + ETA line on stderr. Neither flag changes campaign results.
-
-observatory:
-  --listen ADDR binds a dependency-free HTTP endpoint for the duration
-  of the run: GET /metrics (Prometheus text exposition of the live
-  registry), /health, /progress (done/pruned/batched/total JSON) and
-  /convergence (latest campaign.convergence snapshot per campaign).
-  Scrapes are read-only — figure output and --json files are
-  byte-identical with or without --listen. campaign.convergence events
-  stream every --convergence N merged injections (default 100) with the
-  running AVF, its 99% finite-population interval and the projected
-  injections still needed to reach the paper's +/-2.88% target; the
-  event stream is a pure function of the merged outcome order, so it is
-  byte-identical at any --jobs.
+  campaign.convergence events stream into --metrics every --convergence
+  N merged injections (default 100) with the running AVF, its 99%
+  finite-population interval and the projected injections still needed
+  to reach the paper's +/-2.88% target; the event stream is a pure
+  function of the merged outcome order, so it is byte-identical at any
+  --jobs.
 
 profiling:
   --profile PATH records a hierarchical span for every study phase
@@ -636,8 +625,7 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
 /// The one study run, for every command that runs the study (the study
 /// commands and `drift`). Runs it under the telemetry the flags ask for:
 /// `--metrics` (`run.meta`, the live events, then the final counter,
-/// gauge and histogram values), `--listen` (the status board and HTTP
-/// server for the run), `--progress` and `--profile` (implied by the
+/// gauge and histogram values), `--progress` and `--profile` (implied by the
 /// `profile` command; writes the Chrome trace and its `.tree`). Without
 /// a telemetry flag the study runs through `NoopHook`, which compiles
 /// the instrumentation out. Returns the study and, when profiling, its
@@ -676,18 +664,7 @@ fn study_run(
         }
     ));
 
-    let registry = Arc::new(MetricsRegistry::new());
-    // --listen tees the event stream into a StatusBoard so the HTTP
-    // /convergence endpoint can answer with the latest snapshot per
-    // campaign; without it events flow straight to the JSONL/null sink.
-    let board = args.listen.as_ref().map(|_| Arc::new(StatusBoard::new()));
-    let tee = board
-        .as_ref()
-        .map(|b| TeeSink(&**sink, b.as_ref() as &dyn EventSink));
-    let event_sink: &dyn EventSink = match &tee {
-        Some(t) => t,
-        None => &**sink,
-    };
+    let registry = MetricsRegistry::new();
     if args.metrics.is_some() {
         sink.emit(
             &Event::new("run.meta")
@@ -717,32 +694,15 @@ fn study_run(
         .clone()
         .or_else(|| (args.command == "profile").then(|| "profile_trace.json".to_string()));
     let recorder = profile_path.as_ref().map(|_| SpanRecorder::new());
-    let telemetry_on = args.metrics.is_some() || args.progress || args.listen.is_some();
+    let telemetry_on = args.metrics.is_some() || args.progress;
     let per_point: u64 = workloads
         .iter()
         .map(|w| cfg.injected_structures(w.as_ref()).len() as u64)
         .sum();
     let progress_total = per_point * archs.len() as u64 * args.injections as u64;
-    let server = match (&args.listen, &board) {
-        (Some(addr), Some(board)) => {
-            let observatory = Observatory {
-                registry: Arc::clone(&registry),
-                board: Arc::clone(board),
-                planned_injections: progress_total,
-            };
-            let handle = serve(addr.as_str(), observatory)
-                .map_err(|e| format!("cannot bind observatory on {addr}: {e}"))?;
-            log.info(&format!(
-                "observatory listening on http://{}/ (GET /metrics /health /progress /convergence)",
-                handle.local_addr()
-            ));
-            Some(handle)
-        }
-        _ => None,
-    };
     let jobs = args.threads;
     let start = std::time::Instant::now();
-    let reg_hook = RegistryHook::with_sink(&registry, event_sink);
+    let reg_hook = RegistryHook::with_sink(&registry, &**sink);
     let span_hook = recorder.as_ref().map(SpanHook::new);
     let progress = args.progress.then(|| ProgressHook::new(progress_total));
     // Without a telemetry flag the no-op hook compiles the
@@ -816,9 +776,6 @@ fn study_run(
             tree.spans.len()
         ));
         profile_tree = Some(tree);
-    }
-    if let Some(server) = server {
-        server.stop();
     }
     Ok((study, profile_tree))
 }

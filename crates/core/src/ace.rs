@@ -336,7 +336,7 @@ impl Index {
     fn is_dead(&self, sm: u32, word: u32, cycle: u64) -> bool {
         let i = sm as usize * self.words_per_sm as usize + word as usize;
         if word >= self.words_per_sm || i >= self.heads.len() {
-            return true; // out-of-range words are never consumed
+            return true; // out-of-range words and SMs are never consumed
         }
         self.chain(i, cycle).all(|(lo, _)| lo > cycle)
     }
@@ -460,7 +460,6 @@ pub struct AceAnalyzer {
     total_cycles: u64,
     /// The first event cycle at or past [`CYCLE_LIMIT`], if any.
     untracked: Option<u64>,
-    num_sms: u32,
     mode: AceMode,
 }
 
@@ -484,7 +483,6 @@ impl AceAnalyzer {
             launch_start: 0,
             total_cycles: 0,
             untracked: None,
-            num_sms: arch.num_sms,
             mode,
         }
     }
@@ -498,7 +496,6 @@ impl AceAnalyzer {
         let oracle = intervals.then(|| LifetimeOracle {
             life: None,
             index: OnceLock::from(index.map(Option::unwrap_or_default)),
-            num_sms: self.num_sms,
         });
         (ace.then_some(self), oracle)
     }
@@ -682,7 +679,6 @@ pub struct LifetimeOracle {
     /// One index per structure (keyed by [`Structure::index`]), built
     /// on the first query after the last event.
     index: OnceLock<[Index; 3]>,
-    num_sms: u32,
 }
 
 impl LifetimeOracle {
@@ -692,7 +688,6 @@ impl LifetimeOracle {
         LifetimeOracle {
             life: Some(AceAnalyzer::tracking(arch, AceMode::default(), true)),
             index: OnceLock::new(),
-            num_sms: arch.num_sms,
         }
     }
 
@@ -746,15 +741,14 @@ impl LifetimeOracle {
     /// by that overwrite and a control fault never lives in a storage
     /// word at all. For any other kind this returns `false`
     /// unconditionally, so campaign pruning stays sound across fault
-    /// models even with a caller-supplied oracle.
+    /// models even with a caller-supplied oracle. A site on an SM the
+    /// device lacks is dead: the device refuses to arm it.
     pub fn is_dead(&self, site: FaultSite) -> bool {
         if !site.is_transient() {
             return false;
         }
-        // Same physical mapping the injector uses.
-        let sm = site.sm % self.num_sms.max(1);
         self.index(site.structure)
-            .is_dead(sm, site.word, site.cycle)
+            .is_dead(site.sm, site.word, site.cycle)
     }
 
     /// Total live bit-cycles of one structure: the union of all live
@@ -1598,7 +1592,7 @@ mod tests {
                         for word in 0..words[s] + 2 {
                             for cycle in 0..end + 2 {
                                 let site = FaultSite::new(structure, sm, word, 0, cycle);
-                                let dead = word >= words[s] || !model(sm % arch.num_sms, word).live(cycle);
+                                let dead = sm >= arch.num_sms || word >= words[s] || !model(sm, word).live(cycle);
                                 prop_assert_eq!(oracle.is_dead(site), dead, "{:?} {:?}", site, evs);
                             }
                         }

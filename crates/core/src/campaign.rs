@@ -874,7 +874,7 @@ pub(crate) fn classify_on<O: SimObserver, H: TelemetryHook>(
     debug_assert!(faults.iter().all(|f| f.cycle == faults[0].cycle));
     let start_cycle = ckpt.cycle();
     let mut session = Session::resume(gpu, ckpt);
-    session.gpu_mut().arm_faults(faults);
+    session.gpu_mut().arm_faults(faults)?;
     if H::ENABLED {
         ctx.hook.count("campaign_cycles_saved_total", start_cycle);
     }
@@ -1064,7 +1064,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
             0
         };
         session.gpu_mut().set_watchdog(ctx.watchdog);
-        session.gpu_mut().arm_scenarios(batch);
+        session.gpu_mut().arm_scenarios(batch)?;
         snaps.push(session.snapshot());
         let mut next_snap = session.gpu().app_cycle() + interval;
         let mut finished_out: Option<Vec<u32>> = None;
@@ -1192,7 +1192,7 @@ pub(crate) fn classify_batch_on<H: TelemetryHook>(
         // snapshot cycle is still pending and re-arms scalar; an earlier
         // flip already lives in the overlay diff just materialised.
         if site.cycle >= snap.cycle() {
-            session.arm_fault(site);
+            session.arm_fault(site)?;
         }
         outcomes[s] = replay_private(ctx, session, site, snap.cycle(), &mut NoopObserver)?;
         if H::ENABLED {

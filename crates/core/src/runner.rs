@@ -476,7 +476,6 @@ fn worker_loop<H: TelemetryHook>(
                 let resume_cycle = setup.ladder().nearest_indexed(site.cycle).1.cycle();
                 let mut tracer = TraceObserver::new(
                     site,
-                    setup.arch.num_sms as usize,
                     setup.golden_writes().unwrap_or_default(),
                     resume_cycle,
                 );

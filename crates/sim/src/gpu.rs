@@ -276,14 +276,39 @@ impl Gpu {
 
     /// Arms a single-bit fault to be injected when the application clock
     /// reaches `site.cycle`. Replaces any previously armed faults.
-    pub fn arm_fault(&mut self, site: FaultSite) {
-        self.armed_faults = vec![site];
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::LaunchConfig`] if `site.sm` is not an SM of this
+    /// device; nothing is armed then.
+    pub fn arm_fault(&mut self, site: FaultSite) -> Result<(), SimError> {
+        self.arm_faults(&[site])
     }
 
     /// Arms several faults at once (multi-bit-upset studies). Each fires
     /// at its own cycle; all previously armed faults are replaced.
-    pub fn arm_faults(&mut self, sites: &[FaultSite]) {
+    ///
+    /// # Errors
+    ///
+    /// As [`Gpu::arm_fault`], for the first site on a missing SM.
+    pub fn arm_faults(&mut self, sites: &[FaultSite]) -> Result<(), SimError> {
+        self.check_sms(sites)?;
         self.armed_faults = sites.to_vec();
+        Ok(())
+    }
+
+    /// Rejects the first site whose SM this device does not have.
+    fn check_sms(&self, sites: &[FaultSite]) -> Result<(), SimError> {
+        let n = self.sms.len();
+        match sites.iter().find(|site| site.sm as usize >= n) {
+            Some(site) => Err(SimError::LaunchConfig {
+                reason: format!(
+                    "sm {} out of range: the device has {n} SMs (0..{n})",
+                    site.sm
+                ),
+            }),
+            None => Ok(()),
+        }
     }
 
     // ---- bit-plane batched replay ----
@@ -294,11 +319,15 @@ impl Gpu {
     /// cycle. The device then executes pure golden state; scenario
     /// divergence is carried lazily until a fork trigger.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Same as [`BatchPlane::new`] (1..=64 transient sites).
-    pub fn arm_scenarios(&mut self, sites: &[FaultSite]) {
-        self.plane = BatchPlane::new(sites.to_vec());
+    /// [`SimError::LaunchConfig`] for a site on an SM this device lacks,
+    /// and as [`BatchPlane::new`] (1 to 64 transient sites); nothing is
+    /// armed then.
+    pub fn arm_scenarios(&mut self, sites: &[FaultSite]) -> Result<(), SimError> {
+        self.check_sms(sites)?;
+        self.plane = BatchPlane::new(sites.to_vec())?;
+        Ok(())
     }
 
     /// Drains the plane's pending-fork mask, which every fork trigger
@@ -359,14 +388,13 @@ impl Gpu {
     /// Asserts overlay flips for scenarios whose injection cycle is now.
     fn arm_due_scenarios(&mut self) {
         let plane = &mut self.plane;
-        let n = self.sms.len().max(1);
         for (i, site) in plane.sites.iter().enumerate() {
             let bit = 1u64 << i;
             if plane.armed & bit != 0 || plane.forked & bit != 0 || site.cycle != self.app_cycle {
                 continue;
             }
             plane.armed |= bit;
-            let sm = &mut self.sms[site.sm as usize % n];
+            let sm = &mut self.sms[site.sm as usize];
             // An out-of-range word cannot affect execution: the scenario
             // never diverges — same no-op as `Sm::flip_bit`.
             if let Some(cur) = sm.storage(site.structure).get_checked(site.word as usize) {
@@ -385,8 +413,7 @@ impl Gpu {
     }
 
     fn apply_fault<O: SimObserver>(&mut self, site: FaultSite, obs: &mut O) {
-        let idx = site.sm as usize % self.sms.len().max(1);
-        let sm = &mut self.sms[idx];
+        let sm = &mut self.sms[site.sm as usize];
         match site.kind {
             FaultKind::TransientFlip => sm.flip_bit(site.structure, site.word, site.bit),
             FaultKind::StuckAt0 | FaultKind::StuckAt1 => {
@@ -736,6 +763,24 @@ mod tests {
     }
 
     #[test]
+    fn arming_a_missing_sm_is_an_error_and_arms_nothing() {
+        let a = arch();
+        let n = a.num_sms;
+        let mut gpu = Gpu::new(a);
+        let site = FaultSite::new(Structure::VectorRegisterFile, n, 0, 0, 1);
+        let err = gpu.arm_fault(site).unwrap_err();
+        let want = format!("sm {n} out of range: the device has {n} SMs (0..{n})");
+        assert!(
+            matches!(&err, SimError::LaunchConfig { reason } if *reason == want),
+            "{err}"
+        );
+        assert!(gpu.armed_faults.is_empty());
+        assert!(gpu.arm_scenarios(&[site]).is_err());
+        assert!(gpu.arm_scenarios(&[]).is_err());
+        assert!(gpu.plane.sites.is_empty());
+    }
+
+    #[test]
     fn buffer_api() {
         let mut gpu = Gpu::new(arch());
         let b = gpu.alloc_words(4);
@@ -879,7 +924,8 @@ mod tests {
             gpu.arch.rf_words_per_sm() - 1,
             31,
             1,
-        ));
+        ))
+        .unwrap();
         gpu.launch(&k, LaunchConfig::linear(2, 8), &[buf.addr()])
             .unwrap();
         assert_eq!(
@@ -910,7 +956,7 @@ mod tests {
             1,
         )
         .with_kind(FaultKind::StuckAt1);
-        gpu.arm_fault(site);
+        gpu.arm_fault(site).unwrap();
         let mut obs = crate::observer::CountingObserver::default();
         gpu.launch_observed(&k, LaunchConfig::linear(2, 8), &[buf.addr()], &mut obs)
             .unwrap();
@@ -933,7 +979,7 @@ mod tests {
         let site = FaultSite::new(Structure::VectorRegisterFile, 0, 0, 31, 1).with_kind(
             FaultKind::Control(crate::fault::ControlTarget::SchedulerSlot),
         );
-        gpu.arm_fault(site);
+        gpu.arm_fault(site).unwrap();
         let mut obs = crate::observer::CountingObserver::default();
         let err = gpu
             .launch_observed(&k, LaunchConfig::linear(8, 8), &[buf.addr()], &mut obs)

@@ -11,6 +11,7 @@
 //! mask, [`BatchPlane`]'s; the batch driver drains that mask alone
 //! through [`Gpu::take_scenario_forks`](crate::Gpu::take_scenario_forks).
 
+use crate::error::SimError;
 use crate::fault::{FaultSite, Structure};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,25 +224,30 @@ pub struct BatchPlane {
 impl BatchPlane {
     /// Builds a plane over `sites` (all transient, at most 64).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If `sites` is empty, exceeds [`MAX_BATCH_SCENARIOS`], or contains
-    /// a non-transient site (the overlay soundness argument — a clean
-    /// overwrite kills divergence — only holds for transient flips).
-    pub fn new(sites: Vec<FaultSite>) -> Self {
-        assert!(
-            !sites.is_empty() && sites.len() <= MAX_BATCH_SCENARIOS,
-            "batch of {} sites (expected 1..={MAX_BATCH_SCENARIOS})",
-            sites.len()
-        );
-        assert!(
-            sites.iter().all(FaultSite::is_transient),
-            "batched replay is kind-gated to transient flips"
-        );
-        BatchPlane {
+    /// [`SimError::LaunchConfig`] if `sites` is empty, exceeds
+    /// [`MAX_BATCH_SCENARIOS`], or contains a non-transient site (the
+    /// overlay soundness argument — a clean overwrite kills divergence —
+    /// only holds for transient flips).
+    pub fn new(sites: Vec<FaultSite>) -> Result<Self, SimError> {
+        if sites.is_empty() || sites.len() > MAX_BATCH_SCENARIOS {
+            return Err(SimError::LaunchConfig {
+                reason: format!(
+                    "batch of {} sites (expected 1..={MAX_BATCH_SCENARIOS})",
+                    sites.len()
+                ),
+            });
+        }
+        if !sites.iter().all(FaultSite::is_transient) {
+            return Err(SimError::LaunchConfig {
+                reason: "batched replay is kind-gated to transient flips".into(),
+            });
+        }
+        Ok(BatchPlane {
             sites,
             ..BatchPlane::default()
-        }
+        })
     }
 
     /// Mask with one bit set per scenario in the plane.
@@ -281,7 +287,7 @@ mod tests {
     #[test]
     fn plane_drains_each_fork_once() {
         let site = FaultSite::new(Structure::VectorRegisterFile, 0, 0, 0, 0);
-        let mut plane = BatchPlane::new(vec![site; 3]);
+        let mut plane = BatchPlane::new(vec![site; 3]).unwrap();
         plane.pending_forks = 0b1010;
         assert_eq!(plane.take_forks(), 0b0010, "bit 3 is off the plane");
         plane.pending_forks = 0b0011;

@@ -323,8 +323,12 @@ impl<'g> Session<'g> {
     /// Arms a single fault on the borrowed device (replacing any
     /// pending faults) — the convenience used by replay drivers between
     /// restore and resume.
-    pub fn arm_fault(&mut self, site: crate::fault::FaultSite) {
-        self.gpu.arm_fault(site);
+    ///
+    /// # Errors
+    ///
+    /// As [`Gpu::arm_fault`]: a site on an SM the device lacks.
+    pub fn arm_fault(&mut self, site: crate::fault::FaultSite) -> Result<(), SimError> {
+        self.gpu.arm_fault(site)
     }
 
     /// Scenarios whose divergence was first observed at a verbatim

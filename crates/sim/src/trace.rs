@@ -135,8 +135,6 @@ pub struct TraceRecord {
 #[derive(Debug)]
 pub struct TraceObserver<'a> {
     site: FaultSite,
-    /// The physical SM index the fault lands on (`site.sm % num_sms`).
-    sm_index: u32,
     injected_at: Option<u64>,
     first_read: Option<u64>,
     overwrite: Option<u64>,
@@ -160,17 +158,11 @@ pub struct TraceObserver<'a> {
 }
 
 impl<'a> TraceObserver<'a> {
-    /// Arms a recorder for `site` on a device with `num_sms` SMs,
-    /// comparing global stores against `golden` from `resume_cycle` on.
-    pub fn new(
-        site: FaultSite,
-        num_sms: usize,
-        golden: &'a [GlobalWrite],
-        resume_cycle: u64,
-    ) -> Self {
+    /// Arms a recorder for `site`, comparing global stores against
+    /// `golden` from `resume_cycle` on.
+    pub fn new(site: FaultSite, golden: &'a [GlobalWrite], resume_cycle: u64) -> Self {
         TraceObserver {
             site,
-            sm_index: (site.sm as usize % num_sms.max(1)) as u32,
             injected_at: None,
             first_read: None,
             overwrite: None,
@@ -236,7 +228,7 @@ impl<'a> TraceObserver<'a> {
 
 impl SimObserver for TraceObserver<'_> {
     fn on_read(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
-        if self.injected_at.is_none() || sm != self.sm_index {
+        if self.injected_at.is_none() || sm != self.site.sm {
             return;
         }
         let key = (structure, word);
@@ -249,7 +241,7 @@ impl SimObserver for TraceObserver<'_> {
         }
     }
     fn on_write(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
-        if self.injected_at.is_none() || sm != self.sm_index {
+        if self.injected_at.is_none() || sm != self.site.sm {
             return;
         }
         let key = (structure, word);
@@ -287,7 +279,7 @@ impl SimObserver for TraceObserver<'_> {
         }
     }
     fn on_stuck_reassert(&mut self, sm: u32, structure: Structure, word: u32, cycle: u64) {
-        if sm != self.sm_index || Some((structure, word)) != self.origin() {
+        if sm != self.site.sm || Some((structure, word)) != self.origin() {
             return;
         }
         if self.first_reassert.is_none() {
@@ -323,7 +315,7 @@ mod tests {
     #[test]
     fn first_read_is_recorded_and_overwrite_suppressed_after_it() {
         let golden = [];
-        let mut t = TraceObserver::new(site(), 1, &golden, 0);
+        let mut t = TraceObserver::new(site(), &golden, 0);
         t.on_read(0, Rf, 10, 50); // pre-injection: ignored
         t.on_fault_injected(site());
         t.on_read(0, Rf, 10, 120);
@@ -340,7 +332,7 @@ mod tests {
         use crate::fault::ControlTarget;
         let ctrl = site().with_kind(FaultKind::Control(ControlTarget::ActiveMask));
         let golden = [];
-        let mut t = TraceObserver::new(ctrl, 1, &golden, 0);
+        let mut t = TraceObserver::new(ctrl, &golden, 0);
         t.on_fault_injected(ctrl);
         // Register word 10 shares the slot's index; it is not the fault.
         t.on_write(0, Rf, 10, 110);
@@ -356,7 +348,7 @@ mod tests {
     #[test]
     fn clean_overwrite_before_any_read_masks() {
         let golden = [];
-        let mut t = TraceObserver::new(site(), 1, &golden, 0);
+        let mut t = TraceObserver::new(site(), &golden, 0);
         t.on_fault_injected(site());
         t.on_write(0, Rf, 10, 110);
         t.on_read(0, Rf, 10, 120); // reads the clean value: not a fault read
@@ -368,7 +360,7 @@ mod tests {
     #[test]
     fn taint_spreads_through_same_cycle_read_write_and_counts_lds_banks() {
         let golden = [];
-        let mut t = TraceObserver::new(site(), 1, &golden, 0);
+        let mut t = TraceObserver::new(site(), &golden, 0);
         t.on_fault_injected(site());
         // Corrupted word read, result written to another RF word and two
         // LDS words in the same cycle.
@@ -402,7 +394,7 @@ mod tests {
             },
         ];
         // Resume at cycle 100: the first golden store already happened.
-        let mut t = TraceObserver::new(site(), 1, &golden, 100);
+        let mut t = TraceObserver::new(site(), &golden, 100);
         t.on_fault_injected(site());
         t.on_global_write(0, 4, 2, 150); // matches
         t.on_global_write(0, 8, 99, 200); // corrupted value
@@ -417,7 +409,7 @@ mod tests {
             addr: 0,
             value: 1,
         }];
-        let mut t = TraceObserver::new(site(), 1, &golden, 0);
+        let mut t = TraceObserver::new(site(), &golden, 0);
         t.on_fault_injected(site());
         t.on_global_write(0, 0, 1, 10);
         t.on_global_write(0, 4, 5, 20);
@@ -427,7 +419,7 @@ mod tests {
     #[test]
     fn events_on_other_sms_are_ignored() {
         let golden = [];
-        let mut t = TraceObserver::new(site(), 4, &golden, 0);
+        let mut t = TraceObserver::new(site(), &golden, 0);
         t.on_fault_injected(site());
         t.on_read(2, Rf, 10, 120); // different SM
         let r = t.into_record(16);
@@ -437,7 +429,7 @@ mod tests {
     #[test]
     fn taint_set_saturates_at_cap() {
         let golden = [];
-        let mut t = TraceObserver::new(site(), 1, &golden, 0);
+        let mut t = TraceObserver::new(site(), &golden, 0);
         t.on_fault_injected(site());
         t.on_read(0, Rf, 10, 120);
         for w in 0..(TAINT_CAP as u32 + 8) {
@@ -453,7 +445,7 @@ mod tests {
         use crate::fault::FaultKind;
         let golden = [];
         let s = site().with_kind(FaultKind::StuckAt0);
-        let mut t = TraceObserver::new(s, 1, &golden, 0);
+        let mut t = TraceObserver::new(s, &golden, 0);
         t.on_fault_injected(s);
         t.on_stuck_reassert(0, Structure::VectorRegisterFile, 10, 130);
         t.on_stuck_reassert(0, Structure::VectorRegisterFile, 10, 140);
@@ -470,7 +462,7 @@ mod tests {
         use crate::fault::{ControlTarget, FaultKind};
         let golden = [];
         let c = site().with_kind(FaultKind::Control(ControlTarget::ActiveMask));
-        let mut t = TraceObserver::new(c, 1, &golden, 0);
+        let mut t = TraceObserver::new(c, &golden, 0);
         t.on_fault_injected(c);
         t.on_control_corrupt(c, 100);
         let r = t.into_record(16);

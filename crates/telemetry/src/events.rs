@@ -133,29 +133,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Forwards every event (and flush) to two sinks in order — e.g. a
-/// JSONL file and the live observatory
-/// [`StatusBoard`](crate::serve::StatusBoard).
-pub struct TeeSink<'a>(pub &'a dyn EventSink, pub &'a dyn EventSink);
-
-impl std::fmt::Debug for TeeSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeSink").finish()
-    }
-}
-
-impl EventSink for TeeSink<'_> {
-    fn emit(&self, event: &Event) {
-        self.0.emit(event);
-        self.1.emit(event);
-    }
-
-    fn flush(&self) {
-        self.0.flush();
-        self.1.flush();
-    }
-}
-
 /// Writes each event as one JSON line, stamping a `t_ms` field with
 /// milliseconds since the sink was created.
 pub struct JsonlSink<W: Write + Send> {
@@ -261,22 +238,6 @@ mod tests {
             !line.contains("mask_reason") && !line.contains("null"),
             "None fields must be absent, not null: {line}"
         );
-    }
-
-    #[test]
-    fn tee_sink_forwards_to_both() {
-        let a = MemorySink::new();
-        let b = MemorySink::new();
-        let tee = TeeSink(&a, &b);
-        tee.emit(&Event::new("x").field("n", 1u64));
-        tee.emit(&Event::new("y"));
-        tee.flush();
-        for sink in [&a, &b] {
-            let got = sink.events();
-            assert_eq!(got.len(), 2);
-            assert_eq!(got[0].name(), "x");
-            assert_eq!(got[1].name(), "y");
-        }
     }
 
     #[test]

@@ -22,13 +22,8 @@
 //!   buffer per timeline lane and merge them into a deterministic [`SpanTree`]
 //!   (Chrome trace-event export for Perfetto, jobs-invariant structural
 //!   text for CI diffs). Off by default via the hook's `SPANS` const.
-//! - Presentation: [`to_prometheus`] text exposition, a level-gated
-//!   [`Logger`] that keeps stdout machine-parseable and a live
-//!   [`ProgressHook`] stderr line.
-//! - The observatory: [`serve()`] binds a dependency-free HTTP/1.1
-//!   endpoint (`/metrics`, `/health`, `/progress`, `/convergence`) over
-//!   the live registry and a [`StatusBoard`] fed from the event stream,
-//!   so a running campaign can be scraped mid-flight.
+//! - Presentation: a level-gated [`Logger`] that keeps stdout
+//!   machine-parseable and a live [`ProgressHook`] stderr line.
 //!
 //! # Overhead contract
 //!
@@ -46,23 +41,19 @@
 #![warn(missing_docs)]
 
 pub mod events;
-pub mod expo;
 pub mod hook;
 pub mod json;
 pub mod logger;
 pub mod metrics;
 pub mod progress;
-pub mod serve;
 pub mod spans;
 
-pub use events::{Event, EventSink, JsonlSink, MemorySink, NullSink, TeeSink};
-pub use expo::to_prometheus;
+pub use events::{Event, EventSink, JsonlSink, MemorySink, NullSink};
 pub use hook::{NoopHook, RegistryHook, TelemetryHook};
 pub use json::{Json, JsonError};
 pub use logger::{LogLevel, Logger};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use progress::ProgressHook;
-pub use serve::{serve, Observatory, ServerHandle, StatusBoard};
 pub use spans::{SpanHook, SpanNode, SpanRecord, SpanRecorder, SpanTree};
 
 /// Prefix of the per-outcome counters (`…{outcome="masked"}`): one

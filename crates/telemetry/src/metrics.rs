@@ -124,19 +124,6 @@ impl Histogram {
         }
     }
 
-    /// Non-empty buckets as `(upper_bound, count)` pairs in ascending
-    /// bound order. Bucket `i` covers `[2^i, 2^(i+1))` nano-units, so
-    /// the exposed upper bound is `HIST_MIN * 2^(i+1)` — what a
-    /// Prometheus `_bucket{le="..."}` series needs (counts here are
-    /// per-bucket, not cumulative; the exposition layer accumulates).
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (HIST_MIN * 2f64.powi(i as i32 + 1), n))
-    }
-
     /// The `q`-quantile (`0.0..=1.0`) to one-octave resolution.
     ///
     /// Deterministic: a pure function of the recorded sample multiset.

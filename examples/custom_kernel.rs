@@ -52,7 +52,8 @@ fn run_on(arch: ArchConfig, fault: Option<FaultSite>) -> Vec<f32> {
     gpu.write_floats(x, &(0..n).map(|i| i as f32).collect::<Vec<_>>());
     gpu.write_floats(y, &vec![1.0f32; n as usize]);
     if let Some(f) = fault {
-        gpu.arm_fault(f);
+        gpu.arm_fault(f)
+            .expect("the site is on an SM of the device");
     }
     gpu.launch(
         &lowered,

@@ -275,7 +275,7 @@ fn replay_event_streams_are_pinned() {
         let site = FaultSite::try_new(structure, 0, word, bit, cycle, kind).unwrap();
         let mut gpu = Gpu::new(arch);
         let mut s = Session::new(&mut gpu, w.plan());
-        s.arm_fault(site);
+        s.arm_fault(site).unwrap();
         let mut obs = EventStream::new();
         let outcome = match s.run_to_completion(&mut obs) {
             Ok(out) if out == w.reference() => "masked",

@@ -154,7 +154,8 @@ fn armed_fault_survives_only_one_run() {
     let w = VectorAdd::new(256, 3);
     let golden = golden_run(&arch, &w).unwrap();
     let mut gpu = Gpu::new(arch.clone());
-    gpu.arm_fault(FaultSite::new(Structure::VectorRegisterFile, 0, 10, 5, 10));
+    gpu.arm_fault(FaultSite::new(Structure::VectorRegisterFile, 0, 10, 5, 10))
+        .unwrap();
     let _ = w.run(&mut gpu, &mut NoopObserver).unwrap();
     // Fresh GPU, no fault: golden.
     let mut gpu2 = Gpu::new(arch);

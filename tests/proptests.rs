@@ -93,7 +93,7 @@ proptest! {
         for site in sites {
             let mut gpu = Gpu::new(arch.clone());
             gpu.set_watchdog(golden.cycles * 10 + 10_000);
-            gpu.arm_fault(site);
+            gpu.arm_fault(site).unwrap();
             match w.run(&mut gpu, &mut NoopObserver) {
                 Ok(out) => {
                     prop_assert_eq!(out.len(), golden.outputs.len());

@@ -213,7 +213,7 @@ fn replay_site(
         }
     };
     session.set_watchdog(watchdog);
-    session.arm_fault(site);
+    session.arm_fault(site).unwrap();
     session
         .run_to_completion(&mut NoopObserver)
         .map(<[u32]>::to_vec)

@@ -361,7 +361,7 @@ fn control_row(arch: &ArchConfig, w: &dyn Workload, site: FaultSite) -> (&'stati
     // Far above every golden run of `reduction` at smoke size (< 3,000
     // cycles), low enough to keep the hung replays cheap.
     s.set_watchdog(20_000);
-    s.arm_fault(site);
+    s.arm_fault(site).unwrap();
     let outcome = match s.run_to_completion(&mut obs) {
         Ok(out) if out == golden => "masked",
         Ok(_) => "sdc",
